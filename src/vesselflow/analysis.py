@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .domain import VesselGeometry, radial_direction, reference_radius
+from .domain import VesselGeometry, reference_radius
+from .physics import current_frame
 
 
 class AnalysisError(ValueError):
@@ -192,21 +193,13 @@ def probe(points: Sequence[tuple], times: np.ndarray, flow, displacement) -> lis
         r = tape.batch(np.full(len(times), r0_pt))
         z = tape.batch(np.full(len(times), z0_pt))
         t = tape.batch(times)
-        eta = displacement.radial(tape, r, z, t)
-        r_t = r + _dir_const(tape, r) * eta
-        z_t = tape.batch(np.full(len(times), z0_pt))
-        t_p = tape.batch(times)
+        r_t, z_t, t_p, _ = current_frame(tape, r, z, t, displacement)
         u_z, u_r, p = flow.velocity_pressure(tape, r_t, z_t, t_p)
         speed = np.hypot(np.asarray(u_z.value, dtype=np.float64),
                          np.asarray(u_r.value, dtype=np.float64))
         out.append(ProbeSeries((r0_pt, z0_pt), times, speed,
                                np.asarray(p.value, dtype=np.float64) + np.zeros(len(times))))
     return out
-
-
-def _dir_const(tape, r):
-    d = radial_direction(r.value)
-    return tape.batch_constant(d) if isinstance(d, np.ndarray) else tape.constant(d)
 
 
 def speed_field(flow, displacement) -> Callable:
@@ -219,10 +212,7 @@ def speed_field(flow, displacement) -> Callable:
         r = tape.batch(r_arr)
         z = tape.batch(z_arr)
         tt = tape.batch(np.full(n, float(t)))
-        eta = displacement.radial(tape, r, z, tt)
-        r_t = r + _dir_const(tape, r) * eta
-        z_t = tape.batch(z_arr)
-        t_p = tape.batch(np.full(n, float(t)))
+        r_t, z_t, t_p, _ = current_frame(tape, r, z, tt, displacement)
         u_z, u_r, _ = flow.velocity_pressure(tape, r_t, z_t, t_p)
         return np.hypot(np.broadcast_to(np.asarray(u_z.value, dtype=np.float64), (n,)),
                         np.broadcast_to(np.asarray(u_r.value, dtype=np.float64), (n,)))
@@ -245,10 +235,7 @@ def export_fields(path, flow, displacement, grid: EvaluationGrid) -> None:
             r = tape.batch(grid.r_centers)
             z = tape.batch(grid.z_centers)
             tt = tape.batch(np.full(n, t))
-            eta = displacement.radial(tape, r, z, tt)
-            r_t = r + _dir_const(tape, r) * eta
-            z_t = tape.batch(grid.z_centers)
-            t_p = tape.batch(np.full(n, t))
+            r_t, z_t, t_p, eta = current_frame(tape, r, z, tt, displacement)
             u_z, u_r, p = flow.velocity_pressure(tape, r_t, z_t, t_p)
             cols = [np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
                     for c in (u_z.value, u_r.value, p.value, eta.value)]

@@ -1,19 +1,30 @@
-"""Recorded scalar autodiff with nested derivatives.
+"""Recorded autodiff with nested derivatives, one node per network layer.
 
-A Tape is an append-only record of scalar operations. DiffScalar handles
-wrap record entries; Python arithmetic on them appends nodes eagerly.
+A Tape is an append-only record of operations. DiffScalar handles wrap
+record entries; Python arithmetic on them appends nodes eagerly.
 Derivatives come from walking the record backward. The walk can either
 write new nodes into the record (so the derivative is itself a recorded,
 differentiable quantity, which is what lets second time-derivatives stay
 trainable) or produce plain numbers for optimizer consumption.
 
-Node values are float64 scalars or 1-d float64 arrays. An array value
-means the node carries one independent scalar per collocation point,
-evaluated in lockstep; every operation is elementwise in that case and
-``Tape.mean`` collapses a lockstep batch to a true scalar. This is not a
-tensor engine: there is no broadcasting semantics beyond scalar-vs-batch
-and no linear algebra between recorded values other than the n-ary
-linear combination node used by network layers.
+Node values are float64 scalars or arrays whose leading axis, when there
+is one more than the op needs, is a lockstep batch: one independent value
+per collocation point, evaluated together. Pointwise values are scalars
+or 1-d batches; every operation on them is elementwise and ``Tape.mean``
+collapses a batch to a true scalar. The record holds one node per network
+layer, not per neuron: a stack joins k pointwise nodes into a row of k
+(shape (k,) or (n, k)), an affine node computes ``x W^T + b`` with W and
+b read by offset from a registered parameter vector, activations act
+elementwise on the rows, and a select node reads one entry of the row
+back out. Because the batch axis leads, a value without it broadcasts
+against one with it, as in numpy.
+
+The recorded adjoints close over these ops: stack and select are each
+other's adjoint, and the adjoint of an affine node with respect to its
+input is the same affine node with W^T and no bias, so nested input
+derivatives and their parameter gradients go through whole layers. Both
+backward walks give every adjoint the shape of its node's value: summed
+over a batch axis the node lacks, repeated over one it has.
 
 Replaying a record after overwriting leaf or parameter values recomputes
 every stored value with the same floating-point operations in the same
@@ -26,10 +37,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-Value = "float | np.ndarray"
-
 # Node opcodes. LEAF values are set externally, CONST values are frozen,
-# PARAM values are read from a named parameter vector on each replay.
+# PARAM values are read from a named parameter vector on each replay, and
+# so are the weights of an AFFINE node.
 _LEAF = 0
 _CONST = 1
 _PARAM = 2
@@ -45,23 +55,17 @@ _STEP = 11
 _SIN = 12
 _COS = 13
 _DETACH = 14
-_MEAN = 15
-_BSUM = 16
-_LINCOMB = 17
-_SIGMOID = 18
-
-_OP_NAMES = {
-    _LEAF: "leaf", _CONST: "const", _PARAM: "param", _ADD: "add",
-    _SUB: "sub", _MUL: "mul", _DIV: "div", _NEG: "neg", _EXP: "exp",
-    _SQRT: "sqrt", _RELU: "relu", _STEP: "step", _SIN: "sin", _COS: "cos",
-    _DETACH: "detach", _MEAN: "mean", _BSUM: "bsum", _LINCOMB: "lincomb",
-    _SIGMOID: "sigmoid",
-}
+_SUM = 15  # sum over the batch axis divided by a count fixed at record time
+_SIGMOID = 16
+_STACK = 17
+_SELECT = 18
+_AFFINE = 19
 
 # Ops whose adjoint does not propagate to operands. The step function is
 # the recorded derivative of relu; its own derivative is zero everywhere
 # (the kink at 0 is assigned derivative 0).
 _NON_DIFFERENTIABLE = (_DETACH, _STEP)
+_INPUTS = (_LEAF, _CONST, _PARAM)
 
 
 class EvaluationError(RuntimeError):
@@ -76,8 +80,38 @@ def _is_batch(v):
     return isinstance(v, np.ndarray)
 
 
+def _entry(row, k):
+    """Entry k of a row value: a batch (n,) from (n, k), else a float."""
+    return row[:, k] if row.ndim == 2 else float(row[k])
+
+
+def _outer_sum(a, b):
+    """Outer product of rows a and b, summed over their batch axis if any:
+    (n, m) and (n, k) give (m, k)."""
+    return np.outer(a, b) if a.ndim == 1 else a.T @ b
+
+
+def _affine_rows(x, w, b):
+    """``x W^T + b`` one output unit at a time: unit k is ``w_k @ X`` over
+    the C-contiguous (fan_in, n) transpose X of x, then ``+ b_k``. That is
+    how a per-neuron record computes each unit, so forward values and the
+    fields exported from them are bit-identical to it; a single
+    ``x @ W.T`` rounds differently in the last bits. The result is the
+    (n, fan_out) transpose of a C-contiguous array, which lets the next
+    layer read its X without a copy."""
+    X = np.ascontiguousarray(x.T)
+    out = np.empty(w.shape[:1] + X.shape[1:])
+    for k in range(w.shape[0]):
+        out[k] = w[k] @ X
+    out = out.T
+    if b is not None:
+        out += b
+    return out
+
+
 class DiffScalar:
-    """Handle to one entry of a Tape. Behaves like a real number."""
+    """Handle to one entry of a Tape: a scalar, a lockstep batch or a
+    layer row. Behaves like a real number."""
 
     __slots__ = ("tape", "index")
 
@@ -138,7 +172,7 @@ class DiffScalar:
 
 
 class Tape:
-    """Append-only computation record over scalar (or lockstep-batched) values."""
+    """Append-only computation record over scalar, batched or layer values."""
 
     def __init__(self):
         self._ops: list[int] = []
@@ -147,8 +181,6 @@ class Tape:
         self._groups: dict[str, np.ndarray] = {}
         self._param_cache: dict[tuple[str, int], int] = {}
         self._const_cache: dict[float, int] = {}
-        self._blocks = None  # lazy replay/backward plan over lincomb runs
-        self._mask_cache: dict = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -156,15 +188,18 @@ class Tape:
     def __len__(self):
         return len(self._ops)
 
-    def _push(self, op: int, args: tuple, value) -> DiffScalar:
+    def _push(self, op: int, args: tuple, value=None) -> DiffScalar:
+        """Append a node; a value of None is computed from the operands."""
         self._ops.append(op)
         self._args.append(args)
         self._vals.append(value)
-        if self._blocks is not None:
-            self._blocks = None
-        if self._mask_cache:
-            self._mask_cache = {}
-        return DiffScalar(self, len(self._ops) - 1)
+        i = len(self._ops) - 1
+        if value is None:
+            self._vals[i] = self._eval(i)
+        return DiffScalar(self, i)
+
+    def _node(self, op: int, *args) -> int:
+        return self._push(op, args).index
 
     def scalar(self, value: float) -> DiffScalar:
         """New input leaf holding one real value."""
@@ -234,6 +269,10 @@ class Tape:
         if _is_batch(va) and _is_batch(vb) and va.shape != vb.shape:
             raise RecordError("lockstep batches of different lengths combined")
 
+    def _weight(self, group: str, offset: int, shape: tuple[int, int]) -> np.ndarray:
+        rows, cols = shape
+        return self._groups[group][offset:offset + rows * cols].reshape(rows, cols)
+
     def _eval(self, i: int):
         op = self._ops[i]
         args = self._args[i]
@@ -274,69 +313,59 @@ class Tape:
                 return 1.0 / (1.0 + np.exp(-vals[args[0]]))
         if op == _DETACH:
             return vals[args[0]]
-        if op == _MEAN:
-            return float(np.mean(vals[args[0]]))
-        if op == _BSUM:
-            v = vals[args[0]]
-            return float(np.sum(v)) if _is_batch(v) else v
-        if op == _LINCOMB:
-            coeffs, xs = args
-            return self._lincomb_value(
-                [vals[c] for c in coeffs], [vals[x] for x in xs]
-            )
+        if op == _SUM:
+            v, n = vals[args[0]], args[1]
+            if not _is_batch(v):
+                return v / n
+            s = np.sum(v, axis=0) / n
+            return float(s) if s.ndim == 0 else s
+        if op == _STACK:
+            # (k, n) in memory, as _affine_rows reads it; the value is the
+            # (n, k) transpose
+            return np.stack(np.broadcast_arrays(*[vals[a] for a in args])).T
+        if op == _SELECT:
+            return _entry(vals[args[0]], args[1])
+        if op == _AFFINE:
+            x, group, offset, shape, bias, transposed = args
+            w = self._weight(group, offset, shape)
+            if transposed:
+                return vals[x] @ w
+            b = None if bias is None else self._groups[group][bias:bias + shape[0]]
+            return _affine_rows(vals[x], w, b)
         if op == _PARAM:
             name, offset = args
             return float(self._groups[name][offset])
         raise RecordError(f"node {i}: op {op} cannot be re-evaluated")
 
-    @staticmethod
-    def _lincomb_value(cvals, xvals):
-        batched_c = [_is_batch(c) for c in cvals]
-        batched_x = [_is_batch(x) for x in xvals]
-        if not any(batched_c) and all(batched_x):
-            shapes = {x.shape for x in xvals}
-            if len(shapes) == 1:
-                return np.asarray(cvals, dtype=np.float64) @ np.stack(xvals)
-        if not any(batched_c) and not any(batched_x):
-            return float(
-                np.asarray(cvals, dtype=np.float64) @ np.asarray(xvals, dtype=np.float64)
-            )
-        acc = cvals[0] * xvals[0]
-        for c, x in zip(cvals[1:], xvals[1:]):
-            acc = acc + c * x
-        return acc
-
     def _binary(self, op, a: DiffScalar, b: DiffScalar) -> DiffScalar:
         self._check_pair(a.index, b.index)
-        node = self._push(op, (a.index, b.index), None)
-        self._vals[node.index] = self._eval(node.index)
-        return node
+        return self._push(op, (a.index, b.index))
 
     def _unary(self, op, a: DiffScalar) -> DiffScalar:
-        node = self._push(op, (a.index,), None)
-        self._vals[node.index] = self._eval(node.index)
-        return node
+        return self._push(op, (a.index,))
 
     # public primitives beyond operator syntax -------------------------
 
-    def lincomb(self, pairs: Sequence[tuple[DiffScalar, DiffScalar]]) -> DiffScalar:
-        """Sum of coefficient*operand pairs as a single record entry."""
-        if not pairs:
-            return self.constant(0.0)
-        coeffs = tuple(p[0].index for p in pairs)
-        xs = tuple(p[1].index for p in pairs)
-        node = self._push(_LINCOMB, (coeffs, xs), None)
-        self._vals[node.index] = self._eval(node.index)
-        return node
+    def stack(self, xs: Sequence[DiffScalar]) -> DiffScalar:
+        """Row of k pointwise nodes, shape (k,) or (n, k) for a batch."""
+        return self._push(_STACK, tuple(x.index for x in xs))
+
+    def select(self, x: DiffScalar, k: int) -> DiffScalar:
+        """Entry `k` of a row node."""
+        return self._push(_SELECT, (x.index, k))
+
+    def affine(self, x: DiffScalar, group: str, offset: int,
+               shape: tuple[int, int], bias: "int | None" = None) -> DiffScalar:
+        """``x W^T + b`` over a row node x. W is the row-major (rows, cols)
+        block of parameter group `group` at `offset`, b the `rows` entries
+        at `bias` (no bias when None)."""
+        return self._push(_AFFINE, (x.index, group, offset, tuple(shape), bias, False))
 
     def mean(self, x: DiffScalar) -> DiffScalar:
         """Mean over the lockstep batch (count fixed at record time)."""
         v = x.value
         n = int(v.shape[0]) if _is_batch(v) else 1
-        node = self._push(_MEAN, (x.index, n), None)
-        node_i = node.index
-        self._vals[node_i] = float(np.mean(v))
-        return node
+        return self._push(_SUM, (x.index, n))
 
     def detach(self, x: DiffScalar) -> DiffScalar:
         """Value pass-through that blocks derivative flow."""
@@ -345,137 +374,45 @@ class Tape:
     # ------------------------------------------------------------------
     # replay
 
-    def _compile_blocks(self):
-        """Group lincomb nodes that share one operand tuple and draw all
-        coefficients from one parameter group, contiguous or not. Every
-        operand of a group predates its first member, so the whole group
-        can be evaluated there; all consumers of a member come after it,
-        so adjoints are final once the walk reaches the lowest member."""
-        grouped: dict = {}
-        ops = self._ops
-        for i in range(len(ops)):
-            if ops[i] != _LINCOMB:
-                continue
-            coeffs, xs = self._args[i]
-            group = self._coeff_group(coeffs)
-            if group is None:
-                continue
-            shapes = {_is_batch(self._vals[x]) for x in xs}
-            if len(shapes) != 1:
-                continue
-            key = (xs, group)
-            grouped.setdefault(key, []).append(i)
-        blocks = []
-        member_map = {}
-        for (xs, group), members in grouped.items():
-            offsets = np.array(
-                [[self._args[c][1] for c in self._args[m][0]] for m in members],
-                dtype=np.intp,
-            )
-            blocks.append({"members": members, "xs": xs, "group": group,
-                           "offsets": offsets})
-            for m in members:
-                member_map[m] = len(blocks) - 1
-        self._blocks = (blocks, member_map)
-
-    def _coeff_group(self, coeffs):
-        group = None
-        for c in coeffs:
-            if self._ops[c] != _PARAM:
-                return None
-            name = self._args[c][0]
-            if group is None:
-                group = name
-            elif group != name:
-                return None
-        return group
-
     def replay(self) -> None:
         """Recompute every non-leaf value in record order."""
-        if self._blocks is None:
-            self._compile_blocks()
-        blocks, member_map = self._blocks
         ops = self._ops
         vals = self._vals
-        n = len(ops)
-        i = 0
-        while i < n:
-            op = ops[i]
-            if op == _LEAF or op == _CONST:
-                i += 1
-                continue
-            bidx = member_map.get(i)
-            if bidx is not None:
-                blk = blocks[bidx]
-                if i == blk["members"][0]:
-                    # Row-by-row vec @ stack matches the computation done when
-                    # the nodes were first recorded, keeping replays
-                    # bit-identical; later members are skipped when reached.
-                    C = self._groups[blk["group"]][blk["offsets"]]
-                    xvals = [vals[x] for x in blk["xs"]]
-                    if _is_batch(xvals[0]):
-                        width = xvals[0].shape[0]
-                        X = np.empty((len(xvals), width))
-                        for r, x in enumerate(xvals):
-                            X[r] = x
-                        for r, k in enumerate(blk["members"]):
-                            vals[k] = C[r] @ X
-                    else:
-                        xvec = np.asarray(xvals, dtype=np.float64)
-                        for r, k in enumerate(blk["members"]):
-                            vals[k] = float(C[r] @ xvec)
-                i += 1
-                continue
-            vals[i] = self._eval(i)
-            i += 1
+        for i in range(len(ops)):
+            if ops[i] != _LEAF and ops[i] != _CONST:
+                vals[i] = self._eval(i)
 
     # ------------------------------------------------------------------
     # backward walks
+
+    def _operands(self, i: int) -> tuple:
+        """Record indices node i reads its value from (weights excluded)."""
+        op = self._ops[i]
+        if op in _INPUTS:
+            return ()
+        if op in (_SUM, _SELECT, _AFFINE):
+            return self._args[i][:1]
+        return self._args[i]
 
     def _dependents_mask(self, roots: Sequence[int]) -> np.ndarray:
         """mask[i] is True when node i depends on at least one root."""
         mask = np.zeros(len(self._ops), dtype=bool)
         for r in roots:
             mask[r] = True
-        ops, args = self._ops, self._args
-        for i in range(len(ops)):
-            if mask[i]:
-                continue
-            op = ops[i]
-            if op in (_LEAF, _CONST, _PARAM) or op in _NON_DIFFERENTIABLE:
-                continue
-            if op == _LINCOMB:
-                coeffs, xs = args[i]
-                if any(mask[c] for c in coeffs) or any(mask[x] for x in xs):
-                    mask[i] = True
-            elif op == _MEAN:
-                mask[i] = mask[args[i][0]]
-            else:
-                if any(mask[a] for a in args[i]):
-                    mask[i] = True
+        ops = self._ops
+        for i in range(min(roots, default=0), len(ops)):
+            if not mask[i] and ops[i] not in _NON_DIFFERENTIABLE:
+                mask[i] = any(mask[a] for a in self._operands(i))
         return mask
 
     def _ancestors_mask(self, output: int) -> np.ndarray:
         """mask[i] is True when `output` depends on node i."""
         mask = np.zeros(len(self._ops), dtype=bool)
         mask[output] = True
-        ops, args = self._ops, self._args
+        ops = self._ops
         for i in range(output, -1, -1):
-            if not mask[i]:
-                continue
-            op = ops[i]
-            if op in (_LEAF, _CONST, _PARAM) or op in _NON_DIFFERENTIABLE:
-                continue
-            if op == _LINCOMB:
-                coeffs, xs = args[i]
-                for c in coeffs:
-                    mask[c] = True
-                for x in xs:
-                    mask[x] = True
-            elif op == _MEAN:
-                mask[args[i][0]] = True
-            else:
-                for a in args[i]:
+            if mask[i] and ops[i] not in _NON_DIFFERENTIABLE:
+                for a in self._operands(i):
                     mask[a] = True
         return mask
 
@@ -487,7 +424,8 @@ class Tape:
 
         Reading the derivative at a node treats that node as an
         independent input; paths that merely produce its value are not
-        followed further.
+        followed further. Affine weights are not nodes: gradients with
+        respect to parameters come from ``backward_values``.
         """
         roots = [w.index for w in wrt]
         active = self._dependents_mask(roots) & self._ancestors_mask(output.index)
@@ -496,13 +434,14 @@ class Tape:
         ops, args = self._ops, self._args
         adjoint: dict[int, int] = {}
         root_set = set(roots)
+        node = self._node
         for i in range(output.index, -1, -1):
             if i not in pending or not active[i]:
                 continue
-            adj = self._materialize(pending.pop(i))
+            adj = self._materialize(i, pending.pop(i))
             adjoint[i] = adj
             op = ops[i]
-            if op in (_LEAF, _CONST, _PARAM) or op in _NON_DIFFERENTIABLE:
+            if op in _INPUTS or op in _NON_DIFFERENTIABLE:
                 continue
             if i in root_set:
                 # treat the root as independent: do not chain into its
@@ -534,33 +473,33 @@ class Tape:
                 halfed = self._push_mul(half, self._node_recip(i))
                 self._accum(pending, active, a[0], halfed, adj)
             elif op == _RELU:
-                gate = self._push(_STEP, (a[0],), self._eval_new(_STEP, (a[0],))).index
-                self._accum(pending, active, a[0], gate, adj)
+                self._accum(pending, active, a[0], node(_STEP, a[0]), adj)
             elif op == _SIN:
-                cosn = self._push(_COS, (a[0],), self._eval_new(_COS, (a[0],))).index
-                self._accum(pending, active, a[0], cosn, adj)
+                self._accum(pending, active, a[0], node(_COS, a[0]), adj)
             elif op == _COS:
-                sinn = self._push(_SIN, (a[0],), self._eval_new(_SIN, (a[0],))).index
-                self._accum(pending, active, a[0], sinn, self._negate(adj))
+                self._accum(pending, active, a[0], node(_SIN, a[0]), self._negate(adj))
             elif op == _SIGMOID:
-                one = self.constant(1.0).index
-                complement = self._push(_SUB, (one, i), None)
-                self._vals[complement.index] = self._eval(complement.index)
-                slope = self._push_mul(i, complement.index)
+                complement = node(_SUB, self.constant(1.0).index, i)
+                slope = self._push_mul(i, complement)
                 self._accum(pending, active, a[0], slope, adj)
-            elif op == _MEAN:
+            elif op == _SUM:
                 x, n = a
                 inv_n = self.constant(1.0 / n).index
                 self._accum(pending, active, x, inv_n, adj)
-            elif op == _BSUM:
-                self._accum(pending, active, a[0], None, adj)
-            elif op == _LINCOMB:
-                coeffs, xs = a
-                for c, x in zip(coeffs, xs):
+            elif op == _STACK:
+                for k, x in enumerate(a):
                     if active[x]:
-                        self._accum(pending, active, x, c, adj)
-                    if active[c]:
-                        self._accum(pending, active, c, x, adj)
+                        self._accum(pending, active, x, None, node(_SELECT, adj, k))
+            elif op == _SELECT:
+                x, k = a
+                zero = self.constant(0.0).index
+                width = np.shape(self._vals[x])[-1]
+                rows = [adj if j == k else zero for j in range(width)]
+                self._accum(pending, active, x, None, node(_STACK, *rows))
+            elif op == _AFFINE:
+                x, group, offset, shape, _, transposed = a
+                back = node(_AFFINE, adj, group, offset, shape, None, not transposed)
+                self._accum(pending, active, x, None, back)
             else:  # pragma: no cover
                 raise RecordError(f"node {i}: cannot differentiate op {op}")
         out = []
@@ -569,18 +508,6 @@ class Tape:
             out.append(DiffScalar(self, idx) if idx is not None else self.constant(0.0))
         return out
 
-    def _eval_new(self, op, args):
-        self._ops.append(op)
-        self._args.append(args)
-        self._vals.append(None)
-        try:
-            v = self._eval(len(self._ops) - 1)
-        finally:
-            self._ops.pop()
-            self._args.pop()
-            self._vals.pop()
-        return v
-
     def _negate(self, adj):
         if adj is None:
             return ("neg", None)
@@ -588,41 +515,28 @@ class Tape:
             return adj if adj[0] != "neg" else None if adj[1] is None else adj[1]
         return ("neg", adj)
 
-    def _materialize(self, contributions) -> int:
-        """Collapse pending (coeff, adjoint) contributions into one node index.
+    def _materialize(self, i: int, contributions) -> int:
+        """Sum pending (coeff, adjoint) contributions into the adjoint of
+        node i, shaped like node i's value.
 
         coeff None means 1; adjoint None means the literal seed 1; an
         adjoint of ("neg", x) means -x with x possibly None.
         """
-        terms = []
+        total = None
         for coeff, adj in contributions:
-            neg = False
-            if isinstance(adj, tuple):
-                neg = True
-                adj = adj[1]
-            terms.append((coeff, adj, neg))
-        if len(terms) == 1:
-            coeff, adj, neg = terms[0]
-            node = self._term_node(coeff, adj)
-            return self._push(_NEG, (node,), self._eval_new(_NEG, (node,))).index if neg else node
-        pairs = []
-        one = None
-        for coeff, adj, neg in terms:
-            node = self._term_node(coeff, adj) if (coeff is None or adj is None) else None
-            if node is not None:
-                if one is None:
-                    one = self.constant(1.0).index
-                c, x = one, node
+            neg = isinstance(adj, tuple)
+            term = self._term_node(coeff, adj[1] if neg else adj)
+            if total is None:
+                total = self._node(_NEG, term) if neg else term
             else:
-                c, x = coeff, adj
-            if neg:
-                x = self._push(_NEG, (x,), self._eval_new(_NEG, (x,))).index
-            pairs.append((c, x))
-        coeffs = tuple(p[0] for p in pairs)
-        xs = tuple(p[1] for p in pairs)
-        node = self._push(_LINCOMB, (coeffs, xs), None)
-        self._vals[node.index] = self._eval(node.index)
-        return node.index
+                total = self._node(_SUB if neg else _ADD, total, term)
+        have, want = np.ndim(self._vals[total]), np.ndim(self._vals[i])
+        if have > want:  # a batch reached a node without one: sum over it
+            return self._node(_SUM, total, 1)
+        if have < want:  # one adjoint for all points: repeat it at each
+            zeros = self._push(_CONST, (), np.zeros(np.shape(self._vals[i])))
+            return self._node(_ADD, total, zeros.index)
+        return total
 
     def _term_node(self, coeff, adj) -> int:
         if coeff is None and adj is None:
@@ -640,15 +554,10 @@ class Tape:
                 return b
             if b == one:
                 return a
-        node = self._push(_MUL, (a, b), None)
-        self._vals[node.index] = self._eval(node.index)
-        return node.index
+        return self._node(_MUL, a, b)
 
     def _node_recip(self, den: int) -> int:
-        one = self.constant(1.0).index
-        node = self._push(_DIV, (one, den), None)
-        self._vals[node.index] = self._eval(node.index)
-        return node.index
+        return self._node(_DIV, self.constant(1.0).index, den)
 
     def _accum(self, pending, active, target, coeff, adj):
         if not active[target]:
@@ -666,57 +575,45 @@ class Tape:
         """Adjoints of `output` as plain numbers.
 
         Returns (list aligned with `wrt`, dict of per-group gradient
-        vectors). Scalar-valued nodes reached through lockstep-batched
-        paths receive the batch-summed adjoint, so parameter gradients of
-        a batched mean come out already reduced.
+        vectors). Every adjoint takes the shape of its node's value: a
+        node without a batch axis reached through lockstep-batched paths
+        receives the batch-summed adjoint, so parameter gradients of a
+        batched mean come out already reduced, and a batched node reached
+        with one adjoint for all points holds it at every point. Affine
+        nodes add their weight and bias adjoints straight into the
+        gradient of the group they read.
         """
-        if self._blocks is None:
-            self._compile_blocks()
-        blocks, member_map = self._blocks
         target_list = [w.index for w in wrt]
         targets = set(target_list)
         grads = {g: np.zeros(len(self._groups[g])) for g in param_groups}
+        ops, args, vals = self._ops, self._args, self._vals
         roots = list(target_list)
         for g in param_groups:
             roots.extend(
                 idx for (name, _), idx in self._param_cache.items() if name == g
             )
+            roots.extend(i for i in range(len(ops)) if ops[i] == _AFFINE and args[i][1] == g)
         if not roots:
             return [0.0 for _ in target_list], grads
-        cache_key = (output.index, tuple(target_list), tuple(param_groups))
-        useful = self._mask_cache.get(cache_key)
-        if useful is None:
-            useful = self._dependents_mask(roots)
-            self._mask_cache[cache_key] = useful
-        ops, args, vals = self._ops, self._args, self._vals
-        adj: dict[int, object] = {output.index: 1.0}
+        useful = self._dependents_mask(roots)
+        adj: dict[int, object] = {}
 
         def accumulate(node, contribution):
-            if _is_batch(contribution) and not _is_batch(vals[node]):
-                contribution = float(contribution.sum())
+            shape = np.shape(vals[node])
+            if np.ndim(contribution) > len(shape):
+                contribution = contribution.sum(axis=0)
+                if not shape:
+                    contribution = float(contribution)
+            elif np.ndim(contribution) < len(shape):
+                contribution = np.broadcast_to(contribution, shape)
             cur = adj.get(node)
             adj[node] = contribution if cur is None else cur + contribution
 
-        i = output.index
-        while i >= 0:
-            bidx = member_map.get(i)
-            if bidx is not None:
-                blk = blocks[bidx]
-                if i != blk["members"][0]:
-                    # adjoints of higher members keep accumulating until the
-                    # walk reaches the lowest member, where all are final
-                    i -= 1
-                    continue
-                if any(k in adj and useful[k] for k in blk["members"]):
-                    self._block_backward(blk, adj, useful, grads, accumulate, targets)
-                for k in blk["members"]:
-                    if k not in targets:
-                        adj.pop(k, None)
-                i -= 1
-                continue
+        accumulate(output.index, 1.0)
+
+        for i in range(output.index, -1, -1):
             a_out = adj.pop(i, None)
             if a_out is None or not useful[i]:
-                i -= 1
                 continue
             op = ops[i]
             a = args[i]
@@ -725,10 +622,7 @@ class Tape:
             elif op == _PARAM:
                 name, offset = a
                 if name in grads:
-                    g = a_out
-                    grads[name][offset] += float(g.sum()) if _is_batch(g) else g
-                if i in targets:
-                    adj[i] = a_out  # keep for collection below
+                    grads[name][offset] += a_out
             elif op == _ADD:
                 if useful[a[0]]:
                     accumulate(a[0], a_out)
@@ -774,70 +668,39 @@ class Tape:
                 if useful[a[0]]:
                     s = vals[i]
                     accumulate(a[0], a_out * (s * (1.0 - s)))
-            elif op == _MEAN:
+            elif op == _SUM:
                 x, n = a
                 if useful[x]:
                     accumulate(x, a_out / n)
-            elif op == _BSUM:
-                if useful[a[0]]:
-                    accumulate(a[0], a_out)
-            elif op == _LINCOMB:
-                coeffs, xs = a
-                for c, x in zip(coeffs, xs):
+            elif op == _STACK:
+                for k, x in enumerate(a):
                     if useful[x]:
-                        accumulate(x, a_out * vals[c])
-                    if useful[c]:
-                        accumulate(c, a_out * vals[x])
-            if i in targets and op != _PARAM:
-                adj[i] = a_out
-            i -= 1
+                        accumulate(x, _entry(a_out, k))
+            elif op == _SELECT:
+                x, k = a
+                if useful[x]:
+                    row = np.zeros(np.shape(a_out) + np.shape(vals[x])[-1:])
+                    row[..., k] = a_out
+                    accumulate(x, row)
+            elif op == _AFFINE:
+                x, group, offset, shape, bias, transposed = a
+                w = self._weight(group, offset, shape)
+                if useful[x]:
+                    accumulate(x, a_out @ (w.T if transposed else w))
+                g = grads.get(group)
+                if g is not None:
+                    xv = vals[x]
+                    w_bar = _outer_sum(xv, a_out) if transposed else _outer_sum(a_out, xv)
+                    g[offset:offset + w.size] += w_bar.ravel()
+                    if bias is not None:
+                        g[bias:bias + shape[0]] += a_out.sum(axis=0) if a_out.ndim == 2 else a_out
+            if i in targets:
+                adj[i] = a_out  # keep for collection below
         out = []
         for t in target_list:
             g = adj.get(t, 0.0)
             out.append(g)
         return out, grads
-
-    def _block_backward(self, blk, adj, useful, grads, accumulate, targets):
-        rows = blk["members"]
-        xvals = [self._vals[x] for x in blk["xs"]]
-        batched = any(_is_batch(x) for x in xvals)
-        m = len(rows)
-        if batched:
-            width = next(x.shape[0] for x in xvals if _is_batch(x))
-            A = np.zeros((m, width))
-        else:
-            A = np.zeros(m)
-        for r, k in enumerate(rows):
-            v = adj.get(k)
-            if v is not None:
-                A[r] = v
-        C = self._groups[blk["group"]][blk["offsets"]]
-        # operand adjoints
-        Xbar = C.T @ A
-        for r, x in enumerate(blk["xs"]):
-            if useful[x]:
-                accumulate(x, Xbar[r])
-        # coefficient adjoints go straight into the gradient buffer
-        want_group = blk["group"] in grads
-        want_nodes = targets and any(
-            self._param_cache.get((blk["group"], off)) in targets
-            for off in blk["offsets"].ravel()
-        )
-        if want_group or want_nodes:
-            if batched:
-                X = np.empty((len(xvals), A.shape[1]))
-                for r, x in enumerate(xvals):
-                    X[r] = x
-                Cbar = A @ X.T
-            else:
-                Cbar = np.outer(A, np.asarray(xvals, dtype=np.float64))
-            if want_group:
-                np.add.at(grads[blk["group"]], blk["offsets"].ravel(), Cbar.ravel())
-            if want_nodes:
-                for (r, c), off in np.ndenumerate(blk["offsets"]):
-                    node = self._param_cache.get((blk["group"], off))
-                    if node in targets:
-                        accumulate(node, Cbar[r, c])
 
 
 # ----------------------------------------------------------------------

@@ -76,29 +76,23 @@ class FieldNetwork:
         return self.widths[-1]
 
     def forward(self, tape: ad.Tape, inputs) -> list[ad.DiffScalar]:
-        """Record the network evaluation at `inputs` (DiffScalar, length in_dim)."""
+        """Record the network evaluation at `inputs` (DiffScalar, length in_dim):
+        one stack of the inputs, one affine node per layer, one node per
+        hidden activation and one select per output, whatever the width."""
         if len(inputs) != self.in_dim:
             raise ValueError(f"{self.name}: expected {self.in_dim} inputs, got {len(inputs)}")
         tape.register_params(self.name, self.theta)
-        xs = list(inputs)
+        x = tape.stack(inputs)
         for layer in range(self.depth):
             w_off, b_off = self._offsets[layer]
-            fan_in, fan_out = self.widths[layer], self.widths[layer + 1]
-            pre = [
-                tape.lincomb(
-                    [(tape.param(self.name, w_off + i * fan_in + j), xs[j]) for j in range(fan_in)]
-                )
-                for i in range(fan_out)
-            ]
-            pre = [p + tape.param(self.name, b_off + i) for i, p in enumerate(pre)]
+            shape = (self.widths[layer + 1], self.widths[layer])
+            x = tape.affine(x, self.name, w_off, shape, bias=b_off)
             act = self.activations[layer]
             if act == "sigmoid":
-                xs = [ad.sigmoid(p) for p in pre]
+                x = ad.sigmoid(x)
             elif act == "relu":
-                xs = [ad.relu(p) for p in pre]
-            else:
-                xs = pre
-        return xs
+                x = ad.relu(x)
+        return [tape.select(x, k) for k in range(self.out_dim)]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Plain numpy forward over rows of `points`, shape (n, in_dim) -> (n, out_dim)."""

@@ -1,7 +1,7 @@
 """Acceptance gate: one test per criterion, each printing a pass line.
 
-Criteria 4 and 7 train at reduced scale and take some minutes; criterion
-9 is the optional slow study (run with `pytest -m slow`).
+Criteria 4 (the Poiseuille check), 7 (the momentum-weight ladder) and 9
+(plaque-severity ordering) are not yet tests.
 """
 
 import json

@@ -216,6 +216,26 @@ class TestBatchedValues:
         want = 2.0 * 2.0 * np.mean(np.array([1.0, 4.0, 9.0]))
         assert g == pytest.approx(want, rel=1e-14)
 
+    def test_mean_adjoint_reaches_every_point(self):
+        # d mean(x + w) / dw = 1: the adjoint 1/n of the mean is repeated at
+        # each of the n points before it is summed into w
+        tape = ad.Tape()
+        tape.register_params("w", np.array([2.0]))
+        w = tape.param("w", 0)
+        loss = tape.mean(tape.batch([1.0, 2.0, 3.0]) + w)
+        assert ad.param_grad(loss, "w").tolist() == [1.0]
+        (recorded,) = tape.grad(loss, [w])
+        assert recorded.value == 1.0
+
+    def test_recorded_gradient_sums_over_batch(self):
+        # d mean(w x) / dw = mean(x) = 2 for a scalar w, from both walks
+        tape = ad.Tape()
+        w = tape.scalar(0.5)
+        loss = tape.mean(w * tape.batch([1.0, 2.0, 3.0]))
+        (recorded,) = tape.grad(loss, [w])
+        assert recorded.value == pytest.approx(2.0, rel=1e-15)
+        assert tape.backward_values(loss, wrt=[w])[0][0] == pytest.approx(2.0, rel=1e-15)
+
 
 class TestReplay:
     def test_replay_is_bit_identical(self):

@@ -112,6 +112,28 @@ class TestForward:
         got = np.stack([o.value for o in out], axis=1)
         assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
 
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_record_size_independent_of_width(self, batched):
+        # One node per layer, not per neuron: the record does not grow with
+        # the width, and it still computes what the plain forward does.
+        depth = 12
+        pts = np.random.default_rng(1).uniform(-1, 1, size=(7 if batched else 1, 3))
+        counts = []
+        for width in (6, 30):
+            net = nets.build(depth, width, 3, 2, seed=width)
+            tape = ad.Tape()
+            if batched:
+                leaves = [tape.batch(pts[:, i]) for i in range(3)]
+            else:
+                leaves = [tape.scalar(v) for v in pts[0]]
+            out = net.forward(tape, leaves)
+            counts.append(len(tape) - len(leaves))
+            got = np.stack([np.atleast_1d(o.value) for o in out], axis=1)
+            ref = net.evaluate(pts)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # stack, depth affine maps, depth - 1 activations, one select per output
+        assert counts == [1 + depth + (depth - 1) + 2] * 2
+
     def test_input_dimension_checked(self):
         net = nets.build(3, 4, 3, 1, seed=0)
         tape = ad.Tape()

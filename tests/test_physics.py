@@ -421,3 +421,66 @@ class TestLossGraphReplay:
         raised = graph.breakdown()
         assert raised.fluid_total > base.fluid_total
         assert raised.ns == base.ns  # the unweighted term itself is unchanged
+
+
+FD_STEPS = (1e-3, 1e-4, 1e-5, 1e-6)
+
+
+def directional_fd_error(graph, net, grad, rng):
+    """Smallest relative error over FD_STEPS between `grad` (net's part of
+    graph.param_grads) along a random unit direction and the central
+    difference of graph.total along it. Large steps may cross relu kinks
+    and small ones lose digits to rounding, so one good step suffices."""
+    theta0 = net.theta.copy()
+    direction = rng.standard_normal(theta0.size)
+    direction /= np.linalg.norm(direction)
+    analytic = float(grad @ direction)
+    errors = []
+    try:
+        for h in FD_STEPS:
+            net.theta[:] = theta0 + h * direction
+            graph.replay()
+            hi = float(graph.total.value)
+            net.theta[:] = theta0 - h * direction
+            graph.replay()
+            lo = float(graph.total.value)
+            numeric = (hi - lo) / (2.0 * h)
+            errors.append(abs(numeric - analytic) / max(abs(analytic), abs(numeric)))
+    finally:
+        net.theta[:] = theta0
+        graph.replay()
+    return min(errors)
+
+
+class TestLossGraphGradients:
+    """Parameter gradients of whole loss graphs against central differences:
+    the momentum residual holds second space-derivatives and the ring model
+    second time-derivatives, so these are third-order paths through every
+    network layer."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fluid_param_grads(self, seed):
+        # _interface detaches the wall-velocity target d eta/dt by design, so
+        # d's gradient is the derivative of the total only without the
+        # boundary term: d is checked on a second graph that leaves it out.
+        u, p, d = make_nets(seed=seed)
+        flow, disp = NetworkFlow(u, p), NetworkDisplacement(d)
+        networks = {"u": u, "p": p, "d": d}
+        rng = np.random.default_rng(seed)
+        for weights, checked in ((LossWeights(ns=1.0), ("u", "p")),
+                                 (LossWeights(ns=1.0, fluid_bdr=0.0), ("d",))):
+            graph = FluidLossGraph(flow, disp, tiny_samples(seed=seed), GEOM, FLUID,
+                                   steady_factor, weights, EPS_R)
+            grads = graph.param_grads(["u", "p", "d"])
+            for group in checked:
+                err = directional_fd_error(graph, networks[group], grads[group], rng)
+                assert err < 1e-6, group
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_solid_param_grads(self, seed):
+        u, p, d = make_nets(seed=seed)
+        flow, disp = NetworkFlow(u, p), NetworkDisplacement(d)
+        graph = SolidLossGraph(flow, disp, tiny_samples(seed=seed), GEOM,
+                               {RegionTag.WALL: WALL}, FLUID, LossWeights(), EPS_R)
+        rng = np.random.default_rng(seed)
+        assert directional_fd_error(graph, d, graph.param_grads(["d"])["d"], rng) < 1e-6
