@@ -223,13 +223,19 @@ def speed_field(flow, displacement) -> Callable:
 # ----------------------------------------------------------------------
 # exports
 
+_EXPORT_BLOCK = 512  # rows formatted together by export_fields
+
+
 def export_fields(path, flow, displacement, grid: EvaluationGrid) -> None:
-    """Field snapshot CSV: one row per (t, cell centre)."""
+    """Field snapshot CSV: one row per (t, cell centre).
+
+    Each row is written as the ``repr`` of its cells joined by commas and
+    ended with CRLF, which is what ``csv.writer`` emits for these cells."""
+    n = len(grid.r_centers)
+    cells = [f"{r!r},{z!r}" for r, z in zip(grid.r_centers.tolist(),
+                                               grid.z_centers.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_s", "r_cm", "z_cm", "u_z_cm_per_s", "u_r_cm_per_s",
-                         "p_dyn_per_cm2", "eta_cm"])
-        n = len(grid.r_centers)
+        fh.write("t_s,r_cm,z_cm,u_z_cm_per_s,u_r_cm_per_s,p_dyn_per_cm2,eta_cm\r\n")
         for t in grid.times:
             tape = ad.Tape()
             r = tape.batch(grid.r_centers)
@@ -239,11 +245,13 @@ def export_fields(path, flow, displacement, grid: EvaluationGrid) -> None:
             u_z, u_r, p = flow.velocity_pressure(tape, r_t, z_t, t_p)
             cols = [np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
                     for c in (u_z.value, u_r.value, p.value, eta.value)]
-            for k in range(n):
-                writer.writerow([repr(float(t)), repr(float(grid.r_centers[k])),
-                                 repr(float(grid.z_centers[k])),
-                                 repr(float(cols[0][k])), repr(float(cols[1][k])),
-                                 repr(float(cols[2][k])), repr(float(cols[3][k]))])
+            t_text = repr(float(t))
+            # a block of rows at a time, so that the Python floats of a
+            # whole slice never exist at once (1.4 MB at the default grid)
+            for lo in range(0, n, _EXPORT_BLOCK):
+                block = [col[lo:lo + _EXPORT_BLOCK].tolist() for col in cols]
+                fh.writelines(f"{t_text},{rz},{a!r},{b!r},{c!r},{d!r}\r\n"
+                              for rz, a, b, c, d in zip(cells[lo:lo + _EXPORT_BLOCK], *block))
 
 
 def write_probe_csv(path, series: Sequence[ProbeSeries]) -> None:

@@ -26,9 +26,14 @@ derivatives and their parameter gradients go through whole layers. Both
 backward walks give every adjoint the shape of its node's value: summed
 over a batch axis the node lacks, repeated over one it has.
 
-Replaying a record after overwriting leaf or parameter values recomputes
-every stored value with the same floating-point operations in the same
-order, so replays are bit-reproducible.
+Replaying a record after overwriting leaf or parameter values
+re-evaluates, in record order, only the nodes whose value reads (through
+any operand, ``detach`` and ``step`` included) a leaf written by
+``set_value`` or a parameter vector whose bits differ from its state at
+the last replay. Those nodes go through the same floating-point
+operations in the same order as when they were recorded, and every other
+stored value is already what they would give, so a replay is
+bit-identical to recomputing the whole record.
 """
 
 from __future__ import annotations
@@ -78,6 +83,12 @@ class RecordError(RuntimeError):
 
 def _is_batch(v):
     return isinstance(v, np.ndarray)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality of two float64 vectors: -0.0 differs from 0.0 and
+    a NaN equals itself."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _entry(row, k):
@@ -181,6 +192,15 @@ class Tape:
         self._groups: dict[str, np.ndarray] = {}
         self._param_cache: dict[tuple[str, int], int] = {}
         self._const_cache: dict[float, int] = {}
+        self._step_cache: dict[int, int] = {}  # relu operand -> its step node
+        # Replay bookkeeping: each group's bits at the last replay, and the
+        # groups and leaf indices changed since then.
+        self._snapshots: dict[str, np.ndarray] = {}
+        self._changed: set = set()
+        # Walk results that depend only on the record's structure, for the
+        # current record length.
+        self._memo_len = 0
+        self._memo: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -229,13 +249,19 @@ class Tape:
 
     def register_params(self, name: str, values: np.ndarray) -> None:
         """Attach a named parameter vector. The array is kept by reference:
-        in-place updates are picked up on the next replay."""
+        in-place updates are picked up on the next replay. Registering it
+        again after an in-place update marks it changed, so nodes recorded
+        against either state are refreshed by the next replay."""
         if values.dtype != np.float64 or values.ndim != 1:
             raise RecordError("parameter vectors must be 1-d float64")
         existing = self._groups.get(name)
-        if existing is not None and existing is not values:
+        if existing is None:
+            self._groups[name] = values
+            self._snapshots[name] = values.copy()
+        elif existing is not values:
             raise RecordError(f"parameter group {name!r} already registered")
-        self._groups[name] = values
+        elif not _same_bits(values, self._snapshots[name]):
+            self._changed.add(name)
 
     def param(self, name: str, offset: int) -> DiffScalar:
         """Leaf bound to entry `offset` of a registered parameter vector.
@@ -260,6 +286,7 @@ class Tape:
             self._vals[leaf.index] = arr.copy()
         else:
             self._vals[leaf.index] = float(value)
+        self._changed.add(leaf.index)
 
     # ------------------------------------------------------------------
     # primitive evaluation (shared by eager construction and replay)
@@ -375,12 +402,57 @@ class Tape:
     # replay
 
     def replay(self) -> None:
-        """Recompute every non-leaf value in record order."""
-        ops = self._ops
+        """Re-evaluate, in record order, every node whose value reads a
+        leaf overwritten by ``set_value`` or a parameter vector changed
+        since the last replay. Changes are detected bitwise, so 0.0 ->
+        -0.0 counts. Every other stored value is left as it is."""
+        changed = self._changed
+        for name, values in self._groups.items():
+            snapshot = self._snapshots[name]
+            if not _same_bits(values, snapshot):
+                changed.add(name)
+                np.copyto(snapshot, values)
+        if not changed:
+            return
         vals = self._vals
-        for i in range(len(ops)):
-            if ops[i] != _LEAF and ops[i] != _CONST:
-                vals[i] = self._eval(i)
+        for i in self._stale_nodes(frozenset(changed)):
+            vals[i] = self._eval(i)
+        # cleared only once every stale node is recomputed, so a replay
+        # that raised leaves the changes for the next one
+        changed.clear()
+
+    def _memoized(self, key: tuple, build: Callable):
+        """Cached ``build()`` for a walk over the record as it is now."""
+        if self._memo_len != len(self._ops):
+            self._memo = {}
+            self._memo_len = len(self._ops)
+        found = self._memo.get(key)
+        if found is None:
+            found = self._memo[key] = build()
+        return found
+
+    def _stale_nodes(self, changed: frozenset) -> list[int]:
+        """Non-leaf nodes whose value reads, through any operand, a leaf
+        index or a parameter group in `changed`, in record order."""
+        def build():
+            ops, args = self._ops, self._args
+            hit = [False] * len(ops)
+            order = []
+            for i, op in enumerate(ops):
+                if op == _LEAF:
+                    hit[i] = i in changed
+                    continue
+                if op == _PARAM:
+                    stale = args[i][0] in changed
+                elif op == _AFFINE:
+                    stale = args[i][1] in changed or hit[args[i][0]]
+                else:
+                    stale = any(hit[a] for a in self._operands(i))
+                if stale:
+                    hit[i] = True
+                    order.append(i)
+            return order
+        return self._memoized(("replay", changed), build)
 
     # ------------------------------------------------------------------
     # backward walks
@@ -473,7 +545,10 @@ class Tape:
                 halfed = self._push_mul(half, self._node_recip(i))
                 self._accum(pending, active, a[0], halfed, adj)
             elif op == _RELU:
-                self._accum(pending, active, a[0], node(_STEP, a[0]), adj)
+                step = self._step_cache.get(a[0])
+                if step is None:
+                    step = self._step_cache[a[0]] = node(_STEP, a[0])
+                self._accum(pending, active, a[0], step, adj)
             elif op == _SIN:
                 self._accum(pending, active, a[0], node(_COS, a[0]), adj)
             elif op == _COS:
@@ -566,6 +641,18 @@ class Tape:
 
     # -- raw backward: plain numbers, no new nodes ---------------------
 
+    def _useful_mask(self, targets: Sequence[int], param_groups: Sequence[str]) -> list[bool]:
+        """Flags of the nodes that depend on a target or on a parameter of
+        one of the groups."""
+        ops, args = self._ops, self._args
+        roots = list(targets)
+        for g in param_groups:
+            roots.extend(
+                idx for (name, _), idx in self._param_cache.items() if name == g
+            )
+            roots.extend(i for i in range(len(ops)) if ops[i] == _AFFINE and args[i][1] == g)
+        return self._dependents_mask(roots).tolist()
+
     def backward_values(
         self,
         output: DiffScalar,
@@ -587,15 +674,8 @@ class Tape:
         targets = set(target_list)
         grads = {g: np.zeros(len(self._groups[g])) for g in param_groups}
         ops, args, vals = self._ops, self._args, self._vals
-        roots = list(target_list)
-        for g in param_groups:
-            roots.extend(
-                idx for (name, _), idx in self._param_cache.items() if name == g
-            )
-            roots.extend(i for i in range(len(ops)) if ops[i] == _AFFINE and args[i][1] == g)
-        if not roots:
-            return [0.0 for _ in target_list], grads
-        useful = self._dependents_mask(roots)
+        useful = self._memoized(("useful", tuple(target_list), tuple(param_groups)),
+                                lambda: self._useful_mask(target_list, param_groups))
         adj: dict[int, object] = {}
 
         def accumulate(node, contribution):

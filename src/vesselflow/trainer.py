@@ -114,6 +114,10 @@ def _shard_len(shard):
 # ----------------------------------------------------------------------
 # history
 
+# Loss terms of each problem, weighted total last.
+_FLUID_TERMS = ("ns", "fluid_bdr", "fluid_init", "fluid_total")
+_SOLID_TERMS = ("stress", "harmonic", "solid_bdr", "solid_init", "solid_total")
+
 HISTORY_COLUMNS = ["epoch", "stage", "phase", "alpha_ns", "ns", "fluid_bdr",
                    "fluid_init", "fluid_total", "stress", "harmonic",
                    "solid_bdr", "solid_init", "solid_total"]
@@ -302,7 +306,7 @@ class Trainer:
             g.replay()
         breakdown = _mean_fluid_breakdown(graphs)
         self._record(stage, phase, graphs[0].alpha_ns, breakdown)
-        self._guard_finite(breakdown.fluid_total)
+        self._guard_finite(stage, phase, breakdown)
         grad = parallel_grad(lambda g: g.param_grads([phase])[phase], graphs)
         net = self.networks[phase]
         self.optimizers[phase].step(net.theta, grad)
@@ -330,7 +334,7 @@ class Trainer:
                 g.replay()
             breakdown = _mean_solid_breakdown(graphs)
             self._record(stage, "d", 0.0, breakdown)
-            self._guard_finite(breakdown.solid_total)
+            self._guard_finite(stage, "d", breakdown)
             grad = parallel_grad(lambda g: g.param_grads(["d"])["d"], graphs)
             self.optimizers["d"].step(self.networks["d"].theta, grad)
             losses.append(breakdown.solid_total)
@@ -347,10 +351,16 @@ class Trainer:
                 and self.epoch % self.checkpoint_interval == 0):
             self._checkpoint()
 
-    def _guard_finite(self, total: float) -> None:
-        if not math.isfinite(total):
+    def _guard_finite(self, stage: str, phase: str, breakdown: LossBreakdown) -> None:
+        """Abort when the weighted total of the phase's problem is not
+        finite, naming the stage, the network and every non-finite term."""
+        terms = _SOLID_TERMS if phase == "d" else _FLUID_TERMS
+        if not math.isfinite(getattr(breakdown, terms[-1])):
+            bad = [name for name in terms if not math.isfinite(getattr(breakdown, name))]
             raise TrainingDiverged(
-                f"loss became non-finite at epoch {self.epoch - 1}",
+                f"loss became non-finite at epoch {self.epoch - 1} in stage "
+                f"{stage!r} while training network {phase!r}; non-finite "
+                f"terms: {', '.join(bad)}",
                 checkpoint=self.last_checkpoint)
 
     def _checkpoint(self, force: bool = False) -> None:

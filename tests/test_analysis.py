@@ -1,8 +1,11 @@
 """Error metric, flux quadrature, traction and probes against hand values."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from vesselflow import autodiff as ad
 from vesselflow.analysis import (
     AnalysisError, EvaluationGrid, ProbeSeries, cycle_integrated_flux,
     default_probes, export_fields, outlet_flux, poiseuille_oracle,
@@ -10,7 +13,9 @@ from vesselflow.analysis import (
     write_flux_csv, write_probe_csv,
 )
 from vesselflow.domain import VesselGeometry
-from vesselflow.physics import AnalyticFlow, FluidProperties, ZeroDisplacement
+from vesselflow.physics import (
+    AnalyticFlow, FluidProperties, ZeroDisplacement, current_frame,
+)
 
 GEOM = VesselGeometry()
 FLUID = FluidProperties()
@@ -24,6 +29,29 @@ def poiseuille_flow():
         lambda r, z, t: 0.0,
         lambda r, z, t: 0.0,
     )
+
+
+def export_fields_csv_writer(path, flow, displacement, grid):
+    """Reference export: csv.writer over the repr of each cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t_s", "r_cm", "z_cm", "u_z_cm_per_s", "u_r_cm_per_s",
+                         "p_dyn_per_cm2", "eta_cm"])
+        n = len(grid.r_centers)
+        for t in grid.times:
+            tape = ad.Tape()
+            r = tape.batch(grid.r_centers)
+            z = tape.batch(grid.z_centers)
+            tt = tape.batch(np.full(n, t))
+            r_t, z_t, t_p, eta = current_frame(tape, r, z, tt, displacement)
+            u_z, u_r, p = flow.velocity_pressure(tape, r_t, z_t, t_p)
+            cols = [np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
+                    for c in (u_z.value, u_r.value, p.value, eta.value)]
+            for k in range(n):
+                writer.writerow([repr(float(t)), repr(float(grid.r_centers[k])),
+                                 repr(float(grid.z_centers[k])),
+                                 repr(float(cols[0][k])), repr(float(cols[1][k])),
+                                 repr(float(cols[2][k])), repr(float(cols[3][k]))])
 
 
 class TestEvaluationGrid:
@@ -196,6 +224,22 @@ class TestExports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "t_s,r_cm,z_cm,u_z_cm_per_s,u_r_cm_per_s,p_dyn_per_cm2,eta_cm"
         assert len(lines) == 1 + 2 * 9
+
+    def test_field_export_matches_csv_writer(self, tmp_path):
+        """The hand-joined rows are byte-identical to csv.writer over the
+        repr of each cell."""
+        flow = AnalyticFlow(
+            lambda r, z, t: U_MAX * (1.0 - (r * r) * (1.0 / R0**2)),
+            lambda r, z, t: -1e-7 * r * z,
+            lambda r, z, t: 100.0 - 3e5 * z * t,
+        )
+        grid = EvaluationGrid.build(GEOM, n_r=24, n_z=24, n_t=2)  # rows span two blocks
+        path = tmp_path / "fields.csv"
+        export_fields(path, flow, ZERO_DISP, grid)
+
+        reference = tmp_path / "reference.csv"
+        export_fields_csv_writer(reference, flow, ZERO_DISP, grid)
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_probe_export(self, tmp_path):
         flow = poiseuille_flow()

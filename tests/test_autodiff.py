@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vesselflow import autodiff as ad
+from vesselflow import nets
 
 
 def central_first(f, x, i, h=1e-5):
@@ -279,6 +280,70 @@ class TestReplay:
             return float(y.value), [float(v) for v in g]
 
         assert run() == run()
+
+
+class TestIncrementalReplay:
+    def test_nothing_changed_evaluates_nothing(self, monkeypatch):
+        tape = ad.Tape()
+        theta = np.array([0.4, -0.3])
+        tape.register_params("w", theta)
+        x = tape.batch([0.5, -1.5, 2.0])
+        out = ad.relu(tape.param("w", 0) * x) + ad.sin(x) * tape.param("w", 1)
+        tape.grad(out, [x])
+        calls = []
+        original = ad.Tape._eval
+
+        def counted(self, i):
+            calls.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(ad.Tape, "_eval", counted)
+        tape.replay()
+        theta[:] = theta  # rewriting the same bits is no change
+        tape.replay()
+        assert calls == []
+
+    def test_sign_of_zero_is_a_change(self):
+        tape = ad.Tape()
+        theta = np.array([0.0])
+        tape.register_params("w", theta)
+        out = tape.param("w", 0) * tape.scalar(2.0)
+        assert not np.signbit(out.value)
+        theta[0] = -0.0
+        tape.replay()
+        assert np.signbit(out.value)
+
+    def test_group_modified_between_forwards_then_restored(self):
+        def record(tape, net, modify):
+            x = [tape.batch([0.1, 0.4, -0.2]), tape.batch([1.0, 0.5, 0.3])]
+            first = net.forward(tape, x)
+            theta0 = net.theta.copy()
+            if modify:
+                net.theta *= 1.5
+            second = net.forward(tape, x)
+            (g,) = tape.grad(first[0] * second[0], [x[0]])
+            net.theta[:] = theta0
+            return g
+
+        net = nets.build(4, 5, 2, 1, seed=3, name="w")
+        tape = ad.Tape()
+        record(tape, net, modify=True)
+        tape.replay()
+        fresh = ad.Tape()
+        record(fresh, net, modify=False)
+        assert len(tape) == len(fresh)
+        for got, want in zip(tape._vals, fresh._vals):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_failed_replay_is_retried(self):
+        tape = ad.Tape()
+        theta = np.array([1.0])
+        tape.register_params("w", theta)
+        tape.scalar(3.0) / tape.param("w", 0)
+        theta[0] = 0.0
+        for _ in range(2):  # the second replay sees no new change but must redo the first
+            with pytest.raises(ad.EvaluationError):
+                tape.replay()
 
 
 class TestFdCheck:

@@ -423,6 +423,81 @@ class TestLossGraphReplay:
         assert raised.ns == base.ns  # the unweighted term itself is unchanged
 
 
+def full_replay(tape):
+    """The values a replay that recomputes every non-input node gives,
+    computed on a copy: the tape keeps its own."""
+    own = tape._vals
+    tape._vals = list(own)
+    try:
+        for i, op in enumerate(tape._ops):
+            if op not in (ad._LEAF, ad._CONST):
+                tape._vals[i] = tape._eval(i)
+        return tape._vals
+    finally:
+        tape._vals = own
+
+
+def assert_same_values(got, want):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), i
+
+
+class TestIncrementalReplay:
+    """A replay re-evaluates only what a changed input reaches; every
+    stored value must still equal a full replay's and, where the record
+    froze nothing at build time, a record built from scratch at the new
+    inputs. `clamp_radius` freezes the sign of the displaced radius when
+    it is recorded, so after moving d the fluid record is compared with a
+    full replay only."""
+
+    @staticmethod
+    def fluid_graph(u, p, d, alpha):
+        return FluidLossGraph(NetworkFlow(u, p), NetworkDisplacement(d), tiny_samples(),
+                              GEOM, FLUID, steady_factor, LossWeights(ns=alpha), EPS_R)
+
+    @staticmethod
+    def solid_graph(u, p, d):
+        return SolidLossGraph(NetworkFlow(u, p), NetworkDisplacement(d), tiny_samples(),
+                              GEOM, {RegionTag.WALL: WALL}, FLUID, LossWeights(), EPS_R)
+
+    @pytest.mark.parametrize("changed", ["u", "p", "d", "alpha"])
+    def test_fluid_record_matches_fresh_build(self, changed):
+        u, p, d = make_nets(seed=4)
+        alpha = 1e-3
+        graph = self.fluid_graph(u, p, d, alpha)
+        for step in range(2):
+            if changed == "alpha":
+                alpha *= 10.0
+                graph.set_alpha_ns(alpha)
+            else:
+                net = {"u": u, "p": p, "d": d}[changed]
+                net.theta += 1e-2 * np.random.default_rng(step).standard_normal(net.theta.size)
+            graph.replay()
+            assert_same_values(graph.tape._vals, full_replay(graph.tape))
+            if changed != "d":
+                assert_same_values(graph.tape._vals,
+                                   self.fluid_graph(u, p, d, alpha).tape._vals)
+
+    @pytest.mark.parametrize("changed", ["u", "p", "d"])
+    def test_solid_record_matches_fresh_build(self, changed):
+        u, p, d = make_nets(seed=5)
+        graph = self.solid_graph(u, p, d)
+        net = {"u": u, "p": p, "d": d}[changed]
+        for step in range(2):
+            net.theta += 1e-2 * np.random.default_rng(step).standard_normal(net.theta.size)
+            graph.replay()
+            assert_same_values(graph.tape._vals, full_replay(graph.tape))
+            assert_same_values(graph.tape._vals, self.solid_graph(u, p, d).tape._vals)
+
+    def test_relu_steps_are_shared(self):
+        u, p, d = make_nets(seed=6)
+        tape = self.fluid_graph(u, p, d, alpha=1.0).tape
+        operands = [tape._args[i] for i, op in enumerate(tape._ops) if op == ad._STEP]
+        assert operands
+        assert len(set(operands)) == len(operands)
+
+
 FD_STEPS = (1e-3, 1e-4, 1e-5, 1e-6)
 
 

@@ -294,3 +294,15 @@ class TestDivergenceGuard:
         with pytest.raises(TrainingDiverged) as err:
             trainer.run()
         assert err.value.checkpoint is None or "checkpoints" in err.value.checkpoint
+
+    def test_divergence_names_stage_network_and_terms(self):
+        config = tiny_config(ladder_steps=0, max_alternations=0, fluid_epochs=10)
+        networks = build_networks(config, seed=14)
+        networks["p"].theta[:] = np.nan
+        trainer = Trainer(config, networks, seed=14)
+        with pytest.raises(TrainingDiverged) as err:
+            trainer.run()
+        message = str(err.value)
+        assert "'fluid-init'" in message
+        assert "network 'u'" in message
+        assert "fluid_total" in message and "fluid_bdr" in message
