@@ -13,18 +13,22 @@ per collocation point, evaluated together. Pointwise values are scalars
 or 1-d batches; every operation on them is elementwise and ``Tape.mean``
 collapses a batch to a true scalar. The record holds one node per network
 layer, not per neuron: a stack joins k pointwise nodes into a row of k
-(shape (k,) or (n, k)), an affine node computes ``x W^T + b`` with W and
-b read by offset from a registered parameter vector, activations act
-elementwise on the rows, and a select node reads one entry of the row
-back out. Because the batch axis leads, a value without it broadcasts
-against one with it, as in numpy.
+(shape (k,) or (n, k)), an affine node computes ``x @ W.T + b`` in one
+product with W and b read by offset from a registered parameter vector,
+activations act elementwise on the rows, and a select node reads one
+entry of the row back out. Because the batch axis leads, a value without
+it broadcasts against one with it, as in numpy.
+``nets.FieldNetwork.evaluate`` runs the same expressions on plain
+arrays, so on batched inputs it equals a recorded forward bit for bit.
 
 The recorded adjoints close over these ops: stack and select are each
 other's adjoint, and the adjoint of an affine node with respect to its
-input is the same affine node with W^T and no bias, so nested input
-derivatives and their parameter gradients go through whole layers. Both
-backward walks give every adjoint the shape of its node's value: summed
-over a batch axis the node lacks, repeated over one it has.
+input is the same product with W in place of W.T and no bias, so nested
+input derivatives and their parameter gradients go through whole
+layers. ``Tape.grad`` records one slope per activation node and reuses
+it on every walk through that node. Both backward walks give every
+adjoint the shape of its node's value: summed over a batch axis the node
+lacks, repeated over one it has.
 
 Replaying a record after overwriting leaf or parameter values
 re-evaluates, in record order, only the nodes whose value reads (through
@@ -102,24 +106,6 @@ def _outer_sum(a, b):
     return np.outer(a, b) if a.ndim == 1 else a.T @ b
 
 
-def _affine_rows(x, w, b):
-    """``x W^T + b`` one output unit at a time: unit k is ``w_k @ X`` over
-    the C-contiguous (fan_in, n) transpose X of x, then ``+ b_k``. That is
-    how a per-neuron record computes each unit, so forward values and the
-    fields exported from them are bit-identical to it; a single
-    ``x @ W.T`` rounds differently in the last bits. The result is the
-    (n, fan_out) transpose of a C-contiguous array, which lets the next
-    layer read its X without a copy."""
-    X = np.ascontiguousarray(x.T)
-    out = np.empty(w.shape[:1] + X.shape[1:])
-    for k in range(w.shape[0]):
-        out[k] = w[k] @ X
-    out = out.T
-    if b is not None:
-        out += b
-    return out
-
-
 class DiffScalar:
     """Handle to one entry of a Tape: a scalar, a lockstep batch or a
     layer row. Behaves like a real number."""
@@ -192,7 +178,7 @@ class Tape:
         self._groups: dict[str, np.ndarray] = {}
         self._param_cache: dict[tuple[str, int], int] = {}
         self._const_cache: dict[float, int] = {}
-        self._step_cache: dict[int, int] = {}  # relu operand -> its step node
+        self._slope_cache: dict[int, int] = {}  # activation node -> its slope node
         # Replay bookkeeping: each group's bits at the last replay, and the
         # groups and leaf indices changed since then.
         self._snapshots: dict[str, np.ndarray] = {}
@@ -347,18 +333,16 @@ class Tape:
             s = np.sum(v, axis=0) / n
             return float(s) if s.ndim == 0 else s
         if op == _STACK:
-            # (k, n) in memory, as _affine_rows reads it; the value is the
-            # (n, k) transpose
-            return np.stack(np.broadcast_arrays(*[vals[a] for a in args])).T
+            return np.stack(np.broadcast_arrays(*[vals[a] for a in args]), axis=-1)
         if op == _SELECT:
             return _entry(vals[args[0]], args[1])
         if op == _AFFINE:
             x, group, offset, shape, bias, transposed = args
             w = self._weight(group, offset, shape)
-            if transposed:
-                return vals[x] @ w
-            b = None if bias is None else self._groups[group][bias:bias + shape[0]]
-            return _affine_rows(vals[x], w, b)
+            out = vals[x] @ (w if transposed else w.T)
+            if bias is not None:
+                out += self._groups[group][bias:bias + shape[0]]
+            return out
         if op == _PARAM:
             name, offset = args
             return float(self._groups[name][offset])
@@ -544,19 +528,12 @@ class Tape:
                 half = self.constant(0.5).index
                 halfed = self._push_mul(half, self._node_recip(i))
                 self._accum(pending, active, a[0], halfed, adj)
-            elif op == _RELU:
-                step = self._step_cache.get(a[0])
-                if step is None:
-                    step = self._step_cache[a[0]] = node(_STEP, a[0])
-                self._accum(pending, active, a[0], step, adj)
+            elif op in (_RELU, _SIGMOID):
+                self._accum(pending, active, a[0], self._slope(i), adj)
             elif op == _SIN:
                 self._accum(pending, active, a[0], node(_COS, a[0]), adj)
             elif op == _COS:
                 self._accum(pending, active, a[0], node(_SIN, a[0]), self._negate(adj))
-            elif op == _SIGMOID:
-                complement = node(_SUB, self.constant(1.0).index, i)
-                slope = self._push_mul(i, complement)
-                self._accum(pending, active, a[0], slope, adj)
             elif op == _SUM:
                 x, n = a
                 inv_n = self.constant(1.0 / n).index
@@ -582,6 +559,20 @@ class Tape:
             idx = adjoint.get(r)
             out.append(DiffScalar(self, idx) if idx is not None else self.constant(0.0))
         return out
+
+    def _slope(self, i: int) -> int:
+        """Recorded derivative of activation node i, made on the first walk
+        through it and shared by every later one: the step of the operand
+        for relu, s(1 - s) for sigmoid."""
+        slope = self._slope_cache.get(i)
+        if slope is None:
+            if self._ops[i] == _RELU:
+                slope = self._node(_STEP, self._args[i][0])
+            else:
+                complement = self._node(_SUB, self.constant(1.0).index, i)
+                slope = self._push_mul(i, complement)
+            self._slope_cache[i] = slope
+        return slope
 
     def _negate(self, adj):
         if adj is None:

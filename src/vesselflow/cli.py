@@ -12,7 +12,7 @@ import numpy as np
 from . import analysis, autodiff as ad, nets as nets_mod
 from .config import ConfigError, PRESET_NAMES, ScenarioConfig, load_config, preset
 from .physics import NetworkDisplacement, NetworkFlow, ZeroDisplacement
-from .trainer import TrainingPlan, Trainer, build_networks
+from .trainer import PlanError, TrainingPlan, Trainer, build_networks
 
 
 class CliError(RuntimeError):
@@ -161,8 +161,11 @@ def _cmd_probe(args) -> int:
     if args.points:
         points = []
         for chunk in args.points.split(";"):
-            r_str, z_str = chunk.split(",")
-            points.append((float(r_str), float(z_str)))
+            try:
+                r_str, z_str = chunk.split(",")
+                points.append((float(r_str), float(z_str)))
+            except ValueError:
+                raise CliError(f"cannot parse probe point {chunk!r}; expected r,z")
     else:
         points = analysis.default_probes(geometry)
     times = np.linspace(geometry.horizon / args.times, geometry.horizon, args.times)
@@ -334,7 +337,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, FileNotFoundError) as exc:
+    except (CliError, ConfigError, PlanError, analysis.AnalysisError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -86,25 +86,28 @@ class FieldNetwork:
         for layer in range(self.depth):
             w_off, b_off = self._offsets[layer]
             shape = (self.widths[layer + 1], self.widths[layer])
-            x = tape.affine(x, self.name, w_off, shape, bias=b_off)
-            act = self.activations[layer]
-            if act == "sigmoid":
-                x = ad.sigmoid(x)
-            elif act == "relu":
-                x = ad.relu(x)
+            x = self._activate(layer, tape.affine(x, self.name, w_off, shape, bias=b_off))
         return [tape.select(x, k) for k in range(self.out_dim)]
 
+    def _activate(self, layer: int, x):
+        """Activation of `layer` on a record node or a plain array."""
+        act = self.activations[layer]
+        if act == "sigmoid":
+            return ad.sigmoid(x)
+        if act == "relu":
+            return ad.relu(x)
+        return x
+
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Plain numpy forward over rows of `points`, shape (n, in_dim) -> (n, out_dim)."""
-        x = np.asarray(points, dtype=np.float64).T
+        """Plain numpy forward over rows of `points`, shape (n, in_dim) -> (n, out_dim).
+
+        Each layer is ``x @ W.T + b`` followed by the record's own
+        activation code, so for n rows this is bitwise equal to the values
+        `forward` records from n-point batches."""
+        x = np.ascontiguousarray(points, dtype=np.float64)
         for layer in range(self.depth):
-            x = self.weight(layer) @ x + self.bias(layer)[:, None]
-            act = self.activations[layer]
-            if act == "sigmoid":
-                x = 1.0 / (1.0 + np.exp(-x))
-            elif act == "relu":
-                x = np.maximum(x, 0.0)
-        return x.T
+            x = self._activate(layer, x @ self.weight(layer).T + self.bias(layer))
+        return x
 
     def relu_margin(self, point) -> float:
         """Smallest |pre-activation| seen by any relu unit at `point`.
@@ -113,13 +116,10 @@ class FieldNetwork:
         x = np.asarray(point, dtype=np.float64)
         margin = np.inf
         for layer in range(self.depth):
-            x = self.weight(layer) @ x + self.bias(layer)
-            act = self.activations[layer]
-            if act == "relu":
+            x = x @ self.weight(layer).T + self.bias(layer)
+            if self.activations[layer] == "relu":
                 margin = min(margin, float(np.min(np.abs(x))))
-                x = np.maximum(x, 0.0)
-            elif act == "sigmoid":
-                x = 1.0 / (1.0 + np.exp(-x))
+            x = self._activate(layer, x)
         return margin
 
 

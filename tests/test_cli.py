@@ -10,6 +10,7 @@ from vesselflow.cli import main
 from vesselflow.config import (
     ConfigError, PRESET_NAMES, ScenarioConfig, load_config, preset,
 )
+from vesselflow.trainer import build_networks
 
 
 class TestPresets:
@@ -203,3 +204,36 @@ class TestTrainCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "mismatch" in err and "expected widths" in err
+
+
+class TestBadInput:
+    """Input a command cannot use is reported as one `error:` line with
+    exit code 2, not as a traceback."""
+
+    @pytest.fixture
+    def checkpoint_args(self, tmp_path):
+        cfg_path, _, _ = _small_training_args(tmp_path)
+        ckpt = tmp_path / "seeded.npz"
+        nets.save_networks(ckpt, build_networks(load_config(cfg_path), seed=0))
+        return ["--config", str(cfg_path), "--checkpoint", str(ckpt)]
+
+    def test_fluid_epochs_not_whole_rounds(self, tmp_path, capsys):
+        _, _, argv = _small_training_args(tmp_path)
+        assert main(["train", *argv, "--fluid-epochs", "7"]) == 2
+        assert capsys.readouterr().err.startswith("error: fluid epochs must divide")
+
+    def test_workers_not_splitting_points(self, tmp_path, capsys):
+        _, _, argv = _small_training_args(tmp_path)
+        assert main(["train", *argv, "--workers", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "3 equal shards" in err
+
+    def test_zero_grid_resolution(self, checkpoint_args, capsys):
+        assert main(["evaluate", *checkpoint_args, "--grid-r", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: grid resolutions must be positive")
+
+    def test_probe_point_without_z(self, tmp_path, checkpoint_args, capsys):
+        out = tmp_path / "probes.csv"
+        assert main(["probe", *checkpoint_args, "--points", "0.1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot parse probe point '0.1'")
+        assert not out.exists()

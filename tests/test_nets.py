@@ -1,5 +1,7 @@
 """Network construction, schedule, parameter accounting and checkpoints."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,15 +104,29 @@ class TestForward:
         want = 2.0 * (1.0 / (1.0 + np.exp(-1.0))) - 0.5
         assert out.value == pytest.approx(want, rel=1e-15)
 
-    def test_recorded_forward_matches_numpy_forward(self):
-        net = nets.build(12, 20, 3, 2, seed=11)
-        pts = np.random.default_rng(0).uniform(-1, 1, size=(40, 3))
+    @pytest.mark.parametrize("schedule", nets.SCHEDULES)
+    @pytest.mark.parametrize("width", [6, 20, 30])
+    @pytest.mark.parametrize("n", [1, 40, 1000])
+    def test_recorded_forward_matches_numpy_forward(self, schedule, width, n):
+        # One forward arithmetic: on a batch the record runs the products
+        # and activations that `evaluate` runs, so they agree bit for bit.
+        net = nets.build(12, width, 3, 2, seed=11, schedule=schedule)
+        pts = np.random.default_rng(n).uniform(-1, 1, size=(n, 3))
         ref = net.evaluate(pts)
         tape = ad.Tape()
         leaves = [tape.batch(pts[:, i]) for i in range(3)]
         out = net.forward(tape, leaves)
         got = np.stack([o.value for o in out], axis=1)
-        assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+        assert np.array_equal(got, ref)
+
+    def test_evaluate_large_inputs_without_warning(self):
+        # far out, exp(-x) overflows to inf and the sigmoid saturates at 0
+        net = nets.build(4, 8, 3, 1, seed=2)
+        pts = np.array([[1e4, -1e4, 1e4], [-1e4, 1e4, -1e4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = net.evaluate(pts)
+        assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_record_size_independent_of_width(self, batched):

@@ -490,12 +490,18 @@ class TestIncrementalReplay:
             assert_same_values(graph.tape._vals, full_replay(graph.tape))
             assert_same_values(graph.tape._vals, self.solid_graph(u, p, d).tape._vals)
 
-    def test_relu_steps_are_shared(self):
+    def test_activation_slopes_are_shared(self):
+        # the residuals walk each network several times; every walk through
+        # an activation reuses one relu step or one sigmoid complement 1 - s
         u, p, d = make_nets(seed=6)
         tape = self.fluid_graph(u, p, d, alpha=1.0).tape
-        operands = [tape._args[i] for i, op in enumerate(tape._ops) if op == ad._STEP]
-        assert operands
-        assert len(set(operands)) == len(operands)
+        ops, args = tape._ops, tape._args
+        steps = [args[i] for i, op in enumerate(ops) if op == ad._STEP]
+        complements = [args[i] for i, op in enumerate(ops)
+                       if op == ad._SUB and ops[args[i][1]] == ad._SIGMOID]
+        for operands in (steps, complements):
+            assert operands
+            assert len(set(operands)) == len(operands)
 
 
 FD_STEPS = (1e-3, 1e-4, 1e-5, 1e-6)
