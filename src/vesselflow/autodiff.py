@@ -1,11 +1,11 @@
 """Recorded autodiff with nested derivatives, one node per network layer.
 
 A Tape is an append-only record of operations. DiffScalar handles wrap
-record entries; Python arithmetic on them appends nodes eagerly.
-Derivatives come from walking the record backward. The walk can either
-write new nodes into the record (so the derivative is itself a recorded,
-differentiable quantity, which is what lets second time-derivatives stay
-trainable) or produce plain numbers for optimizer consumption.
+record entries; Python arithmetic on them appends nodes eagerly. Input
+derivatives are forward tangents written into the record (``Tape.grad``),
+so a derivative is itself a recorded, differentiable quantity: that is
+what lets second space and time derivatives stay trainable. Parameter
+gradients come from one backward pass that produces plain numbers.
 
 Node values are float64 scalars or arrays whose leading axis, when there
 is one more than the op needs, is a lockstep batch: one independent value
@@ -21,14 +21,12 @@ it broadcasts against one with it, as in numpy.
 ``nets.FieldNetwork.evaluate`` runs the same expressions on plain
 arrays, so on batched inputs it equals a recorded forward bit for bit.
 
-The recorded adjoints close over these ops: stack and select are each
-other's adjoint, and the adjoint of an affine node with respect to its
-input is the same product with W in place of W.T and no bias, so nested
-input derivatives and their parameter gradients go through whole
-layers. ``Tape.grad`` records one slope per activation node and reuses
-it on every walk through that node. Both backward walks give every
-adjoint the shape of its node's value: summed over a batch axis the node
-lacks, repeated over one it has.
+Tangents close over the same ops: the tangent of an affine node is the
+same affine node without its bias, stacks and selects map to stacks and
+selects of tangents, and activations multiply by one recorded slope per
+node, so input derivatives go through whole layers. The backward pass
+gives every adjoint the shape of its node's value: summed over a batch
+axis the node lacks, repeated over one it has.
 
 Replaying a record after overwriting leaf or parameter values
 re-evaluates, in record order, only the nodes whose value reads (through
@@ -178,7 +176,10 @@ class Tape:
         self._groups: dict[str, np.ndarray] = {}
         self._param_cache: dict[tuple[str, int], int] = {}
         self._const_cache: dict[float, int] = {}
-        self._slope_cache: dict[int, int] = {}  # activation node -> its slope node
+        self._shared: dict[tuple, int] = {}  # (op, args) -> node, see _node
+        # per root, node -> its tangent node (None for zero)
+        self._tangents: dict[int, dict[int, "int | None"]] = {}
+        self._slope_owner: dict[int, int] = {}  # sigmoid slope -> its sigmoid
         # Replay bookkeeping: each group's bits at the last replay, and the
         # groups and leaf indices changed since then.
         self._snapshots: dict[str, np.ndarray] = {}
@@ -205,7 +206,14 @@ class Tape:
         return DiffScalar(self, i)
 
     def _node(self, op: int, *args) -> int:
-        return self._push(op, args).index
+        """Index of the node computing `op` on `args`, recorded on first
+        use and shared by every later request. Stacks and every node
+        ``grad`` records come from here."""
+        key = (op, args)
+        found = self._shared.get(key)
+        if found is None:
+            found = self._shared[key] = self._push(op, args).index
+        return found
 
     def scalar(self, value: float) -> DiffScalar:
         """New input leaf holding one real value."""
@@ -337,9 +345,8 @@ class Tape:
         if op == _SELECT:
             return _entry(vals[args[0]], args[1])
         if op == _AFFINE:
-            x, group, offset, shape, bias, transposed = args
-            w = self._weight(group, offset, shape)
-            out = vals[x] @ (w if transposed else w.T)
+            x, group, offset, shape, bias = args
+            out = vals[x] @ self._weight(group, offset, shape).T
             if bias is not None:
                 out += self._groups[group][bias:bias + shape[0]]
             return out
@@ -358,8 +365,9 @@ class Tape:
     # public primitives beyond operator syntax -------------------------
 
     def stack(self, xs: Sequence[DiffScalar]) -> DiffScalar:
-        """Row of k pointwise nodes, shape (k,) or (n, k) for a batch."""
-        return self._push(_STACK, tuple(x.index for x in xs))
+        """Row of k pointwise nodes, shape (k,) or (n, k) for a batch.
+        Stacking the same nodes again returns the same row."""
+        return DiffScalar(self, self._node(_STACK, *(x.index for x in xs)))
 
     def select(self, x: DiffScalar, k: int) -> DiffScalar:
         """Entry `k` of a row node."""
@@ -370,7 +378,7 @@ class Tape:
         """``x W^T + b`` over a row node x. W is the row-major (rows, cols)
         block of parameter group `group` at `offset`, b the `rows` entries
         at `bias` (no bias when None)."""
-        return self._push(_AFFINE, (x.index, group, offset, tuple(shape), bias, False))
+        return self._push(_AFFINE, (x.index, group, offset, tuple(shape), bias))
 
     def mean(self, x: DiffScalar) -> DiffScalar:
         """Mean over the lockstep batch (count fixed at record time)."""
@@ -439,7 +447,7 @@ class Tape:
         return self._memoized(("replay", changed), build)
 
     # ------------------------------------------------------------------
-    # backward walks
+    # derivatives
 
     def _operands(self, i: int) -> tuple:
         """Record indices node i reads its value from (weights excluded)."""
@@ -450,168 +458,141 @@ class Tape:
             return self._args[i][:1]
         return self._args[i]
 
-    def _dependents_mask(self, roots: Sequence[int]) -> np.ndarray:
-        """mask[i] is True when node i depends on at least one root."""
-        mask = np.zeros(len(self._ops), dtype=bool)
-        for r in roots:
-            mask[r] = True
-        ops = self._ops
-        for i in range(min(roots, default=0), len(ops)):
-            if not mask[i] and ops[i] not in _NON_DIFFERENTIABLE:
-                mask[i] = any(mask[a] for a in self._operands(i))
-        return mask
-
-    def _ancestors_mask(self, output: int) -> np.ndarray:
-        """mask[i] is True when `output` depends on node i."""
-        mask = np.zeros(len(self._ops), dtype=bool)
-        mask[output] = True
-        ops = self._ops
-        for i in range(output, -1, -1):
-            if mask[i] and ops[i] not in _NON_DIFFERENTIABLE:
-                for a in self._operands(i):
-                    mask[a] = True
-        return mask
-
-    # -- recorded backward: gradients become new record entries --------
+    # -- input derivatives: forward tangents written into the record ----
 
     def grad(self, output: DiffScalar, wrt: Sequence[DiffScalar]) -> list[DiffScalar]:
         """Derivatives of `output` with respect to each node in `wrt`,
         written into the record so they can be differentiated again.
 
-        Reading the derivative at a node treats that node as an
-        independent input; paths that merely produce its value are not
-        followed further. Affine weights are not nodes: gradients with
-        respect to parameters come from ``backward_values``.
+        Each root is an independent input: its tangent, seeded with 1, is
+        pushed forward through the ancestors of `output`, and paths that
+        merely produce the root's value are not followed. Tangents are
+        cached per root, so later calls reuse the layers earlier ones
+        recorded, and a second derivative is the tangent of a tangent. A
+        derivative equal at every point may lack the batch axis. Affine
+        weights are not nodes: parameter gradients come from
+        ``backward_values``.
         """
         roots = [w.index for w in wrt]
-        active = self._dependents_mask(roots) & self._ancestors_mask(output.index)
-        active[output.index] = True
-        pending: dict[int, list] = {output.index: [(None, None)]}  # literal seed 1
-        ops, args = self._ops, self._args
-        adjoint: dict[int, int] = {}
-        root_set = set(roots)
-        node = self._node
-        for i in range(output.index, -1, -1):
-            if i not in pending or not active[i]:
-                continue
-            adj = self._materialize(i, pending.pop(i))
-            adjoint[i] = adj
-            op = ops[i]
-            if op in _INPUTS or op in _NON_DIFFERENTIABLE:
-                continue
-            if i in root_set:
-                # treat the root as independent: do not chain into its
-                # defining expression
-                continue
-            a = args[i]
-            if op == _ADD:
-                self._accum(pending, active, a[0], None, adj)
-                self._accum(pending, active, a[1], None, adj)
-            elif op == _SUB:
-                self._accum(pending, active, a[0], None, adj)
-                self._accum(pending, active, a[1], None, self._negate(adj))
-            elif op == _MUL:
-                self._accum(pending, active, a[0], a[1], adj)
-                self._accum(pending, active, a[1], a[0], adj)
-            elif op == _DIV:
-                num, den = a
-                inv = self._node_recip(den)
-                self._accum(pending, active, num, inv, adj)
-                # d/dden (num/den) = -value/den
-                ratio = self._push_mul(i, inv)
-                self._accum(pending, active, den, ratio, self._negate(adj))
-            elif op == _NEG:
-                self._accum(pending, active, a[0], None, self._negate(adj))
-            elif op == _EXP:
-                self._accum(pending, active, a[0], i, adj)
-            elif op == _SQRT:
-                half = self.constant(0.5).index
-                halfed = self._push_mul(half, self._node_recip(i))
-                self._accum(pending, active, a[0], halfed, adj)
-            elif op in (_RELU, _SIGMOID):
-                self._accum(pending, active, a[0], self._slope(i), adj)
-            elif op == _SIN:
-                self._accum(pending, active, a[0], node(_COS, a[0]), adj)
-            elif op == _COS:
-                self._accum(pending, active, a[0], node(_SIN, a[0]), self._negate(adj))
-            elif op == _SUM:
-                x, n = a
-                inv_n = self.constant(1.0 / n).index
-                self._accum(pending, active, x, inv_n, adj)
-            elif op == _STACK:
-                for k, x in enumerate(a):
-                    if active[x]:
-                        self._accum(pending, active, x, None, node(_SELECT, adj, k))
-            elif op == _SELECT:
-                x, k = a
-                zero = self.constant(0.0).index
-                width = np.shape(self._vals[x])[-1]
-                rows = [adj if j == k else zero for j in range(width)]
-                self._accum(pending, active, x, None, node(_STACK, *rows))
-            elif op == _AFFINE:
-                x, group, offset, shape, _, transposed = a
-                back = node(_AFFINE, adj, group, offset, shape, None, not transposed)
-                self._accum(pending, active, x, None, back)
-            else:  # pragma: no cover
-                raise RecordError(f"node {i}: cannot differentiate op {op}")
+        for b in roots:
+            if any(a < b and self._tangent(b, a) is not None for a in roots):
+                raise RecordError(f"root node {b} depends on another root")
         out = []
         for r in roots:
-            idx = adjoint.get(r)
-            out.append(DiffScalar(self, idx) if idx is not None else self.constant(0.0))
+            t = self._tangent(output.index, r)
+            out.append(self.constant(0.0) if t is None else DiffScalar(self, t))
         return out
 
-    def _slope(self, i: int) -> int:
-        """Recorded derivative of activation node i, made on the first walk
-        through it and shared by every later one: the step of the operand
-        for relu, s(1 - s) for sigmoid."""
-        slope = self._slope_cache.get(i)
-        if slope is None:
-            if self._ops[i] == _RELU:
-                slope = self._node(_STEP, self._args[i][0])
+    def _tangent(self, output: int, root: int) -> "int | None":
+        """Node holding d output / d root, or None where it is zero. Nodes
+        before `root` cannot depend on it; the rest are walked with an
+        explicit stack, operands first, and cached under `root`."""
+        tangents = self._tangents.setdefault(root, {root: self.constant(1.0).index})
+        todo = [output] if output >= root else []
+        while todo:
+            i = todo[-1]
+            if i in tangents:
+                todo.pop()
+                continue
+            owner = self._sigmoid_of_slope(i, root)
+            operands = (() if self._ops[i] in _NON_DIFFERENTIABLE
+                        else self._args[owner][:1] if owner is not None
+                        else self._operands(i))
+            missing = [a for a in operands if a >= root and a not in tangents]
+            if missing:
+                todo.extend(missing)
             else:
-                complement = self._node(_SUB, self.constant(1.0).index, i)
-                slope = self._push_mul(i, complement)
-            self._slope_cache[i] = slope
+                tangents[todo.pop()] = self._tangent_rule(i, root, tangents)
+        return tangents.get(output)
+
+    def _sigmoid_of_slope(self, i: int, root: int) -> "int | None":
+        """The sigmoid whose slope is node i, when the tangent along
+        `root` reaches that slope through the sigmoid's operand."""
+        owner = self._slope_owner.get(i)
+        return owner if owner is not None and owner > root else None
+
+    def _tangent_rule(self, i: int, root: int, tangents: dict) -> "int | None":
+        """Record the tangent of node i from its operands' tangents (None
+        for zero) and return its index, or None when it is zero."""
+        op, a = self._ops[i], self._args[i]
+        t = tangents.get
+        node, mul = self._node, self._push_mul
+
+        def plus(x, y):
+            return y if x is None else x if y is None else node(_ADD, x, y)
+
+        if op in _INPUTS or op in _NON_DIFFERENTIABLE:
+            return None
+        owner = self._sigmoid_of_slope(i, root)
+        if owner is not None:
+            # d/dx of a sigmoid slope s(1 - s) is one curvature node,
+            # s(1 - s)(1 - 2s), times the pre-activation's tangent
+            tx = t(self._args[owner][0])
+            return None if tx is None else mul(self._curvature(owner), tx)
+        if op == _ADD:
+            return plus(t(a[0]), t(a[1]))
+        if op == _SUB:
+            ta, tb = t(a[0]), t(a[1])
+            if tb is None:
+                return ta
+            return node(_NEG, tb) if ta is None else node(_SUB, ta, tb)
+        if op == _MUL:
+            ta, tb = t(a[0]), t(a[1])
+            return plus(None if ta is None else mul(ta, a[1]),
+                        None if tb is None else mul(a[0], tb))
+        if op == _DIV:  # (ta - out * tb) / den
+            ta, tb = t(a[0]), t(a[1])
+            if tb is not None:
+                ratio = mul(i, tb)
+                ta = node(_NEG, ratio) if ta is None else node(_SUB, ta, ratio)
+            return None if ta is None else node(_DIV, ta, a[1])
+        if op == _STACK:
+            rows = [t(x) for x in a]
+            if all(r is None for r in rows):
+                return None
+            zero = self.constant(0.0).index
+            return node(_STACK, *(zero if r is None else r for r in rows))
+        tx = t(a[0])
+        if tx is None:
+            return None
+        if op == _NEG:
+            return node(_NEG, tx)
+        if op == _EXP:
+            return mul(i, tx)
+        if op == _SQRT:
+            return node(_DIV, mul(self.constant(0.5).index, tx), i)
+        if op in (_RELU, _SIGMOID):
+            return mul(self._slope(i), tx)
+        if op == _SIN:
+            return mul(node(_COS, a[0]), tx)
+        if op == _COS:
+            return node(_NEG, mul(node(_SIN, a[0]), tx))
+        if op == _SUM:
+            if _is_batch(self._vals[a[0]]) and _is_batch(self._vals[root]):
+                raise RecordError(f"node {i} (mean): a per-point tangent of batched "
+                                  f"root node {root} cannot differentiate a batch mean")
+            # the mean of a tangent equal at every point is that tangent
+            return node(_SUM, tx, a[1]) if _is_batch(self._vals[tx]) else tx
+        if op == _SELECT:
+            return node(_SELECT, tx, a[1])
+        if op == _AFFINE:
+            return node(_AFFINE, tx, *a[1:4], None)
+        raise RecordError(f"node {i}: cannot differentiate op {op}")  # pragma: no cover
+
+    def _slope(self, i: int) -> int:
+        """Recorded derivative of activation node i: the step of the
+        operand for relu, s(1 - s) for sigmoid."""
+        if self._ops[i] == _RELU:
+            return self._node(_STEP, self._args[i][0])
+        slope = self._node(_MUL, i, self._node(_SUB, self.constant(1.0).index, i))
+        self._slope_owner[slope] = i
         return slope
 
-    def _negate(self, adj):
-        if adj is None:
-            return ("neg", None)
-        if isinstance(adj, tuple):
-            return adj if adj[0] != "neg" else None if adj[1] is None else adj[1]
-        return ("neg", adj)
-
-    def _materialize(self, i: int, contributions) -> int:
-        """Sum pending (coeff, adjoint) contributions into the adjoint of
-        node i, shaped like node i's value.
-
-        coeff None means 1; adjoint None means the literal seed 1; an
-        adjoint of ("neg", x) means -x with x possibly None.
-        """
-        total = None
-        for coeff, adj in contributions:
-            neg = isinstance(adj, tuple)
-            term = self._term_node(coeff, adj[1] if neg else adj)
-            if total is None:
-                total = self._node(_NEG, term) if neg else term
-            else:
-                total = self._node(_SUB if neg else _ADD, total, term)
-        have, want = np.ndim(self._vals[total]), np.ndim(self._vals[i])
-        if have > want:  # a batch reached a node without one: sum over it
-            return self._node(_SUM, total, 1)
-        if have < want:  # one adjoint for all points: repeat it at each
-            zeros = self._push(_CONST, (), np.zeros(np.shape(self._vals[i])))
-            return self._node(_ADD, total, zeros.index)
-        return total
-
-    def _term_node(self, coeff, adj) -> int:
-        if coeff is None and adj is None:
-            return self.constant(1.0).index
-        if coeff is None:
-            return adj
-        if adj is None:
-            return coeff
-        return self._push_mul(coeff, adj)
+    def _curvature(self, i: int) -> int:
+        """Second derivative s(1 - s)(1 - 2s) of sigmoid node i."""
+        slope = self._slope(i)
+        complement = self._args[slope][1]
+        return self._node(_MUL, slope, self._node(_SUB, complement, i))
 
     def _push_mul(self, a: int, b: int) -> int:
         one = self._const_cache.get(1.0)
@@ -621,14 +602,6 @@ class Tape:
             if b == one:
                 return a
         return self._node(_MUL, a, b)
-
-    def _node_recip(self, den: int) -> int:
-        return self._node(_DIV, self.constant(1.0).index, den)
-
-    def _accum(self, pending, active, target, coeff, adj):
-        if not active[target]:
-            return
-        pending.setdefault(target, []).append((coeff, adj))
 
     # -- raw backward: plain numbers, no new nodes ---------------------
 
@@ -642,7 +615,13 @@ class Tape:
                 idx for (name, _), idx in self._param_cache.items() if name == g
             )
             roots.extend(i for i in range(len(ops)) if ops[i] == _AFFINE and args[i][1] == g)
-        return self._dependents_mask(roots).tolist()
+        mask = [False] * len(ops)
+        for r in roots:
+            mask[r] = True
+        for i in range(min(roots, default=0), len(ops)):
+            if not mask[i] and ops[i] not in _NON_DIFFERENTIABLE:
+                mask[i] = any(mask[a] for a in self._operands(i))
+        return mask
 
     def backward_values(
         self,
@@ -754,15 +733,13 @@ class Tape:
                     row[..., k] = a_out
                     accumulate(x, row)
             elif op == _AFFINE:
-                x, group, offset, shape, bias, transposed = a
+                x, group, offset, shape, bias = a
                 w = self._weight(group, offset, shape)
                 if useful[x]:
-                    accumulate(x, a_out @ (w.T if transposed else w))
+                    accumulate(x, a_out @ w)
                 g = grads.get(group)
                 if g is not None:
-                    xv = vals[x]
-                    w_bar = _outer_sum(xv, a_out) if transposed else _outer_sum(a_out, xv)
-                    g[offset:offset + w.size] += w_bar.ravel()
+                    g[offset:offset + w.size] += _outer_sum(a_out, vals[x]).ravel()
                     if bias is not None:
                         g[bias:bias + shape[0]] += a_out.sum(axis=0) if a_out.ndim == 2 else a_out
             if i in targets:
@@ -794,6 +771,13 @@ def relu(x):
     if isinstance(x, DiffScalar):
         return x.tape._unary(_RELU, x)
     return np.maximum(x, 0.0)
+
+
+def step(x):
+    """1 where x > 0, else 0; recorded with zero derivative everywhere."""
+    if isinstance(x, DiffScalar):
+        return x.tape._unary(_STEP, x)
+    return np.where(np.asarray(x) > 0.0, 1.0, 0.0)
 
 
 def sin(x):

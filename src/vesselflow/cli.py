@@ -168,6 +168,8 @@ def _cmd_probe(args) -> int:
                 raise CliError(f"cannot parse probe point {chunk!r}; expected r,z")
     else:
         points = analysis.default_probes(geometry)
+    if args.times < 1:
+        raise CliError(f"probe times must be positive, got {args.times}")
     times = np.linspace(geometry.horizon / args.times, geometry.horizon, args.times)
     series = analysis.probe(points, times, flow, disp)
     analysis.write_probe_csv(args.out, series)

@@ -187,13 +187,12 @@ def clamp_radius(r, eps_r: float):
 
     Equal to r when |r| >= eps_r. The sign at exactly 0 is taken as +1 so
     the clamp never returns 0. Works on numbers and recorded scalars; for
-    recorded scalars the sign is frozen at the current value."""
+    recorded scalars the sign is recorded as 1 - 2 step(-r), a function
+    of r with zero derivative, so a replay at a new r takes the new sign."""
     if eps_r <= 0:
         raise GeometryError("eps_r must be positive")
     if isinstance(r, ad.DiffScalar):
-        direction = radial_direction(r.value)
-        dir_node = r.tape.batch_constant(direction) if isinstance(direction, np.ndarray) \
-            else r.tape.constant(direction)
-        return dir_node * (ad.relu(dir_node * r - eps_r) + eps_r)
+        direction = 1.0 - 2.0 * ad.step(-r)
+        return direction * (ad.relu(direction * r - eps_r) + eps_r)
     direction = radial_direction(r)
     return direction * (np.maximum(direction * r - eps_r, 0.0) + eps_r)

@@ -309,7 +309,7 @@ def _stress_continuity(tape, z, t, direction, segment, flow, displacement,
     radius = radius0 + eta
     dradius_dz = tape.grad(radius, [z])[0]
     stretch = ad.sqrt(1.0 + dradius_dz * dradius_dz)
-    area_factor = (radius / radius0) * stretch
+    ratio = radius / radius0
 
     r_t = direction * radius
     z_t = _fresh_copy(tape, z)
@@ -323,7 +323,7 @@ def _stress_continuity(tape, z, t, direction, segment, flow, displacement,
     if detach_fluid:
         p = tape.detach(p)
         shear = tape.detach(shear)
-    load = ((radius / radius0) * p - area_factor * fluid.viscosity * shear) \
+    load = (ratio * p - ratio * stretch * fluid.viscosity * shear) \
         / (wall.density * wall.thickness)
 
     restoring = wall.restoring_at_radius(

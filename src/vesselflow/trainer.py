@@ -202,6 +202,8 @@ class Trainer:
                  plan: "TrainingPlan | None" = None, seed: int = 0,
                  out_dir: "str | None" = None, checkpoint_interval: int = 0,
                  shards: int = 1):
+        if shards < 1:
+            raise PlanError(f"worker count must be positive, got {shards}")
         self.config = config
         self.networks = networks
         self.plan = plan or TrainingPlan.from_config(config)

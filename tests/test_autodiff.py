@@ -389,3 +389,120 @@ class TestTapeHygiene:
         tape = ad.Tape()
         with pytest.raises(ad.RecordError):
             tape.batch([1.0, 2.0]) + tape.batch([1.0, 2.0, 3.0])
+
+
+class TestForwardTangents:
+    """``Tape.grad`` records forward tangents, cached per root."""
+
+    @staticmethod
+    def network_points(net, count, seed):
+        """Points in [-1, 1]^3 away from every relu kink, as columns."""
+        rng = np.random.default_rng(seed)
+        pts = []
+        while len(pts) < count:
+            pt = rng.uniform(-1.0, 1.0, size=3)
+            if net.relu_margin(pt) > 1e-3:
+                pts.append(pt)
+        return np.array(pts)
+
+    def test_network_derivatives_match_fd(self):
+        net = nets.build(12, 20, 3, 2, seed=7)
+        pts = self.network_points(net, 6, seed=42)
+        tape = ad.Tape()
+        leaves = [tape.batch(pts[:, i]) for i in range(3)]
+        outs = net.forward(tape, leaves)
+        h1, h2 = 1e-5, 1e-4
+
+        def shifted(k, steps):
+            moved = pts.copy()
+            for i, h in steps:
+                moved[:, i] += h
+            return net.evaluate(moved)[:, k]
+
+        for k, out in enumerate(outs):
+            first = tape.grad(out, leaves)
+            for i in range(3):
+                fd = (shifted(k, [(i, h1)]) - shifted(k, [(i, -h1)])) / (2 * h1)
+                np.testing.assert_allclose(first[i].value, fd, rtol=1e-5, atol=1e-7)
+                for j in range(3):
+                    (second,) = tape.grad(first[i], [leaves[j]])
+                    fd = (shifted(k, [(i, h2), (j, h2)]) - shifted(k, [(i, h2), (j, -h2)])
+                          - shifted(k, [(i, -h2), (j, h2)])
+                          + shifted(k, [(i, -h2), (j, -h2)])) / (4 * h2 * h2)
+                    np.testing.assert_allclose(second.value, fd, rtol=1e-3, atol=1e-6)
+
+    @pytest.mark.parametrize("name", sorted(PRIMITIVES))
+    def test_tangent_of_tangent_matches_fd(self, name):
+        f = PRIMITIVES[name]
+
+        def feval(pt):
+            tape = ad.Tape()
+            return float(f(*[tape.scalar(v) for v in pt]).value)
+
+        rng = np.random.default_rng(5)
+        checked = 0
+        while checked < 10:
+            pt = rng.uniform(-2.0, 2.0, size=2)
+            if name == "relu" and min(abs(pt)) < 1e-2:
+                continue
+            for i in range(2):
+                for j in range(2):
+                    tape = ad.Tape()
+                    leaves = [tape.scalar(v) for v in pt]
+                    (first,) = tape.grad(f(*leaves), [leaves[i]])
+                    (second,) = tape.grad(first, [leaves[j]])
+                    want = central_second(feval, pt, i, j)
+                    assert second.value == pytest.approx(want, rel=1e-3, abs=1e-5)
+            checked += 1
+
+    def test_sigmoid_curvature_closed_form(self):
+        tape = ad.Tape()
+        x = tape.batch([-3.0, -0.4, 0.0, 1.7])
+        s = ad.sigmoid(x)
+        (slope,) = tape.grad(s, [x])
+        (curvature,) = tape.grad(slope, [x])
+        sv = s.value
+        np.testing.assert_allclose(curvature.value, sv * (1 - sv) * (1 - 2 * sv), rtol=1e-14)
+        # along the activation itself the slope s(1 - s) has derivative 1 - 2s
+        (along_s,) = tape.grad(slope, [s])
+        np.testing.assert_allclose(along_s.value, 1 - 2 * sv, rtol=1e-14)
+
+    def test_second_output_reuses_the_first_outputs_layers(self):
+        net = nets.build(12, 20, 3, 2, seed=1)
+        tape = ad.Tape()
+        leaves = [tape.batch([0.1, -0.3]), tape.batch([0.5, 1.2]), tape.batch([0.0, 0.9])]
+        u_z, u_r = net.forward(tape, leaves)
+        tape.grad(u_z, [leaves[0]])
+        before = len(tape)
+        tape.grad(u_r, [leaves[0]])
+        assert len(tape) - before <= net.out_dim
+
+    def test_second_derivative_nodes_per_layer_bounded(self):
+        depth = 12
+        net = nets.build(depth, 20, 3, 2, seed=1)
+        tape = ad.Tape()
+        leaves = [tape.batch([0.1, -0.3]), tape.batch([0.5, 1.2]), tape.batch([0.0, 0.9])]
+        u_z, _ = net.forward(tape, leaves)
+        before = len(tape)
+        (first,) = tape.grad(u_z, [leaves[0]])
+        first_nodes = len(tape) - before
+        tape.grad(first, [leaves[0]])
+        second_nodes = len(tape) - before - first_nodes
+        # per layer the first tangent records an affine node, a slope
+        # (one step, or 1 - s and s(1 - s)) and a product; the second adds a
+        # sigmoid's curvature and the product rule's three terms
+        assert first_nodes <= 4 * depth
+        assert second_nodes <= 5 * depth
+
+    def test_batched_root_through_a_mean_is_rejected(self):
+        tape = ad.Tape()
+        x = tape.batch([1.0, 2.0, 3.0])
+        with pytest.raises(ad.RecordError, match="mean"):
+            tape.grad(tape.mean(x * x), [x])
+
+    def test_dependent_roots_are_rejected(self):
+        tape = ad.Tape()
+        x = tape.scalar(0.5)
+        y = x * 2.0
+        with pytest.raises(ad.RecordError, match="depends on another root"):
+            tape.grad(y * y + x, [x, y])

@@ -228,6 +228,19 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "3 equal shards" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_not_positive(self, tmp_path, capsys, workers):
+        _, _, argv = _small_training_args(tmp_path)
+        assert main(["train", *argv, "--workers", workers]) == 2
+        assert capsys.readouterr().err.startswith("error: worker count must be positive")
+
+    @pytest.mark.parametrize("times", ["0", "-3"])
+    def test_probe_times_not_positive(self, tmp_path, checkpoint_args, capsys, times):
+        out = tmp_path / "probes.csv"
+        assert main(["probe", *checkpoint_args, "--times", times, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: probe times must be positive")
+        assert not out.exists()
+
     def test_zero_grid_resolution(self, checkpoint_args, capsys):
         assert main(["evaluate", *checkpoint_args, "--grid-r", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: grid resolutions must be positive")

@@ -174,5 +174,16 @@ class TestClampRadius:
             node = tape.scalar(r)
             assert clamp_radius(node, 0.0025).value == clamp_radius(r, 0.0025)
 
+    def test_recorded_sign_follows_replay(self):
+        from vesselflow import autodiff as ad
+
+        tape = ad.Tape()
+        r = tape.batch([0.3, -0.2, 0.001, 0.0])
+        clamped = clamp_radius(r, 0.0025)
+        moved = np.array([-0.3, 0.2, -0.001, -0.0])
+        tape.set_value(r, moved)
+        tape.replay()
+        assert clamped.value.tolist() == [clamp_radius(v, 0.0025) for v in moved]
+
     def test_direction_at_zero_is_positive(self):
         assert radial_direction(0.0) == 1.0

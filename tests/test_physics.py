@@ -5,6 +5,7 @@ import pytest
 
 from vesselflow import autodiff as ad
 from vesselflow import nets, physics
+from vesselflow.config import preset
 from vesselflow.domain import PlaqueShape, RegionTag, VesselGeometry
 from vesselflow.physics import (
     AnalyticDisplacement, AnalyticFlow, CollocationSamples, FluidLossGraph,
@@ -14,6 +15,7 @@ from vesselflow.physics import (
     fluid_bc_residual, harmonic_residual, initial_residuals,
     ns_residual_axisym, ns_residual_cartesian, stress_continuity_residual,
 )
+from vesselflow.trainer import build_networks
 
 GEOM = VesselGeometry()
 FLUID = FluidProperties()
@@ -445,11 +447,8 @@ def assert_same_values(got, want):
 
 class TestIncrementalReplay:
     """A replay re-evaluates only what a changed input reaches; every
-    stored value must still equal a full replay's and, where the record
-    froze nothing at build time, a record built from scratch at the new
-    inputs. `clamp_radius` freezes the sign of the displaced radius when
-    it is recorded, so after moving d the fluid record is compared with a
-    full replay only."""
+    stored value must still equal a full replay's and a record built from
+    scratch at the new inputs."""
 
     @staticmethod
     def fluid_graph(u, p, d, alpha):
@@ -475,9 +474,8 @@ class TestIncrementalReplay:
                 net.theta += 1e-2 * np.random.default_rng(step).standard_normal(net.theta.size)
             graph.replay()
             assert_same_values(graph.tape._vals, full_replay(graph.tape))
-            if changed != "d":
-                assert_same_values(graph.tape._vals,
-                                   self.fluid_graph(u, p, d, alpha).tape._vals)
+            assert_same_values(graph.tape._vals,
+                               self.fluid_graph(u, p, d, alpha).tape._vals)
 
     @pytest.mark.parametrize("changed", ["u", "p", "d"])
     def test_solid_record_matches_fresh_build(self, changed):
@@ -491,8 +489,9 @@ class TestIncrementalReplay:
             assert_same_values(graph.tape._vals, self.solid_graph(u, p, d).tape._vals)
 
     def test_activation_slopes_are_shared(self):
-        # the residuals walk each network several times; every walk through
-        # an activation reuses one relu step or one sigmoid complement 1 - s
+        # the residuals differentiate each network several times; every
+        # tangent through an activation reuses one relu step or one sigmoid
+        # complement 1 - s
         u, p, d = make_nets(seed=6)
         tape = self.fluid_graph(u, p, d, alpha=1.0).tape
         ops, args = tape._ops, tape._args
@@ -502,6 +501,28 @@ class TestIncrementalReplay:
         for operands in (steps, complements):
             assert operands
             assert len(set(operands)) == len(operands)
+
+    @pytest.mark.parametrize("record", ["fluid", "solid"])
+    def test_no_node_is_recorded_twice(self, record):
+        # fsi-shaped records (cylinder preset, depth 12) at a small n: no two
+        # non-input nodes compute the same op on the same operands
+        config = preset("cylinder")
+        networks = build_networks(config, seed=1)
+        flow = NetworkFlow(networks["u"], networks["p"])
+        disp = NetworkDisplacement(networks["d"])
+        samples = draw_samples(config.vessel_geometry(), 16, 16, 16, seed=1)
+        if record == "fluid":
+            graph = FluidLossGraph(flow, disp, samples, config.vessel_geometry(),
+                                   config.fluid_properties(), config.inlet_factor(),
+                                   LossWeights(ns=1.0), config.eps_r)
+        else:
+            graph = SolidLossGraph(flow, disp, samples, config.vessel_geometry(),
+                                   config.wall_segments(), config.fluid_properties(),
+                                   LossWeights(), config.eps_r)
+        tape = graph.tape
+        keys = [(op, tape._args[i]) for i, op in enumerate(tape._ops)
+                if op not in ad._INPUTS]
+        assert len(set(keys)) == len(keys)
 
 
 FD_STEPS = (1e-3, 1e-4, 1e-5, 1e-6)
