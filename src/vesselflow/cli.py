@@ -6,13 +6,14 @@ import argparse
 import ctypes
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import analysis, autodiff as ad, nets as nets_mod
 from .config import ConfigError, PRESET_NAMES, ScenarioConfig, load_config, preset
 from .physics import NetworkDisplacement, NetworkFlow, ZeroDisplacement
-from .trainer import PlanError, TrainingPlan, Trainer, build_networks
+from .trainer import PlanError, Trainer, build_networks
 
 
 class CliError(RuntimeError):
@@ -68,21 +69,16 @@ def _adapters(networks, config: ScenarioConfig):
 
 def _cmd_train(args) -> int:
     config = _scenario_from_args(args)
-    plan = TrainingPlan.from_config(config)
-    overrides = {}
-    for field_name, arg_name in (
-            ("fluid_epochs", "fluid_epochs"), ("solid_epochs", "solid_epochs"),
-            ("ladder_steps", "ladder_steps"), ("max_alternations", "alternations")):
-        value = getattr(args, arg_name)
-        if value is not None:
-            overrides[field_name] = value
-    if overrides:
-        from dataclasses import replace
-        plan = replace(plan, **overrides)
+    overrides = {name: value for name, value in (
+        ("fluid_epochs", args.fluid_epochs), ("solid_epochs", args.solid_epochs),
+        ("ladder_steps", args.ladder_steps), ("max_alternations", args.alternations))
+        if value is not None}
+    # The overrides go into the config, so DIR/config.json records the run.
+    config = replace(config, training=replace(config.training, **overrides))
     os.makedirs(args.out_dir, exist_ok=True)
     config.save(os.path.join(args.out_dir, "config.json"))
     networks = build_networks(config, args.seed)
-    trainer = Trainer(config, networks, plan, seed=args.seed,
+    trainer = Trainer(config, networks, seed=args.seed,
                       out_dir=args.out_dir,
                       checkpoint_interval=args.checkpoint_interval,
                       shards=args.workers)

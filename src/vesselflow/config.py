@@ -134,9 +134,17 @@ class ScenarioConfig:
         self.vessel_geometry()  # geometry constraints, plaque-in-lumen checks
         if self.inlet.mode not in ("pulsatile", "steady"):
             raise ConfigError(f"unknown inlet mode {self.inlet.mode!r}")
-        if self.training.learning_rate <= 0:
+        t = self.training
+        if t.learning_rate <= 0:
             raise ConfigError("learning rate must be positive")
-        if not 0 < self.training.axis_clamp_fraction < 1:
+        if min(t.fluid_epochs, t.solid_epochs, t.velocity_epochs,
+               t.pressure_epochs, t.convergence_window) <= 0:
+            raise ConfigError("epoch counts and window must be positive")
+        if t.ladder_steps < 0 or t.max_alternations < 0:
+            raise ConfigError("ladder steps and alternation cap cannot be negative")
+        if t.fluid_epochs % (t.velocity_epochs + t.pressure_epochs) != 0:
+            raise ConfigError("fluid epochs must divide into whole u/p rounds")
+        if not 0 < t.axis_clamp_fraction < 1:
             raise ConfigError("axis clamp fraction must sit in (0, 1)")
 
     # -- derived objects ------------------------------------------------

@@ -44,23 +44,3 @@ class AdamState:
         v_hat = self.v / (1.0 - self.beta2 ** t)
         params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
         return params
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """Resumable snapshot (used by checkpoints)."""
-        return {
-            "m": self.m,
-            "v": self.v,
-            "scalars": np.array([
-                float(self.step_count), self.learning_rate,
-                self.beta1, self.beta2, self.eps,
-            ]),
-        }
-
-    @classmethod
-    def from_arrays(cls, m: np.ndarray, v: np.ndarray, scalars: np.ndarray) -> "AdamState":
-        state = cls(len(m), learning_rate=scalars[1], beta1=scalars[2],
-                    beta2=scalars[3], eps=scalars[4])
-        state.step_count = int(scalars[0])
-        state.m = m.copy()
-        state.v = v.copy()
-        return state

@@ -13,6 +13,12 @@ in fixed-size runs, so exactly one parameter vector changes per epoch.
 Collocation points are drawn once per stage from stage-indexed seeds.
 Any phase stops early once the best loss improvement over a full
 trailing window drops below the threshold.
+
+Every count, cap and threshold of the schedule is read from the
+scenario's `training` section, which `ScenarioConfig` validates on
+construction, so a saved config reproduces the run. A non-finite loss or
+gradient aborts with `TrainingDiverged`, naming the epoch, stage and
+network. Checkpoints hold the networks only.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from . import nets as nets_mod
 from .config import ScenarioConfig
-from .optim import AdamState
+from .optim import AdamState, GradientError
 from .physics import (
     CollocationSamples, FluidLossGraph, LossBreakdown, LossWeights,
     NetworkDisplacement, NetworkFlow, SolidLossGraph, ZeroDisplacement,
@@ -40,40 +46,16 @@ class PlanError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss left the finite range; carries the last good checkpoint path."""
+    """Loss or gradient left the finite range; carries the last good
+    checkpoint path."""
 
     def __init__(self, message: str, checkpoint: "str | None"):
         super().__init__(message)
         self.checkpoint = checkpoint
 
 
-@dataclass(frozen=True)
-class TrainingPlan:
-    fluid_epochs: int = 2000
-    solid_epochs: int = 500
-    u_epochs: int = 80
-    p_epochs: int = 20
-    ladder_steps: int = 5
-    max_alternations: int = 6
-    convergence_threshold: float = 0.1
-    convergence_window: int = 100
-    ladder_start: float = 1e-8
-
-    def __post_init__(self):
-        if min(self.fluid_epochs, self.solid_epochs, self.u_epochs,
-               self.p_epochs, self.convergence_window) <= 0:
-            raise PlanError("epoch counts and window must be positive")
-        if self.ladder_steps < 0 or self.max_alternations < 0:
-            raise PlanError("ladder steps and alternation cap cannot be negative")
-        if self.fluid_epochs % (self.u_epochs + self.p_epochs) != 0:
-            raise PlanError("fluid epochs must divide into whole u/p rounds")
-
-    @classmethod
-    def from_config(cls, config: ScenarioConfig) -> "TrainingPlan":
-        t = config.training
-        return cls(t.fluid_epochs, t.solid_epochs, t.velocity_epochs,
-                   t.pressure_epochs, t.ladder_steps, t.max_alternations,
-                   t.convergence_threshold, t.convergence_window)
+# First momentum weight of the ladder; each rung multiplies it by ten.
+LADDER_START = 1e-8
 
 
 def converged(losses: Sequence[float], threshold: float, window: int) -> bool:
@@ -198,15 +180,16 @@ class TrainingHistory:
 class Trainer:
     """Runs the staged scheme for one scenario over one network triple."""
 
-    def __init__(self, config: ScenarioConfig, networks: dict,
-                 plan: "TrainingPlan | None" = None, seed: int = 0,
+    def __init__(self, config: ScenarioConfig, networks: dict, seed: int = 0,
                  out_dir: "str | None" = None, checkpoint_interval: int = 0,
                  shards: int = 1):
         if shards < 1:
             raise PlanError(f"worker count must be positive, got {shards}")
+        if checkpoint_interval < 0:
+            raise PlanError(
+                f"checkpoint interval cannot be negative, got {checkpoint_interval}")
         self.config = config
         self.networks = networks
-        self.plan = plan or TrainingPlan.from_config(config)
         self.seed = seed
         self.out_dir = out_dir
         self.checkpoint_interval = checkpoint_interval
@@ -231,8 +214,7 @@ class Trainer:
     # -- public entry ---------------------------------------------------
 
     def run(self) -> TrainingHistory:
-        plan = self.plan
-        rigid = self.config.training.rigid_wall
+        t = self.config.training
         nets_mod.zero_init_output(self.networks["d"])
 
         self.fluid_block("fluid-init", alpha_ns=0.0)
@@ -240,19 +222,19 @@ class Trainer:
         # The ladder is one sampling stage: a single collocation draw whose
         # momentum weight climbs in place, so each raise strictly lifts the
         # recorded loss before optimization pulls it back down.
-        alpha = plan.ladder_start
+        alpha = LADDER_START
         ladder_graphs = None
-        if plan.ladder_steps:
+        if t.ladder_steps:
             ladder_graphs = self._fluid_graphs(self._stage_samples(),
-                                               10.0 * plan.ladder_start)
-        for rung in range(1, plan.ladder_steps + 1):
+                                               10.0 * LADDER_START)
+        for rung in range(1, t.ladder_steps + 1):
             alpha = 10.0 * alpha
             for g in ladder_graphs:
                 g.set_alpha_ns(alpha)
             self.fluid_block(f"ladder-{rung}", alpha_ns=alpha, graphs=ladder_graphs)
 
-        if not rigid:
-            for i in range(1, plan.max_alternations + 1):
+        if not t.rigid_wall:
+            for i in range(1, t.max_alternations + 1):
                 solid_quick = self.solid_phase(f"couple-{i}-solid")
                 fluid_quick = self.fluid_block(f"couple-{i}-fluid", alpha_ns=alpha)
                 if solid_quick and fluid_quick:
@@ -291,35 +273,34 @@ class Trainer:
     def fluid_block(self, stage: str, alpha_ns: float, graphs=None) -> bool:
         """One capped block of alternating velocity/pressure epochs.
         Returns True when the block stopped early on convergence."""
-        plan = self.plan
+        t = self.config.training
         if graphs is None:
             graphs = self._fluid_graphs(self._stage_samples(), alpha_ns)
         losses: list[float] = []
-        rounds = plan.fluid_epochs // (plan.u_epochs + plan.p_epochs)
+        rounds = t.fluid_epochs // (t.velocity_epochs + t.pressure_epochs)
         for _ in range(rounds):
-            for phase, count in (("u", plan.u_epochs), ("p", plan.p_epochs)):
+            for phase, count in (("u", t.velocity_epochs), ("p", t.pressure_epochs)):
                 for _ in range(count):
                     if self._fluid_epoch(stage, phase, graphs, losses):
                         return True
         return False
 
     def _fluid_epoch(self, stage, phase, graphs, losses) -> bool:
+        t = self.config.training
         for g in graphs:
             g.replay()
-        breakdown = _mean_fluid_breakdown(graphs)
+        breakdown = _mean_breakdown(graphs, _FLUID_TERMS)
         self._record(stage, phase, graphs[0].alpha_ns, breakdown)
         self._guard_finite(stage, phase, breakdown)
-        grad = parallel_grad(lambda g: g.param_grads([phase])[phase], graphs)
-        net = self.networks[phase]
-        self.optimizers[phase].step(net.theta, grad)
+        self._step(stage, phase,
+                   parallel_grad(lambda g: g.param_grads([phase])[phase], graphs))
         losses.append(breakdown.fluid_total)
-        return converged(losses, self.plan.convergence_threshold,
-                         self.plan.convergence_window)
+        return converged(losses, t.convergence_threshold, t.convergence_window)
 
     def solid_phase(self, stage: str) -> bool:
         """Displacement updates against the wall problem; flow frozen.
         Returns True when stopped early on convergence."""
-        plan = self.plan
+        t = self.config.training
         samples = self._stage_samples()
         parts = _partition_samples(samples, self.shards)
         graphs = [
@@ -331,16 +312,16 @@ class Trainer:
             for part in parts
         ]
         losses: list[float] = []
-        for _ in range(plan.solid_epochs):
+        for _ in range(t.solid_epochs):
             for g in graphs:
                 g.replay()
-            breakdown = _mean_solid_breakdown(graphs)
+            breakdown = _mean_breakdown(graphs, _SOLID_TERMS)
             self._record(stage, "d", 0.0, breakdown)
             self._guard_finite(stage, "d", breakdown)
-            grad = parallel_grad(lambda g: g.param_grads(["d"])["d"], graphs)
-            self.optimizers["d"].step(self.networks["d"].theta, grad)
+            self._step(stage, "d",
+                       parallel_grad(lambda g: g.param_grads(["d"])["d"], graphs))
             losses.append(breakdown.solid_total)
-            if converged(losses, plan.convergence_threshold, plan.convergence_window):
+            if converged(losses, t.convergence_threshold, t.convergence_window):
                 return True
         return False
 
@@ -365,46 +346,33 @@ class Trainer:
                 f"terms: {', '.join(bad)}",
                 checkpoint=self.last_checkpoint)
 
+    def _step(self, stage: str, phase: str, grad: np.ndarray) -> None:
+        """Adam step of network `phase`; a non-finite gradient aborts the run
+        the way a non-finite loss does."""
+        try:
+            self.optimizers[phase].step(self.networks[phase].theta, grad)
+        except GradientError as exc:
+            raise TrainingDiverged(
+                f"step failed at epoch {self.epoch - 1} in stage {stage!r} "
+                f"while training network {phase!r}: {exc}",
+                checkpoint=self.last_checkpoint) from exc
+
     def _checkpoint(self, force: bool = False) -> None:
         if not self.out_dir:
             return
         path = os.path.join(self.out_dir, "checkpoints",
                             "final.npz" if force else f"epoch{self.epoch:07d}.npz")
-        extras = {"cursor": np.array([float(self.epoch), float(self._stage_counter)])}
-        for name, opt in self.optimizers.items():
-            snap = opt.state_arrays()
-            extras[f"adam_m_{name}"] = snap["m"]
-            extras[f"adam_v_{name}"] = snap["v"]
-            extras[f"adam_scalars_{name}"] = snap["scalars"]
-        nets_mod.save_networks(path, self.networks, extras)
+        nets_mod.save_networks(path, self.networks)
         self.last_checkpoint = path
 
 
-def _mean_fluid_breakdown(graphs) -> LossBreakdown:
+def _mean_breakdown(graphs, terms) -> LossBreakdown:
+    """Shard mean of each loss term, summed in shard order."""
     if len(graphs) == 1:
         return graphs[0].breakdown()
     parts = [g.breakdown() for g in graphs]
-    n = len(parts)
-    return LossBreakdown(
-        ns=sum(p.ns for p in parts) / n,
-        fluid_bdr=sum(p.fluid_bdr for p in parts) / n,
-        fluid_init=sum(p.fluid_init for p in parts) / n,
-        fluid_total=sum(p.fluid_total for p in parts) / n,
-    )
-
-
-def _mean_solid_breakdown(graphs) -> LossBreakdown:
-    if len(graphs) == 1:
-        return graphs[0].breakdown()
-    parts = [g.breakdown() for g in graphs]
-    n = len(parts)
-    return LossBreakdown(
-        stress=sum(p.stress for p in parts) / n,
-        harmonic=sum(p.harmonic for p in parts) / n,
-        solid_bdr=sum(p.solid_bdr for p in parts) / n,
-        solid_init=sum(p.solid_init for p in parts) / n,
-        solid_total=sum(p.solid_total for p in parts) / n,
-    )
+    return LossBreakdown(**{name: sum(getattr(p, name) for p in parts) / len(parts)
+                            for name in terms})
 
 
 def _partition_samples(samples: CollocationSamples, shards: int):
@@ -443,12 +411,10 @@ def build_networks(config: ScenarioConfig, seed: int) -> dict:
     }
 
 
-def run_fsi(config: ScenarioConfig, networks: dict,
-            plan: "TrainingPlan | None" = None, seed: int = 0,
+def run_fsi(config: ScenarioConfig, networks: dict, seed: int = 0,
             out_dir: "str | None" = None, checkpoint_interval: int = 0,
             shards: int = 1):
     """Train a network triple through the full staged schedule."""
-    trainer = Trainer(config, networks, plan, seed, out_dir,
-                      checkpoint_interval, shards)
+    trainer = Trainer(config, networks, seed, out_dir, checkpoint_interval, shards)
     history = trainer.run()
     return networks, history

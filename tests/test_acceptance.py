@@ -20,7 +20,7 @@ from vesselflow.physics import (
     SolidLossGraph, WallProperties, ZeroDisplacement, draw_samples,
     harmonic_residual, ns_residual_axisym, stress_continuity_residual,
 )
-from vesselflow.trainer import Trainer, TrainingPlan, build_networks, parallel_grad, run_fsi
+from vesselflow.trainer import Trainer, build_networks, parallel_grad, run_fsi
 
 
 def report(criterion, detail):

@@ -102,6 +102,14 @@ class TestConfigIO:
         with pytest.raises((ConfigError, ValueError)):
             ScenarioConfig.from_dict(data)
 
+    def test_uneven_round_split_rejected_on_load(self, tmp_path):
+        data = preset("cylinder").to_dict()
+        data["training"]["fluid_epochs"] = 150  # rounds of 80 + 20 epochs
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match="fluid epochs must divide"):
+            load_config(path)
+
     def test_missing_file_message(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.json")
@@ -205,6 +213,20 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "mismatch" in err and "expected widths" in err
 
+    def test_overrides_recorded_and_config_reproduces_run(self, tmp_path, capsys):
+        _, out_dir, argv = _small_training_args(
+            tmp_path, ["--fluid-epochs", "20", "--ladder-steps", "1"])
+        assert main(["train", *argv, "--seed", "4"]) == 0
+        saved = json.loads((out_dir / "config.json").read_text())["training"]
+        assert saved["fluid_epochs"] == 20 and saved["ladder_steps"] == 1
+        rerun = tmp_path / "rerun"
+        assert main(["train", "--config", str(out_dir / "config.json"),
+                     "--out-dir", str(rerun), "--seed", "4"]) == 0
+        history = (out_dir / "history.csv").read_bytes()
+        assert len(history.strip().splitlines()) == 1 + 40  # two 20-epoch blocks
+        assert (rerun / "history.csv").read_bytes() == history
+        assert (rerun / "config.json").read_bytes() == (out_dir / "config.json").read_bytes()
+
 
 class TestBadInput:
     """Input a command cannot use is reported as one `error:` line with
@@ -233,6 +255,13 @@ class TestBadInput:
         _, _, argv = _small_training_args(tmp_path)
         assert main(["train", *argv, "--workers", workers]) == 2
         assert capsys.readouterr().err.startswith("error: worker count must be positive")
+
+    def test_checkpoint_interval_negative(self, tmp_path, capsys):
+        _, out_dir, argv = _small_training_args(tmp_path)
+        assert main(["train", *argv, "--checkpoint-interval", "-3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint interval cannot be negative")
+        assert not (out_dir / "history.csv").exists()
 
     @pytest.mark.parametrize("times", ["0", "-3"])
     def test_probe_times_not_positive(self, tmp_path, checkpoint_args, capsys, times):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from vesselflow.config import ScenarioConfig, TrainingSettings, WeightSettings, preset
+from vesselflow.config import (
+    ConfigError, ScenarioConfig, TrainingSettings, WeightSettings, preset,
+)
 from vesselflow.physics import FluidLossGraph, LossWeights, NetworkFlow, ZeroDisplacement
 from vesselflow.trainer import (
-    PlanError, Trainer, TrainingDiverged, TrainingHistory, TrainingPlan,
+    PlanError, Trainer, TrainingDiverged, TrainingHistory,
     build_networks, converged, parallel_grad, run_fsi,
 )
 
@@ -39,17 +41,23 @@ class TestConverged:
 
 
 class TestPlan:
+    """The schedule lives in `config.training` and is checked there."""
+
     def test_default_plan_accepted(self):
-        plan = TrainingPlan()
-        assert plan.fluid_epochs == 2000 and plan.ladder_steps == 5
+        t = ScenarioConfig().training
+        assert t.fluid_epochs == 2000 and t.ladder_steps == 5
 
     def test_uneven_round_split_rejected(self):
-        with pytest.raises(PlanError):
-            TrainingPlan(fluid_epochs=150, u_epochs=80, p_epochs=20)
+        with pytest.raises(ConfigError, match="whole u/p rounds"):
+            tiny_config(fluid_epochs=150, velocity_epochs=80, pressure_epochs=20)
 
     def test_negative_ladder_rejected(self):
-        with pytest.raises(PlanError):
-            TrainingPlan(ladder_steps=-1)
+        with pytest.raises(ConfigError, match="cannot be negative"):
+            tiny_config(ladder_steps=-1)
+
+    def test_non_positive_epoch_count_rejected(self):
+        with pytest.raises(ConfigError, match="must be positive"):
+            tiny_config(solid_epochs=0)
 
 
 class TestParallelGrad:
@@ -306,3 +314,39 @@ class TestDivergenceGuard:
         assert "'fluid-init'" in message
         assert "network 'u'" in message
         assert "fluid_total" in message and "fluid_bdr" in message
+
+    def test_non_finite_gradient_names_epoch_stage_and_network(self, tmp_path,
+                                                               monkeypatch):
+        config = tiny_config(ladder_steps=0, max_alternations=0, fluid_epochs=10)
+        networks = build_networks(config, seed=15)
+        original = FluidLossGraph.param_grads
+
+        def poisoned(self, groups):
+            grads = original(self, groups)
+            for g in grads.values():
+                g[3] = np.nan
+            return grads
+
+        monkeypatch.setattr(FluidLossGraph, "param_grads", poisoned)
+        trainer = Trainer(config, networks, seed=15, out_dir=str(tmp_path),
+                          checkpoint_interval=1)
+        with pytest.raises(TrainingDiverged) as err:
+            trainer.run()
+        message = str(err.value)
+        assert "parameter index 3" in message
+        assert "epoch 0" in message and "'fluid-init'" in message
+        assert "network 'u'" in message
+        # epoch 0 was recorded (and checkpointed) before its step failed
+        assert err.value.checkpoint == trainer.last_checkpoint
+        assert err.value.checkpoint.endswith("epoch0000001.npz")
+
+
+class TestCheckpoint:
+    def test_checkpoint_holds_only_the_networks(self, tmp_path):
+        config = tiny_config(ladder_steps=0, max_alternations=1)
+        networks = build_networks(config, seed=16)
+        run_fsi(config, networks, seed=16, out_dir=str(tmp_path))
+        with np.load(tmp_path / "checkpoints" / "final.npz") as data:
+            assert sorted(data.files) == ["header", "theta_d", "theta_p", "theta_u"]
+            for name, net in networks.items():
+                assert np.array_equal(data[f"theta_{name}"], net.theta)
