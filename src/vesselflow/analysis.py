@@ -154,7 +154,7 @@ def outlet_flux(flow, displacement, t: float, geometry: VesselGeometry,
     r = tape.batch(rho)
     z = tape.batch(np.full(n_quad, geometry.length))
     tt = tape.batch(np.full(n_quad, t))
-    u_z, _, _ = flow.velocity_pressure(tape, r, z, tt)
+    u_z, _ = flow.velocity(tape, r, z, tt)
     integrand = np.pi * np.broadcast_to(
         np.asarray(u_z.value, dtype=np.float64), (n_quad,))
     return float(np.trapezoid(integrand, s))
@@ -213,7 +213,7 @@ def speed_field(flow, displacement) -> Callable:
         z = tape.batch(z_arr)
         tt = tape.batch(np.full(n, float(t)))
         r_t, z_t, t_p, _ = current_frame(tape, r, z, tt, displacement)
-        u_z, u_r, _ = flow.velocity_pressure(tape, r_t, z_t, t_p)
+        u_z, u_r = flow.velocity(tape, r_t, z_t, t_p)
         return np.hypot(np.broadcast_to(np.asarray(u_z.value, dtype=np.float64), (n,)),
                         np.broadcast_to(np.asarray(u_r.value, dtype=np.float64), (n,)))
 

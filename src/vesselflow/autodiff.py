@@ -13,20 +13,28 @@ per collocation point, evaluated together. Pointwise values are scalars
 or 1-d batches; every operation on them is elementwise and ``Tape.mean``
 collapses a batch to a true scalar. The record holds one node per network
 layer, not per neuron: a stack joins k pointwise nodes into a row of k
-(shape (k,) or (n, k)), an affine node computes ``x @ W.T + b`` in one
-product with W and b read by offset from a registered parameter vector,
-activations act elementwise on the rows, and a select node reads one
-entry of the row back out. Because the batch axis leads, a value without
-it broadcasts against one with it, as in numpy.
-``nets.FieldNetwork.evaluate`` runs the same expressions on plain
-arrays, so on batched inputs it equals a recorded forward bit for bit.
+(shape (k,) or (n, k)), a layer (affine) node computes
+``act(x @ W.T + b)`` in one product with W and b read by offset from a
+registered parameter vector and `act` a sigmoid, a relu or nothing, and a
+select node reads one entry of the row back out. The pre-activation
+``x @ W.T + b`` is never stored: no derivative rule reads it. Because the
+batch axis leads, a value without it broadcasts against one with it, as in
+numpy. ``activate`` is the one activation arithmetic of layer nodes,
+``sigmoid``/``relu`` and ``nets.FieldNetwork.evaluate``, so on batched
+inputs ``evaluate`` equals a recorded forward bit for bit.
 
-Tangents close over the same ops: the tangent of an affine node is the
-same affine node without its bias, stacks and selects map to stacks and
-selects of tangents, and activations multiply by one recorded slope per
-node, so input derivatives go through whole layers. The backward pass
-gives every adjoint the shape of its node's value: summed over a batch
-axis the node lacks, repeated over one it has.
+Tangents close over the same ops. The tangent of a layer node is its
+recorded slope times the same affine map without bias or activation
+applied to the input's tangent; that bias-free affine is one node shared
+by every request. The slope is one node per layer: the step of the
+layer's own output for relu (positive exactly where its input is), and
+s(1 - s) for sigmoid, whose own tangent is the curvature s(1 - s)(1 - 2s)
+times the same bias-free affine. Stacks and selects map to stacks and
+selects of tangents, so input derivatives go through whole layers. The
+backward pass gives every adjoint the shape of its node's value: summed
+over a batch axis the node lacks, repeated over one it has. At a layer
+node it multiplies the adjoint by the slope, computed from the stored
+output, before the affine rules.
 
 Replaying a record after overwriting leaf or parameter values
 re-evaluates, in record order, only the nodes whose value reads (through
@@ -73,6 +81,7 @@ _AFFINE = 19
 # (the kink at 0 is assigned derivative 0).
 _NON_DIFFERENTIABLE = (_DETACH, _STEP)
 _INPUTS = (_LEAF, _CONST, _PARAM)
+_ACTIVATIONS = ("sigmoid", "relu", None)
 
 
 class EvaluationError(RuntimeError):
@@ -91,6 +100,29 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Bitwise equality of two float64 vectors: -0.0 differs from 0.0 and
     a NaN equals itself."""
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def activate(act, z):
+    """Activation `act` ("sigmoid", "relu" or None for none) of a plain
+    value: the one arithmetic of recorded activations, layer nodes and
+    ``nets.FieldNetwork.evaluate``."""
+    if act == "sigmoid":
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-z))
+    if act == "relu":
+        return np.maximum(z, 0.0)
+    return z
+
+
+def _step_value(v):
+    """1.0 where v > 0, else 0.0 (NaN included), as a batch or a float."""
+    return (v > 0.0).astype(np.float64) if _is_batch(v) else (1.0 if v > 0.0 else 0.0)
+
+
+def _slope_value(act, out):
+    """Derivative of activation `act` from its output `out`: s(1 - s) for
+    sigmoid, the step of the output for relu."""
+    return out * (1.0 - out) if act == "sigmoid" else _step_value(out)
 
 
 def _entry(row, k):
@@ -179,7 +211,7 @@ class Tape:
         self._shared: dict[tuple, int] = {}  # (op, args) -> node, see _node
         # per root, node -> its tangent node (None for zero)
         self._tangents: dict[int, dict[int, "int | None"]] = {}
-        self._slope_owner: dict[int, int] = {}  # sigmoid slope -> its sigmoid
+        self._slope_owner: dict[int, int] = {}  # sigmoid slope -> its node
         # Replay bookkeeping: each group's bits at the last replay, and the
         # groups and leaf indices changed since then.
         self._snapshots: dict[str, np.ndarray] = {}
@@ -319,19 +351,15 @@ class Tape:
                 raise EvaluationError(f"node {i} (sqrt): negative operand")
             return np.sqrt(v)
         if op == _RELU:
-            return np.maximum(vals[args[0]], 0.0)
+            return activate("relu", vals[args[0]])
         if op == _STEP:
-            v = vals[args[0]]
-            if _is_batch(v):
-                return (v > 0.0).astype(np.float64)
-            return 1.0 if v > 0.0 else 0.0
+            return _step_value(vals[args[0]])
         if op == _SIN:
             return np.sin(vals[args[0]])
         if op == _COS:
             return np.cos(vals[args[0]])
         if op == _SIGMOID:
-            with np.errstate(over="ignore"):
-                return 1.0 / (1.0 + np.exp(-vals[args[0]]))
+            return activate("sigmoid", vals[args[0]])
         if op == _DETACH:
             return vals[args[0]]
         if op == _SUM:
@@ -345,11 +373,11 @@ class Tape:
         if op == _SELECT:
             return _entry(vals[args[0]], args[1])
         if op == _AFFINE:
-            x, group, offset, shape, bias = args
+            x, group, offset, shape, bias, act = args
             out = vals[x] @ self._weight(group, offset, shape).T
             if bias is not None:
                 out += self._groups[group][bias:bias + shape[0]]
-            return out
+            return activate(act, out)
         if op == _PARAM:
             name, offset = args
             return float(self._groups[name][offset])
@@ -374,11 +402,15 @@ class Tape:
         return self._push(_SELECT, (x.index, k))
 
     def affine(self, x: DiffScalar, group: str, offset: int,
-               shape: tuple[int, int], bias: "int | None" = None) -> DiffScalar:
-        """``x W^T + b`` over a row node x. W is the row-major (rows, cols)
-        block of parameter group `group` at `offset`, b the `rows` entries
-        at `bias` (no bias when None)."""
-        return self._push(_AFFINE, (x.index, group, offset, tuple(shape), bias))
+               shape: tuple[int, int], bias: "int | None" = None,
+               act: "str | None" = None) -> DiffScalar:
+        """``act(x W^T + b)`` over a row node x, one node for a whole layer.
+        W is the row-major (rows, cols) block of parameter group `group` at
+        `offset`, b the `rows` entries at `bias` (no bias when None), and
+        `act` is "sigmoid", "relu" or None (no activation)."""
+        if act not in _ACTIVATIONS:
+            raise RecordError(f"unknown activation {act!r}")
+        return self._push(_AFFINE, (x.index, group, offset, tuple(shape), bias, act))
 
     def mean(self, x: DiffScalar) -> DiffScalar:
         """Mean over the lockstep batch (count fixed at record time)."""
@@ -506,8 +538,8 @@ class Tape:
         return tangents.get(output)
 
     def _sigmoid_of_slope(self, i: int, root: int) -> "int | None":
-        """The sigmoid whose slope is node i, when the tangent along
-        `root` reaches that slope through the sigmoid's operand."""
+        """The sigmoid (or sigmoid layer) whose slope is node i, when the
+        tangent along `root` reaches that slope through the node's operand."""
         owner = self._slope_owner.get(i)
         return owner if owner is not None and owner > root else None
 
@@ -527,8 +559,8 @@ class Tape:
         if owner is not None:
             # d/dx of a sigmoid slope s(1 - s) is one curvature node,
             # s(1 - s)(1 - 2s), times the pre-activation's tangent
-            tx = t(self._args[owner][0])
-            return None if tx is None else mul(self._curvature(owner), tx)
+            tz = self._preactivation_tangent(owner, tangents)
+            return None if tz is None else mul(self._curvature(owner), tz)
         if op == _ADD:
             return plus(t(a[0]), t(a[1]))
         if op == _SUB:
@@ -576,14 +608,34 @@ class Tape:
         if op == _SELECT:
             return node(_SELECT, tx, a[1])
         if op == _AFFINE:
-            return node(_AFFINE, tx, *a[1:4], None)
+            tz = self._preactivation_tangent(i, tangents)
+            return tz if a[5] is None else mul(self._slope(i), tz)
         raise RecordError(f"node {i}: cannot differentiate op {op}")  # pragma: no cover
 
+    def _activation(self, i: int) -> "str | None":
+        """Activation that node i applies ("relu", "sigmoid" or None): its
+        own for a relu or sigmoid node, its layer's for an affine node."""
+        op = self._ops[i]
+        if op == _AFFINE:
+            return self._args[i][5]
+        return "relu" if op == _RELU else "sigmoid" if op == _SIGMOID else None
+
+    def _preactivation_tangent(self, i: int, tangents: dict) -> "int | None":
+        """Tangent of what activation node i activates, from the tangent of
+        its operand: that tangent itself for a relu or sigmoid node, and
+        for a layer node the same affine map without bias or activation,
+        one node shared by every request."""
+        tx = tangents.get(self._args[i][0])
+        if tx is None or self._ops[i] != _AFFINE:
+            return tx
+        return self._node(_AFFINE, tx, *self._args[i][1:4], None, None)
+
     def _slope(self, i: int) -> int:
-        """Recorded derivative of activation node i: the step of the
-        operand for relu, s(1 - s) for sigmoid."""
-        if self._ops[i] == _RELU:
-            return self._node(_STEP, self._args[i][0])
+        """Recorded derivative of activation node i: the step of its own
+        output for relu (positive exactly where its input is), s(1 - s)
+        for sigmoid."""
+        if self._activation(i) == "relu":
+            return self._node(_STEP, i)
         slope = self._node(_MUL, i, self._node(_SUB, self.constant(1.0).index, i))
         self._slope_owner[slope] = i
         return slope
@@ -703,21 +755,15 @@ class Tape:
             elif op == _SQRT:
                 if useful[a[0]]:
                     accumulate(a[0], a_out * 0.5 / vals[i])
-            elif op == _RELU:
+            elif op in (_RELU, _SIGMOID):
                 if useful[a[0]]:
-                    v = vals[a[0]]
-                    gate = (v > 0.0).astype(np.float64) if _is_batch(v) else (1.0 if v > 0.0 else 0.0)
-                    accumulate(a[0], a_out * gate)
+                    accumulate(a[0], a_out * _slope_value(self._activation(i), vals[i]))
             elif op == _SIN:
                 if useful[a[0]]:
                     accumulate(a[0], a_out * np.cos(vals[a[0]]))
             elif op == _COS:
                 if useful[a[0]]:
                     accumulate(a[0], -a_out * np.sin(vals[a[0]]))
-            elif op == _SIGMOID:
-                if useful[a[0]]:
-                    s = vals[i]
-                    accumulate(a[0], a_out * (s * (1.0 - s)))
             elif op == _SUM:
                 x, n = a
                 if useful[x]:
@@ -733,7 +779,9 @@ class Tape:
                     row[..., k] = a_out
                     accumulate(x, row)
             elif op == _AFFINE:
-                x, group, offset, shape, bias = a
+                x, group, offset, shape, bias, act = a
+                if act is not None:
+                    a_out = a_out * _slope_value(act, vals[i])
                 w = self._weight(group, offset, shape)
                 if useful[x]:
                     accumulate(x, a_out @ w)
@@ -770,7 +818,7 @@ def relu(x):
     """max(0, x); derivative at exactly 0 is defined as 0."""
     if isinstance(x, DiffScalar):
         return x.tape._unary(_RELU, x)
-    return np.maximum(x, 0.0)
+    return activate("relu", x)
 
 
 def step(x):
@@ -796,8 +844,7 @@ def sigmoid(x):
     """1/(1+exp(-x)); recorded as one primitive with slope s(1-s)."""
     if isinstance(x, DiffScalar):
         return x.tape._unary(_SIGMOID, x)
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    return activate("sigmoid", x)
 
 
 def detach(x):

@@ -75,13 +75,14 @@ def _cmd_train(args) -> int:
         if value is not None}
     # The overrides go into the config, so DIR/config.json records the run.
     config = replace(config, training=replace(config.training, **overrides))
-    os.makedirs(args.out_dir, exist_ok=True)
-    config.save(os.path.join(args.out_dir, "config.json"))
     networks = build_networks(config, args.seed)
+    # Trainer rejects bad arguments before it creates DIR, so a rejected run
+    # leaves nothing behind.
     trainer = Trainer(config, networks, seed=args.seed,
                       out_dir=args.out_dir,
                       checkpoint_interval=args.checkpoint_interval,
                       shards=args.workers)
+    config.save(os.path.join(args.out_dir, "config.json"))
     history = trainer.run()
     geometry = config.vessel_geometry()
     flow, disp = _adapters(networks, config)

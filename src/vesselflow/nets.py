@@ -77,8 +77,8 @@ class FieldNetwork:
 
     def forward(self, tape: ad.Tape, inputs) -> list[ad.DiffScalar]:
         """Record the network evaluation at `inputs` (DiffScalar, length in_dim):
-        one stack of the inputs, one affine node per layer, one node per
-        hidden activation and one select per output, whatever the width."""
+        one stack of the inputs, one activated affine node per layer and one
+        select per output, whatever the width."""
         if len(inputs) != self.in_dim:
             raise ValueError(f"{self.name}: expected {self.in_dim} inputs, got {len(inputs)}")
         tape.register_params(self.name, self.theta)
@@ -86,17 +86,13 @@ class FieldNetwork:
         for layer in range(self.depth):
             w_off, b_off = self._offsets[layer]
             shape = (self.widths[layer + 1], self.widths[layer])
-            x = self._activate(layer, tape.affine(x, self.name, w_off, shape, bias=b_off))
+            x = tape.affine(x, self.name, w_off, shape, bias=b_off, act=self._act(layer))
         return [tape.select(x, k) for k in range(self.out_dim)]
 
-    def _activate(self, layer: int, x):
-        """Activation of `layer` on a record node or a plain array."""
+    def _act(self, layer: int) -> "str | None":
+        """Activation of `layer` as the record names it (None for none)."""
         act = self.activations[layer]
-        if act == "sigmoid":
-            return ad.sigmoid(x)
-        if act == "relu":
-            return ad.relu(x)
-        return x
+        return None if act == "none" else act
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Plain numpy forward over rows of `points`, shape (n, in_dim) -> (n, out_dim).
@@ -106,7 +102,7 @@ class FieldNetwork:
         `forward` records from n-point batches."""
         x = np.ascontiguousarray(points, dtype=np.float64)
         for layer in range(self.depth):
-            x = self._activate(layer, x @ self.weight(layer).T + self.bias(layer))
+            x = ad.activate(self._act(layer), x @ self.weight(layer).T + self.bias(layer))
         return x
 
     def relu_margin(self, point) -> float:
@@ -119,7 +115,7 @@ class FieldNetwork:
             x = x @ self.weight(layer).T + self.bias(layer)
             if self.activations[layer] == "relu":
                 margin = min(margin, float(np.min(np.abs(x))))
-            x = self._activate(layer, x)
+            x = ad.activate(self._act(layer), x)
         return margin
 
 

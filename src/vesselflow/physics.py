@@ -120,14 +120,19 @@ class LossBreakdown:
 # field adapters
 
 class NetworkFlow:
-    """Velocity/pressure fields read from the two flow networks."""
+    """Velocity/pressure fields read from the two flow networks. Callers
+    that need no pressure use `velocity`, which records no pressure network."""
 
     def __init__(self, velocity_net, pressure_net):
         self.velocity_net = velocity_net
         self.pressure_net = pressure_net
 
-    def velocity_pressure(self, tape, r, z, t):
+    def velocity(self, tape, r, z, t):
         u_z, u_r = self.velocity_net.forward(tape, [r, z, t])
+        return u_z, u_r
+
+    def velocity_pressure(self, tape, r, z, t):
+        u_z, u_r = self.velocity(tape, r, z, t)
         (p,) = self.pressure_net.forward(tape, [r, z, t])
         return u_z, u_r, p
 
@@ -140,10 +145,11 @@ class AnalyticFlow:
         self.u_r = u_r
         self.pressure = pressure
 
+    def velocity(self, tape, r, z, t):
+        return _ensure(tape, self.u_z(r, z, t)), _ensure(tape, self.u_r(r, z, t))
+
     def velocity_pressure(self, tape, r, z, t):
-        return (_ensure(tape, self.u_z(r, z, t)),
-                _ensure(tape, self.u_r(r, z, t)),
-                _ensure(tape, self.pressure(r, z, t)))
+        return (*self.velocity(tape, r, z, t), _ensure(tape, self.pressure(r, z, t)))
 
 
 class NetworkDisplacement:
@@ -351,7 +357,7 @@ def stress_continuity_residual(flow, displacement, point, wall: WallProperties,
 
 def _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor):
     r_t, z_t, t_p, _ = current_frame(tape, r, z, t, displacement)
-    u_z, u_r, _ = flow.velocity_pressure(tape, r_t, z_t, t_p)
+    u_z, u_r = flow.velocity(tape, r_t, z_t, t_p)
     factor = inlet_factor(np.asarray(t.value, dtype=np.float64))
     profile = 1.0 - (r_t * r_t) * (1.0 / geometry.radius**2)
     target = _ensure(tape, factor if isinstance(t.value, np.ndarray) else float(factor)) * profile
@@ -379,7 +385,7 @@ def _interface(tape, r, z, t, flow, displacement, detach_target: bool):
     r_t = r + direction * eta
     z_t = _fresh_copy(tape, z)
     t_p = _fresh_copy(tape, t)
-    u_z, u_r, _ = flow.velocity_pressure(tape, r_t, z_t, t_p)
+    u_z, u_r = flow.velocity(tape, r_t, z_t, t_p)
     return u_r - direction * deta_dt, u_z
 
 
@@ -400,8 +406,7 @@ def fluid_bc_residual(flow, displacement, point, tag: RegionTag,
 
 def _initial_fluid(tape, r, z, t, flow, displacement):
     r_t, z_t, t_p, _ = current_frame(tape, r, z, t, displacement)
-    u_z, u_r, _ = flow.velocity_pressure(tape, r_t, z_t, t_p)
-    return u_z, u_r
+    return flow.velocity(tape, r_t, z_t, t_p)
 
 
 def initial_residuals(flow, displacement, point, which: str = "fluid"):
@@ -472,23 +477,31 @@ class CollocationSamples:
     endpoints: SampleSet
 
 
+def sample_counts(interior_count: int, wall_count: int,
+                  port_count: int) -> dict[str, int]:
+    """Point count of each collocation set that `draw_samples` draws."""
+    half_port = max(port_count // 2, 1)
+    return {"interior": interior_count, "inlet": half_port, "outlet": half_port,
+            "wall": wall_count, "interior_t0": interior_count,
+            "wall_t0": wall_count, "endpoints": max(wall_count // 4, 4)}
+
+
 def draw_samples(geometry: VesselGeometry, interior_count: int, wall_count: int,
                  port_count: int, seed: int) -> CollocationSamples:
     """One fresh draw of every collocation set from a base seed."""
     from .domain import sample
 
-    half_port = max(port_count // 2, 1)
+    n = sample_counts(interior_count, wall_count, port_count)
     return CollocationSamples(
-        interior=sample(geometry, RegionTag.FLUID_INTERIOR, interior_count, seed),
-        inlet=sample(geometry, RegionTag.INLET, half_port, seed + 1),
-        outlet=sample(geometry, RegionTag.OUTLET, half_port, seed + 2),
-        wall=sample(geometry, RegionTag.WALL, wall_count, seed + 3),
-        interior_t0=sample(geometry, RegionTag.FLUID_INTERIOR, interior_count,
+        interior=sample(geometry, RegionTag.FLUID_INTERIOR, n["interior"], seed),
+        inlet=sample(geometry, RegionTag.INLET, n["inlet"], seed + 1),
+        outlet=sample(geometry, RegionTag.OUTLET, n["outlet"], seed + 2),
+        wall=sample(geometry, RegionTag.WALL, n["wall"], seed + 3),
+        interior_t0=sample(geometry, RegionTag.FLUID_INTERIOR, n["interior_t0"],
                            seed + 4, at_initial_time=True),
-        wall_t0=sample(geometry, RegionTag.WALL, wall_count, seed + 5,
+        wall_t0=sample(geometry, RegionTag.WALL, n["wall_t0"], seed + 5,
                        at_initial_time=True),
-        endpoints=sample(geometry, RegionTag.WALL_ENDPOINTS, max(wall_count // 4, 4),
-                         seed + 6),
+        endpoints=sample(geometry, RegionTag.WALL_ENDPOINTS, n["endpoints"], seed + 6),
     )
 
 

@@ -10,15 +10,18 @@ re-fits velocity and pressure on the moved domain.
 
 Inside every flow block the velocity and pressure optimizers take turns
 in fixed-size runs, so exactly one parameter vector changes per epoch.
-Collocation points are drawn once per stage from stage-indexed seeds.
+Collocation points are drawn once per stage from stage-indexed seeds,
+and a stage's loss records are freed when the stage ends.
 Any phase stops early once the best loss improvement over a full
 trailing window drops below the threshold.
 
 Every count, cap and threshold of the schedule is read from the
 scenario's `training` section, which `ScenarioConfig` validates on
-construction, so a saved config reproduces the run. A non-finite loss or
-gradient aborts with `TrainingDiverged`, naming the epoch, stage and
-network. Checkpoints hold the networks only.
+construction, so a saved config reproduces the run. `Trainer` checks its
+own arguments, the shard split of every collocation set included, before
+it creates the run directory. A non-finite loss or gradient aborts with
+`TrainingDiverged`, naming the epoch, stage and network. Checkpoints hold
+the networks only.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .optim import AdamState, GradientError
 from .physics import (
     CollocationSamples, FluidLossGraph, LossBreakdown, LossWeights,
     NetworkDisplacement, NetworkFlow, SolidLossGraph, ZeroDisplacement,
-    draw_samples,
+    draw_samples, sample_counts,
 )
 
 
@@ -188,6 +191,12 @@ class Trainer:
         if checkpoint_interval < 0:
             raise PlanError(
                 f"checkpoint interval cannot be negative, got {checkpoint_interval}")
+        t = config.training
+        for name, count in sample_counts(t.interior_points, t.wall_points,
+                                         t.port_points).items():
+            if count % shards:
+                raise PlanError(
+                    f"{name} count {count} does not split into {shards} equal shards")
         self.config = config
         self.networks = networks
         self.seed = seed
@@ -218,21 +227,7 @@ class Trainer:
         nets_mod.zero_init_output(self.networks["d"])
 
         self.fluid_block("fluid-init", alpha_ns=0.0)
-
-        # The ladder is one sampling stage: a single collocation draw whose
-        # momentum weight climbs in place, so each raise strictly lifts the
-        # recorded loss before optimization pulls it back down.
-        alpha = LADDER_START
-        ladder_graphs = None
-        if t.ladder_steps:
-            ladder_graphs = self._fluid_graphs(self._stage_samples(),
-                                               10.0 * LADDER_START)
-        for rung in range(1, t.ladder_steps + 1):
-            alpha = 10.0 * alpha
-            for g in ladder_graphs:
-                g.set_alpha_ns(alpha)
-            self.fluid_block(f"ladder-{rung}", alpha_ns=alpha, graphs=ladder_graphs)
-
+        alpha = self.ladder()
         if not t.rigid_wall:
             for i in range(1, t.max_alternations + 1):
                 solid_quick = self.solid_phase(f"couple-{i}-solid")
@@ -269,6 +264,23 @@ class Trainer:
                            self.config.eps_r)
             for part in parts
         ]
+
+    def ladder(self) -> float:
+        """The momentum-weight ladder, one sampling stage: a single
+        collocation draw whose weight climbs in place, so each raise
+        strictly lifts the recorded loss before optimization pulls it back
+        down. Returns the last weight. The stage's records end with it."""
+        t = self.config.training
+        alpha = LADDER_START
+        if not t.ladder_steps:
+            return alpha
+        graphs = self._fluid_graphs(self._stage_samples(), 10.0 * alpha)
+        for rung in range(1, t.ladder_steps + 1):
+            alpha = 10.0 * alpha
+            for g in graphs:
+                g.set_alpha_ns(alpha)
+            self.fluid_block(f"ladder-{rung}", alpha_ns=alpha, graphs=graphs)
+        return alpha
 
     def fluid_block(self, stage: str, alpha_ns: float, graphs=None) -> bool:
         """One capped block of alternating velocity/pressure epochs.
@@ -376,16 +388,13 @@ def _mean_breakdown(graphs, terms) -> LossBreakdown:
 
 
 def _partition_samples(samples: CollocationSamples, shards: int):
-    """Equal contiguous split of every collocation set across shards."""
+    """Equal contiguous split of every collocation set across shards (the
+    trainer checks on construction that every set splits evenly)."""
     if shards <= 1:
         return [samples]
     sets = {name: getattr(samples, name) for name in
             ("interior", "inlet", "outlet", "wall", "interior_t0", "wall_t0",
              "endpoints")}
-    for name, s in sets.items():
-        if len(s) % shards:
-            raise PlanError(
-                f"{name} count {len(s)} does not split into {shards} equal shards")
     out = []
     for k in range(shards):
         pieces = {}

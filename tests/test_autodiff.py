@@ -506,3 +506,57 @@ class TestForwardTangents:
         y = x * 2.0
         with pytest.raises(ad.RecordError, match="depends on another root"):
             tape.grad(y * y + x, [x, y])
+
+
+class TestFusedLayer:
+    """A layer node act(x W^T + b) computes what an affine node followed by
+    ``ad.sigmoid`` or ``ad.relu`` computes, bit for bit: values, first and
+    second tangents and parameter gradients."""
+
+    LAYERS = ((4, 2), (4, 4), (1, 4))  # (rows, cols); the last is not activated
+
+    def record(self, act, fused, batched):
+        rng = np.random.default_rng(3)
+        theta = rng.uniform(-1.5, 1.5, size=sum(r * (c + 1) for r, c in self.LAYERS))
+        pts = rng.uniform(-1.0, 1.0, size=(5, 2))
+        tape = ad.Tape()
+        tape.register_params("w", theta)
+        leaves = [tape.batch(pts[:, k]) if batched else tape.scalar(pts[0, k])
+                  for k in range(2)]
+        x = tape.stack(leaves)
+        off = 0
+        for layer, (rows, cols) in enumerate(self.LAYERS):
+            layer_act = act if layer < len(self.LAYERS) - 1 else None
+            bias = off + rows * cols
+            if fused:
+                x = tape.affine(x, "w", off, (rows, cols), bias=bias, act=layer_act)
+            else:
+                x = tape.affine(x, "w", off, (rows, cols), bias=bias)
+                if layer_act is not None:
+                    x = {"sigmoid": ad.sigmoid, "relu": ad.relu}[layer_act](x)
+            off = bias + rows
+        out = tape.select(x, 0)
+        first = tape.grad(out, leaves)
+        second = [d for f in first for d in tape.grad(f, leaves)]
+        loss = tape.mean(out * out + first[0] * second[1] + second[3])
+        _, grads = tape.backward_values(loss, param_groups=["w"])
+        return [np.asarray(v.value) for v in (out, *first, *second, loss)], grads["w"]
+
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("act", ["sigmoid", "relu"])
+    def test_equals_affine_then_activation(self, act, batched):
+        fused_values, fused_grad = self.record(act, fused=True, batched=batched)
+        plain_values, plain_grad = self.record(act, fused=False, batched=batched)
+        assert len(fused_values) == len(plain_values) == 8
+        for got, want in zip(fused_values, plain_values):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert np.any(fused_grad != 0.0)
+        assert fused_grad.tobytes() == plain_grad.tobytes()
+
+    def test_unknown_activation_rejected(self):
+        tape = ad.Tape()
+        tape.register_params("w", np.ones(2))
+        x = tape.stack([tape.scalar(1.0)])
+        with pytest.raises(ad.RecordError, match="unknown activation"):
+            tape.affine(x, "w", 0, (1, 1), bias=1, act="tanh")

@@ -250,6 +250,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "3 equal shards" in err
 
+    def test_rejected_run_creates_no_directory(self, tmp_path, capsys):
+        out_dir = tmp_path / "orphan"
+        argv = ["train", "--preset", "poiseuille-rigid", "--out-dir", str(out_dir),
+                "--workers", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: interior count 256 does not split into 3 equal shards")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_not_positive(self, tmp_path, capsys, workers):
         _, _, argv = _small_training_args(tmp_path)

@@ -147,8 +147,8 @@ class TestForward:
             got = np.stack([np.atleast_1d(o.value) for o in out], axis=1)
             ref = net.evaluate(pts)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        # stack, depth affine maps, depth - 1 activations, one select per output
-        assert counts == [1 + depth + (depth - 1) + 2] * 2
+        # stack, one activated affine node per layer, one select per output
+        assert counts == [1 + depth + 2] * 2
 
     def test_input_dimension_checked(self):
         net = nets.build(3, 4, 3, 1, seed=0)

@@ -490,14 +490,19 @@ class TestIncrementalReplay:
 
     def test_activation_slopes_are_shared(self):
         # the residuals differentiate each network several times; every
-        # tangent through an activation reuses one relu step or one sigmoid
-        # complement 1 - s
+        # tangent through an activated layer node reuses one step of that
+        # relu layer or one complement 1 - s of that sigmoid layer
         u, p, d = make_nets(seed=6)
         tape = self.fluid_graph(u, p, d, alpha=1.0).tape
         ops, args = tape._ops, tape._args
-        steps = [args[i] for i, op in enumerate(ops) if op == ad._STEP]
+
+        def layer_act(i):
+            return args[i][5] if ops[i] == ad._AFFINE else None
+
+        steps = [args[i] for i, op in enumerate(ops)
+                 if op == ad._STEP and layer_act(args[i][0]) == "relu"]
         complements = [args[i] for i, op in enumerate(ops)
-                       if op == ad._SUB and ops[args[i][1]] == ad._SIGMOID]
+                       if op == ad._SUB and layer_act(args[i][1]) == "sigmoid"]
         for operands in (steps, complements):
             assert operands
             assert len(set(operands)) == len(operands)

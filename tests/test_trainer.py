@@ -1,12 +1,17 @@
 """Schedule structure, phase isolation, convergence and gradient averaging."""
 
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vesselflow.config import (
     ConfigError, ScenarioConfig, TrainingSettings, WeightSettings, preset,
 )
-from vesselflow.physics import FluidLossGraph, LossWeights, NetworkFlow, ZeroDisplacement
+from vesselflow.physics import (
+    FluidLossGraph, LossWeights, NetworkFlow, SolidLossGraph, ZeroDisplacement,
+)
 from vesselflow.trainer import (
     PlanError, Trainer, TrainingDiverged, TrainingHistory,
     build_networks, converged, parallel_grad, run_fsi,
@@ -162,6 +167,38 @@ class TestScheduleStructure:
         assert np.array_equal(networks["d"].theta[:-7], d_before[:-7])
 
 
+class TestStageLifetimes:
+    def test_no_finished_fluid_record_alive_when_solid_record_builds(self, monkeypatch):
+        # Each stage's record is freed by reference counting when the stage
+        # ends: no gc.collect() is needed before the next record is built.
+        fluid_tapes = []
+        alive_at_solid_build = []
+        fluid_init, solid_init = FluidLossGraph.__init__, SolidLossGraph.__init__
+
+        def track_fluid(graph, *args, **kwargs):
+            fluid_init(graph, *args, **kwargs)
+            fluid_tapes.append(weakref.ref(graph.tape))
+
+        def check_solid(graph, *args, **kwargs):
+            alive_at_solid_build.append(sum(ref() is not None for ref in fluid_tapes))
+            solid_init(graph, *args, **kwargs)
+
+        monkeypatch.setattr(FluidLossGraph, "__init__", track_fluid)
+        monkeypatch.setattr(SolidLossGraph, "__init__", check_solid)
+        cylinder = preset("cylinder")
+        config = replace(cylinder, training=replace(
+            cylinder.training, interior_points=16, wall_points=8, port_points=8,
+            fluid_epochs=5, velocity_epochs=4, pressure_epochs=1, solid_epochs=2,
+            ladder_steps=1, max_alternations=1, network_depth=3, velocity_width=6,
+            pressure_width=4, displacement_width=6))
+        _, history = run_fsi(config, build_networks(config, seed=14), seed=14)
+        assert history.stages() == ["fluid-init", "ladder-1", "couple-1-solid",
+                                    "couple-1-fluid"]
+        # fluid-init and ladder-1 had finished when the solid record was built
+        assert len(fluid_tapes) == 3
+        assert alive_at_solid_build == [0]
+
+
 class TestPhaseIsolation:
     def test_pressure_frozen_during_velocity_epochs_and_vice_versa(self):
         config = tiny_config(ladder_steps=0, max_alternations=0, fluid_epochs=10,
@@ -269,11 +306,11 @@ class TestShardedTraining:
         assert np.max(np.abs(averaged - serial) / scale) < 1e-12
 
     def test_indivisible_partition_rejected(self):
+        # on construction, before any stage draws its points
         config = tiny_config(interior_points=25)
         networks = build_networks(config, seed=13)
-        trainer = Trainer(config, networks, seed=13, shards=2)
-        with pytest.raises(PlanError):
-            trainer._fluid_graphs(trainer._stage_samples(), alpha_ns=0.0)
+        with pytest.raises(PlanError, match="interior count 25 does not split into 2"):
+            Trainer(config, networks, seed=13, shards=2)
 
 
 class TestLearningRates:
