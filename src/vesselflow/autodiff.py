@@ -1,11 +1,13 @@
 """Recorded autodiff with nested derivatives, one node per network layer.
 
 A Tape is an append-only record of operations. DiffScalar handles wrap
-record entries; Python arithmetic on them appends nodes eagerly. Input
-derivatives are forward tangents written into the record (``Tape.grad``),
-so a derivative is itself a recorded, differentiable quantity: that is
-what lets second space and time derivatives stay trainable. Parameter
-gradients come from one backward pass that produces plain numbers.
+record entries; Python arithmetic on them appends nodes eagerly. Each kind
+of derivative is taken one way. Input derivatives are forward tangents
+written into the record (``Tape.grad``), so a derivative is itself a
+recorded, differentiable quantity: that is what lets second space and time
+derivatives stay trainable, and a second derivative is the tangent of a
+tangent. Parameter gradients come from one backward pass that produces
+plain numbers (``Tape.backward_values``).
 
 Node values are float64 scalars or arrays whose leading axis, when there
 is one more than the op needs, is a lockstep batch: one independent value
@@ -52,35 +54,34 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Node opcodes. LEAF values are set externally, CONST values are frozen,
-# PARAM values are read from a named parameter vector on each replay, and
-# so are the weights of an AFFINE node.
+# Node opcodes. LEAF values are set externally and CONST values are
+# frozen. The weights of an AFFINE node are read from a named parameter
+# vector on each replay; they are the only parameters a record reads.
 _LEAF = 0
 _CONST = 1
-_PARAM = 2
-_ADD = 3
-_SUB = 4
-_MUL = 5
-_DIV = 6
-_NEG = 7
-_EXP = 8
-_SQRT = 9
-_RELU = 10
-_STEP = 11
-_SIN = 12
-_COS = 13
-_DETACH = 14
-_SUM = 15  # sum over the batch axis divided by a count fixed at record time
-_SIGMOID = 16
-_STACK = 17
-_SELECT = 18
-_AFFINE = 19
+_ADD = 2
+_SUB = 3
+_MUL = 4
+_DIV = 5
+_NEG = 6
+_EXP = 7
+_SQRT = 8
+_RELU = 9
+_STEP = 10
+_SIN = 11
+_COS = 12
+_DETACH = 13
+_SUM = 14  # sum over the batch axis divided by a count fixed at record time
+_SIGMOID = 15
+_STACK = 16
+_SELECT = 17
+_AFFINE = 18
 
 # Ops whose adjoint does not propagate to operands. The step function is
 # the recorded derivative of relu; its own derivative is zero everywhere
 # (the kink at 0 is assigned derivative 0).
 _NON_DIFFERENTIABLE = (_DETACH, _STEP)
-_INPUTS = (_LEAF, _CONST, _PARAM)
+_INPUTS = (_LEAF, _CONST)
 _ACTIVATIONS = ("sigmoid", "relu", None)
 
 
@@ -187,16 +188,6 @@ class DiffScalar:
     def __neg__(self):
         return self.tape._unary(_NEG, self)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise RecordError("only non-negative integer powers are recorded")
-        if n == 0:
-            return self.tape.constant(1.0)
-        out = self
-        for _ in range(n - 1):
-            out = out * self
-        return out
-
 
 class Tape:
     """Append-only computation record over scalar, batched or layer values."""
@@ -206,8 +197,6 @@ class Tape:
         self._args: list[tuple] = []
         self._vals: list = []
         self._groups: dict[str, np.ndarray] = {}
-        self._param_cache: dict[tuple[str, int], int] = {}
-        self._const_cache: dict[float, int] = {}
         self._shared: dict[tuple, int] = {}  # (op, args) -> node, see _node
         # per root, node -> its tangent node (None for zero)
         self._tangents: dict[int, dict[int, "int | None"]] = {}
@@ -239,8 +228,8 @@ class Tape:
 
     def _node(self, op: int, *args) -> int:
         """Index of the node computing `op` on `args`, recorded on first
-        use and shared by every later request. Stacks and every node
-        ``grad`` records come from here."""
+        use and shared by every later request. Constants, stacks and every
+        node ``grad`` records come from here."""
         key = (op, args)
         found = self._shared.get(key)
         if found is None:
@@ -259,13 +248,8 @@ class Tape:
         return self._push(_LEAF, (), arr.copy())
 
     def constant(self, value: float) -> DiffScalar:
-        v = float(value)
-        cached = self._const_cache.get(v)
-        if cached is not None:
-            return DiffScalar(self, cached)
-        node = self._push(_CONST, (), v)
-        self._const_cache[v] = node.index
-        return node
+        """Frozen real value; one node per value, shared by every request."""
+        return DiffScalar(self, self._node(_CONST, float(value)))
 
     def batch_constant(self, values) -> DiffScalar:
         arr = np.asarray(values, dtype=np.float64)
@@ -288,17 +272,6 @@ class Tape:
             raise RecordError(f"parameter group {name!r} already registered")
         elif not _same_bits(values, self._snapshots[name]):
             self._changed.add(name)
-
-    def param(self, name: str, offset: int) -> DiffScalar:
-        """Leaf bound to entry `offset` of a registered parameter vector.
-        Repeated requests return the same node."""
-        key = (name, offset)
-        cached = self._param_cache.get(key)
-        if cached is not None:
-            return DiffScalar(self, cached)
-        node = self._push(_PARAM, (name, offset), float(self._groups[name][offset]))
-        self._param_cache[key] = node.index
-        return node
 
     def set_value(self, leaf: DiffScalar, value) -> None:
         """Overwrite an input leaf before a replay. Batch length must not change."""
@@ -330,6 +303,8 @@ class Tape:
         op = self._ops[i]
         args = self._args[i]
         vals = self._vals
+        if op == _CONST:
+            return args[0]
         if op == _ADD:
             return vals[args[0]] + vals[args[1]]
         if op == _SUB:
@@ -378,9 +353,6 @@ class Tape:
             if bias is not None:
                 out += self._groups[group][bias:bias + shape[0]]
             return activate(act, out)
-        if op == _PARAM:
-            name, offset = args
-            return float(self._groups[name][offset])
         raise RecordError(f"node {i}: op {op} cannot be re-evaluated")
 
     def _binary(self, op, a: DiffScalar, b: DiffScalar) -> DiffScalar:
@@ -466,9 +438,7 @@ class Tape:
                 if op == _LEAF:
                     hit[i] = i in changed
                     continue
-                if op == _PARAM:
-                    stale = args[i][0] in changed
-                elif op == _AFFINE:
+                if op == _AFFINE:
                     stale = args[i][1] in changed or hit[args[i][0]]
                 else:
                     stale = any(hit[a] for a in self._operands(i))
@@ -647,7 +617,7 @@ class Tape:
         return self._node(_MUL, slope, self._node(_SUB, complement, i))
 
     def _push_mul(self, a: int, b: int) -> int:
-        one = self._const_cache.get(1.0)
+        one = self._shared.get((_CONST, (1.0,)))
         if one is not None:
             if a == one:
                 return b
@@ -657,16 +627,12 @@ class Tape:
 
     # -- raw backward: plain numbers, no new nodes ---------------------
 
-    def _useful_mask(self, targets: Sequence[int], param_groups: Sequence[str]) -> list[bool]:
-        """Flags of the nodes that depend on a target or on a parameter of
-        one of the groups."""
+    def _useful_mask(self, param_groups: Sequence[str]) -> list[bool]:
+        """Flags of the nodes that depend on a parameter of one of the
+        groups: the layer nodes reading them and everything downstream."""
         ops, args = self._ops, self._args
-        roots = list(targets)
-        for g in param_groups:
-            roots.extend(
-                idx for (name, _), idx in self._param_cache.items() if name == g
-            )
-            roots.extend(i for i in range(len(ops)) if ops[i] == _AFFINE and args[i][1] == g)
+        roots = [i for i in range(len(ops))
+                 if ops[i] == _AFFINE and args[i][1] in param_groups]
         mask = [False] * len(ops)
         for r in roots:
             mask[r] = True
@@ -675,29 +641,23 @@ class Tape:
                 mask[i] = any(mask[a] for a in self._operands(i))
         return mask
 
-    def backward_values(
-        self,
-        output: DiffScalar,
-        wrt: Sequence[DiffScalar] = (),
-        param_groups: Sequence[str] = (),
-    ):
-        """Adjoints of `output` as plain numbers.
+    def backward_values(self, output: DiffScalar,
+                        param_groups: Sequence[str]) -> dict[str, np.ndarray]:
+        """Gradients of `output` with respect to each parameter group, as
+        plain vectors keyed by group name.
 
-        Returns (list aligned with `wrt`, dict of per-group gradient
-        vectors). Every adjoint takes the shape of its node's value: a
-        node without a batch axis reached through lockstep-batched paths
-        receives the batch-summed adjoint, so parameter gradients of a
-        batched mean come out already reduced, and a batched node reached
-        with one adjoint for all points holds it at every point. Affine
-        nodes add their weight and bias adjoints straight into the
-        gradient of the group they read.
+        Every adjoint takes the shape of its node's value: a node without a
+        batch axis reached through lockstep-batched paths receives the
+        batch-summed adjoint, so parameter gradients of a batched mean come
+        out already reduced, and a batched node reached with one adjoint
+        for all points holds it at every point. Affine nodes add their
+        weight and bias adjoints straight into the gradient of the group
+        they read.
         """
-        target_list = [w.index for w in wrt]
-        targets = set(target_list)
         grads = {g: np.zeros(len(self._groups[g])) for g in param_groups}
         ops, args, vals = self._ops, self._args, self._vals
-        useful = self._memoized(("useful", tuple(target_list), tuple(param_groups)),
-                                lambda: self._useful_mask(target_list, param_groups))
+        useful = self._memoized(("useful", tuple(param_groups)),
+                                lambda: self._useful_mask(param_groups))
         adj: dict[int, object] = {}
 
         def accumulate(node, contribution):
@@ -719,13 +679,7 @@ class Tape:
                 continue
             op = ops[i]
             a = args[i]
-            if op in (_LEAF, _CONST) or op in _NON_DIFFERENTIABLE:
-                pass
-            elif op == _PARAM:
-                name, offset = a
-                if name in grads:
-                    grads[name][offset] += a_out
-            elif op == _ADD:
+            if op == _ADD:
                 if useful[a[0]]:
                     accumulate(a[0], a_out)
                 if useful[a[1]]:
@@ -790,13 +744,7 @@ class Tape:
                     g[offset:offset + w.size] += _outer_sum(a_out, vals[x]).ravel()
                     if bias is not None:
                         g[bias:bias + shape[0]] += a_out.sum(axis=0) if a_out.ndim == 2 else a_out
-            if i in targets:
-                adj[i] = a_out  # keep for collection below
-        out = []
-        for t in target_list:
-            g = adj.get(t, 0.0)
-            out.append(g)
-        return out, grads
+        return grads
 
 
 # ----------------------------------------------------------------------
@@ -857,29 +805,26 @@ def detach(x):
 # functional front ends
 
 def grad_inputs(f: Callable, x: Sequence[float]) -> list[float]:
-    """First derivatives of ``f(*leaves)`` with respect to every input."""
+    """First derivatives of ``f(*leaves)`` with respect to every input, as
+    recorded forward tangents."""
     tape = Tape()
     leaves = [tape.scalar(v) for v in x]
-    y = f(*leaves)
-    vals, _ = tape.backward_values(y, wrt=leaves)
-    return [float(v) for v in vals]
+    return [float(g.value) for g in tape.grad(f(*leaves), leaves)]
 
 
 def second_derivative(f: Callable, x: Sequence[float], i: int, j: int) -> float:
-    """d2 f / dx_i dx_j, built by differentiating a recorded first derivative."""
+    """d2 f / dx_i dx_j: the tangent along x_j of the tangent along x_i."""
     tape = Tape()
     leaves = [tape.scalar(v) for v in x]
-    y = f(*leaves)
-    gi = tape.grad(y, [leaves[i]])[0]
-    vals, _ = tape.backward_values(gi, wrt=[leaves[j]])
-    return float(vals[0])
+    (gi,) = tape.grad(f(*leaves), [leaves[i]])
+    (gij,) = tape.grad(gi, [leaves[j]])
+    return float(gij.value)
 
 
 def param_grad(loss: DiffScalar, group: str) -> np.ndarray:
     """Gradient of a recorded loss with respect to a bound parameter vector.
     Entries the loss never touched are exactly zero."""
-    _, grads = loss.tape.backward_values(loss, param_groups=[group])
-    return grads[group]
+    return loss.tape.backward_values(loss, [group])[group]
 
 
 def fd_check(f: Callable, x: Sequence[float], step: float) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 from . import analysis, autodiff as ad, nets as nets_mod
 from .config import ConfigError, PRESET_NAMES, ScenarioConfig, load_config, preset
 from .physics import NetworkDisplacement, NetworkFlow, ZeroDisplacement
-from .trainer import PlanError, Trainer, build_networks
+from .trainer import PlanError, Trainer, build_networks, network_shapes
 
 
 class CliError(RuntimeError):
@@ -41,13 +41,10 @@ def _add_grid_options(parser):
 
 def _load_run_networks(args, config: ScenarioConfig):
     loaded, _ = nets_mod.load_networks(args.checkpoint)
-    t = config.training
-    expected = {
-        "u": [3] + [t.velocity_width] * (t.network_depth - 1) + [2],
-        "p": [3] + [t.pressure_width] * (t.network_depth - 1) + [1],
-        "d": [3] + [t.displacement_width] * (t.network_depth - 1) + [1],
-    }
-    for name, widths in expected.items():
+    # the shapes `train` builds, not the networks: building them would
+    # import numpy.random (about 5 MiB resident) only to read widths
+    for name, shape in network_shapes(config).items():
+        widths = nets_mod.layer_widths(*shape)
         if name not in loaded:
             raise CliError(f"checkpoint is missing the {name!r} network")
         if loaded[name].widths != widths:

@@ -119,12 +119,18 @@ class FieldNetwork:
         return margin
 
 
+def layer_widths(depth: int, hidden_width: int, in_dim: int, out_dim: int) -> list[int]:
+    """Widths of a network built by ``build``: in_dim, depth - 1 hidden
+    layers of hidden_width, out_dim."""
+    return [in_dim] + [hidden_width] * (depth - 1) + [out_dim]
+
+
 def build(depth: int, hidden_width: int, in_dim: int, out_dim: int, seed: int,
           name: str = "net", schedule: str = "alternating") -> FieldNetwork:
     """Scaled-uniform initialized network; biases start at zero."""
     if depth < 2:
         raise ValueError("depth must be at least 2 affine layers")
-    widths = [in_dim] + [hidden_width] * (depth - 1) + [out_dim]
+    widths = layer_widths(depth, hidden_width, in_dim, out_dim)
     rng = np.random.default_rng(seed)
     chunks = []
     for layer in range(depth):

@@ -18,7 +18,7 @@ steer where the fields are evaluated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,7 +94,8 @@ class LossWeights:
 
 @dataclass
 class LossBreakdown:
-    """Per-term residual values plus the weighted totals."""
+    """Per-term residual values plus the weighted totals, each read from
+    the loss record that computed it."""
 
     ns: float = np.nan
     fluid_bdr: float = np.nan
@@ -105,15 +106,6 @@ class LossBreakdown:
     solid_init: float = np.nan
     fluid_total: float = np.nan
     solid_total: float = np.nan
-
-    @staticmethod
-    def fluid_sum(weights: LossWeights, ns, bdr, init) -> float:
-        return (weights.ns * ns + weights.fluid_bdr * bdr) + weights.fluid_init * init
-
-    @staticmethod
-    def solid_sum(weights: LossWeights, stress, harmonic, bdr, init) -> float:
-        return ((weights.stress * stress + weights.harmonic * harmonic)
-                + weights.solid_bdr * bdr) + weights.solid_init * init
 
 
 # ----------------------------------------------------------------------
@@ -529,7 +521,6 @@ class FluidLossGraph:
     def __init__(self, flow, displacement, samples: CollocationSamples,
                  geometry: VesselGeometry, fluid: FluidProperties,
                  inlet_factor: Callable, weights: LossWeights, eps_r: float):
-        self.weights = weights
         tape = ad.Tape()
         self.tape = tape
 
@@ -575,17 +566,12 @@ class FluidLossGraph:
         self.tape.replay()
 
     def breakdown(self) -> LossBreakdown:
-        weights = replace(self.weights, ns=self.alpha_ns)
-        ns, bdr, init = (float(self.term_ns.value), float(self.term_bdr.value),
-                         float(self.term_init.value))
         return LossBreakdown(
-            ns=ns, fluid_bdr=bdr, fluid_init=init,
-            fluid_total=LossBreakdown.fluid_sum(weights, ns, bdr, init),
-        )
+            ns=float(self.term_ns.value), fluid_bdr=float(self.term_bdr.value),
+            fluid_init=float(self.term_init.value), fluid_total=float(self.total.value))
 
     def param_grads(self, groups: Sequence[str]) -> dict[str, np.ndarray]:
-        _, grads = self.tape.backward_values(self.total, param_groups=list(groups))
-        return grads
+        return self.tape.backward_values(self.total, list(groups))
 
 
 class SolidLossGraph:
@@ -597,7 +583,6 @@ class SolidLossGraph:
                  geometry: VesselGeometry,
                  wall_by_segment: "dict[RegionTag, WallProperties]",
                  fluid: FluidProperties, weights: LossWeights, eps_r: float):
-        self.weights = weights
         tape = ad.Tape()
         self.tape = tape
 
@@ -632,16 +617,13 @@ class SolidLossGraph:
         self.tape.replay()
 
     def breakdown(self) -> LossBreakdown:
-        stress, harmonic = float(self.term_stress.value), float(self.term_harmonic.value)
-        bdr, init = float(self.term_bdr.value), float(self.term_init.value)
         return LossBreakdown(
-            stress=stress, harmonic=harmonic, solid_bdr=bdr, solid_init=init,
-            solid_total=LossBreakdown.solid_sum(self.weights, stress, harmonic, bdr, init),
-        )
+            stress=float(self.term_stress.value), harmonic=float(self.term_harmonic.value),
+            solid_bdr=float(self.term_bdr.value), solid_init=float(self.term_init.value),
+            solid_total=float(self.total.value))
 
     def param_grads(self, groups: Sequence[str]) -> dict[str, np.ndarray]:
-        _, grads = self.tape.backward_values(self.total, param_groups=list(groups))
-        return grads
+        return self.tape.backward_values(self.total, list(groups))
 
 
 def _split_wall(wall: SampleSet):

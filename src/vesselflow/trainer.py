@@ -293,21 +293,9 @@ class Trainer:
         for _ in range(rounds):
             for phase, count in (("u", t.velocity_epochs), ("p", t.pressure_epochs)):
                 for _ in range(count):
-                    if self._fluid_epoch(stage, phase, graphs, losses):
+                    if self._epoch(stage, phase, graphs, losses):
                         return True
         return False
-
-    def _fluid_epoch(self, stage, phase, graphs, losses) -> bool:
-        t = self.config.training
-        for g in graphs:
-            g.replay()
-        breakdown = _mean_breakdown(graphs, _FLUID_TERMS)
-        self._record(stage, phase, graphs[0].alpha_ns, breakdown)
-        self._guard_finite(stage, phase, breakdown)
-        self._step(stage, phase,
-                   parallel_grad(lambda g: g.param_grads([phase])[phase], graphs))
-        losses.append(breakdown.fluid_total)
-        return converged(losses, t.convergence_threshold, t.convergence_window)
 
     def solid_phase(self, stage: str) -> bool:
         """Displacement updates against the wall problem; flow frozen.
@@ -325,17 +313,25 @@ class Trainer:
         ]
         losses: list[float] = []
         for _ in range(t.solid_epochs):
-            for g in graphs:
-                g.replay()
-            breakdown = _mean_breakdown(graphs, _SOLID_TERMS)
-            self._record(stage, "d", 0.0, breakdown)
-            self._guard_finite(stage, "d", breakdown)
-            self._step(stage, "d",
-                       parallel_grad(lambda g: g.param_grads(["d"])["d"], graphs))
-            losses.append(breakdown.solid_total)
-            if converged(losses, t.convergence_threshold, t.convergence_window):
+            if self._epoch(stage, "d", graphs, losses):
                 return True
         return False
+
+    def _epoch(self, stage, phase, graphs, losses) -> bool:
+        """One epoch of network `phase` ("u", "p" or "d") on the stage's loss
+        graphs: replay, record the shard-mean breakdown, step. Appends the
+        weighted total to `losses`; returns True once it has converged."""
+        t = self.config.training
+        terms = _SOLID_TERMS if phase == "d" else _FLUID_TERMS
+        for g in graphs:
+            g.replay()
+        breakdown = _mean_breakdown(graphs, terms)
+        self._record(stage, phase, 0.0 if phase == "d" else graphs[0].alpha_ns, breakdown)
+        self._guard_finite(stage, phase, breakdown, terms)
+        self._step(stage, phase,
+                   parallel_grad(lambda g: g.param_grads([phase])[phase], graphs))
+        losses.append(getattr(breakdown, terms[-1]))
+        return converged(losses, t.convergence_threshold, t.convergence_window)
 
     # -- bookkeeping ------------------------------------------------------
 
@@ -346,10 +342,10 @@ class Trainer:
                 and self.epoch % self.checkpoint_interval == 0):
             self._checkpoint()
 
-    def _guard_finite(self, stage: str, phase: str, breakdown: LossBreakdown) -> None:
-        """Abort when the weighted total of the phase's problem is not
-        finite, naming the stage, the network and every non-finite term."""
-        terms = _SOLID_TERMS if phase == "d" else _FLUID_TERMS
+    def _guard_finite(self, stage: str, phase: str, breakdown: LossBreakdown,
+                      terms: Sequence[str]) -> None:
+        """Abort when the weighted total, the last of the phase's `terms`, is
+        not finite, naming the stage, the network and every non-finite term."""
         if not math.isfinite(getattr(breakdown, terms[-1])):
             bad = [name for name in terms if not math.isfinite(getattr(breakdown, name))]
             raise TrainingDiverged(
@@ -407,17 +403,20 @@ def _partition_samples(samples: CollocationSamples, shards: int):
     return out
 
 
-def build_networks(config: ScenarioConfig, seed: int) -> dict:
-    """Fresh velocity/pressure/displacement triple for a scenario."""
+def network_shapes(config: ScenarioConfig) -> dict:
+    """(depth, hidden width, inputs, outputs) of the velocity, pressure and
+    displacement networks of a scenario, the arguments of ``nets.build``."""
     t = config.training
-    return {
-        "u": nets_mod.build(t.network_depth, t.velocity_width, 3, 2,
-                            seed=seed, name="u"),
-        "p": nets_mod.build(t.network_depth, t.pressure_width, 3, 1,
-                            seed=seed + 1, name="p"),
-        "d": nets_mod.build(t.network_depth, t.displacement_width, 3, 1,
-                            seed=seed + 2, name="d"),
-    }
+    return {"u": (t.network_depth, t.velocity_width, 3, 2),
+            "p": (t.network_depth, t.pressure_width, 3, 1),
+            "d": (t.network_depth, t.displacement_width, 3, 1)}
+
+
+def build_networks(config: ScenarioConfig, seed: int) -> dict:
+    """Fresh velocity/pressure/displacement triple for a scenario, seeded
+    with seed, seed + 1 and seed + 2."""
+    return {name: nets_mod.build(*shape, seed=seed + k, name=name)
+            for k, (name, shape) in enumerate(network_shapes(config).items())}
 
 
 def run_fsi(config: ScenarioConfig, networks: dict, seed: int = 0,

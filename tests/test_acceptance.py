@@ -239,7 +239,7 @@ def test_criterion_6_detach_invariants():
     graphs = trainer._fluid_graphs(trainer._stage_samples(), alpha_ns=1e-5)
     losses = []
     for _ in range(8):
-        trainer._fluid_epoch("check", "u", graphs, losses)
+        trainer._epoch("check", "u", graphs, losses)
     assert np.array_equal(networks["p"].theta, p_before)
     assert np.array_equal(networks["d"].theta, d_before)
     elapsed = time.time() - t0

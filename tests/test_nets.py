@@ -78,8 +78,8 @@ class TestForward:
         tape = ad.Tape()
         leaves = [tape.scalar(v) for v in (0.3, -1.0, 0.5)]
         out = net.forward(tape, leaves)[0]
-        g, _ = tape.backward_values(out, wrt=leaves)
-        assert [float(v) for v in g] == [0.0, 0.0, 0.0]
+        g = tape.grad(out, leaves)
+        assert [float(v.value) for v in g] == [0.0, 0.0, 0.0]
 
     def test_zero_init_final_bias_grad_of_squared_output(self):
         # output is 0, so d(out^2)/db_final = 2*out = 0 by the chain rule

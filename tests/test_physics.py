@@ -9,7 +9,7 @@ from vesselflow.config import preset
 from vesselflow.domain import PlaqueShape, RegionTag, VesselGeometry
 from vesselflow.physics import (
     AnalyticDisplacement, AnalyticFlow, CollocationSamples, FluidLossGraph,
-    FluidProperties, LossBreakdown, LossWeights, NetworkDisplacement,
+    FluidProperties, LossWeights, NetworkDisplacement,
     NetworkFlow, SolidLossGraph, WallProperties, ZeroDisplacement,
     assemble_fluid_loss, assemble_solid_loss, discrete_norm, draw_samples,
     fluid_bc_residual, harmonic_residual, initial_residuals,
@@ -322,16 +322,18 @@ class TestLossAssembly:
         fluid = FluidLossGraph(flow, disp, samples, GEOM, FLUID, steady_factor,
                                weights, EPS_R)
         got = fluid.breakdown()
-        assert got.fluid_total == LossBreakdown.fluid_sum(
-            LossWeights(ns=1e-5, fluid_bdr=1.0, fluid_init=0.1),
-            got.ns, got.fluid_bdr, got.fluid_init)
+        # the weighted sums in the order the record adds them
+        assert got.fluid_total == ((weights.ns * got.ns + weights.fluid_bdr * got.fluid_bdr)
+                                   + weights.fluid_init * got.fluid_init)
         assert got.fluid_total == float(fluid.total.value)
 
         solid = SolidLossGraph(flow, disp, samples, GEOM, {RegionTag.WALL: WALL},
                                FLUID, weights, EPS_R)
         sgot = solid.breakdown()
-        assert sgot.solid_total == LossBreakdown.solid_sum(
-            weights, sgot.stress, sgot.harmonic, sgot.solid_bdr, sgot.solid_init)
+        assert sgot.solid_total == (((weights.stress * sgot.stress
+                                      + weights.harmonic * sgot.harmonic)
+                                     + weights.solid_bdr * sgot.solid_bdr)
+                                    + weights.solid_init * sgot.solid_init)
         assert sgot.solid_total == float(solid.total.value)
 
     def test_per_point_residuals_invariant_under_permutation(self):

@@ -207,14 +207,14 @@ class TestPhaseIsolation:
         trainer = Trainer(config, networks, seed=6)
 
         snapshots = {"u": [], "p": [], "d": []}
-        original = trainer._fluid_epoch
+        original = trainer._epoch
 
         def spy(stage, phase, graphs, losses):
             for name in snapshots:
                 snapshots[name].append(networks[name].theta.copy())
             return original(stage, phase, graphs, losses)
 
-        trainer._fluid_epoch = spy
+        trainer._epoch = spy
         trainer.run()
         # epochs 0..7 are u-phase: p and d stay bitwise frozen
         for k in range(1, 8):
