@@ -160,13 +160,6 @@ def outlet_flux(flow, displacement, t: float, geometry: VesselGeometry,
     return float(np.trapezoid(integrand, s))
 
 
-def cycle_integrated_flux(flow, displacement, geometry: VesselGeometry,
-                          times: np.ndarray, n_quad: int = 256) -> float:
-    series = np.array([outlet_flux(flow, displacement, t, geometry, n_quad)
-                       for t in times])
-    return float(np.trapezoid(series, times))
-
-
 @dataclass
 class ProbeSeries:
     location: tuple[float, float]

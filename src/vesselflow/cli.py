@@ -12,6 +12,7 @@ import numpy as np
 
 from . import analysis, autodiff as ad, nets as nets_mod
 from .config import ConfigError, PRESET_NAMES, ScenarioConfig, load_config, preset
+from .domain import reference_radius
 from .physics import NetworkDisplacement, NetworkFlow, ZeroDisplacement
 from .trainer import PlanError, Trainer, build_networks, network_shapes
 
@@ -40,7 +41,10 @@ def _add_grid_options(parser):
 
 
 def _load_run_networks(args, config: ScenarioConfig):
-    loaded, _ = nets_mod.load_networks(args.checkpoint)
+    try:
+        loaded, _ = nets_mod.load_networks(args.checkpoint)
+    except ValueError as exc:
+        raise CliError(f"cannot load checkpoint {args.checkpoint}: {exc}")
     # the shapes `train` builds, not the networks: building them would
     # import numpy.random (about 5 MiB resident) only to read widths
     for name, shape in network_shapes(config).items():
@@ -160,6 +164,9 @@ def _cmd_probe(args) -> int:
                 points.append((float(r_str), float(z_str)))
             except ValueError:
                 raise CliError(f"cannot parse probe point {chunk!r}; expected r,z")
+        for r, z in points:
+            if not 0.0 <= z <= geometry.length or abs(r) > reference_radius(geometry, z):
+                raise CliError(f"probe point {r},{z} lies outside the vessel")
     else:
         points = analysis.default_probes(geometry)
     if args.times < 1:
@@ -194,6 +201,9 @@ def _cmd_param_count(args) -> int:
         raise CliError(
             f"cannot parse architecture {args.arch!r}; "
             "expected e.g. 12x30-split or 12x30-single")
+    least = 1 if single else 3  # a split width gives the pressure network a third
+    if depth < 2 or width < least:
+        raise CliError(f"{args.arch!r} needs depth >= 2 and width >= {least}")
     count = (nets_mod.single_param_count(depth, width) if single
              else nets_mod.split_param_count(depth, width))
     print(count)
@@ -332,6 +342,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise CliError(f"seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (CliError, ConfigError, PlanError, analysis.AnalysisError,
             FileNotFoundError) as exc:

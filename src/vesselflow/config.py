@@ -135,8 +135,13 @@ class ScenarioConfig:
         if self.inlet.mode not in ("pulsatile", "steady"):
             raise ConfigError(f"unknown inlet mode {self.inlet.mode!r}")
         t = self.training
-        if t.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if min(t.learning_rate, *self.learning_rates().values()) <= 0:
+            raise ConfigError("learning rates must be positive")
+        if t.network_depth < 2:
+            raise ConfigError("network depth must be at least 2 affine layers")
+        if min(t.velocity_width, t.pressure_width, t.displacement_width,
+               t.interior_points, t.wall_points, t.port_points) < 1:
+            raise ConfigError("network widths and point counts must be positive")
         if min(t.fluid_epochs, t.solid_epochs, t.velocity_epochs,
                t.pressure_epochs, t.convergence_window) <= 0:
             raise ConfigError("epoch counts and window must be positive")
@@ -168,7 +173,6 @@ class ScenarioConfig:
             youngs_modulus=self.wall.youngs_modulus_dyn_per_cm2,
             poisson_ratio=self.wall.poisson_ratio,
             thickness=self.geometry.wall_thickness_cm,
-            reference_radius=self.geometry.radius_cm,
         )
         segments = {RegionTag.WALL: base}
         if self.plaque is not None:
@@ -192,11 +196,10 @@ class ScenarioConfig:
     def learning_rates(self) -> dict[str, float]:
         """Per-network step lengths; unset entries fall back to the shared rate."""
         t = self.training
-        return {
-            "u": t.velocity_learning_rate or t.learning_rate,
-            "p": t.pressure_learning_rate or t.learning_rate,
-            "d": t.displacement_learning_rate or t.learning_rate,
-        }
+        rates = {"u": t.velocity_learning_rate, "p": t.pressure_learning_rate,
+                 "d": t.displacement_learning_rate}
+        return {name: t.learning_rate if rate is None else rate
+                for name, rate in rates.items()}
 
     @property
     def eps_r(self) -> float:

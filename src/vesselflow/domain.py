@@ -1,4 +1,4 @@
-"""Reference geometry, collocation sampling and the moving-domain map.
+"""Reference geometry, collocation sampling and the near-axis clamp.
 
 The axisymmetric vessel is described in a signed-radius meridian plane:
 the physical annulus 0 <= rho <= R(z) at each axial station maps to the
@@ -169,17 +169,6 @@ def radial_direction(r) -> "float | np.ndarray":
     if isinstance(r, np.ndarray):
         return np.where(r >= 0.0, 1.0, -1.0)
     return 1.0 if r >= 0.0 else -1.0
-
-
-def ale_map(x0: tuple, t: float, displacement) -> tuple:
-    """Current-frame coordinates of reference point x0=(r, z) at time t.
-
-    `displacement` maps (r, z, t) to the radial displacement magnitude;
-    displacement acts along the outward radial direction, the axial
-    coordinate is unchanged."""
-    r, z = x0
-    eta = displacement(r, z, t)
-    return (r + radial_direction(r) * eta, z)
 
 
 def clamp_radius(r, eps_r: float):

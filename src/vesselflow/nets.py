@@ -1,8 +1,8 @@
-"""Fully connected field networks with an alternating activation schedule.
+"""Fully connected field networks with alternating activations.
 
 A network of depth L is a chain of L affine maps. Hidden maps are
-activated (first map sigmoid, then relu and sigmoid alternating); the
-final affine map has no activation so outputs can take any scale. Hidden
+activated, sigmoid first and then relu and sigmoid in turn; the final
+affine map has no activation so outputs can take any scale. Hidden
 widths are uniform. Parameters live in one flat float64 vector, laid out
 layer by layer as row-major weights followed by the bias, which is also
 the ordering used by parameter gradients and checkpoints.
@@ -16,21 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 
-SCHEDULES = ("alternating", "sigmoid")
-
-
-def _activation_tags(depth: int, schedule: str) -> list[str]:
-    if schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule {schedule!r}")
-    tags = []
-    for layer in range(1, depth):
-        if schedule == "sigmoid" or layer % 2 == 1:
-            tags.append("sigmoid")
-        else:
-            tags.append("relu")
-    tags.append("none")
-    return tags
-
 
 class FieldNetwork:
     """One coordinate network (velocity, pressure or displacement role).
@@ -39,11 +24,10 @@ class FieldNetwork:
     length is depth + 1.
     """
 
-    def __init__(self, name: str, depth: int, widths, schedule: str, theta: np.ndarray):
+    def __init__(self, name: str, depth: int, widths, theta: np.ndarray):
         self.name = name
         self.depth = depth
         self.widths = list(widths)
-        self.schedule = schedule
         self.theta = theta
         self._offsets = []
         off = 0
@@ -52,7 +36,9 @@ class FieldNetwork:
             self._offsets.append((off, off + fan_in * fan_out))
             off += fan_in * fan_out + fan_out
         self._size = off
-        self.activations = _activation_tags(depth, schedule)
+        # as the record names them: odd hidden layers sigmoid, even ones
+        # relu, and None for the output layer
+        self.activations = ["sigmoid" if layer % 2 else "relu" for layer in range(1, depth)] + [None]
         if len(theta) != self._size:
             raise ValueError(f"parameter vector has {len(theta)} entries, need {self._size}")
 
@@ -86,13 +72,8 @@ class FieldNetwork:
         for layer in range(self.depth):
             w_off, b_off = self._offsets[layer]
             shape = (self.widths[layer + 1], self.widths[layer])
-            x = tape.affine(x, self.name, w_off, shape, bias=b_off, act=self._act(layer))
+            x = tape.affine(x, self.name, w_off, shape, bias=b_off, act=self.activations[layer])
         return [tape.select(x, k) for k in range(self.out_dim)]
-
-    def _act(self, layer: int) -> "str | None":
-        """Activation of `layer` as the record names it (None for none)."""
-        act = self.activations[layer]
-        return None if act == "none" else act
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Plain numpy forward over rows of `points`, shape (n, in_dim) -> (n, out_dim).
@@ -102,7 +83,7 @@ class FieldNetwork:
         `forward` records from n-point batches."""
         x = np.ascontiguousarray(points, dtype=np.float64)
         for layer in range(self.depth):
-            x = ad.activate(self._act(layer), x @ self.weight(layer).T + self.bias(layer))
+            x = ad.activate(self.activations[layer], x @ self.weight(layer).T + self.bias(layer))
         return x
 
     def relu_margin(self, point) -> float:
@@ -115,7 +96,7 @@ class FieldNetwork:
             x = x @ self.weight(layer).T + self.bias(layer)
             if self.activations[layer] == "relu":
                 margin = min(margin, float(np.min(np.abs(x))))
-            x = ad.activate(self._act(layer), x)
+            x = ad.activate(self.activations[layer], x)
         return margin
 
 
@@ -126,7 +107,7 @@ def layer_widths(depth: int, hidden_width: int, in_dim: int, out_dim: int) -> li
 
 
 def build(depth: int, hidden_width: int, in_dim: int, out_dim: int, seed: int,
-          name: str = "net", schedule: str = "alternating") -> FieldNetwork:
+          name: str = "net") -> FieldNetwork:
     """Scaled-uniform initialized network; biases start at zero."""
     if depth < 2:
         raise ValueError("depth must be at least 2 affine layers")
@@ -139,7 +120,7 @@ def build(depth: int, hidden_width: int, in_dim: int, out_dim: int, seed: int,
         chunks.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
         chunks.append(np.zeros(fan_out))
     theta = np.concatenate(chunks)
-    return FieldNetwork(name, depth, widths, schedule, theta)
+    return FieldNetwork(name, depth, widths, theta)
 
 
 def zero_init_output(net: FieldNetwork) -> None:
@@ -148,10 +129,9 @@ def zero_init_output(net: FieldNetwork) -> None:
     net.bias(net.depth - 1)[:] = 0.0
 
 
-def param_count(net: FieldNetwork) -> int:
-    return int(sum(
-        net.widths[l + 1] * (net.widths[l] + 1) for l in range(net.depth)
-    ))
+def param_count(widths) -> int:
+    """Weights and biases of a network with these layer widths."""
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(widths, widths[1:]))
 
 
 def split_param_count(depth: int, total_width: int, in_dim: int = 3) -> int:
@@ -160,14 +140,13 @@ def split_param_count(depth: int, total_width: int, in_dim: int = 3) -> int:
     The velocity network takes two thirds of the width and two outputs,
     the pressure network the remaining third and one output."""
     wu, wp = 2 * total_width // 3, total_width // 3
-    nu = build(depth, wu, in_dim, 2, seed=0)
-    np_ = build(depth, wp, in_dim, 1, seed=0)
-    return param_count(nu) + param_count(np_)
+    return (param_count(layer_widths(depth, wu, in_dim, 2))
+            + param_count(layer_widths(depth, wp, in_dim, 1)))
 
 
 def single_param_count(depth: int, width: int, in_dim: int = 3) -> int:
     """Size of the single-network variant emitting (u_z, u_r, P) together."""
-    return param_count(build(depth, width, in_dim, 3, seed=0))
+    return param_count(layer_widths(depth, width, in_dim, 3))
 
 
 # ----------------------------------------------------------------------
@@ -176,12 +155,9 @@ def single_param_count(depth: int, width: int, in_dim: int = 3) -> int:
 def save_networks(path, networks: dict[str, FieldNetwork], extras: dict | None = None) -> None:
     """Write networks (plus optional float64 arrays) to one npz archive.
 
-    The header records depth, widths and the activation schedule per
-    network; parameter vectors round-trip bit-exactly."""
-    meta = {
-        name: {"depth": n.depth, "widths": n.widths, "schedule": n.schedule}
-        for name, n in networks.items()
-    }
+    The header holds the depth and widths of each network; parameter
+    vectors round-trip bit-exactly."""
+    meta = {name: {"depth": n.depth, "widths": n.widths} for name, n in networks.items()}
     payload = {f"theta_{name}": n.theta for name, n in networks.items()}
     if extras:
         for key, arr in extras.items():
@@ -196,10 +172,11 @@ def load_networks(path) -> tuple[dict[str, FieldNetwork], dict[str, np.ndarray]]
         nets = {}
         extras = {}
         for name, info in meta.items():
-            nets[name] = FieldNetwork(
-                name, info["depth"], info["widths"], info["schedule"],
-                data[f"theta_{name}"].copy(),
-            )
+            # older headers name the activations, which were always these
+            if info.get("schedule", "alternating") != "alternating":
+                raise ValueError(f"{name}: unknown activation schedule {info['schedule']!r}")
+            nets[name] = FieldNetwork(name, info["depth"], info["widths"],
+                                      data[f"theta_{name}"].copy())
         for key in data.files:
             if key.startswith("extra_"):
                 extras[key[len("extra_"):]] = data[key].copy()

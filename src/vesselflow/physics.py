@@ -25,8 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .domain import (
-    RegionTag, SampleSet, VesselGeometry, clamp_radius, radial_direction,
-    reference_radius, WALL_SUBTAGS,
+    RegionTag, SampleSet, VesselGeometry, clamp_radius, radial_direction, WALL_SUBTAGS,
 )
 
 
@@ -53,23 +52,16 @@ class WallProperties:
     youngs_modulus: float = 0.5e6      # dyn/cm^2
     poisson_ratio: float = 0.5
     thickness: float = 0.05            # cm
-    reference_radius: float = 0.25     # cm
 
     def __post_init__(self):
         if abs(self.poisson_ratio) >= 1.0:
             raise PhysicsError("poisson ratio magnitude must be below 1")
-        if min(self.density, self.youngs_modulus, self.thickness,
-               self.reference_radius) <= 0:
+        if min(self.density, self.youngs_modulus, self.thickness) <= 0:
             raise PhysicsError("wall material constants must be positive")
 
-    @property
-    def restoring_coefficient(self) -> float:
-        """b = E / (rho (1 - xi^2) R0^2), in 1/s^2."""
-        return self.youngs_modulus / (
-            self.density * (1.0 - self.poisson_ratio**2) * self.reference_radius**2
-        )
-
     def restoring_at_radius(self, radius) -> "float | np.ndarray":
+        """Ring-model restoring coefficient E / (rho (1 - xi^2) radius^2), in
+        1/s^2, at an undeformed wall radius."""
         return self.youngs_modulus / (
             self.density * (1.0 - self.poisson_ratio**2) * radius**2
         )
@@ -231,42 +223,6 @@ def ns_residual_axisym(flow, displacement, point, fluid: FluidProperties,
     return _axisym_ns(tape, r, z, t, flow, displacement, fluid, eps_r)
 
 
-def ns_residual_cartesian(flow, point, fluid: FluidProperties):
-    """Eulerian residual in Cartesian coordinates at a current-frame point.
-
-    `point` is (x_1..x_d, t); `flow.velocity_pressure` must accept d
-    coordinate leaves plus time and return d velocity components and the
-    pressure. Returns (res_1..res_d, divergence)."""
-    tape = ad.Tape()
-    *coords_vals, t_val = point
-    coords = [_leaf(tape, v) for v in coords_vals]
-    t_p = _leaf(tape, t_val)
-    out = flow.velocity_pressure(tape, *coords, t_p)
-    u, p = list(out[:-1]), out[-1]
-    d = len(coords)
-    if len(u) != d:
-        raise PhysicsError("velocity component count must match coordinate count")
-    first = [tape.grad(u[i], coords + [t_p]) for i in range(d)]
-    dp = tape.grad(p, coords)
-    rho, mu = fluid.density, fluid.viscosity
-    residuals = []
-    for i in range(d):
-        conv = u[0] * first[i][0]
-        for j in range(1, d):
-            conv = conv + u[j] * first[i][j]
-        visc = None
-        for j in range(d):
-            lap_ij = tape.grad(first[i][j], [coords[j]])[0]
-            mix_ji = tape.grad(first[j][j], [coords[i]])[0]
-            term = lap_ij + mix_ji
-            visc = term if visc is None else visc + term
-        residuals.append(rho * first[i][d] + rho * conv + dp[i] - mu * visc)
-    div = first[0][0]
-    for i in range(1, d):
-        div = div + first[i][i]
-    return (*residuals, div)
-
-
 def _harmonic(tape, r, z, t, displacement, eps_r):
     eta = displacement.radial(tape, r, z, t)
     deta_dr, deta_dz = tape.grad(eta, [r, z])
@@ -422,28 +378,6 @@ def _leaf(tape, v):
     if isinstance(v, np.ndarray):
         return tape.batch(v)
     return tape.scalar(float(v))
-
-
-# ----------------------------------------------------------------------
-# discrete norms
-
-def discrete_norm(values: Sequence) -> float:
-    """Mean squared magnitude over a list of residual vectors (scalars count
-    as one-component vectors)."""
-    vals = list(values)
-    if not vals:
-        raise PhysicsError("discrete norm of an empty sample set is undefined")
-    total = 0.0
-    for vec in vals:
-        if isinstance(vec, (tuple, list)):
-            total += sum(float(_value_of(c)) ** 2 for c in vec)
-        else:
-            total += float(_value_of(vec)) ** 2
-    return total / len(vals)
-
-
-def _value_of(c):
-    return c.value if isinstance(c, ad.DiffScalar) else c
 
 
 def mean_square(tape, components: Sequence[ad.DiffScalar]) -> ad.DiffScalar:
@@ -636,19 +570,3 @@ def _split_wall(wall: SampleSet):
         idx = np.flatnonzero(tags == segment.value)
         if idx.size:
             yield segment, idx
-
-
-def assemble_fluid_loss(flow, displacement, samples: CollocationSamples,
-                        geometry, fluid, inlet_factor, weights: LossWeights,
-                        eps_r: float) -> LossBreakdown:
-    graph = FluidLossGraph(flow, displacement, samples, geometry, fluid,
-                           inlet_factor, weights, eps_r)
-    return graph.breakdown()
-
-
-def assemble_solid_loss(flow, displacement, samples: CollocationSamples,
-                        geometry, wall_by_segment, fluid,
-                        weights: LossWeights, eps_r: float) -> LossBreakdown:
-    graph = SolidLossGraph(flow, displacement, samples, geometry,
-                           wall_by_segment, fluid, weights, eps_r)
-    return graph.breakdown()

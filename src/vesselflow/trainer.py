@@ -417,12 +417,3 @@ def build_networks(config: ScenarioConfig, seed: int) -> dict:
     with seed, seed + 1 and seed + 2."""
     return {name: nets_mod.build(*shape, seed=seed + k, name=name)
             for k, (name, shape) in enumerate(network_shapes(config).items())}
-
-
-def run_fsi(config: ScenarioConfig, networks: dict, seed: int = 0,
-            out_dir: "str | None" = None, checkpoint_interval: int = 0,
-            shards: int = 1):
-    """Train a network triple through the full staged schedule."""
-    trainer = Trainer(config, networks, seed, out_dir, checkpoint_interval, shards)
-    history = trainer.run()
-    return networks, history

@@ -7,10 +7,9 @@ import pytest
 
 from vesselflow import autodiff as ad
 from vesselflow.analysis import (
-    AnalysisError, EvaluationGrid, ProbeSeries, cycle_integrated_flux,
-    default_probes, export_fields, outlet_flux, poiseuille_oracle,
-    pressure_drop_oracle, probe, relative_error, traction_norm,
-    write_flux_csv, write_probe_csv,
+    AnalysisError, EvaluationGrid, ProbeSeries, default_probes, export_fields,
+    outlet_flux, poiseuille_oracle, pressure_drop_oracle, probe, relative_error,
+    traction_norm, write_flux_csv, write_probe_csv,
 )
 from vesselflow.domain import VesselGeometry
 from vesselflow.physics import (
@@ -167,12 +166,15 @@ class TestOutletFlux:
         b = outlet_flux(poiseuille_flow(), ZERO_DISP, 0.1, GEOM, n_quad=512)
         assert abs(b - a) / abs(b) < 1e-6
 
-    def test_cycle_integral(self):
+    def test_cycle_integral(self, tmp_path):
+        # the last running integral of the flux export is the cycle's volume
         c = 2.0
         flow = AnalyticFlow(lambda r, z, t: c, lambda r, z, t: 0.0,
                             lambda r, z, t: 0.0)
         times = np.linspace(0, 1, 11)
-        got = cycle_integrated_flux(flow, ZERO_DISP, GEOM, times)
+        path = tmp_path / "flux.csv"
+        write_flux_csv(path, flow, ZERO_DISP, GEOM, times)
+        got = float(path.read_text().strip().splitlines()[-1].split(",")[2])
         assert got == pytest.approx(c * np.pi * R0**2 * 1.0, rel=1e-12)
 
 

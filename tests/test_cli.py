@@ -288,3 +288,51 @@ class TestBadInput:
         assert main(["probe", *checkpoint_args, "--points", "0.1", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot parse probe point '0.1'")
         assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("interior_points", 0, "network widths and point counts must be positive"),
+        ("network_depth", 1, "network depth must be at least 2"),
+        ("velocity_width", 0, "network widths and point counts must be positive"),
+        ("pressure_learning_rate", -1.0, "learning rates must be positive"),
+        ("displacement_learning_rate", 0.0, "learning rates must be positive"),
+    ], ids=["points", "depth", "width", "negative-rate", "zero-rate"])
+    def test_config_that_cannot_train(self, tmp_path, capsys, key, value, message):
+        cfg = preset("poiseuille-rigid").to_dict()
+        cfg["training"][key] = value
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("arch", ["1x30-split", "12x1-split", "12x0-single"])
+    def test_architecture_that_cannot_be_built(self, capsys, arch):
+        assert main(["param-count", arch]) == 2
+        assert capsys.readouterr().err.startswith(f"error: '{arch}' needs depth >= 2")
+
+    def test_negative_seed(self, tmp_path, capsys):
+        _, out_dir, argv = _small_training_args(tmp_path)
+        for command in (["train", *argv], ["grad-check"]):
+            assert main([*command, "--seed", "-1"]) == 2
+            assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("points", ["5,1;0,-3", "0.3,1", "0,2.5"])
+    def test_probe_point_outside_vessel(self, tmp_path, checkpoint_args, capsys, points):
+        # R = 0.25 cm and L = 2 cm: each set holds a point past the wall or an end
+        out = tmp_path / "probes.csv"
+        assert main(["probe", *checkpoint_args, "--points", points, "--out", str(out)]) == 2
+        assert "lies outside the vessel" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_checkpoint_naming_other_activations(self, tmp_path, capsys):
+        cfg_path, _, _ = _small_training_args(tmp_path)
+        networks = build_networks(load_config(cfg_path), seed=0)
+        header = {name: {"depth": net.depth, "widths": net.widths, "schedule": "sigmoid"}
+                  for name, net in networks.items()}
+        ckpt = tmp_path / "sigmoid.npz"
+        np.savez(ckpt, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+                 **{f"theta_{name}": net.theta for name, net in networks.items()})
+        assert main(["evaluate", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot load checkpoint {ckpt}")

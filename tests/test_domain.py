@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vesselflow import autodiff as ad
 from vesselflow import domain
 from vesselflow.domain import (
-    PlaqueShape, RegionTag, VesselGeometry, ale_map, clamp_radius,
+    PlaqueShape, RegionTag, VesselGeometry, clamp_radius,
     radial_direction, reference_radius, sample,
 )
+from vesselflow.physics import AnalyticDisplacement, current_frame
 
 CYLINDER = VesselGeometry()
 PLAQUED = VesselGeometry(plaque=PlaqueShape(long_radius=0.15, short_radius=0.1, center_z=1.0))
@@ -127,18 +129,28 @@ class TestSampling:
 
 
 class TestAleMap:
+    """`physics.current_frame`, the map from reference to current
+    coordinates that every residual and field read goes through."""
+
+    @staticmethod
+    def current(r, z, t, eta):
+        tape = ad.Tape()
+        leaves = [tape.batch(np.asarray(v, dtype=np.float64)) for v in (r, z, t)]
+        r_t, z_t, _, _ = current_frame(tape, *leaves, AnalyticDisplacement(lambda *_: eta))
+        return r_t.value, z_t.value
+
     def test_zero_displacement_is_identity(self):
         s = sample(CYLINDER, RegionTag.FLUID_INTERIOR, 50, seed=0)
-        for r, z, t in zip(s.r, s.z, s.t):
-            assert ale_map((r, z), t, lambda *_: 0.0) == (r, z)
+        r_t, z_t = self.current(s.r, s.z, s.t, 0.0)
+        assert np.array_equal(r_t, s.r) and np.array_equal(z_t, s.z)
 
     def test_outward_on_positive_side(self):
-        r_t, z_t = ale_map((0.25, 1.0), 0.5, lambda *_: 0.01)
-        assert (r_t, z_t) == (0.26, 1.0)
+        r_t, z_t = self.current([0.25], [1.0], [0.5], 0.01)
+        assert (r_t[0], z_t[0]) == (0.26, 1.0)
 
     def test_outward_on_negative_side(self):
-        r_t, z_t = ale_map((-0.25, 1.0), 0.5, lambda *_: 0.01)
-        assert (r_t, z_t) == (-0.26, 1.0)
+        r_t, z_t = self.current([-0.25], [1.0], [0.5], 0.01)
+        assert (r_t[0], z_t[0]) == (-0.26, 1.0)
 
 
 class TestClampRadius:

@@ -1,5 +1,6 @@
-"""Network construction, schedule, parameter accounting and checkpoints."""
+"""Network construction, activations, parameter accounting and checkpoints."""
 
+import json
 import warnings
 
 import numpy as np
@@ -28,26 +29,16 @@ class TestParamCount:
         depth, width = arch
         assert nets.single_param_count(depth, width) == want
 
-    def test_all_sigmoid_same_size(self):
-        # Activation choice does not change the parameter count.
-        alt = nets.build(12, 20, 3, 2, seed=0)
-        sig = nets.build(12, 20, 3, 2, seed=0, schedule="sigmoid")
-        assert nets.param_count(alt) == nets.param_count(sig)
-
     def test_count_matches_formula(self):
         net = nets.build(5, 7, 3, 2, seed=1)
         want = 7 * 4 + 7 * 8 * 3 + 2 * 8
-        assert nets.param_count(net) == want == len(net.theta)
+        assert nets.param_count(net.widths) == want == len(net.theta)
 
 
 class TestSchedule:
     def test_tags(self):
         net = nets.build(6, 4, 3, 1, seed=0)
-        assert net.activations == ["sigmoid", "relu", "sigmoid", "relu", "sigmoid", "none"]
-
-    def test_all_sigmoid_variant(self):
-        net = nets.build(6, 4, 3, 1, seed=0, schedule="sigmoid")
-        assert net.activations == ["sigmoid"] * 5 + ["none"]
+        assert net.activations == ["sigmoid", "relu", "sigmoid", "relu", "sigmoid", None]
 
     def test_even_layers_are_exact_relu(self):
         net = nets.build(4, 5, 2, 1, seed=3)
@@ -104,13 +95,12 @@ class TestForward:
         want = 2.0 * (1.0 / (1.0 + np.exp(-1.0))) - 0.5
         assert out.value == pytest.approx(want, rel=1e-15)
 
-    @pytest.mark.parametrize("schedule", nets.SCHEDULES)
     @pytest.mark.parametrize("width", [6, 20, 30])
     @pytest.mark.parametrize("n", [1, 40, 1000])
-    def test_recorded_forward_matches_numpy_forward(self, schedule, width, n):
+    def test_recorded_forward_matches_numpy_forward(self, width, n):
         # One forward arithmetic: on a batch the record runs the products
         # and activations that `evaluate` runs, so they agree bit for bit.
-        net = nets.build(12, width, 3, 2, seed=11, schedule=schedule)
+        net = nets.build(12, width, 3, 2, seed=11)
         pts = np.random.default_rng(n).uniform(-1, 1, size=(n, 3))
         ref = net.evaluate(pts)
         tape = ad.Tape()
@@ -188,14 +178,13 @@ class TestDerivatives:
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         u = nets.build(6, 8, 3, 2, seed=1, name="u")
-        p = nets.build(6, 4, 3, 1, seed=2, name="p", schedule="sigmoid")
+        p = nets.build(6, 4, 3, 1, seed=2, name="p")
         path = tmp_path / "ckpt.npz"
         extras = {"adam_m_u": np.random.default_rng(0).normal(size=len(u.theta))}
         nets.save_networks(path, {"u": u, "p": p}, extras)
         loaded, got_extras = nets.load_networks(path)
         assert np.array_equal(loaded["u"].theta, u.theta)
         assert np.array_equal(loaded["p"].theta, p.theta)
-        assert loaded["p"].schedule == "sigmoid"
         assert loaded["u"].widths == u.widths
         assert np.array_equal(got_extras["adam_m_u"], extras["adam_m_u"])
 
@@ -206,3 +195,15 @@ class TestCheckpoint:
         loaded, _ = nets.load_networks(path)
         pts = np.random.default_rng(1).uniform(-1, 1, size=(10, 3))
         assert np.array_equal(loaded["d"].evaluate(pts), net.evaluate(pts))
+
+    def test_header_naming_the_activations_loads(self, tmp_path):
+        # Older headers also name the activations as "alternating", the only
+        # ones a network has; any other name is rejected (tests/test_cli.py).
+        net = nets.build(5, 6, 3, 1, seed=9, name="d")
+        header = {"d": {"depth": 5, "widths": net.widths, "schedule": "alternating"}}
+        path = tmp_path / "older.npz"
+        np.savez(path, theta_d=net.theta,
+                 header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8))
+        loaded, _ = nets.load_networks(path)
+        assert loaded["d"].activations == net.activations
+        assert np.array_equal(loaded["d"].theta, net.theta)

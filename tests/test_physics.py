@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from vesselflow import autodiff as ad
-from vesselflow import nets, physics
+from vesselflow import nets
 from vesselflow.config import preset
 from vesselflow.domain import PlaqueShape, RegionTag, VesselGeometry
 from vesselflow.physics import (
     AnalyticDisplacement, AnalyticFlow, CollocationSamples, FluidLossGraph,
     FluidProperties, LossWeights, NetworkDisplacement,
     NetworkFlow, SolidLossGraph, WallProperties, ZeroDisplacement,
-    assemble_fluid_loss, assemble_solid_loss, discrete_norm, draw_samples,
-    fluid_bc_residual, harmonic_residual, initial_residuals,
-    ns_residual_axisym, ns_residual_cartesian, stress_continuity_residual,
+    draw_samples, fluid_bc_residual, harmonic_residual, initial_residuals,
+    mean_square, ns_residual_axisym, stress_continuity_residual,
 )
 from vesselflow.trainer import build_networks
 
@@ -81,43 +80,6 @@ class TestAxisymmetricResiduals:
                 assert bc.value[k] == pytest.approx(sc.value, abs=1e-12)
 
 
-class TestCartesianResiduals:
-    def test_rest_state(self):
-        flow = AnalyticFlow2D((lambda x, y, t: 0.0, lambda x, y, t: 0.0),
-                              lambda x, y, t: 3.0)
-        res = ns_residual_cartesian(flow, (0.2, -0.4, 0.1), FLUID)
-        assert all(abs(c.value) == 0.0 for c in res)
-
-    def test_constant_advection(self):
-        flow = AnalyticFlow2D((lambda x, y, t: 1.7, lambda x, y, t: 0.0),
-                              lambda x, y, t: 5.0)
-        res = ns_residual_cartesian(flow, (0.3, 0.9, 0.5), FLUID)
-        assert all(abs(c.value) < 1e-14 for c in res)
-
-    def test_divergence_of_identity_field(self):
-        flow = AnalyticFlow2D((lambda x, y, t: x, lambda x, y, t: y),
-                              lambda x, y, t: 0.0)
-        *_, div = ns_residual_cartesian(flow, (0.3, 0.9, 0.5), FLUID)
-        assert div.value == pytest.approx(2.0, abs=1e-14)
-
-
-class AnalyticFlow2D:
-    """Planar closed-form fields for the Cartesian residual."""
-
-    def __init__(self, components, pressure):
-        self.components = components
-        self.pressure = pressure
-
-    def velocity_pressure(self, tape, *coords_and_time):
-        *coords, t = coords_and_time
-
-        def wrap(v):
-            return v if isinstance(v, ad.DiffScalar) else tape.constant(float(v))
-
-        us = [wrap(f(*coords, t)) for f in self.components]
-        return (*us, wrap(self.pressure(*coords, t)))
-
-
 class TestHarmonicResidual:
     def test_zero_displacement(self):
         assert harmonic_residual(ZERO_DISP, (0.1, 0.5, 0.2), EPS_R).value == 0.0
@@ -141,7 +103,7 @@ class TestStressContinuity:
         assert res.value == 0.0
 
     def test_free_oscillation_mode(self):
-        b = WALL.restoring_coefficient
+        b = WALL.restoring_at_radius(R0)
         omega = np.sqrt(b)
         disp = AnalyticDisplacement(lambda r, z, t: ad.cos(omega * t))
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
@@ -173,8 +135,7 @@ class TestStressContinuity:
     def test_plaque_segment_uses_dented_radius(self):
         geom = VesselGeometry(plaque=PlaqueShape(0.15, 0.1, 1.0))
         plaque_wall = WallProperties(density=1.1, youngs_modulus=1e6,
-                                     poisson_ratio=0.5, thickness=0.05,
-                                     reference_radius=0.25)
+                                     poisson_ratio=0.5, thickness=0.05)
         c = 1e-3
         disp = AnalyticDisplacement(lambda r, z, t: c)
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
@@ -248,18 +209,22 @@ class TestInitialResiduals:
 
 
 class TestDiscreteNorm:
+    """`mean_square`, the discrete norm every loss term takes: the mean over
+    a batch of the squared magnitude of the residual components."""
+
+    @staticmethod
+    def norm(*components):
+        tape = ad.Tape()
+        return mean_square(tape, [tape.batch(np.array(c)) for c in components]).value
+
     def test_constant_scalar(self):
-        assert discrete_norm([3.0, 3.0, 3.0]) == 9.0
+        assert self.norm([3.0, 3.0, 3.0]) == 9.0
 
     def test_hand_case(self):
-        assert discrete_norm([1.0, 2.0]) == 2.5
+        assert self.norm([1.0, 2.0]) == 2.5
 
     def test_vector_magnitudes(self):
-        assert discrete_norm([(3.0, 4.0)]) == 25.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(physics.PhysicsError):
-            discrete_norm([])
+        assert self.norm([3.0], [4.0]) == 25.0
 
 
 def make_nets(seed=0):
@@ -284,10 +249,10 @@ class TestLossAssembly:
         u, p, d = make_nets()
         flow, disp = NetworkFlow(u, p), NetworkDisplacement(d)
         samples = tiny_samples()
-        fluid = assemble_fluid_loss(flow, disp, samples, GEOM, FLUID,
-                                    steady_factor, weights, EPS_R)
-        solid = assemble_solid_loss(flow, disp, samples, GEOM,
-                                    {RegionTag.WALL: WALL}, FLUID, weights, EPS_R)
+        fluid = FluidLossGraph(flow, disp, samples, GEOM, FLUID,
+                               steady_factor, weights, EPS_R).breakdown()
+        solid = SolidLossGraph(flow, disp, samples, GEOM,
+                               {RegionTag.WALL: WALL}, FLUID, weights, EPS_R).breakdown()
         assert fluid.fluid_total == 0.0
         assert solid.solid_total == 0.0
 
@@ -297,8 +262,8 @@ class TestLossAssembly:
         weights = LossWeights(ns=0.0, fluid_bdr=1.0, fluid_init=0.1)
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
         samples = tiny_samples()
-        breakdown = assemble_fluid_loss(flow, ZERO_DISP, samples, GEOM, FLUID,
-                                        lambda ts: np.zeros_like(ts), weights, EPS_R)
+        breakdown = FluidLossGraph(flow, ZERO_DISP, samples, GEOM, FLUID,
+                                   lambda ts: np.zeros_like(ts), weights, EPS_R).breakdown()
         assert breakdown.fluid_total == 0.0
 
     def test_doubling_harmonic_weight_doubles_contribution(self):
@@ -307,10 +272,10 @@ class TestLossAssembly:
         samples = tiny_samples()
         w1 = LossWeights(harmonic=10.0, stress=0.0, solid_bdr=0.0, solid_init=0.0)
         w2 = LossWeights(harmonic=20.0, stress=0.0, solid_bdr=0.0, solid_init=0.0)
-        s1 = assemble_solid_loss(flow, disp, samples, GEOM, {RegionTag.WALL: WALL},
-                                 FLUID, w1, EPS_R)
-        s2 = assemble_solid_loss(flow, disp, samples, GEOM, {RegionTag.WALL: WALL},
-                                 FLUID, w2, EPS_R)
+        s1 = SolidLossGraph(flow, disp, samples, GEOM, {RegionTag.WALL: WALL},
+                            FLUID, w1, EPS_R).breakdown()
+        s2 = SolidLossGraph(flow, disp, samples, GEOM, {RegionTag.WALL: WALL},
+                            FLUID, w2, EPS_R).breakdown()
         assert s2.solid_total == pytest.approx(2.0 * s1.solid_total, rel=1e-15)
         assert s2.harmonic == s1.harmonic
 
@@ -376,7 +341,7 @@ class TestDetachPolicy:
                                     FLUID, steady_factor,
                                     detach_interface_target=detach)
             tape = res[0].tape
-            loss = physics.mean_square(tape, res)
+            loss = mean_square(tape, res)
             return ad.param_grad(loss, "d")
 
         assert np.all(wall_loss(True) == 0.0)

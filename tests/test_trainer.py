@@ -14,7 +14,7 @@ from vesselflow.physics import (
 )
 from vesselflow.trainer import (
     PlanError, Trainer, TrainingDiverged, TrainingHistory,
-    build_networks, converged, parallel_grad, run_fsi,
+    build_networks, converged, parallel_grad,
 )
 
 
@@ -110,14 +110,14 @@ class TestScheduleStructure:
     def test_degenerate_plan_single_stage(self):
         config = tiny_config(ladder_steps=0, max_alternations=0)
         networks = build_networks(config, seed=0)
-        _, history = run_fsi(config, networks, seed=0)
+        history = Trainer(config, networks, seed=0).run()
         assert history.stages() == ["fluid-init"]
         assert len(history) == 10
 
     def test_default_ladder_alpha_sequence(self):
         config = tiny_config(ladder_steps=5, max_alternations=0, fluid_epochs=10)
         networks = build_networks(config, seed=1)
-        _, history = run_fsi(config, networks, seed=1)
+        history = Trainer(config, networks, seed=1).run()
         seq = history.alpha_sequence()
         assert seq[0] == 0.0
         assert seq[1:] == pytest.approx([1e-7, 1e-6, 1e-5, 1e-4, 1e-3], rel=1e-12)
@@ -125,7 +125,7 @@ class TestScheduleStructure:
     def test_alpha_ladder_monotone_in_history(self):
         config = tiny_config(ladder_steps=3, max_alternations=0, fluid_epochs=10)
         networks = build_networks(config, seed=2)
-        _, history = run_fsi(config, networks, seed=2)
+        history = Trainer(config, networks, seed=2).run()
         alphas = [r.alpha_ns for r in history.records if r.phase in ("u", "p")]
         assert all(b >= a for a, b in zip(alphas, alphas[1:]))
 
@@ -133,14 +133,14 @@ class TestScheduleStructure:
         config = tiny_config(ladder_steps=0, max_alternations=0, fluid_epochs=20,
                              velocity_epochs=8, pressure_epochs=2)
         networks = build_networks(config, seed=3)
-        _, history = run_fsi(config, networks, seed=3)
+        history = Trainer(config, networks, seed=3).run()
         phases = [r.phase for r in history.records]
         assert phases == (["u"] * 8 + ["p"] * 2) * 2
 
     def test_alternation_stages_bounded(self):
         config = tiny_config(ladder_steps=1, max_alternations=2)
         networks = build_networks(config, seed=4)
-        _, history = run_fsi(config, networks, seed=4)
+        history = Trainer(config, networks, seed=4).run()
         stages = history.stages()
         couples = [s for s in stages if s.startswith("couple-")]
         assert 0 < len(couples) <= 4  # solid+fluid per alternation
@@ -160,7 +160,7 @@ class TestScheduleStructure:
             ))
         networks = build_networks(config, seed=5)
         d_before = networks["d"].theta.copy()
-        _, history = run_fsi(config, networks, seed=5)
+        history = Trainer(config, networks, seed=5).run()
         assert all(not s.startswith("couple-") for s in history.stages())
         assert all(r.phase != "d" for r in history.records)
         # the displacement network was never touched (only its output zeroed)
@@ -191,7 +191,7 @@ class TestStageLifetimes:
             fluid_epochs=5, velocity_epochs=4, pressure_epochs=1, solid_epochs=2,
             ladder_steps=1, max_alternations=1, network_depth=3, velocity_width=6,
             pressure_width=4, displacement_width=6))
-        _, history = run_fsi(config, build_networks(config, seed=14), seed=14)
+        history = Trainer(config, build_networks(config, seed=14), seed=14).run()
         assert history.stages() == ["fluid-init", "ladder-1", "couple-1-solid",
                                     "couple-1-fluid"]
         # fluid-init and ladder-1 had finished when the solid record was built
@@ -251,14 +251,14 @@ class TestHistory:
                              velocity_epochs=8, pressure_epochs=2,
                              convergence_threshold=0.1)
         networks = build_networks(config, seed=8)
-        _, history = run_fsi(config, networks, seed=8)
+        history = Trainer(config, networks, seed=8).run()
         totals = history.fluid_totals("fluid-init")
         assert totals[-1] <= totals[0]
 
     def test_csv_round_trip(self, tmp_path):
         config = tiny_config(ladder_steps=1, max_alternations=1)
         networks = build_networks(config, seed=9)
-        _, history = run_fsi(config, networks, seed=9, out_dir=str(tmp_path))
+        history = Trainer(config, networks, seed=9, out_dir=str(tmp_path)).run()
         loaded = TrainingHistory.read_csv(tmp_path / "history.csv")
         assert len(loaded) == len(history)
         assert loaded.stages() == history.stages()
@@ -271,7 +271,7 @@ class TestHistory:
         def run_once():
             config = tiny_config(ladder_steps=1, max_alternations=1)
             networks = build_networks(config, seed=10)
-            _, history = run_fsi(config, networks, seed=10)
+            history = Trainer(config, networks, seed=10).run()
             return ([r.breakdown.fluid_total for r in history.records],
                     networks["u"].theta.copy())
 
@@ -283,7 +283,7 @@ class TestHistory:
     def test_epochs_strictly_increase(self):
         config = tiny_config(ladder_steps=1, max_alternations=1)
         networks = build_networks(config, seed=11)
-        _, history = run_fsi(config, networks, seed=11)
+        history = Trainer(config, networks, seed=11).run()
         epochs = [r.epoch for r in history.records]
         assert epochs == sorted(set(epochs))
 
@@ -382,7 +382,7 @@ class TestCheckpoint:
     def test_checkpoint_holds_only_the_networks(self, tmp_path):
         config = tiny_config(ladder_steps=0, max_alternations=1)
         networks = build_networks(config, seed=16)
-        run_fsi(config, networks, seed=16, out_dir=str(tmp_path))
+        Trainer(config, networks, seed=16, out_dir=str(tmp_path)).run()
         with np.load(tmp_path / "checkpoints" / "final.npz") as data:
             assert sorted(data.files) == ["header", "theta_d", "theta_p", "theta_u"]
             for name, net in networks.items():
