@@ -1,8 +1,12 @@
 """Post-processing: error metric, physical observables and field export.
 
 Everything here treats trained networks as immutable functions accessed
-through the same field adapters the residuals use. Reference solutions
-are closed-form oracles or saved field files, never a live solve.
+through the same field adapters the residuals use. Reads that take no
+derivative (`export_fields`, `probe`, `outlet_flux`) use the adapters'
+plain `read`, so they build no record; their values are bitwise equal
+to the recorded ones. `speed_field` and `traction_norm` still record.
+Reference solutions are closed-form oracles or saved field files, never
+a live solve.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .domain import VesselGeometry, reference_radius
+from .domain import VesselGeometry, radial_direction, reference_radius
 from .physics import current_frame
 
 
@@ -133,12 +137,6 @@ def traction_norm(flow, point, normal, fluid) -> float:
     return float(np.hypot(t_r, t_z))
 
 
-def displacement_value(displacement, r, z, t) -> float:
-    tape = ad.Tape()
-    return float(displacement.radial(tape, tape.scalar(r), tape.scalar(z),
-                                     tape.scalar(t)).value)
-
-
 def outlet_flux(flow, displacement, t: float, geometry: VesselGeometry,
                 n_quad: int = 256) -> float:
     """Volumetric flux through the current outlet section.
@@ -146,17 +144,15 @@ def outlet_flux(flow, displacement, t: float, geometry: VesselGeometry,
     Composite trapezoid in the squared-radius variable: with s = r^2 the
     integral is pi * int u_z(sqrt(s)) ds, so parabolic profiles integrate
     exactly and the annular area weighting is built into the substitution."""
-    wall_eta = displacement_value(displacement, geometry.radius, geometry.length, t)
+    # floats, not one-element arrays: the wall point is then a 1-d row, as
+    # in a record of scalar leaves (see `FieldNetwork.evaluate`)
+    wall_eta = float(displacement.read(geometry.radius, geometry.length, float(t)))
     radius_now = reference_radius(geometry, geometry.length) + wall_eta
     s = np.linspace(0.0, radius_now**2, n_quad)
-    rho = np.sqrt(s)
-    tape = ad.Tape()
-    r = tape.batch(rho)
-    z = tape.batch(np.full(n_quad, geometry.length))
-    tt = tape.batch(np.full(n_quad, t))
-    u_z, _ = flow.velocity(tape, r, z, tt)
+    u_z, _ = flow.read(np.sqrt(s), np.full(n_quad, geometry.length),
+                       np.full(n_quad, t), pressure=False)
     integrand = np.pi * np.broadcast_to(
-        np.asarray(u_z.value, dtype=np.float64), (n_quad,))
+        np.asarray(u_z, dtype=np.float64), (n_quad,))
     return float(np.trapezoid(integrand, s))
 
 
@@ -182,23 +178,30 @@ def probe(points: Sequence[tuple], times: np.ndarray, flow, displacement) -> lis
     times = np.asarray(times, dtype=np.float64)
     out = []
     for (r0_pt, z0_pt) in points:
-        tape = ad.Tape()
-        r = tape.batch(np.full(len(times), r0_pt))
-        z = tape.batch(np.full(len(times), z0_pt))
-        t = tape.batch(times)
-        r_t, z_t, t_p, _ = current_frame(tape, r, z, t, displacement)
-        u_z, u_r, p = flow.velocity_pressure(tape, r_t, z_t, t_p)
-        speed = np.hypot(np.asarray(u_z.value, dtype=np.float64),
-                         np.asarray(u_r.value, dtype=np.float64))
+        u_z, u_r, p, _ = _read_current(flow, displacement, np.full(len(times), r0_pt),
+                                       np.full(len(times), z0_pt), times)
+        speed = np.hypot(np.asarray(u_z, dtype=np.float64),
+                         np.asarray(u_r, dtype=np.float64))
         out.append(ProbeSeries((r0_pt, z0_pt), times, speed,
-                               np.asarray(p.value, dtype=np.float64) + np.zeros(len(times))))
+                               np.asarray(p, dtype=np.float64) + np.zeros(len(times))))
     return out
+
+
+def _read_current(flow, displacement, r, z, t):
+    """(u_z, u_r, p, eta) at the current-frame images of reference points
+    (r, z, t), with no record: the ALE shift is computed in the order
+    `physics.current_frame` records it, so the values are bitwise equal."""
+    eta = displacement.read(r, z, t)
+    return (*flow.read(r + radial_direction(r) * eta, z, t), eta)
 
 
 def speed_field(flow, displacement) -> Callable:
     """(r array, z array, t) -> velocity magnitude at the current-frame
     images of the reference points; one record per time slice."""
 
+    # Still recorded, unlike `_read_current`: the benchmark's traced run
+    # measures `autodiff.nodes.field` from this record, and retiring that
+    # metric belongs with a change to the benchmark itself.
     def field(r_arr, z_arr, t):
         n = len(r_arr)
         tape = ad.Tape()
@@ -230,14 +233,9 @@ def export_fields(path, flow, displacement, grid: EvaluationGrid) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("t_s,r_cm,z_cm,u_z_cm_per_s,u_r_cm_per_s,p_dyn_per_cm2,eta_cm\r\n")
         for t in grid.times:
-            tape = ad.Tape()
-            r = tape.batch(grid.r_centers)
-            z = tape.batch(grid.z_centers)
-            tt = tape.batch(np.full(n, t))
-            r_t, z_t, t_p, eta = current_frame(tape, r, z, tt, displacement)
-            u_z, u_r, p = flow.velocity_pressure(tape, r_t, z_t, t_p)
-            cols = [np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
-                    for c in (u_z.value, u_r.value, p.value, eta.value)]
+            values = _read_current(flow, displacement, grid.r_centers, grid.z_centers,
+                                   np.full(n, t))
+            cols = [np.broadcast_to(np.asarray(c, dtype=np.float64), (n,)) for c in values]
             t_text = repr(float(t))
             # a block of rows at a time, so that the Python floats of a
             # whole slice never exist at once (1.4 MB at the default grid)

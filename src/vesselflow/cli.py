@@ -6,6 +6,7 @@ import argparse
 import ctypes
 import os
 import sys
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -41,9 +42,13 @@ def _add_grid_options(parser):
 
 
 def _load_run_networks(args, config: ScenarioConfig):
+    # What np.load and the archive lookups raise on a file that is no
+    # checkpoint: a missing or unreadable file, an empty one, one that is no
+    # zip archive, an archive without the header or a parameter vector, or
+    # a header that is not the JSON `save_networks` writes.
     try:
         loaded, _ = nets_mod.load_networks(args.checkpoint)
-    except ValueError as exc:
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise CliError(f"cannot load checkpoint {args.checkpoint}: {exc}")
     # the shapes `train` builds, not the networks: building them would
     # import numpy.random (about 5 MiB resident) only to read widths
@@ -321,8 +326,10 @@ _M_MMAP_THRESHOLD = -3
 def _retain_freed_memory() -> None:
     """Keep freed heap memory for reuse instead of returning it to the OS.
 
-    A field read records every node of one time slice (about 35 MB at the
-    default grid) and frees it all at once. By default glibc then trims the
+    `evaluate`'s `analysis.speed_field`, the one field read that still
+    builds a record, records every node of one time slice (about 14 MiB at
+    the default grid) and frees it all at once; `export-fields`, `probe`
+    and the flux read plain values. By default glibc then trims the
     heap whenever no live block happens to sit above the freed ones, and
     the next slice page-faults all of it back in, which makes `evaluate`
     1.5-2x slower. Whether that happens depends on incidental heap layout,
@@ -337,10 +344,26 @@ def _retain_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+def _attach_points(argv: list[str]) -> list[str]:
+    """`--points VALUE` rewritten as `--points=VALUE`: argparse reads a
+    separate value that begins with '-', such as a negative first r, as an
+    option."""
+    out = []
+    k = 0
+    while k < len(argv):
+        if argv[k] == "--points" and k + 1 < len(argv):
+            out.append(f"--points={argv[k + 1]}")
+            k += 2
+        else:
+            out.append(argv[k])
+            k += 1
+    return out
+
+
 def main(argv=None) -> int:
     _retain_freed_memory()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_points(sys.argv[1:] if argv is None else list(argv)))
     try:
         if getattr(args, "seed", 0) < 0:
             raise CliError(f"seed must be non-negative, got {args.seed}")

@@ -105,7 +105,11 @@ class LossBreakdown:
 
 class NetworkFlow:
     """Velocity/pressure fields read from the two flow networks. Callers
-    that need no pressure use `velocity`, which records no pressure network."""
+    that need no pressure use `velocity`, which records no pressure network.
+
+    Every adapter also has `read`, the same fields as plain values at
+    points given as arrays (a batch) or floats (one point), bitwise equal
+    to what its recorded methods compute there, with no record."""
 
     def __init__(self, velocity_net, pressure_net):
         self.velocity_net = velocity_net
@@ -118,6 +122,15 @@ class NetworkFlow:
     def velocity_pressure(self, tape, r, z, t):
         u_z, u_r = self.velocity(tape, r, z, t)
         (p,) = self.pressure_net.forward(tape, [r, z, t])
+        return u_z, u_r, p
+
+    def read(self, r, z, t, pressure: bool = True):
+        """(u_z, u_r, p), or (u_z, u_r) without `pressure`, which then
+        evaluates no pressure network."""
+        u_z, u_r = _read_network(self.velocity_net, r, z, t)
+        if not pressure:
+            return u_z, u_r
+        (p,) = _read_network(self.pressure_net, r, z, t)
         return u_z, u_r, p
 
 
@@ -135,6 +148,10 @@ class AnalyticFlow:
     def velocity_pressure(self, tape, r, z, t):
         return (*self.velocity(tape, r, z, t), _ensure(tape, self.pressure(r, z, t)))
 
+    def read(self, r, z, t, pressure: bool = True):
+        u_z, u_r = self.u_z(r, z, t), self.u_r(r, z, t)
+        return (u_z, u_r, self.pressure(r, z, t)) if pressure else (u_z, u_r)
+
 
 class NetworkDisplacement:
     def __init__(self, displacement_net):
@@ -142,6 +159,10 @@ class NetworkDisplacement:
 
     def radial(self, tape, r, z, t):
         (eta,) = self.displacement_net.forward(tape, [r, z, t])
+        return eta
+
+    def read(self, r, z, t):
+        (eta,) = _read_network(self.displacement_net, r, z, t)
         return eta
 
 
@@ -152,10 +173,24 @@ class AnalyticDisplacement:
     def radial(self, tape, r, z, t):
         return _ensure(tape, self.eta(r, z, t))
 
+    def read(self, r, z, t):
+        return self.eta(r, z, t)
+
 
 class ZeroDisplacement:
     def radial(self, tape, r, z, t):
         return tape.constant(0.0)
+
+    def read(self, r, z, t):
+        return 0.0
+
+
+def _read_network(net, r, z, t):
+    """Plain outputs of `net` at (r, z, t), stacked into rows as
+    `FieldNetwork.forward` stacks its inputs: arrays give an (n, 3) batch
+    and floats a 1-d row, the layout of the record's scalar leaves, so the
+    products are the same products."""
+    return tuple(net.evaluate(np.stack(np.broadcast_arrays(r, z, t), axis=-1)).T)
 
 
 def _ensure(tape, v):

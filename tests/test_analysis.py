@@ -5,15 +5,16 @@ import csv
 import numpy as np
 import pytest
 
-from vesselflow import autodiff as ad
+from vesselflow import autodiff as ad, nets
 from vesselflow.analysis import (
-    AnalysisError, EvaluationGrid, ProbeSeries, default_probes, export_fields,
-    outlet_flux, poiseuille_oracle, pressure_drop_oracle, probe, relative_error,
-    traction_norm, write_flux_csv, write_probe_csv,
+    AnalysisError, EvaluationGrid, ProbeSeries, _read_current, default_probes,
+    export_fields, outlet_flux, poiseuille_oracle, pressure_drop_oracle, probe,
+    relative_error, speed_field, traction_norm, write_flux_csv, write_probe_csv,
 )
-from vesselflow.domain import VesselGeometry
+from vesselflow.domain import VesselGeometry, reference_radius
 from vesselflow.physics import (
-    AnalyticFlow, FluidProperties, ZeroDisplacement, current_frame,
+    AnalyticFlow, FluidProperties, NetworkDisplacement, NetworkFlow, ZeroDisplacement,
+    current_frame,
 )
 
 GEOM = VesselGeometry()
@@ -30,22 +31,27 @@ def poiseuille_flow():
     )
 
 
+def recorded_fields(flow, displacement, r, z, t):
+    """u_z, u_r, p and eta as the record computes them: current_frame,
+    then velocity_pressure."""
+    tape = ad.Tape()
+    r_t, z_t, t_p, eta = current_frame(tape, tape.batch(r), tape.batch(z), tape.batch(t),
+                                       displacement)
+    return [*(v.value for v in flow.velocity_pressure(tape, r_t, z_t, t_p)), eta.value]
+
+
 def export_fields_csv_writer(path, flow, displacement, grid):
-    """Reference export: csv.writer over the repr of each cell."""
+    """Reference export: the recorded read, written by csv.writer over the
+    repr of each cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_s", "r_cm", "z_cm", "u_z_cm_per_s", "u_r_cm_per_s",
                          "p_dyn_per_cm2", "eta_cm"])
         n = len(grid.r_centers)
         for t in grid.times:
-            tape = ad.Tape()
-            r = tape.batch(grid.r_centers)
-            z = tape.batch(grid.z_centers)
-            tt = tape.batch(np.full(n, t))
-            r_t, z_t, t_p, eta = current_frame(tape, r, z, tt, displacement)
-            u_z, u_r, p = flow.velocity_pressure(tape, r_t, z_t, t_p)
             cols = [np.broadcast_to(np.asarray(c, dtype=np.float64), (n,))
-                    for c in (u_z.value, u_r.value, p.value, eta.value)]
+                    for c in recorded_fields(flow, displacement, grid.r_centers,
+                                             grid.z_centers, np.full(n, t))]
             for k in range(n):
                 writer.writerow([repr(float(t)), repr(float(grid.r_centers[k])),
                                  repr(float(grid.z_centers[k])),
@@ -261,3 +267,87 @@ class TestExports:
         assert len(lines) == 4
         last = float(lines[-1].split(",")[2])
         assert last == pytest.approx(0.625 * np.pi * 1.0, rel=1e-3)
+
+
+def network_adapters(wall):
+    """Small untrained u, p (and d) networks; the "moving" wall's
+    displacement network is not zeroed, so the ALE shift moves points."""
+    flow = NetworkFlow(nets.build(4, 8, 3, 2, seed=1, name="u"),
+                       nets.build(4, 6, 3, 1, seed=2, name="p"))
+    if wall == "rigid":
+        return flow, ZERO_DISP
+    return flow, NetworkDisplacement(nets.build(4, 8, 3, 1, seed=3, name="d"))
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+def recorded_flux(flow, displacement, t, geometry, n_quad=256):
+    """outlet_flux with the wall displacement read from scalar leaves and
+    the profile from a recorded batch."""
+    tape = ad.Tape()
+    eta = displacement.radial(tape, tape.scalar(geometry.radius),
+                              tape.scalar(geometry.length), tape.scalar(t))
+    s = np.linspace(0.0, (reference_radius(geometry, geometry.length) + float(eta.value)) ** 2,
+                    n_quad)
+    tape = ad.Tape()
+    u_z, _ = flow.velocity(tape, tape.batch(np.sqrt(s)),
+                           tape.batch(np.full(n_quad, geometry.length)),
+                           tape.batch(np.full(n_quad, t)))
+    return float(np.trapezoid(np.pi * u_z.value, s))
+
+
+@pytest.mark.parametrize("wall", ["rigid", "moving"])
+class TestPlainReads:
+    """export_fields, probe and the outlet flux read network fields without
+    a record, bit for bit equal to the recorded read."""
+
+    def test_no_record_is_built(self, tmp_path, monkeypatch, wall):
+        flow, disp = network_adapters(wall)
+        made = []
+
+        class CountingTape(ad.Tape):
+            def __init__(self):
+                made.append(1)
+                super().__init__()
+
+        monkeypatch.setattr(ad, "Tape", CountingTape)
+        grid = EvaluationGrid.build(GEOM, n_r=4, n_z=4, n_t=2)
+        export_fields(tmp_path / "fields.csv", flow, disp, grid)
+        probe(default_probes(GEOM), np.array([0.5, 1.0]), flow, disp)
+        write_flux_csv(tmp_path / "flux.csv", flow, disp, GEOM, np.array([0.5, 1.0]))
+        assert made == []
+
+    def test_export_matches_record(self, tmp_path, wall):
+        flow, disp = network_adapters(wall)
+        grid = EvaluationGrid.build(GEOM, n_r=24, n_z=24, n_t=2)
+        path, reference = tmp_path / "fields.csv", tmp_path / "reference.csv"
+        export_fields(path, flow, disp, grid)
+        export_fields_csv_writer(reference, flow, disp, grid)
+        assert path.read_bytes() == reference.read_bytes()
+
+    def test_probe_matches_record(self, wall):
+        flow, disp = network_adapters(wall)
+        times = np.linspace(0.1, 2.0, 7)
+        points = [(0.0, 0.0), (-0.2, 0.7), (0.1, 2.0)]
+        for (r0, z0), got in zip(points, probe(points, times, flow, disp)):
+            u_z, u_r, p, _ = recorded_fields(flow, disp, np.full(7, r0), np.full(7, z0), times)
+            assert same_bits(got.velocity_magnitude, np.hypot(u_z, u_r))
+            assert same_bits(got.pressure, p)
+
+    def test_outlet_flux_matches_record(self, wall):
+        flow, disp = network_adapters(wall)
+        for t in (0.0, 0.3, 1.7):
+            if wall == "moving":
+                assert disp.read(GEOM.radius, GEOM.length, t) != 0.0
+            assert same_bits(outlet_flux(flow, disp, t, GEOM), recorded_flux(flow, disp, t, GEOM))
+
+    def test_recorded_speed_field_matches_plain_read(self, wall):
+        flow, disp = network_adapters(wall)
+        grid = EvaluationGrid.build(GEOM, n_r=16, n_z=16, n_t=2)
+        field = speed_field(flow, disp)
+        for t in grid.times:
+            u_z, u_r, _, _ = _read_current(flow, disp, grid.r_centers, grid.z_centers,
+                                           np.full(len(grid), t))
+            assert same_bits(field(grid.r_centers, grid.z_centers, t), np.hypot(u_z, u_r))

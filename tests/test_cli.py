@@ -161,6 +161,15 @@ def _small_training_args(tmp_path, extra=()):
     return cfg_path, out_dir, ["--config", str(cfg_path), "--out-dir", str(out_dir), *extra]
 
 
+@pytest.fixture
+def checkpoint_args(tmp_path):
+    """Config and seeded-checkpoint arguments of the small training scenario."""
+    cfg_path, _, _ = _small_training_args(tmp_path)
+    ckpt = tmp_path / "seeded.npz"
+    nets.save_networks(ckpt, build_networks(load_config(cfg_path), seed=0))
+    return ["--config", str(cfg_path), "--checkpoint", str(ckpt)]
+
+
 class TestTrainCommand:
     def test_produces_run_artifacts(self, tmp_path, capsys):
         cfg_path, out_dir, argv = _small_training_args(tmp_path)
@@ -228,16 +237,22 @@ class TestTrainCommand:
         assert (rerun / "config.json").read_bytes() == (out_dir / "config.json").read_bytes()
 
 
+class TestProbeCommand:
+    def test_negative_first_point_after_a_space(self, tmp_path, checkpoint_args, capsys):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        points = "-0.1,0.5;0.1,1"
+        assert main(["probe", *checkpoint_args, "--points", points, "--times", "2",
+                     "--out", str(spaced)]) == 0
+        assert main(["probe", *checkpoint_args, f"--points={points}", "--times", "2",
+                     "--out", str(joined)]) == 0
+        rows = spaced.read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["-0.1", "0.5"]] * 2 + [["0.1", "1.0"]] * 2
+        assert spaced.read_bytes() == joined.read_bytes()
+
+
 class TestBadInput:
     """Input a command cannot use is reported as one `error:` line with
     exit code 2, not as a traceback."""
-
-    @pytest.fixture
-    def checkpoint_args(self, tmp_path):
-        cfg_path, _, _ = _small_training_args(tmp_path)
-        ckpt = tmp_path / "seeded.npz"
-        nets.save_networks(ckpt, build_networks(load_config(cfg_path), seed=0))
-        return ["--config", str(cfg_path), "--checkpoint", str(ckpt)]
 
     def test_fluid_epochs_not_whole_rounds(self, tmp_path, capsys):
         _, _, argv = _small_training_args(tmp_path)
@@ -324,6 +339,25 @@ class TestBadInput:
         out = tmp_path / "probes.csv"
         assert main(["probe", *checkpoint_args, "--points", points, "--out", str(out)]) == 2
         assert "lies outside the vessel" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["truncated", "empty", "no-header"])
+    def test_checkpoint_that_cannot_be_read(self, tmp_path, checkpoint_args, capsys, kind):
+        seeded = tmp_path / "seeded.npz"
+        bad = tmp_path / f"{kind}.npz"
+        if kind == "truncated":
+            bad.write_bytes(seeded.read_bytes()[:500])
+        elif kind == "empty":
+            bad.write_bytes(b"")
+        else:
+            with np.load(seeded) as data:
+                np.savez(bad, **{key: data[key] for key in data.files if key != "header"})
+        args = [*checkpoint_args[:2], "--checkpoint", str(bad)]
+        out = tmp_path / "out.csv"
+        for command in (["evaluate"], ["probe", "--out", str(out)],
+                        ["export-fields", "--out", str(out)]):
+            assert main([*command, *args]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot load checkpoint {bad}: ")
         assert not out.exists()
 
     def test_checkpoint_naming_other_activations(self, tmp_path, capsys):
