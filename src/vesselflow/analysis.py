@@ -4,7 +4,7 @@ Everything here treats trained networks as immutable functions accessed
 through the same field adapters the residuals use. Reads that take no
 derivative (`export_fields`, `probe`, `outlet_flux`) use the adapters'
 plain `read`, so they build no record; their values are bitwise equal
-to the recorded ones. `speed_field` and `traction_norm` still record.
+to the recorded ones. `speed_field` still records.
 Reference solutions are closed-form oracles or saved field files, never
 a live solve.
 """
@@ -98,45 +98,6 @@ def pressure_drop_oracle(z, u_max: float, r0: float, mu: float):
 # ----------------------------------------------------------------------
 # observables
 
-def _flow_with_gradients(flow, r_val, z_val, t_val):
-    """Velocity, pressure and current-frame first derivatives at points
-    given directly in current coordinates."""
-    tape = ad.Tape()
-    to_leaf = tape.batch if isinstance(r_val, np.ndarray) else tape.scalar
-    r = to_leaf(r_val)
-    z = to_leaf(np.asarray(z_val, dtype=np.float64)
-                if isinstance(r_val, np.ndarray) else z_val)
-    t = to_leaf(np.asarray(t_val, dtype=np.float64)
-                if isinstance(r_val, np.ndarray) else t_val)
-    u_z, u_r, p = flow.velocity_pressure(tape, r, z, t)
-    duz = tape.grad(u_z, [r, z])
-    dur = tape.grad(u_r, [r, z])
-    return {
-        "u_z": u_z.value, "u_r": u_r.value, "p": p.value,
-        "duz_dr": duz[0].value, "duz_dz": duz[1].value,
-        "dur_dr": dur[0].value, "dur_dz": dur[1].value,
-    }
-
-
-def traction_norm(flow, point, normal, fluid) -> float:
-    """Euclidean norm of the fluid traction sigma . n at a current-frame
-    surface point, sigma = -P I + 2 mu D(u)."""
-    r, z, t = point
-    f = _flow_with_gradients(flow, r, z, t)
-    mu = fluid.viscosity
-    n_r, n_z = normal
-    norm = np.hypot(n_r, n_z)
-    if norm == 0:
-        raise AnalysisError("surface normal must be nonzero")
-    n_r, n_z = n_r / norm, n_z / norm
-    s_rr = -f["p"] + 2.0 * mu * f["dur_dr"]
-    s_zz = -f["p"] + 2.0 * mu * f["duz_dz"]
-    s_rz = mu * (f["dur_dz"] + f["duz_dr"])
-    t_r = s_rr * n_r + s_rz * n_z
-    t_z = s_rz * n_r + s_zz * n_z
-    return float(np.hypot(t_r, t_z))
-
-
 def outlet_flux(flow, displacement, t: float, geometry: VesselGeometry,
                 n_quad: int = 256) -> float:
     """Volumetric flux through the current outlet section.
@@ -144,10 +105,9 @@ def outlet_flux(flow, displacement, t: float, geometry: VesselGeometry,
     Composite trapezoid in the squared-radius variable: with s = r^2 the
     integral is pi * int u_z(sqrt(s)) ds, so parabolic profiles integrate
     exactly and the annular area weighting is built into the substitution."""
-    # floats, not one-element arrays: the wall point is then a 1-d row, as
-    # in a record of scalar leaves (see `FieldNetwork.evaluate`)
-    wall_eta = float(displacement.read(geometry.radius, geometry.length, float(t)))
-    radius_now = reference_radius(geometry, geometry.length) + wall_eta
+    # the wall point as a one-row batch, as a record of it would be
+    r_w, z_w, t_w = (np.array([v]) for v in (geometry.radius, geometry.length, float(t)))
+    radius_now = float((reference_radius(geometry, z_w) + displacement.read(r_w, z_w, t_w))[0])
     s = np.linspace(0.0, radius_now**2, n_quad)
     u_z, _ = flow.read(np.sqrt(s), np.full(n_quad, geometry.length),
                        np.full(n_quad, t), pressure=False)

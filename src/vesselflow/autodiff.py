@@ -9,21 +9,21 @@ derivatives stay trainable, and a second derivative is the tangent of a
 tangent. Parameter gradients come from one backward pass that produces
 plain numbers (``Tape.backward_values``).
 
-Node values are float64 scalars or arrays whose leading axis, when there
-is one more than the op needs, is a lockstep batch: one independent value
-per collocation point, evaluated together. Pointwise values are scalars
-or 1-d batches; every operation on them is elementwise and ``Tape.mean``
-collapses a batch to a true scalar. The record holds one node per network
-layer, not per neuron: a stack joins k pointwise nodes into a row of k
-(shape (k,) or (n, k)), a layer (affine) node computes
-``act(x @ W.T + b)`` in one product with W and b read by offset from a
-registered parameter vector and `act` a sigmoid, a relu or nothing, and a
-select node reads one entry of the row back out. The pre-activation
-``x @ W.T + b`` is never stored: no derivative rule reads it. Because the
-batch axis leads, a value without it broadcasts against one with it, as in
-numpy. ``activate`` is the one activation arithmetic of layer nodes,
-``sigmoid``/``relu`` and ``nets.FieldNetwork.evaluate``, so on batched
-inputs ``evaluate`` equals a recorded forward bit for bit.
+Every input leaf is a lockstep batch: a 1-d array holding one
+independent value per collocation point, evaluated together; a single
+point is a batch of one. Constants, means and tangents that are equal at
+every point are float64 scalars, which broadcast against batches as in
+numpy. Every operation on pointwise values is elementwise and
+``Tape.mean`` collapses a batch to a scalar. The record holds one node per
+network layer, not per neuron: a stack joins k pointwise nodes into a row
+of k (shape (n, k), or (k,) for a row of scalars), a layer (affine) node
+computes ``act(x @ W.T + b)`` in one product with W and b read by offset
+from a registered parameter vector and `act` a sigmoid, a relu or
+nothing, and a select node reads one entry of the row back out. The
+pre-activation ``x @ W.T + b`` is never stored: no derivative rule reads
+it. ``activate`` is the one activation arithmetic of layer nodes,
+``sigmoid``/``relu`` and ``nets.FieldNetwork.evaluate``, so ``evaluate``
+equals a recorded forward bit for bit.
 
 Tangents close over the same ops. The tangent of a layer node is its
 recorded slope times the same affine map without bias or activation
@@ -116,8 +116,8 @@ def activate(act, z):
 
 
 def _step_value(v):
-    """1.0 where v > 0, else 0.0 (NaN included), as a batch or a float."""
-    return (v > 0.0).astype(np.float64) if _is_batch(v) else (1.0 if v > 0.0 else 0.0)
+    """1.0 where v > 0, else 0.0 (NaN included)."""
+    return np.greater(v, 0.0).astype(np.float64)
 
 
 def _slope_value(act, out):
@@ -138,8 +138,8 @@ def _outer_sum(a, b):
 
 
 class DiffScalar:
-    """Handle to one entry of a Tape: a scalar, a lockstep batch or a
-    layer row. Behaves like a real number."""
+    """Handle to one entry of a Tape: a lockstep batch, a layer row or a
+    scalar equal at every point. Behaves like a real number."""
 
     __slots__ = ("tape", "index")
 
@@ -190,7 +190,7 @@ class DiffScalar:
 
 
 class Tape:
-    """Append-only computation record over scalar, batched or layer values."""
+    """Append-only computation record over batched, layer and scalar values."""
 
     def __init__(self):
         self._ops: list[int] = []
@@ -236,12 +236,9 @@ class Tape:
             found = self._shared[key] = self._push(op, args).index
         return found
 
-    def scalar(self, value: float) -> DiffScalar:
-        """New input leaf holding one real value."""
-        return self._push(_LEAF, (), float(value))
-
     def batch(self, values) -> DiffScalar:
-        """New input leaf holding a lockstep batch of independent reals."""
+        """New input leaf holding a lockstep batch of independent reals;
+        one point is a batch of one."""
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1:
             raise RecordError("batched leaves must be 1-d")
@@ -277,14 +274,10 @@ class Tape:
         """Overwrite an input leaf before a replay. Batch length must not change."""
         if self._ops[leaf.index] != _LEAF:
             raise RecordError("only leaves can be overwritten")
-        old = self._vals[leaf.index]
-        if _is_batch(old):
-            arr = np.asarray(value, dtype=np.float64)
-            if arr.shape != old.shape:
-                raise RecordError("batch shape changed on leaf overwrite")
-            self._vals[leaf.index] = arr.copy()
-        else:
-            self._vals[leaf.index] = float(value)
+        arr = np.asarray(value, dtype=np.float64)
+        if arr.shape != self._vals[leaf.index].shape:
+            raise RecordError("batch shape changed on leaf overwrite")
+        self._vals[leaf.index] = arr.copy()
         self._changed.add(leaf.index)
 
     # ------------------------------------------------------------------
@@ -471,9 +464,10 @@ class Tape:
         merely produce the root's value are not followed. Tangents are
         cached per root, so later calls reuse the layers earlier ones
         recorded, and a second derivative is the tangent of a tangent. A
-        derivative equal at every point may lack the batch axis. Affine
-        weights are not nodes: parameter gradients come from
-        ``backward_values``.
+        derivative equal at every point may lack the batch axis. A tangent
+        cannot pass through a batch mean; record the mean of the per-point
+        tangent instead. Affine weights are not nodes: parameter gradients
+        come from ``backward_values``.
         """
         roots = [w.index for w in wrt]
         for b in roots:
@@ -570,11 +564,8 @@ class Tape:
         if op == _COS:
             return node(_NEG, mul(node(_SIN, a[0]), tx))
         if op == _SUM:
-            if _is_batch(self._vals[a[0]]) and _is_batch(self._vals[root]):
-                raise RecordError(f"node {i} (mean): a per-point tangent of batched "
-                                  f"root node {root} cannot differentiate a batch mean")
-            # the mean of a tangent equal at every point is that tangent
-            return node(_SUM, tx, a[1]) if _is_batch(self._vals[tx]) else tx
+            raise RecordError(f"node {i} (mean): the tangent along root node {root} "
+                              "cannot pass a batch mean; take the mean of the tangent")
         if op == _SELECT:
             return node(_SELECT, tx, a[1])
         if op == _AFFINE:
@@ -804,21 +795,26 @@ def detach(x):
 # ----------------------------------------------------------------------
 # functional front ends
 
+def _point_value(node: DiffScalar) -> float:
+    """The value of a node at the one point of a one-point record."""
+    return float(np.asarray(node.value).item())
+
+
 def grad_inputs(f: Callable, x: Sequence[float]) -> list[float]:
     """First derivatives of ``f(*leaves)`` with respect to every input, as
     recorded forward tangents."""
     tape = Tape()
-    leaves = [tape.scalar(v) for v in x]
-    return [float(g.value) for g in tape.grad(f(*leaves), leaves)]
+    leaves = [tape.batch([v]) for v in x]
+    return [_point_value(g) for g in tape.grad(f(*leaves), leaves)]
 
 
 def second_derivative(f: Callable, x: Sequence[float], i: int, j: int) -> float:
     """d2 f / dx_i dx_j: the tangent along x_j of the tangent along x_i."""
     tape = Tape()
-    leaves = [tape.scalar(v) for v in x]
+    leaves = [tape.batch([v]) for v in x]
     (gi,) = tape.grad(f(*leaves), [leaves[i]])
     (gij,) = tape.grad(gi, [leaves[j]])
-    return float(gij.value)
+    return _point_value(gij)
 
 
 def param_grad(loss: DiffScalar, group: str) -> np.ndarray:
@@ -837,8 +833,7 @@ def fd_check(f: Callable, x: Sequence[float], step: float) -> float:
 
     def feval(pt):
         tape = Tape()
-        leaves = [tape.scalar(v) for v in pt]
-        return float(f(*leaves).value)
+        return _point_value(f(*[tape.batch([v]) for v in pt]))
 
     worst = 0.0
     g = grad_inputs(f, x)

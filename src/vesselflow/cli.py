@@ -132,17 +132,26 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+_REFERENCE_COLUMNS = ("t_s", "r_cm", "z_cm", "u_z_cm_per_s", "u_r_cm_per_s")
+
+
 def _reference_from_csv(path):
     """Nodal lookup for a field snapshot written by export-fields."""
     import csv as _csv
 
     table = {}
     with open(path) as fh:
-        for row in _csv.DictReader(fh):
-            key = (round(float(row["t_s"]), 12), round(float(row["r_cm"]), 12),
-                   round(float(row["z_cm"]), 12))
-            table[key] = np.hypot(float(row["u_z_cm_per_s"]),
-                                  float(row["u_r_cm_per_s"]))
+        reader = _csv.DictReader(fh)
+        missing = [c for c in _REFERENCE_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise CliError(f"reference file {path} is missing columns: {', '.join(missing)}")
+        for row in reader:
+            try:
+                t, r, z, u_z, u_r = (float(row[c]) for c in _REFERENCE_COLUMNS)
+            except (TypeError, ValueError):  # a short row reads None
+                raise CliError(f"reference file {path}, line {reader.line_num}: "
+                               "a cell is not a number")
+            table[(round(t, 12), round(r, 12), round(z, 12))] = np.hypot(u_z, u_r)
 
     def field(r, z, t):
         out = np.empty(len(r))

@@ -68,20 +68,17 @@ class RegionTag(Enum):
 WALL_SUBTAGS = (RegionTag.WALL_UPSTREAM, RegionTag.WALL_PLAQUE, RegionTag.WALL_DOWNSTREAM)
 
 
-def reference_radius(geometry: VesselGeometry, z) -> "float | np.ndarray":
-    """Lumen radius of the undeformed wall at axial position z."""
+def reference_radius(geometry: VesselGeometry, z) -> np.ndarray:
+    """Lumen radius of the undeformed wall at axial positions z, shaped
+    like z."""
+    z = np.asarray(z, dtype=np.float64)
     p = geometry.plaque
     if p is None:
-        return np.full_like(np.asarray(z, dtype=np.float64), geometry.radius) \
-            if isinstance(z, np.ndarray) else geometry.radius
-    z_arr = np.asarray(z, dtype=np.float64)
-    inside = np.abs(z_arr - p.center_z) <= p.long_radius
-    dent = np.zeros_like(z_arr)
+        return np.full_like(z, geometry.radius)
+    inside = np.abs(z - p.center_z) <= p.long_radius
     ratio = (p.short_radius / p.long_radius) ** 2
-    local = p.short_radius**2 - ratio * (z_arr - p.center_z) ** 2
-    dent = np.where(inside, np.sqrt(np.maximum(local, 0.0)), 0.0)
-    out = geometry.radius - dent
-    return out if isinstance(z, np.ndarray) else float(out)
+    local = p.short_radius**2 - ratio * (z - p.center_z) ** 2
+    return geometry.radius - np.where(inside, np.sqrt(np.maximum(local, 0.0)), 0.0)
 
 
 def wall_subtag(geometry: VesselGeometry, z: float) -> RegionTag:
@@ -164,20 +161,20 @@ def sample(geometry: VesselGeometry, region: RegionTag, count: int, seed: int,
     return SampleSet(rs, zs, ts, region, seed, subtags)
 
 
-def radial_direction(r) -> "float | np.ndarray":
-    """Outward unit direction along the signed radial coordinate; +1 at r=0."""
-    if isinstance(r, np.ndarray):
-        return np.where(r >= 0.0, 1.0, -1.0)
-    return 1.0 if r >= 0.0 else -1.0
+def radial_direction(r) -> np.ndarray:
+    """Outward unit direction along the signed radial coordinates r, shaped
+    like r; +1 at r=0."""
+    return np.where(np.asarray(r) >= 0.0, 1.0, -1.0)
 
 
 def clamp_radius(r, eps_r: float):
     """Signed radius pushed away from the axis: |1/clamp| <= 1/eps_r.
 
     Equal to r when |r| >= eps_r. The sign at exactly 0 is taken as +1 so
-    the clamp never returns 0. Works on numbers and recorded scalars; for
-    recorded scalars the sign is recorded as 1 - 2 step(-r), a function
-    of r with zero derivative, so a replay at a new r takes the new sign."""
+    the clamp never returns 0. Works on numbers, arrays and recorded
+    batches; for a recorded batch the sign is recorded as 1 - 2 step(-r), a
+    function of r with zero derivative, so a replay at a new r takes the new
+    sign."""
     if eps_r <= 0:
         raise GeometryError("eps_r must be positive")
     if isinstance(r, ad.DiffScalar):

@@ -76,16 +76,12 @@ class FieldNetwork:
         return [tape.select(x, k) for k in range(self.out_dim)]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Plain numpy forward over rows of `points`, shape (n, in_dim) -> (n, out_dim);
-        a single point given as a 1-d (in_dim,) row gives (out_dim,).
+        """Plain numpy forward over rows of `points`, shape (n, in_dim) -> (n, out_dim).
 
         Each layer is ``x @ W.T`` with the bias added in place, followed by
         the record's own activation code, as the record's layer nodes
         compute it. So for n rows this is bitwise equal to the values
-        `forward` records from n-point batches, and for a 1-d row to those
-        it records from scalar leaves. A one-row (1, in_dim) batch takes a
-        matrix product where the 1-d row takes a vector product, and the two
-        need not round alike."""
+        `forward` records from n-point batches."""
         x = np.ascontiguousarray(points, dtype=np.float64)
         for layer in range(self.depth):
             x = x @ self.weight(layer).T

@@ -107,9 +107,9 @@ class NetworkFlow:
     """Velocity/pressure fields read from the two flow networks. Callers
     that need no pressure use `velocity`, which records no pressure network.
 
-    Every adapter also has `read`, the same fields as plain values at
-    points given as arrays (a batch) or floats (one point), bitwise equal
-    to what its recorded methods compute there, with no record."""
+    Every adapter also has `read`, the same fields as plain values at a
+    batch of points given as arrays, bitwise equal to what its recorded
+    methods compute there, with no record."""
 
     def __init__(self, velocity_net, pressure_net):
         self.velocity_net = velocity_net
@@ -186,10 +186,9 @@ class ZeroDisplacement:
 
 
 def _read_network(net, r, z, t):
-    """Plain outputs of `net` at (r, z, t), stacked into rows as
-    `FieldNetwork.forward` stacks its inputs: arrays give an (n, 3) batch
-    and floats a 1-d row, the layout of the record's scalar leaves, so the
-    products are the same products."""
+    """Plain outputs of `net` at a batch (r, z, t), stacked into (n, 3)
+    rows as `FieldNetwork.forward` stacks its inputs, so the products are
+    the same products."""
     return tuple(net.evaluate(np.stack(np.broadcast_arrays(r, z, t), axis=-1)).T)
 
 
@@ -203,13 +202,11 @@ def _ensure(tape, v):
 
 def _fresh_copy(tape, leaf: ad.DiffScalar) -> ad.DiffScalar:
     """Independent leaf carrying the same value (the duplicated-time trick)."""
-    v = leaf.value
-    return tape.batch(v) if isinstance(v, np.ndarray) else tape.scalar(v)
+    return tape.batch(leaf.value)
 
 
 def _direction_node(tape, r: ad.DiffScalar):
-    d = radial_direction(r.value)
-    return tape.batch_constant(d) if isinstance(d, np.ndarray) else tape.constant(d)
+    return tape.batch_constant(radial_direction(r.value))
 
 
 def current_frame(tape, r, z, t, displacement):
@@ -251,8 +248,9 @@ def _axisym_ns(tape, r, z, t, flow, displacement, fluid: FluidProperties, eps_r)
 
 def ns_residual_axisym(flow, displacement, point, fluid: FluidProperties,
                        eps_r: float):
-    """Axisymmetric momentum and mass residuals at one reference point
-    (or a lockstep batch of points). Returns (res_z, res_r, res_div)."""
+    """Axisymmetric momentum and mass residuals at a lockstep batch of
+    reference points (one point is a batch of one). Returns (res_z, res_r,
+    res_div)."""
     tape = ad.Tape()
     r, z, t = _point_leaves(tape, point)
     return _axisym_ns(tape, r, z, t, flow, displacement, fluid, eps_r)
@@ -279,9 +277,7 @@ def _radius_expr(tape, geometry: VesselGeometry, z, segment: RegionTag):
     """Undeformed wall radius as a recorded function of the axial leaf."""
     p = geometry.plaque
     if p is None or segment not in (RegionTag.WALL_PLAQUE,):
-        return _ensure(tape, np.full_like(np.asarray(z.value, dtype=np.float64),
-                                          geometry.radius)
-                       if isinstance(z.value, np.ndarray) else geometry.radius)
+        return tape.batch_constant(np.full_like(z.value, geometry.radius))
     ratio = p.short_radius**2 / p.long_radius**2
     offset = z - p.center_z
     return geometry.radius - ad.sqrt(p.short_radius**2 - ratio * offset * offset)
@@ -315,11 +311,7 @@ def _stress_continuity(tape, z, t, direction, segment, flow, displacement,
     load = (ratio * p - ratio * stretch * fluid.viscosity * shear) \
         / (wall.density * wall.thickness)
 
-    restoring = wall.restoring_at_radius(
-        np.asarray(radius0.value, dtype=np.float64)
-        if isinstance(radius0.value, np.ndarray) else radius0.value
-    )
-    b_node = _ensure(tape, restoring)
+    b_node = tape.batch_constant(wall.restoring_at_radius(radius0.value))
     return d2eta_dtt + b_node * eta - load
 
 
@@ -341,9 +333,8 @@ def stress_continuity_residual(flow, displacement, point, wall: WallProperties,
 def _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor):
     r_t, z_t, t_p, _ = current_frame(tape, r, z, t, displacement)
     u_z, u_r = flow.velocity(tape, r_t, z_t, t_p)
-    factor = inlet_factor(np.asarray(t.value, dtype=np.float64))
     profile = 1.0 - (r_t * r_t) * (1.0 / geometry.radius**2)
-    target = _ensure(tape, factor if isinstance(t.value, np.ndarray) else float(factor)) * profile
+    target = tape.batch_constant(inlet_factor(t.value)) * profile
     return u_z - target, u_r
 
 
@@ -405,14 +396,9 @@ def initial_residuals(flow, displacement, point, which: str = "fluid"):
 
 
 def _point_leaves(tape, point):
-    r, z, t = point
-    return _leaf(tape, r), _leaf(tape, z), _leaf(tape, t)
-
-
-def _leaf(tape, v):
-    if isinstance(v, np.ndarray):
-        return tape.batch(v)
-    return tape.scalar(float(v))
+    """Batch leaves (r, z, t) for points given as arrays or as floats (one
+    point, a batch of one)."""
+    return tuple(tape.batch(np.atleast_1d(v)) for v in point)
 
 
 def mean_square(tape, components: Sequence[ad.DiffScalar]) -> ad.DiffScalar:
@@ -484,8 +470,9 @@ def _weighted_union(tape, parts: list[tuple[int, ad.DiffScalar]]) -> ad.DiffScal
 class FluidLossGraph:
     """Recorded flow-problem loss over one collocation draw.
 
-    The momentum-residual weight is a leaf so the staged schedule can
-    raise it without rebuilding the record."""
+    The momentum-residual weight is a length-1 leaf, so the staged
+    schedule can raise it without rebuilding the record. The total reads
+    it through a mean, which keeps the total a scalar."""
 
     def __init__(self, flow, displacement, samples: CollocationSamples,
                  geometry: VesselGeometry, fluid: FluidProperties,
@@ -519,17 +506,17 @@ class FluidLossGraph:
         init_res = _initial_fluid(tape, r, z, t, flow, displacement)
         self.term_init = mean_square(tape, init_res)
 
-        self._alpha_ns = tape.scalar(weights.ns)
-        self.total = ((self._alpha_ns * self.term_ns
+        self._alpha_ns = tape.batch([weights.ns])
+        self.total = ((tape.mean(self._alpha_ns) * self.term_ns
                        + tape.constant(weights.fluid_bdr) * self.term_bdr)
                       + tape.constant(weights.fluid_init) * self.term_init)
 
     @property
     def alpha_ns(self) -> float:
-        return float(self._alpha_ns.value)
+        return float(self._alpha_ns.value[0])
 
     def set_alpha_ns(self, value: float) -> None:
-        self.tape.set_value(self._alpha_ns, value)
+        self.tape.set_value(self._alpha_ns, [value])
 
     def replay(self) -> None:
         self.tape.replay()

@@ -68,7 +68,7 @@ def test_criterion_2_autodiff_fd_suite():
 
     def feval(f, pt):
         tape = ad.Tape()
-        return float(f(*[tape.scalar(v) for v in pt]).value)
+        return f(*[tape.batch([v]) for v in pt]).value.item()
 
     worst_first = worst_second = 0.0
     for name, f in primitives.items():
@@ -154,13 +154,13 @@ def test_criterion_3_manufactured_solutions():
     worst_sc = 0.0
     for t in np.linspace(0, geometry.horizon, 60):
         r = stress_continuity_residual(quiet, osc, (r0, 0.9, t), wall, fluid, geometry)
-        worst_sc = max(worst_sc, abs(r.value))
+        worst_sc = max(worst_sc, abs(r.value.item()))
     assert worst_sc < 1e-8
 
     linear = AnalyticDisplacement(lambda r, z, t: 0.3 * z + 0.05)
     worst_he = 0.0
     for point in pts[:200]:
-        worst_he = max(worst_he, abs(harmonic_residual(linear, point, eps_r).value))
+        worst_he = max(worst_he, abs(harmonic_residual(linear, point, eps_r).value.item()))
     assert worst_he < 1e-10
 
     elapsed = time.time() - t0

@@ -1,4 +1,4 @@
-"""Error metric, flux quadrature, traction and probes against hand values."""
+"""Error metric, flux quadrature and probes against hand values."""
 
 import csv
 
@@ -9,7 +9,7 @@ from vesselflow import autodiff as ad, nets
 from vesselflow.analysis import (
     AnalysisError, EvaluationGrid, ProbeSeries, _read_current, default_probes,
     export_fields, outlet_flux, poiseuille_oracle, pressure_drop_oracle, probe,
-    relative_error, speed_field, traction_norm, write_flux_csv, write_probe_csv,
+    relative_error, speed_field, write_flux_csv, write_probe_csv,
 )
 from vesselflow.domain import VesselGeometry, reference_radius
 from vesselflow.physics import (
@@ -115,37 +115,6 @@ class TestRelativeError:
         grid = EvaluationGrid.build(GEOM, n_r=6, n_z=6, n_t=2)
         got = relative_error(lambda r, z, t: r + t, lambda r, z, t: 1.0 + 0 * r, grid)
         assert got > 0
-
-
-class TestTraction:
-    def test_static_pressure_gives_pressure_magnitude(self):
-        p0 = 250.0
-        flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0,
-                            lambda r, z, t: p0)
-        got = traction_norm(flow, (R0, 1.0, 0.1), (1.0, 0.0), FLUID)
-        assert got == pytest.approx(p0, rel=1e-12)
-
-    def test_poiseuille_wall_shear(self):
-        # |sigma . n| at the wall with zero pressure: mu |du_z/dr| = 2 mu u_max / r0
-        got = traction_norm(poiseuille_flow(), (R0, 1.0, 0.0), (1.0, 0.0), FLUID)
-        want = 2.0 * FLUID.viscosity * U_MAX / R0
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_viscosity_scales_viscous_part(self):
-        thick = FluidProperties(density=1.025, viscosity=2 * FLUID.viscosity)
-        a = traction_norm(poiseuille_flow(), (R0, 1.0, 0.0), (1.0, 0.0), FLUID)
-        b = traction_norm(poiseuille_flow(), (R0, 1.0, 0.0), (1.0, 0.0), thick)
-        assert b == pytest.approx(2 * a, rel=1e-12)
-
-    def test_normal_sign_flip_invariant(self):
-        flow = poiseuille_flow()
-        a = traction_norm(flow, (R0, 0.5, 0.0), (1.0, 0.2), FLUID)
-        b = traction_norm(flow, (R0, 0.5, 0.0), (-1.0, -0.2), FLUID)
-        assert a == pytest.approx(b, rel=1e-15)
-
-    def test_zero_normal_rejected(self):
-        with pytest.raises(AnalysisError):
-            traction_norm(poiseuille_flow(), (R0, 0.5, 0.0), (0.0, 0.0), FLUID)
 
 
 class TestOutletFlux:
@@ -284,12 +253,13 @@ def same_bits(a, b):
 
 
 def recorded_flux(flow, displacement, t, geometry, n_quad=256):
-    """outlet_flux with the wall displacement read from scalar leaves and
-    the profile from a recorded batch."""
+    """outlet_flux with the wall displacement read from a recorded one-point
+    batch and the profile from a recorded batch."""
     tape = ad.Tape()
-    eta = displacement.radial(tape, tape.scalar(geometry.radius),
-                              tape.scalar(geometry.length), tape.scalar(t))
-    s = np.linspace(0.0, (reference_radius(geometry, geometry.length) + float(eta.value)) ** 2,
+    z_w = np.array([geometry.length])
+    eta = displacement.radial(tape, tape.batch([geometry.radius]), tape.batch(z_w),
+                              tape.batch([t]))
+    s = np.linspace(0.0, (reference_radius(geometry, z_w) + eta.value).item() ** 2,
                     n_quad)
     tape = ad.Tape()
     u_z, _ = flow.velocity(tape, tape.batch(np.sqrt(s)),
@@ -340,7 +310,8 @@ class TestPlainReads:
         flow, disp = network_adapters(wall)
         for t in (0.0, 0.3, 1.7):
             if wall == "moving":
-                assert disp.read(GEOM.radius, GEOM.length, t) != 0.0
+                assert disp.read(np.array([GEOM.radius]), np.array([GEOM.length]),
+                                 np.array([t])).item() != 0.0
             assert same_bits(outlet_flux(flow, disp, t, GEOM), recorded_flux(flow, disp, t, GEOM))
 
     def test_recorded_speed_field_matches_plain_read(self, wall):

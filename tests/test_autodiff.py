@@ -90,8 +90,8 @@ def test_primitives_match_finite_differences(name):
 
     def feval(pt):
         tape = ad.Tape()
-        leaves = [tape.scalar(v) for v in pt]
-        return float(f(*leaves).value)
+        leaves = [tape.batch([v]) for v in pt]
+        return f(*leaves).value.item()
 
     rng = np.random.default_rng(17)
     checked = 0
@@ -135,8 +135,8 @@ class TestSecondDerivative:
 
         def feval(pt):
             tape = ad.Tape()
-            leaves = [tape.scalar(v) for v in pt]
-            return float(f(*leaves).value)
+            leaves = [tape.batch([v]) for v in pt]
+            return f(*leaves).value.item()
 
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -163,7 +163,7 @@ class TestParamGrad:
         theta = np.array([3.0])
         tape.register_params("w", theta)
         w = weight(tape, "w", 0)
-        x = tape.scalar(1.7)
+        x = tape.batch([1.7])
         y = w * x
         (dydx,) = tape.grad(y, [x])
         loss = dydx * dydx
@@ -174,7 +174,7 @@ class TestParamGrad:
         theta = np.array([1.0, -2.0, 0.5])
         tape.register_params("w", theta)
         weight(tape, "w", 0)  # touched but unused
-        x = tape.scalar(2.0)
+        x = tape.batch([2.0])
         loss = x * x
         assert ad.param_grad(loss, "w").tolist() == [0.0, 0.0, 0.0]
 
@@ -185,7 +185,7 @@ class TestParamGrad:
         theta = np.array([0.8])
         tape.register_params("w", theta)
         w = weight(tape, "w", 0)
-        x = tape.scalar(1.3)
+        x = tape.batch([1.3])
         y = w * x * x * x
         (g1,) = tape.grad(y, [x])
         (g2,) = tape.grad(g1, [x])
@@ -204,8 +204,8 @@ class TestBatchedValues:
         per_point = []
         for v in xs:
             t2 = ad.Tape()
-            lx = t2.scalar(v)
-            per_point.append(float((ad.exp(lx * 0.5) + lx * lx).value))
+            lx = t2.batch([v])
+            per_point.append((ad.exp(lx * 0.5) + lx * lx).value.item())
         assert np.array_equal(y.value, np.array(per_point))
 
     def test_mean_reduces_batch(self):
@@ -227,67 +227,72 @@ class TestBatchedValues:
 
     def test_mean_adjoint_reaches_every_point(self):
         # d mean(x + w) / dw = 1: the adjoint 1/n of the mean is repeated at
-        # each of the n points before it is summed into w
+        # each of the n points before it is summed into w. A tangent does
+        # not cross the mean; the mean of the per-point tangent is recorded.
         tape = ad.Tape()
         tape.register_params("w", np.array([2.0]))
         w = weight(tape, "w", 0)
-        loss = tape.mean(tape.batch([1.0, 2.0, 3.0]) + w)
+        per_point = tape.batch([1.0, 2.0, 3.0]) + w
+        loss = tape.mean(per_point)
         assert ad.param_grad(loss, "w").tolist() == [1.0]
-        (recorded,) = tape.grad(loss, [w])
-        assert recorded.value == 1.0
+        with pytest.raises(ad.RecordError, match="mean"):
+            tape.grad(loss, [w])
+        (tangent,) = tape.grad(per_point, [w])
+        assert tape.mean(tangent).value == 1.0
 
     def test_recorded_gradient_sums_over_batch(self):
         # d mean(w x) / dw = mean(x) = 2 for a scalar w, from both walks: as
-        # a tangent with w a root, and as a parameter gradient
+        # the mean of the tangent with w a root, and as a parameter gradient
         tape = ad.Tape()
         tape.register_params("w", np.array([0.5]))
         w = weight(tape, "w", 0)
-        loss = tape.mean(w * tape.batch([1.0, 2.0, 3.0]))
-        (recorded,) = tape.grad(loss, [w])
-        assert recorded.value == pytest.approx(2.0, rel=1e-15)
+        per_point = w * tape.batch([1.0, 2.0, 3.0])
+        loss = tape.mean(per_point)
+        (tangent,) = tape.grad(per_point, [w])
+        assert tape.mean(tangent).value == pytest.approx(2.0, rel=1e-15)
         assert ad.param_grad(loss, "w")[0] == pytest.approx(2.0, rel=1e-15)
 
 
 class TestReplay:
     def test_replay_is_bit_identical(self):
         tape = ad.Tape()
-        x = tape.scalar(0.7)
-        y = tape.scalar(-1.2)
+        x = tape.batch([0.7])
+        y = tape.batch([-1.2])
         out = ad.exp(x * y) + ad.sqrt(x + 2.0) / (y * y + 1.0)
         (gx,) = tape.grad(out, [x])
-        v0, g0 = out.value, gx.value
+        v0, g0 = out.value.item(), gx.value.item()
         tape.replay()
-        assert out.value == v0 and gx.value == g0
+        assert out.value.item() == v0 and gx.value.item() == g0
 
     def test_replay_with_new_leaf_values(self):
         tape = ad.Tape()
-        x = tape.scalar(0.7)
+        x = tape.batch([0.7])
         out = x * x + ad.sin(x)
-        tape.set_value(x, 1.1)
+        tape.set_value(x, [1.1])
         tape.replay()
         fresh = ad.Tape()
-        xf = fresh.scalar(1.1)
-        want = (xf * xf + ad.sin(xf)).value
-        assert out.value == want
+        xf = fresh.batch([1.1])
+        want = (xf * xf + ad.sin(xf)).value.item()
+        assert out.value.item() == want
 
     def test_replay_with_new_params(self):
         tape = ad.Tape()
         theta = np.array([1.0, 2.0])
         tape.register_params("w", theta)
         a, b = weight(tape, "w", 0), weight(tape, "w", 1)
-        x = tape.scalar(0.5)
+        x = tape.batch([0.5])
         out = a * x + b
         theta[0] = 3.0
         tape.replay()
-        assert out.value == 3.0 * 0.5 + 2.0
+        assert out.value.item() == 3.0 * 0.5 + 2.0
 
     def test_same_function_twice_identical_gradients(self):
         def run():
             tape = ad.Tape()
-            pts = [tape.scalar(v) for v in (0.3, -0.9, 1.4)]
+            pts = [tape.batch([v]) for v in (0.3, -0.9, 1.4)]
             y = ad.exp(pts[0] * pts[1]) + ad.relu(pts[2]) * pts[0]
             g = tape.grad(y, pts)
-            return float(y.value), [float(v.value) for v in g]
+            return y.value.item(), [v.value.item() for v in g]
 
         assert run() == run()
 
@@ -319,7 +324,7 @@ class TestIncrementalReplay:
         tape = ad.Tape()
         theta = np.array([0.0])
         tape.register_params("w", theta)
-        out = weight(tape, "w", 0) * tape.scalar(2.0)
+        out = weight(tape, "w", 0) * tape.batch([2.0])
         (layer,) = [i for i, op in enumerate(tape._ops) if op == ad._AFFINE]
         calls = []
         original = ad.Tape._eval
@@ -359,7 +364,7 @@ class TestIncrementalReplay:
         tape = ad.Tape()
         theta = np.array([1.0])
         tape.register_params("w", theta)
-        tape.scalar(3.0) / weight(tape, "w", 0)
+        tape.batch([3.0]) / weight(tape, "w", 0)
         theta[0] = 0.0
         for _ in range(2):  # the second replay sees no new change but must redo the first
             with pytest.raises(ad.EvaluationError):
@@ -395,15 +400,15 @@ class TestDetach:
 
     def test_detach_keeps_value(self):
         tape = ad.Tape()
-        x = tape.scalar(1.5)
-        assert tape.detach(x * 2.0).value == 3.0
+        x = tape.batch([1.5])
+        assert tape.detach(x * 2.0).value.item() == 3.0
 
 
 class TestTapeHygiene:
     def test_cross_tape_mixing_rejected(self):
         t1, t2 = ad.Tape(), ad.Tape()
         with pytest.raises(ad.RecordError):
-            t1.scalar(1.0) + t2.scalar(2.0)
+            t1.batch([1.0]) + t2.batch([2.0])
 
     def test_mismatched_batches_rejected(self):
         tape = ad.Tape()
@@ -457,7 +462,7 @@ class TestForwardTangents:
 
         def feval(pt):
             tape = ad.Tape()
-            return float(f(*[tape.scalar(v) for v in pt]).value)
+            return f(*[tape.batch([v]) for v in pt]).value.item()
 
         rng = np.random.default_rng(5)
         checked = 0
@@ -468,7 +473,7 @@ class TestForwardTangents:
             for i in range(2):
                 for j in range(2):
                     tape = ad.Tape()
-                    leaves = [tape.scalar(v) for v in pt]
+                    leaves = [tape.batch([v]) for v in pt]
                     (first,) = tape.grad(f(*leaves), [leaves[i]])
                     (second,) = tape.grad(first, [leaves[j]])
                     want = central_second(feval, pt, i, j)
@@ -522,7 +527,7 @@ class TestForwardTangents:
 
     def test_dependent_roots_are_rejected(self):
         tape = ad.Tape()
-        x = tape.scalar(0.5)
+        x = tape.batch([0.5])
         y = x * 2.0
         with pytest.raises(ad.RecordError, match="depends on another root"):
             tape.grad(y * y + x, [x, y])
@@ -535,14 +540,14 @@ class TestFusedLayer:
 
     LAYERS = ((4, 2), (4, 4), (1, 4))  # (rows, cols); the last is not activated
 
-    def record(self, act, fused, batched):
+    def record(self, act, fused, five_points):
         rng = np.random.default_rng(3)
         theta = rng.uniform(-1.5, 1.5, size=sum(r * (c + 1) for r, c in self.LAYERS))
         pts = rng.uniform(-1.0, 1.0, size=(5, 2))
         tape = ad.Tape()
         tape.register_params("w", theta)
-        leaves = [tape.batch(pts[:, k]) if batched else tape.scalar(pts[0, k])
-                  for k in range(2)]
+        n = 5 if five_points else 1
+        leaves = [tape.batch(pts[:n, k]) for k in range(2)]
         x = tape.stack(leaves)
         off = 0
         for layer, (rows, cols) in enumerate(self.LAYERS):
@@ -562,11 +567,11 @@ class TestFusedLayer:
         grads = tape.backward_values(loss, ["w"])
         return [np.asarray(v.value) for v in (out, *first, *second, loss)], grads["w"]
 
-    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("five_points", [False, True])  # else one point
     @pytest.mark.parametrize("act", ["sigmoid", "relu"])
-    def test_equals_affine_then_activation(self, act, batched):
-        fused_values, fused_grad = self.record(act, fused=True, batched=batched)
-        plain_values, plain_grad = self.record(act, fused=False, batched=batched)
+    def test_equals_affine_then_activation(self, act, five_points):
+        fused_values, fused_grad = self.record(act, fused=True, five_points=five_points)
+        plain_values, plain_grad = self.record(act, fused=False, five_points=five_points)
         assert len(fused_values) == len(plain_values) == 8
         for got, want in zip(fused_values, plain_values):
             assert got.shape == want.shape
@@ -577,6 +582,6 @@ class TestFusedLayer:
     def test_unknown_activation_rejected(self):
         tape = ad.Tape()
         tape.register_params("w", np.ones(2))
-        x = tape.stack([tape.scalar(1.0)])
+        x = tape.stack([tape.batch([1.0])])
         with pytest.raises(ad.RecordError, match="unknown activation"):
             tape.affine(x, "w", 0, (1, 1), bias=1, act="tanh")

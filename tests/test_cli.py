@@ -360,6 +360,29 @@ class TestBadInput:
             assert capsys.readouterr().err.startswith(f"error: cannot load checkpoint {bad}: ")
         assert not out.exists()
 
+    def test_reference_without_field_columns(self, tmp_path, checkpoint_args, capsys):
+        # a probe CSV has t_s, r_cm and z_cm but no velocity components
+        probes = tmp_path / "probes.csv"
+        assert main(["probe", *checkpoint_args, "--times", "2", "--out", str(probes)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", *checkpoint_args, "--reference", str(probes)]) == 2
+        assert capsys.readouterr().err == (f"error: reference file {probes} is missing columns: "
+                                           "u_z_cm_per_s, u_r_cm_per_s\n")
+
+    def test_reference_cell_not_a_number(self, tmp_path, checkpoint_args, capsys):
+        fields = tmp_path / "fields.csv"
+        grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
+        assert main(["export-fields", *checkpoint_args, *grid, "--out", str(fields)]) == 0
+        capsys.readouterr()
+        lines = fields.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[3] = "fast"  # u_z_cm_per_s
+        lines[2] = ",".join(cells)
+        fields.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 2
+        assert capsys.readouterr().err == (f"error: reference file {fields}, line 3: "
+                                           "a cell is not a number\n")
+
     def test_checkpoint_naming_other_activations(self, tmp_path, capsys):
         cfg_path, _, _ = _small_training_args(tmp_path)
         networks = build_networks(load_config(cfg_path), seed=0)

@@ -183,8 +183,8 @@ class TestClampRadius:
 
         tape = ad.Tape()
         for r in (-0.1, -0.001, 0.0, 0.002, 0.3):
-            node = tape.scalar(r)
-            assert clamp_radius(node, 0.0025).value == clamp_radius(r, 0.0025)
+            node = tape.batch([r])
+            assert clamp_radius(node, 0.0025).value.item() == clamp_radius(r, 0.0025)
 
     def test_recorded_sign_follows_replay(self):
         from vesselflow import autodiff as ad

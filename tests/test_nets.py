@@ -60,24 +60,24 @@ class TestForward:
         net = nets.build(4, 6, 3, 2, seed=5)
         nets.zero_init_output(net)
         tape = ad.Tape()
-        out = net.forward(tape, [tape.scalar(v) for v in (0.3, -1.0, 0.5)])
-        assert [o.value for o in out] == [0.0, 0.0]
+        out = net.forward(tape, [tape.batch([v]) for v in (0.3, -1.0, 0.5)])
+        assert [o.value.item() for o in out] == [0.0, 0.0]
 
     def test_zero_init_gradient_wrt_input_is_zero(self):
         net = nets.build(4, 6, 3, 1, seed=5)
         nets.zero_init_output(net)
         tape = ad.Tape()
-        leaves = [tape.scalar(v) for v in (0.3, -1.0, 0.5)]
+        leaves = [tape.batch([v]) for v in (0.3, -1.0, 0.5)]
         out = net.forward(tape, leaves)[0]
         g = tape.grad(out, leaves)
-        assert [float(v.value) for v in g] == [0.0, 0.0, 0.0]
+        assert [v.value.item() for v in g] == [0.0, 0.0, 0.0]
 
     def test_zero_init_final_bias_grad_of_squared_output(self):
         # output is 0, so d(out^2)/db_final = 2*out = 0 by the chain rule
         net = nets.build(3, 4, 2, 1, seed=2)
         nets.zero_init_output(net)
         tape = ad.Tape()
-        out = net.forward(tape, [tape.scalar(0.2), tape.scalar(0.8)])[0]
+        out = net.forward(tape, [tape.batch([0.2]), tape.batch([0.8])])[0]
         g = ad.param_grad(out * out, net.name)
         b_final_index = len(net.theta) - 1
         assert g[b_final_index] == 0.0
@@ -91,9 +91,9 @@ class TestForward:
         net.weight(1)[:] = 2.0
         net.bias(1)[:] = -0.5
         tape = ad.Tape()
-        out = net.forward(tape, [tape.scalar(0.0)])[0]
+        out = net.forward(tape, [tape.batch([0.0])])[0]
         want = 2.0 * (1.0 / (1.0 + np.exp(-1.0))) - 0.5
-        assert out.value == pytest.approx(want, rel=1e-15)
+        assert out.value.item() == pytest.approx(want, rel=1e-15)
 
     @pytest.mark.parametrize("width", [6, 20, 30])
     @pytest.mark.parametrize("n", [1, 40, 1000])
@@ -118,23 +118,20 @@ class TestForward:
             out = net.evaluate(pts)
         assert np.all(np.isfinite(out))
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_record_size_independent_of_width(self, batched):
+    @pytest.mark.parametrize("seven_points", [False, True])  # else one point
+    def test_record_size_independent_of_width(self, seven_points):
         # One node per layer, not per neuron: the record does not grow with
         # the width, and it still computes what the plain forward does.
         depth = 12
-        pts = np.random.default_rng(1).uniform(-1, 1, size=(7 if batched else 1, 3))
+        pts = np.random.default_rng(1).uniform(-1, 1, size=(7 if seven_points else 1, 3))
         counts = []
         for width in (6, 30):
             net = nets.build(depth, width, 3, 2, seed=width)
             tape = ad.Tape()
-            if batched:
-                leaves = [tape.batch(pts[:, i]) for i in range(3)]
-            else:
-                leaves = [tape.scalar(v) for v in pts[0]]
+            leaves = [tape.batch(pts[:, i]) for i in range(3)]
             out = net.forward(tape, leaves)
             counts.append(len(tape) - len(leaves))
-            got = np.stack([np.atleast_1d(o.value) for o in out], axis=1)
+            got = np.stack([o.value for o in out], axis=1)
             ref = net.evaluate(pts)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         # stack, one activated affine node per layer, one select per output
@@ -144,7 +141,7 @@ class TestForward:
         net = nets.build(3, 4, 3, 1, seed=0)
         tape = ad.Tape()
         with pytest.raises(ValueError):
-            net.forward(tape, [tape.scalar(0.0)])
+            net.forward(tape, [tape.batch([0.0])])
 
 
 class TestDerivatives:
