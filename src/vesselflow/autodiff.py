@@ -21,9 +21,11 @@ computes ``act(x @ W.T + b)`` in one product with W and b read by offset
 from a registered parameter vector and `act` a sigmoid, a relu or
 nothing, and a select node reads one entry of the row back out. The
 pre-activation ``x @ W.T + b`` is never stored: no derivative rule reads
-it. ``activate`` is the one activation arithmetic of layer nodes,
-``sigmoid``/``relu`` and ``nets.FieldNetwork.evaluate``, so ``evaluate``
-equals a recorded forward bit for bit.
+it. ``activate_in_place`` is the one activation arithmetic of layer
+nodes, ``sigmoid``/``relu`` and ``nets.FieldNetwork.evaluate``, so
+``evaluate`` equals a recorded forward bit for bit. Layer nodes and
+``evaluate`` activate their freshly computed product in place;
+``activate`` works on a copy and leaves its input as it is.
 
 Tangents close over the same ops. The tangent of a layer node is its
 recorded slope times the same affine map without bias or activation
@@ -34,9 +36,14 @@ s(1 - s) for sigmoid, whose own tangent is the curvature s(1 - s)(1 - 2s)
 times the same bias-free affine. Stacks and selects map to stacks and
 selects of tangents, so input derivatives go through whole layers. The
 backward pass gives every adjoint the shape of its node's value: summed
-over a batch axis the node lacks, repeated over one it has. At a layer
-node it multiplies the adjoint by the slope, computed from the stored
-output, before the affine rules.
+over a batch axis the node lacks, repeated over one it has. It drops a
+contribution that is a scalar exact zero, such as the adjoint of a term
+whose weight is 0: that adds ±0 to every gradient entry it reaches,
+which leaves the entry as it is, so a node that receives no other
+contribution is never visited. At an activation node it multiplies the
+adjoint by the slope, read from the slope node ``grad`` recorded when
+there is one and computed from the stored output otherwise (the same
+bits either way), before the affine rules.
 
 Replaying a record after overwriting leaf or parameter values
 re-evaluates, in record order, only the nodes whose value reads (through
@@ -103,16 +110,28 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def activate(act, z):
-    """Activation `act` ("sigmoid", "relu" or None for none) of a plain
-    value: the one arithmetic of recorded activations, layer nodes and
-    ``nets.FieldNetwork.evaluate``."""
+def activate_in_place(act, z: np.ndarray) -> np.ndarray:
+    """Activation `act` ("sigmoid", "relu" or None for none) of a float64
+    array, written over it and returned: the one arithmetic of recorded
+    activations, layer nodes and ``nets.FieldNetwork.evaluate``. For
+    sigmoid it is 1 / (1 + exp(-z)), one operation at a time."""
     if act == "sigmoid":
+        np.negative(z, out=z)
         with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-z))
-    if act == "relu":
-        return np.maximum(z, 0.0)
+            np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+    elif act == "relu":
+        np.maximum(z, 0.0, out=z)
     return z
+
+
+def activate(act, z):
+    """Activation `act` of a plain value, which is left unchanged: the
+    arithmetic of ``activate_in_place`` on a float64 copy."""
+    if act is None:
+        return z
+    return activate_in_place(act, np.array(z, dtype=np.float64))[()]
 
 
 def _step_value(v):
@@ -345,7 +364,7 @@ class Tape:
             out = vals[x] @ self._weight(group, offset, shape).T
             if bias is not None:
                 out += self._groups[group][bias:bias + shape[0]]
-            return activate(act, out)
+            return activate_in_place(act, out)
         raise RecordError(f"node {i}: op {op} cannot be re-evaluated")
 
     def _binary(self, op, a: DiffScalar, b: DiffScalar) -> DiffScalar:
@@ -601,6 +620,15 @@ class Tape:
         self._slope_owner[slope] = i
         return slope
 
+    def _recorded_slope(self, i: int) -> "int | None":
+        """The slope node of activation node i if ``grad`` has recorded
+        one, else None. Its value is what ``_slope_value`` computes."""
+        shared = self._shared
+        if self._activation(i) == "relu":
+            return shared.get((_STEP, (i,)))
+        one = shared.get((_CONST, (1.0,)))
+        return shared.get((_MUL, (i, shared.get((_SUB, (one, i))))))
+
     def _curvature(self, i: int) -> int:
         """Second derivative s(1 - s)(1 - 2s) of sigmoid node i."""
         slope = self._slope(i)
@@ -651,14 +679,24 @@ class Tape:
                                 lambda: self._useful_mask(param_groups))
         adj: dict[int, object] = {}
 
+        def slope(i):
+            recorded = self._recorded_slope(i)
+            if recorded is not None:
+                return vals[recorded]
+            return _slope_value(self._activation(i), vals[i])
+
         def accumulate(node, contribution):
-            shape = np.shape(vals[node])
-            if np.ndim(contribution) > len(shape):
+            c_dim = contribution.ndim if _is_batch(contribution) else 0
+            if c_dim == 0 and contribution == 0.0:
+                return  # adds ±0 to every gradient entry it reaches
+            value = vals[node]
+            v_dim = value.ndim if _is_batch(value) else 0
+            if c_dim > v_dim:
                 contribution = contribution.sum(axis=0)
-                if not shape:
+                if not v_dim:
                     contribution = float(contribution)
-            elif np.ndim(contribution) < len(shape):
-                contribution = np.broadcast_to(contribution, shape)
+            elif c_dim < v_dim:
+                contribution = np.broadcast_to(contribution, value.shape)
             cur = adj.get(node)
             adj[node] = contribution if cur is None else cur + contribution
 
@@ -702,7 +740,7 @@ class Tape:
                     accumulate(a[0], a_out * 0.5 / vals[i])
             elif op in (_RELU, _SIGMOID):
                 if useful[a[0]]:
-                    accumulate(a[0], a_out * _slope_value(self._activation(i), vals[i]))
+                    accumulate(a[0], a_out * slope(i))
             elif op == _SIN:
                 if useful[a[0]]:
                     accumulate(a[0], a_out * np.cos(vals[a[0]]))
@@ -726,7 +764,7 @@ class Tape:
             elif op == _AFFINE:
                 x, group, offset, shape, bias, act = a
                 if act is not None:
-                    a_out = a_out * _slope_value(act, vals[i])
+                    a_out = a_out * slope(i)
                 w = self._weight(group, offset, shape)
                 if useful[x]:
                     accumulate(x, a_out @ w)

@@ -378,7 +378,7 @@ def main(argv=None) -> int:
             raise CliError(f"seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (CliError, ConfigError, PlanError, analysis.AnalysisError,
-            FileNotFoundError) as exc:
+            FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,15 +78,16 @@ class FieldNetwork:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Plain numpy forward over rows of `points`, shape (n, in_dim) -> (n, out_dim).
 
-        Each layer is ``x @ W.T`` with the bias added in place, followed by
-        the record's own activation code, as the record's layer nodes
-        compute it. So for n rows this is bitwise equal to the values
-        `forward` records from n-point batches."""
+        Each layer is ``x @ W.T`` with the bias added and the record's own
+        activation code applied in place on that fresh product, as the
+        record's layer nodes compute it; `points` is left unchanged. So for
+        n rows this is bitwise equal to the values `forward` records from
+        n-point batches."""
         x = np.ascontiguousarray(points, dtype=np.float64)
         for layer in range(self.depth):
             x = x @ self.weight(layer).T
             x += self.bias(layer)
-            x = ad.activate(self.activations[layer], x)
+            ad.activate_in_place(self.activations[layer], x)
         return x
 
     def relu_margin(self, point) -> float:

@@ -585,3 +585,43 @@ class TestFusedLayer:
         x = tape.stack([tape.batch([1.0])])
         with pytest.raises(ad.RecordError, match="unknown activation"):
             tape.affine(x, "w", 0, (1, 1), bias=1, act="tanh")
+
+
+class TestSlopeReuse:
+    """The backward pass multiplies by the slope nodes that ``Tape.grad``
+    recorded where there are any, and computes the slope where there are
+    none; both give the same parameter gradients, bit for bit."""
+
+    def record(self, act, n, record_slopes):
+        net = nets.build(3, 5, 3, 2, seed=4, name="u")  # relu, then sigmoid layers
+        pts = np.random.default_rng(8).uniform(-1.0, 1.0, size=(n, 3))
+        tape = ad.Tape()
+        leaves = [tape.batch(pts[:, k]) for k in range(3)]
+        out = net.forward(tape, leaves)
+        y = {"sigmoid": ad.sigmoid, "relu": ad.relu}[act](out[0] + out[1])
+        if record_slopes:
+            tape.grad(y, leaves[:1])
+        activated = [i for i in range(len(tape)) if tape._activation(i) is not None]
+        recorded = [tape._recorded_slope(i) is not None for i in activated]
+        loss = tape.mean(y * y + out[1])
+        return tape.backward_values(loss, ["u"])["u"], recorded
+
+    @pytest.mark.parametrize("n", [1, 6])  # one point, and a batch
+    @pytest.mark.parametrize("act", ["sigmoid", "relu"])
+    def test_recorded_slopes_give_same_gradients(self, act, n):
+        computed, none = self.record(act, n, record_slopes=False)
+        reused, every = self.record(act, n, record_slopes=True)
+        assert none == [False] * 3 and every == [True] * 3  # two layers and y
+        assert np.any(reused != 0.0)
+        assert reused.tobytes() == computed.tobytes()
+
+
+@pytest.mark.parametrize("act", ["sigmoid", "relu", None])
+def test_activate_leaves_its_input_unchanged(act):
+    z = np.array([-800.0, -1.5, -0.0, 0.0, 0.25, 3.0])
+    before = z.copy()
+    got = ad.activate(act, z)
+    assert z.tobytes() == before.tobytes()
+    if act is not None:
+        assert got is not z
+        assert got.tobytes() == ad.activate_in_place(act, before.copy()).tobytes()

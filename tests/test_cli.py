@@ -383,6 +383,16 @@ class TestBadInput:
         assert capsys.readouterr().err == (f"error: reference file {fields}, line 3: "
                                            "a cell is not a number\n")
 
+    @pytest.mark.parametrize("command", [["evaluate", "--reference"],
+                                         ["export-fields", "--out"], ["probe", "--out"]],
+                             ids=["evaluate", "export-fields", "probe"])
+    def test_path_that_is_a_directory(self, tmp_path, checkpoint_args, capsys, command):
+        grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
+        if command[0] == "probe":
+            grid = ["--times", "2"]
+        assert main([command[0], *checkpoint_args, *grid, command[1], str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
     def test_checkpoint_naming_other_activations(self, tmp_path, capsys):
         cfg_path, _, _ = _small_training_args(tmp_path)
         networks = build_networks(load_config(cfg_path), seed=0)

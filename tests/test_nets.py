@@ -118,6 +118,14 @@ class TestForward:
             out = net.evaluate(pts)
         assert np.all(np.isfinite(out))
 
+    def test_evaluate_leaves_points_unchanged(self):
+        # contiguous float64 points reach the first product as they are
+        net = nets.build(4, 8, 3, 2, seed=3)
+        pts = np.random.default_rng(2).uniform(-1, 1, size=(9, 3))
+        before = pts.copy()
+        net.evaluate(pts)
+        assert pts.tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("seven_points", [False, True])  # else one point
     def test_record_size_independent_of_width(self, seven_points):
         # One node per layer, not per neuron: the record does not grow with

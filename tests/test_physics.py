@@ -392,6 +392,68 @@ class TestLossGraphReplay:
         assert raised.ns == base.ns  # the unweighted term itself is unchanged
 
 
+def ancestors(tape, node):
+    """Record indices that `node`'s value reads, through any operand,
+    `node` included."""
+    seen, todo = set(), [node.index]
+    while todo:
+        i = todo.pop()
+        if i not in seen:
+            seen.add(i)
+            todo.extend(tape._operands(i))
+    return seen
+
+
+class TestZeroWeightedTerms:
+    """At alpha_ns = 0 the backward pass never reads the momentum
+    residual's nodes, and the gradients are those of a total without it."""
+
+    GROUPS = ("u", "p", "d")
+
+    def graph(self, alpha_ns):
+        u, p, d = make_nets(seed=12)
+        return FluidLossGraph(NetworkFlow(u, p), NetworkDisplacement(d), tiny_samples(seed=3),
+                              GEOM, FLUID, steady_factor, LossWeights(ns=alpha_ns), EPS_R)
+
+    def poison_ns(self, graph):
+        """Overwrite with NaN every value that only the momentum term reads."""
+        tape = graph.tape
+        others = ancestors(tape, graph.term_bdr) | ancestors(tape, graph.term_init)
+        for i in ancestors(tape, graph.term_ns) - others:
+            tape._vals[i] = np.full_like(tape._vals[i], np.nan)
+
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_gradient_equals_total_without_ns(self, group):
+        graph = self.graph(alpha_ns=0.0)
+        got = graph.param_grads([group])[group]
+        # a second record whose total has no momentum term at all
+        other = self.graph(alpha_ns=0.0)
+        tape, w = other.tape, LossWeights()
+        total = (tape.constant(w.fluid_bdr) * other.term_bdr
+                 + tape.constant(w.fluid_init) * other.term_init)
+        want = tape.backward_values(total, [group])[group]
+        assert np.any(want != 0.0)
+        assert got.tobytes() == want.tobytes()
+
+    def test_ns_nodes_never_read(self):
+        graph = self.graph(alpha_ns=0.0)
+        clean = graph.param_grads(self.GROUPS)
+        self.poison_ns(graph)
+        poisoned = graph.param_grads(self.GROUPS)
+        for group in self.GROUPS:
+            assert np.all(np.isfinite(poisoned[group]))
+            assert poisoned[group].tobytes() == clean[group].tobytes()
+
+    def test_weighted_ns_nodes_are_read(self):
+        graph = self.graph(alpha_ns=0.0)
+        graph.set_alpha_ns(1e-3)
+        graph.replay()
+        self.poison_ns(graph)
+        poisoned = graph.param_grads(["u", "p"])
+        assert not np.all(np.isfinite(poisoned["u"]))
+        assert not np.all(np.isfinite(poisoned["p"]))
+
+
 def full_replay(tape):
     """The values a replay that recomputes every non-input node gives,
     computed on a copy: the tape keeps its own."""
