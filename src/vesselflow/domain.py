@@ -5,6 +5,10 @@ the physical annulus 0 <= rho <= R(z) at each axial station maps to the
 strip -R(z) <= r <= R(z). Wall samples sit on both signed sides. The
 radial unit direction at signed coordinate r points away from the axis,
 so it is +1 for r >= 0 and -1 for r < 0.
+
+The plaque is defined here only: `plaque_depth` is its one formula, for
+arrays and recorded batches, and a wall point is on the plaque exactly
+where `reference_radius` is below R (`on_plaque`).
 """
 
 from __future__ import annotations
@@ -56,16 +60,23 @@ class VesselGeometry:
 
 class RegionTag(Enum):
     FLUID_INTERIOR = "fluid_interior"
-    WALL = "wall"              # whole interface
-    WALL_UPSTREAM = "wall_upstream"
-    WALL_PLAQUE = "wall_plaque"
-    WALL_DOWNSTREAM = "wall_downstream"
+    WALL = "wall"              # whole interface; off-plaque wall material
+    WALL_PLAQUE = "wall_plaque"  # on-plaque wall material
     INLET = "inlet"
     OUTLET = "outlet"
     WALL_ENDPOINTS = "wall_endpoints"
 
 
-WALL_SUBTAGS = (RegionTag.WALL_UPSTREAM, RegionTag.WALL_PLAQUE, RegionTag.WALL_DOWNSTREAM)
+def plaque_depth(plaque: PlaqueShape, z):
+    """Depth b sqrt(1 - ((z - c) / a)^2) of the plaque at axial positions z
+    in its extent: arrays (a square rounded below 0 at an end reads as 0)
+    or a recorded batch of points on the plaque."""
+    offset = z - plaque.center_z
+    ratio = (plaque.short_radius / plaque.long_radius) ** 2
+    square = plaque.short_radius**2 - ratio * (offset * offset)
+    if isinstance(square, ad.DiffScalar):
+        return ad.sqrt(square)
+    return np.sqrt(np.maximum(square, 0.0))
 
 
 def reference_radius(geometry: VesselGeometry, z) -> np.ndarray:
@@ -76,32 +87,22 @@ def reference_radius(geometry: VesselGeometry, z) -> np.ndarray:
     if p is None:
         return np.full_like(z, geometry.radius)
     inside = np.abs(z - p.center_z) <= p.long_radius
-    ratio = (p.short_radius / p.long_radius) ** 2
-    local = p.short_radius**2 - ratio * (z - p.center_z) ** 2
-    return geometry.radius - np.where(inside, np.sqrt(np.maximum(local, 0.0)), 0.0)
+    return geometry.radius - np.where(inside, plaque_depth(p, z), 0.0)
 
 
-def wall_subtag(geometry: VesselGeometry, z: float) -> RegionTag:
-    p = geometry.plaque
-    if p is None:
-        return RegionTag.WALL
-    if z < p.center_z - p.long_radius:
-        return RegionTag.WALL_UPSTREAM
-    if z > p.center_z + p.long_radius:
-        return RegionTag.WALL_DOWNSTREAM
-    return RegionTag.WALL_PLAQUE
+def on_plaque(geometry: VesselGeometry, z) -> np.ndarray:
+    """Whether the wall at axial positions z is dented by the plaque."""
+    return reference_radius(geometry, z) < geometry.radius
 
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Tagged collocation points in reference coordinates, one time each."""
+    """Collocation points of one region, reference coordinates, one time each."""
 
     r: np.ndarray
     z: np.ndarray
     t: np.ndarray
     region: RegionTag
-    seed: int
-    subtags: tuple[RegionTag, ...] | None = None  # per-point wall sub-tags
 
     def __len__(self):
         return len(self.r)
@@ -110,9 +111,9 @@ class SampleSet:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["r_cm", "z_cm", "t_s", "region"])
-            subtags = self.subtags or [self.region] * len(self)
-            for r, z, t, tag in zip(self.r, self.z, self.t, subtags):
-                writer.writerow([repr(float(r)), repr(float(z)), repr(float(t)), tag.value])
+            for r, z, t in zip(self.r, self.z, self.t):
+                writer.writerow([repr(float(r)), repr(float(z)), repr(float(t)),
+                                 self.region.value])
 
 
 def sample(geometry: VesselGeometry, region: RegionTag, count: int, seed: int,
@@ -126,7 +127,6 @@ def sample(geometry: VesselGeometry, region: RegionTag, count: int, seed: int,
         raise GeometryError("sample count must be positive")
     rng = np.random.default_rng(seed)
     r0, length = geometry.radius, geometry.length
-    subtags = None
     if region == RegionTag.FLUID_INTERIOR:
         rs = np.empty(count)
         zs = np.empty(count)
@@ -144,7 +144,6 @@ def sample(geometry: VesselGeometry, region: RegionTag, count: int, seed: int,
         zs = rng.uniform(0.0, length, size=count)
         signs = np.where(rng.random(count) < 0.5, -1.0, 1.0)
         rs = signs * reference_radius(geometry, zs)
-        subtags = tuple(wall_subtag(geometry, z) for z in zs)
     elif region == RegionTag.INLET:
         zs = np.zeros(count)
         rs = rng.uniform(-r0, r0, size=count)
@@ -158,7 +157,7 @@ def sample(geometry: VesselGeometry, region: RegionTag, count: int, seed: int,
     else:
         raise GeometryError(f"unknown sampling region {region}")
     ts = np.zeros(count) if at_initial_time else rng.uniform(0.0, geometry.horizon, size=count)
-    return SampleSet(rs, zs, ts, region, seed, subtags)
+    return SampleSet(rs, zs, ts, region)
 
 
 def radial_direction(r) -> np.ndarray:

@@ -14,6 +14,10 @@ Reading derivatives at the displaced radius treats it as an independent
 coordinate, as the moving-frame equations require, while its value keeps
 the recorded dependence on the displacement parameters so those still
 steer where the fields are evaluated.
+
+The plaque enters only through `domain`: the ring model reads a wall
+point's undeformed radius from its z, equal to `reference_radius` bit for
+bit, and the wall loss records the points off and on the plaque apart.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .domain import (
-    RegionTag, SampleSet, VesselGeometry, clamp_radius, radial_direction, WALL_SUBTAGS,
+    RegionTag, SampleSet, VesselGeometry, clamp_radius, on_plaque, plaque_depth,
+    radial_direction, sample,
 )
 
 
@@ -273,20 +278,20 @@ def harmonic_residual(displacement, point, eps_r: float):
     return _harmonic(tape, r, z, t, displacement, eps_r)
 
 
-def _radius_expr(tape, geometry: VesselGeometry, z, segment: RegionTag):
-    """Undeformed wall radius as a recorded function of the axial leaf."""
-    p = geometry.plaque
-    if p is None or segment not in (RegionTag.WALL_PLAQUE,):
+def _radius_expr(tape, geometry: VesselGeometry, z):
+    """Undeformed radius of a batch of wall points, read from the axial leaf
+    z: recorded on the plaque, the constant R off it, refused across an edge."""
+    on = on_plaque(geometry, z.value)
+    if not on.any():
         return tape.batch_constant(np.full_like(z.value, geometry.radius))
-    ratio = p.short_radius**2 / p.long_radius**2
-    offset = z - p.center_z
-    return geometry.radius - ad.sqrt(p.short_radius**2 - ratio * offset * offset)
+    if not on.all():
+        raise PhysicsError("wall batch straddles a plaque edge")
+    return geometry.radius - plaque_depth(geometry.plaque, z)
 
 
-def _stress_continuity(tape, z, t, direction, segment, flow, displacement,
-                       geometry, wall: WallProperties, fluid: FluidProperties,
-                       detach_fluid: bool):
-    radius0 = _radius_expr(tape, geometry, z, segment)
+def _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
+                       wall: WallProperties, fluid: FluidProperties, detach_fluid: bool):
+    radius0 = _radius_expr(tape, geometry, z)
     r_w = direction * radius0
     eta = displacement.radial(tape, r_w, z, t)
     deta_dt = tape.grad(eta, [t])[0]
@@ -317,17 +322,17 @@ def _stress_continuity(tape, z, t, direction, segment, flow, displacement,
 
 def stress_continuity_residual(flow, displacement, point, wall: WallProperties,
                                fluid: FluidProperties, geometry: VesselGeometry,
-                               segment: RegionTag = RegionTag.WALL,
                                detach_fluid: bool = True):
-    """Ring-model residual at a wall point: radial acceleration plus the
-    elastic restoring force minus the fluid load. Fluid quantities inside
-    the load enter as constants when `detach_fluid` is set (solid-problem
-    assembly)."""
+    """Ring-model residual at wall points: radial acceleration plus the
+    elastic restoring force minus the fluid load. Points on the plaque take
+    its dented radius; a batch that is not all on or all off the plaque
+    raises `PhysicsError`. Fluid quantities inside the load enter as
+    constants when `detach_fluid` is set (solid-problem assembly)."""
     tape = ad.Tape()
     r, z, t = _point_leaves(tape, point)
     direction = _direction_node(tape, r)
-    return _stress_continuity(tape, z, t, direction, segment, flow,
-                              displacement, geometry, wall, fluid, detach_fluid)
+    return _stress_continuity(tape, z, t, direction, flow, displacement,
+                              geometry, wall, fluid, detach_fluid)
 
 
 def _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor):
@@ -373,7 +378,7 @@ def fluid_bc_residual(flow, displacement, point, tag: RegionTag,
         return _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor)
     if tag == RegionTag.OUTLET:
         return _outlet(tape, r, z, t, flow, displacement, fluid)
-    if tag in (RegionTag.WALL, *WALL_SUBTAGS):
+    if tag == RegionTag.WALL:
         return _interface(tape, r, z, t, flow, displacement, detach_interface_target)
     raise PhysicsError(f"no boundary residual for region {tag}")
 
@@ -436,8 +441,6 @@ def sample_counts(interior_count: int, wall_count: int,
 def draw_samples(geometry: VesselGeometry, interior_count: int, wall_count: int,
                  port_count: int, seed: int) -> CollocationSamples:
     """One fresh draw of every collocation set from a base seed."""
-    from .domain import sample
-
     n = sample_counts(interior_count, wall_count, port_count)
     return CollocationSamples(
         interior=sample(geometry, RegionTag.FLUID_INTERIOR, n["interior"], seed),
@@ -532,8 +535,9 @@ class FluidLossGraph:
 
 class SolidLossGraph:
     """Recorded wall-problem loss: ring model, harmonic extension,
-    endpoint pinning and the rest start. Fluid quantities inside the ring
-    load are recorded as constants."""
+    endpoint pinning and the rest start. The ring model is two batches, off
+    and on the plaque, with materials `wall_by_segment[WALL]` and
+    `[WALL_PLAQUE]`. Fluid quantities inside the ring load are constants."""
 
     def __init__(self, flow, displacement, samples: CollocationSamples,
                  geometry: VesselGeometry,
@@ -543,14 +547,12 @@ class SolidLossGraph:
         self.tape = tape
 
         parts = []
-        for segment, idx in _split_wall(samples.wall):
-            props = wall_by_segment.get(segment) or wall_by_segment[RegionTag.WALL]
+        for segment, idx in _split_wall(samples.wall, geometry):
             z = tape.batch(samples.wall.z[idx])
             t = tape.batch(samples.wall.t[idx])
             direction = tape.batch_constant(radial_direction(samples.wall.r[idx]))
-            res = _stress_continuity(tape, z, t, direction, segment, flow,
-                                     displacement, geometry, props, fluid,
-                                     detach_fluid=True)
+            res = _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
+                                     wall_by_segment[segment], fluid, detach_fluid=True)
             parts.append((len(idx), mean_square(tape, [res])))
         self.term_stress = _weighted_union(tape, parts)
 
@@ -582,13 +584,11 @@ class SolidLossGraph:
         return self.tape.backward_values(self.total, list(groups))
 
 
-def _split_wall(wall: SampleSet):
-    """Contiguous index groups per wall segment (plaque-aware)."""
-    if wall.subtags is None or all(tag == RegionTag.WALL for tag in wall.subtags):
-        yield RegionTag.WALL, np.arange(len(wall))
-        return
-    tags = np.array([tag.value for tag in wall.subtags])
-    for segment in WALL_SUBTAGS:
-        idx = np.flatnonzero(tags == segment.value)
+def _split_wall(wall: SampleSet, geometry: VesselGeometry):
+    """Indices of the wall points off the plaque (key `WALL`) and on it
+    (key `WALL_PLAQUE`), in increasing order; an empty group is left out."""
+    on = on_plaque(geometry, wall.z)
+    for segment, mask in ((RegionTag.WALL, ~on), (RegionTag.WALL_PLAQUE, on)):
+        idx = np.flatnonzero(mask)
         if idx.size:
             yield segment, idx

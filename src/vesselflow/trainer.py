@@ -397,8 +397,7 @@ def _partition_samples(samples: CollocationSamples, shards: int):
         for name, s in sets.items():
             size = len(s) // shards
             sl = slice(k * size, (k + 1) * size)
-            subtags = s.subtags[sl] if s.subtags is not None else None
-            pieces[name] = type(s)(s.r[sl], s.z[sl], s.t[sl], s.region, s.seed, subtags)
+            pieces[name] = type(s)(s.r[sl], s.z[sl], s.t[sl], s.region)
         out.append(CollocationSamples(**pieces))
     return out
 

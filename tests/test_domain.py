@@ -95,12 +95,15 @@ class TestSampling:
         assert np.allclose(np.abs(s.r), reference_radius(PLAQUED, s.z))
         assert (s.r > 0).any() and (s.r < 0).any()
 
-    def test_wall_subtags_partition(self):
+    def test_wall_points_on_plaque_are_dented(self):
+        # a wall point is on the plaque exactly where the reference radius is
+        # below R, which is strictly inside the plaque's axial extent
         s = sample(PLAQUED, RegionTag.WALL, 300, seed=5)
-        for z, tag in zip(s.z, s.subtags):
-            assert tag == domain.wall_subtag(PLAQUED, z)
-        kinds = set(s.subtags)
-        assert RegionTag.WALL_PLAQUE in kinds
+        on = domain.on_plaque(PLAQUED, s.z)
+        assert np.array_equal(on, reference_radius(PLAQUED, s.z) < PLAQUED.radius)
+        assert np.array_equal(on, np.abs(s.r) < PLAQUED.radius)
+        assert np.array_equal(on, np.abs(s.z - 1.0) < 0.15)
+        assert on.any() and not on.all()
 
     def test_endpoints_at_corner_circles(self):
         s = sample(CYLINDER, RegionTag.WALL_ENDPOINTS, 64, seed=2)
@@ -126,6 +129,7 @@ class TestSampling:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "r_cm,z_cm,t_s,region"
         assert len(lines) == 11
+        assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"wall"}
 
 
 class TestAleMap:

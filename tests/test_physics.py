@@ -6,11 +6,11 @@ import pytest
 from vesselflow import autodiff as ad
 from vesselflow import nets
 from vesselflow.config import preset
-from vesselflow.domain import PlaqueShape, RegionTag, VesselGeometry
+from vesselflow.domain import PlaqueShape, RegionTag, VesselGeometry, reference_radius
 from vesselflow.physics import (
     AnalyticDisplacement, AnalyticFlow, CollocationSamples, FluidLossGraph,
     FluidProperties, LossWeights, NetworkDisplacement,
-    NetworkFlow, SolidLossGraph, WallProperties, ZeroDisplacement,
+    NetworkFlow, PhysicsError, SolidLossGraph, WallProperties, ZeroDisplacement,
     draw_samples, fluid_bc_residual, harmonic_residual, initial_residuals,
     mean_square, ns_residual_axisym, stress_continuity_residual,
 )
@@ -140,9 +140,7 @@ class TestStressContinuity:
         disp = AnalyticDisplacement(lambda r, z, t: c)
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
         z = 1.0  # apex, R_p = 0.15
-        res = stress_continuity_residual(
-            flow, disp, (0.15, z, 0.2), plaque_wall, FLUID, geom,
-            segment=RegionTag.WALL_PLAQUE)
+        res = stress_continuity_residual(flow, disp, (0.15, z, 0.2), plaque_wall, FLUID, geom)
         want = 1e6 / (1.1 * 0.75 * 0.15**2) * c
         assert res.value == pytest.approx(want, rel=1e-12)
 
@@ -618,5 +616,83 @@ class TestLossGraphGradients:
         flow, disp = NetworkFlow(u, p), NetworkDisplacement(d)
         graph = SolidLossGraph(flow, disp, tiny_samples(seed=seed), GEOM,
                                {RegionTag.WALL: WALL}, FLUID, LossWeights(), EPS_R)
+        rng = np.random.default_rng(seed)
+        assert directional_fd_error(graph, d, graph.param_grads(["d"])["d"], rng) < 1e-6
+
+
+# Most of the wall on the plaque, so a small draw has points on and off it.
+LONG_PLAQUE = VesselGeometry(plaque=PlaqueShape(long_radius=0.6, short_radius=0.1, center_z=1.0))
+PLAQUE_WALL = WallProperties(density=1.1, youngs_modulus=1e6, poisson_ratio=0.5, thickness=0.05)
+PLAQUE_MATERIALS = {RegionTag.WALL: WALL, RegionTag.WALL_PLAQUE: PLAQUE_WALL}
+QUIET_FLOW = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
+
+
+def dented(geometry, z):
+    return reference_radius(geometry, z) < geometry.radius
+
+
+class TestPlaqueWall:
+    """The ring model on a plaqued wall reads each point's undeformed radius
+    from z and records the plaque's points as their own batch."""
+
+    @pytest.mark.parametrize("name", ["plaque-mild", "plaque-moderate"])
+    def test_recorded_radius_is_reference_radius(self, name):
+        # every plaque point of the preset's wall draw at seed 1: the solid
+        # record holds the radius the sampler put it at, bit for bit
+        config = preset(name)
+        geometry = config.vessel_geometry()
+        samples = draw_samples(geometry, 4, config.training.wall_points, 4, seed=1)
+        u, p, d = make_nets()
+        graph = SolidLossGraph(NetworkFlow(u, p), NetworkDisplacement(d), samples, geometry,
+                               config.wall_segments(), FLUID, LossWeights(), EPS_R)
+        z = samples.wall.z
+        want = reference_radius(geometry, z[dented(geometry, z)])
+        assert want.size > 100
+        assert any(np.asarray(v).tobytes() == want.tobytes() for v in graph.tape._vals)
+
+    def test_plaque_batch_reads_radius_from_z(self):
+        # constant displacement c and no flow leave the restoring term
+        # b(R_p(z)) c, at each point's dented radius without being told
+        geometry = preset("plaque-moderate").vessel_geometry()
+        wall = draw_samples(geometry, 4, 1000, 4, seed=1).wall
+        on = dented(geometry, wall.z)
+        c = 1e-3
+        res = stress_continuity_residual(QUIET_FLOW, AnalyticDisplacement(lambda r, z, t: c),
+                                         (wall.r[on], wall.z[on], wall.t[on]),
+                                         PLAQUE_WALL, FLUID, geometry)
+        want = PLAQUE_WALL.restoring_at_radius(reference_radius(geometry, wall.z[on])) * c
+        assert res.value.tobytes() == want.tobytes()
+
+    def test_batch_straddling_plaque_edge_refused(self):
+        z = np.array([0.2, 1.0])
+        point = (reference_radius(LONG_PLAQUE, z), z, np.array([0.3, 0.3]))
+        with pytest.raises(PhysicsError):
+            stress_continuity_residual(QUIET_FLOW, ZERO_DISP, point, WALL, FLUID,
+                                       LONG_PLAQUE)
+
+    def test_stress_term_is_union_of_off_and_on_plaque_records(self):
+        u, p, d = make_nets(seed=3)
+        flow, disp = NetworkFlow(u, p), NetworkDisplacement(d)
+        samples = draw_samples(LONG_PLAQUE, 12, 16, 8, seed=3)
+        graph = SolidLossGraph(flow, disp, samples, LONG_PLAQUE, PLAQUE_MATERIALS, FLUID,
+                               LossWeights(), EPS_R)
+        wall = samples.wall
+        on = dented(LONG_PLAQUE, wall.z)
+        assert 0 < on.sum() < len(wall)
+        want = 0.0
+        for mask, props in ((~on, WALL), (on, PLAQUE_WALL)):
+            res = stress_continuity_residual(flow, disp, (wall.r[mask], wall.z[mask], wall.t[mask]),
+                                             props, FLUID, LONG_PLAQUE)
+            want += float(mask.sum()) * float(mean_square(res.tape, [res]).value)
+        assert float(graph.term_stress.value) == want * (1.0 / len(wall))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_plaque_solid_param_grads(self, seed):
+        u, p, d = make_nets(seed=seed)
+        samples = draw_samples(LONG_PLAQUE, 12, 16, 8, seed=seed)
+        on = dented(LONG_PLAQUE, samples.wall.z)
+        assert 0 < on.sum() < len(on)
+        graph = SolidLossGraph(NetworkFlow(u, p), NetworkDisplacement(d), samples, LONG_PLAQUE,
+                               PLAQUE_MATERIALS, FLUID, LossWeights(), EPS_R)
         rng = np.random.default_rng(seed)
         assert directional_fd_error(graph, d, graph.param_grads(["d"])["d"], rng) < 1e-6
