@@ -27,23 +27,29 @@ nodes, ``sigmoid``/``relu`` and ``nets.FieldNetwork.evaluate``, so
 ``evaluate`` activate their freshly computed product in place;
 ``activate`` works on a copy and leaves its input as it is.
 
-Tangents close over the same ops. The tangent of a layer node is its
-recorded slope times the same affine map without bias or activation
-applied to the input's tangent; that bias-free affine is one node shared
-by every request. The slope is one node per layer: the step of the
-layer's own output for relu (positive exactly where its input is), and
-s(1 - s) for sigmoid, whose own tangent is the curvature s(1 - s)(1 - 2s)
-times the same bias-free affine. Stacks and selects map to stacks and
-selects of tangents, so input derivatives go through whole layers. The
-backward pass gives every adjoint the shape of its node's value: summed
-over a batch axis the node lacks, repeated over one it has. It drops a
-contribution that is a scalar exact zero, such as the adjoint of a term
-whose weight is 0: that adds ±0 to every gradient entry it reaches,
-which leaves the entry as it is, so a node that receives no other
-contribution is never visited. At an activation node it multiplies the
-adjoint by the slope, read from the slope node ``grad`` recorded when
-there is one and computed from the stored output otherwise (the same
-bits either way), before the affine rules.
+Tangents close over the same ops. The slope of an activation is one
+node per layer: the step of the layer's own output for relu (positive
+exactly where its input is), and s(1 - s) for sigmoid. The tangent of a
+relu layer node is one masked node: the same affine map without bias or
+activation applied to the input's tangent, multiplied in place by the
+layer's step. The step's own tangent is zero, so the tangent of a masked
+node along any root is the same mask applied to the tangent of its
+input, and the bias-free product is never stored. The tangent of a
+sigmoid layer node is its slope times that bias-free affine as a node of
+its own, shared by every request, because the slope's own tangent, the
+curvature s(1 - s)(1 - 2s), multiplies the same product again. Stacks
+and selects map to stacks and selects of tangents, so input derivatives
+go through whole layers. The backward pass gives every adjoint the shape
+of its node's value: summed over a batch axis the node lacks, repeated
+over one it has. It drops a contribution that is a scalar exact zero,
+such as the adjoint of a term whose weight is 0: that adds ±0 to every
+gradient entry it reaches, which leaves the entry as it is, so a node
+that receives no other contribution is never visited. At an activation
+node it multiplies the adjoint by the slope, read from the slope node
+``grad`` recorded when there is one and computed from the stored output
+otherwise (the same bits either way), and at a masked node by the mask,
+summed over the batch axis when the input has none, before the affine
+rules.
 
 Replaying a record after overwriting leaf or parameter values
 re-evaluates, in record order, only the nodes whose value reads (through
@@ -63,7 +69,9 @@ import numpy as np
 
 # Node opcodes. LEAF values are set externally and CONST values are
 # frozen. The weights of an AFFINE node are read from a named parameter
-# vector on each replay; they are the only parameters a record reads.
+# vector on each replay; they are the only parameters a record reads. An
+# AFFINE node without bias or activation may carry a mask, the step node
+# of a relu layer, which multiplies its product: that layer's tangent.
 _LEAF = 0
 _CONST = 1
 _ADD = 2
@@ -360,10 +368,15 @@ class Tape:
         if op == _SELECT:
             return _entry(vals[args[0]], args[1])
         if op == _AFFINE:
-            x, group, offset, shape, bias, act = args
+            x, group, offset, shape, bias, act, mask = args
             out = vals[x] @ self._weight(group, offset, shape).T
             if bias is not None:
                 out += self._groups[group][bias:bias + shape[0]]
+            if mask is not None:
+                m = vals[mask]
+                if out.shape != m.shape:  # a constant-row tangent
+                    return out * m
+                out *= m
             return activate_in_place(act, out)
         raise RecordError(f"node {i}: op {op} cannot be re-evaluated")
 
@@ -394,7 +407,7 @@ class Tape:
         `act` is "sigmoid", "relu" or None (no activation)."""
         if act not in _ACTIVATIONS:
             raise RecordError(f"unknown activation {act!r}")
-        return self._push(_AFFINE, (x.index, group, offset, tuple(shape), bias, act))
+        return self._push(_AFFINE, (x.index, group, offset, tuple(shape), bias, act, None))
 
     def mean(self, x: DiffScalar) -> DiffScalar:
         """Mean over the lockstep batch (count fixed at record time)."""
@@ -450,11 +463,8 @@ class Tape:
                 if op == _LEAF:
                     hit[i] = i in changed
                     continue
-                if op == _AFFINE:
-                    stale = args[i][1] in changed or hit[args[i][0]]
-                else:
-                    stale = any(hit[a] for a in self._operands(i))
-                if stale:
+                if (op == _AFFINE and args[i][1] in changed
+                        or any(hit[a] for a in self._operands(i))):
                     hit[i] = True
                     order.append(i)
             return order
@@ -468,8 +478,11 @@ class Tape:
         op = self._ops[i]
         if op in _INPUTS:
             return ()
-        if op in (_SUM, _SELECT, _AFFINE):
+        if op in (_SUM, _SELECT):
             return self._args[i][:1]
+        if op == _AFFINE:
+            x, mask = self._args[i][0], self._args[i][6]
+            return (x,) if mask is None else (x, mask)
         return self._args[i]
 
     # -- input derivatives: forward tangents written into the record ----
@@ -588,8 +601,15 @@ class Tape:
         if op == _SELECT:
             return node(_SELECT, tx, a[1])
         if op == _AFFINE:
-            tz = self._preactivation_tangent(i, tangents)
-            return tz if a[5] is None else mul(self._slope(i), tz)
+            act, mask = a[5], a[6]
+            if act == "sigmoid":
+                tz = self._preactivation_tangent(i, tangents)
+                return mul(self._slope(i), tz)
+            # a relu layer's tangent is masked by its step; a masked node's
+            # tangent keeps the mask, whose own tangent is zero
+            if act == "relu":
+                mask = self._slope(i)
+            return node(_AFFINE, tx, *a[1:4], None, None, mask)
         raise RecordError(f"node {i}: cannot differentiate op {op}")  # pragma: no cover
 
     def _activation(self, i: int) -> "str | None":
@@ -601,19 +621,22 @@ class Tape:
         return "relu" if op == _RELU else "sigmoid" if op == _SIGMOID else None
 
     def _preactivation_tangent(self, i: int, tangents: dict) -> "int | None":
-        """Tangent of what activation node i activates, from the tangent of
-        its operand: that tangent itself for a relu or sigmoid node, and
-        for a layer node the same affine map without bias or activation,
-        one node shared by every request."""
+        """Tangent of what sigmoid node i activates, from the tangent of
+        its operand: that tangent itself for a sigmoid node, and for a
+        sigmoid layer node the same affine map without bias or activation,
+        one node shared by the layer's tangent and its slope's tangent.
+        A relu layer's tangent is one masked node that stores no such
+        product: the step's tangent is zero, so nothing reads it again."""
         tx = tangents.get(self._args[i][0])
         if tx is None or self._ops[i] != _AFFINE:
             return tx
-        return self._node(_AFFINE, tx, *self._args[i][1:4], None, None)
+        return self._node(_AFFINE, tx, *self._args[i][1:4], None, None, None)
 
     def _slope(self, i: int) -> int:
         """Recorded derivative of activation node i: the step of its own
-        output for relu (positive exactly where its input is), s(1 - s)
-        for sigmoid."""
+        output for relu (positive exactly where its input is), which a
+        relu layer's tangents carry as their mask; s(1 - s) for sigmoid,
+        which multiplies a separate bias-free product."""
         if self._activation(i) == "relu":
             return self._node(_STEP, i)
         slope = self._node(_MUL, i, self._node(_SUB, self.constant(1.0).index, i))
@@ -762,9 +785,13 @@ class Tape:
                     row[..., k] = a_out
                     accumulate(x, row)
             elif op == _AFFINE:
-                x, group, offset, shape, bias, act = a
+                x, group, offset, shape, bias, act, mask = a
                 if act is not None:
                     a_out = a_out * slope(i)
+                elif mask is not None:
+                    a_out = a_out * vals[mask]
+                    if a_out.ndim > vals[x].ndim:  # a constant-row tangent
+                        a_out = a_out.sum(axis=0)
                 w = self._weight(group, offset, shape)
                 if useful[x]:
                     accumulate(x, a_out @ w)

@@ -140,18 +140,22 @@ def _reference_from_csv(path):
     import csv as _csv
 
     table = {}
-    with open(path) as fh:
-        reader = _csv.DictReader(fh)
-        missing = [c for c in _REFERENCE_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise CliError(f"reference file {path} is missing columns: {', '.join(missing)}")
-        for row in reader:
-            try:
-                t, r, z, u_z, u_r = (float(row[c]) for c in _REFERENCE_COLUMNS)
-            except (TypeError, ValueError):  # a short row reads None
-                raise CliError(f"reference file {path}, line {reader.line_num}: "
-                               "a cell is not a number")
-            table[(round(t, 12), round(r, 12), round(z, 12))] = np.hypot(u_z, u_r)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            reader = _csv.DictReader(fh)
+            missing = [c for c in _REFERENCE_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise CliError(f"reference file {path} is missing columns: "
+                               f"{', '.join(missing)}")
+            for row in reader:
+                try:
+                    t, r, z, u_z, u_r = (float(row[c]) for c in _REFERENCE_COLUMNS)
+                except (TypeError, ValueError):  # a short row reads None
+                    raise CliError(f"reference file {path}, line {reader.line_num}: "
+                                   "a cell is not a number")
+                table[(round(t, 12), round(r, 12), round(z, 12))] = np.hypot(u_z, u_r)
+    except UnicodeDecodeError:
+        raise CliError(f"reference file {path} is not UTF-8 text")
 
     def field(r, z, t):
         out = np.empty(len(r))

@@ -250,10 +250,12 @@ class ScenarioConfig:
 
 def load_config(path) -> ScenarioConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     return ScenarioConfig.from_dict(data)

@@ -360,6 +360,32 @@ class TestIncrementalReplay:
         for got, want in zip(tape._vals, fresh._vals):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
+    def test_new_leaf_values_reach_relu_layer_tangents(self):
+        # a first-layer tangent along a leaf is a constant row, so only its
+        # mask, the relu layer's step, reads the leaves
+        rng = np.random.default_rng(7)
+        theta = rng.uniform(-1.5, 1.5, size=4 * 3 + 1 * 5)
+
+        def record(tape, pts):
+            tape.register_params("w", theta)
+            leaves = [tape.batch(pts[:, k]) for k in range(2)]
+            hidden = tape.affine(tape.stack(leaves), "w", 0, (4, 2), bias=8, act="relu")
+            out = tape.select(tape.affine(hidden, "w", 12, (1, 4), bias=16), 0)
+            tape.grad(out * out, leaves)
+            return leaves
+
+        tape = ad.Tape()
+        leaves = record(tape, rng.uniform(-1.0, 1.0, size=(6, 2)))
+        pts = rng.uniform(-1.0, 1.0, size=(6, 2))
+        for k, leaf in enumerate(leaves):
+            tape.set_value(leaf, pts[:, k])
+        tape.replay()
+        fresh = ad.Tape()
+        record(fresh, pts)
+        assert len(tape) == len(fresh)
+        for got, want in zip(tape._vals, fresh._vals):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_failed_replay_is_retried(self):
         tape = ad.Tape()
         theta = np.array([1.0])
@@ -540,7 +566,7 @@ class TestFusedLayer:
 
     LAYERS = ((4, 2), (4, 4), (1, 4))  # (rows, cols); the last is not activated
 
-    def record(self, act, fused, five_points):
+    def record(self, act, fused, five_points, third_order=False):
         rng = np.random.default_rng(3)
         theta = rng.uniform(-1.5, 1.5, size=sum(r * (c + 1) for r, c in self.LAYERS))
         pts = rng.uniform(-1.0, 1.0, size=(5, 2))
@@ -548,7 +574,12 @@ class TestFusedLayer:
         tape.register_params("w", theta)
         n = 5 if five_points else 1
         leaves = [tape.batch(pts[:n, k]) for k in range(2)]
-        x = tape.stack(leaves)
+        if third_order:
+            # inputs whose tangents have tangents of their own, one of them
+            # a constant row: d/dx1 of (x1, cos x0) is (1, 0)
+            x = tape.stack([leaves[0] * leaves[1], ad.sin(leaves[0])])
+        else:
+            x = tape.stack(leaves)
         off = 0
         for layer, (rows, cols) in enumerate(self.LAYERS):
             layer_act = act if layer < len(self.LAYERS) - 1 else None
@@ -563,21 +594,39 @@ class TestFusedLayer:
         out = tape.select(x, 0)
         first = tape.grad(out, leaves)
         second = [d for f in first for d in tape.grad(f, leaves)]
-        loss = tape.mean(out * out + first[0] * second[1] + second[3])
+        terms = out * out + first[0] * second[1] + second[3]
+        third = [d for s in second for d in tape.grad(s, leaves)] if third_order else []
+        for d in third:
+            terms = terms + d * d
+        loss = tape.mean(terms)
         grads = tape.backward_values(loss, ["w"])
-        return [np.asarray(v.value) for v in (out, *first, *second, loss)], grads["w"]
+        values = [np.asarray(v.value) for v in (out, *first, *second, *third, loss)]
+        return values, grads["w"]
 
-    @pytest.mark.parametrize("five_points", [False, True])  # else one point
-    @pytest.mark.parametrize("act", ["sigmoid", "relu"])
-    def test_equals_affine_then_activation(self, act, five_points):
-        fused_values, fused_grad = self.record(act, fused=True, five_points=five_points)
-        plain_values, plain_grad = self.record(act, fused=False, five_points=five_points)
-        assert len(fused_values) == len(plain_values) == 8
+    def assert_same_record(self, act, five_points, third_order=False):
+        fused_values, fused_grad = self.record(act, True, five_points, third_order)
+        plain_values, plain_grad = self.record(act, False, five_points, third_order)
+        assert len(fused_values) == len(plain_values) == (16 if third_order else 8)
         for got, want in zip(fused_values, plain_values):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         assert np.any(fused_grad != 0.0)
         assert fused_grad.tobytes() == plain_grad.tobytes()
+        return fused_values
+
+    @pytest.mark.parametrize("five_points", [False, True])  # else one point
+    @pytest.mark.parametrize("act", ["sigmoid", "relu"])
+    def test_equals_affine_then_activation(self, act, five_points):
+        self.assert_same_record(act, five_points)
+
+    @pytest.mark.parametrize("five_points", [False, True])
+    @pytest.mark.parametrize("act", ["sigmoid", "relu"])
+    def test_third_order_equals_affine_then_activation(self, act, five_points):
+        # the tangent of a second tangent; for relu, a layer tangent's own
+        # tangent, along the same root and along the other one
+        values = self.assert_same_record(act, five_points, third_order=True)
+        d01, d000 = values[4], values[7]
+        assert np.any(d01 != 0.0) and np.any(d000 != 0.0)
 
     def test_unknown_activation_rejected(self):
         tape = ad.Tape()

@@ -360,6 +360,18 @@ class TestBadInput:
             assert capsys.readouterr().err.startswith(f"error: cannot load checkpoint {bad}: ")
         assert not out.exists()
 
+    def test_config_that_is_not_text(self, checkpoint_args, capsys):
+        # a checkpoint passed where the config belongs
+        ckpt = checkpoint_args[3]
+        assert main(["evaluate", "--config", ckpt, "--checkpoint", ckpt]) == 2
+        assert capsys.readouterr().err == f"error: config file {ckpt} is not UTF-8 text\n"
+
+    def test_reference_that_is_not_text(self, checkpoint_args, capsys):
+        ckpt = checkpoint_args[3]
+        grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
+        assert main(["evaluate", *checkpoint_args, *grid, "--reference", ckpt]) == 2
+        assert capsys.readouterr().err == f"error: reference file {ckpt} is not UTF-8 text\n"
+
     def test_reference_without_field_columns(self, tmp_path, checkpoint_args, capsys):
         # a probe CSV has t_s, r_cm and z_cm but no velocity components
         probes = tmp_path / "probes.csv"

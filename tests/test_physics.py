@@ -534,10 +534,9 @@ class TestIncrementalReplay:
             assert operands
             assert len(set(operands)) == len(operands)
 
-    @pytest.mark.parametrize("record", ["fluid", "solid"])
-    def test_no_node_is_recorded_twice(self, record):
-        # fsi-shaped records (cylinder preset, depth 12) at a small n: no two
-        # non-input nodes compute the same op on the same operands
+    @staticmethod
+    def fsi_tape(record):
+        """An fsi-shaped record (cylinder preset, depth 12) at a small n."""
         config = preset("cylinder")
         networks = build_networks(config, seed=1)
         flow = NetworkFlow(networks["u"], networks["p"])
@@ -551,10 +550,68 @@ class TestIncrementalReplay:
             graph = SolidLossGraph(flow, disp, samples, config.vessel_geometry(),
                                    config.wall_segments(), config.fluid_properties(),
                                    LossWeights(), config.eps_r)
-        tape = graph.tape
+        return graph.tape
+
+    @pytest.mark.parametrize("record", ["fluid", "solid"])
+    def test_no_node_is_recorded_twice(self, record):
+        # no two non-input nodes compute the same op on the same operands
+        tape = self.fsi_tape(record)
         keys = [(op, tape._args[i]) for i, op in enumerate(tape._ops)
                 if op not in ad._INPUTS]
         assert len(set(keys)) == len(keys)
+
+    @staticmethod
+    def relu_steps(tape):
+        """Each relu layer node -> the one step node that reads it."""
+        steps = {}
+        for i, op in enumerate(tape._ops):
+            if op != ad._STEP:
+                continue
+            (layer,) = tape._args[i]
+            if tape._activation(layer) == "relu":
+                assert layer not in steps
+                steps[layer] = i
+        return steps
+
+    @pytest.mark.parametrize("record", ["fluid", "solid"])
+    def test_relu_tangent_stores_no_bare_product(self, record):
+        # no bias-free, activation-free layer product is read only by a
+        # product with a relu step: a relu tangent is one masked node
+        tape = self.fsi_tape(record)
+        ops, args = tape._ops, tape._args
+        steps = set(self.relu_steps(tape).values())
+        readers = {}
+        for i in range(len(ops)):
+            for a in tape._operands(i):
+                readers.setdefault(a, []).append(i)
+        bare = [i for i, op in enumerate(ops) if op == ad._AFFINE
+                and args[i][4:6] == (None, None) and len(tape._operands(i)) == 1]
+        assert bare  # output-layer and sigmoid-layer tangents keep this form
+        for i in bare:
+            assert any(ops[j] != ad._MUL or not steps.intersection(args[j])
+                       for j in readers.get(i, ()))
+
+    @pytest.mark.parametrize("record", ["fluid", "solid"])
+    def test_relu_layer_tangents_share_its_step(self, record):
+        # every tangent of a relu layer, of any order and along any root,
+        # reads that layer's one step node and no other step
+        tape = self.fsi_tape(record)
+        ops = tape._ops
+        for layer, step in self.relu_steps(tape).items():
+            roots = [r for r, t in tape._tangents.items() if t.get(layer) is not None]
+            # the fluid record differentiates d along t only
+            one_root = record == "fluid" and tape._args[layer][1] == "d"
+            assert len(roots) == 1 if one_root else len(roots) >= 2
+            family, todo = set(), [layer]
+            while todo:
+                node = todo.pop()
+                for t in tape._tangents.values():
+                    d = t.get(node)
+                    if d is not None and d not in family:
+                        family.add(d)
+                        todo.append(d)
+            for d in family:
+                assert [a for a in tape._operands(d) if ops[a] == ad._STEP] == [step]
 
 
 FD_STEPS = (1e-3, 1e-4, 1e-5, 1e-6)
