@@ -2,10 +2,13 @@
 
 A Tape is an append-only record of operations. DiffScalar handles wrap
 record entries; Python arithmetic on them appends nodes eagerly. Each kind
-of derivative is taken one way. Input derivatives are forward tangents
-written into the record (``Tape.grad``), so a derivative is itself a
-recorded, differentiable quantity: that is what lets second space and time
-derivatives stay trainable, and a second derivative is the tangent of a
+of derivative is taken one way. Input derivatives through network layers
+are jets: one layer node carries a layer's value, its first derivatives
+along the requested input directions and the sum of its pure second
+derivatives along some of them (the r-z Laplacian, or d2/dt2). Input
+derivatives of elementwise expressions are forward tangents written into
+the record (``Tape.grad``), so a derivative is itself a recorded,
+differentiable quantity, and a second derivative is the tangent of a
 tangent. Parameter gradients come from one backward pass that produces
 plain numbers (``Tape.backward_values``).
 
@@ -16,40 +19,45 @@ every point are float64 scalars, which broadcast against batches as in
 numpy. Every operation on pointwise values is elementwise and
 ``Tape.mean`` collapses a batch to a scalar. The record holds one node per
 network layer, not per neuron: a stack joins k pointwise nodes into a row
-of k (shape (n, k), or (k,) for a row of scalars), a layer (affine) node
-computes ``act(x @ W.T + b)`` in one product with W and b read by offset
-from a registered parameter vector and `act` a sigmoid, a relu or
-nothing, and a select node reads one entry of the row back out. The
-pre-activation ``x @ W.T + b`` is never stored: no derivative rule reads
-it. ``activate_in_place`` is the one activation arithmetic of layer
-nodes, ``sigmoid``/``relu`` and ``nets.FieldNetwork.evaluate``, so
-``evaluate`` equals a recorded forward bit for bit. Layer nodes and
-``evaluate`` activate their freshly computed product in place;
-``activate`` works on a copy and leaves its input as it is.
+of k (shape (n, k), or (k,) for a row of scalars), a seed node makes the
+row a jet, a layer node maps a jet through one layer and a select node
+reads one entry of one row of a jet back out.
 
-Tangents close over the same ops. The slope of an activation is one
-node per layer: the step of the layer's own output for relu (positive
-exactly where its input is), and s(1 - s) for sigmoid. The tangent of a
-relu layer node is one masked node: the same affine map without bias or
-activation applied to the input's tangent, multiplied in place by the
-layer's step. The step's own tangent is zero, so the tangent of a masked
-node along any root is the same mask applied to the tangent of its
-input, and the bias-free product is never stored. The tangent of a
-sigmoid layer node is its slope times that bias-free affine as a node of
-its own, shared by every request, because the slope's own tangent, the
-curvature s(1 - s)(1 - 2s), multiplies the same product again. Stacks
-and selects map to stacks and selects of tangents, so input derivatives
-go through whole layers. The backward pass gives every adjoint the shape
-of its node's value: summed over a batch axis the node lacks, repeated
-over one it has. It drops a contribution that is a scalar exact zero,
-such as the adjoint of a term whose weight is 0: that adds ±0 to every
-gradient entry it reaches, which leaves the entry as it is, so a node
-that receives no other contribution is never visited. At an activation
-node it multiplies the adjoint by the slope, read from the slope node
-``grad`` recorded when there is one and computed from the stored output
-otherwise (the same bits either way), and at a masked node by the mask,
-summed over the batch axis when the input has none, before the affine
-rules.
+A jet is one node whose value has shape (m, n, k): the row of values,
+then one row of first derivatives G_j per requested direction, then, when
+one is requested, the row of Laplacians L; a jet without directions is
+the row of values alone (m = 1). The seed starts it at the network
+inputs: unit directions and L = 0. A layer node reads W and b by offset
+from a registered parameter vector and maps the jet through a = x W^T + b
+and y = act(a), with `act` a sigmoid, a relu or nothing:
+
+    G'_j = s1 * (G_j W^T)
+    L'   = s2 * sum over j in D of (G_j W^T)^2 + s1 * (L W^T)
+
+where s1 and s2 are the activation's first and second derivatives at a,
+read from y: s(1 - s) and s(1 - s)(1 - 2s) for sigmoid, the step of y and
+0 for relu, 1 and 0 for none, and D is the Laplacian's direction set. The
+pre-activation a is never stored: no derivative rule reads it.
+``activate_in_place`` is the one activation arithmetic of layer nodes,
+``sigmoid``/``relu`` and ``nets.FieldNetwork.evaluate``, so ``evaluate``
+equals a recorded forward bit for bit: both activate their freshly
+computed product in place, while ``activate`` works on a copy and leaves
+its input as it is. ``Tape.grad`` does not pass a layer node: it raises
+and names ``FieldNetwork.jet``.
+
+The backward pass gives every adjoint the shape of its node's value:
+summed over a batch axis the node lacks, repeated over one it has. It
+drops a contribution that is a scalar exact zero, such as the adjoint of a
+term whose weight is 0: that adds ±0 to every gradient entry it reaches,
+which leaves the entry as it is, so a node that receives no other
+contribution is never visited. At an activation it multiplies the adjoint
+by the slope, computed from the stored output. At a layer node it
+recomputes the products G_j W^T and L W^T from the stored input jet, so
+they are never stored, uses the third derivative s(1 - s)(1 - 6s + 6s^2)
+of a sigmoid, and adds the weight gradient of every row of the jet in one
+product. It scales a layer node's adjoint in place, so a layer node is
+read only by a select and by the next layer, which each build a fresh
+adjoint; the record refuses any other operation on one.
 
 Replaying a record after overwriting leaf or parameter values
 re-evaluates, in record order, only the nodes whose value reads (through
@@ -63,15 +71,14 @@ bit-identical to recomputing the whole record.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 # Node opcodes. LEAF values are set externally and CONST values are
-# frozen. The weights of an AFFINE node are read from a named parameter
-# vector on each replay; they are the only parameters a record reads. An
-# AFFINE node without bias or activation may carry a mask, the step node
-# of a relu layer, which multiplies its product: that layer's tangent.
+# frozen. The weights of a JET (layer) node are read from a named
+# parameter vector on each replay; they are the only parameters a record
+# reads.
 _LEAF = 0
 _CONST = 1
 _ADD = 2
@@ -90,7 +97,8 @@ _SUM = 14  # sum over the batch axis divided by a count fixed at record time
 _SIGMOID = 15
 _STACK = 16
 _SELECT = 17
-_AFFINE = 18
+_SEED = 18  # a row as a jet: unit directions, zero Laplacian
+_JET = 19  # a network layer mapping a jet to a jet
 
 # Ops whose adjoint does not propagate to operands. The step function is
 # the recorded derivative of relu; its own derivative is zero everywhere
@@ -158,14 +166,23 @@ def _entry(row, k):
     return row[:, k] if row.ndim == 2 else float(row[k])
 
 
-def _outer_sum(a, b):
-    """Outer product of rows a and b, summed over their batch axis if any:
-    (n, m) and (n, k) give (m, k)."""
-    return np.outer(a, b) if a.ndim == 1 else a.T @ b
+def _rows_times(rows, w):
+    """Each row of a stack of rows (..., cols) times W^T, as one product."""
+    return (rows.reshape(-1, w.shape[1]) @ w.T).reshape(rows.shape[:-1] + (w.shape[0],))
+
+
+class Jet(NamedTuple):
+    """A field at a batch as record nodes: its value, its first derivatives
+    along the requested input directions, and the sum of its pure second
+    derivatives along the Laplacian directions (None when none was asked)."""
+
+    value: "DiffScalar"
+    grads: tuple
+    laplacian: "DiffScalar | None"
 
 
 class DiffScalar:
-    """Handle to one entry of a Tape: a lockstep batch, a layer row or a
+    """Handle to one entry of a Tape: a lockstep batch, a row, a jet or a
     scalar equal at every point. Behaves like a real number."""
 
     __slots__ = ("tape", "index")
@@ -227,7 +244,6 @@ class Tape:
         self._shared: dict[tuple, int] = {}  # (op, args) -> node, see _node
         # per root, node -> its tangent node (None for zero)
         self._tangents: dict[int, dict[int, "int | None"]] = {}
-        self._slope_owner: dict[int, int] = {}  # sigmoid slope -> its node
         # Replay bookkeeping: each group's bits at the last replay, and the
         # groups and leaf indices changed since then.
         self._snapshots: dict[str, np.ndarray] = {}
@@ -366,51 +382,111 @@ class Tape:
         if op == _STACK:
             return np.stack(np.broadcast_arrays(*[vals[a] for a in args]), axis=-1)
         if op == _SELECT:
-            return _entry(vals[args[0]], args[1])
-        if op == _AFFINE:
-            x, group, offset, shape, bias, act, mask = args
-            out = vals[x] @ self._weight(group, offset, shape).T
-            if bias is not None:
-                out += self._groups[group][bias:bias + shape[0]]
-            if mask is not None:
-                m = vals[mask]
-                if out.shape != m.shape:  # a constant-row tangent
-                    return out * m
-                out *= m
-            return activate_in_place(act, out)
+            x, k, part = args
+            return _entry(vals[x] if part is None else vals[x][part], k)
+        if op == _SEED:
+            x, directions, laplacian = args
+            row = vals[x]
+            jet = np.zeros((1 + len(directions) + laplacian,) + row.shape)
+            jet[0] = row
+            for j, k in enumerate(directions):
+                jet[1 + j, ..., k] = 1.0
+            return jet
+        if op == _JET:
+            return self._jet_layer(i)
         raise RecordError(f"node {i}: op {op} cannot be re-evaluated")
+
+    def _jet_layer(self, i: int) -> np.ndarray:
+        """Value of layer node i: its input jet mapped through the layer, as
+        the module docstring writes it."""
+        x, group, offset, shape, bias, act, laplacian = self._args[i]
+        jet = self._vals[x]
+        w = self._weight(group, offset, shape)
+        out = np.empty(jet.shape[:-1] + (shape[0],))
+        y = out[0]
+        np.matmul(jet[0], w.T, out=y)
+        if bias is not None:
+            y += self._groups[group][bias:bias + shape[0]]
+        activate_in_place(act, y)
+        if len(out) == 1:
+            return out
+        derivs = out[1:]
+        np.matmul(jet[1:].reshape(-1, shape[1]), w.T, out=derivs.reshape(-1, shape[0]))
+        if act is None:
+            return out
+        s1 = _slope_value(act, y)
+        curvature = None
+        if act == "sigmoid" and laplacian:  # read the products before they are scaled
+            curvature = sum(derivs[j] * derivs[j] for j in laplacian) * (s1 * (1.0 - 2.0 * y))
+        derivs *= s1
+        if curvature is not None:
+            derivs[-1] += curvature
+        return out
 
     def _binary(self, op, a: DiffScalar, b: DiffScalar) -> DiffScalar:
         self._check_pair(a.index, b.index)
+        self._not_layers(a, b)
         return self._push(op, (a.index, b.index))
 
     def _unary(self, op, a: DiffScalar) -> DiffScalar:
+        self._not_layers(a)
         return self._push(op, (a.index,))
+
+    def _not_layers(self, *xs: DiffScalar) -> None:
+        """Refuse a layer node as an operand of anything but ``select`` and
+        the next layer. The backward pass scales a layer node's adjoint in
+        place, which is safe because those two build a fresh one for it."""
+        if any(self._ops[x.index] == _JET for x in xs):
+            raise RecordError("a network layer is read only through select "
+                              "or the next layer")
+
+    def _jet_node(self, x: DiffScalar) -> bool:
+        return self._ops[x.index] in (_SEED, _JET)
 
     # public primitives beyond operator syntax -------------------------
 
     def stack(self, xs: Sequence[DiffScalar]) -> DiffScalar:
         """Row of k pointwise nodes, shape (k,) or (n, k) for a batch.
         Stacking the same nodes again returns the same row."""
+        self._not_layers(*xs)
         return DiffScalar(self, self._node(_STACK, *(x.index for x in xs)))
 
-    def select(self, x: DiffScalar, k: int) -> DiffScalar:
-        """Entry `k` of a row node."""
-        return self._push(_SELECT, (x.index, k))
+    def select(self, x: DiffScalar, k: int, part: "int | None" = None) -> DiffScalar:
+        """Entry `k` of a row node, or of row `part` of a jet node."""
+        if (part is None) == self._jet_node(x):
+            raise RecordError("select reads a row of a jet node by part, "
+                              "and a row node without one")
+        return self._push(_SELECT, (x.index, k, part))
 
-    def affine(self, x: DiffScalar, group: str, offset: int,
-               shape: tuple[int, int], bias: "int | None" = None,
-               act: "str | None" = None) -> DiffScalar:
-        """``act(x W^T + b)`` over a row node x, one node for a whole layer.
+    def jet_seed(self, x: DiffScalar, directions: Sequence[int] = (),
+                 laplacian: bool = False) -> DiffScalar:
+        """Jet of a row node x: its value, a unit first derivative along each
+        entry index in `directions` and, with `laplacian`, a zero Laplacian."""
+        if self._jet_node(x):
+            raise RecordError("a jet is seeded from a row node")
+        return self._push(_SEED, (x.index, tuple(directions), bool(laplacian)))
+
+    def jet_affine(self, x: DiffScalar, group: str, offset: int,
+                   shape: tuple[int, int], bias: "int | None" = None,
+                   act: "str | None" = None,
+                   laplacian: "tuple[int, ...]" = ()) -> DiffScalar:
+        """``act(x W^T + b)`` over the jet node x, one node for a whole layer.
         W is the row-major (rows, cols) block of parameter group `group` at
         `offset`, b the `rows` entries at `bias` (no bias when None), and
-        `act` is "sigmoid", "relu" or None (no activation)."""
+        `act` is "sigmoid", "relu" or None (no activation). `laplacian`
+        holds the positions, among the jet's first derivatives, of the
+        directions its Laplacian sums; it is empty exactly when the jet
+        carries no Laplacian. A jet without directions is the value alone."""
         if act not in _ACTIVATIONS:
             raise RecordError(f"unknown activation {act!r}")
-        return self._push(_AFFINE, (x.index, group, offset, tuple(shape), bias, act, None))
+        if not self._jet_node(x):
+            raise RecordError("a layer maps a jet node; seed a row with jet_seed")
+        return self._push(_JET, (x.index, group, offset, tuple(shape), bias, act,
+                                 tuple(laplacian)))
 
     def mean(self, x: DiffScalar) -> DiffScalar:
         """Mean over the lockstep batch (count fixed at record time)."""
+        self._not_layers(x)
         v = x.value
         n = int(v.shape[0]) if _is_batch(v) else 1
         return self._push(_SUM, (x.index, n))
@@ -463,7 +539,7 @@ class Tape:
                 if op == _LEAF:
                     hit[i] = i in changed
                     continue
-                if (op == _AFFINE and args[i][1] in changed
+                if (op == _JET and args[i][1] in changed
                         or any(hit[a] for a in self._operands(i))):
                     hit[i] = True
                     order.append(i)
@@ -478,11 +554,8 @@ class Tape:
         op = self._ops[i]
         if op in _INPUTS:
             return ()
-        if op in (_SUM, _SELECT):
+        if op in (_SUM, _SELECT, _SEED, _JET):
             return self._args[i][:1]
-        if op == _AFFINE:
-            x, mask = self._args[i][0], self._args[i][6]
-            return (x,) if mask is None else (x, mask)
         return self._args[i]
 
     # -- input derivatives: forward tangents written into the record ----
@@ -494,12 +567,13 @@ class Tape:
         Each root is an independent input: its tangent, seeded with 1, is
         pushed forward through the ancestors of `output`, and paths that
         merely produce the root's value are not followed. Tangents are
-        cached per root, so later calls reuse the layers earlier ones
+        cached per root, so later calls reuse the nodes earlier ones
         recorded, and a second derivative is the tangent of a tangent. A
         derivative equal at every point may lack the batch axis. A tangent
         cannot pass through a batch mean; record the mean of the per-point
-        tangent instead. Affine weights are not nodes: parameter gradients
-        come from ``backward_values``.
+        tangent instead. Nor can it pass through a network layer: take
+        input derivatives of a network with ``nets.FieldNetwork.jet``.
+        Parameter gradients come from ``backward_values``.
         """
         roots = [w.index for w in wrt]
         for b in roots:
@@ -522,22 +596,13 @@ class Tape:
             if i in tangents:
                 todo.pop()
                 continue
-            owner = self._sigmoid_of_slope(i, root)
-            operands = (() if self._ops[i] in _NON_DIFFERENTIABLE
-                        else self._args[owner][:1] if owner is not None
-                        else self._operands(i))
+            operands = () if self._ops[i] in _NON_DIFFERENTIABLE else self._operands(i)
             missing = [a for a in operands if a >= root and a not in tangents]
             if missing:
                 todo.extend(missing)
             else:
                 tangents[todo.pop()] = self._tangent_rule(i, root, tangents)
         return tangents.get(output)
-
-    def _sigmoid_of_slope(self, i: int, root: int) -> "int | None":
-        """The sigmoid (or sigmoid layer) whose slope is node i, when the
-        tangent along `root` reaches that slope through the node's operand."""
-        owner = self._slope_owner.get(i)
-        return owner if owner is not None and owner > root else None
 
     def _tangent_rule(self, i: int, root: int, tangents: dict) -> "int | None":
         """Record the tangent of node i from its operands' tangents (None
@@ -551,12 +616,6 @@ class Tape:
 
         if op in _INPUTS or op in _NON_DIFFERENTIABLE:
             return None
-        owner = self._sigmoid_of_slope(i, root)
-        if owner is not None:
-            # d/dx of a sigmoid slope s(1 - s) is one curvature node,
-            # s(1 - s)(1 - 2s), times the pre-activation's tangent
-            tz = self._preactivation_tangent(owner, tangents)
-            return None if tz is None else mul(self._curvature(owner), tz)
         if op == _ADD:
             return plus(t(a[0]), t(a[1]))
         if op == _SUB:
@@ -589,8 +648,10 @@ class Tape:
             return mul(i, tx)
         if op == _SQRT:
             return node(_DIV, mul(self.constant(0.5).index, tx), i)
-        if op in (_RELU, _SIGMOID):
-            return mul(self._slope(i), tx)
+        if op == _RELU:
+            return mul(node(_STEP, i), tx)
+        if op == _SIGMOID:  # s(1 - s)
+            return mul(node(_MUL, i, node(_SUB, self.constant(1.0).index, i)), tx)
         if op == _SIN:
             return mul(node(_COS, a[0]), tx)
         if op == _COS:
@@ -598,65 +659,11 @@ class Tape:
         if op == _SUM:
             raise RecordError(f"node {i} (mean): the tangent along root node {root} "
                               "cannot pass a batch mean; take the mean of the tangent")
-        if op == _SELECT:
-            return node(_SELECT, tx, a[1])
-        if op == _AFFINE:
-            act, mask = a[5], a[6]
-            if act == "sigmoid":
-                tz = self._preactivation_tangent(i, tangents)
-                return mul(self._slope(i), tz)
-            # a relu layer's tangent is masked by its step; a masked node's
-            # tangent keeps the mask, whose own tangent is zero
-            if act == "relu":
-                mask = self._slope(i)
-            return node(_AFFINE, tx, *a[1:4], None, None, mask)
-        raise RecordError(f"node {i}: cannot differentiate op {op}")  # pragma: no cover
-
-    def _activation(self, i: int) -> "str | None":
-        """Activation that node i applies ("relu", "sigmoid" or None): its
-        own for a relu or sigmoid node, its layer's for an affine node."""
-        op = self._ops[i]
-        if op == _AFFINE:
-            return self._args[i][5]
-        return "relu" if op == _RELU else "sigmoid" if op == _SIGMOID else None
-
-    def _preactivation_tangent(self, i: int, tangents: dict) -> "int | None":
-        """Tangent of what sigmoid node i activates, from the tangent of
-        its operand: that tangent itself for a sigmoid node, and for a
-        sigmoid layer node the same affine map without bias or activation,
-        one node shared by the layer's tangent and its slope's tangent.
-        A relu layer's tangent is one masked node that stores no such
-        product: the step's tangent is zero, so nothing reads it again."""
-        tx = tangents.get(self._args[i][0])
-        if tx is None or self._ops[i] != _AFFINE:
-            return tx
-        return self._node(_AFFINE, tx, *self._args[i][1:4], None, None, None)
-
-    def _slope(self, i: int) -> int:
-        """Recorded derivative of activation node i: the step of its own
-        output for relu (positive exactly where its input is), which a
-        relu layer's tangents carry as their mask; s(1 - s) for sigmoid,
-        which multiplies a separate bias-free product."""
-        if self._activation(i) == "relu":
-            return self._node(_STEP, i)
-        slope = self._node(_MUL, i, self._node(_SUB, self.constant(1.0).index, i))
-        self._slope_owner[slope] = i
-        return slope
-
-    def _recorded_slope(self, i: int) -> "int | None":
-        """The slope node of activation node i if ``grad`` has recorded
-        one, else None. Its value is what ``_slope_value`` computes."""
-        shared = self._shared
-        if self._activation(i) == "relu":
-            return shared.get((_STEP, (i,)))
-        one = shared.get((_CONST, (1.0,)))
-        return shared.get((_MUL, (i, shared.get((_SUB, (one, i))))))
-
-    def _curvature(self, i: int) -> int:
-        """Second derivative s(1 - s)(1 - 2s) of sigmoid node i."""
-        slope = self._slope(i)
-        complement = self._args[slope][1]
-        return self._node(_MUL, slope, self._node(_SUB, complement, i))
+        if op == _SELECT and a[2] is None:
+            return node(_SELECT, tx, a[1], None)
+        raise RecordError(f"node {i}: the tangent along root node {root} cannot pass "
+                          "a network layer; take input derivatives with "
+                          "FieldNetwork.jet")
 
     def _push_mul(self, a: int, b: int) -> int:
         one = self._shared.get((_CONST, (1.0,)))
@@ -674,7 +681,7 @@ class Tape:
         groups: the layer nodes reading them and everything downstream."""
         ops, args = self._ops, self._args
         roots = [i for i in range(len(ops))
-                 if ops[i] == _AFFINE and args[i][1] in param_groups]
+                 if ops[i] == _JET and args[i][1] in param_groups]
         mask = [False] * len(ops)
         for r in roots:
             mask[r] = True
@@ -692,7 +699,7 @@ class Tape:
         batch axis reached through lockstep-batched paths receives the
         batch-summed adjoint, so parameter gradients of a batched mean come
         out already reduced, and a batched node reached with one adjoint
-        for all points holds it at every point. Affine nodes add their
+        for all points holds it at every point. Layer nodes add their
         weight and bias adjoints straight into the gradient of the group
         they read.
         """
@@ -701,12 +708,6 @@ class Tape:
         useful = self._memoized(("useful", tuple(param_groups)),
                                 lambda: self._useful_mask(param_groups))
         adj: dict[int, object] = {}
-
-        def slope(i):
-            recorded = self._recorded_slope(i)
-            if recorded is not None:
-                return vals[recorded]
-            return _slope_value(self._activation(i), vals[i])
 
         def accumulate(node, contribution):
             c_dim = contribution.ndim if _is_batch(contribution) else 0
@@ -763,7 +764,8 @@ class Tape:
                     accumulate(a[0], a_out * 0.5 / vals[i])
             elif op in (_RELU, _SIGMOID):
                 if useful[a[0]]:
-                    accumulate(a[0], a_out * slope(i))
+                    act = "relu" if op == _RELU else "sigmoid"
+                    accumulate(a[0], a_out * _slope_value(act, vals[i]))
             elif op == _SIN:
                 if useful[a[0]]:
                     accumulate(a[0], a_out * np.cos(vals[a[0]]))
@@ -779,28 +781,64 @@ class Tape:
                     if useful[x]:
                         accumulate(x, _entry(a_out, k))
             elif op == _SELECT:
-                x, k = a
+                x, k, part = a
                 if useful[x]:
-                    row = np.zeros(np.shape(a_out) + np.shape(vals[x])[-1:])
-                    row[..., k] = a_out
+                    row = np.zeros(np.shape(vals[x]))
+                    (row if part is None else row[part])[..., k] = a_out
                     accumulate(x, row)
-            elif op == _AFFINE:
-                x, group, offset, shape, bias, act, mask = a
-                if act is not None:
-                    a_out = a_out * slope(i)
-                elif mask is not None:
-                    a_out = a_out * vals[mask]
-                    if a_out.ndim > vals[x].ndim:  # a constant-row tangent
-                        a_out = a_out.sum(axis=0)
+            elif op == _SEED:
+                if useful[a[0]]:
+                    accumulate(a[0], a_out[0])
+            elif op == _JET:
+                # a_out becomes the adjoint of the layer's products x W^T + b,
+                # G_j W^T and L W^T. It is scaled in place: only this node
+                # holds it, since only selects and the next layer read a
+                # layer (``_not_layers``) and each builds a fresh adjoint.
+                x, group, offset, shape, bias = a[:5]
+                a_out = self._jet_adjoint(i, a_out)
                 w = self._weight(group, offset, shape)
                 if useful[x]:
-                    accumulate(x, a_out @ w)
+                    accumulate(x, _rows_times(a_out, w.T))
                 g = grads.get(group)
                 if g is not None:
-                    g[offset:offset + w.size] += _outer_sum(a_out, vals[x]).ravel()
+                    g[offset:offset + w.size] += (a_out.reshape(-1, shape[0]).T
+                                                  @ vals[x].reshape(-1, shape[1])).ravel()
                     if bias is not None:
-                        g[bias:bias + shape[0]] += a_out.sum(axis=0) if a_out.ndim == 2 else a_out
+                        g[bias:bias + shape[0]] += (a_out[0].sum(axis=0) if a_out.ndim == 3
+                                                    else a_out[0])
         return grads
+
+    def _jet_adjoint(self, i: int, adjoint: np.ndarray) -> np.ndarray:
+        """Adjoint of the products x W^T + b, G_j W^T and L W^T of layer node
+        i, stacked as its jet is, written over the adjoint of that jet."""
+        x, group, offset, shape, bias, act, laplacian = self._args[i]
+        if act is None:
+            return adjoint
+        y = self._vals[i][0]
+        s1 = _slope_value(act, y)
+        # the step's own derivative is zero, and a value alone has no
+        # derivative rows for the slope's derivative to reach
+        if act == "relu" or len(adjoint) == 1:
+            adjoint *= s1
+            return adjoint
+        # s1 and s2 depend on the pre-activation too: ds1/da = s2 = s1 (1 - 2s)
+        # and ds2/da = s1 (1 - 6 s1). `inner` is the adjoint they pass to
+        # the pre-activation, divided by s1.
+        derivs = _rows_times(self._vals[x][1:], self._weight(group, offset, shape))
+        curve = 1.0 - 2.0 * y
+        inner = np.einsum("j...,j...->...", adjoint[1:], derivs)
+        inner *= curve
+        if laplacian:
+            lap_bar = adjoint[-1]
+            squares = sum(derivs[j] * derivs[j] for j in laplacian)
+            inner += (1.0 - 6.0 * s1) * (lap_bar * squares)
+            twice = 2.0 * (s1 * curve) * lap_bar
+        adjoint *= s1
+        if laplacian:
+            for j in laplacian:
+                adjoint[1 + j] += twice * derivs[j]
+        adjoint[0] += s1 * inner
+        return adjoint
 
 
 # ----------------------------------------------------------------------

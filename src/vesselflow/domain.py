@@ -6,9 +6,9 @@ strip -R(z) <= r <= R(z). Wall samples sit on both signed sides. The
 radial unit direction at signed coordinate r points away from the axis,
 so it is +1 for r >= 0 and -1 for r < 0.
 
-The plaque is defined here only: `plaque_depth` is its one formula, for
-arrays and recorded batches, and a wall point is on the plaque exactly
-where `reference_radius` is below R (`on_plaque`).
+The plaque is defined here only: `plaque_depth` is its one formula and
+`plaque_slope` that formula's derivative along z, and a wall point is on
+the plaque exactly where `reference_radius` is below R (`on_plaque`).
 """
 
 from __future__ import annotations
@@ -69,14 +69,22 @@ class RegionTag(Enum):
 
 def plaque_depth(plaque: PlaqueShape, z):
     """Depth b sqrt(1 - ((z - c) / a)^2) of the plaque at axial positions z
-    in its extent: arrays (a square rounded below 0 at an end reads as 0)
-    or a recorded batch of points on the plaque."""
+    in its extent (a square rounded below 0 at an end reads as 0)."""
     offset = z - plaque.center_z
     ratio = (plaque.short_radius / plaque.long_radius) ** 2
     square = plaque.short_radius**2 - ratio * (offset * offset)
-    if isinstance(square, ad.DiffScalar):
-        return ad.sqrt(square)
     return np.sqrt(np.maximum(square, 0.0))
+
+
+def plaque_slope(plaque: PlaqueShape, z) -> np.ndarray:
+    """Derivative of `plaque_depth` along z,
+    -b (z - c) / (a^2 sqrt(1 - ((z - c) / a)^2)), written as
+    -(b / a)^2 (z - c) / depth; 0 where the depth is 0 (off the plaque)."""
+    z = np.asarray(z, dtype=np.float64)
+    depth = plaque_depth(plaque, z)
+    ratio = (plaque.short_radius / plaque.long_radius) ** 2
+    dented = depth > 0.0
+    return np.where(dented, -ratio * (z - plaque.center_z) / np.where(dented, depth, 1.0), 0.0)
 
 
 def reference_radius(geometry: VesselGeometry, z) -> np.ndarray:

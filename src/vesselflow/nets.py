@@ -62,18 +62,38 @@ class FieldNetwork:
         return self.widths[-1]
 
     def forward(self, tape: ad.Tape, inputs) -> list[ad.DiffScalar]:
-        """Record the network evaluation at `inputs` (DiffScalar, length in_dim):
-        one stack of the inputs, one activated affine node per layer and one
-        select per output, whatever the width."""
+        """Record the network's values at `inputs`: ``jet`` without
+        directions."""
+        return [out.value for out in self.jet(tape, inputs)]
+
+    def jet(self, tape: ad.Tape, inputs, directions=(), laplacian=()) -> list[ad.Jet]:
+        """Record the network at `inputs` (DiffScalar, length in_dim) with
+        its input derivatives, one ``ad.Jet`` per output: first derivatives
+        along each input index in `directions`, and the sum of the pure
+        second derivatives along the indices in `laplacian`, a subset of
+        `directions` (no Laplacian when empty). The record holds a stack of
+        the inputs, a seed, one layer node per layer and one select per row
+        of each output, whatever the width; the values equal ``evaluate``
+        bit for bit."""
         if len(inputs) != self.in_dim:
             raise ValueError(f"{self.name}: expected {self.in_dim} inputs, got {len(inputs)}")
+        directions = tuple(directions)
+        if not set(laplacian) <= set(directions):
+            raise ValueError(f"{self.name}: Laplacian directions {tuple(laplacian)} "
+                             f"are not among {directions}")
+        lap = tuple(directions.index(k) for k in laplacian)
         tape.register_params(self.name, self.theta)
-        x = tape.stack(inputs)
+        x = tape.jet_seed(tape.stack(inputs), directions, bool(lap))
         for layer in range(self.depth):
             w_off, b_off = self._offsets[layer]
             shape = (self.widths[layer + 1], self.widths[layer])
-            x = tape.affine(x, self.name, w_off, shape, bias=b_off, act=self.activations[layer])
-        return [tape.select(x, k) for k in range(self.out_dim)]
+            x = tape.jet_affine(x, self.name, w_off, shape, bias=b_off,
+                                act=self.activations[layer], laplacian=lap)
+        rows = len(directions)
+        return [ad.Jet(tape.select(x, k, 0),
+                       tuple(tape.select(x, k, 1 + j) for j in range(rows)),
+                       tape.select(x, k, 1 + rows) if lap else None)
+                for k in range(self.out_dim)]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Plain numpy forward over rows of `points`, shape (n, in_dim) -> (n, out_dim).
@@ -81,7 +101,7 @@ class FieldNetwork:
         Each layer is ``x @ W.T`` with the bias added and the record's own
         activation code applied in place on that fresh product, as the
         record's layer nodes compute it; `points` is left unchanged. So for
-        n rows this is bitwise equal to the values `forward` records from
+        n rows this is bitwise equal to the values `jet` records from
         n-point batches."""
         x = np.ascontiguousarray(points, dtype=np.float64)
         for layer in range(self.depth):

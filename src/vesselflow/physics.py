@@ -8,16 +8,21 @@ time fed to the flow fields is a separate leaf carrying the same value
 as the reference time, which makes its derivative the current-frame
 partial rather than a material derivative.
 
-Derivative bookkeeping at a point uses three independent roots: the
-displaced radius node, a fresh axial leaf and the duplicated time leaf.
-Reading derivatives at the displaced radius treats it as an independent
-coordinate, as the moving-frame equations require, while its value keeps
-the recorded dependence on the displacement parameters so those still
-steer where the fields are evaluated.
+Every derivative a residual reads is a partial derivative of a field
+with respect to its own inputs (r, z, t): a first derivative, or the sum
+of pure second derivatives along r and z (a Laplacian) or along t alone.
+The field adapters return each field as an ``ad.Jet``: network fields
+carry it through one layer node per layer, closed-form fields through
+forward tangents at their inputs. Reading derivatives at the displaced
+radius treats it as an independent coordinate, as the moving-frame
+equations require, while its value keeps the recorded dependence on the
+displacement parameters so those still steer where the fields are
+evaluated.
 
 The plaque enters only through `domain`: the ring model reads a wall
 point's undeformed radius from its z, equal to `reference_radius` bit for
-bit, and the wall loss records the points off and on the plaque apart.
+bit, with its slope from `plaque_slope`, and the wall loss records the
+points off and on the plaque apart.
 """
 
 from __future__ import annotations
@@ -29,9 +34,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .domain import (
-    RegionTag, SampleSet, VesselGeometry, clamp_radius, on_plaque, plaque_depth,
-    radial_direction, sample,
+    RegionTag, SampleSet, VesselGeometry, clamp_radius, on_plaque, plaque_slope,
+    radial_direction, reference_radius, sample,
 )
+
+# Input index of each coordinate in every field: jet directions name these.
+R, Z, T = 0, 1, 2
 
 
 class PhysicsError(ValueError):
@@ -109,8 +117,9 @@ class LossBreakdown:
 # field adapters
 
 class NetworkFlow:
-    """Velocity/pressure fields read from the two flow networks. Callers
-    that need no pressure use `velocity`, which records no pressure network.
+    """Velocity/pressure fields read from the two flow networks as jets:
+    values, and the input derivatives a caller names (see
+    ``nets.FieldNetwork.jet``).
 
     Every adapter also has `read`, the same fields as plain values at a
     batch of points given as arrays, bitwise equal to what its recorded
@@ -120,14 +129,13 @@ class NetworkFlow:
         self.velocity_net = velocity_net
         self.pressure_net = pressure_net
 
-    def velocity(self, tape, r, z, t):
-        u_z, u_r = self.velocity_net.forward(tape, [r, z, t])
+    def velocity(self, tape, r, z, t, directions=(), laplacian=()):
+        u_z, u_r = self.velocity_net.jet(tape, [r, z, t], directions, laplacian)
         return u_z, u_r
 
-    def velocity_pressure(self, tape, r, z, t):
-        u_z, u_r = self.velocity(tape, r, z, t)
-        (p,) = self.pressure_net.forward(tape, [r, z, t])
-        return u_z, u_r, p
+    def pressure(self, tape, r, z, t, directions=()):
+        (p,) = self.pressure_net.jet(tape, [r, z, t], directions)
+        return p
 
     def read(self, r, z, t, pressure: bool = True):
         """(u_z, u_r, p), or (u_z, u_r) without `pressure`, which then
@@ -145,25 +153,26 @@ class AnalyticFlow:
     def __init__(self, u_z: Callable, u_r: Callable, pressure: Callable):
         self.u_z = u_z
         self.u_r = u_r
-        self.pressure = pressure
+        self.p = pressure
 
-    def velocity(self, tape, r, z, t):
-        return _ensure(tape, self.u_z(r, z, t)), _ensure(tape, self.u_r(r, z, t))
+    def velocity(self, tape, r, z, t, directions=(), laplacian=()):
+        return tuple(_tape_jet(tape, _ensure(tape, u(r, z, t)), (r, z, t), directions, laplacian)
+                     for u in (self.u_z, self.u_r))
 
-    def velocity_pressure(self, tape, r, z, t):
-        return (*self.velocity(tape, r, z, t), _ensure(tape, self.pressure(r, z, t)))
+    def pressure(self, tape, r, z, t, directions=()):
+        return _tape_jet(tape, _ensure(tape, self.p(r, z, t)), (r, z, t), directions)
 
     def read(self, r, z, t, pressure: bool = True):
         u_z, u_r = self.u_z(r, z, t), self.u_r(r, z, t)
-        return (u_z, u_r, self.pressure(r, z, t)) if pressure else (u_z, u_r)
+        return (u_z, u_r, self.p(r, z, t)) if pressure else (u_z, u_r)
 
 
 class NetworkDisplacement:
     def __init__(self, displacement_net):
         self.displacement_net = displacement_net
 
-    def radial(self, tape, r, z, t):
-        (eta,) = self.displacement_net.forward(tape, [r, z, t])
+    def radial(self, tape, r, z, t, directions=(), laplacian=()):
+        (eta,) = self.displacement_net.jet(tape, [r, z, t], directions, laplacian)
         return eta
 
     def read(self, r, z, t):
@@ -175,26 +184,41 @@ class AnalyticDisplacement:
     def __init__(self, eta: Callable):
         self.eta = eta
 
-    def radial(self, tape, r, z, t):
-        return _ensure(tape, self.eta(r, z, t))
+    def radial(self, tape, r, z, t, directions=(), laplacian=()):
+        return _tape_jet(tape, _ensure(tape, self.eta(r, z, t)), (r, z, t), directions, laplacian)
 
     def read(self, r, z, t):
         return self.eta(r, z, t)
 
 
-class ZeroDisplacement:
-    def radial(self, tape, r, z, t):
-        return tape.constant(0.0)
-
-    def read(self, r, z, t):
-        return 0.0
+class ZeroDisplacement(AnalyticDisplacement):
+    def __init__(self):
+        super().__init__(lambda r, z, t: 0.0)
 
 
 def _read_network(net, r, z, t):
     """Plain outputs of `net` at a batch (r, z, t), stacked into (n, 3)
-    rows as `FieldNetwork.forward` stacks its inputs, so the products are
-    the same products."""
+    rows as `FieldNetwork.jet` stacks its inputs, so the products are the
+    same products."""
     return tuple(net.evaluate(np.stack(np.broadcast_arrays(r, z, t), axis=-1)).T)
+
+
+def _tape_jet(tape, value, inputs, directions, laplacian=()) -> ad.Jet:
+    """Jet of a closed-form field recorded at `inputs`, whose entries named
+    by `directions` must be independent: its forward tangents along them,
+    and their own tangents along the `laplacian` ones, summed."""
+    roots = [inputs[k] for k in directions]
+    grads = tape.grad(value, roots)
+    lap = None
+    for k in laplacian:
+        j = directions.index(k)
+        (second,) = tape.grad(grads[j], [roots[j]])
+        lap = second if lap is None else lap + second
+    return ad.Jet(value, tuple(grads), lap)
+
+
+def _values(jets) -> tuple:
+    return tuple(jet.value for jet in jets)
 
 
 def _ensure(tape, v):
@@ -220,7 +244,7 @@ def current_frame(tape, r, z, t, displacement):
     Returns (r_t, z_t, t_prime, eta): r_t carries the displacement
     dependence; z_t and t_prime are independent leaves so derivatives at
     them are current-frame partials."""
-    eta = displacement.radial(tape, r, z, t)
+    eta = displacement.radial(tape, r, z, t).value
     r_t = r + _direction_node(tape, r) * eta
     z_t = _fresh_copy(tape, z)
     t_prime = _fresh_copy(tape, t)
@@ -232,21 +256,16 @@ def current_frame(tape, r, z, t, displacement):
 
 def _axisym_ns(tape, r, z, t, flow, displacement, fluid: FluidProperties, eps_r):
     r_t, z_t, t_p, _ = current_frame(tape, r, z, t, displacement)
-    u_z, u_r, p = flow.velocity_pressure(tape, r_t, z_t, t_p)
-    duz_dr, duz_dz, duz_dt = tape.grad(u_z, [r_t, z_t, t_p])
-    dur_dr, dur_dz, dur_dt = tape.grad(u_r, [r_t, z_t, t_p])
-    dp_dr, dp_dz = tape.grad(p, [r_t, z_t])
-    d2uz_drr = tape.grad(duz_dr, [r_t])[0]
-    d2uz_dzz = tape.grad(duz_dz, [z_t])[0]
-    d2ur_drr = tape.grad(dur_dr, [r_t])[0]
-    d2ur_dzz = tape.grad(dur_dz, [z_t])[0]
+    jz, jr = flow.velocity(tape, r_t, z_t, t_p, (R, Z, T), laplacian=(R, Z))
+    dp_dr, dp_dz = flow.pressure(tape, r_t, z_t, t_p, (R, Z)).grads
+    u_z, (duz_dr, duz_dz, duz_dt) = jz.value, jz.grads
+    u_r, (dur_dr, dur_dz, dur_dt) = jr.value, jr.grads
     r_prime = clamp_radius(r_t, eps_r)
     rho, mu = fluid.density, fluid.viscosity
     res_z = (rho * duz_dt + rho * (u_r * duz_dr + u_z * duz_dz) + dp_dz
-             - mu * (duz_dr / r_prime + d2uz_drr + d2uz_dzz))
+             - mu * (duz_dr / r_prime + jz.laplacian))
     res_r = (rho * dur_dt + rho * (u_r * dur_dr + u_z * dur_dz) + dp_dr
-             - mu * (dur_dr / r_prime + d2ur_drr + d2ur_dzz
-                     - u_r / (r_prime * r_prime)))
+             - mu * (dur_dr / r_prime + jr.laplacian - u_r / (r_prime * r_prime)))
     res_div = u_r / r_prime + dur_dr + duz_dz
     return res_z, res_r, res_div
 
@@ -262,12 +281,9 @@ def ns_residual_axisym(flow, displacement, point, fluid: FluidProperties,
 
 
 def _harmonic(tape, r, z, t, displacement, eps_r):
-    eta = displacement.radial(tape, r, z, t)
-    deta_dr, deta_dz = tape.grad(eta, [r, z])
-    d2_rr = tape.grad(deta_dr, [r])[0]
-    d2_zz = tape.grad(deta_dz, [z])[0]
+    eta = displacement.radial(tape, r, z, t, (R, Z), laplacian=(R, Z))
     r_prime = clamp_radius(r, eps_r)
-    return deta_dr / r_prime + d2_rr + d2_zz
+    return eta.grads[0] / r_prime + eta.laplacian
 
 
 def harmonic_residual(displacement, point, eps_r: float):
@@ -278,35 +294,44 @@ def harmonic_residual(displacement, point, eps_r: float):
     return _harmonic(tape, r, z, t, displacement, eps_r)
 
 
-def _radius_expr(tape, geometry: VesselGeometry, z):
-    """Undeformed radius of a batch of wall points, read from the axial leaf
-    z: recorded on the plaque, the constant R off it, refused across an edge."""
+def _wall_radius(tape, geometry: VesselGeometry, z):
+    """Undeformed radius of a batch of wall points at their axial leaf z,
+    and its slope along z, as batch constants: R and no slope (None) off
+    the plaque, `reference_radius` and minus `plaque_slope` on it; a batch
+    across an edge is refused."""
     on = on_plaque(geometry, z.value)
+    radius0 = tape.batch_constant(reference_radius(geometry, z.value))
     if not on.any():
-        return tape.batch_constant(np.full_like(z.value, geometry.radius))
+        return radius0, None
     if not on.all():
         raise PhysicsError("wall batch straddles a plaque edge")
-    return geometry.radius - plaque_depth(geometry.plaque, z)
+    return radius0, tape.batch_constant(-plaque_slope(geometry.plaque, z.value))
 
 
 def _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
                        wall: WallProperties, fluid: FluidProperties, detach_fluid: bool):
-    radius0 = _radius_expr(tape, geometry, z)
+    radius0, slope0 = _wall_radius(tape, geometry, z)
     r_w = direction * radius0
-    eta = displacement.radial(tape, r_w, z, t)
-    deta_dt = tape.grad(eta, [t])[0]
-    d2eta_dtt = tape.grad(deta_dt, [t])[0]
-    radius = radius0 + eta
-    dradius_dz = tape.grad(radius, [z])[0]
+    # total z-derivative of radius0(z) + eta(direction radius0(z), z, t);
+    # off the plaque radius0 is constant and only eta's own z-derivative is left
+    if slope0 is None:
+        eta = displacement.radial(tape, r_w, z, t, (Z, T), laplacian=(T,))
+        dradius_dz = eta.grads[0]
+    else:
+        eta = displacement.radial(tape, r_w, z, t, (R, Z, T), laplacian=(T,))
+        deta_dr, deta_dz, _ = eta.grads
+        dradius_dz = slope0 + deta_dr * direction * slope0 + deta_dz
+    radius = radius0 + eta.value
     stretch = ad.sqrt(1.0 + dradius_dz * dradius_dz)
     ratio = radius / radius0
 
     r_t = direction * radius
     z_t = _fresh_copy(tape, z)
     t_p = _fresh_copy(tape, t)
-    u_z, u_r, p = flow.velocity_pressure(tape, r_t, z_t, t_p)
-    duz_dr, duz_dz = tape.grad(u_z, [r_t, z_t])
-    dur_dr, dur_dz = tape.grad(u_r, [r_t, z_t])
+    jz, jr = flow.velocity(tape, r_t, z_t, t_p, (R, Z))
+    p = flow.pressure(tape, r_t, z_t, t_p).value
+    duz_dr = jz.grads[0]
+    dur_dr, dur_dz = jr.grads
     # ((grad u + grad u^T) . n) . e_r for the outward normal of the current
     # wall curve; the signed-direction factors cancel pairwise.
     shear = (2.0 * dur_dr - (dur_dz + duz_dr) * dradius_dz) / stretch
@@ -317,7 +342,7 @@ def _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
         / (wall.density * wall.thickness)
 
     b_node = tape.batch_constant(wall.restoring_at_radius(radius0.value))
-    return d2eta_dtt + b_node * eta - load
+    return eta.laplacian + b_node * eta.value - load
 
 
 def stress_continuity_residual(flow, displacement, point, wall: WallProperties,
@@ -337,7 +362,7 @@ def stress_continuity_residual(flow, displacement, point, wall: WallProperties,
 
 def _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor):
     r_t, z_t, t_p, _ = current_frame(tape, r, z, t, displacement)
-    u_z, u_r = flow.velocity(tape, r_t, z_t, t_p)
+    u_z, u_r = _values(flow.velocity(tape, r_t, z_t, t_p))
     profile = 1.0 - (r_t * r_t) * (1.0 / geometry.radius**2)
     target = tape.batch_constant(inlet_factor(t.value)) * profile
     return u_z - target, u_r
@@ -345,9 +370,10 @@ def _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor):
 
 def _outlet(tape, r, z, t, flow, displacement, fluid):
     r_t, z_t, t_p, _ = current_frame(tape, r, z, t, displacement)
-    u_z, u_r, p = flow.velocity_pressure(tape, r_t, z_t, t_p)
-    duz_dr, duz_dz = tape.grad(u_z, [r_t, z_t])
-    dur_dz = tape.grad(u_r, [z_t])[0]
+    jz, jr = flow.velocity(tape, r_t, z_t, t_p, (R, Z))
+    p = flow.pressure(tape, r_t, z_t, t_p).value
+    duz_dr, duz_dz = jz.grads
+    dur_dz = jr.grads[1]
     mu = fluid.viscosity
     # traction on the plane with outward normal +z
     res_r = mu * (dur_dz + duz_dr)
@@ -356,15 +382,15 @@ def _outlet(tape, r, z, t, flow, displacement, fluid):
 
 
 def _interface(tape, r, z, t, flow, displacement, detach_target: bool):
-    eta = displacement.radial(tape, r, z, t)
-    deta_dt = tape.grad(eta, [t])[0]
+    eta = displacement.radial(tape, r, z, t, (T,))
+    (deta_dt,) = eta.grads
     if detach_target:
         deta_dt = tape.detach(deta_dt)
     direction = _direction_node(tape, r)
-    r_t = r + direction * eta
+    r_t = r + direction * eta.value
     z_t = _fresh_copy(tape, z)
     t_p = _fresh_copy(tape, t)
-    u_z, u_r = flow.velocity(tape, r_t, z_t, t_p)
+    u_z, u_r = _values(flow.velocity(tape, r_t, z_t, t_p))
     return u_r - direction * deta_dt, u_z
 
 
@@ -385,7 +411,7 @@ def fluid_bc_residual(flow, displacement, point, tag: RegionTag,
 
 def _initial_fluid(tape, r, z, t, flow, displacement):
     r_t, z_t, t_p, _ = current_frame(tape, r, z, t, displacement)
-    return flow.velocity(tape, r_t, z_t, t_p)
+    return _values(flow.velocity(tape, r_t, z_t, t_p))
 
 
 def initial_residuals(flow, displacement, point, which: str = "fluid"):
@@ -396,7 +422,7 @@ def initial_residuals(flow, displacement, point, which: str = "fluid"):
     if which == "fluid":
         return _initial_fluid(tape, r, z, t, flow, displacement)
     if which == "solid":
-        return (displacement.radial(tape, r, z, t),)
+        return (displacement.radial(tape, r, z, t).value,)
     raise PhysicsError("which must be 'fluid' or 'solid'")
 
 
@@ -561,10 +587,10 @@ class SolidLossGraph:
             tape, [_harmonic(tape, r, z, t, displacement, eps_r)])
 
         r, z, t = _batch_leaves(tape, samples.endpoints)
-        self.term_bdr = mean_square(tape, [displacement.radial(tape, r, z, t)])
+        self.term_bdr = mean_square(tape, [displacement.radial(tape, r, z, t).value])
 
         r, z, t = _batch_leaves(tape, samples.wall_t0)
-        self.term_init = mean_square(tape, [displacement.radial(tape, r, z, t)])
+        self.term_init = mean_square(tape, [displacement.radial(tape, r, z, t).value])
 
         self.total = (((tape.constant(weights.stress) * self.term_stress
                         + tape.constant(weights.harmonic) * self.term_harmonic)

@@ -63,11 +63,13 @@ LADDER_START = 1e-8
 
 def converged(losses: Sequence[float], threshold: float, window: int) -> bool:
     """True once a full window of history shows best improvement below the
-    threshold. Short histories never count as converged."""
+    threshold and ends within the threshold of its best, so a window that
+    rises is not converged. Short histories never count as converged."""
     if len(losses) < window:
         return False
     tail = losses[-window:]
-    return tail[0] - min(tail) < threshold
+    best = min(tail)
+    return tail[0] - best < threshold and tail[-1] - best < threshold
 
 
 def parallel_grad(evaluate_shard: Callable, shards: Sequence) -> np.ndarray:

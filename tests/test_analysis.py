@@ -33,11 +33,12 @@ def poiseuille_flow():
 
 def recorded_fields(flow, displacement, r, z, t):
     """u_z, u_r, p and eta as the record computes them: current_frame,
-    then velocity_pressure."""
+    then velocity and pressure."""
     tape = ad.Tape()
     r_t, z_t, t_p, eta = current_frame(tape, tape.batch(r), tape.batch(z), tape.batch(t),
                                        displacement)
-    return [*(v.value for v in flow.velocity_pressure(tape, r_t, z_t, t_p)), eta.value]
+    jets = (*flow.velocity(tape, r_t, z_t, t_p), flow.pressure(tape, r_t, z_t, t_p))
+    return [v.value for v in (*(jet.value for jet in jets), eta)]
 
 
 def export_fields_csv_writer(path, flow, displacement, grid):
@@ -258,13 +259,14 @@ def recorded_flux(flow, displacement, t, geometry, n_quad=256):
     tape = ad.Tape()
     z_w = np.array([geometry.length])
     eta = displacement.radial(tape, tape.batch([geometry.radius]), tape.batch(z_w),
-                              tape.batch([t]))
+                              tape.batch([t])).value
     s = np.linspace(0.0, (reference_radius(geometry, z_w) + eta.value).item() ** 2,
                     n_quad)
     tape = ad.Tape()
     u_z, _ = flow.velocity(tape, tape.batch(np.sqrt(s)),
                            tape.batch(np.full(n_quad, geometry.length)),
                            tape.batch(np.full(n_quad, t)))
+    u_z = u_z.value
     return float(np.trapezoid(np.pi * u_z.value, s))
 
 

@@ -37,8 +37,8 @@ def weight(tape, name, k):
     """Entry k of registered parameter group `name` as a record node: a
     bias-free 1x1 layer on the constant 1, read with select. Its value is
     the entry itself and its gradient lands in entry k exactly."""
-    one = tape.stack([tape.constant(1.0)])
-    return tape.select(tape.affine(one, name, k, (1, 1)), 0)
+    one = tape.jet_seed(tape.stack([tape.constant(1.0)]))
+    return tape.select(tape.jet_affine(one, name, k, (1, 1)), 0, 0)
 
 
 class TestGradInputs:
@@ -325,7 +325,7 @@ class TestIncrementalReplay:
         theta = np.array([0.0])
         tape.register_params("w", theta)
         out = weight(tape, "w", 0) * tape.batch([2.0])
-        (layer,) = [i for i, op in enumerate(tape._ops) if op == ad._AFFINE]
+        (layer,) = [i for i, op in enumerate(tape._ops) if op == ad._JET]
         calls = []
         original = ad.Tape._eval
 
@@ -345,8 +345,8 @@ class TestIncrementalReplay:
             theta0 = net.theta.copy()
             if modify:
                 net.theta *= 1.5
-            second = net.forward(tape, x)
-            (g,) = tape.grad(first[0] * second[0], [x[0]])
+            (second,) = net.jet(tape, x, (0,), laplacian=(0,))
+            g = first[0] * second.grads[0] + second.laplacian
             net.theta[:] = theta0
             return g
 
@@ -361,17 +361,19 @@ class TestIncrementalReplay:
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_new_leaf_values_reach_relu_layer_tangents(self):
-        # a first-layer tangent along a leaf is a constant row, so only its
-        # mask, the relu layer's step, reads the leaves
+        # the seed's first-derivative rows are unit rows whatever the
+        # leaves, so only the relu layer's step, inside its jet node,
+        # carries the leaves into the derivative rows
         rng = np.random.default_rng(7)
         theta = rng.uniform(-1.5, 1.5, size=4 * 3 + 1 * 5)
 
         def record(tape, pts):
             tape.register_params("w", theta)
             leaves = [tape.batch(pts[:, k]) for k in range(2)]
-            hidden = tape.affine(tape.stack(leaves), "w", 0, (4, 2), bias=8, act="relu")
-            out = tape.select(tape.affine(hidden, "w", 12, (1, 4), bias=16), 0)
-            tape.grad(out * out, leaves)
+            jet = tape.jet_seed(tape.stack(leaves), (0, 1), laplacian=True)
+            hidden = tape.jet_affine(jet, "w", 0, (4, 2), bias=8, act="relu", laplacian=(0, 1))
+            out = tape.jet_affine(hidden, "w", 12, (1, 4), bias=16, laplacian=(0, 1))
+            tape.select(out, 0, 1) * tape.select(out, 0, 2)
             return leaves
 
         tape = ad.Tape()
@@ -457,30 +459,29 @@ class TestForwardTangents:
         return np.array(pts)
 
     def test_network_derivatives_match_fd(self):
+        # through jets: every first derivative, each pure second derivative
+        # (a one-direction Laplacian) and the r-z Laplacian
         net = nets.build(12, 20, 3, 2, seed=7)
         pts = self.network_points(net, 6, seed=42)
-        tape = ad.Tape()
-        leaves = [tape.batch(pts[:, i]) for i in range(3)]
-        outs = net.forward(tape, leaves)
         h1, h2 = 1e-5, 1e-4
 
-        def shifted(k, steps):
+        def shifted(k, i, h):
             moved = pts.copy()
-            for i, h in steps:
-                moved[:, i] += h
+            moved[:, i] += h
             return net.evaluate(moved)[:, k]
 
-        for k, out in enumerate(outs):
-            first = tape.grad(out, leaves)
-            for i in range(3):
-                fd = (shifted(k, [(i, h1)]) - shifted(k, [(i, -h1)])) / (2 * h1)
-                np.testing.assert_allclose(first[i].value, fd, rtol=1e-5, atol=1e-7)
-                for j in range(3):
-                    (second,) = tape.grad(first[i], [leaves[j]])
-                    fd = (shifted(k, [(i, h2), (j, h2)]) - shifted(k, [(i, h2), (j, -h2)])
-                          - shifted(k, [(i, -h2), (j, h2)])
-                          + shifted(k, [(i, -h2), (j, -h2)])) / (4 * h2 * h2)
-                    np.testing.assert_allclose(second.value, fd, rtol=1e-3, atol=1e-6)
+        def pure_second(k, i):
+            return (shifted(k, i, h2) - 2 * shifted(k, i, 0.0) + shifted(k, i, -h2)) / h2**2
+
+        for laplacian in ((0,), (1,), (2,), (0, 1)):
+            tape = ad.Tape()
+            leaves = [tape.batch(pts[:, i]) for i in range(3)]
+            for k, jet in enumerate(net.jet(tape, leaves, (0, 1, 2), laplacian)):
+                for i in range(3):
+                    fd = (shifted(k, i, h1) - shifted(k, i, -h1)) / (2 * h1)
+                    np.testing.assert_allclose(jet.grads[i].value, fd, rtol=1e-5, atol=1e-7)
+                fd = sum(pure_second(k, i) for i in laplacian)
+                np.testing.assert_allclose(jet.laplacian.value, fd, rtol=1e-3, atol=1e-6)
 
     @pytest.mark.parametrize("name", sorted(PRIMITIVES))
     def test_tangent_of_tangent_matches_fd(self, name):
@@ -519,31 +520,31 @@ class TestForwardTangents:
         np.testing.assert_allclose(along_s.value, 1 - 2 * sv, rtol=1e-14)
 
     def test_second_output_reuses_the_first_outputs_layers(self):
+        # one jet carries every output: the second output adds only the
+        # selects that read it
         net = nets.build(12, 20, 3, 2, seed=1)
         tape = ad.Tape()
         leaves = [tape.batch([0.1, -0.3]), tape.batch([0.5, 1.2]), tape.batch([0.0, 0.9])]
-        u_z, u_r = net.forward(tape, leaves)
-        tape.grad(u_z, [leaves[0]])
-        before = len(tape)
-        tape.grad(u_r, [leaves[0]])
-        assert len(tape) - before <= net.out_dim
+        u_z, u_r = net.jet(tape, leaves, (0,))
+        layers = [i for i, op in enumerate(tape._ops) if op == ad._JET]
+        assert len(layers) == net.depth
+        assert all(tape._args[u.index][0] == layers[-1]
+                   for jet in (u_z, u_r) for u in (jet.value, *jet.grads))
 
     def test_second_derivative_nodes_per_layer_bounded(self):
+        # a jet with first derivatives along every input and a Laplacian
+        # is one jet layer node per layer, whatever it carries
         depth = 12
         net = nets.build(depth, 20, 3, 2, seed=1)
         tape = ad.Tape()
         leaves = [tape.batch([0.1, -0.3]), tape.batch([0.5, 1.2]), tape.batch([0.0, 0.9])]
-        u_z, _ = net.forward(tape, leaves)
         before = len(tape)
-        (first,) = tape.grad(u_z, [leaves[0]])
-        first_nodes = len(tape) - before
-        tape.grad(first, [leaves[0]])
-        second_nodes = len(tape) - before - first_nodes
-        # per layer the first tangent records an affine node, a slope
-        # (one step, or 1 - s and s(1 - s)) and a product; the second adds a
-        # sigmoid's curvature and the product rule's three terms
-        assert first_nodes <= 4 * depth
-        assert second_nodes <= 5 * depth
+        jets = net.jet(tape, leaves, (0, 1, 2), laplacian=(0, 1))
+        ops = tape._ops[before:]
+        # the stack, the seed, the layers and one select per output row
+        assert ops.count(ad._JET) == depth
+        assert len(ops) == 2 + depth + net.out_dim * (1 + 3 + 1)
+        assert all(jet.laplacian is not None for jet in jets)
 
     def test_batched_root_through_a_mean_is_rejected(self):
         tape = ad.Tape()
@@ -560,109 +561,182 @@ class TestForwardTangents:
 
 
 class TestFusedLayer:
-    """A layer node act(x W^T + b) computes what an affine node followed by
-    ``ad.sigmoid`` or ``ad.relu`` computes, bit for bit: values, first and
-    second tangents and parameter gradients."""
+    """A layer node act(x W^T + b) computes what a layer without activation
+    followed by ``ad.sigmoid`` or ``ad.relu`` computes, bit for bit: values
+    and parameter gradients. With input derivatives, it computes what the
+    per-neuron record of the same layers computes, each unit an affine sum
+    of scalar nodes followed by the activation and differentiated by
+    ``Tape.grad``: first derivatives, the Laplacian and parameter
+    gradients, to rounding (the two sum in different orders)."""
 
     LAYERS = ((4, 2), (4, 4), (1, 4))  # (rows, cols); the last is not activated
 
-    def record(self, act, fused, five_points, third_order=False):
+    def setup(self, five_points):
         rng = np.random.default_rng(3)
         theta = rng.uniform(-1.5, 1.5, size=sum(r * (c + 1) for r, c in self.LAYERS))
         pts = rng.uniform(-1.0, 1.0, size=(5, 2))
         tape = ad.Tape()
         tape.register_params("w", theta)
         n = 5 if five_points else 1
-        leaves = [tape.batch(pts[:n, k]) for k in range(2)]
-        if third_order:
-            # inputs whose tangents have tangents of their own, one of them
-            # a constant row: d/dx1 of (x1, cos x0) is (1, 0)
-            x = tape.stack([leaves[0] * leaves[1], ad.sin(leaves[0])])
-        else:
-            x = tape.stack(leaves)
+        return tape, [tape.batch(pts[:n, k]) for k in range(2)]
+
+    def layers(self, act):
+        """(offset, shape, bias offset, activation) of each layer."""
         off = 0
         for layer, (rows, cols) in enumerate(self.LAYERS):
-            layer_act = act if layer < len(self.LAYERS) - 1 else None
             bias = off + rows * cols
-            if fused:
-                x = tape.affine(x, "w", off, (rows, cols), bias=bias, act=layer_act)
-            else:
-                x = tape.affine(x, "w", off, (rows, cols), bias=bias)
-                if layer_act is not None:
-                    x = {"sigmoid": ad.sigmoid, "relu": ad.relu}[layer_act](x)
+            yield off, (rows, cols), bias, act if layer < len(self.LAYERS) - 1 else None
             off = bias + rows
-        out = tape.select(x, 0)
-        first = tape.grad(out, leaves)
-        second = [d for f in first for d in tape.grad(f, leaves)]
-        terms = out * out + first[0] * second[1] + second[3]
-        third = [d for s in second for d in tape.grad(s, leaves)] if third_order else []
-        for d in third:
-            terms = terms + d * d
-        loss = tape.mean(terms)
-        grads = tape.backward_values(loss, ["w"])
-        values = [np.asarray(v.value) for v in (out, *first, *second, *third, loss)]
-        return values, grads["w"]
 
-    def assert_same_record(self, act, five_points, third_order=False):
-        fused_values, fused_grad = self.record(act, True, five_points, third_order)
-        plain_values, plain_grad = self.record(act, False, five_points, third_order)
-        assert len(fused_values) == len(plain_values) == (16 if third_order else 8)
+    def record_values(self, act, fused, five_points):
+        tape, leaves = self.setup(five_points)
+        activate = {"sigmoid": ad.sigmoid, "relu": ad.relu}
+        x = tape.jet_seed(tape.stack(leaves))
+        for off, shape, bias, layer_act in self.layers(act):
+            if fused:
+                x = tape.jet_affine(x, "w", off, shape, bias=bias, act=layer_act)
+            else:
+                x = tape.jet_affine(x, "w", off, shape, bias=bias)
+                if layer_act is not None:
+                    units = [activate[layer_act](tape.select(x, k, 0))
+                             for k in range(shape[0])]
+                    x = tape.jet_seed(tape.stack(units))
+        out = tape.select(x, 0, 0)
+        loss = tape.mean(out * out + out)
+        grads = tape.backward_values(loss, ["w"])
+        return [np.asarray(v.value) for v in (out, loss)], grads["w"]
+
+    @pytest.mark.parametrize("five_points", [False, True])  # else one point
+    @pytest.mark.parametrize("act", ["sigmoid", "relu"])
+    def test_equals_affine_then_activation(self, act, five_points):
+        fused_values, fused_grad = self.record_values(act, True, five_points)
+        plain_values, plain_grad = self.record_values(act, False, five_points)
         for got, want in zip(fused_values, plain_values):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         assert np.any(fused_grad != 0.0)
         assert fused_grad.tobytes() == plain_grad.tobytes()
+
+    def record_jets(self, act, fused, five_points, third_order):
+        tape, leaves = self.setup(five_points)
+        activate = {"sigmoid": ad.sigmoid, "relu": ad.relu, None: lambda v: v}
+        if fused:
+            x = tape.jet_seed(tape.stack(leaves), (0, 1), laplacian=True)
+        else:
+            x = leaves
+        for off, (rows, cols), bias, layer_act in self.layers(act):
+            if fused:
+                x = tape.jet_affine(x, "w", off, (rows, cols), bias=bias, act=layer_act,
+                                    laplacian=(0, 1))
+            else:
+                x = [activate[layer_act](
+                    sum((weight(tape, "w", off + r * cols + c) * x[c] for c in range(cols)),
+                        weight(tape, "w", bias + r)))
+                     for r in range(rows)]
+        if fused:
+            out, d0, d1, lap = (tape.select(x, 0, part) for part in range(4))
+        else:
+            out = x[0]
+            d0, d1 = tape.grad(out, leaves)
+            lap = tape.grad(d0, leaves[:1])[0] + tape.grad(d1, leaves[1:])[0]
+        # the third order: a loss reading the Laplacian differentiates the
+        # activations' second derivatives once more
+        terms = out * out + d0 * d1 + (lap * lap if third_order else 0.0)
+        loss = tape.mean(terms)
+        grads = tape.backward_values(loss, ["w"])
+        values = [np.asarray(v.value) for v in (out, d0, d1, lap, loss)]
+        return values, grads["w"]
+
+    def assert_same_jets(self, act, five_points, third_order):
+        fused_values, fused_grad = self.record_jets(act, True, five_points, third_order)
+        plain_values, plain_grad = self.record_jets(act, False, five_points, third_order)
+        assert len(fused_values) == len(plain_values) == 5
+        for got, want in zip(fused_values, plain_values):
+            # a Tape.grad derivative equal at every point lacks the batch axis
+            np.testing.assert_allclose(got, np.broadcast_to(want, got.shape),
+                                       rtol=1e-12, atol=1e-14)
+        assert np.any(fused_grad != 0.0)
+        np.testing.assert_allclose(fused_grad, plain_grad, rtol=1e-12,
+                                   atol=1e-13 * np.max(np.abs(plain_grad)))
         return fused_values
 
-    @pytest.mark.parametrize("five_points", [False, True])  # else one point
+    @pytest.mark.parametrize("five_points", [False, True])
     @pytest.mark.parametrize("act", ["sigmoid", "relu"])
-    def test_equals_affine_then_activation(self, act, five_points):
-        self.assert_same_record(act, five_points)
+    def test_jet_equals_per_neuron_record(self, act, five_points):
+        self.assert_same_jets(act, five_points, third_order=False)
 
     @pytest.mark.parametrize("five_points", [False, True])
     @pytest.mark.parametrize("act", ["sigmoid", "relu"])
     def test_third_order_equals_affine_then_activation(self, act, five_points):
-        # the tangent of a second tangent; for relu, a layer tangent's own
-        # tangent, along the same root and along the other one
-        values = self.assert_same_record(act, five_points, third_order=True)
-        d01, d000 = values[4], values[7]
-        assert np.any(d01 != 0.0) and np.any(d000 != 0.0)
+        values = self.assert_same_jets(act, five_points, third_order=True)
+        # relu units are piecewise linear: their Laplacian is zero
+        assert np.any(values[3] != 0.0) == (act == "sigmoid")
 
     def test_unknown_activation_rejected(self):
         tape = ad.Tape()
         tape.register_params("w", np.ones(2))
-        x = tape.stack([tape.batch([1.0])])
+        x = tape.jet_seed(tape.stack([tape.batch([1.0])]), (0,))
         with pytest.raises(ad.RecordError, match="unknown activation"):
-            tape.affine(x, "w", 0, (1, 1), bias=1, act="tanh")
+            tape.jet_affine(x, "w", 0, (1, 1), bias=1, act="tanh")
 
-
-class TestSlopeReuse:
-    """The backward pass multiplies by the slope nodes that ``Tape.grad``
-    recorded where there are any, and computes the slope where there are
-    none; both give the same parameter gradients, bit for bit."""
-
-    def record(self, act, n, record_slopes):
-        net = nets.build(3, 5, 3, 2, seed=4, name="u")  # relu, then sigmoid layers
-        pts = np.random.default_rng(8).uniform(-1.0, 1.0, size=(n, 3))
+    def test_tangent_through_a_layer_names_the_jet(self):
+        net = nets.build(3, 4, 2, 1, seed=0)
         tape = ad.Tape()
-        leaves = [tape.batch(pts[:, k]) for k in range(3)]
-        out = net.forward(tape, leaves)
-        y = {"sigmoid": ad.sigmoid, "relu": ad.relu}[act](out[0] + out[1])
-        if record_slopes:
-            tape.grad(y, leaves[:1])
-        activated = [i for i in range(len(tape)) if tape._activation(i) is not None]
-        recorded = [tape._recorded_slope(i) is not None for i in activated]
-        loss = tape.mean(y * y + out[1])
-        return tape.backward_values(loss, ["u"])["u"], recorded
+        leaves = [tape.batch([0.2]), tape.batch([0.7])]
+        (out,) = net.forward(tape, leaves)
+        with pytest.raises(ad.RecordError, match="FieldNetwork.jet"):
+            tape.grad(out, leaves)
 
-    @pytest.mark.parametrize("n", [1, 6])  # one point, and a batch
-    @pytest.mark.parametrize("act", ["sigmoid", "relu"])
-    def test_recorded_slopes_give_same_gradients(self, act, n):
-        computed, none = self.record(act, n, record_slopes=False)
-        reused, every = self.record(act, n, record_slopes=True)
-        assert none == [False] * 3 and every == [True] * 3  # two layers and y
-        assert np.any(reused != 0.0)
-        assert reused.tobytes() == computed.tobytes()
+
+class TestLayerReaders:
+    """The backward pass scales a layer node's adjoint in place, so only a
+    select and the next layer, which each build a fresh adjoint, may read
+    a layer node; the record refuses every other use."""
+
+    def layer(self):
+        tape = ad.Tape()
+        tape.register_params("w", np.array([0.5, -1.5, 0.25, 2.0]))
+        x = tape.jet_seed(tape.stack([tape.batch([0.3, -0.7])]))
+        return tape, x, tape.jet_affine(x, "w", 0, (2, 1), bias=2, act="sigmoid")
+
+    @pytest.mark.parametrize("use", [
+        lambda tape, y: y + y,
+        lambda tape, y: y * 2.0,
+        lambda tape, y: -y,
+        lambda tape, y: ad.sigmoid(y),
+        lambda tape, y: tape.mean(y),
+        lambda tape, y: tape.stack([y]),
+        lambda tape, y: tape.detach(y),
+        lambda tape, y: tape.jet_seed(y),
+    ], ids=["add", "mul", "neg", "sigmoid", "mean", "stack", "detach", "seed"])
+    def test_layer_refused_as_operand(self, use):
+        tape, _, y = self.layer()
+        with pytest.raises(ad.RecordError):
+            use(tape, y)
+
+    def test_select_reads_a_jet_by_part_and_a_row_without(self):
+        tape, x, y = self.layer()
+        with pytest.raises(ad.RecordError):
+            tape.select(y, 0)
+        with pytest.raises(ad.RecordError):
+            tape.select(tape.stack([tape.batch([1.0])]), 0, 0)
+        with pytest.raises(ad.RecordError, match="jet_seed"):
+            tape.jet_affine(tape.stack([tape.batch([1.0])]), "w", 0, (2, 1))
+
+    def test_units_of_one_layer_read_through_selects(self):
+        # both units of one layer, and the same unit twice: each adjoint
+        # the layer receives is its own, so none is scaled twice
+        tape, _, y = self.layer()
+        a, b = tape.select(y, 0, 0), tape.select(y, 1, 0)
+        loss = tape.mean(a + b + a * b + a)
+        grad = tape.backward_values(loss, ["w"])["w"]
+        x = np.array([0.3, -0.7])
+        s = 1.0 / (1.0 + np.exp(-(np.outer(x, [0.5, -1.5]) + [0.25, 2.0])))
+        da, db = 2.0 + s[:, 1], 1.0 + s[:, 0]  # d loss/d a and d loss/d b per point
+        slope = s * (1.0 - s)
+        want = np.array([np.mean(da * slope[:, 0] * x), np.mean(db * slope[:, 1] * x),
+                         np.mean(da * slope[:, 0]), np.mean(db * slope[:, 1])])
+        np.testing.assert_allclose(grad, want, rtol=1e-14)
 
 
 @pytest.mark.parametrize("act", ["sigmoid", "relu", None])

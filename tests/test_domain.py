@@ -48,6 +48,28 @@ class TestReferenceRadius:
         assert out == pytest.approx([0.25, 0.15, 0.25])
 
 
+class TestPlaqueSlope:
+    def test_matches_central_difference_of_reference_radius(self):
+        z = np.linspace(0.86, 1.14, 57)  # inside the plaque, edges excluded
+        h = 1e-6
+        fd = (reference_radius(PLAQUED, z + h) - reference_radius(PLAQUED, z - h)) / (2 * h)
+        np.testing.assert_allclose(-domain.plaque_slope(PLAQUED.plaque, z), fd,
+                                   rtol=1e-7, atol=1e-8)
+
+    def test_closed_form(self):
+        # -b (z - c) / (a^2 sqrt(1 - ((z - c) / a)^2)) with a = 0.15, b = 0.1
+        z = np.array([0.9, 1.0, 1.1])
+        s = (z - 1.0) / 0.15
+        want = -0.1 * (z - 1.0) / (0.15**2 * np.sqrt(1.0 - s * s))
+        np.testing.assert_allclose(domain.plaque_slope(PLAQUED.plaque, z), want, rtol=1e-14)
+
+    def test_zero_off_the_plaque(self):
+        # exactly representable ends, as in test_exact_value_at_ellipse_endpoint
+        plaque = PlaqueShape(long_radius=0.25, short_radius=0.125, center_z=1.0)
+        z = np.array([0.0, 0.5, 0.75, 1.25, 1.5, 2.0])
+        assert domain.plaque_slope(plaque, z).tolist() == [0.0] * 6
+
+
 class TestGeometryValidation:
     def test_plaque_taller_than_lumen_rejected(self):
         with pytest.raises(domain.GeometryError):

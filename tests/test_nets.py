@@ -68,9 +68,8 @@ class TestForward:
         nets.zero_init_output(net)
         tape = ad.Tape()
         leaves = [tape.batch([v]) for v in (0.3, -1.0, 0.5)]
-        out = net.forward(tape, leaves)[0]
-        g = tape.grad(out, leaves)
-        assert [v.value.item() for v in g] == [0.0, 0.0, 0.0]
+        (out,) = net.jet(tape, leaves, (0, 1, 2))
+        assert [v.value.item() for v in out.grads] == [0.0, 0.0, 0.0]
 
     def test_zero_init_final_bias_grad_of_squared_output(self):
         # output is 0, so d(out^2)/db_final = 2*out = 0 by the chain rule
@@ -142,8 +141,8 @@ class TestForward:
             got = np.stack([o.value for o in out], axis=1)
             ref = net.evaluate(pts)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        # stack, one activated affine node per layer, one select per output
-        assert counts == [1 + depth + 2] * 2
+        # stack, seed, one layer node per layer, one select per output
+        assert counts == [2 + depth + 2] * 2
 
     def test_input_dimension_checked(self):
         net = nets.build(3, 4, 3, 1, seed=0)
@@ -152,32 +151,120 @@ class TestForward:
             net.forward(tape, [tape.batch([0.0])])
 
 
+def jet_at(net, pts, directions, laplacian=()):
+    """The network's jets at the rows of `pts`, on a record of their own."""
+    tape = ad.Tape()
+    leaves = [tape.batch(pts[:, i]) for i in range(net.in_dim)]
+    return net.jet(tape, leaves, directions, laplacian)
+
+
+def safe_points(net, count, seed, margin=1e-3):
+    """Points in [-1, 1]^3 whose relu units stay `margin` off their kinks."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    while len(pts) < count:
+        pt = rng.uniform(-1.0, 1.0, size=3)
+        if net.relu_margin(pt) >= margin:
+            pts.append(pt)
+    return np.array(pts)
+
+
 class TestDerivatives:
     def test_second_derivatives_match_fd_away_from_kinks(self):
         net = nets.build(12, 30 * 2 // 3, 3, 2, seed=7)
-        rng = np.random.default_rng(42)
+        pts = safe_points(net, 12, seed=42, margin=1e-6)
 
-        def u_z(r, z, t):
-            tape = r.tape
-            return net.forward(tape, [r, z, t])[0]
+        def feval(pts):
+            return net.evaluate(pts)[:, 0]
 
-        def feval(pt):
-            return float(net.evaluate(np.asarray(pt)[None, :])[0, 0])
+        h = 1e-4
+        for i in range(3):
+            (u_z, _) = jet_at(net, pts, (i,), laplacian=(i,))
+            hi, lo = pts.copy(), pts.copy()
+            hi[:, i] += h
+            lo[:, i] -= h
+            want = (feval(hi) - 2 * feval(pts) + feval(lo)) / h**2
+            for got, fd in zip(u_z.laplacian.value, want):
+                assert got == pytest.approx(fd, rel=1e-3, abs=1e-6)
 
-        checked = 0
-        while checked < 12:
-            pt = rng.uniform(-1.0, 1.0, size=3)
-            if net.relu_margin(pt) < 1e-6:
-                continue
+
+class TestJet:
+    """``FieldNetwork.jet``: one jet layer node per layer carries the value,
+    the first derivatives and the Laplacian."""
+
+    @pytest.mark.parametrize("n", [1, 40, 1000])
+    def test_value_equals_evaluate(self, n):
+        net = nets.build(12, 20, 3, 2, seed=11)
+        pts = np.random.default_rng(n).uniform(-1, 1, size=(n, 3))
+        ref = net.evaluate(pts)
+        for directions, laplacian in (((0, 1, 2), (0, 1)), ((2,), (2,)), ((), ())):
+            jets = jet_at(net, pts, directions, laplacian)
+            got = np.stack([jet.value.value for jet in jets], axis=1)
+            assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("depth", [6, 12])
+    @pytest.mark.parametrize("laplacian", [(0, 1), (2,)])
+    def test_derivatives_match_central_differences(self, depth, laplacian):
+        net = nets.build(depth, 20, 3, 2, seed=depth)
+        pts = safe_points(net, 8, seed=5)
+        h1, h2 = 1e-5, 1e-4
+
+        def moved(k, i, h):
+            shifted = pts.copy()
+            shifted[:, i] += h
+            return net.evaluate(shifted)[:, k]
+
+        for k, jet in enumerate(jet_at(net, pts, (0, 1, 2), laplacian)):
             for i in range(3):
-                got = ad.second_derivative(u_z, pt, i, i)
-                h = 1e-4
-                hi, lo = pt.copy(), pt.copy()
-                hi[i] += h
-                lo[i] -= h
-                want = (feval(hi) - 2 * feval(pt) + feval(lo)) / h**2
-                assert got == pytest.approx(want, rel=1e-3, abs=1e-6)
-            checked += 1
+                fd = (moved(k, i, h1) - moved(k, i, -h1)) / (2 * h1)
+                np.testing.assert_allclose(jet.grads[i].value, fd, rtol=1e-5, atol=1e-7)
+            fd = sum((moved(k, i, h2) - 2 * moved(k, i, 0.0) + moved(k, i, -h2)) / h2**2
+                     for i in laplacian)
+            np.testing.assert_allclose(jet.laplacian.value, fd, rtol=1e-3, atol=1e-6)
+
+    @staticmethod
+    def jet_loss(net, pts):
+        tape = ad.Tape()
+        leaves = [tape.batch(pts[:, i]) for i in range(3)]
+        terms = tape.constant(0.0)
+        for jet in net.jet(tape, leaves, (0, 1, 2), laplacian=(0, 1)):
+            dr, dz, dt = jet.grads
+            terms = terms + jet.value * dt + dr * dz + jet.laplacian * jet.laplacian
+        return tape.mean(terms)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_parameter_gradient_matches_directional_fd(self, seed):
+        net = nets.build(6, 8, 3, 2, seed=seed, name="u")
+        net.theta *= 3.0  # curved enough that every derivative row matters
+        pts = safe_points(net, 16, seed=seed)
+        loss = self.jet_loss(net, pts)
+        grad = ad.param_grad(loss, "u")
+        direction = np.random.default_rng(seed).standard_normal(grad.size)
+        direction /= np.linalg.norm(direction)
+        theta0, h = net.theta.copy(), 1e-6
+        values = []
+        for sign in (1.0, -1.0):
+            net.theta[:] = theta0 + sign * h * direction
+            values.append(float(self.jet_loss(net, pts).value))
+        net.theta[:] = theta0
+        fd = (values[0] - values[1]) / (2 * h)
+        assert abs(grad @ direction - fd) <= 1e-6 * max(abs(fd), 1e-12)
+
+    def test_replay_after_in_place_change_equals_fresh_build(self):
+        net = nets.build(12, 20, 3, 2, seed=3, name="u")
+        pts = np.random.default_rng(4).uniform(-1, 1, size=(30, 3))
+        loss = self.jet_loss(net, pts)
+        net.theta += 1e-2 * np.random.default_rng(5).standard_normal(net.theta.size)
+        loss.tape.replay()
+        fresh = self.jet_loss(net, pts).tape
+        assert len(loss.tape) == len(fresh)
+        for got, want in zip(loss.tape._vals, fresh._vals):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_laplacian_outside_the_directions_rejected(self):
+        net = nets.build(3, 4, 3, 1, seed=0)
+        with pytest.raises(ValueError, match="Laplacian"):
+            jet_at(net, np.zeros((2, 3)), (0,), laplacian=(1,))
 
 
 class TestCheckpoint:

@@ -6,7 +6,9 @@ import pytest
 from vesselflow import autodiff as ad
 from vesselflow import nets
 from vesselflow.config import preset
-from vesselflow.domain import PlaqueShape, RegionTag, VesselGeometry, reference_radius
+from vesselflow.domain import (
+    PlaqueShape, RegionTag, VesselGeometry, plaque_slope, reference_radius,
+)
 from vesselflow.physics import (
     AnalyticDisplacement, AnalyticFlow, CollocationSamples, FluidLossGraph,
     FluidProperties, LossWeights, NetworkDisplacement,
@@ -143,6 +145,25 @@ class TestStressContinuity:
         res = stress_continuity_residual(flow, disp, (0.15, z, 0.2), plaque_wall, FLUID, geom)
         want = 1e6 / (1.1 * 0.75 * 0.15**2) * c
         assert res.value == pytest.approx(want, rel=1e-12)
+
+    def test_plaque_wall_slope_chain_rule(self):
+        # eta = e r and u_z = k r: the shear load reads the wall's total
+        # slope R0'(z) (1 + e direction), R0' = -plaque_slope, through eta's
+        # r-derivative at the dented radius
+        geom = VesselGeometry(plaque=PlaqueShape(0.15, 0.1, 1.0))
+        e, k = 0.02, 3.0
+        z = np.array([0.9, 0.97, 1.0, 1.04, 1.12])
+        direction = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
+        radius0 = reference_radius(geom, z)
+        disp = AnalyticDisplacement(lambda r, z, t: e * r)
+        flow = AnalyticFlow(lambda r, z, t: k * r, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
+        res = stress_continuity_residual(flow, disp, (direction * radius0, z, np.full(5, 0.3)),
+                                         WALL, FLUID, geom)
+        ratio = 1.0 + e * direction
+        slope = -plaque_slope(geom.plaque, z) * ratio
+        load = ratio * FLUID.viscosity * k * slope / (WALL.density * WALL.thickness)
+        want = WALL.restoring_at_radius(radius0) * e * direction * radius0 - load
+        np.testing.assert_allclose(res.value, want, rtol=1e-12)
 
 
 class TestFluidBoundaryResiduals:
@@ -516,23 +537,18 @@ class TestIncrementalReplay:
             assert_same_values(graph.tape._vals, self.solid_graph(u, p, d).tape._vals)
 
     def test_activation_slopes_are_shared(self):
-        # the residuals differentiate each network several times; every
-        # tangent through an activated layer node reuses one step of that
-        # relu layer or one complement 1 - s of that sigmoid layer
+        # the residuals differentiate each network several times; no slope
+        # is recorded: every jet layer node computes its activation's
+        # derivatives from its own output, and no step or product reads a
+        # layer
         u, p, d = make_nets(seed=6)
         tape = self.fluid_graph(u, p, d, alpha=1.0).tape
-        ops, args = tape._ops, tape._args
-
-        def layer_act(i):
-            return args[i][5] if ops[i] == ad._AFFINE else None
-
-        steps = [args[i] for i, op in enumerate(ops)
-                 if op == ad._STEP and layer_act(args[i][0]) == "relu"]
-        complements = [args[i] for i, op in enumerate(ops)
-                       if op == ad._SUB and layer_act(args[i][1]) == "sigmoid"]
-        for operands in (steps, complements):
-            assert operands
-            assert len(set(operands)) == len(operands)
+        ops = tape._ops
+        layers = {i for i, op in enumerate(ops) if op == ad._JET}
+        assert layers
+        for i, op in enumerate(ops):
+            if op not in (ad._JET, ad._SELECT):
+                assert not layers.intersection(tape._operands(i)), i
 
     @staticmethod
     def fsi_tape(record):
@@ -561,57 +577,94 @@ class TestIncrementalReplay:
         assert len(set(keys)) == len(keys)
 
     @staticmethod
-    def relu_steps(tape):
-        """Each relu layer node -> the one step node that reads it."""
-        steps = {}
-        for i, op in enumerate(tape._ops):
-            if op != ad._STEP:
-                continue
-            (layer,) = tape._args[i]
-            if tape._activation(layer) == "relu":
-                assert layer not in steps
-                steps[layer] = i
-        return steps
+    def jets_of(tape, derivatives=True):
+        """Each network's jets as chains of layer nodes, keyed by group: the
+        jets that carry input derivatives, or those that carry values alone."""
+        ops, args = tape._ops, tape._args
+        chains = {}
+        for i, op in enumerate(ops):
+            if (op == ad._JET and ops[args[i][0]] == ad._SEED
+                    and bool(args[args[i][0]][1]) == derivatives):
+                chain, node = [i], i
+                while True:
+                    nxt = [j for j in range(node + 1, len(ops))
+                           if ops[j] == ad._JET and args[j][0] == node]
+                    if not nxt:
+                        break
+                    (node,) = nxt
+                    chain.append(node)
+                chains.setdefault(args[i][1], []).append(chain)
+        return chains
+
+    # jets each record takes per network: the fluid record differentiates
+    # u at the interior and the outlet, p at the interior and d along t at
+    # the wall; the solid record u and d at the wall and d in the interior
+    JETS = {"fluid": {"u": 2, "p": 1, "d": 1}, "solid": {"u": 1, "d": 2}}
+    # and the jets that read values alone: the fluid record's d in every
+    # current frame but the wall's, u at the inlet, wall and initial
+    # points, p at the outlet; the solid record's p at the wall and d at
+    # the ports and the initial points
+    VALUES = {"fluid": {"u": 3, "p": 1, "d": 4}, "solid": {"p": 1, "d": 2}}
 
     @pytest.mark.parametrize("record", ["fluid", "solid"])
     def test_relu_tangent_stores_no_bare_product(self, record):
-        # no bias-free, activation-free layer product is read only by a
-        # product with a relu step: a relu tangent is one masked node
+        # no bias-free or activation-free layer product is stored: every
+        # derivative row of a layer is a row of that layer's jet node, one
+        # node per layer per jet
         tape = self.fsi_tape(record)
         ops, args = tape._ops, tape._args
-        steps = set(self.relu_steps(tape).values())
-        readers = {}
-        for i in range(len(ops)):
-            for a in tape._operands(i):
-                readers.setdefault(a, []).append(i)
-        bare = [i for i, op in enumerate(ops) if op == ad._AFFINE
-                and args[i][4:6] == (None, None) and len(tape._operands(i)) == 1]
-        assert bare  # output-layer and sigmoid-layer tangents keep this form
-        for i in bare:
-            assert any(ops[j] != ad._MUL or not steps.intersection(args[j])
-                       for j in readers.get(i, ()))
+        chains = self.jets_of(tape)
+        values = self.jets_of(tape, derivatives=False)
+        assert {g: len(c) for g, c in chains.items()} == self.JETS[record]
+        assert {g: len(c) for g, c in values.items()} == self.VALUES[record]
+        jet_nodes = [i for i, op in enumerate(ops) if op == ad._JET]
+        every = [chain for jets in (chains, values) for c in jets.values() for chain in c]
+        assert sorted(i for chain in every for i in chain) == jet_nodes
+        for chain in every:
+            assert len(chain) == 12
+            assert [args[i][2] for i in chain] == sorted(args[i][2] for i in chain)
 
     @pytest.mark.parametrize("record", ["fluid", "solid"])
     def test_relu_layer_tangents_share_its_step(self, record):
-        # every tangent of a relu layer, of any order and along any root,
-        # reads that layer's one step node and no other step
+        # every derivative of a relu layer, along any direction and of
+        # either order, is in that layer's jet node, which reads its own
+        # step: the record holds no step of a layer
         tape = self.fsi_tape(record)
-        ops = tape._ops
-        for layer, step in self.relu_steps(tape).items():
-            roots = [r for r, t in tape._tangents.items() if t.get(layer) is not None]
-            # the fluid record differentiates d along t only
-            one_root = record == "fluid" and tape._args[layer][1] == "d"
-            assert len(roots) == 1 if one_root else len(roots) >= 2
-            family, todo = set(), [layer]
-            while todo:
-                node = todo.pop()
-                for t in tape._tangents.values():
-                    d = t.get(node)
-                    if d is not None and d not in family:
-                        family.add(d)
-                        todo.append(d)
-            for d in family:
-                assert [a for a in tape._operands(d) if ops[a] == ad._STEP] == [step]
+        ops, args = tape._ops, tape._args
+        layers = {i for i, op in enumerate(ops) if op == ad._JET}
+        assert not any(op == ad._STEP and args[i][0] in layers for i, op in enumerate(ops))
+        relu_jets = [i for i in layers if args[i][5] == "relu"]
+        per_network = {}
+        for derivatives in (True, False):
+            for group, c in self.jets_of(tape, derivatives).items():
+                per_network[group] = per_network.get(group, 0) + len(c)
+        for group, jets in per_network.items():
+            # depth 12: 5 relu layers per jet
+            assert sum(args[i][1] == group for i in relu_jets) == 5 * jets
+
+
+def record_mib(tape):
+    """Bytes the values of a record hold, in MiB, a float node counting 8."""
+    return sum(v.nbytes if isinstance(v, np.ndarray) else 8 for v in tape._vals) / 2**20
+
+
+@pytest.mark.parametrize("record", ["fluid", "solid"])
+def test_paper_scale_record_budget(record):
+    # cylinder at n = 1000, depth 12 (50.0 and 49.5 MiB with a tangent
+    # of a tangent through every layer)
+    config = preset("cylinder")
+    networks = build_networks(config, seed=1)
+    samples = draw_samples(config.vessel_geometry(), 1000, 1000, 1000, seed=1)
+    flow, disp = NetworkFlow(networks["u"], networks["p"]), NetworkDisplacement(networks["d"])
+    if record == "fluid":
+        graph = FluidLossGraph(flow, disp, samples, config.vessel_geometry(),
+                               config.fluid_properties(), config.inlet_factor(),
+                               LossWeights(ns=1e-7), config.eps_r)
+    else:
+        graph = SolidLossGraph(flow, disp, samples, config.vessel_geometry(),
+                               config.wall_segments(), config.fluid_properties(),
+                               config.loss_weights(), config.eps_r)
+    assert record_mib(graph.tape) <= 32.0
 
 
 FD_STEPS = (1e-3, 1e-4, 1e-5, 1e-6)

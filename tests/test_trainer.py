@@ -44,6 +44,15 @@ class TestConverged:
     def test_zero_threshold_never_converges_on_flat(self):
         assert not converged([1.0] * 200, threshold=0.0, window=100)
 
+    def test_rising_window_not_converged(self):
+        # its first loss is its minimum, so the best improvement is 0
+        losses = [12.3 + 0.25 * i for i in range(100)]
+        assert not converged(losses, threshold=0.1, window=100)
+
+    def test_fell_then_flat_window_converged(self):
+        losses = [10.0 - 0.001 * i for i in range(50)] + [9.95] * 50
+        assert converged(losses, threshold=0.1, window=100)
+
 
 class TestPlan:
     """The schedule lives in `config.training` and is checked there."""
