@@ -168,8 +168,8 @@ def speed_field(flow, displacement) -> Callable:
         r = tape.batch(r_arr)
         z = tape.batch(z_arr)
         tt = tape.batch(np.full(n, float(t)))
-        r_t, z_t, t_p, _ = current_frame(tape, r, z, tt, displacement)
-        u_z, u_r = (u.value for u in flow.velocity(tape, r_t, z_t, t_p))
+        r_t = current_frame(tape, r, z, tt, displacement)
+        u_z, u_r = (u.value for u in flow.velocity(tape, r_t, z, tt))
         return np.hypot(np.broadcast_to(np.asarray(u_z.value, dtype=np.float64), (n,)),
                         np.broadcast_to(np.asarray(u_r.value, dtype=np.float64), (n,)))
 

@@ -2,20 +2,20 @@
 
 A Tape is an append-only record of operations. DiffScalar handles wrap
 record entries; Python arithmetic on them appends nodes eagerly. Each kind
-of derivative is taken one way. Input derivatives through network layers
-are jets: one layer node carries a layer's value, its first derivatives
-along the requested input directions and the sum of its pure second
-derivatives along some of them (the r-z Laplacian, or d2/dt2). Input
-derivatives of elementwise expressions are forward tangents written into
-the record (``Tape.grad``), so a derivative is itself a recorded,
-differentiable quantity, and a second derivative is the tangent of a
-tangent. Parameter gradients come from one backward pass that produces
-plain numbers (``Tape.backward_values``).
+of derivative is taken one way. Input derivatives are jets (``Jet``): a
+value, its first derivatives G_j along the requested input directions and
+the sum L of its pure second derivatives along a set D of them (the r-z
+Laplacian, or d2/dt2). One layer node carries a network layer's jet; jet
+arithmetic (G' = f' G, L' = f' L + f'' * sum over j in D of G_j^2, and
+their product forms) carries it through everything else, closed-form
+fields included, as ordinary nodes. So a derivative is itself recorded
+and differentiable. Parameter gradients come from one backward pass that
+produces plain numbers (``Tape.backward_values``).
 
 Every input leaf is a lockstep batch: a 1-d array holding one
 independent value per collocation point, evaluated together; a single
-point is a batch of one. Constants, means and tangents that are equal at
-every point are float64 scalars, which broadcast against batches as in
+point is a batch of one. Constants, means and derivatives that are equal
+at every point are float64 scalars, which broadcast against batches as in
 numpy. Every operation on pointwise values is elementwise and
 ``Tape.mean`` collapses a batch to a scalar. The record holds one node per
 network layer, not per neuron: a stack joins k pointwise nodes into a row
@@ -42,8 +42,7 @@ pre-activation a is never stored: no derivative rule reads it.
 ``sigmoid``/``relu`` and ``nets.FieldNetwork.evaluate``, so ``evaluate``
 equals a recorded forward bit for bit: both activate their freshly
 computed product in place, while ``activate`` works on a copy and leaves
-its input as it is. ``Tape.grad`` does not pass a layer node: it raises
-and names ``FieldNetwork.jet``.
+its input as it is.
 
 The backward pass gives every adjoint the shape of its node's value:
 summed over a batch axis the node lacks, repeated over one it has. It
@@ -71,7 +70,8 @@ bit-identical to recomputing the whole record.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+import functools
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -171,19 +171,11 @@ def _rows_times(rows, w):
     return (rows.reshape(-1, w.shape[1]) @ w.T).reshape(rows.shape[:-1] + (w.shape[0],))
 
 
-class Jet(NamedTuple):
-    """A field at a batch as record nodes: its value, its first derivatives
-    along the requested input directions, and the sum of its pure second
-    derivatives along the Laplacian directions (None when none was asked)."""
-
-    value: "DiffScalar"
-    grads: tuple
-    laplacian: "DiffScalar | None"
-
-
 class DiffScalar:
     """Handle to one entry of a Tape: a lockstep batch, a row, a jet or a
-    scalar equal at every point. Behaves like a real number."""
+    scalar equal at every point. Behaves like a real number; an operator
+    with a ``Jet`` operand is left to the jet, so a reflected operator
+    meets only a number."""
 
     __slots__ = ("tape", "index")
 
@@ -198,39 +190,154 @@ class DiffScalar:
     def __repr__(self):
         return f"DiffScalar({self.value!r} @ node {self.index})"
 
-    def _coerce(self, other) -> "DiffScalar":
-        if isinstance(other, DiffScalar):
-            if other.tape is not self.tape:
-                raise RecordError("operands belong to different tapes")
-            return other
-        return self.tape.constant(other)
+    def _binary(self, op: int, other):
+        if isinstance(other, Jet):
+            return NotImplemented
+        if not isinstance(other, DiffScalar):
+            other = self.tape.constant(other)
+        elif other.tape is not self.tape:
+            raise RecordError("operands belong to different tapes")
+        return self.tape._binary(op, self, other)
 
     def __add__(self, other):
-        return self.tape._binary(_ADD, self, self._coerce(other))
+        return self._binary(_ADD, other)
 
     def __radd__(self, other):
-        return self.tape._binary(_ADD, self._coerce(other), self)
+        return self.tape.constant(other)._binary(_ADD, self)
 
     def __sub__(self, other):
-        return self.tape._binary(_SUB, self, self._coerce(other))
+        return self._binary(_SUB, other)
 
     def __rsub__(self, other):
-        return self.tape._binary(_SUB, self._coerce(other), self)
+        return self.tape.constant(other)._binary(_SUB, self)
 
     def __mul__(self, other):
-        return self.tape._binary(_MUL, self, self._coerce(other))
+        return self._binary(_MUL, other)
 
     def __rmul__(self, other):
-        return self.tape._binary(_MUL, self._coerce(other), self)
+        return self.tape.constant(other)._binary(_MUL, self)
 
     def __truediv__(self, other):
-        return self.tape._binary(_DIV, self, self._coerce(other))
+        return self._binary(_DIV, other)
 
     def __rtruediv__(self, other):
-        return self.tape._binary(_DIV, self._coerce(other), self)
+        return self.tape.constant(other)._binary(_DIV, self)
 
     def __neg__(self):
         return self.tape._unary(_NEG, self)
+
+
+# Jet parts are DiffScalars or plain numbers. An exact-zero part is the
+# float 0.0 and records nothing: these skip the arithmetic it makes trivial.
+
+def _zero(x) -> bool:
+    return isinstance(x, (int, float)) and x == 0.0
+
+
+def _plus(a, b):
+    return b if _zero(a) else a if _zero(b) else a + b
+
+
+def _minus(a, b):
+    return a if _zero(b) else -b if _zero(a) else a - b
+
+
+def _times(a, b):
+    return 0.0 if _zero(a) or _zero(b) else a * b
+
+
+class Jet:
+    """A field at a batch with its input derivatives: its `value`, its first
+    derivatives `grads` along the requested input directions, and
+    `laplacian`, the sum of its pure second derivatives along the
+    directions at positions `sums` among them (0.0 when `sums` is empty).
+    Each part is a DiffScalar or a plain number. Arithmetic and the
+    elementary functions of this module apply the sum, product, quotient
+    and chain rules; an operand that is not a jet is a constant."""
+
+    __slots__ = ("value", "grads", "laplacian", "sums")
+    __array_ufunc__ = None  # numpy scalars and arrays defer to the jet's operators
+
+    def __init__(self, value, grads, laplacian, sums):
+        self.value = value
+        self.grads = tuple(grads)
+        self.laplacian = laplacian
+        self.sums = tuple(sums)
+
+    def lift(self, other) -> "Jet":
+        """`other` as a jet over this jet's directions: a jet over the same
+        ones as it is, anything else as a constant."""
+        if not isinstance(other, Jet):
+            return Jet(other, (0.0,) * len(self.grads), 0.0, self.sums)
+        if (len(other.grads), other.sums) != (len(self.grads), self.sums):
+            raise RecordError("jets over different directions combined")
+        return other
+
+    def _dot(self, g, h):
+        """Sum of g_j h_j over the Laplacian's directions j."""
+        return functools.reduce(_plus, (_times(g[j], h[j]) for j in self.sums), 0.0)
+
+    def __add__(self, other):
+        b = self.lift(other)
+        return Jet(self.value + b.value, map(_plus, self.grads, b.grads),
+                   _plus(self.laplacian, b.laplacian), self.sums)
+
+    def __sub__(self, other):
+        b = self.lift(other)
+        return Jet(self.value - b.value, map(_minus, self.grads, b.grads),
+                   _minus(self.laplacian, b.laplacian), self.sums)
+
+    def __mul__(self, other):
+        b = self.lift(other)
+        grads = [_plus(_times(g, b.value), _times(self.value, h))
+                 for g, h in zip(self.grads, b.grads)]
+        lap = _plus(_plus(_times(self.laplacian, b.value), _times(self.value, b.laplacian)),
+                    _times(2.0, self._dot(self.grads, b.grads)))
+        return Jet(self.value * b.value, grads, lap, self.sums)
+
+    def __truediv__(self, other):
+        # from self = q b: G_q = (G - q G_b) / b and L_q = (L - q L_b - 2 G_q . G_b) / b
+        b = self.lift(other)
+        q = self.value / b.value
+        grads = [_minus(g, _times(q, h)) for g, h in zip(self.grads, b.grads)]
+        grads = [0.0 if _zero(g) else g / b.value for g in grads]
+        lap = _minus(_minus(self.laplacian, _times(q, b.laplacian)),
+                     _times(2.0, self._dot(grads, b.grads)))
+        return Jet(q, grads, 0.0 if _zero(lap) else lap / b.value, self.sums)
+
+    __radd__ = __add__  # addition and multiplication are exactly commutative
+    __rmul__ = __mul__
+
+    def __rsub__(self, other):
+        return self.lift(other) - self
+
+    def __rtruediv__(self, other):
+        return self.lift(other) / self
+
+    def __neg__(self):
+        return Jet(-self.value, (_minus(0.0, g) for g in self.grads),
+                   _minus(0.0, self.laplacian), self.sums)
+
+    def apply(self, value, slope=None, curvature=None) -> "Jet":
+        """f(x) at this jet's value x, given `value` = f(x), slope(x, value)
+        = f'(x) and curvature(x, value) = f''(x), each zero when None."""
+        if slope is None or all(_zero(g) for g in (*self.grads, self.laplacian)):
+            return self.lift(value)
+        s1 = slope(self.value, value)
+        lap = _times(s1, self.laplacian)
+        squares = self._dot(self.grads, self.grads)
+        if curvature is not None and not _zero(squares):
+            lap = _plus(lap, _times(curvature(self.value, value), squares))
+        return Jet(value, (_times(s1, g) for g in self.grads), lap, self.sums)
+
+
+def input_jets(inputs, directions: Sequence[int], laplacian: Sequence[int] = ()) -> list[Jet]:
+    """Jets of independent inputs: unit first derivatives along the input
+    indices in `directions`, and a zero Laplacian along those in `laplacian`."""
+    directions = tuple(directions)
+    sums = tuple(directions.index(k) for k in laplacian)
+    return [Jet(x, (1.0 if k == i else 0.0 for k in directions), 0.0, sums)
+            for i, x in enumerate(inputs)]
 
 
 class Tape:
@@ -242,8 +349,6 @@ class Tape:
         self._vals: list = []
         self._groups: dict[str, np.ndarray] = {}
         self._shared: dict[tuple, int] = {}  # (op, args) -> node, see _node
-        # per root, node -> its tangent node (None for zero)
-        self._tangents: dict[int, dict[int, "int | None"]] = {}
         # Replay bookkeeping: each group's bits at the last replay, and the
         # groups and leaf indices changed since then.
         self._snapshots: dict[str, np.ndarray] = {}
@@ -270,9 +375,7 @@ class Tape:
         return DiffScalar(self, i)
 
     def _node(self, op: int, *args) -> int:
-        """Index of the node computing `op` on `args`, recorded on first
-        use and shared by every later request. Constants, stacks and every
-        node ``grad`` records come from here."""
+        """Index of the node computing `op` on `args`, recorded once and shared."""
         key = (op, args)
         found = self._shared.get(key)
         if found is None:
@@ -383,7 +486,7 @@ class Tape:
             return np.stack(np.broadcast_arrays(*[vals[a] for a in args]), axis=-1)
         if op == _SELECT:
             x, k, part = args
-            return _entry(vals[x] if part is None else vals[x][part], k)
+            return _entry(vals[x][part], k)
         if op == _SEED:
             x, directions, laplacian = args
             row = vals[x]
@@ -452,10 +555,9 @@ class Tape:
         return DiffScalar(self, self._node(_STACK, *(x.index for x in xs)))
 
     def select(self, x: DiffScalar, k: int, part: "int | None" = None) -> DiffScalar:
-        """Entry `k` of a row node, or of row `part` of a jet node."""
-        if (part is None) == self._jet_node(x):
-            raise RecordError("select reads a row of a jet node by part, "
-                              "and a row node without one")
+        """Entry `k` of row `part` of a jet node, the one thing select reads."""
+        if part is None or not self._jet_node(x):
+            raise RecordError("select reads a row of a jet node by part")
         return self._push(_SELECT, (x.index, k, part))
 
     def jet_seed(self, x: DiffScalar, directions: Sequence[int] = (),
@@ -557,122 +659,6 @@ class Tape:
         if op in (_SUM, _SELECT, _SEED, _JET):
             return self._args[i][:1]
         return self._args[i]
-
-    # -- input derivatives: forward tangents written into the record ----
-
-    def grad(self, output: DiffScalar, wrt: Sequence[DiffScalar]) -> list[DiffScalar]:
-        """Derivatives of `output` with respect to each node in `wrt`,
-        written into the record so they can be differentiated again.
-
-        Each root is an independent input: its tangent, seeded with 1, is
-        pushed forward through the ancestors of `output`, and paths that
-        merely produce the root's value are not followed. Tangents are
-        cached per root, so later calls reuse the nodes earlier ones
-        recorded, and a second derivative is the tangent of a tangent. A
-        derivative equal at every point may lack the batch axis. A tangent
-        cannot pass through a batch mean; record the mean of the per-point
-        tangent instead. Nor can it pass through a network layer: take
-        input derivatives of a network with ``nets.FieldNetwork.jet``.
-        Parameter gradients come from ``backward_values``.
-        """
-        roots = [w.index for w in wrt]
-        for b in roots:
-            if any(a < b and self._tangent(b, a) is not None for a in roots):
-                raise RecordError(f"root node {b} depends on another root")
-        out = []
-        for r in roots:
-            t = self._tangent(output.index, r)
-            out.append(self.constant(0.0) if t is None else DiffScalar(self, t))
-        return out
-
-    def _tangent(self, output: int, root: int) -> "int | None":
-        """Node holding d output / d root, or None where it is zero. Nodes
-        before `root` cannot depend on it; the rest are walked with an
-        explicit stack, operands first, and cached under `root`."""
-        tangents = self._tangents.setdefault(root, {root: self.constant(1.0).index})
-        todo = [output] if output >= root else []
-        while todo:
-            i = todo[-1]
-            if i in tangents:
-                todo.pop()
-                continue
-            operands = () if self._ops[i] in _NON_DIFFERENTIABLE else self._operands(i)
-            missing = [a for a in operands if a >= root and a not in tangents]
-            if missing:
-                todo.extend(missing)
-            else:
-                tangents[todo.pop()] = self._tangent_rule(i, root, tangents)
-        return tangents.get(output)
-
-    def _tangent_rule(self, i: int, root: int, tangents: dict) -> "int | None":
-        """Record the tangent of node i from its operands' tangents (None
-        for zero) and return its index, or None when it is zero."""
-        op, a = self._ops[i], self._args[i]
-        t = tangents.get
-        node, mul = self._node, self._push_mul
-
-        def plus(x, y):
-            return y if x is None else x if y is None else node(_ADD, x, y)
-
-        if op in _INPUTS or op in _NON_DIFFERENTIABLE:
-            return None
-        if op == _ADD:
-            return plus(t(a[0]), t(a[1]))
-        if op == _SUB:
-            ta, tb = t(a[0]), t(a[1])
-            if tb is None:
-                return ta
-            return node(_NEG, tb) if ta is None else node(_SUB, ta, tb)
-        if op == _MUL:
-            ta, tb = t(a[0]), t(a[1])
-            return plus(None if ta is None else mul(ta, a[1]),
-                        None if tb is None else mul(a[0], tb))
-        if op == _DIV:  # (ta - out * tb) / den
-            ta, tb = t(a[0]), t(a[1])
-            if tb is not None:
-                ratio = mul(i, tb)
-                ta = node(_NEG, ratio) if ta is None else node(_SUB, ta, ratio)
-            return None if ta is None else node(_DIV, ta, a[1])
-        if op == _STACK:
-            rows = [t(x) for x in a]
-            if all(r is None for r in rows):
-                return None
-            zero = self.constant(0.0).index
-            return node(_STACK, *(zero if r is None else r for r in rows))
-        tx = t(a[0])
-        if tx is None:
-            return None
-        if op == _NEG:
-            return node(_NEG, tx)
-        if op == _EXP:
-            return mul(i, tx)
-        if op == _SQRT:
-            return node(_DIV, mul(self.constant(0.5).index, tx), i)
-        if op == _RELU:
-            return mul(node(_STEP, i), tx)
-        if op == _SIGMOID:  # s(1 - s)
-            return mul(node(_MUL, i, node(_SUB, self.constant(1.0).index, i)), tx)
-        if op == _SIN:
-            return mul(node(_COS, a[0]), tx)
-        if op == _COS:
-            return node(_NEG, mul(node(_SIN, a[0]), tx))
-        if op == _SUM:
-            raise RecordError(f"node {i} (mean): the tangent along root node {root} "
-                              "cannot pass a batch mean; take the mean of the tangent")
-        if op == _SELECT and a[2] is None:
-            return node(_SELECT, tx, a[1], None)
-        raise RecordError(f"node {i}: the tangent along root node {root} cannot pass "
-                          "a network layer; take input derivatives with "
-                          "FieldNetwork.jet")
-
-    def _push_mul(self, a: int, b: int) -> int:
-        one = self._shared.get((_CONST, (1.0,)))
-        if one is not None:
-            if a == one:
-                return b
-            if b == one:
-                return a
-        return self._node(_MUL, a, b)
 
     # -- raw backward: plain numbers, no new nodes ---------------------
 
@@ -784,7 +770,7 @@ class Tape:
                 x, k, part = a
                 if useful[x]:
                     row = np.zeros(np.shape(vals[x]))
-                    (row if part is None else row[part])[..., k] = a_out
+                    row[part][..., k] = a_out
                     accumulate(x, row)
             elif op == _SEED:
                 if useful[a[0]]:
@@ -842,51 +828,48 @@ class Tape:
 
 
 # ----------------------------------------------------------------------
-# elementary functions usable on DiffScalar or plain numbers
+# elementary functions usable on DiffScalar, Jet or plain numbers
+
+def _elementary(x, op: int, plain: Callable, slope=None, curvature=None):
+    """Recorded `op` of a DiffScalar, `plain` of a plain number, and the
+    chain rule on a jet, with `slope` and `curvature` as ``Jet.apply`` takes."""
+    if isinstance(x, Jet):
+        return x.apply(_elementary(x.value, op, plain), slope, curvature)
+    if isinstance(x, DiffScalar):
+        return x.tape._unary(op, x)
+    return plain(x)
+
 
 def exp(x):
-    if isinstance(x, DiffScalar):
-        return x.tape._unary(_EXP, x)
-    return np.exp(x)
+    return _elementary(x, _EXP, np.exp, lambda v, y: y, lambda v, y: y)
 
 
 def sqrt(x):
-    if isinstance(x, DiffScalar):
-        return x.tape._unary(_SQRT, x)
-    return np.sqrt(x)
+    return _elementary(x, _SQRT, np.sqrt, lambda v, y: 0.5 / y, lambda v, y: -0.25 / (v * y))
 
 
 def relu(x):
     """max(0, x); derivative at exactly 0 is defined as 0."""
-    if isinstance(x, DiffScalar):
-        return x.tape._unary(_RELU, x)
-    return activate("relu", x)
+    return _elementary(x, _RELU, lambda v: activate("relu", v), lambda v, y: step(y))
 
 
 def step(x):
     """1 where x > 0, else 0; recorded with zero derivative everywhere."""
-    if isinstance(x, DiffScalar):
-        return x.tape._unary(_STEP, x)
-    return np.where(np.asarray(x) > 0.0, 1.0, 0.0)
+    return _elementary(x, _STEP, lambda v: np.where(np.asarray(v) > 0.0, 1.0, 0.0))
 
 
 def sin(x):
-    if isinstance(x, DiffScalar):
-        return x.tape._unary(_SIN, x)
-    return np.sin(x)
+    return _elementary(x, _SIN, np.sin, lambda v, y: cos(v), lambda v, y: -y)
 
 
 def cos(x):
-    if isinstance(x, DiffScalar):
-        return x.tape._unary(_COS, x)
-    return np.cos(x)
+    return _elementary(x, _COS, np.cos, lambda v, y: -sin(v), lambda v, y: -y)
 
 
 def sigmoid(x):
     """1/(1+exp(-x)); recorded as one primitive with slope s(1-s)."""
-    if isinstance(x, DiffScalar):
-        return x.tape._unary(_SIGMOID, x)
-    return activate("sigmoid", x)
+    return _elementary(x, _SIGMOID, lambda v: activate("sigmoid", v),
+                       lambda v, y: y * (1.0 - y), lambda v, y: y * (1.0 - y) * (1.0 - 2.0 * y))
 
 
 def detach(x):
@@ -898,26 +881,27 @@ def detach(x):
 # ----------------------------------------------------------------------
 # functional front ends
 
-def _point_value(node: DiffScalar) -> float:
-    """The value of a node at the one point of a one-point record."""
-    return float(np.asarray(node.value).item())
+def _point_value(part) -> float:
+    """A jet part at the one point of a one-point record."""
+    return float(np.asarray(part.value if isinstance(part, DiffScalar) else part).item())
+
+
+def _point_jet(f: Callable, x: Sequence[float], directions, laplacian=()) -> Jet:
+    """``f(*jets)`` recorded on the jets of one-point leaves at `x`."""
+    tape = Tape()
+    jets = input_jets([tape.batch([v]) for v in x], directions, laplacian)
+    return jets[0].lift(f(*jets))
 
 
 def grad_inputs(f: Callable, x: Sequence[float]) -> list[float]:
-    """First derivatives of ``f(*leaves)`` with respect to every input, as
-    recorded forward tangents."""
-    tape = Tape()
-    leaves = [tape.batch([v]) for v in x]
-    return [_point_value(g) for g in tape.grad(f(*leaves), leaves)]
+    """First derivatives of ``f(*inputs)`` with respect to every input at
+    the point `x`."""
+    return [_point_value(g) for g in _point_jet(f, x, range(len(x))).grads]
 
 
-def second_derivative(f: Callable, x: Sequence[float], i: int, j: int) -> float:
-    """d2 f / dx_i dx_j: the tangent along x_j of the tangent along x_i."""
-    tape = Tape()
-    leaves = [tape.batch([v]) for v in x]
-    (gi,) = tape.grad(f(*leaves), [leaves[i]])
-    (gij,) = tape.grad(gi, [leaves[j]])
-    return _point_value(gij)
+def second_derivative(f: Callable, x: Sequence[float], i: int) -> float:
+    """d2 f / dx_i^2 at the point `x`: the Laplacian along x_i alone."""
+    return _point_value(_point_jet(f, x, (i,), (i,)).laplacian)
 
 
 def param_grad(loss: DiffScalar, group: str) -> np.ndarray:
@@ -927,41 +911,24 @@ def param_grad(loss: DiffScalar, group: str) -> np.ndarray:
 
 
 def fd_check(f: Callable, x: Sequence[float], step: float) -> float:
-    """Max relative discrepancy of recorded first and second derivatives
-    against central finite differences at ``x``."""
+    """Max relative discrepancy of the first and pure second derivatives of
+    ``f(*inputs)`` against central finite differences at ``x``."""
     if step <= 0:
         raise ValueError("step must be positive")
     x = [float(v) for v in x]
-    n = len(x)
 
     def feval(pt):
-        tape = Tape()
-        return _point_value(f(*[tape.batch([v]) for v in pt]))
+        return _point_value(_point_jet(f, pt, ()).value)
 
     worst = 0.0
     g = grad_inputs(f, x)
-    for i in range(n):
+    for i in range(len(x)):
         hi = list(x)
         lo = list(x)
         hi[i] += step
         lo[i] -= step
-        fd = (feval(hi) - feval(lo)) / (2.0 * step)
-        worst = max(worst, abs(g[i] - fd) / max(abs(g[i]), abs(fd), 1.0))
-    for i in range(n):
-        for j in range(n):
-            ad = second_derivative(f, x, i, j)
-            if i == j:
-                hi = list(x)
-                lo = list(x)
-                hi[i] += step
-                lo[i] -= step
-                fd = (feval(hi) - 2.0 * feval(x) + feval(lo)) / (step * step)
-            else:
-                pp = list(x); pm = list(x); mp = list(x); mm = list(x)
-                pp[i] += step; pp[j] += step
-                pm[i] += step; pm[j] -= step
-                mp[i] -= step; mp[j] += step
-                mm[i] -= step; mm[j] -= step
-                fd = (feval(pp) - feval(pm) - feval(mp) + feval(mm)) / (4.0 * step * step)
+        first = (feval(hi) - feval(lo)) / (2.0 * step)
+        second = (feval(hi) - 2.0 * feval(x) + feval(lo)) / (step * step)
+        for ad, fd in ((g[i], first), (second_derivative(f, x, i), second)):
             worst = max(worst, abs(ad - fd) / max(abs(ad), abs(fd), 1.0))
     return worst

@@ -2,13 +2,15 @@
 
 Config files are JSON with one object per section (geometry, fluid,
 wall, optional plaque, inlet, weights, training). Keys carry their units
-so a file can never silently mix systems. Unknown keys are rejected.
+so a file can never silently mix systems. Unknown keys, and values of the
+wrong JSON type for their key, are rejected.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -74,7 +76,7 @@ class InletSettings:
 
 @dataclass(frozen=True)
 class WeightSettings:
-    navier_stokes: float = 0.0  # schedule-managed; stage value, not the ladder
+    navier_stokes: float = 0.0  # must be 0: the training schedule sets alpha_ns
     fluid_boundary: float = 1.0
     fluid_initial: float = 0.1
     stress_continuity: float = 1.0
@@ -132,6 +134,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         self.vessel_geometry()  # geometry constraints, plaque-in-lumen checks
+        if self.weights.navier_stokes != 0.0:
+            raise ConfigError("weights.navier_stokes must be 0.0: the training schedule "
+                              "sets the momentum weight alpha_ns")
         if self.inlet.mode not in ("pulsatile", "steady"):
             raise ConfigError(f"unknown inlet mode {self.inlet.mode!r}")
         t = self.training
@@ -224,6 +229,7 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
         kwargs = {"name": data.get("name", "custom")}
+        _check_type("name", kwargs["name"], str)
         for section, section_cls in _SECTIONS.items():
             if section not in data:
                 continue
@@ -236,6 +242,9 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"unknown keys in section {section!r}: {sorted(bad)} "
                     f"(allowed: {sorted(allowed)})")
+            hints = typing.get_type_hints(section_cls)
+            for key, value in body.items():
+                _check_type(f"{section}.{key}", value, hints[key])
             kwargs[section] = section_cls(**body)
         try:
             return cls(**kwargs)
@@ -246,6 +255,25 @@ class ScenarioConfig:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
+
+
+# the JSON values each field type takes: a float key takes an integer too,
+# and no number key takes true or false
+_JSON_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _check_type(name: str, value, hint) -> None:
+    """Refuse a config value of the wrong type for a field annotated `hint`,
+    `kind` or `kind | None`; null is taken only by the latter."""
+    args = typing.get_args(hint)  # (kind, NoneType) for `kind | None`, else ()
+    if value is None and args:
+        return
+    kind = args[0] if args else hint
+    types, text = _JSON_KINDS[kind]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
+        raise ConfigError(f"{name} must be {text}{' or null' if args else ''}, "
+                          f"got {json.dumps(value)}")
 
 
 def load_config(path) -> ScenarioConfig:

@@ -71,7 +71,7 @@ class FieldNetwork:
         its input derivatives, one ``ad.Jet`` per output: first derivatives
         along each input index in `directions`, and the sum of the pure
         second derivatives along the indices in `laplacian`, a subset of
-        `directions` (no Laplacian when empty). The record holds a stack of
+        `directions` (0.0 when empty). The record holds a stack of
         the inputs, a seed, one layer node per layer and one select per row
         of each output, whatever the width; the values equal ``evaluate``
         bit for bit."""
@@ -91,8 +91,8 @@ class FieldNetwork:
                                 act=self.activations[layer], laplacian=lap)
         rows = len(directions)
         return [ad.Jet(tape.select(x, k, 0),
-                       tuple(tape.select(x, k, 1 + j) for j in range(rows)),
-                       tape.select(x, k, 1 + rows) if lap else None)
+                       (tape.select(x, k, 1 + j) for j in range(rows)),
+                       tape.select(x, k, 1 + rows) if lap else 0.0, lap)
                 for k in range(self.out_dim)]
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:

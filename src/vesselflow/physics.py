@@ -3,21 +3,19 @@
 All residuals are written against field adapters, so the same code path
 serves trained networks and closed-form manufactured fields. Velocity
 and pressure are functions of current-frame coordinates; those
-coordinates are produced by displacing reference points radially. The
-time fed to the flow fields is a separate leaf carrying the same value
-as the reference time, which makes its derivative the current-frame
-partial rather than a material derivative.
+coordinates are produced by displacing reference points radially.
 
 Every derivative a residual reads is a partial derivative of a field
 with respect to its own inputs (r, z, t): a first derivative, or the sum
 of pure second derivatives along r and z (a Laplacian) or along t alone.
 The field adapters return each field as an ``ad.Jet``: network fields
 carry it through one layer node per layer, closed-form fields through
-forward tangents at their inputs. Reading derivatives at the displaced
-radius treats it as an independent coordinate, as the moving-frame
-equations require, while its value keeps the recorded dependence on the
-displacement parameters so those still steer where the fields are
-evaluated.
+jet arithmetic on the jets of their inputs. So the time derivative of a
+flow field is the current-frame partial, not a material derivative.
+Reading derivatives at the displaced radius treats it as an independent
+coordinate, as the moving-frame equations require, while its value keeps
+the recorded dependence on the displacement parameters so those still
+steer where the fields are evaluated.
 
 The plaque enters only through `domain`: the ring model reads a wall
 point's undeformed radius from its z, equal to `reference_radius` bit for
@@ -130,12 +128,10 @@ class NetworkFlow:
         self.pressure_net = pressure_net
 
     def velocity(self, tape, r, z, t, directions=(), laplacian=()):
-        u_z, u_r = self.velocity_net.jet(tape, [r, z, t], directions, laplacian)
-        return u_z, u_r
+        return tuple(self.velocity_net.jet(tape, [r, z, t], directions, laplacian))
 
     def pressure(self, tape, r, z, t, directions=()):
-        (p,) = self.pressure_net.jet(tape, [r, z, t], directions)
-        return p
+        return self.pressure_net.jet(tape, [r, z, t], directions)[0]
 
     def read(self, r, z, t, pressure: bool = True):
         """(u_z, u_r, p), or (u_z, u_r) without `pressure`, which then
@@ -156,11 +152,11 @@ class AnalyticFlow:
         self.p = pressure
 
     def velocity(self, tape, r, z, t, directions=(), laplacian=()):
-        return tuple(_tape_jet(tape, _ensure(tape, u(r, z, t)), (r, z, t), directions, laplacian)
+        return tuple(_closed_form(tape, u, (r, z, t), directions, laplacian)
                      for u in (self.u_z, self.u_r))
 
     def pressure(self, tape, r, z, t, directions=()):
-        return _tape_jet(tape, _ensure(tape, self.p(r, z, t)), (r, z, t), directions)
+        return _closed_form(tape, self.p, (r, z, t), directions)
 
     def read(self, r, z, t, pressure: bool = True):
         u_z, u_r = self.u_z(r, z, t), self.u_r(r, z, t)
@@ -172,8 +168,7 @@ class NetworkDisplacement:
         self.displacement_net = displacement_net
 
     def radial(self, tape, r, z, t, directions=(), laplacian=()):
-        (eta,) = self.displacement_net.jet(tape, [r, z, t], directions, laplacian)
-        return eta
+        return self.displacement_net.jet(tape, [r, z, t], directions, laplacian)[0]
 
     def read(self, r, z, t):
         (eta,) = _read_network(self.displacement_net, r, z, t)
@@ -185,7 +180,7 @@ class AnalyticDisplacement:
         self.eta = eta
 
     def radial(self, tape, r, z, t, directions=(), laplacian=()):
-        return _tape_jet(tape, _ensure(tape, self.eta(r, z, t)), (r, z, t), directions, laplacian)
+        return _closed_form(tape, self.eta, (r, z, t), directions, laplacian)
 
     def read(self, r, z, t):
         return self.eta(r, z, t)
@@ -203,35 +198,13 @@ def _read_network(net, r, z, t):
     return tuple(net.evaluate(np.stack(np.broadcast_arrays(r, z, t), axis=-1)).T)
 
 
-def _tape_jet(tape, value, inputs, directions, laplacian=()) -> ad.Jet:
-    """Jet of a closed-form field recorded at `inputs`, whose entries named
-    by `directions` must be independent: its forward tangents along them,
-    and their own tangents along the `laplacian` ones, summed."""
-    roots = [inputs[k] for k in directions]
-    grads = tape.grad(value, roots)
-    lap = None
-    for k in laplacian:
-        j = directions.index(k)
-        (second,) = tape.grad(grads[j], [roots[j]])
-        lap = second if lap is None else lap + second
-    return ad.Jet(value, tuple(grads), lap)
-
-
-def _values(jets) -> tuple:
-    return tuple(jet.value for jet in jets)
-
-
-def _ensure(tape, v):
-    if isinstance(v, ad.DiffScalar):
-        return v
-    if isinstance(v, np.ndarray):
-        return tape.batch_constant(v)
-    return tape.constant(float(v))
-
-
-def _fresh_copy(tape, leaf: ad.DiffScalar) -> ad.DiffScalar:
-    """Independent leaf carrying the same value (the duplicated-time trick)."""
-    return tape.batch(leaf.value)
+def _closed_form(tape, field: Callable, inputs, directions, laplacian=()) -> ad.Jet:
+    """Jet of a closed-form field: the field called on the jets of its
+    inputs (r, z, t). A value that reads no input is recorded as a constant."""
+    jets = ad.input_jets(inputs, directions, laplacian)
+    jet = jets[0].lift(field(*jets))
+    value = jet.value if isinstance(jet.value, ad.DiffScalar) else tape.constant(jet.value)
+    return ad.Jet(value, jet.grads, jet.laplacian, jet.sums)
 
 
 def _direction_node(tape, r: ad.DiffScalar):
@@ -239,25 +212,18 @@ def _direction_node(tape, r: ad.DiffScalar):
 
 
 def current_frame(tape, r, z, t, displacement):
-    """Displaced coordinates plus the duplicated time leaf.
-
-    Returns (r_t, z_t, t_prime, eta): r_t carries the displacement
-    dependence; z_t and t_prime are independent leaves so derivatives at
-    them are current-frame partials."""
-    eta = displacement.radial(tape, r, z, t).value
-    r_t = r + _direction_node(tape, r) * eta
-    z_t = _fresh_copy(tape, z)
-    t_prime = _fresh_copy(tape, t)
-    return r_t, z_t, t_prime, eta
+    """Current-frame radius of reference points (r, z, t), which carries the
+    displacement dependence; z and t are the same in both frames."""
+    return r + _direction_node(tape, r) * displacement.radial(tape, r, z, t).value
 
 
 # ----------------------------------------------------------------------
 # residual builders (shared by per-point operations and loss graphs)
 
 def _axisym_ns(tape, r, z, t, flow, displacement, fluid: FluidProperties, eps_r):
-    r_t, z_t, t_p, _ = current_frame(tape, r, z, t, displacement)
-    jz, jr = flow.velocity(tape, r_t, z_t, t_p, (R, Z, T), laplacian=(R, Z))
-    dp_dr, dp_dz = flow.pressure(tape, r_t, z_t, t_p, (R, Z)).grads
+    r_t = current_frame(tape, r, z, t, displacement)
+    jz, jr = flow.velocity(tape, r_t, z, t, (R, Z, T), laplacian=(R, Z))
+    dp_dr, dp_dz = flow.pressure(tape, r_t, z, t, (R, Z)).grads
     u_z, (duz_dr, duz_dz, duz_dt) = jz.value, jz.grads
     u_r, (dur_dr, dur_dz, dur_dt) = jr.value, jr.grads
     r_prime = clamp_radius(r_t, eps_r)
@@ -326,18 +292,16 @@ def _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
     ratio = radius / radius0
 
     r_t = direction * radius
-    z_t = _fresh_copy(tape, z)
-    t_p = _fresh_copy(tape, t)
-    jz, jr = flow.velocity(tape, r_t, z_t, t_p, (R, Z))
-    p = flow.pressure(tape, r_t, z_t, t_p).value
+    jz, jr = flow.velocity(tape, r_t, z, t, (R, Z))
+    p = flow.pressure(tape, r_t, z, t).value
     duz_dr = jz.grads[0]
     dur_dr, dur_dz = jr.grads
     # ((grad u + grad u^T) . n) . e_r for the outward normal of the current
     # wall curve; the signed-direction factors cancel pairwise.
     shear = (2.0 * dur_dr - (dur_dz + duz_dr) * dradius_dz) / stretch
     if detach_fluid:
-        p = tape.detach(p)
-        shear = tape.detach(shear)
+        p = ad.detach(p)
+        shear = ad.detach(shear)
     load = (ratio * p - ratio * stretch * fluid.viscosity * shear) \
         / (wall.density * wall.thickness)
 
@@ -361,17 +325,17 @@ def stress_continuity_residual(flow, displacement, point, wall: WallProperties,
 
 
 def _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor):
-    r_t, z_t, t_p, _ = current_frame(tape, r, z, t, displacement)
-    u_z, u_r = _values(flow.velocity(tape, r_t, z_t, t_p))
+    r_t = current_frame(tape, r, z, t, displacement)
+    u_z, u_r = (jet.value for jet in flow.velocity(tape, r_t, z, t))
     profile = 1.0 - (r_t * r_t) * (1.0 / geometry.radius**2)
     target = tape.batch_constant(inlet_factor(t.value)) * profile
     return u_z - target, u_r
 
 
 def _outlet(tape, r, z, t, flow, displacement, fluid):
-    r_t, z_t, t_p, _ = current_frame(tape, r, z, t, displacement)
-    jz, jr = flow.velocity(tape, r_t, z_t, t_p, (R, Z))
-    p = flow.pressure(tape, r_t, z_t, t_p).value
+    r_t = current_frame(tape, r, z, t, displacement)
+    jz, jr = flow.velocity(tape, r_t, z, t, (R, Z))
+    p = flow.pressure(tape, r_t, z, t).value
     duz_dr, duz_dz = jz.grads
     dur_dz = jr.grads[1]
     mu = fluid.viscosity
@@ -385,12 +349,10 @@ def _interface(tape, r, z, t, flow, displacement, detach_target: bool):
     eta = displacement.radial(tape, r, z, t, (T,))
     (deta_dt,) = eta.grads
     if detach_target:
-        deta_dt = tape.detach(deta_dt)
+        deta_dt = ad.detach(deta_dt)
     direction = _direction_node(tape, r)
     r_t = r + direction * eta.value
-    z_t = _fresh_copy(tape, z)
-    t_p = _fresh_copy(tape, t)
-    u_z, u_r = _values(flow.velocity(tape, r_t, z_t, t_p))
+    u_z, u_r = (jet.value for jet in flow.velocity(tape, r_t, z, t))
     return u_r - direction * deta_dt, u_z
 
 
@@ -410,8 +372,8 @@ def fluid_bc_residual(flow, displacement, point, tag: RegionTag,
 
 
 def _initial_fluid(tape, r, z, t, flow, displacement):
-    r_t, z_t, t_p, _ = current_frame(tape, r, z, t, displacement)
-    return _values(flow.velocity(tape, r_t, z_t, t_p))
+    r_t = current_frame(tape, r, z, t, displacement)
+    return tuple(jet.value for jet in flow.velocity(tape, r_t, z, t))
 
 
 def initial_residuals(flow, displacement, point, which: str = "fluid"):

@@ -35,9 +35,10 @@ def recorded_fields(flow, displacement, r, z, t):
     """u_z, u_r, p and eta as the record computes them: current_frame,
     then velocity and pressure."""
     tape = ad.Tape()
-    r_t, z_t, t_p, eta = current_frame(tape, tape.batch(r), tape.batch(z), tape.batch(t),
-                                       displacement)
-    jets = (*flow.velocity(tape, r_t, z_t, t_p), flow.pressure(tape, r_t, z_t, t_p))
+    r, z, t = tape.batch(r), tape.batch(z), tape.batch(t)
+    r_t = current_frame(tape, r, z, t, displacement)
+    eta = displacement.radial(tape, r, z, t).value
+    jets = (*flow.velocity(tape, r_t, z, t), flow.pressure(tape, r_t, z, t))
     return [v.value for v in (*(jet.value for jet in jets), eta)]
 
 

@@ -1,6 +1,7 @@
 """Presets, config round trip and command orchestration."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +120,46 @@ class TestConfigIO:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("training", "rigid_wall", "false", 'training.rigid_wall must be true or false, got "false"'),
+        ("training", "interior_points", 256.0, "training.interior_points must be an integer, got 256.0"),
+        ("training", "ladder_steps", 1.5, "training.ladder_steps must be an integer, got 1.5"),
+        ("training", "network_depth", True, "training.network_depth must be an integer, got true"),
+        ("training", "fluid_epochs", None, "training.fluid_epochs must be an integer, got null"),
+        ("training", "learning_rate", False, "training.learning_rate must be a number, got false"),
+        ("training", "velocity_learning_rate", "1e-3",
+         'training.velocity_learning_rate must be a number or null, got "1e-3"'),
+        ("inlet", "mode", 1, "inlet.mode must be a string, got 1"),
+    ], ids=["bool-as-string", "int-as-float", "int-as-fraction", "int-as-bool", "int-as-null",
+            "float-as-bool", "optional-as-string", "str-as-int"])
+    def test_value_of_wrong_type_rejected(self, section, key, value, message):
+        data = preset("cylinder").to_dict()
+        data[section][key] = value
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_dict(data)
+        assert str(info.value) == message
+
+    def test_name_of_wrong_type_rejected(self):
+        with pytest.raises(ConfigError, match="name must be a string, got 5"):
+            ScenarioConfig.from_dict({"name": 5})
+
+    def test_float_key_takes_an_integer_and_optional_key_null(self):
+        data = preset("cylinder").to_dict()
+        data["training"].update(learning_rate=1, velocity_learning_rate=None)
+        loaded = ScenarioConfig.from_dict(data)
+        assert loaded.learning_rates()["u"] == 1
+
+    def test_nonzero_navier_stokes_weight_rejected(self):
+        data = preset("cylinder").to_dict()
+        data["weights"]["navier_stokes"] = 5.0
+        with pytest.raises(ConfigError, match="schedule sets the momentum weight"):
+            ScenarioConfig.from_dict(data)
+
+    @pytest.mark.parametrize("scenario", ["flow-train", "fsi-train", "field-eval"])
+    def test_benchmark_scenarios_load(self, scenario):
+        path = Path(__file__).resolve().parents[1] / "bench" / "scenarios" / f"{scenario}.json"
+        assert load_config(path).weights.navier_stokes == 0.0
 
 
 class TestParamCountCommand:
@@ -319,6 +360,17 @@ class TestBadInput:
         out_dir = tmp_path / "run"
         assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out_dir.exists()
+
+    def test_config_value_of_wrong_type(self, tmp_path, capsys):
+        # a quoted "false" would otherwise train a rigid wall
+        cfg = preset("cylinder").to_dict()
+        cfg["training"]["rigid_wall"] = "false"
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("error: training.rigid_wall must be true or false")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("arch", ["1x30-split", "12x1-split", "12x0-single"])

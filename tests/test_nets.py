@@ -261,6 +261,44 @@ class TestJet:
         for got, want in zip(loss.tape._vals, fresh._vals):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
+    @pytest.mark.parametrize("depth", [6, 12])
+    def test_closed_form_factors_compose_with_the_network_jet(self, depth):
+        # an output ansatz w(r) [(1 - zeta) f(t) + zeta U N_z], with
+        # w = 1 - r^2 / R^2, zeta = z / L and f(t) = cos(omega t): input
+        # jets, a network jet and a recorded factor U in one jet expression
+        net = nets.build(depth, 20, 3, 2, seed=depth, name="u")
+        pts = safe_points(net, 8, seed=6)
+        radius, length, omega, scale = 1.3, 1.7, np.float64(2.0), 0.8
+
+        def ansatz(p):
+            r, z, t = p.T
+            zeta = z * (1.0 / length)
+            n_z = net.evaluate(p)[:, 0]
+            return (1.0 - r * r * (1.0 / radius**2)) * (
+                (1.0 - zeta) * np.cos(omega * t) + zeta * (scale * n_z))
+
+        tape = ad.Tape()
+        leaves = [tape.batch(pts[:, i]) for i in range(3)]
+        n_z, _ = net.jet(tape, leaves, (0, 1, 2), laplacian=(0, 1))
+        r, z, t = ad.input_jets(leaves, (0, 1, 2), laplacian=(0, 1))
+        zeta = z * (1.0 / length)
+        jet = (1.0 - r * r * (1.0 / radius**2)) * (
+            (1.0 - zeta) * ad.cos(omega * t) + zeta * (tape.constant(scale) * n_z))
+        assert jet.value.value.tobytes() == ansatz(pts).tobytes()
+
+        h1, h2 = 1e-5, 1e-4
+
+        def moved(i, h):
+            shifted = pts.copy()
+            shifted[:, i] += h
+            return ansatz(shifted)
+
+        for i in range(3):
+            fd = (moved(i, h1) - moved(i, -h1)) / (2 * h1)
+            np.testing.assert_allclose(jet.grads[i].value, fd, rtol=1e-5, atol=1e-7)
+        fd = sum((moved(i, h2) - 2 * moved(i, 0.0) + moved(i, -h2)) / h2**2 for i in (0, 1))
+        np.testing.assert_allclose(jet.laplacian.value, fd, rtol=1e-3, atol=1e-6)
+
     def test_laplacian_outside_the_directions_rejected(self):
         net = nets.build(3, 4, 3, 1, seed=0)
         with pytest.raises(ValueError, match="Laplacian"):
