@@ -4,7 +4,9 @@ Everything here treats trained networks as immutable functions accessed
 through the same field adapters the residuals use. Reads that take no
 derivative (`export_fields`, `probe`, `outlet_flux`) use the adapters'
 plain `read`, so they build no record; their values are bitwise equal
-to the recorded ones. `speed_field` still records.
+to the recorded ones. `speed_field` still records, but trains no
+network, so each of its network reads is one frozen read that keeps only
+its output, not its layers.
 Reference solutions are closed-form oracles or saved field files, never
 a live solve.
 """
@@ -161,10 +163,12 @@ def speed_field(flow, displacement) -> Callable:
 
     # Still recorded, unlike `_read_current`: the benchmark's traced run
     # measures `autodiff.nodes.field` from this record, and retiring that
-    # metric belongs with a change to the benchmark itself.
+    # metric belongs with a change to the benchmark itself. The record
+    # trains no network, so each network read is one frozen read that
+    # keeps no layer values.
     def field(r_arr, z_arr, t):
         n = len(r_arr)
-        tape = ad.Tape()
+        tape = ad.Tape(trained=())
         r = tape.batch(r_arr)
         z = tape.batch(z_arr)
         tt = tape.batch(np.full(n, float(t)))

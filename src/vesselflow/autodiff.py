@@ -23,6 +23,20 @@ of k (shape (n, k), or (k,) for a row of scalars), a seed node makes the
 row a jet, a layer node maps a jet through one layer and a select node
 reads one entry of one row of a jet back out.
 
+A record keeps layer values only for the networks its owner trains
+(``Tape(trained=...)``; by default every one). A read of any other
+network is one frozen read node: it holds the read's output jet alone,
+with the input row as its operand, and runs the seed and every layer
+transiently when it is built or replayed. A backward pass that reaches it
+(through its input, or for the gradient of its network) recomputes its
+layers from the stored row and goes back through them as their layer
+nodes would, so values and gradients equal a per-layer read's bit for
+bit. The flow record trains u and p while the wall fixes d, and the wall
+record trains d against a fluid load it holds constant, so neither ever
+recomputes a frozen read in training; it keeps them as nodes, not
+constants, so that a replay after a change of the frozen network, and a
+gradient for it, stay exact.
+
 A jet is one node whose value has shape (m, n, k): the row of values,
 then one row of first derivatives G_j per requested direction, then, when
 one is requested, the row of Laplacians L; a jet without directions is
@@ -37,7 +51,9 @@ and y = act(a), with `act` a sigmoid, a relu or nothing:
 where s1 and s2 are the activation's first and second derivatives at a,
 read from y: s(1 - s) and s(1 - s)(1 - 2s) for sigmoid, the step of y and
 0 for relu, 1 and 0 for none, and D is the Laplacian's direction set. The
-pre-activation a is never stored: no derivative rule reads it.
+pre-activation a is never stored: no derivative rule reads it. Layer
+nodes and frozen reads share one implementation of this arithmetic and of
+its adjoint, written on arrays (``_layer_jet``, ``_layer_adjoint``).
 ``activate_in_place`` is the one activation arithmetic of layer nodes,
 ``sigmoid``/``relu`` and ``nets.FieldNetwork.evaluate``, so ``evaluate``
 equals a recorded forward bit for bit: both activate their freshly
@@ -54,9 +70,9 @@ by the slope, computed from the stored output. At a layer node it
 recomputes the products G_j W^T and L W^T from the stored input jet, so
 they are never stored, uses the third derivative s(1 - s)(1 - 6s + 6s^2)
 of a sigmoid, and adds the weight gradient of every row of the jet in one
-product. It scales a layer node's adjoint in place, so a layer node is
-read only by a select and by the next layer, which each build a fresh
-adjoint; the record refuses any other operation on one.
+product. It scales the adjoint of a layer node or frozen read in place,
+so either is read only by a select and by the next layer, which each
+build a fresh adjoint; the record refuses any other operation on one.
 
 Replaying a record after overwriting leaf or parameter values
 re-evaluates, in record order, only the nodes whose value reads (through
@@ -71,14 +87,15 @@ bit-identical to recomputing the whole record.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
 
 # Node opcodes. LEAF values are set externally and CONST values are
-# frozen. The weights of a JET (layer) node are read from a named
-# parameter vector on each replay; they are the only parameters a record
-# reads.
+# frozen. The weights of a JET (layer) or FROZEN (read) node are read
+# from a named parameter vector on each replay; they are the only
+# parameters a record reads.
 _LEAF = 0
 _CONST = 1
 _ADD = 2
@@ -99,12 +116,14 @@ _STACK = 16
 _SELECT = 17
 _SEED = 18  # a row as a jet: unit directions, zero Laplacian
 _JET = 19  # a network layer mapping a jet to a jet
+_FROZEN = 20  # a whole network read from a row, keeping only its output jet
 
 # Ops whose adjoint does not propagate to operands. The step function is
 # the recorded derivative of relu; its own derivative is zero everywhere
 # (the kink at 0 is assigned derivative 0).
 _NON_DIFFERENTIABLE = (_DETACH, _STEP)
 _INPUTS = (_LEAF, _CONST)
+_READS_PARAMS = (_JET, _FROZEN)  # the nodes that read a parameter group
 _ACTIVATIONS = ("sigmoid", "relu", None)
 
 
@@ -171,6 +190,77 @@ def _rows_times(rows, w):
     return (rows.reshape(-1, w.shape[1]) @ w.T).reshape(rows.shape[:-1] + (w.shape[0],))
 
 
+# The layer arithmetic of the record, on arrays. Layer nodes and frozen
+# reads both call these, so a frozen read computes the same bits.
+
+def _seed_jet(row, directions, laplacian: bool) -> np.ndarray:
+    """A row as a jet: unit first derivatives along the entry indices in
+    `directions` and, with `laplacian`, a zero Laplacian row."""
+    jet = np.zeros((1 + len(directions) + laplacian,) + row.shape)
+    jet[0] = row
+    for j, k in enumerate(directions):
+        jet[1 + j, ..., k] = 1.0
+    return jet
+
+
+def _layer_jet(jet, w, b, act, laplacian) -> np.ndarray:
+    """`jet` mapped through the layer act(x W^T + b) (no bias when b is
+    None), as the module docstring writes it; `laplacian` holds the
+    positions of the directions the Laplacian sums."""
+    out = np.empty(jet.shape[:-1] + (w.shape[0],))
+    y = out[0]
+    np.matmul(jet[0], w.T, out=y)
+    if b is not None:
+        y += b
+    activate_in_place(act, y)
+    if len(out) == 1:
+        return out
+    derivs = out[1:]
+    np.matmul(jet[1:].reshape(-1, w.shape[1]), w.T, out=derivs.reshape(-1, w.shape[0]))
+    if act is None:
+        return out
+    s1 = _slope_value(act, y)
+    curvature = None
+    if act == "sigmoid" and laplacian:  # read the products before they are scaled
+        curvature = sum(derivs[j] * derivs[j] for j in laplacian) * (s1 * (1.0 - 2.0 * y))
+    derivs *= s1
+    if curvature is not None:
+        derivs[-1] += curvature
+    return out
+
+
+def _layer_adjoint(adjoint, y, jet, w, act, laplacian) -> np.ndarray:
+    """Adjoint of the products x W^T + b, G_j W^T and L W^T of a layer with
+    input `jet` and value row `y`, stacked as its jet is, written over
+    `adjoint`, the adjoint of its output jet."""
+    if act is None:
+        return adjoint
+    s1 = _slope_value(act, y)
+    # the step's own derivative is zero, and a value alone has no
+    # derivative rows for the slope's derivative to reach
+    if act == "relu" or len(adjoint) == 1:
+        adjoint *= s1
+        return adjoint
+    # s1 and s2 depend on the pre-activation too: ds1/da = s2 = s1 (1 - 2s)
+    # and ds2/da = s1 (1 - 6 s1). `inner` is the adjoint they pass to
+    # the pre-activation, divided by s1.
+    derivs = _rows_times(jet[1:], w)
+    curve = 1.0 - 2.0 * y
+    inner = np.einsum("j...,j...->...", adjoint[1:], derivs)
+    inner *= curve
+    if laplacian:
+        lap_bar = adjoint[-1]
+        squares = sum(derivs[j] * derivs[j] for j in laplacian)
+        inner += (1.0 - 6.0 * s1) * (lap_bar * squares)
+        twice = 2.0 * (s1 * curve) * lap_bar
+    adjoint *= s1
+    if laplacian:
+        for j in laplacian:
+            adjoint[1 + j] += twice * derivs[j]
+    adjoint[0] += s1 * inner
+    return adjoint
+
+
 class DiffScalar:
     """Handle to one entry of a Tape: a lockstep batch, a row, a jet or a
     scalar equal at every point. Behaves like a real number; an operator
@@ -178,6 +268,9 @@ class DiffScalar:
     meets only a number."""
 
     __slots__ = ("tape", "index")
+    # numpy scalars and arrays defer to these operators, so an array
+    # operand is refused (``Tape.constant``) rather than mapped entrywise
+    __array_ufunc__ = None
 
     def __init__(self, tape: "Tape", index: int):
         self.tape = tape
@@ -331,19 +424,33 @@ class Jet:
         return Jet(value, (_times(s1, g) for g in self.grads), lap, self.sums)
 
 
+def laplacian_positions(directions: Sequence[int], laplacian: Sequence[int]) -> tuple:
+    """Positions among `directions` of the input indices in `laplacian`;
+    a ValueError when one is not among them."""
+    directions, laplacian = tuple(directions), tuple(laplacian)
+    if not set(laplacian) <= set(directions):
+        raise ValueError(f"Laplacian directions {laplacian} are not among {directions}")
+    return tuple(directions.index(k) for k in laplacian)
+
+
 def input_jets(inputs, directions: Sequence[int], laplacian: Sequence[int] = ()) -> list[Jet]:
     """Jets of independent inputs: unit first derivatives along the input
     indices in `directions`, and a zero Laplacian along those in `laplacian`."""
     directions = tuple(directions)
-    sums = tuple(directions.index(k) for k in laplacian)
+    sums = laplacian_positions(directions, laplacian)
     return [Jet(x, (1.0 if k == i else 0.0 for k in directions), 0.0, sums)
             for i, x in enumerate(inputs)]
 
 
 class Tape:
-    """Append-only computation record over batched, layer and scalar values."""
+    """Append-only computation record over batched, layer and scalar values.
 
-    def __init__(self):
+    `trained` names the parameter groups the record's owner trains (None:
+    every group). A network read of any other group is recorded as a
+    frozen read (``trains``, ``frozen_read``)."""
+
+    def __init__(self, trained: "Sequence[str] | None" = None):
+        self._trained = None if trained is None else frozenset(trained)
         self._ops: list[int] = []
         self._args: list[tuple] = []
         self._vals: list = []
@@ -434,9 +541,26 @@ class Tape:
         if _is_batch(va) and _is_batch(vb) and va.shape != vb.shape:
             raise RecordError("lockstep batches of different lengths combined")
 
-    def _weight(self, group: str, offset: int, shape: tuple[int, int]) -> np.ndarray:
-        rows, cols = shape
-        return self._groups[group][offset:offset + rows * cols].reshape(rows, cols)
+    def _weights(self, group: str, layer: tuple) -> tuple:
+        """W and b (None without a bias) of a layer (offset, shape, bias,
+        act) of parameter group `group`, as views."""
+        offset, (rows, cols), bias, _ = layer
+        values = self._groups[group]
+        w = values[offset:offset + rows * cols].reshape(rows, cols)
+        return w, None if bias is None else values[bias:bias + rows]
+
+    def _layer(self, group: str, layer: tuple, jet: np.ndarray, laplacian) -> np.ndarray:
+        return _layer_jet(jet, *self._weights(group, layer), layer[3], laplacian)
+
+    def _read_jets(self, i: int):
+        """The jets of frozen read i in turn: its seed, then each layer's
+        output, the last being the read's value."""
+        x, group, layers, directions, laplacian = self._args[i]
+        jet = _seed_jet(self._vals[x], directions, bool(laplacian))
+        yield jet
+        for layer in layers:
+            jet = self._layer(group, layer, jet, laplacian)
+            yield jet
 
     def _eval(self, i: int):
         op = self._ops[i]
@@ -488,43 +612,14 @@ class Tape:
             x, k, part = args
             return _entry(vals[x][part], k)
         if op == _SEED:
-            x, directions, laplacian = args
-            row = vals[x]
-            jet = np.zeros((1 + len(directions) + laplacian,) + row.shape)
-            jet[0] = row
-            for j, k in enumerate(directions):
-                jet[1 + j, ..., k] = 1.0
-            return jet
+            return _seed_jet(vals[args[0]], args[1], args[2])
         if op == _JET:
-            return self._jet_layer(i)
+            return self._layer(args[1], args[2:6], vals[args[0]], args[6])
+        if op == _FROZEN:
+            for jet in self._read_jets(i):  # each layer's jet is dropped for the next
+                pass
+            return jet
         raise RecordError(f"node {i}: op {op} cannot be re-evaluated")
-
-    def _jet_layer(self, i: int) -> np.ndarray:
-        """Value of layer node i: its input jet mapped through the layer, as
-        the module docstring writes it."""
-        x, group, offset, shape, bias, act, laplacian = self._args[i]
-        jet = self._vals[x]
-        w = self._weight(group, offset, shape)
-        out = np.empty(jet.shape[:-1] + (shape[0],))
-        y = out[0]
-        np.matmul(jet[0], w.T, out=y)
-        if bias is not None:
-            y += self._groups[group][bias:bias + shape[0]]
-        activate_in_place(act, y)
-        if len(out) == 1:
-            return out
-        derivs = out[1:]
-        np.matmul(jet[1:].reshape(-1, shape[1]), w.T, out=derivs.reshape(-1, shape[0]))
-        if act is None:
-            return out
-        s1 = _slope_value(act, y)
-        curvature = None
-        if act == "sigmoid" and laplacian:  # read the products before they are scaled
-            curvature = sum(derivs[j] * derivs[j] for j in laplacian) * (s1 * (1.0 - 2.0 * y))
-        derivs *= s1
-        if curvature is not None:
-            derivs[-1] += curvature
-        return out
 
     def _binary(self, op, a: DiffScalar, b: DiffScalar) -> DiffScalar:
         self._check_pair(a.index, b.index)
@@ -536,15 +631,20 @@ class Tape:
         return self._push(op, (a.index,))
 
     def _not_layers(self, *xs: DiffScalar) -> None:
-        """Refuse a layer node as an operand of anything but ``select`` and
-        the next layer. The backward pass scales a layer node's adjoint in
-        place, which is safe because those two build a fresh one for it."""
-        if any(self._ops[x.index] == _JET for x in xs):
+        """Refuse a layer node or frozen read as an operand of anything but
+        ``select`` and the next layer. The backward pass scales their
+        adjoints in place, which is safe because those two build a fresh
+        one for it."""
+        if any(self._ops[x.index] in _READS_PARAMS for x in xs):
             raise RecordError("a network layer is read only through select "
                               "or the next layer")
 
     def _jet_node(self, x: DiffScalar) -> bool:
-        return self._ops[x.index] in (_SEED, _JET)
+        return self._ops[x.index] in (_SEED, _JET, _FROZEN)
+
+    def trains(self, group: str) -> bool:
+        """Whether the record's owner trains parameter group `group`."""
+        return self._trained is None or group in self._trained
 
     # public primitives beyond operator syntax -------------------------
 
@@ -585,6 +685,23 @@ class Tape:
             raise RecordError("a layer maps a jet node; seed a row with jet_seed")
         return self._push(_JET, (x.index, group, offset, tuple(shape), bias, act,
                                  tuple(laplacian)))
+
+    def frozen_read(self, x: DiffScalar, group: str, layers: Sequence[tuple],
+                    directions: Sequence[int] = (),
+                    laplacian: "tuple[int, ...]" = ()) -> DiffScalar:
+        """A network read that keeps no layer values: the jet of row node x
+        (``jet_seed`` with a Laplacian when `laplacian` is not empty) mapped
+        through `layers`, each an (offset, shape, bias, act) of group
+        `group` as ``jet_affine`` takes them, as one node that holds the
+        last jet alone. Its values equal the layer nodes' bit for bit; a
+        backward pass that reaches it recomputes its layers from x."""
+        if self._jet_node(x):
+            raise RecordError("a jet is seeded from a row node")
+        layers = tuple((offset, tuple(shape), bias, act) for offset, shape, bias, act in layers)
+        if any(act not in _ACTIVATIONS for *_, act in layers):
+            raise RecordError("unknown activation in a frozen read")
+        return self._push(_FROZEN, (x.index, group, layers, tuple(directions),
+                                    tuple(laplacian)))
 
     def mean(self, x: DiffScalar) -> DiffScalar:
         """Mean over the lockstep batch (count fixed at record time)."""
@@ -641,7 +758,7 @@ class Tape:
                 if op == _LEAF:
                     hit[i] = i in changed
                     continue
-                if (op == _JET and args[i][1] in changed
+                if (op in _READS_PARAMS and args[i][1] in changed
                         or any(hit[a] for a in self._operands(i))):
                     hit[i] = True
                     order.append(i)
@@ -656,7 +773,7 @@ class Tape:
         op = self._ops[i]
         if op in _INPUTS:
             return ()
-        if op in (_SUM, _SELECT, _SEED, _JET):
+        if op in (_SUM, _SELECT, _SEED, _JET, _FROZEN):
             return self._args[i][:1]
         return self._args[i]
 
@@ -664,10 +781,11 @@ class Tape:
 
     def _useful_mask(self, param_groups: Sequence[str]) -> list[bool]:
         """Flags of the nodes that depend on a parameter of one of the
-        groups: the layer nodes reading them and everything downstream."""
+        groups: the layer nodes and frozen reads reading them and
+        everything downstream."""
         ops, args = self._ops, self._args
         roots = [i for i in range(len(ops))
-                 if ops[i] == _JET and args[i][1] in param_groups]
+                 if ops[i] in _READS_PARAMS and args[i][1] in param_groups]
         mask = [False] * len(ops)
         for r in roots:
             mask[r] = True
@@ -776,55 +894,47 @@ class Tape:
                 if useful[a[0]]:
                     accumulate(a[0], a_out[0])
             elif op == _JET:
-                # a_out becomes the adjoint of the layer's products x W^T + b,
-                # G_j W^T and L W^T. It is scaled in place: only this node
-                # holds it, since only selects and the next layer read a
-                # layer (``_not_layers``) and each builds a fresh adjoint.
-                x, group, offset, shape, bias = a[:5]
-                a_out = self._jet_adjoint(i, a_out)
-                w = self._weight(group, offset, shape)
+                x, group = a[:2]
+                back = self._layer_backward(group, a[2:6], a[6], a_out, vals[x], vals[i][0],
+                                            grads, useful[x])
+                if back is not None:
+                    accumulate(x, back)
+            elif op == _FROZEN:
+                # recompute the input jet of every layer, then go back
+                # through the layers as their layer nodes would
+                x, group, layers, _, laplacian = a
+                jets = list(itertools.islice(self._read_jets(i), len(layers)))
+                y = vals[i][0]
+                for k in range(len(layers) - 1, -1, -1):
+                    jet = jets.pop()
+                    a_out = self._layer_backward(group, layers[k], laplacian, a_out, jet, y,
+                                                 grads, k > 0 or useful[x])
+                    y = jet[0]
                 if useful[x]:
-                    accumulate(x, _rows_times(a_out, w.T))
-                g = grads.get(group)
-                if g is not None:
-                    g[offset:offset + w.size] += (a_out.reshape(-1, shape[0]).T
-                                                  @ vals[x].reshape(-1, shape[1])).ravel()
-                    if bias is not None:
-                        g[bias:bias + shape[0]] += (a_out[0].sum(axis=0) if a_out.ndim == 3
-                                                    else a_out[0])
+                    accumulate(x, a_out[0])
         return grads
 
-    def _jet_adjoint(self, i: int, adjoint: np.ndarray) -> np.ndarray:
-        """Adjoint of the products x W^T + b, G_j W^T and L W^T of layer node
-        i, stacked as its jet is, written over the adjoint of that jet."""
-        x, group, offset, shape, bias, act, laplacian = self._args[i]
-        if act is None:
-            return adjoint
-        y = self._vals[i][0]
-        s1 = _slope_value(act, y)
-        # the step's own derivative is zero, and a value alone has no
-        # derivative rows for the slope's derivative to reach
-        if act == "relu" or len(adjoint) == 1:
-            adjoint *= s1
-            return adjoint
-        # s1 and s2 depend on the pre-activation too: ds1/da = s2 = s1 (1 - 2s)
-        # and ds2/da = s1 (1 - 6 s1). `inner` is the adjoint they pass to
-        # the pre-activation, divided by s1.
-        derivs = _rows_times(self._vals[x][1:], self._weight(group, offset, shape))
-        curve = 1.0 - 2.0 * y
-        inner = np.einsum("j...,j...->...", adjoint[1:], derivs)
-        inner *= curve
-        if laplacian:
-            lap_bar = adjoint[-1]
-            squares = sum(derivs[j] * derivs[j] for j in laplacian)
-            inner += (1.0 - 6.0 * s1) * (lap_bar * squares)
-            twice = 2.0 * (s1 * curve) * lap_bar
-        adjoint *= s1
-        if laplacian:
-            for j in laplacian:
-                adjoint[1 + j] += twice * derivs[j]
-        adjoint[0] += s1 * inner
-        return adjoint
+    def _layer_backward(self, group: str, layer: tuple, laplacian, adjoint: np.ndarray,
+                        jet: np.ndarray, y: np.ndarray, grads: dict, need_input: bool):
+        """One layer of the backward pass. `adjoint` is that of the layer's
+        output jet, whose value row is `y`, and `jet` its input jet. The
+        adjoint becomes that of the layer's products x W^T + b, G_j W^T and
+        L W^T, in place: only the layer holds it, since only selects and
+        the next layer read a layer (``_not_layers``) and each builds a
+        fresh adjoint. Adds the weight and bias gradients to
+        grads[group] when present and returns the adjoint of `jet`, or
+        None without `need_input`."""
+        offset, shape, bias, act = layer
+        w, _ = self._weights(group, layer)
+        adjoint = _layer_adjoint(adjoint, y, jet, w, act, laplacian)
+        g = grads.get(group)
+        if g is not None:
+            g[offset:offset + w.size] += (adjoint.reshape(-1, shape[0]).T
+                                          @ jet.reshape(-1, shape[1])).ravel()
+            if bias is not None:
+                g[bias:bias + shape[0]] += (adjoint[0].sum(axis=0) if adjoint.ndim == 3
+                                            else adjoint[0])
+        return _rows_times(adjoint, w.T) if need_input else None
 
 
 # ----------------------------------------------------------------------

@@ -342,14 +342,19 @@ _M_MMAP_THRESHOLD = -3
 def _retain_freed_memory() -> None:
     """Keep freed heap memory for reuse instead of returning it to the OS.
 
-    `evaluate`'s `analysis.speed_field`, the one field read that still
-    builds a record, records every node of one time slice (about 14 MiB at
-    the default grid) and frees it all at once; `export-fields`, `probe`
-    and the flux read plain values. By default glibc then trims the
-    heap whenever no live block happens to sit above the freed ones, and
-    the next slice page-faults all of it back in, which makes `evaluate`
-    1.5-2x slower. Whether that happens depends on incidental heap layout,
-    so the cost would come and go with unrelated code changes. Arrays up to
+    Every field read allocates and frees the same arrays once per time
+    slice: a layer's (points, width) array is 640 KiB at the default
+    64 x 64 grid, above glibc's default 128 KiB mmap threshold, and the
+    `speed_field` record of `evaluate` keeps only its frozen reads' outputs
+    (0.56 MiB a slice), so nearly all of that memory is transient. By
+    default each such array is mapped fresh and page-faulted in, or the
+    trimmed heap is faulted back in for the next slice. On the cylinder
+    networks at the default grid, without this setting `evaluate` takes
+    35,100 minor page faults instead of 6,300 and 20-45% more CPU time,
+    `export-fields` 35,300 instead of 6,400 and about 20% more, and an
+    fsi-train `train` 25,000-38,000 instead of 11,900 and 6-10% more.
+    Whether trimming happens depends on incidental heap layout, so the
+    cost would come and go with unrelated code changes. Arrays up to
     32 MB now come from the heap, and it is trimmed only beyond 256 MB
     free. No-op without glibc."""
     try:

@@ -29,28 +29,29 @@ class FieldNetwork:
         self.depth = depth
         self.widths = list(widths)
         self.theta = theta
-        self._offsets = []
-        off = 0
-        for layer in range(depth):
-            fan_in, fan_out = self.widths[layer], self.widths[layer + 1]
-            self._offsets.append((off, off + fan_in * fan_out))
-            off += fan_in * fan_out + fan_out
-        self._size = off
         # as the record names them: odd hidden layers sigmoid, even ones
         # relu, and None for the output layer
         self.activations = ["sigmoid" if layer % 2 else "relu" for layer in range(1, depth)] + [None]
+        # each layer as the record reads it: (weight offset, (rows, cols),
+        # bias offset, activation)
+        self._layers = []
+        off = 0
+        for layer in range(depth):
+            fan_in, fan_out = self.widths[layer], self.widths[layer + 1]
+            self._layers.append((off, (fan_out, fan_in), off + fan_in * fan_out,
+                                 self.activations[layer]))
+            off += fan_in * fan_out + fan_out
+        self._size = off
         if len(theta) != self._size:
             raise ValueError(f"parameter vector has {len(theta)} entries, need {self._size}")
 
     def weight(self, layer: int) -> np.ndarray:
         """Row-major weight view of affine layer `layer` (0-based)."""
-        w_off, b_off = self._offsets[layer]
-        fan_in, fan_out = self.widths[layer], self.widths[layer + 1]
-        return self.theta[w_off:b_off].reshape(fan_out, fan_in)
+        w_off, shape, b_off, _ = self._layers[layer]
+        return self.theta[w_off:b_off].reshape(shape)
 
     def bias(self, layer: int) -> np.ndarray:
-        w_off, b_off = self._offsets[layer]
-        fan_out = self.widths[layer + 1]
+        _, (fan_out, _), b_off, _ = self._layers[layer]
         return self.theta[b_off:b_off + fan_out]
 
     @property
@@ -71,24 +72,24 @@ class FieldNetwork:
         its input derivatives, one ``ad.Jet`` per output: first derivatives
         along each input index in `directions`, and the sum of the pure
         second derivatives along the indices in `laplacian`, a subset of
-        `directions` (0.0 when empty). The record holds a stack of
-        the inputs, a seed, one layer node per layer and one select per row
-        of each output, whatever the width; the values equal ``evaluate``
-        bit for bit."""
+        `directions` (0.0 when empty). The record holds a stack of the
+        inputs, then a seed and one layer node per layer when `tape` trains
+        this network, or one frozen read, which keeps no layer values, when
+        it does not; then one select per row of each output, whatever the
+        width. The values equal ``evaluate`` bit for bit."""
         if len(inputs) != self.in_dim:
             raise ValueError(f"{self.name}: expected {self.in_dim} inputs, got {len(inputs)}")
         directions = tuple(directions)
-        if not set(laplacian) <= set(directions):
-            raise ValueError(f"{self.name}: Laplacian directions {tuple(laplacian)} "
-                             f"are not among {directions}")
-        lap = tuple(directions.index(k) for k in laplacian)
+        lap = ad.laplacian_positions(directions, laplacian)
         tape.register_params(self.name, self.theta)
-        x = tape.jet_seed(tape.stack(inputs), directions, bool(lap))
-        for layer in range(self.depth):
-            w_off, b_off = self._offsets[layer]
-            shape = (self.widths[layer + 1], self.widths[layer])
-            x = tape.jet_affine(x, self.name, w_off, shape, bias=b_off,
-                                act=self.activations[layer], laplacian=lap)
+        row = tape.stack(inputs)
+        if tape.trains(self.name):
+            x = tape.jet_seed(row, directions, bool(lap))
+            for w_off, shape, b_off, act in self._layers:
+                x = tape.jet_affine(x, self.name, w_off, shape, bias=b_off, act=act,
+                                    laplacian=lap)
+        else:
+            x = tape.frozen_read(row, self.name, self._layers, directions, lap)
         rows = len(directions)
         return [ad.Jet(tape.select(x, k, 0),
                        (tape.select(x, k, 1 + j) for j in range(rows)),

@@ -9,8 +9,9 @@ Every derivative a residual reads is a partial derivative of a field
 with respect to its own inputs (r, z, t): a first derivative, or the sum
 of pure second derivatives along r and z (a Laplacian) or along t alone.
 The field adapters return each field as an ``ad.Jet``: network fields
-carry it through one layer node per layer, closed-form fields through
-jet arithmetic on the jets of their inputs. So the time derivative of a
+carry it through one layer node per layer (one frozen read for a network
+the loss record does not train), closed-form fields through jet
+arithmetic on the jets of their inputs. So the time derivative of a
 flow field is the current-frame partial, not a material derivative.
 Reading derivatives at the displaced radius treats it as an independent
 coordinate, as the moving-frame equations require, while its value keeps
@@ -463,12 +464,16 @@ class FluidLossGraph:
 
     The momentum-residual weight is a length-1 leaf, so the staged
     schedule can raise it without rebuilding the record. The total reads
-    it through a mean, which keeps the total a scalar."""
+    it through a mean, which keeps the total a scalar. The record trains
+    the flow networks u and p: its reads of the displacement network are
+    frozen reads, which keep no layer values."""
+
+    trained = ("u", "p")
 
     def __init__(self, flow, displacement, samples: CollocationSamples,
                  geometry: VesselGeometry, fluid: FluidProperties,
                  inlet_factor: Callable, weights: LossWeights, eps_r: float):
-        tape = ad.Tape()
+        tape = ad.Tape(trained=self.trained)
         self.tape = tape
 
         r, z, t = _batch_leaves(tape, samples.interior)
@@ -525,13 +530,17 @@ class SolidLossGraph:
     """Recorded wall-problem loss: ring model, harmonic extension,
     endpoint pinning and the rest start. The ring model is two batches, off
     and on the plaque, with materials `wall_by_segment[WALL]` and
-    `[WALL_PLAQUE]`. Fluid quantities inside the ring load are constants."""
+    `[WALL_PLAQUE]`. Fluid quantities inside the ring load are constants.
+    The record trains the displacement network d: its reads of u and p
+    are frozen reads, which keep no layer values."""
+
+    trained = ("d",)
 
     def __init__(self, flow, displacement, samples: CollocationSamples,
                  geometry: VesselGeometry,
                  wall_by_segment: "dict[RegionTag, WallProperties]",
                  fluid: FluidProperties, weights: LossWeights, eps_r: float):
-        tape = ad.Tape()
+        tape = ad.Tape(trained=self.trained)
         self.tape = tape
 
         parts = []

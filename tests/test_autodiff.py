@@ -412,6 +412,21 @@ class TestTapeHygiene:
         with pytest.raises(ad.RecordError):
             tape.batch([1.0, 2.0]) + tape.batch([1.0, 2.0, 3.0])
 
+    def test_numpy_array_operand_refused(self):
+        # numpy defers to the handle's operators instead of mapping them
+        # over the array into an array of objects
+        x = ad.Tape().batch([1.0, 2.0])
+        for use in (lambda: np.array([3.0, 4.0]) * x, lambda: x * np.array([3.0, 4.0]),
+                    lambda: np.array([3.0, 4.0]) - x):
+            with pytest.raises(TypeError):
+                use()
+
+    def test_numpy_scalar_operand_is_a_constant(self):
+        x = ad.Tape().batch([1.0, 2.0])
+        for got in (np.float64(3.0) * x, x * np.float64(3.0)):
+            assert isinstance(got, ad.DiffScalar)
+            assert got.value.tobytes() == np.array([3.0, 6.0]).tobytes()
+
 
 class TestForwardTangents:
     """Input derivatives are jets: of networks through their layer nodes,
@@ -568,6 +583,12 @@ class TestJetArithmetic:
         _, (z, _) = self.jets(laplacian=(0,))
         with pytest.raises(ad.RecordError, match="different directions"):
             x * z
+
+    def test_laplacian_outside_the_directions_rejected(self):
+        leaves = [ad.Tape().batch([0.5])]
+        with pytest.raises(ValueError,
+                           match=r"^Laplacian directions \(1,\) are not among \(0,\)$"):
+            ad.input_jets(leaves, (0,), laplacian=(1,))
 
 
 class TestFusedLayer:

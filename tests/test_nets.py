@@ -305,6 +305,110 @@ class TestJet:
             jet_at(net, np.zeros((2, 3)), (0,), laplacian=(1,))
 
 
+class TestFrozenRead:
+    """A read of a network its record does not train is one frozen read
+    that keeps no layer values. Its values, the parameter gradients through
+    its recompute and its replays equal those of the per-layer read bit for
+    bit."""
+
+    # (directions, Laplacian directions)
+    READS = {"laplacian": ((0, 1, 2), (0, 1)), "first": ((0, 2), ()), "value": ((), ())}
+
+    @staticmethod
+    def nets_of(depth):
+        return (nets.build(depth, 20, 3, 2, seed=depth, name="u"),
+                nets.build(depth, 8, 3, 1, seed=depth + 1, name="d"))
+
+    @classmethod
+    def loss(cls, u, d, pts, trained, read):
+        """A mean over every part of u's jet at points shifted by d's
+        output, so u's input adjoint reaches d."""
+        directions, laplacian = cls.READS[read]
+        tape = ad.Tape(trained=trained)
+        r, z, t = (tape.batch(pts[:, i]) for i in range(3))
+        (eta,) = d.forward(tape, [r, z, t])
+        terms = tape.constant(0.0)
+        for jet in u.jet(tape, [r + eta * 0.1, z, t], directions, laplacian):
+            terms = terms + jet.value * jet.value
+            for g in jet.grads:
+                terms = terms + jet.value * g
+            if laplacian:
+                terms = terms + jet.laplacian * jet.laplacian
+        return tape.mean(terms)
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @staticmethod
+    def selects(tape):
+        return [v for op, v in zip(tape._ops, tape._vals) if op == ad._SELECT]
+
+    @pytest.mark.parametrize("read", list(READS))
+    @pytest.mark.parametrize("depth", [6, 12])
+    @pytest.mark.parametrize("trained", [(), ("d",)], ids=["none", "d"])
+    def test_values_equal_per_layer_read(self, depth, read, trained):
+        u, d = self.nets_of(depth)
+        pts = np.random.default_rng(depth).uniform(-1.0, 1.0, size=(16, 3))
+        frozen = self.loss(u, d, pts, trained, read)
+        kept = self.loss(u, d, pts, None, read)
+        ops = frozen.tape._ops
+        assert ops.count(ad._FROZEN) == 2 - len(trained)
+        assert ops.count(ad._JET) == depth * len(trained)
+        self.assert_same(self.selects(frozen.tape), self.selects(kept.tape))
+        assert np.asarray(frozen.value).tobytes() == np.asarray(kept.value).tobytes()
+
+    @pytest.mark.parametrize("read", list(READS))
+    @pytest.mark.parametrize("depth", [6, 12])
+    @pytest.mark.parametrize("trained", [(), ("d",)], ids=["none", "d"])
+    def test_param_grads_equal_per_layer_read(self, depth, read, trained):
+        u, d = self.nets_of(depth)
+        pts = np.random.default_rng(depth).uniform(-1.0, 1.0, size=(16, 3))
+        frozen = self.loss(u, d, pts, trained, read)
+        kept = self.loss(u, d, pts, None, read)
+        for groups in (["u"], ["d"], ["u", "d"]):
+            got = frozen.tape.backward_values(frozen, groups)
+            want = kept.tape.backward_values(kept, groups)
+            for g in groups:
+                assert np.any(want[g] != 0.0)
+                assert got[g].tobytes() == want[g].tobytes(), g
+
+    @pytest.mark.parametrize("read", list(READS))
+    @pytest.mark.parametrize("depth", [6, 12])
+    def test_replay_after_in_place_change_equals_fresh_build(self, depth, read):
+        u, d = self.nets_of(depth)
+        pts = np.random.default_rng(depth).uniform(-1.0, 1.0, size=(16, 3))
+        loss = self.loss(u, d, pts, (), read)
+        rng = np.random.default_rng(5)
+        for net in (u, d):
+            net.theta += 1e-2 * rng.standard_normal(net.theta.size)
+            loss.tape.replay()
+            self.assert_same(loss.tape._vals, self.loss(u, d, pts, (), read).tape._vals)
+        self.assert_same(self.selects(loss.tape),
+                         self.selects(self.loss(u, d, pts, None, read).tape))
+
+    def test_record_keeps_no_layer_values(self):
+        u, d = self.nets_of(12)
+        pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(64, 3))
+        frozen = self.loss(u, d, pts, (), "laplacian").tape
+        kept = self.loss(u, d, pts, None, "laplacian").tape
+        assert len(kept) - len(frozen) == 2 * 12  # a seed and 12 layers per read become one
+        nbytes = [sum(np.asarray(v).nbytes for v in tape._vals) for tape in (frozen, kept)]
+        assert nbytes[0] < nbytes[1] / 5
+
+    def test_frozen_read_refused_as_operand(self):
+        u, _ = self.nets_of(6)
+        tape = ad.Tape(trained=())
+        u.jet(tape, [tape.batch([0.1])] * 3)
+        (read,) = [i for i, op in enumerate(tape._ops) if op == ad._FROZEN]
+        with pytest.raises(ad.RecordError):
+            ad.DiffScalar(tape, read) * 2.0
+        with pytest.raises(ad.RecordError, match="seeded from a row"):
+            tape.frozen_read(ad.DiffScalar(tape, read), "u", [])
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         u = nets.build(6, 8, 3, 2, seed=1, name="u")
