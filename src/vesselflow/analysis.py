@@ -5,8 +5,8 @@ through the same field adapters the residuals use. Reads that take no
 derivative (`export_fields`, `probe`, `outlet_flux`) use the adapters'
 plain `read`, so they build no record; their values are bitwise equal
 to the recorded ones. `speed_field` still records, but trains no
-network, so each of its network reads is one frozen read that keeps only
-its output, not its layers.
+network, so each of its network reads is one layer run of the whole
+network, which keeps only its output, not its layers.
 Reference solutions are closed-form oracles or saved field files, never
 a live solve.
 """
@@ -164,8 +164,8 @@ def speed_field(flow, displacement) -> Callable:
     # Still recorded, unlike `_read_current`: the benchmark's traced run
     # measures `autodiff.nodes.field` from this record, and retiring that
     # metric belongs with a change to the benchmark itself. The record
-    # trains no network, so each network read is one frozen read that
-    # keeps no layer values.
+    # trains no network, so each network read is one layer run of the
+    # whole network, which keeps no layer values.
     def field(r_arr, z_arr, t):
         n = len(r_arr)
         tape = ad.Tape(trained=())

@@ -1,11 +1,11 @@
-"""Recorded autodiff with nested derivatives, one node per network layer.
+"""Recorded autodiff with nested derivatives, one node per run of network layers.
 
 A Tape is an append-only record of operations. DiffScalar handles wrap
 record entries; Python arithmetic on them appends nodes eagerly. Each kind
 of derivative is taken one way. Input derivatives are jets (``Jet``): a
 value, its first derivatives G_j along the requested input directions and
 the sum L of its pure second derivatives along a set D of them (the r-z
-Laplacian, or d2/dt2). One layer node carries a network layer's jet; jet
+Laplacian, or d2/dt2). Layer runs carry a network's jet; jet
 arithmetic (G' = f' G, L' = f' L + f'' * sum over j in D of G_j^2, and
 their product forms) carries it through everything else, closed-form
 fields included, as ordinary nodes. So a derivative is itself recorded
@@ -17,33 +17,36 @@ independent value per collocation point, evaluated together; a single
 point is a batch of one. Constants, means and derivatives that are equal
 at every point are float64 scalars, which broadcast against batches as in
 numpy. Every operation on pointwise values is elementwise and
-``Tape.mean`` collapses a batch to a scalar. The record holds one node per
-network layer, not per neuron: a stack joins k pointwise nodes into a row
-of k (shape (n, k), or (k,) for a row of scalars), a seed node makes the
-row a jet, a layer node maps a jet through one layer and a select node
-reads one entry of one row of a jet back out.
+``Tape.mean`` collapses a batch to a scalar. The record holds network
+layers, not neurons: a stack joins k pointwise nodes into a row of k
+(shape (n, k), or (k,) for a row of scalars), a layer run (``Tape.layers``)
+maps a row or the previous run's jet through consecutive layers and holds
+its last jet alone, and a select node reads one entry of one row of a jet
+back out. A run reading a row seeds the jet itself; one reading a run
+inherits that run's directions.
 
+A network read is a chain of runs, and the one choice is their length.
 A record keeps layer values only for the networks its owner trains
-(``Tape(trained=...)``; by default every one). A read of any other
-network is one frozen read node: it holds the read's output jet alone,
-with the input row as its operand, and runs the seed and every layer
-transiently when it is built or replayed. A backward pass that reaches it
-(through its input, or for the gradient of its network) recomputes its
-layers from the stored row and goes back through them as their layer
-nodes would, so values and gradients equal a per-layer read's bit for
-bit. The flow record trains u and p while the wall fixes d, and the wall
-record trains d against a fluid load it holds constant, so neither ever
-recomputes a frozen read in training; it keeps them as nodes, not
-constants, so that a replay after a change of the frozen network, and a
-gradient for it, stay exact.
+(``Tape(trained=...)``; by default every one): a read of one of those is
+one run per layer, so the backward pass finds each layer's input jet
+stored; a read of any other network is one run of all its layers, which
+runs them transiently when it is built or replayed. A backward pass that
+reaches a run (through its operand, or for the gradient of its network)
+recomputes the input jets of its layers from its operand and goes back
+through them, so values and gradients are the same bits whatever the
+run lengths. The flow record trains u and p while the wall fixes d, and
+the wall record trains d against a fluid load it holds constant, so
+neither ever recomputes a whole read in training; it keeps those as
+nodes, not constants, so that a replay after a change of the untrained
+network, and a gradient for it, stay exact.
 
 A jet is one node whose value has shape (m, n, k): the row of values,
 then one row of first derivatives G_j per requested direction, then, when
 one is requested, the row of Laplacians L; a jet without directions is
 the row of values alone (m = 1). The seed starts it at the network
-inputs: unit directions and L = 0. A layer node reads W and b by offset
-from a registered parameter vector and maps the jet through a = x W^T + b
-and y = act(a), with `act` a sigmoid, a relu or nothing:
+inputs: unit directions and L = 0. Each layer of a run reads W and b by
+offset from a registered parameter vector and maps the jet through
+a = x W^T + b and y = act(a), with `act` a sigmoid, a relu or nothing:
 
     G'_j = s1 * (G_j W^T)
     L'   = s2 * sum over j in D of (G_j W^T)^2 + s1 * (L W^T)
@@ -51,10 +54,10 @@ and y = act(a), with `act` a sigmoid, a relu or nothing:
 where s1 and s2 are the activation's first and second derivatives at a,
 read from y: s(1 - s) and s(1 - s)(1 - 2s) for sigmoid, the step of y and
 0 for relu, 1 and 0 for none, and D is the Laplacian's direction set. The
-pre-activation a is never stored: no derivative rule reads it. Layer
-nodes and frozen reads share one implementation of this arithmetic and of
-its adjoint, written on arrays (``_layer_jet``, ``_layer_adjoint``).
-``activate_in_place`` is the one activation arithmetic of layer nodes,
+pre-activation a is never stored: no derivative rule reads it. This
+arithmetic and its adjoint are written once, on arrays (``_layer_jet``,
+``_layer_adjoint``).
+``activate_in_place`` is the one activation arithmetic of layer runs,
 ``sigmoid``/``relu`` and ``nets.FieldNetwork.evaluate``, so ``evaluate``
 equals a recorded forward bit for bit: both activate their freshly
 computed product in place, while ``activate`` works on a copy and leaves
@@ -66,13 +69,13 @@ drops a contribution that is a scalar exact zero, such as the adjoint of a
 term whose weight is 0: that adds ±0 to every gradient entry it reaches,
 which leaves the entry as it is, so a node that receives no other
 contribution is never visited. At an activation it multiplies the adjoint
-by the slope, computed from the stored output. At a layer node it
-recomputes the products G_j W^T and L W^T from the stored input jet, so
+by the slope, computed from the stored output. At each layer of a run it
+recomputes the products G_j W^T and L W^T from the layer's input jet, so
 they are never stored, uses the third derivative s(1 - s)(1 - 6s + 6s^2)
 of a sigmoid, and adds the weight gradient of every row of the jet in one
-product. It scales the adjoint of a layer node or frozen read in place,
-so either is read only by a select and by the next layer, which each
-build a fresh adjoint; the record refuses any other operation on one.
+product. It scales the adjoint of a run in place, so a run is read only
+by a select and by the next run, which each build a fresh adjoint; the
+record refuses any other operation on one.
 
 Replaying a record after overwriting leaf or parameter values
 re-evaluates, in record order, only the nodes whose value reads (through
@@ -87,15 +90,13 @@ bit-identical to recomputing the whole record.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import Callable, Sequence
 
 import numpy as np
 
 # Node opcodes. LEAF values are set externally and CONST values are
-# frozen. The weights of a JET (layer) or FROZEN (read) node are read
-# from a named parameter vector on each replay; they are the only
-# parameters a record reads.
+# frozen. The weights of a LAYERS node are read from a named parameter
+# vector on each replay; they are the only parameters a record reads.
 _LEAF = 0
 _CONST = 1
 _ADD = 2
@@ -114,16 +115,13 @@ _SUM = 14  # sum over the batch axis divided by a count fixed at record time
 _SIGMOID = 15
 _STACK = 16
 _SELECT = 17
-_SEED = 18  # a row as a jet: unit directions, zero Laplacian
-_JET = 19  # a network layer mapping a jet to a jet
-_FROZEN = 20  # a whole network read from a row, keeping only its output jet
+_LAYERS = 18  # a run of network layers mapping a row or a run's jet to a jet
 
 # Ops whose adjoint does not propagate to operands. The step function is
 # the recorded derivative of relu; its own derivative is zero everywhere
 # (the kink at 0 is assigned derivative 0).
 _NON_DIFFERENTIABLE = (_DETACH, _STEP)
 _INPUTS = (_LEAF, _CONST)
-_READS_PARAMS = (_JET, _FROZEN)  # the nodes that read a parameter group
 _ACTIVATIONS = ("sigmoid", "relu", None)
 
 
@@ -148,7 +146,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def activate_in_place(act, z: np.ndarray) -> np.ndarray:
     """Activation `act` ("sigmoid", "relu" or None for none) of a float64
     array, written over it and returned: the one arithmetic of recorded
-    activations, layer nodes and ``nets.FieldNetwork.evaluate``. For
+    activations, layer runs and ``nets.FieldNetwork.evaluate``. For
     sigmoid it is 1 / (1 + exp(-z)), one operation at a time."""
     if act == "sigmoid":
         np.negative(z, out=z)
@@ -190,8 +188,8 @@ def _rows_times(rows, w):
     return (rows.reshape(-1, w.shape[1]) @ w.T).reshape(rows.shape[:-1] + (w.shape[0],))
 
 
-# The layer arithmetic of the record, on arrays. Layer nodes and frozen
-# reads both call these, so a frozen read computes the same bits.
+# The layer arithmetic of the record, on arrays: a layer run evaluates
+# its layers with these and goes back through them with their adjoints.
 
 def _seed_jet(row, directions, laplacian: bool) -> np.ndarray:
     """A row as a jet: unit first derivatives along the entry indices in
@@ -446,8 +444,8 @@ class Tape:
     """Append-only computation record over batched, layer and scalar values.
 
     `trained` names the parameter groups the record's owner trains (None:
-    every group). A network read of any other group is recorded as a
-    frozen read (``trains``, ``frozen_read``)."""
+    every group). A network read of any other group is recorded as one
+    layer run of all its layers (``trains``, ``layers``)."""
 
     def __init__(self, trained: "Sequence[str] | None" = None):
         self._trained = None if trained is None else frozenset(trained)
@@ -549,23 +547,26 @@ class Tape:
         w = values[offset:offset + rows * cols].reshape(rows, cols)
         return w, None if bias is None else values[bias:bias + rows]
 
+    def _run_input(self, i: int) -> np.ndarray:
+        """The input jet of layer run i: its operand run's value, or its
+        operand row seeded."""
+        x, _, _, directions, laplacian = self._args[i]
+        if self._ops[x] == _LAYERS:
+            return self._vals[x]
+        return _seed_jet(self._vals[x], directions, bool(laplacian))
+
     def _layer(self, group: str, layer: tuple, jet: np.ndarray, laplacian) -> np.ndarray:
         return _layer_jet(jet, *self._weights(group, layer), layer[3], laplacian)
-
-    def _read_jets(self, i: int):
-        """The jets of frozen read i in turn: its seed, then each layer's
-        output, the last being the read's value."""
-        x, group, layers, directions, laplacian = self._args[i]
-        jet = _seed_jet(self._vals[x], directions, bool(laplacian))
-        yield jet
-        for layer in layers:
-            jet = self._layer(group, layer, jet, laplacian)
-            yield jet
 
     def _eval(self, i: int):
         op = self._ops[i]
         args = self._args[i]
         vals = self._vals
+        if op == _LAYERS:  # first: the most frequent node a replay evaluates
+            jet = self._run_input(i)
+            for layer in args[2]:  # each layer's jet is dropped for the next
+                jet = self._layer(args[1], layer, jet, args[4])
+            return jet
         if op == _CONST:
             return args[0]
         if op == _ADD:
@@ -611,14 +612,6 @@ class Tape:
         if op == _SELECT:
             x, k, part = args
             return _entry(vals[x][part], k)
-        if op == _SEED:
-            return _seed_jet(vals[args[0]], args[1], args[2])
-        if op == _JET:
-            return self._layer(args[1], args[2:6], vals[args[0]], args[6])
-        if op == _FROZEN:
-            for jet in self._read_jets(i):  # each layer's jet is dropped for the next
-                pass
-            return jet
         raise RecordError(f"node {i}: op {op} cannot be re-evaluated")
 
     def _binary(self, op, a: DiffScalar, b: DiffScalar) -> DiffScalar:
@@ -631,16 +624,15 @@ class Tape:
         return self._push(op, (a.index,))
 
     def _not_layers(self, *xs: DiffScalar) -> None:
-        """Refuse a layer node or frozen read as an operand of anything but
-        ``select`` and the next layer. The backward pass scales their
-        adjoints in place, which is safe because those two build a fresh
-        one for it."""
-        if any(self._ops[x.index] in _READS_PARAMS for x in xs):
+        """Refuse a layer run as an operand of anything but ``select`` and
+        the next run. The backward pass scales a run's adjoint in place,
+        which is safe because those two build a fresh one for it."""
+        if any(self._is_run(x) for x in xs):
             raise RecordError("a network layer is read only through select "
                               "or the next layer")
 
-    def _jet_node(self, x: DiffScalar) -> bool:
-        return self._ops[x.index] in (_SEED, _JET, _FROZEN)
+    def _is_run(self, x: DiffScalar) -> bool:
+        return self._ops[x.index] == _LAYERS
 
     def trains(self, group: str) -> bool:
         """Whether the record's owner trains parameter group `group`."""
@@ -655,52 +647,37 @@ class Tape:
         return DiffScalar(self, self._node(_STACK, *(x.index for x in xs)))
 
     def select(self, x: DiffScalar, k: int, part: "int | None" = None) -> DiffScalar:
-        """Entry `k` of row `part` of a jet node, the one thing select reads."""
-        if part is None or not self._jet_node(x):
-            raise RecordError("select reads a row of a jet node by part")
+        """Entry `k` of row `part` of a layer run's jet, the one thing
+        select reads."""
+        if part is None or not self._is_run(x):
+            raise RecordError("select reads a row of a layer run's jet by part")
         return self._push(_SELECT, (x.index, k, part))
 
-    def jet_seed(self, x: DiffScalar, directions: Sequence[int] = (),
-                 laplacian: bool = False) -> DiffScalar:
-        """Jet of a row node x: its value, a unit first derivative along each
-        entry index in `directions` and, with `laplacian`, a zero Laplacian."""
-        if self._jet_node(x):
-            raise RecordError("a jet is seeded from a row node")
-        return self._push(_SEED, (x.index, tuple(directions), bool(laplacian)))
+    def layers(self, x: DiffScalar, group: str, layers: Sequence[tuple],
+               directions: Sequence[int] = (),
+               laplacian: "tuple[int, ...]" = ()) -> DiffScalar:
+        """A run of consecutive network layers as one node that holds its
+        last jet alone. Each layer is ``act(x W^T + b)`` given as (offset,
+        (rows, cols), bias, act): W is the row-major block of parameter
+        group `group` at `offset`, b the `rows` entries at `bias` (no bias
+        when None), and `act` is "sigmoid", "relu" or None.
 
-    def jet_affine(self, x: DiffScalar, group: str, offset: int,
-                   shape: tuple[int, int], bias: "int | None" = None,
-                   act: "str | None" = None,
-                   laplacian: "tuple[int, ...]" = ()) -> DiffScalar:
-        """``act(x W^T + b)`` over the jet node x, one node for a whole layer.
-        W is the row-major (rows, cols) block of parameter group `group` at
-        `offset`, b the `rows` entries at `bias` (no bias when None), and
-        `act` is "sigmoid", "relu" or None (no activation). `laplacian`
-        holds the positions, among the jet's first derivatives, of the
-        directions its Laplacian sums; it is empty exactly when the jet
-        carries no Laplacian. A jet without directions is the value alone."""
-        if act not in _ACTIVATIONS:
-            raise RecordError(f"unknown activation {act!r}")
-        if not self._jet_node(x):
-            raise RecordError("a layer maps a jet node; seed a row with jet_seed")
-        return self._push(_JET, (x.index, group, offset, tuple(shape), bias, act,
-                                 tuple(laplacian)))
-
-    def frozen_read(self, x: DiffScalar, group: str, layers: Sequence[tuple],
-                    directions: Sequence[int] = (),
-                    laplacian: "tuple[int, ...]" = ()) -> DiffScalar:
-        """A network read that keeps no layer values: the jet of row node x
-        (``jet_seed`` with a Laplacian when `laplacian` is not empty) mapped
-        through `layers`, each an (offset, shape, bias, act) of group
-        `group` as ``jet_affine`` takes them, as one node that holds the
-        last jet alone. Its values equal the layer nodes' bit for bit; a
-        backward pass that reaches it recomputes its layers from x."""
-        if self._jet_node(x):
-            raise RecordError("a jet is seeded from a row node")
-        layers = tuple((offset, tuple(shape), bias, act) for offset, shape, bias, act in layers)
-        if any(act not in _ACTIVATIONS for *_, act in layers):
-            raise RecordError("unknown activation in a frozen read")
-        return self._push(_FROZEN, (x.index, group, layers, tuple(directions),
+        The operand x is a row node, which the run seeds as a jet with a
+        unit first derivative along each entry index in `directions` and,
+        when `laplacian` is not empty, a zero Laplacian summing the
+        directions at those positions among them; a jet without
+        directions is the value alone. Or x is a previous run, whose jet
+        the run maps on, inheriting its directions and Laplacian, so none
+        may be given. A backward pass that reaches the run recomputes the
+        input jets of its layers from its operand."""
+        layers = tuple(layers)
+        if any(layer[3] not in _ACTIVATIONS for layer in layers):
+            raise RecordError("unknown activation in a layer run")
+        if self._is_run(x):
+            if directions or laplacian:
+                raise RecordError("a run reading a run inherits its directions")
+            directions, laplacian = self._args[x.index][3:]
+        return self._push(_LAYERS, (x.index, group, layers, tuple(directions),
                                     tuple(laplacian)))
 
     def mean(self, x: DiffScalar) -> DiffScalar:
@@ -758,7 +735,7 @@ class Tape:
                 if op == _LEAF:
                     hit[i] = i in changed
                     continue
-                if (op in _READS_PARAMS and args[i][1] in changed
+                if (op == _LAYERS and args[i][1] in changed
                         or any(hit[a] for a in self._operands(i))):
                     hit[i] = True
                     order.append(i)
@@ -773,7 +750,7 @@ class Tape:
         op = self._ops[i]
         if op in _INPUTS:
             return ()
-        if op in (_SUM, _SELECT, _SEED, _JET, _FROZEN):
+        if op in (_SUM, _SELECT, _LAYERS):
             return self._args[i][:1]
         return self._args[i]
 
@@ -781,11 +758,10 @@ class Tape:
 
     def _useful_mask(self, param_groups: Sequence[str]) -> list[bool]:
         """Flags of the nodes that depend on a parameter of one of the
-        groups: the layer nodes and frozen reads reading them and
-        everything downstream."""
+        groups: the layer runs reading them and everything downstream."""
         ops, args = self._ops, self._args
         roots = [i for i in range(len(ops))
-                 if ops[i] in _READS_PARAMS and args[i][1] in param_groups]
+                 if ops[i] == _LAYERS and args[i][1] in param_groups]
         mask = [False] * len(ops)
         for r in roots:
             mask[r] = True
@@ -803,7 +779,7 @@ class Tape:
         batch axis reached through lockstep-batched paths receives the
         batch-summed adjoint, so parameter gradients of a batched mean come
         out already reduced, and a batched node reached with one adjoint
-        for all points holds it at every point. Layer nodes add their
+        for all points holds it at every point. Layer runs add their
         weight and bias adjoints straight into the gradient of the group
         they read.
         """
@@ -836,7 +812,24 @@ class Tape:
                 continue
             op = ops[i]
             a = args[i]
-            if op == _ADD:
+            if op == _LAYERS:  # first: the most frequent node it visits
+                # recompute the input jet of every layer (none for one layer
+                # reading a run; the seed for a run reading a row), then go
+                # back through the layers
+                x, group, layers, _, laplacian = a
+                jets = [self._run_input(i)]
+                for layer in layers[:-1]:
+                    jets.append(self._layer(group, layer, jets[-1], laplacian))
+                y = vals[i][0]
+                for k in range(len(layers) - 1, -1, -1):
+                    jet = jets.pop()
+                    a_out = self._layer_backward(group, layers[k], laplacian, a_out, jet, y,
+                                                 grads, k > 0 or useful[x])
+                    y = jet[0]
+                if useful[x]:
+                    # a run takes the whole jet's adjoint, a row its value row's
+                    accumulate(x, a_out if ops[x] == _LAYERS else a_out[0])
+            elif op == _ADD:
                 if useful[a[0]]:
                     accumulate(a[0], a_out)
                 if useful[a[1]]:
@@ -890,28 +883,6 @@ class Tape:
                     row = np.zeros(np.shape(vals[x]))
                     row[part][..., k] = a_out
                     accumulate(x, row)
-            elif op == _SEED:
-                if useful[a[0]]:
-                    accumulate(a[0], a_out[0])
-            elif op == _JET:
-                x, group = a[:2]
-                back = self._layer_backward(group, a[2:6], a[6], a_out, vals[x], vals[i][0],
-                                            grads, useful[x])
-                if back is not None:
-                    accumulate(x, back)
-            elif op == _FROZEN:
-                # recompute the input jet of every layer, then go back
-                # through the layers as their layer nodes would
-                x, group, layers, _, laplacian = a
-                jets = list(itertools.islice(self._read_jets(i), len(layers)))
-                y = vals[i][0]
-                for k in range(len(layers) - 1, -1, -1):
-                    jet = jets.pop()
-                    a_out = self._layer_backward(group, layers[k], laplacian, a_out, jet, y,
-                                                 grads, k > 0 or useful[x])
-                    y = jet[0]
-                if useful[x]:
-                    accumulate(x, a_out[0])
         return grads
 
     def _layer_backward(self, group: str, layer: tuple, laplacian, adjoint: np.ndarray,
@@ -920,8 +891,8 @@ class Tape:
         output jet, whose value row is `y`, and `jet` its input jet. The
         adjoint becomes that of the layer's products x W^T + b, G_j W^T and
         L W^T, in place: only the layer holds it, since only selects and
-        the next layer read a layer (``_not_layers``) and each builds a
-        fresh adjoint. Adds the weight and bias gradients to
+        the next layer or run read a layer (``_not_layers``) and each
+        builds a fresh adjoint. Adds the weight and bias gradients to
         grads[group] when present and returns the adjoint of `jet`, or
         None without `need_input`."""
         offset, shape, bias, act = layer
@@ -1012,12 +983,6 @@ def grad_inputs(f: Callable, x: Sequence[float]) -> list[float]:
 def second_derivative(f: Callable, x: Sequence[float], i: int) -> float:
     """d2 f / dx_i^2 at the point `x`: the Laplacian along x_i alone."""
     return _point_value(_point_jet(f, x, (i,), (i,)).laplacian)
-
-
-def param_grad(loss: DiffScalar, group: str) -> np.ndarray:
-    """Gradient of a recorded loss with respect to a bound parameter vector.
-    Entries the loss never touched are exactly zero."""
-    return loss.tape.backward_values(loss, [group])[group]
 
 
 def fd_check(f: Callable, x: Sequence[float], step: float) -> float:

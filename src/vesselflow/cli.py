@@ -45,7 +45,8 @@ def _load_run_networks(args, config: ScenarioConfig):
     # What np.load and the archive lookups raise on a file that is no
     # checkpoint: a missing or unreadable file, an empty one, one that is no
     # zip archive, an archive without the header or a parameter vector, or
-    # a header that is not the JSON `save_networks` writes.
+    # a header that is not the JSON `save_networks` writes or whose depth
+    # and widths do not describe a network.
     try:
         loaded, _ = nets_mod.load_networks(args.checkpoint)
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
@@ -182,6 +183,8 @@ def _cmd_probe(args) -> int:
                 points.append((float(r_str), float(z_str)))
             except ValueError:
                 raise CliError(f"cannot parse probe point {chunk!r}; expected r,z")
+            if not np.isfinite(points[-1]).all():
+                raise CliError(f"probe point {chunk!r} is not finite")
         for r, z in points:
             if not 0.0 <= z <= geometry.length or abs(r) > reference_radius(geometry, z):
                 raise CliError(f"probe point {r},{z} lies outside the vessel")
@@ -345,18 +348,18 @@ def _retain_freed_memory() -> None:
     Every field read allocates and frees the same arrays once per time
     slice: a layer's (points, width) array is 640 KiB at the default
     64 x 64 grid, above glibc's default 128 KiB mmap threshold, and the
-    `speed_field` record of `evaluate` keeps only its frozen reads' outputs
-    (0.56 MiB a slice), so nearly all of that memory is transient. By
-    default each such array is mapped fresh and page-faulted in, or the
-    trimmed heap is faulted back in for the next slice. On the cylinder
-    networks at the default grid, without this setting `evaluate` takes
-    35,100 minor page faults instead of 6,300 and 20-45% more CPU time,
-    `export-fields` 35,300 instead of 6,400 and about 20% more, and an
-    fsi-train `train` 25,000-38,000 instead of 11,900 and 6-10% more.
-    Whether trimming happens depends on incidental heap layout, so the
-    cost would come and go with unrelated code changes. Arrays up to
-    32 MB now come from the heap, and it is trimmed only beyond 256 MB
-    free. No-op without glibc."""
+    `speed_field` record of `evaluate` keeps only the outputs of its
+    whole-network layer runs (0.56 MiB a slice), so nearly all of that
+    memory is transient. By default each such array is mapped fresh and
+    page-faulted in, or the trimmed heap is faulted back in for the next
+    slice. On the cylinder networks at the default grid, without this
+    setting `evaluate` takes 35,100 minor page faults instead of 6,300
+    and 20-45% more CPU time, `export-fields` 35,300 instead of 6,400 and
+    about 20% more, and an fsi-train `train` 25,000-38,000 instead of
+    11,900 and 6-10% more. Whether trimming happens depends on incidental
+    heap layout, so the cost would come and go with unrelated code
+    changes. Arrays up to 32 MB now come from the heap, and it is trimmed
+    only beyond 256 MB free. No-op without glibc."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):

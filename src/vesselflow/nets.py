@@ -28,6 +28,9 @@ class FieldNetwork:
         self.name = name
         self.depth = depth
         self.widths = list(widths)
+        if len(self.widths) != depth + 1:
+            raise ValueError(f"{name}: depth {depth} needs {depth + 1} widths, "
+                             f"got {len(self.widths)}")
         self.theta = theta
         # as the record names them: odd hidden layers sigmoid, even ones
         # relu, and None for the output layer
@@ -73,23 +76,21 @@ class FieldNetwork:
         along each input index in `directions`, and the sum of the pure
         second derivatives along the indices in `laplacian`, a subset of
         `directions` (0.0 when empty). The record holds a stack of the
-        inputs, then a seed and one layer node per layer when `tape` trains
-        this network, or one frozen read, which keeps no layer values, when
-        it does not; then one select per row of each output, whatever the
-        width. The values equal ``evaluate`` bit for bit."""
+        inputs, then a chain of layer runs: one run per layer when `tape`
+        trains this network, or one run of every layer, which keeps no
+        layer values, when it does not; then one select per row of each
+        output, whatever the width. The values equal ``evaluate`` bit for
+        bit."""
         if len(inputs) != self.in_dim:
             raise ValueError(f"{self.name}: expected {self.in_dim} inputs, got {len(inputs)}")
         directions = tuple(directions)
         lap = ad.laplacian_positions(directions, laplacian)
         tape.register_params(self.name, self.theta)
-        row = tape.stack(inputs)
-        if tape.trains(self.name):
-            x = tape.jet_seed(row, directions, bool(lap))
-            for w_off, shape, b_off, act in self._layers:
-                x = tape.jet_affine(x, self.name, w_off, shape, bias=b_off, act=act,
-                                    laplacian=lap)
-        else:
-            x = tape.frozen_read(row, self.name, self._layers, directions, lap)
+        x = tape.stack(inputs)
+        run = 1 if tape.trains(self.name) else self.depth
+        for start in range(0, self.depth, run):
+            seed = (directions, lap) if start == 0 else ()  # a later run inherits them
+            x = tape.layers(x, self.name, self._layers[start:start + run], *seed)
         rows = len(directions)
         return [ad.Jet(tape.select(x, k, 0),
                        (tape.select(x, k, 1 + j) for j in range(rows)),
@@ -101,7 +102,7 @@ class FieldNetwork:
 
         Each layer is ``x @ W.T`` with the bias added and the record's own
         activation code applied in place on that fresh product, as the
-        record's layer nodes compute it; `points` is left unchanged. So for
+        record's layer runs compute it; `points` is left unchanged. So for
         n rows this is bitwise equal to the values `jet` records from
         n-point batches."""
         x = np.ascontiguousarray(points, dtype=np.float64)
@@ -191,12 +192,26 @@ def save_networks(path, networks: dict[str, FieldNetwork], extras: dict | None =
     np.savez(path, **payload)
 
 
+def _positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 def load_networks(path) -> tuple[dict[str, FieldNetwork], dict[str, np.ndarray]]:
+    """Networks and extras written by ``save_networks``; a ValueError when
+    the header is not an object mapping each name to a positive integer
+    depth and a list of positive integer widths."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["header"]).decode())
+        if not isinstance(meta, dict):
+            raise ValueError("header is not a JSON object")
         nets = {}
         extras = {}
         for name, info in meta.items():
+            if not (isinstance(info, dict) and _positive_int(info.get("depth"))
+                    and isinstance(info.get("widths"), list)
+                    and all(map(_positive_int, info["widths"]))):
+                raise ValueError(f"{name}: header needs a positive integer depth "
+                                 "and a list of positive integer widths")
             # older headers name the activations, which were always these
             if info.get("schedule", "alternating") != "alternating":
                 raise ValueError(f"{name}: unknown activation schedule {info['schedule']!r}")

@@ -9,14 +9,14 @@ Every derivative a residual reads is a partial derivative of a field
 with respect to its own inputs (r, z, t): a first derivative, or the sum
 of pure second derivatives along r and z (a Laplacian) or along t alone.
 The field adapters return each field as an ``ad.Jet``: network fields
-carry it through one layer node per layer (one frozen read for a network
-the loss record does not train), closed-form fields through jet
-arithmetic on the jets of their inputs. So the time derivative of a
-flow field is the current-frame partial, not a material derivative.
-Reading derivatives at the displaced radius treats it as an independent
-coordinate, as the moving-frame equations require, while its value keeps
-the recorded dependence on the displacement parameters so those still
-steer where the fields are evaluated.
+carry it through a chain of layer runs (one run per layer, or one run of
+the whole network when the loss record does not train it), closed-form
+fields through jet arithmetic on the jets of their inputs. So the time
+derivative of a flow field is the current-frame partial, not a material
+derivative. Reading derivatives at the displaced radius treats it as an
+independent coordinate, as the moving-frame equations require, while its
+value keeps the recorded dependence on the displacement parameters so
+those still steer where the fields are evaluated.
 
 The plaque enters only through `domain`: the ring model reads a wall
 point's undeformed radius from its z, equal to `reference_radius` bit for
@@ -465,8 +465,9 @@ class FluidLossGraph:
     The momentum-residual weight is a length-1 leaf, so the staged
     schedule can raise it without rebuilding the record. The total reads
     it through a mean, which keeps the total a scalar. The record trains
-    the flow networks u and p: its reads of the displacement network are
-    frozen reads, which keep no layer values."""
+    the flow networks u and p: each of its reads of the displacement
+    network is one layer run of the whole network, which keeps no layer
+    values."""
 
     trained = ("u", "p")
 
@@ -531,8 +532,9 @@ class SolidLossGraph:
     endpoint pinning and the rest start. The ring model is two batches, off
     and on the plaque, with materials `wall_by_segment[WALL]` and
     `[WALL_PLAQUE]`. Fluid quantities inside the ring load are constants.
-    The record trains the displacement network d: its reads of u and p
-    are frozen reads, which keep no layer values."""
+    The record trains the displacement network d: each of its reads of u
+    and p is one layer run of the whole network, which keeps no layer
+    values."""
 
     trained = ("d",)
 

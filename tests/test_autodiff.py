@@ -39,8 +39,8 @@ def weight(tape, name, k):
     """Entry k of registered parameter group `name` as a record node: a
     bias-free 1x1 layer on the constant 1, read with select. Its value is
     the entry itself and its gradient lands in entry k exactly."""
-    one = tape.jet_seed(tape.stack([tape.constant(1.0)]))
-    return tape.select(tape.jet_affine(one, name, k, (1, 1)), 0, 0)
+    one = tape.stack([tape.constant(1.0)])
+    return tape.select(tape.layers(one, name, [(k, (1, 1), None, None)]), 0, 0)
 
 
 class TestGradInputs:
@@ -140,7 +140,7 @@ class TestParamGrad:
         tape.register_params("w", theta)
         w = weight(tape, "w", 0)
         loss = w * w
-        assert ad.param_grad(loss, "w").tolist() == [6.0]
+        assert loss.tape.backward_values(loss, ["w"])["w"].tolist() == [6.0]
 
     def test_grad_of_input_derivative(self):
         # loss = (d/dx of w*x)^2 = w^2, so dloss/dw = 2w = 6
@@ -151,7 +151,7 @@ class TestParamGrad:
         (x,) = ad.input_jets([tape.batch([1.7])], (0,))
         (dydx,) = (w * x).grads
         loss = dydx * dydx
-        assert ad.param_grad(loss, "w").tolist() == [6.0]
+        assert loss.tape.backward_values(loss, ["w"])["w"].tolist() == [6.0]
 
     def test_constant_loss_gives_zero_vector(self):
         tape = ad.Tape()
@@ -160,7 +160,7 @@ class TestParamGrad:
         weight(tape, "w", 0)  # touched but unused
         x = tape.batch([2.0])
         loss = x * x
-        assert ad.param_grad(loss, "w").tolist() == [0.0, 0.0, 0.0]
+        assert loss.tape.backward_values(loss, ["w"])["w"].tolist() == [0.0, 0.0, 0.0]
 
     def test_third_order_mixed_against_fd(self):
         # Loss containing a second input-derivative, differentiated by params:
@@ -172,7 +172,7 @@ class TestParamGrad:
         (x,) = ad.input_jets([tape.batch([1.3])], (0,), laplacian=(0,))
         g2 = (w * x * x * x).laplacian
         loss = g2 * g2
-        got = ad.param_grad(loss, "w")[0]
+        got = loss.tape.backward_values(loss, ["w"])["w"][0]
         want = 72.0 * 0.8 * 1.3**2
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -203,7 +203,7 @@ class TestBatchedValues:
         w = weight(tape, "w", 0)
         xb = tape.batch([1.0, 2.0, 3.0])
         loss = tape.mean(w * xb * (w * xb))  # mean(w^2 x^2)
-        g = ad.param_grad(loss, "w")[0]
+        g = loss.tape.backward_values(loss, ["w"])["w"][0]
         want = 2.0 * 2.0 * np.mean(np.array([1.0, 4.0, 9.0]))
         assert g == pytest.approx(want, rel=1e-14)
 
@@ -214,7 +214,7 @@ class TestBatchedValues:
         tape.register_params("w", np.array([2.0]))
         w = weight(tape, "w", 0)
         loss = tape.mean(tape.batch([1.0, 2.0, 3.0]) + w)
-        assert ad.param_grad(loss, "w").tolist() == [1.0]
+        assert loss.tape.backward_values(loss, ["w"])["w"].tolist() == [1.0]
 
     def test_recorded_gradient_sums_over_batch(self):
         # d mean(w x) / dw = mean(x) = 2 for a scalar w
@@ -222,7 +222,7 @@ class TestBatchedValues:
         tape.register_params("w", np.array([0.5]))
         w = weight(tape, "w", 0)
         loss = tape.mean(w * tape.batch([1.0, 2.0, 3.0]))
-        assert ad.param_grad(loss, "w")[0] == pytest.approx(2.0, rel=1e-15)
+        assert loss.tape.backward_values(loss, ["w"])["w"][0] == pytest.approx(2.0, rel=1e-15)
 
 
 class TestReplay:
@@ -294,7 +294,7 @@ class TestIncrementalReplay:
         theta = np.array([0.0])
         tape.register_params("w", theta)
         out = weight(tape, "w", 0) * tape.batch([2.0])
-        (layer,) = [i for i, op in enumerate(tape._ops) if op == ad._JET]
+        (layer,) = [i for i, op in enumerate(tape._ops) if op == ad._LAYERS]
         calls = []
         original = ad.Tape._eval
 
@@ -331,7 +331,7 @@ class TestIncrementalReplay:
 
     def test_new_leaf_values_reach_relu_layer_tangents(self):
         # the seed's first-derivative rows are unit rows whatever the
-        # leaves, so only the relu layer's step, inside its jet node,
+        # leaves, so only the relu layer's step, inside its layer run,
         # carries the leaves into the derivative rows
         rng = np.random.default_rng(7)
         theta = rng.uniform(-1.5, 1.5, size=4 * 3 + 1 * 5)
@@ -339,9 +339,9 @@ class TestIncrementalReplay:
         def record(tape, pts):
             tape.register_params("w", theta)
             leaves = [tape.batch(pts[:, k]) for k in range(2)]
-            jet = tape.jet_seed(tape.stack(leaves), (0, 1), laplacian=True)
-            hidden = tape.jet_affine(jet, "w", 0, (4, 2), bias=8, act="relu", laplacian=(0, 1))
-            out = tape.jet_affine(hidden, "w", 12, (1, 4), bias=16, laplacian=(0, 1))
+            hidden = tape.layers(tape.stack(leaves), "w", [(0, (4, 2), 8, "relu")], (0, 1),
+                                 laplacian=(0, 1))
+            out = tape.layers(hidden, "w", [(12, (1, 4), 16, None)])
             tape.select(out, 0, 1) * tape.select(out, 0, 2)
             return leaves
 
@@ -393,7 +393,7 @@ class TestDetach:
         tape.register_params("w", theta)
         w = weight(tape, "w", 0)
         loss = tape.detach(w * w) * 3.0
-        assert ad.param_grad(loss, "w").tolist() == [0.0]
+        assert loss.tape.backward_values(loss, ["w"])["w"].tolist() == [0.0]
 
     def test_detach_keeps_value(self):
         tape = ad.Tape()
@@ -429,7 +429,7 @@ class TestTapeHygiene:
 
 
 class TestForwardTangents:
-    """Input derivatives are jets: of networks through their layer nodes,
+    """Input derivatives are jets: of networks through their layer runs,
     and of elementwise expressions through jet arithmetic."""
 
     @staticmethod
@@ -502,14 +502,14 @@ class TestForwardTangents:
         tape = ad.Tape()
         leaves = [tape.batch([0.1, -0.3]), tape.batch([0.5, 1.2]), tape.batch([0.0, 0.9])]
         u_z, u_r = net.jet(tape, leaves, (0,))
-        layers = [i for i, op in enumerate(tape._ops) if op == ad._JET]
+        layers = [i for i, op in enumerate(tape._ops) if op == ad._LAYERS]
         assert len(layers) == net.depth
         assert all(tape._args[u.index][0] == layers[-1]
                    for jet in (u_z, u_r) for u in (jet.value, *jet.grads))
 
     def test_second_derivative_nodes_per_layer_bounded(self):
         # a jet with first derivatives along every input and a Laplacian
-        # is one jet layer node per layer, whatever it carries
+        # is one layer run per layer, whatever it carries
         depth = 12
         net = nets.build(depth, 20, 3, 2, seed=1)
         tape = ad.Tape()
@@ -517,9 +517,9 @@ class TestForwardTangents:
         before = len(tape)
         jets = net.jet(tape, leaves, (0, 1, 2), laplacian=(0, 1))
         ops = tape._ops[before:]
-        # the stack, the seed, the layers and one select per output row
-        assert ops.count(ad._JET) == depth
-        assert len(ops) == 2 + depth + net.out_dim * (1 + 3 + 1)
+        # the stack, the layers and one select per output row
+        assert ops.count(ad._LAYERS) == depth
+        assert len(ops) == 1 + depth + net.out_dim * (1 + 3 + 1)
         assert all(jet.laplacian is not None for jet in jets)
 
 
@@ -592,7 +592,7 @@ class TestJetArithmetic:
 
 
 class TestFusedLayer:
-    """A layer node act(x W^T + b) computes what a layer without activation
+    """A layer run act(x W^T + b) computes what a layer without activation
     followed by ``ad.sigmoid`` or ``ad.relu`` computes, bit for bit: values
     and parameter gradients. With input derivatives, it computes what the
     per-neuron record of the same layers computes, each unit an affine sum
@@ -622,16 +622,16 @@ class TestFusedLayer:
     def record_values(self, act, fused, five_points):
         tape, leaves = self.setup(five_points)
         activate = {"sigmoid": ad.sigmoid, "relu": ad.relu}
-        x = tape.jet_seed(tape.stack(leaves))
+        x = tape.stack(leaves)
         for off, shape, bias, layer_act in self.layers(act):
             if fused:
-                x = tape.jet_affine(x, "w", off, shape, bias=bias, act=layer_act)
+                x = tape.layers(x, "w", [(off, shape, bias, layer_act)])
             else:
-                x = tape.jet_affine(x, "w", off, shape, bias=bias)
+                x = tape.layers(x, "w", [(off, shape, bias, None)])
                 if layer_act is not None:
                     units = [activate[layer_act](tape.select(x, k, 0))
                              for k in range(shape[0])]
-                    x = tape.jet_seed(tape.stack(units))
+                    x = tape.stack(units)
         out = tape.select(x, 0, 0)
         loss = tape.mean(out * out + out)
         grads = tape.backward_values(loss, ["w"])
@@ -652,13 +652,13 @@ class TestFusedLayer:
         tape, leaves = self.setup(five_points)
         activate = {"sigmoid": ad.sigmoid, "relu": ad.relu, None: lambda v: v}
         if fused:
-            x = tape.jet_seed(tape.stack(leaves), (0, 1), laplacian=True)
+            x = tape.stack(leaves)
         else:
             x = ad.input_jets(leaves, (0, 1), laplacian=(0, 1))
         for off, (rows, cols), bias, layer_act in self.layers(act):
             if fused:
-                x = tape.jet_affine(x, "w", off, (rows, cols), bias=bias, act=layer_act,
-                                    laplacian=(0, 1))
+                seed = ((0, 1), (0, 1)) if off == 0 else ()  # later runs inherit them
+                x = tape.layers(x, "w", [(off, (rows, cols), bias, layer_act)], *seed)
             else:
                 x = [activate[layer_act](
                     sum((weight(tape, "w", off + r * cols + c) * x[c] for c in range(cols)),
@@ -705,21 +705,21 @@ class TestFusedLayer:
     def test_unknown_activation_rejected(self):
         tape = ad.Tape()
         tape.register_params("w", np.ones(2))
-        x = tape.jet_seed(tape.stack([tape.batch([1.0])]), (0,))
+        x = tape.stack([tape.batch([1.0])])
         with pytest.raises(ad.RecordError, match="unknown activation"):
-            tape.jet_affine(x, "w", 0, (1, 1), bias=1, act="tanh")
+            tape.layers(x, "w", [(0, (1, 1), 1, "tanh")], (0,))
 
 
 class TestLayerReaders:
-    """The backward pass scales a layer node's adjoint in place, so only a
-    select and the next layer, which each build a fresh adjoint, may read
-    a layer node; the record refuses every other use."""
+    """The backward pass scales a layer run's adjoint in place, so only a
+    select and the next run, which each build a fresh adjoint, may read a
+    run; the record refuses every other use."""
 
     def layer(self):
         tape = ad.Tape()
         tape.register_params("w", np.array([0.5, -1.5, 0.25, 2.0]))
-        x = tape.jet_seed(tape.stack([tape.batch([0.3, -0.7])]))
-        return tape, x, tape.jet_affine(x, "w", 0, (2, 1), bias=2, act="sigmoid")
+        x = tape.stack([tape.batch([0.3, -0.7])])
+        return tape, x, tape.layers(x, "w", [(0, (2, 1), 2, "sigmoid")])
 
     @pytest.mark.parametrize("use", [
         lambda tape, y: y + y,
@@ -729,8 +729,7 @@ class TestLayerReaders:
         lambda tape, y: tape.mean(y),
         lambda tape, y: tape.stack([y]),
         lambda tape, y: tape.detach(y),
-        lambda tape, y: tape.jet_seed(y),
-    ], ids=["add", "mul", "neg", "sigmoid", "mean", "stack", "detach", "seed"])
+    ], ids=["add", "mul", "neg", "sigmoid", "mean", "stack", "detach"])
     def test_layer_refused_as_operand(self, use):
         tape, _, y = self.layer()
         with pytest.raises(ad.RecordError):
@@ -742,8 +741,6 @@ class TestLayerReaders:
             tape.select(y, 0)
         with pytest.raises(ad.RecordError):
             tape.select(tape.stack([tape.batch([1.0])]), 0, 0)
-        with pytest.raises(ad.RecordError, match="jet_seed"):
-            tape.jet_affine(tape.stack([tape.batch([1.0])]), "w", 0, (2, 1))
 
     def test_units_of_one_layer_read_through_selects(self):
         # both units of one layer, and the same unit twice: each adjoint
@@ -759,6 +756,53 @@ class TestLayerReaders:
         want = np.array([np.mean(da * slope[:, 0] * x), np.mean(db * slope[:, 1] * x),
                          np.mean(da * slope[:, 0]), np.mean(db * slope[:, 1])])
         np.testing.assert_allclose(grad, want, rtol=1e-14)
+
+
+class TestLayerRuns:
+    """A network read is a chain of layer runs: where the chain is split
+    changes neither a value nor a parameter gradient, through the layers or
+    back through the row the first run seeds."""
+
+    @staticmethod
+    def read(net, pts, split):
+        """A depth-6 read with first derivatives and a Laplacian, split into
+        runs at layer `split` (one run at 6), with the first input scaled by
+        the parameter group "s"; its jet's parts and the mean of their
+        squares."""
+        tape = ad.Tape()
+        tape.register_params("s", np.array([0.7]))
+        tape.register_params(net.name, net.theta)
+        scaled = weight(tape, "s", 0) * tape.batch(pts[:, 0])
+        row = tape.stack([scaled, tape.batch(pts[:, 1]), tape.batch(pts[:, 2])])
+        out = tape.layers(row, net.name, net._layers[:split], (0, 1, 2), laplacian=(0, 1))
+        if split < net.depth:
+            out = tape.layers(out, net.name, net._layers[split:])
+        parts = [tape.select(out, k, part) for k in range(net.out_dim) for part in range(5)]
+        return parts, tape.mean(sum((p * p for p in parts[1:]), parts[0] * parts[0]))
+
+    def test_every_split_gives_the_same_bits(self):
+        net = nets.build(6, 8, 3, 2, seed=4, name="u")
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(9, 3))
+        whole, loss = self.read(net, pts, net.depth)
+        want = loss.tape.backward_values(loss, ["u", "s"])
+        assert all(np.any(g != 0.0) for g in want.values())
+        for split in range(1, net.depth):
+            parts, loss = self.read(net, pts, split)
+            for got, ref in zip(parts, whole):
+                assert got.value.tobytes() == ref.value.tobytes(), split
+            got = loss.tape.backward_values(loss, ["u", "s"])
+            for group in want:
+                assert got[group].tobytes() == want[group].tobytes(), (split, group)
+
+    def test_run_reading_a_run_takes_no_directions(self):
+        net = nets.build(6, 8, 3, 2, seed=4, name="u")
+        tape = ad.Tape()
+        tape.register_params("u", net.theta)
+        row = tape.stack([tape.batch([0.1, 0.2])] * 3)
+        first = tape.layers(row, "u", net._layers[:2], (0, 1), laplacian=(0,))
+        for given in ({"directions": (0, 1)}, {"laplacian": (0,)}):
+            with pytest.raises(ad.RecordError, match="inherits its directions"):
+                tape.layers(first, "u", net._layers[2:], **given)
 
 
 @pytest.mark.parametrize("act", ["sigmoid", "relu", None])

@@ -385,6 +385,14 @@ class TestBadInput:
             assert capsys.readouterr().err.startswith("error: seed must be non-negative")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("points", ["nan,1.0", "0.1,inf", "0,0.5;0.1,-nan"])
+    def test_probe_point_not_finite(self, tmp_path, checkpoint_args, capsys, points):
+        # abs(nan) > R is False, so the bounds check alone would pass a NaN
+        out = tmp_path / "probes.csv"
+        assert main(["probe", *checkpoint_args, "--points", points, "--out", str(out)]) == 2
+        assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", ["5,1;0,-3", "0.3,1", "0,2.5"])
     def test_probe_point_outside_vessel(self, tmp_path, checkpoint_args, capsys, points):
         # R = 0.25 cm and L = 2 cm: each set holds a point past the wall or an end
@@ -456,6 +464,27 @@ class TestBadInput:
             grid = ["--times", "2"]
         assert main([command[0], *checkpoint_args, *grid, command[1], str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    @pytest.mark.parametrize("header", [
+        lambda meta: {**meta, "u": {**meta["u"], "depth": meta["u"]["depth"] + 1}},
+        lambda meta: {**meta, "u": {**meta["u"], "depth": float(meta["u"]["depth"])}},
+        lambda meta: list(meta),
+    ], ids=["depth-and-widths-disagree", "depth-not-an-integer", "not-an-object"])
+    def test_checkpoint_header_of_no_network(self, tmp_path, checkpoint_args, capsys, header):
+        seeded = tmp_path / "seeded.npz"
+        bad = tmp_path / "bad.npz"
+        with np.load(seeded) as data:
+            meta = json.loads(bytes(data["header"]).decode())
+            payload = {key: data[key] for key in data.files if key != "header"}
+        text = json.dumps(header(meta)).encode()
+        np.savez(bad, header=np.frombuffer(text, dtype=np.uint8), **payload)
+        args = [*checkpoint_args[:2], "--checkpoint", str(bad)]
+        out = tmp_path / "out.csv"
+        for command in (["evaluate"], ["probe", "--out", str(out)],
+                        ["export-fields", "--out", str(out)]):
+            assert main([*command, *args]) == 2
+            assert capsys.readouterr().err.startswith(f"error: cannot load checkpoint {bad}: ")
+        assert not out.exists()
 
     def test_checkpoint_naming_other_activations(self, tmp_path, capsys):
         cfg_path, _, _ = _small_training_args(tmp_path)

@@ -77,7 +77,8 @@ class TestForward:
         nets.zero_init_output(net)
         tape = ad.Tape()
         out = net.forward(tape, [tape.batch([0.2]), tape.batch([0.8])])[0]
-        g = ad.param_grad(out * out, net.name)
+        loss = out * out
+        g = tape.backward_values(loss, [net.name])[net.name]
         b_final_index = len(net.theta) - 1
         assert g[b_final_index] == 0.0
 
@@ -141,8 +142,8 @@ class TestForward:
             got = np.stack([o.value for o in out], axis=1)
             ref = net.evaluate(pts)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-        # stack, seed, one layer node per layer, one select per output
-        assert counts == [2 + depth + 2] * 2
+        # stack, one layer run per layer, one select per output
+        assert counts == [1 + depth + 2] * 2
 
     def test_input_dimension_checked(self):
         net = nets.build(3, 4, 3, 1, seed=0)
@@ -189,8 +190,8 @@ class TestDerivatives:
 
 
 class TestJet:
-    """``FieldNetwork.jet``: one jet layer node per layer carries the value,
-    the first derivatives and the Laplacian."""
+    """``FieldNetwork.jet``: a chain of layer runs carries the value, the
+    first derivatives and the Laplacian."""
 
     @pytest.mark.parametrize("n", [1, 40, 1000])
     def test_value_equals_evaluate(self, n):
@@ -238,7 +239,7 @@ class TestJet:
         net.theta *= 3.0  # curved enough that every derivative row matters
         pts = safe_points(net, 16, seed=seed)
         loss = self.jet_loss(net, pts)
-        grad = ad.param_grad(loss, "u")
+        grad = loss.tape.backward_values(loss, ["u"])["u"]
         direction = np.random.default_rng(seed).standard_normal(grad.size)
         direction /= np.linalg.norm(direction)
         theta0, h = net.theta.copy(), 1e-6
@@ -306,10 +307,10 @@ class TestJet:
 
 
 class TestFrozenRead:
-    """A read of a network its record does not train is one frozen read
-    that keeps no layer values. Its values, the parameter gradients through
-    its recompute and its replays equal those of the per-layer read bit for
-    bit."""
+    """A read of a network its record does not train is one layer run of
+    every layer, which keeps no layer values. Its values, the parameter
+    gradients through its recompute and its replays equal those of the
+    per-layer read bit for bit."""
 
     # (directions, Laplacian directions)
     READS = {"laplacian": ((0, 1, 2), (0, 1)), "first": ((0, 2), ()), "value": ((), ())}
@@ -354,9 +355,9 @@ class TestFrozenRead:
         pts = np.random.default_rng(depth).uniform(-1.0, 1.0, size=(16, 3))
         frozen = self.loss(u, d, pts, trained, read)
         kept = self.loss(u, d, pts, None, read)
-        ops = frozen.tape._ops
-        assert ops.count(ad._FROZEN) == 2 - len(trained)
-        assert ops.count(ad._JET) == depth * len(trained)
+        runs = [len(args[2]) for op, args in zip(frozen.tape._ops, frozen.tape._args)
+                if op == ad._LAYERS]
+        assert sorted(runs) == [1] * (depth * len(trained)) + [depth] * (2 - len(trained))
         self.assert_same(self.selects(frozen.tape), self.selects(kept.tape))
         assert np.asarray(frozen.value).tobytes() == np.asarray(kept.value).tobytes()
 
@@ -394,19 +395,19 @@ class TestFrozenRead:
         pts = np.random.default_rng(0).uniform(-1.0, 1.0, size=(64, 3))
         frozen = self.loss(u, d, pts, (), "laplacian").tape
         kept = self.loss(u, d, pts, None, "laplacian").tape
-        assert len(kept) - len(frozen) == 2 * 12  # a seed and 12 layers per read become one
+        assert len(kept) - len(frozen) == 2 * 11  # 12 one-layer runs per read become one
         nbytes = [sum(np.asarray(v).nbytes for v in tape._vals) for tape in (frozen, kept)]
         assert nbytes[0] < nbytes[1] / 5
 
-    def test_frozen_read_refused_as_operand(self):
+    def test_whole_read_refused_as_operand(self):
         u, _ = self.nets_of(6)
         tape = ad.Tape(trained=())
         u.jet(tape, [tape.batch([0.1])] * 3)
-        (read,) = [i for i, op in enumerate(tape._ops) if op == ad._FROZEN]
+        (read,) = [i for i, op in enumerate(tape._ops) if op == ad._LAYERS]
         with pytest.raises(ad.RecordError):
             ad.DiffScalar(tape, read) * 2.0
-        with pytest.raises(ad.RecordError, match="seeded from a row"):
-            tape.frozen_read(ad.DiffScalar(tape, read), "u", [])
+        with pytest.raises(ad.RecordError, match="inherits its directions"):
+            tape.layers(ad.DiffScalar(tape, read), "u", u._layers[-1:], (0,))
 
 
 class TestCheckpoint:

@@ -361,7 +361,7 @@ class TestDetachPolicy:
                                     detach_interface_target=detach)
             tape = res[0].tape
             loss = mean_square(tape, res)
-            return ad.param_grad(loss, "d")
+            return loss.tape.backward_values(loss, ["d"])["d"]
 
         assert np.all(wall_loss(True) == 0.0)
         assert np.any(wall_loss(False) != 0.0)
@@ -538,16 +538,16 @@ class TestIncrementalReplay:
 
     def test_activation_slopes_are_shared(self):
         # the residuals differentiate each network several times; no slope
-        # is recorded: every jet layer node computes its activation's
-        # derivatives from its own output, and no step or product reads a
-        # layer
+        # is recorded: every layer run computes its activations'
+        # derivatives from their own outputs, and no step or product reads
+        # a layer
         u, p, d = make_nets(seed=6)
         tape = self.fluid_graph(u, p, d, alpha=1.0).tape
         ops = tape._ops
-        layers = {i for i, op in enumerate(ops) if op == ad._JET}
+        layers = {i for i, op in enumerate(ops) if op == ad._LAYERS}
         assert layers
         for i, op in enumerate(ops):
-            if op not in (ad._JET, ad._SELECT):
+            if op not in (ad._LAYERS, ad._SELECT):
                 assert not layers.intersection(tape._operands(i)), i
 
     @staticmethod
@@ -578,17 +578,18 @@ class TestIncrementalReplay:
 
     @staticmethod
     def jets_of(tape, derivatives=True):
-        """Each network's jets as chains of layer nodes, keyed by group: the
-        jets that carry input derivatives, or those that carry values alone."""
+        """Each network's per-layer reads as chains of one-layer runs, keyed
+        by group: the reads that carry input derivatives, or those that
+        carry values alone."""
         ops, args = tape._ops, tape._args
         chains = {}
         for i, op in enumerate(ops):
-            if (op == ad._JET and ops[args[i][0]] == ad._SEED
-                    and bool(args[args[i][0]][1]) == derivatives):
+            if (op == ad._LAYERS and ops[args[i][0]] != ad._LAYERS
+                    and len(args[i][2]) == 1 and bool(args[i][3]) == derivatives):
                 chain, node = [i], i
                 while True:
                     nxt = [j for j in range(node + 1, len(ops))
-                           if ops[j] == ad._JET and args[j][0] == node]
+                           if ops[j] == ad._LAYERS and args[j][0] == node]
                     if not nxt:
                         break
                     (node,) = nxt
@@ -596,8 +597,8 @@ class TestIncrementalReplay:
                 chains.setdefault(args[i][1], []).append(chain)
         return chains
 
-    # jets each record takes per trained network, as chains of layer
-    # nodes: the fluid record differentiates u at the interior and the
+    # jets each record takes per trained network, as chains of one-layer
+    # runs: the fluid record differentiates u at the interior and the
     # outlet and p at the interior; the solid record d at the wall and in
     # the interior
     JETS = {"fluid": {"u": 2, "p": 1}, "solid": {"d": 2}}
@@ -605,7 +606,8 @@ class TestIncrementalReplay:
     # inlet, wall and initial points, p at the outlet; the solid record's
     # d at the ports and the initial points
     VALUES = {"fluid": {"u": 3, "p": 1}, "solid": {"d": 2}}
-    # reads of the networks a record does not train, each one frozen read:
+    # reads of the networks a record does not train, each one run of
+    # every layer:
     # the fluid record's d in every current frame and along t at the wall;
     # the solid record's u and p at the wall
     FROZEN = {"fluid": {"d": 5}, "solid": {"u": 1, "p": 1}}
@@ -613,25 +615,26 @@ class TestIncrementalReplay:
     @pytest.mark.parametrize("record", ["fluid", "solid"])
     def test_relu_tangent_stores_no_bare_product(self, record):
         # no bias-free or activation-free layer product is stored: every
-        # derivative row of a layer is a row of that layer's jet node, one
-        # node per layer per jet of a trained network, and a network the
-        # record does not train stores no layer at all
+        # derivative row of a layer is a row of that layer's run, one run
+        # per layer per jet of a trained network, and a network the record
+        # does not train stores no layer at all
         tape = self.fsi_tape(record)
         ops, args = tape._ops, tape._args
         chains = self.jets_of(tape)
         values = self.jets_of(tape, derivatives=False)
         assert {g: len(c) for g, c in chains.items()} == self.JETS[record]
         assert {g: len(c) for g, c in values.items()} == self.VALUES[record]
-        jet_nodes = [i for i, op in enumerate(ops) if op == ad._JET]
+        one_layer = [i for i, op in enumerate(ops) if op == ad._LAYERS and len(args[i][2]) == 1]
         every = [chain for jets in (chains, values) for c in jets.values() for chain in c]
-        assert sorted(i for chain in every for i in chain) == jet_nodes
+        assert sorted(i for chain in every for i in chain) == one_layer
         for chain in every:
             assert len(chain) == 12
-            assert [args[i][2] for i in chain] == sorted(args[i][2] for i in chain)
-        frozen = [i for i, op in enumerate(ops) if op == ad._FROZEN]
+            offsets = [args[i][2][0][0] for i in chain]
+            assert offsets == sorted(offsets)
+        whole = [i for i, op in enumerate(ops) if op == ad._LAYERS and len(args[i][2]) > 1]
         counts = {}
-        for i in frozen:
-            assert len(args[i][2]) == 12
+        for i in whole:
+            assert len(args[i][2]) == 12 and ops[args[i][0]] != ad._LAYERS
             counts[args[i][1]] = counts.get(args[i][1], 0) + 1
         assert counts == self.FROZEN[record]
         assert not set(counts) & (set(chains) | set(values))
@@ -639,13 +642,13 @@ class TestIncrementalReplay:
     @pytest.mark.parametrize("record", ["fluid", "solid"])
     def test_relu_layer_tangents_share_its_step(self, record):
         # every derivative of a relu layer, along any direction and of
-        # either order, is in that layer's jet node, which reads its own
-        # step: the record holds no step of a layer
+        # either order, is in that layer's run, which reads its own step:
+        # the record holds no step of a layer
         tape = self.fsi_tape(record)
         ops, args = tape._ops, tape._args
-        layers = {i for i, op in enumerate(ops) if op == ad._JET}
+        layers = {i for i, op in enumerate(ops) if op == ad._LAYERS}
         assert not any(op == ad._STEP and args[i][0] in layers for i, op in enumerate(ops))
-        relu_jets = [i for i in layers if args[i][5] == "relu"]
+        relu_jets = [i for i in layers if [act for *_, act in args[i][2]] == ["relu"]]
         per_network = {}
         for derivatives in (True, False):
             for group, c in self.jets_of(tape, derivatives).items():
@@ -681,7 +684,10 @@ class TestFrozenReads:
         owner = FluidLossGraph if kind == "fluid" else SolidLossGraph
         monkeypatch.setattr(owner, "trained", None)
         kept = self.graph(kind, networks, samples, config)
-        assert ad._FROZEN in frozen.tape._ops and ad._FROZEN not in kept.tape._ops
+        def run_lengths(tape):
+            return {len(a[2]) for op, a in zip(tape._ops, tape._args) if op == ad._LAYERS}
+
+        assert run_lengths(frozen.tape) == {1, 12} and run_lengths(kept.tape) == {1}
         assert float(frozen.total.value) == float(kept.total.value)
         got = frozen.param_grads(["u", "p", "d"])
         want = kept.param_grads(["u", "p", "d"])
