@@ -19,11 +19,12 @@ at every point are float64 scalars, which broadcast against batches as in
 numpy. Every operation on pointwise values is elementwise and
 ``Tape.mean`` collapses a batch to a scalar. The record holds network
 layers, not neurons: a stack joins k pointwise nodes into a row of k
-(shape (n, k), or (k,) for a row of scalars), a layer run (``Tape.layers``)
-maps a row or the previous run's jet through consecutive layers and holds
-its last jet alone, and a select node reads one entry of one row of a jet
-back out. A run reading a row seeds the jet itself; one reading a run
-inherits that run's directions.
+(shape (k, n): unit-major, the point axis last and contiguous; or (k,) for
+a row of scalars, which a run computes as one point), a layer run
+(``Tape.layers``) maps a row or the previous run's jet through consecutive
+layers and holds its last jet alone, and a select node reads one entry of
+one row of a jet back out, a contiguous batch. A run reading a row seeds
+the jet itself; one reading a run inherits that run's directions.
 
 A network read is a chain of runs, and the one choice is their length.
 A record keeps layer values only for the networks its owner trains
@@ -40,23 +41,28 @@ neither ever recomputes a whole read in training; it keeps those as
 nodes, not constants, so that a replay after a change of the untrained
 network, and a gradient for it, stay exact.
 
-A jet is one node whose value has shape (m, n, k): the row of values,
+A jet is one node whose value has shape (m, k, n): the row of values,
 then one row of first derivatives G_j per requested direction, then, when
 one is requested, the row of Laplacians L; a jet without directions is
 the row of values alone (m = 1). The seed starts it at the network
 inputs: unit directions and L = 0. Each layer of a run reads W and b by
 offset from a registered parameter vector and maps the jet through
-a = x W^T + b and y = act(a), with `act` a sigmoid, a relu or nothing:
+a = W x + b and y = act(a), with `act` a sigmoid, a relu or nothing:
 
-    G'_j = s1 * (G_j W^T)
-    L'   = s2 * sum over j in D of (G_j W^T)^2 + s1 * (L W^T)
+    G'_j = s1 * (W G_j)
+    L'   = s2 * sum over j in D of (W G_j)^2 + s1 * (W L)
 
 where s1 and s2 are the activation's first and second derivatives at a,
 read from y: s(1 - s) and s(1 - s)(1 - 2s) for sigmoid, the step of y and
 0 for relu, 1 and 0 for none, and D is the Laplacian's direction set. The
 pre-activation a is never stored: no derivative rule reads it. This
 arithmetic and its adjoint are written once, on arrays (``_layer_jet``,
-``_layer_adjoint``).
+``_layer_adjoint``). Every product runs along the point axis: the value
+row is W x, a product of its own over the n columns so that its bits do
+not depend on the directions; the derivative rows are one batched W G;
+the input adjoint is one batched W^T times the output adjoint; the
+weight gradient is one batched product of the adjoint with each input
+row's transpose, summed over the rows.
 ``activate_in_place`` is the one activation arithmetic of layer runs,
 ``sigmoid``/``relu`` and ``nets.FieldNetwork.evaluate``, so ``evaluate``
 equals a recorded forward bit for bit: both activate their freshly
@@ -70,7 +76,7 @@ term whose weight is 0: that adds ±0 to every gradient entry it reaches,
 which leaves the entry as it is, so a node that receives no other
 contribution is never visited. At an activation it multiplies the adjoint
 by the slope, computed from the stored output. At each layer of a run it
-recomputes the products G_j W^T and L W^T from the layer's input jet, so
+recomputes the products W G_j and W L from the layer's input jet, so
 they are never stored, uses the third derivative s(1 - s)(1 - 6s + 6s^2)
 of a sigmoid, and adds the weight gradient of every row of the jet in one
 product. It scales the adjoint of a run in place, so a run is read only
@@ -179,42 +185,39 @@ def _slope_value(act, out):
 
 
 def _entry(row, k):
-    """Entry k of a row value: a batch (n,) from (n, k), else a float."""
-    return row[:, k] if row.ndim == 2 else float(row[k])
-
-
-def _rows_times(rows, w):
-    """Each row of a stack of rows (..., cols) times W^T, as one product."""
-    return (rows.reshape(-1, w.shape[1]) @ w.T).reshape(rows.shape[:-1] + (w.shape[0],))
+    """Entry k of a row value: the contiguous batch (n,) from (k, n), else
+    a float."""
+    return row[k] if row.ndim == 2 else float(row[k])
 
 
 # The layer arithmetic of the record, on arrays: a layer run evaluates
 # its layers with these and goes back through them with their adjoints.
 
 def _seed_jet(row, directions, laplacian: bool) -> np.ndarray:
-    """A row as a jet: unit first derivatives along the entry indices in
-    `directions` and, with `laplacian`, a zero Laplacian row."""
+    """A (k, n) row as a jet: unit first derivatives along the entry
+    indices in `directions` and, with `laplacian`, a zero Laplacian row."""
     jet = np.zeros((1 + len(directions) + laplacian,) + row.shape)
     jet[0] = row
     for j, k in enumerate(directions):
-        jet[1 + j, ..., k] = 1.0
+        jet[1 + j, k] = 1.0
     return jet
 
 
 def _layer_jet(jet, w, b, act, laplacian) -> np.ndarray:
-    """`jet` mapped through the layer act(x W^T + b) (no bias when b is
+    """`jet` mapped through the layer act(W x + b) (no bias when b is
     None), as the module docstring writes it; `laplacian` holds the
-    positions of the directions the Laplacian sums."""
-    out = np.empty(jet.shape[:-1] + (w.shape[0],))
+    positions of the directions the Laplacian sums. The value row has a
+    product of its own, so its bits do not depend on the directions."""
+    out = np.empty((len(jet), w.shape[0], jet.shape[2]))
     y = out[0]
-    np.matmul(jet[0], w.T, out=y)
+    np.matmul(w, jet[0], out=y)
     if b is not None:
-        y += b
+        y += b[:, None]
     activate_in_place(act, y)
     if len(out) == 1:
         return out
     derivs = out[1:]
-    np.matmul(jet[1:].reshape(-1, w.shape[1]), w.T, out=derivs.reshape(-1, w.shape[0]))
+    np.matmul(w, jet[1:], out=derivs)
     if act is None:
         return out
     s1 = _slope_value(act, y)
@@ -228,7 +231,7 @@ def _layer_jet(jet, w, b, act, laplacian) -> np.ndarray:
 
 
 def _layer_adjoint(adjoint, y, jet, w, act, laplacian) -> np.ndarray:
-    """Adjoint of the products x W^T + b, G_j W^T and L W^T of a layer with
+    """Adjoint of the products W x + b, W G_j and W L of a layer with
     input `jet` and value row `y`, stacked as its jet is, written over
     `adjoint`, the adjoint of its output jet."""
     if act is None:
@@ -242,7 +245,7 @@ def _layer_adjoint(adjoint, y, jet, w, act, laplacian) -> np.ndarray:
     # s1 and s2 depend on the pre-activation too: ds1/da = s2 = s1 (1 - 2s)
     # and ds2/da = s1 (1 - 6 s1). `inner` is the adjoint they pass to
     # the pre-activation, divided by s1.
-    derivs = _rows_times(jet[1:], w)
+    derivs = w @ jet[1:]
     curve = 1.0 - 2.0 * y
     inner = np.einsum("j...,j...->...", adjoint[1:], derivs)
     inner *= curve
@@ -547,13 +550,16 @@ class Tape:
         w = values[offset:offset + rows * cols].reshape(rows, cols)
         return w, None if bias is None else values[bias:bias + rows]
 
-    def _run_input(self, i: int) -> np.ndarray:
-        """The input jet of layer run i: its operand run's value, or its
-        operand row seeded."""
+    def _run_input(self, i: int) -> tuple[np.ndarray, bool]:
+        """The input jet (m, k, n) of layer run i, its operand run's value
+        or its operand row seeded, and whether that operand lacks the
+        point axis: a run on a row of scalars computes at one point, and
+        its own value lacks the axis too."""
         x, _, _, directions, laplacian = self._args[i]
-        if self._ops[x] == _LAYERS:
-            return self._vals[x]
-        return _seed_jet(self._vals[x], directions, bool(laplacian))
+        jet = self._vals[x]
+        if self._ops[x] != _LAYERS:
+            jet = _seed_jet(jet, directions, bool(laplacian))
+        return (jet, False) if jet.ndim == 3 else (jet[..., None], True)
 
     def _layer(self, group: str, layer: tuple, jet: np.ndarray, laplacian) -> np.ndarray:
         return _layer_jet(jet, *self._weights(group, layer), layer[3], laplacian)
@@ -563,10 +569,10 @@ class Tape:
         args = self._args[i]
         vals = self._vals
         if op == _LAYERS:  # first: the most frequent node a replay evaluates
-            jet = self._run_input(i)
+            jet, scalar = self._run_input(i)
             for layer in args[2]:  # each layer's jet is dropped for the next
                 jet = self._layer(args[1], layer, jet, args[4])
-            return jet
+            return jet[..., 0] if scalar else jet
         if op == _CONST:
             return args[0]
         if op == _ADD:
@@ -608,7 +614,7 @@ class Tape:
             s = np.sum(v, axis=0) / n
             return float(s) if s.ndim == 0 else s
         if op == _STACK:
-            return np.stack(np.broadcast_arrays(*[vals[a] for a in args]), axis=-1)
+            return np.stack(np.broadcast_arrays(*[vals[a] for a in args]))
         if op == _SELECT:
             x, k, part = args
             return _entry(vals[x][part], k)
@@ -641,8 +647,9 @@ class Tape:
     # public primitives beyond operator syntax -------------------------
 
     def stack(self, xs: Sequence[DiffScalar]) -> DiffScalar:
-        """Row of k pointwise nodes, shape (k,) or (n, k) for a batch.
-        Stacking the same nodes again returns the same row."""
+        """Row of k pointwise nodes, shape (k,) or (k, n) for a batch, so
+        each entry is a contiguous batch. Stacking the same nodes again
+        returns the same row."""
         self._not_layers(*xs)
         return DiffScalar(self, self._node(_STACK, *(x.index for x in xs)))
 
@@ -657,7 +664,7 @@ class Tape:
                directions: Sequence[int] = (),
                laplacian: "tuple[int, ...]" = ()) -> DiffScalar:
         """A run of consecutive network layers as one node that holds its
-        last jet alone. Each layer is ``act(x W^T + b)`` given as (offset,
+        last jet alone. Each layer is ``act(W x + b)`` given as (offset,
         (rows, cols), bias, act): W is the row-major block of parameter
         group `group` at `offset`, b the `rows` entries at `bias` (no bias
         when None), and `act` is "sigmoid", "relu" or None.
@@ -817,16 +824,21 @@ class Tape:
                 # reading a run; the seed for a run reading a row), then go
                 # back through the layers
                 x, group, layers, _, laplacian = a
-                jets = [self._run_input(i)]
+                jet, scalar = self._run_input(i)
+                jets = [jet]
                 for layer in layers[:-1]:
                     jets.append(self._layer(group, layer, jets[-1], laplacian))
                 y = vals[i][0]
+                if scalar:  # computed at one point
+                    y, a_out = y[:, None], a_out[..., None]
                 for k in range(len(layers) - 1, -1, -1):
                     jet = jets.pop()
                     a_out = self._layer_backward(group, layers[k], laplacian, a_out, jet, y,
                                                  grads, k > 0 or useful[x])
                     y = jet[0]
                 if useful[x]:
+                    if scalar:
+                        a_out = a_out[..., 0]
                     # a run takes the whole jet's adjoint, a row its value row's
                     accumulate(x, a_out if ops[x] == _LAYERS else a_out[0])
             elif op == _ADD:
@@ -881,7 +893,7 @@ class Tape:
                 x, k, part = a
                 if useful[x]:
                     row = np.zeros(np.shape(vals[x]))
-                    row[part][..., k] = a_out
+                    row[part, k] = a_out
                     accumulate(x, row)
         return grads
 
@@ -889,8 +901,8 @@ class Tape:
                         jet: np.ndarray, y: np.ndarray, grads: dict, need_input: bool):
         """One layer of the backward pass. `adjoint` is that of the layer's
         output jet, whose value row is `y`, and `jet` its input jet. The
-        adjoint becomes that of the layer's products x W^T + b, G_j W^T and
-        L W^T, in place: only the layer holds it, since only selects and
+        adjoint becomes that of the layer's products W x + b, W G_j and
+        W L, in place: only the layer holds it, since only selects and
         the next layer or run read a layer (``_not_layers``) and each
         builds a fresh adjoint. Adds the weight and bias gradients to
         grads[group] when present and returns the adjoint of `jet`, or
@@ -900,12 +912,12 @@ class Tape:
         adjoint = _layer_adjoint(adjoint, y, jet, w, act, laplacian)
         g = grads.get(group)
         if g is not None:
-            g[offset:offset + w.size] += (adjoint.reshape(-1, shape[0]).T
-                                          @ jet.reshape(-1, shape[1])).ravel()
+            # one product per row of the jet, summed over the rows
+            weights = np.matmul(adjoint, jet.transpose(0, 2, 1)).sum(axis=0)
+            g[offset:offset + w.size] += weights.ravel()
             if bias is not None:
-                g[bias:bias + shape[0]] += (adjoint[0].sum(axis=0) if adjoint.ndim == 3
-                                            else adjoint[0])
-        return _rows_times(adjoint, w.T) if need_input else None
+                g[bias:bias + shape[0]] += adjoint[0].sum(axis=1)
+        return np.matmul(w.T, adjoint) if need_input else None
 
 
 # ----------------------------------------------------------------------

@@ -346,7 +346,7 @@ def _retain_freed_memory() -> None:
     """Keep freed heap memory for reuse instead of returning it to the OS.
 
     Every field read allocates and frees the same arrays once per time
-    slice: a layer's (points, width) array is 640 KiB at the default
+    slice: a layer's (width, points) array is 640 KiB at the default
     64 x 64 grid, above glibc's default 128 KiB mmap threshold, and the
     `speed_field` record of `evaluate` keeps only the outputs of its
     whole-network layer runs (0.56 MiB a slice), so nearly all of that

@@ -100,17 +100,18 @@ class FieldNetwork:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Plain numpy forward over rows of `points`, shape (n, in_dim) -> (n, out_dim).
 
-        Each layer is ``x @ W.T`` with the bias added and the record's own
-        activation code applied in place on that fresh product, as the
-        record's layer runs compute it; `points` is left unchanged. So for
-        n rows this is bitwise equal to the values `jet` records from
-        n-point batches."""
-        x = np.ascontiguousarray(points, dtype=np.float64)
+        It computes unit-major, as the record's layer runs do: each layer
+        is ``W @ x`` on the (width, n) transpose, with the bias added and
+        the record's own activation code applied in place on that fresh
+        product; `points` is left unchanged and the result is a transposed
+        view. So for n rows this is bitwise equal to the values `jet`
+        records from n-point batches."""
+        x = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
         for layer in range(self.depth):
-            x = x @ self.weight(layer).T
-            x += self.bias(layer)
+            x = self.weight(layer) @ x
+            x += self.bias(layer)[:, None]
             ad.activate_in_place(self.activations[layer], x)
-        return x
+        return x.T
 
     def relu_margin(self, point) -> float:
         """Smallest |pre-activation| seen by any relu unit at `point`.
@@ -199,7 +200,8 @@ def _positive_int(value) -> bool:
 def load_networks(path) -> tuple[dict[str, FieldNetwork], dict[str, np.ndarray]]:
     """Networks and extras written by ``save_networks``; a ValueError when
     the header is not an object mapping each name to a positive integer
-    depth and a list of positive integer widths."""
+    depth and a list of positive integer widths, or when a parameter
+    vector is not 1-d float64."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["header"]).decode())
         if not isinstance(meta, dict):
@@ -215,8 +217,11 @@ def load_networks(path) -> tuple[dict[str, FieldNetwork], dict[str, np.ndarray]]
             # older headers name the activations, which were always these
             if info.get("schedule", "alternating") != "alternating":
                 raise ValueError(f"{name}: unknown activation schedule {info['schedule']!r}")
-            nets[name] = FieldNetwork(name, info["depth"], info["widths"],
-                                      data[f"theta_{name}"].copy())
+            theta = data[f"theta_{name}"]
+            if theta.dtype != np.float64 or theta.ndim != 1:
+                raise ValueError(f"{name}: parameter vector is {theta.ndim}-d {theta.dtype}, "
+                                 "not 1-d float64")
+            nets[name] = FieldNetwork(name, info["depth"], info["widths"], theta.copy())
         for key in data.files:
             if key.startswith("extra_"):
                 extras[key[len("extra_"):]] = data[key].copy()

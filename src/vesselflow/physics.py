@@ -194,8 +194,9 @@ class ZeroDisplacement(AnalyticDisplacement):
 
 def _read_network(net, r, z, t):
     """Plain outputs of `net` at a batch (r, z, t), stacked into (n, 3)
-    rows as `FieldNetwork.jet` stacks its inputs, so the products are the
-    same products."""
+    rows, whose (3, n) transpose `FieldNetwork.evaluate` computes on as
+    `FieldNetwork.jet` stacks its inputs, so the products are the same
+    products."""
     return tuple(net.evaluate(np.stack(np.broadcast_arrays(r, z, t), axis=-1)).T)
 
 

@@ -420,6 +420,25 @@ class TestBadInput:
             assert capsys.readouterr().err.startswith(f"error: cannot load checkpoint {bad}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("recast", [lambda theta: theta.astype(np.float32),
+                                        lambda theta: theta.reshape(-1, 1)],
+                             ids=["float32", "2-d"])
+    def test_parameter_vector_not_1d_float64(self, tmp_path, checkpoint_args, capsys, recast):
+        seeded = tmp_path / "seeded.npz"
+        bad = tmp_path / "recast.npz"
+        with np.load(seeded) as data:
+            np.savez(bad, **{key: recast(data[key]) if key == "theta_u" else data[key]
+                             for key in data.files})
+        args = [*checkpoint_args[:2], "--checkpoint", str(bad)]
+        out = tmp_path / "out.csv"
+        for command in (["evaluate"], ["probe", "--out", str(out)],
+                        ["export-fields", "--out", str(out)]):
+            assert main([*command, *args]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot load checkpoint {bad}: u: parameter vector")
+            assert err.endswith("not 1-d float64\n")
+        assert not out.exists()
+
     def test_config_that_is_not_text(self, checkpoint_args, capsys):
         # a checkpoint passed where the config belongs
         ckpt = checkpoint_args[3]

@@ -193,7 +193,7 @@ class TestJet:
     """``FieldNetwork.jet``: a chain of layer runs carries the value, the
     first derivatives and the Laplacian."""
 
-    @pytest.mark.parametrize("n", [1, 40, 1000])
+    @pytest.mark.parametrize("n", [1, 40, 1000, 4096])  # 4096: a field-eval slice
     def test_value_equals_evaluate(self, n):
         net = nets.build(12, 20, 3, 2, seed=11)
         pts = np.random.default_rng(n).uniform(-1, 1, size=(n, 3))
@@ -202,6 +202,32 @@ class TestJet:
             jets = jet_at(net, pts, directions, laplacian)
             got = np.stack([jet.value.value for jet in jets], axis=1)
             assert got.tobytes() == ref.tobytes()
+
+    @staticmethod
+    def read_at_one_point(net, pt, leaf):
+        """Every part of the jets at `pt`, each input made by `leaf(tape,
+        value)`, and the gradient of the mean of their squares."""
+        tape = ad.Tape()
+        jets = net.jet(tape, [leaf(tape, v) for v in pt], (0, 1, 2), laplacian=(0, 1))
+        parts = [p for jet in jets for p in (jet.value, *jet.grads, jet.laplacian)]
+        loss = tape.mean(sum((p * p for p in parts[1:]), parts[0] * parts[0]))
+        values = [np.float64(np.asarray(p.value).item()) for p in parts]
+        return values, tape.backward_values(loss, [net.name])[net.name]
+
+    def test_scalar_inputs_equal_one_point_batches(self):
+        # constants stack into a row of scalars, shape (3,), which a run
+        # reads as one point: its parts are floats with the bits of the
+        # one-point batches' parts, and so are the parameter gradients
+        net = nets.build(6, 8, 3, 2, seed=3, name="u")
+        pt = safe_points(net, 1, seed=3)[0]
+        values, grad = self.read_at_one_point(net, pt, lambda tape, v: tape.constant(v))
+        want_values, want_grad = self.read_at_one_point(net, pt, lambda tape, v: tape.batch([v]))
+        assert np.array(values).tobytes() == np.array(want_values).tobytes()
+        assert np.any(grad != 0.0)
+        assert grad.tobytes() == want_grad.tobytes()
+        tape = ad.Tape()
+        (jet, _) = net.jet(tape, [tape.constant(v) for v in pt], (0, 1), laplacian=(0,))
+        assert all(isinstance(p.value, float) for p in (jet.value, *jet.grads, jet.laplacian))
 
     @pytest.mark.parametrize("depth", [6, 12])
     @pytest.mark.parametrize("laplacian", [(0, 1), (2,)])
