@@ -18,16 +18,15 @@ point is a batch of one. Constants, means and derivatives that are equal
 at every point are float64 scalars, which broadcast against batches as in
 numpy. Every operation on pointwise values is elementwise and
 ``Tape.mean`` collapses a batch to a scalar. The record holds network
-layers, not neurons: a stack joins k pointwise nodes into a row of k
-(shape (k, n): unit-major, the point axis last and contiguous; or (k,) for
-a row of scalars, which a run computes as one point), a layer run
-(``Tape.layers``) maps a row or the previous run's jet through consecutive
-layers and holds its last jet alone, and a select node reads one entry of
-one row of a jet back out, a contiguous batch. A run reading a row seeds
-the jet itself; one reading a run inherits that run's directions.
+layers, not neurons: a stack joins k pointwise nodes, at least one of
+them a batch, into a row of k (shape (k, n): unit-major, the point axis
+last and contiguous), a layer run maps a row or the previous run's jet
+through consecutive layers and holds its last jet alone, and a select node
+reads one entry of one row of a jet back out, a contiguous batch.
 
-A network read is a chain of runs, and the one choice is their length.
-A record keeps layer values only for the networks its owner trains
+A network read is one call, ``Tape.layers``, on a row: it seeds the jet
+and records a chain of runs, whose length the record chooses. A record
+keeps layer values only for the networks its owner trains
 (``Tape(trained=...)``; by default every one): a read of one of those is
 one run per layer, so the backward pass finds each layer's input jet
 stored; a read of any other network is one run of all its layers, which
@@ -56,18 +55,18 @@ where s1 and s2 are the activation's first and second derivatives at a,
 read from y: s(1 - s) and s(1 - s)(1 - 2s) for sigmoid, the step of y and
 0 for relu, 1 and 0 for none, and D is the Laplacian's direction set. The
 pre-activation a is never stored: no derivative rule reads it. This
-arithmetic and its adjoint are written once, on arrays (``_layer_jet``,
+arithmetic and its adjoint are written once, on arrays (``layer_jet``,
 ``_layer_adjoint``). Every product runs along the point axis: the value
 row is W x, a product of its own over the n columns so that its bits do
 not depend on the directions; the derivative rows are one batched W G;
 the input adjoint is one batched W^T times the output adjoint; the
 weight gradient is one batched product of the adjoint with each input
 row's transpose, summed over the rows.
-``activate_in_place`` is the one activation arithmetic of layer runs,
-``sigmoid``/``relu`` and ``nets.FieldNetwork.evaluate``, so ``evaluate``
-equals a recorded forward bit for bit: both activate their freshly
-computed product in place, while ``activate`` works on a copy and leaves
-its input as it is.
+``nets.FieldNetwork.evaluate`` runs ``layer_jet`` itself on a jet without
+directions, so it equals a recorded forward bit for bit.
+``activate_in_place`` is the one activation arithmetic of layer runs and
+``sigmoid``/``relu``: a layer activates its freshly computed product in
+place, while ``activate`` works on a copy and leaves its input as it is.
 
 The backward pass gives every adjoint the shape of its node's value:
 summed over a batch axis the node lacks, repeated over one it has. It
@@ -152,8 +151,8 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def activate_in_place(act, z: np.ndarray) -> np.ndarray:
     """Activation `act` ("sigmoid", "relu" or None for none) of a float64
     array, written over it and returned: the one arithmetic of recorded
-    activations, layer runs and ``nets.FieldNetwork.evaluate``. For
-    sigmoid it is 1 / (1 + exp(-z)), one operation at a time."""
+    activations and layer runs. For sigmoid it is 1 / (1 + exp(-z)), one
+    operation at a time."""
     if act == "sigmoid":
         np.negative(z, out=z)
         with np.errstate(over="ignore"):
@@ -184,14 +183,9 @@ def _slope_value(act, out):
     return out * (1.0 - out) if act == "sigmoid" else _step_value(out)
 
 
-def _entry(row, k):
-    """Entry k of a row value: the contiguous batch (n,) from (k, n), else
-    a float."""
-    return row[k] if row.ndim == 2 else float(row[k])
-
-
 # The layer arithmetic of the record, on arrays: a layer run evaluates
-# its layers with these and goes back through them with their adjoints.
+# its layers with these and goes back through them with their adjoints,
+# and nets.FieldNetwork.evaluate runs layer_jet on a jet without directions.
 
 def _seed_jet(row, directions, laplacian: bool) -> np.ndarray:
     """A (k, n) row as a jet: unit first derivatives along the entry
@@ -203,7 +197,7 @@ def _seed_jet(row, directions, laplacian: bool) -> np.ndarray:
     return jet
 
 
-def _layer_jet(jet, w, b, act, laplacian) -> np.ndarray:
+def layer_jet(jet, w, b, act, laplacian) -> np.ndarray:
     """`jet` mapped through the layer act(W x + b) (no bias when b is
     None), as the module docstring writes it; `laplacian` holds the
     positions of the directions the Laplacian sums. The value row has a
@@ -447,8 +441,8 @@ class Tape:
     """Append-only computation record over batched, layer and scalar values.
 
     `trained` names the parameter groups the record's owner trains (None:
-    every group). A network read of any other group is recorded as one
-    layer run of all its layers (``trains``, ``layers``)."""
+    every group). A network read (``layers``) of any other group is
+    recorded as one layer run of all its layers."""
 
     def __init__(self, trained: "Sequence[str] | None" = None):
         self._trained = None if trained is None else frozenset(trained)
@@ -550,29 +544,25 @@ class Tape:
         w = values[offset:offset + rows * cols].reshape(rows, cols)
         return w, None if bias is None else values[bias:bias + rows]
 
-    def _run_input(self, i: int) -> tuple[np.ndarray, bool]:
-        """The input jet (m, k, n) of layer run i, its operand run's value
-        or its operand row seeded, and whether that operand lacks the
-        point axis: a run on a row of scalars computes at one point, and
-        its own value lacks the axis too."""
+    def _run_input(self, i: int) -> np.ndarray:
+        """The input jet (m, k, n) of layer run i: its operand run's value,
+        or its operand row seeded."""
         x, _, _, directions, laplacian = self._args[i]
         jet = self._vals[x]
-        if self._ops[x] != _LAYERS:
-            jet = _seed_jet(jet, directions, bool(laplacian))
-        return (jet, False) if jet.ndim == 3 else (jet[..., None], True)
+        return jet if self._ops[x] == _LAYERS else _seed_jet(jet, directions, bool(laplacian))
 
     def _layer(self, group: str, layer: tuple, jet: np.ndarray, laplacian) -> np.ndarray:
-        return _layer_jet(jet, *self._weights(group, layer), layer[3], laplacian)
+        return layer_jet(jet, *self._weights(group, layer), layer[3], laplacian)
 
     def _eval(self, i: int):
         op = self._ops[i]
         args = self._args[i]
         vals = self._vals
         if op == _LAYERS:  # first: the most frequent node a replay evaluates
-            jet, scalar = self._run_input(i)
+            jet = self._run_input(i)
             for layer in args[2]:  # each layer's jet is dropped for the next
                 jet = self._layer(args[1], layer, jet, args[4])
-            return jet[..., 0] if scalar else jet
+            return jet
         if op == _CONST:
             return args[0]
         if op == _ADD:
@@ -617,7 +607,7 @@ class Tape:
             return np.stack(np.broadcast_arrays(*[vals[a] for a in args]))
         if op == _SELECT:
             x, k, part = args
-            return _entry(vals[x][part], k)
+            return vals[x][part][k]
         raise RecordError(f"node {i}: op {op} cannot be re-evaluated")
 
     def _binary(self, op, a: DiffScalar, b: DiffScalar) -> DiffScalar:
@@ -640,17 +630,15 @@ class Tape:
     def _is_run(self, x: DiffScalar) -> bool:
         return self._ops[x.index] == _LAYERS
 
-    def trains(self, group: str) -> bool:
-        """Whether the record's owner trains parameter group `group`."""
-        return self._trained is None or group in self._trained
-
     # public primitives beyond operator syntax -------------------------
 
     def stack(self, xs: Sequence[DiffScalar]) -> DiffScalar:
-        """Row of k pointwise nodes, shape (k,) or (k, n) for a batch, so
-        each entry is a contiguous batch. Stacking the same nodes again
-        returns the same row."""
+        """Row of k pointwise nodes, at least one of them a batch: shape
+        (k, n), each entry a contiguous batch, with a scalar entry repeated
+        at every point. Stacking the same nodes again returns the same row."""
         self._not_layers(*xs)
+        if not any(_is_batch(x.value) for x in xs):
+            raise RecordError("a row needs a batch among its entries")
         return DiffScalar(self, self._node(_STACK, *(x.index for x in xs)))
 
     def select(self, x: DiffScalar, k: int, part: "int | None" = None) -> DiffScalar:
@@ -660,32 +648,33 @@ class Tape:
             raise RecordError("select reads a row of a layer run's jet by part")
         return self._push(_SELECT, (x.index, k, part))
 
-    def layers(self, x: DiffScalar, group: str, layers: Sequence[tuple],
+    def layers(self, row: DiffScalar, group: str, layers: Sequence[tuple],
                directions: Sequence[int] = (),
                laplacian: "tuple[int, ...]" = ()) -> DiffScalar:
-        """A run of consecutive network layers as one node that holds its
-        last jet alone. Each layer is ``act(W x + b)`` given as (offset,
-        (rows, cols), bias, act): W is the row-major block of parameter
-        group `group` at `offset`, b the `rows` entries at `bias` (no bias
-        when None), and `act` is "sigmoid", "relu" or None.
+        """A network read: consecutive layers mapping a row node (``stack``)
+        to the jet of the last layer. Each layer is ``act(W x + b)`` given
+        as (offset, (rows, cols), bias, act): W is the row-major block of
+        parameter group `group` at `offset`, b the `rows` entries at `bias`
+        (no bias when None), and `act` is "sigmoid", "relu" or None.
 
-        The operand x is a row node, which the run seeds as a jet with a
-        unit first derivative along each entry index in `directions` and,
-        when `laplacian` is not empty, a zero Laplacian summing the
-        directions at those positions among them; a jet without
-        directions is the value alone. Or x is a previous run, whose jet
-        the run maps on, inheriting its directions and Laplacian, so none
-        may be given. A backward pass that reaches the run recomputes the
-        input jets of its layers from its operand."""
+        The row is seeded as a jet with a unit first derivative along each
+        entry index in `directions` and, when `laplacian` is not empty, a
+        zero Laplacian summing the directions at those positions among
+        them; a jet without directions is the value alone. The record
+        holds a chain of runs, each keeping only its last jet: one run per
+        layer when the record trains `group`, else one run of every layer.
+        Returns the last run, which only ``select`` reads."""
         layers = tuple(layers)
         if any(layer[3] not in _ACTIVATIONS for layer in layers):
             raise RecordError("unknown activation in a layer run")
-        if self._is_run(x):
-            if directions or laplacian:
-                raise RecordError("a run reading a run inherits its directions")
-            directions, laplacian = self._args[x.index][3:]
-        return self._push(_LAYERS, (x.index, group, layers, tuple(directions),
-                                    tuple(laplacian)))
+        if self._ops[row.index] != _STACK:
+            raise RecordError("a network read takes a row made by stack")
+        directions, laplacian = tuple(directions), tuple(laplacian)
+        run = 1 if self._trained is None or group in self._trained else len(layers)
+        for start in range(0, len(layers), run):
+            row = self._push(_LAYERS, (row.index, group, layers[start:start + run],
+                                       directions, laplacian))
+        return row
 
     def mean(self, x: DiffScalar) -> DiffScalar:
         """Mean over the lockstep batch (count fixed at record time)."""
@@ -824,21 +813,16 @@ class Tape:
                 # reading a run; the seed for a run reading a row), then go
                 # back through the layers
                 x, group, layers, _, laplacian = a
-                jet, scalar = self._run_input(i)
-                jets = [jet]
+                jets = [self._run_input(i)]
                 for layer in layers[:-1]:
                     jets.append(self._layer(group, layer, jets[-1], laplacian))
                 y = vals[i][0]
-                if scalar:  # computed at one point
-                    y, a_out = y[:, None], a_out[..., None]
                 for k in range(len(layers) - 1, -1, -1):
                     jet = jets.pop()
                     a_out = self._layer_backward(group, layers[k], laplacian, a_out, jet, y,
                                                  grads, k > 0 or useful[x])
                     y = jet[0]
                 if useful[x]:
-                    if scalar:
-                        a_out = a_out[..., 0]
                     # a run takes the whole jet's adjoint, a row its value row's
                     accumulate(x, a_out if ops[x] == _LAYERS else a_out[0])
             elif op == _ADD:
@@ -888,7 +872,7 @@ class Tape:
             elif op == _STACK:
                 for k, x in enumerate(a):
                     if useful[x]:
-                        accumulate(x, _entry(a_out, k))
+                        accumulate(x, a_out[k])
             elif op == _SELECT:
                 x, k, part = a
                 if useful[x]:

@@ -15,7 +15,7 @@ from . import analysis, autodiff as ad, nets as nets_mod
 from .config import ConfigError, PRESET_NAMES, ScenarioConfig, load_config, preset
 from .domain import reference_radius
 from .physics import NetworkDisplacement, NetworkFlow, ZeroDisplacement
-from .trainer import PlanError, Trainer, build_networks, network_shapes
+from .trainer import PlanError, Trainer, TrainingDiverged, build_networks, network_shapes
 
 
 class CliError(RuntimeError):
@@ -396,6 +396,13 @@ def main(argv=None) -> int:
             FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TrainingDiverged as exc:
+        # The run directory keeps its history. Exit, as argparse does on a
+        # bad option, rather than return: a caller running commands in
+        # process (bench/op.py) then fails with this line, not a bare status.
+        last = (f"last checkpoint {exc.checkpoint}" if exc.checkpoint
+                else "no checkpoint was written")
+        parser.exit(2, f"error: {exc}; {last}\n")
 
 
 if __name__ == "__main__":

@@ -265,7 +265,8 @@ _JSON_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
 
 def _check_type(name: str, value, hint) -> None:
     """Refuse a config value of the wrong type for a field annotated `hint`,
-    `kind` or `kind | None`; null is taken only by the latter."""
+    `kind` or `kind | None`; null is taken only by the latter. A number
+    must be finite: JSON text read by Python may hold NaN or Infinity."""
     args = typing.get_args(hint)  # (kind, NoneType) for `kind | None`, else ()
     if value is None and args:
         return
@@ -274,6 +275,8 @@ def _check_type(name: str, value, hint) -> None:
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, types):
         raise ConfigError(f"{name} must be {text}{' or null' if args else ''}, "
                           f"got {json.dumps(value)}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {json.dumps(value)}")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -299,33 +302,34 @@ def _plaque_preset(name: str, short_radius: float) -> ScenarioConfig:
     )
 
 
+_PRESETS = {
+    "cylinder": lambda: ScenarioConfig(name="cylinder"),
+    "plaque-mild": lambda: _plaque_preset("plaque-mild", 0.05),
+    "plaque-moderate": lambda: _plaque_preset("plaque-moderate", 0.1),
+    "plaque-severe": lambda: _plaque_preset("plaque-severe", 0.15),
+    "one-pulse": lambda: ScenarioConfig(
+        name="one-pulse",
+        geometry=GeometrySettings(radius_cm=1.0, length_cm=25.0,
+                                  wall_thickness_cm=0.2, horizon_s=0.2),
+        wall=WallSettings(youngs_modulus_dyn_per_cm2=0.8e7),
+        inlet=InletSettings(angular_frequency_rad_per_s=20.0 * math.pi),
+    ),
+    "poiseuille-rigid": lambda: ScenarioConfig(
+        name="poiseuille-rigid",
+        inlet=InletSettings(mode="steady", steady_value_cm_per_s=20.0),
+        weights=WeightSettings(fluid_initial=0.0),
+        training=TrainingSettings(
+            interior_points=256, wall_points=128, port_points=128,
+            rigid_wall=True, fluid_epochs=2000,
+        ),
+    ),
+}
+
+# the names `--preset` offers, in table order
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name: str) -> ScenarioConfig:
-    builders = {
-        "cylinder": lambda: ScenarioConfig(name="cylinder"),
-        "plaque-mild": lambda: _plaque_preset("plaque-mild", 0.05),
-        "plaque-moderate": lambda: _plaque_preset("plaque-moderate", 0.1),
-        "plaque-severe": lambda: _plaque_preset("plaque-severe", 0.15),
-        "one-pulse": lambda: ScenarioConfig(
-            name="one-pulse",
-            geometry=GeometrySettings(radius_cm=1.0, length_cm=25.0,
-                                      wall_thickness_cm=0.2, horizon_s=0.2),
-            wall=WallSettings(youngs_modulus_dyn_per_cm2=0.8e7),
-            inlet=InletSettings(angular_frequency_rad_per_s=20.0 * math.pi),
-        ),
-        "poiseuille-rigid": lambda: ScenarioConfig(
-            name="poiseuille-rigid",
-            inlet=InletSettings(mode="steady", steady_value_cm_per_s=20.0),
-            weights=WeightSettings(fluid_initial=0.0),
-            training=TrainingSettings(
-                interior_points=256, wall_points=128, port_points=128,
-                rigid_wall=True, fluid_epochs=2000,
-            ),
-        ),
-    }
-    if name not in builders:
-        raise ConfigError(f"unknown preset {name!r} (have: {sorted(builders)})")
-    return builders[name]()
-
-
-PRESET_NAMES = ("cylinder", "plaque-mild", "plaque-moderate", "plaque-severe",
-                "one-pulse", "poiseuille-rigid")
+    if name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r} (have: {sorted(_PRESETS)})")
+    return _PRESETS[name]()

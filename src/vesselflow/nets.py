@@ -65,32 +65,21 @@ class FieldNetwork:
     def out_dim(self) -> int:
         return self.widths[-1]
 
-    def forward(self, tape: ad.Tape, inputs) -> list[ad.DiffScalar]:
-        """Record the network's values at `inputs`: ``jet`` without
-        directions."""
-        return [out.value for out in self.jet(tape, inputs)]
-
     def jet(self, tape: ad.Tape, inputs, directions=(), laplacian=()) -> list[ad.Jet]:
         """Record the network at `inputs` (DiffScalar, length in_dim) with
         its input derivatives, one ``ad.Jet`` per output: first derivatives
         along each input index in `directions`, and the sum of the pure
         second derivatives along the indices in `laplacian`, a subset of
         `directions` (0.0 when empty). The record holds a stack of the
-        inputs, then a chain of layer runs: one run per layer when `tape`
-        trains this network, or one run of every layer, which keeps no
-        layer values, when it does not; then one select per row of each
-        output, whatever the width. The values equal ``evaluate`` bit for
-        bit."""
+        inputs, the network read (``ad.Tape.layers``) and one select per
+        row of each output, whatever the width. The values equal
+        ``evaluate`` bit for bit."""
         if len(inputs) != self.in_dim:
             raise ValueError(f"{self.name}: expected {self.in_dim} inputs, got {len(inputs)}")
         directions = tuple(directions)
         lap = ad.laplacian_positions(directions, laplacian)
         tape.register_params(self.name, self.theta)
-        x = tape.stack(inputs)
-        run = 1 if tape.trains(self.name) else self.depth
-        for start in range(0, self.depth, run):
-            seed = (directions, lap) if start == 0 else ()  # a later run inherits them
-            x = tape.layers(x, self.name, self._layers[start:start + run], *seed)
+        x = tape.layers(tape.stack(inputs), self.name, self._layers, directions, lap)
         rows = len(directions)
         return [ad.Jet(tape.select(x, k, 0),
                        (tape.select(x, k, 1 + j) for j in range(rows)),
@@ -100,30 +89,29 @@ class FieldNetwork:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         """Plain numpy forward over rows of `points`, shape (n, in_dim) -> (n, out_dim).
 
-        It computes unit-major, as the record's layer runs do: each layer
-        is ``W @ x`` on the (width, n) transpose, with the bias added and
-        the record's own activation code applied in place on that fresh
-        product; `points` is left unchanged and the result is a transposed
-        view. So for n rows this is bitwise equal to the values `jet`
-        records from n-point batches."""
-        x = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)
-        for layer in range(self.depth):
-            x = self.weight(layer) @ x
-            x += self.bias(layer)[:, None]
-            ad.activate_in_place(self.activations[layer], x)
-        return x.T
+        Each layer is the record's own layer function (``ad.layer_jet``)
+        on a jet without directions, the contiguous (1, width, n) row a
+        layer run maps; `points` is left unchanged and the result is a
+        transposed view. So for n rows this is bitwise equal to the values
+        `jet` records from n-point batches."""
+        x = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)[None]
+        for layer, act in enumerate(self.activations):
+            x = ad.layer_jet(x, self.weight(layer), self.bias(layer), act, ())
+        return x[0].T
 
     def relu_margin(self, point) -> float:
         """Smallest |pre-activation| seen by any relu unit at `point`.
 
-        Useful for keeping finite-difference probes away from kinks."""
-        x = np.asarray(point, dtype=np.float64)
+        Useful for keeping finite-difference probes away from kinks. Each
+        layer is ``evaluate``'s at one point, activated after the margin
+        is read."""
+        x = np.asarray(point, dtype=np.float64).reshape(1, -1, 1)
         margin = np.inf
-        for layer in range(self.depth):
-            x = x @ self.weight(layer).T + self.bias(layer)
-            if self.activations[layer] == "relu":
+        for layer, act in enumerate(self.activations):
+            x = ad.layer_jet(x, self.weight(layer), self.bias(layer), None, ())
+            if act == "relu":
                 margin = min(margin, float(np.min(np.abs(x))))
-            x = ad.activate(self.activations[layer], x)
+            ad.activate_in_place(act, x)
         return margin
 
 

@@ -277,7 +277,7 @@ def _wall_radius(tape, geometry: VesselGeometry, z):
 
 
 def _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
-                       wall: WallProperties, fluid: FluidProperties, detach_fluid: bool):
+                       wall: WallProperties, fluid: FluidProperties):
     radius0, slope0 = _wall_radius(tape, geometry, z)
     r_w = direction * radius0
     # total z-derivative of radius0(z) + eta(direction radius0(z), z, t);
@@ -301,9 +301,9 @@ def _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
     # ((grad u + grad u^T) . n) . e_r for the outward normal of the current
     # wall curve; the signed-direction factors cancel pairwise.
     shear = (2.0 * dur_dr - (dur_dz + duz_dr) * dradius_dz) / stretch
-    if detach_fluid:
-        p = ad.detach(p)
-        shear = ad.detach(shear)
+    # the fluid enters the wall problem as a given load: no derivative
+    # reaches u or p through it
+    p, shear = ad.detach(p), ad.detach(shear)
     load = (ratio * p - ratio * stretch * fluid.viscosity * shear) \
         / (wall.density * wall.thickness)
 
@@ -312,18 +312,17 @@ def _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
 
 
 def stress_continuity_residual(flow, displacement, point, wall: WallProperties,
-                               fluid: FluidProperties, geometry: VesselGeometry,
-                               detach_fluid: bool = True):
+                               fluid: FluidProperties, geometry: VesselGeometry):
     """Ring-model residual at wall points: radial acceleration plus the
     elastic restoring force minus the fluid load. Points on the plaque take
     its dented radius; a batch that is not all on or all off the plaque
     raises `PhysicsError`. Fluid quantities inside the load enter as
-    constants when `detach_fluid` is set (solid-problem assembly)."""
+    constants (detached), as the wall problem takes them."""
     tape = ad.Tape()
     r, z, t = _point_leaves(tape, point)
     direction = _direction_node(tape, r)
     return _stress_continuity(tape, z, t, direction, flow, displacement,
-                              geometry, wall, fluid, detach_fluid)
+                              geometry, wall, fluid)
 
 
 def _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor):
@@ -552,7 +551,7 @@ class SolidLossGraph:
             t = tape.batch(samples.wall.t[idx])
             direction = tape.batch_constant(radial_direction(samples.wall.r[idx]))
             res = _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
-                                     wall_by_segment[segment], fluid, detach_fluid=True)
+                                     wall_by_segment[segment], fluid)
             parts.append((len(idx), mean_square(tape, [res])))
         self.term_stress = _weighted_union(tape, parts)
 

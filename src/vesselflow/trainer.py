@@ -20,8 +20,8 @@ scenario's `training` section, which `ScenarioConfig` validates on
 construction, so a saved config reproduces the run. `Trainer` checks its
 own arguments, the shard split of every collocation set included, before
 it creates the run directory. A non-finite loss or gradient aborts with
-`TrainingDiverged`, naming the epoch, stage and network. Checkpoints hold
-the networks only.
+`TrainingDiverged`, naming the epoch, stage and network, once history.csv
+holds every epoch up to that one. Checkpoints hold the networks only.
 """
 
 from __future__ import annotations
@@ -225,21 +225,31 @@ class Trainer:
     # -- public entry ---------------------------------------------------
 
     def run(self) -> TrainingHistory:
+        """Train through every stage, then write the final checkpoint and
+        history.csv. A diverged run writes history.csv, through the
+        non-finite epoch, before `TrainingDiverged` leaves."""
         t = self.config.training
         nets_mod.zero_init_output(self.networks["d"])
 
-        self.fluid_block("fluid-init", alpha_ns=0.0)
-        alpha = self.ladder()
-        if not t.rigid_wall:
-            for i in range(1, t.max_alternations + 1):
-                solid_quick = self.solid_phase(f"couple-{i}-solid")
-                fluid_quick = self.fluid_block(f"couple-{i}-fluid", alpha_ns=alpha)
-                if solid_quick and fluid_quick:
-                    break
+        try:
+            self.fluid_block("fluid-init", alpha_ns=0.0)
+            alpha = self.ladder()
+            if not t.rigid_wall:
+                for i in range(1, t.max_alternations + 1):
+                    solid_quick = self.solid_phase(f"couple-{i}-solid")
+                    fluid_quick = self.fluid_block(f"couple-{i}-fluid", alpha_ns=alpha)
+                    if solid_quick and fluid_quick:
+                        break
+        except TrainingDiverged:
+            self._write_history()
+            raise
         self._checkpoint(force=True)
+        self._write_history()
+        return self.history
+
+    def _write_history(self) -> None:
         if self.out_dir:
             self.history.write_csv(os.path.join(self.out_dir, "history.csv"))
-        return self.history
 
     # -- stages ----------------------------------------------------------
 

@@ -36,11 +36,11 @@ def value_of(part):
 
 
 def weight(tape, name, k):
-    """Entry k of registered parameter group `name` as a record node: a
-    bias-free 1x1 layer on the constant 1, read with select. Its value is
-    the entry itself and its gradient lands in entry k exactly."""
-    one = tape.stack([tape.constant(1.0)])
-    return tape.select(tape.layers(one, name, [(k, (1, 1), None, None)]), 0, 0)
+    """Entry k of registered parameter group `name` as a scalar record
+    node: the mean of a bias-free 1x1 layer on a one-point batch of 1. Its
+    value is the entry itself and its gradient lands in entry k exactly."""
+    one = tape.stack([tape.batch([1.0])])
+    return tape.mean(tape.select(tape.layers(one, name, [(k, (1, 1), None, None)]), 0, 0))
 
 
 class TestGradInputs:
@@ -310,7 +310,7 @@ class TestIncrementalReplay:
     def test_group_modified_between_forwards_then_restored(self):
         def record(tape, net, modify):
             x = [tape.batch([0.1, 0.4, -0.2]), tape.batch([1.0, 0.5, 0.3])]
-            first = net.forward(tape, x)
+            first = [out.value for out in net.jet(tape, x)]
             theta0 = net.theta.copy()
             if modify:
                 net.theta *= 1.5
@@ -339,9 +339,9 @@ class TestIncrementalReplay:
         def record(tape, pts):
             tape.register_params("w", theta)
             leaves = [tape.batch(pts[:, k]) for k in range(2)]
-            hidden = tape.layers(tape.stack(leaves), "w", [(0, (4, 2), 8, "relu")], (0, 1),
-                                 laplacian=(0, 1))
-            out = tape.layers(hidden, "w", [(12, (1, 4), 16, None)])
+            out = tape.layers(tape.stack(leaves), "w",
+                              [(0, (4, 2), 8, "relu"), (12, (1, 4), 16, None)], (0, 1),
+                              laplacian=(0, 1))
             tape.select(out, 0, 1) * tape.select(out, 0, 2)
             return leaves
 
@@ -623,10 +623,10 @@ class TestFusedLayer:
         tape, leaves = self.setup(five_points)
         activate = {"sigmoid": ad.sigmoid, "relu": ad.relu}
         x = tape.stack(leaves)
-        for off, shape, bias, layer_act in self.layers(act):
-            if fused:
-                x = tape.layers(x, "w", [(off, shape, bias, layer_act)])
-            else:
+        if fused:
+            x = tape.layers(x, "w", list(self.layers(act)))
+        else:
+            for off, shape, bias, layer_act in self.layers(act):
                 x = tape.layers(x, "w", [(off, shape, bias, None)])
                 if layer_act is not None:
                     units = [activate[layer_act](tape.select(x, k, 0))
@@ -652,14 +652,10 @@ class TestFusedLayer:
         tape, leaves = self.setup(five_points)
         activate = {"sigmoid": ad.sigmoid, "relu": ad.relu, None: lambda v: v}
         if fused:
-            x = tape.stack(leaves)
+            x = tape.layers(tape.stack(leaves), "w", list(self.layers(act)), (0, 1), (0, 1))
         else:
             x = ad.input_jets(leaves, (0, 1), laplacian=(0, 1))
-        for off, (rows, cols), bias, layer_act in self.layers(act):
-            if fused:
-                seed = ((0, 1), (0, 1)) if off == 0 else ()  # later runs inherit them
-                x = tape.layers(x, "w", [(off, (rows, cols), bias, layer_act)], *seed)
-            else:
+            for off, (rows, cols), bias, layer_act in self.layers(act):
                 x = [activate[layer_act](
                     sum((weight(tape, "w", off + r * cols + c) * x[c] for c in range(cols)),
                         weight(tape, "w", bias + r)))
@@ -759,50 +755,58 @@ class TestLayerReaders:
 
 
 class TestLayerRuns:
-    """A network read is a chain of layer runs: where the chain is split
+    """A network read is a chain of layer runs, one per layer for a group
+    the record trains and one of every layer otherwise: the run length
     changes neither a value nor a parameter gradient, through the layers or
     back through the row the first run seeds."""
 
     @staticmethod
-    def read(net, pts, split):
-        """A depth-6 read with first derivatives and a Laplacian, split into
-        runs at layer `split` (one run at 6), with the first input scaled by
-        the parameter group "s"; its jet's parts and the mean of their
+    def read(net, pts, trained):
+        """A depth-6 read with first derivatives and a Laplacian, on a
+        record training `trained`, with the first input scaled by the
+        parameter group "s"; its jet's parts and the mean of their
         squares."""
-        tape = ad.Tape()
+        tape = ad.Tape(trained=trained)
         tape.register_params("s", np.array([0.7]))
         tape.register_params(net.name, net.theta)
         scaled = weight(tape, "s", 0) * tape.batch(pts[:, 0])
         row = tape.stack([scaled, tape.batch(pts[:, 1]), tape.batch(pts[:, 2])])
-        out = tape.layers(row, net.name, net._layers[:split], (0, 1, 2), laplacian=(0, 1))
-        if split < net.depth:
-            out = tape.layers(out, net.name, net._layers[split:])
+        out = tape.layers(row, net.name, net._layers, (0, 1, 2), laplacian=(0, 1))
         parts = [tape.select(out, k, part) for k in range(net.out_dim) for part in range(5)]
         return parts, tape.mean(sum((p * p for p in parts[1:]), parts[0] * parts[0]))
 
     def test_every_split_gives_the_same_bits(self):
         net = nets.build(6, 8, 3, 2, seed=4, name="u")
         pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(9, 3))
-        whole, loss = self.read(net, pts, net.depth)
+        per_layer, loss = self.read(net, pts, None)
         want = loss.tape.backward_values(loss, ["u", "s"])
         assert all(np.any(g != 0.0) for g in want.values())
-        for split in range(1, net.depth):
-            parts, loss = self.read(net, pts, split)
-            for got, ref in zip(parts, whole):
-                assert got.value.tobytes() == ref.value.tobytes(), split
-            got = loss.tape.backward_values(loss, ["u", "s"])
-            for group in want:
-                assert got[group].tobytes() == want[group].tobytes(), (split, group)
+        whole, loss = self.read(net, pts, ("s",))
+        runs = [len(args[2]) for op, args in zip(loss.tape._ops, loss.tape._args)
+                if op == ad._LAYERS and args[1] == "u"]
+        assert runs == [net.depth]
+        for got, ref in zip(whole, per_layer):
+            assert got.value.tobytes() == ref.value.tobytes()
+        got = loss.tape.backward_values(loss, ["u", "s"])
+        for group in want:
+            assert got[group].tobytes() == want[group].tobytes(), group
 
-    def test_run_reading_a_run_takes_no_directions(self):
+    def test_read_refuses_a_run_as_its_row(self):
         net = nets.build(6, 8, 3, 2, seed=4, name="u")
         tape = ad.Tape()
         tape.register_params("u", net.theta)
         row = tape.stack([tape.batch([0.1, 0.2])] * 3)
-        first = tape.layers(row, "u", net._layers[:2], (0, 1), laplacian=(0,))
-        for given in ({"directions": (0, 1)}, {"laplacian": (0,)}):
-            with pytest.raises(ad.RecordError, match="inherits its directions"):
-                tape.layers(first, "u", net._layers[2:], **given)
+        read = tape.layers(row, "u", net._layers, (0, 1), laplacian=(0,))
+        with pytest.raises(ad.RecordError, match="takes a row made by stack"):
+            tape.layers(read, "u", net._layers[-1:])
+
+    def test_stack_refuses_a_row_of_constants(self):
+        tape = ad.Tape()
+        with pytest.raises(ad.RecordError, match="needs a batch"):
+            tape.stack([tape.constant(0.5), tape.constant(1.0)])
+        # one batch among them is a row, the constants repeated at each point
+        row = tape.stack([tape.constant(0.5), tape.batch([1.0, 2.0])])
+        assert row.value.tolist() == [[0.5, 0.5], [1.0, 2.0]]
 
 
 @pytest.mark.parametrize("act", ["sigmoid", "relu", None])

@@ -1,6 +1,7 @@
 """Presets, config round trip and command orchestration."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from vesselflow.cli import main
 from vesselflow.config import (
     ConfigError, PRESET_NAMES, ScenarioConfig, load_config, preset,
 )
-from vesselflow.trainer import build_networks
+from vesselflow.physics import FluidLossGraph
+from vesselflow.trainer import TrainingHistory, build_networks
 
 
 class TestPresets:
@@ -139,6 +141,22 @@ class TestConfigIO:
         with pytest.raises(ConfigError) as info:
             ScenarioConfig.from_dict(data)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("section,key,value,text", [
+        ("training", "learning_rate", "nan", "NaN"),
+        ("training", "convergence_threshold", "-inf", "-Infinity"),
+        ("geometry", "radius_cm", "inf", "Infinity"),
+    ])
+    def test_non_finite_number_rejected_on_load(self, tmp_path, section, key, value, text):
+        # Python's JSON reader takes NaN and Infinity, which JSON itself lacks
+        data = preset("cylinder").to_dict()
+        data[section][key] = float(value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert f'"{key}": {text}' in path.read_text()
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"{section}.{key} must be a finite number, got {text}"
 
     def test_name_of_wrong_type_rejected(self):
         with pytest.raises(ConfigError, match="name must be a string, got 5"):
@@ -278,6 +296,38 @@ class TestTrainCommand:
         assert (rerun / "config.json").read_bytes() == (out_dir / "config.json").read_bytes()
 
 
+    @pytest.mark.parametrize("interval,last", [
+        (0, "no checkpoint was written"),
+        (1, "last checkpoint {out}/checkpoints/epoch0000003.npz"),
+    ], ids=["no-checkpoint", "checkpoint"])
+    def test_diverged_run_exits_2_and_keeps_its_history(self, tmp_path, capsys, monkeypatch,
+                                                        interval, last):
+        # a NaN total at the third epoch, as the benchmark's nan-loss fault plants it
+        original = FluidLossGraph.breakdown
+        calls = []
+
+        def poisoned(self):
+            b = original(self)
+            calls.append(1)
+            if len(calls) == 3:
+                b.fluid_total = float("nan")
+            return b
+
+        monkeypatch.setattr(FluidLossGraph, "breakdown", poisoned)
+        _, out_dir, argv = _small_training_args(
+            tmp_path, ["--checkpoint-interval", str(interval)])
+        with pytest.raises(SystemExit) as info:
+            main(["train", *argv])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: loss became non-finite at epoch 2 in stage 'fluid-init' while "
+                       f"training network 'u'; non-finite terms: fluid_total; "
+                       f"{last.format(out=out_dir)}\n")
+        history = TrainingHistory.read_csv(out_dir / "history.csv")
+        assert len(history) == 3 and math.isnan(history.fluid_totals()[-1])
+        assert not (out_dir / "checkpoints" / "final.npz").exists()
+
+
 class TestProbeCommand:
     def test_negative_first_point_after_a_space(self, tmp_path, checkpoint_args, capsys):
         spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
@@ -360,6 +410,17 @@ class TestBadInput:
         out_dir = tmp_path / "run"
         assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out_dir.exists()
+
+    def test_config_with_non_finite_number(self, tmp_path, capsys):
+        cfg = preset("poiseuille-rigid").to_dict()
+        cfg["training"]["learning_rate"] = float("nan")
+        cfg_path = tmp_path / "scenario.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "error: training.learning_rate must be a finite number, got NaN\n")
         assert not out_dir.exists()
 
     def test_config_value_of_wrong_type(self, tmp_path, capsys):

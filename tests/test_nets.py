@@ -60,8 +60,8 @@ class TestForward:
         net = nets.build(4, 6, 3, 2, seed=5)
         nets.zero_init_output(net)
         tape = ad.Tape()
-        out = net.forward(tape, [tape.batch([v]) for v in (0.3, -1.0, 0.5)])
-        assert [o.value.item() for o in out] == [0.0, 0.0]
+        out = net.jet(tape, [tape.batch([v]) for v in (0.3, -1.0, 0.5)])
+        assert [o.value.value.item() for o in out] == [0.0, 0.0]
 
     def test_zero_init_gradient_wrt_input_is_zero(self):
         net = nets.build(4, 6, 3, 1, seed=5)
@@ -76,7 +76,7 @@ class TestForward:
         net = nets.build(3, 4, 2, 1, seed=2)
         nets.zero_init_output(net)
         tape = ad.Tape()
-        out = net.forward(tape, [tape.batch([0.2]), tape.batch([0.8])])[0]
+        out = net.jet(tape, [tape.batch([0.2]), tape.batch([0.8])])[0].value
         loss = out * out
         g = tape.backward_values(loss, [net.name])[net.name]
         b_final_index = len(net.theta) - 1
@@ -91,7 +91,7 @@ class TestForward:
         net.weight(1)[:] = 2.0
         net.bias(1)[:] = -0.5
         tape = ad.Tape()
-        out = net.forward(tape, [tape.batch([0.0])])[0]
+        out = net.jet(tape, [tape.batch([0.0])])[0].value
         want = 2.0 * (1.0 / (1.0 + np.exp(-1.0))) - 0.5
         assert out.value.item() == pytest.approx(want, rel=1e-15)
 
@@ -105,8 +105,8 @@ class TestForward:
         ref = net.evaluate(pts)
         tape = ad.Tape()
         leaves = [tape.batch(pts[:, i]) for i in range(3)]
-        out = net.forward(tape, leaves)
-        got = np.stack([o.value for o in out], axis=1)
+        out = net.jet(tape, leaves)
+        got = np.stack([o.value.value for o in out], axis=1)
         assert np.array_equal(got, ref)
 
     def test_evaluate_large_inputs_without_warning(self):
@@ -137,9 +137,9 @@ class TestForward:
             net = nets.build(depth, width, 3, 2, seed=width)
             tape = ad.Tape()
             leaves = [tape.batch(pts[:, i]) for i in range(3)]
-            out = net.forward(tape, leaves)
+            out = net.jet(tape, leaves)
             counts.append(len(tape) - len(leaves))
-            got = np.stack([o.value for o in out], axis=1)
+            got = np.stack([o.value.value for o in out], axis=1)
             ref = net.evaluate(pts)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         # stack, one layer run per layer, one select per output
@@ -149,7 +149,7 @@ class TestForward:
         net = nets.build(3, 4, 3, 1, seed=0)
         tape = ad.Tape()
         with pytest.raises(ValueError):
-            net.forward(tape, [tape.batch([0.0])])
+            net.jet(tape, [tape.batch([0.0])])
 
 
 def jet_at(net, pts, directions, laplacian=()):
@@ -202,32 +202,6 @@ class TestJet:
             jets = jet_at(net, pts, directions, laplacian)
             got = np.stack([jet.value.value for jet in jets], axis=1)
             assert got.tobytes() == ref.tobytes()
-
-    @staticmethod
-    def read_at_one_point(net, pt, leaf):
-        """Every part of the jets at `pt`, each input made by `leaf(tape,
-        value)`, and the gradient of the mean of their squares."""
-        tape = ad.Tape()
-        jets = net.jet(tape, [leaf(tape, v) for v in pt], (0, 1, 2), laplacian=(0, 1))
-        parts = [p for jet in jets for p in (jet.value, *jet.grads, jet.laplacian)]
-        loss = tape.mean(sum((p * p for p in parts[1:]), parts[0] * parts[0]))
-        values = [np.float64(np.asarray(p.value).item()) for p in parts]
-        return values, tape.backward_values(loss, [net.name])[net.name]
-
-    def test_scalar_inputs_equal_one_point_batches(self):
-        # constants stack into a row of scalars, shape (3,), which a run
-        # reads as one point: its parts are floats with the bits of the
-        # one-point batches' parts, and so are the parameter gradients
-        net = nets.build(6, 8, 3, 2, seed=3, name="u")
-        pt = safe_points(net, 1, seed=3)[0]
-        values, grad = self.read_at_one_point(net, pt, lambda tape, v: tape.constant(v))
-        want_values, want_grad = self.read_at_one_point(net, pt, lambda tape, v: tape.batch([v]))
-        assert np.array(values).tobytes() == np.array(want_values).tobytes()
-        assert np.any(grad != 0.0)
-        assert grad.tobytes() == want_grad.tobytes()
-        tape = ad.Tape()
-        (jet, _) = net.jet(tape, [tape.constant(v) for v in pt], (0, 1), laplacian=(0,))
-        assert all(isinstance(p.value, float) for p in (jet.value, *jet.grads, jet.laplacian))
 
     @pytest.mark.parametrize("depth", [6, 12])
     @pytest.mark.parametrize("laplacian", [(0, 1), (2,)])
@@ -353,7 +327,7 @@ class TestFrozenRead:
         directions, laplacian = cls.READS[read]
         tape = ad.Tape(trained=trained)
         r, z, t = (tape.batch(pts[:, i]) for i in range(3))
-        (eta,) = d.forward(tape, [r, z, t])
+        eta = d.jet(tape, [r, z, t])[0].value
         terms = tape.constant(0.0)
         for jet in u.jet(tape, [r + eta * 0.1, z, t], directions, laplacian):
             terms = terms + jet.value * jet.value
@@ -432,7 +406,7 @@ class TestFrozenRead:
         (read,) = [i for i, op in enumerate(tape._ops) if op == ad._LAYERS]
         with pytest.raises(ad.RecordError):
             ad.DiffScalar(tape, read) * 2.0
-        with pytest.raises(ad.RecordError, match="inherits its directions"):
+        with pytest.raises(ad.RecordError, match="takes a row made by stack"):
             tape.layers(ad.DiffScalar(tape, read), "u", u._layers[-1:], (0,))
 
 

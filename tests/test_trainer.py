@@ -339,6 +339,8 @@ class TestLearningRates:
         assert trainer.optimizers["p"].learning_rate == 0.2
 
 
+# the planted inf and NaN parameters reach the layer products
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 class TestDivergenceGuard:
     def test_non_finite_loss_aborts_with_checkpoint_reference(self, tmp_path):
         config = tiny_config(ladder_steps=0, max_alternations=0, fluid_epochs=10)
