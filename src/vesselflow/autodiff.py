@@ -12,7 +12,7 @@ fields included, as ordinary nodes. So a derivative is itself recorded
 and differentiable. Parameter gradients come from one backward pass that
 produces plain numbers (``Tape.backward_values``).
 
-Every input leaf is a lockstep batch: a 1-d array holding one
+Every batched input is a lockstep batch: a 1-d array holding one
 independent value per collocation point, evaluated together; a single
 point is a batch of one. Constants, means and derivatives that are equal
 at every point are float64 scalars, which broadcast against batches as in
@@ -82,14 +82,15 @@ product. It scales the adjoint of a run in place, so a run is read only
 by a select and by the next run, which each build a fresh adjoint; the
 record refuses any other operation on one.
 
-Replaying a record after overwriting leaf or parameter values
-re-evaluates, in record order, only the nodes whose value reads (through
-any operand, ``detach`` and ``step`` included) a leaf written by
-``set_value`` or a parameter vector whose bits differ from its state at
-the last replay. Those nodes go through the same floating-point
-operations in the same order as when they were recorded, and every other
-stored value is already what they would give, so a replay is
-bit-identical to recomputing the whole record.
+A record's inputs are fixed once recorded: batches, constants and
+weights of the loss alike. What a replay follows is the parameter
+vectors: it re-evaluates, in record order, only the nodes whose value
+reads (through any operand, ``detach`` and ``step`` included) a
+parameter vector whose bits differ from its state at the last replay.
+Those nodes go through the same floating-point operations in the same
+order as when they were recorded, and every other stored value is
+already what they would give, so a replay is bit-identical to
+recomputing the whole record. A different input is a different record.
 """
 
 from __future__ import annotations
@@ -99,10 +100,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Node opcodes. LEAF values are set externally and CONST values are
-# frozen. The weights of a LAYERS node are read from a named parameter
-# vector on each replay; they are the only parameters a record reads.
-_LEAF = 0
+# Node opcodes. CONST values, the record's inputs, are frozen. The
+# weights of a LAYERS node are read from a named parameter vector on each
+# replay; they are the only parameters a record reads.
 _CONST = 1
 _ADD = 2
 _SUB = 3
@@ -126,7 +126,6 @@ _LAYERS = 18  # a run of network layers mapping a row or a run's jet to a jet
 # the recorded derivative of relu; its own derivative is zero everywhere
 # (the kink at 0 is assigned derivative 0).
 _NON_DIFFERENTIABLE = (_DETACH, _STEP)
-_INPUTS = (_LEAF, _CONST)
 _ACTIVATIONS = ("sigmoid", "relu", None)
 
 
@@ -452,7 +451,7 @@ class Tape:
         self._groups: dict[str, np.ndarray] = {}
         self._shared: dict[tuple, int] = {}  # (op, args) -> node, see _node
         # Replay bookkeeping: each group's bits at the last replay, and the
-        # groups and leaf indices changed since then.
+        # groups changed since then.
         self._snapshots: dict[str, np.ndarray] = {}
         self._changed: set = set()
         # Walk results that depend only on the record's structure, for the
@@ -485,22 +484,16 @@ class Tape:
         return found
 
     def batch(self, values) -> DiffScalar:
-        """New input leaf holding a lockstep batch of independent reals;
-        one point is a batch of one."""
+        """New input holding a lockstep batch of independent reals, fixed
+        for the life of the record; one point is a batch of one."""
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 1:
-            raise RecordError("batched leaves must be 1-d")
-        return self._push(_LEAF, (), arr.copy())
+            raise RecordError("batches must be 1-d")
+        return self._push(_CONST, (), arr.copy())
 
     def constant(self, value: float) -> DiffScalar:
         """Frozen real value; one node per value, shared by every request."""
         return DiffScalar(self, self._node(_CONST, float(value)))
-
-    def batch_constant(self, values) -> DiffScalar:
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 1:
-            raise RecordError("batched constants must be 1-d")
-        return self._push(_CONST, (), arr.copy())
 
     def register_params(self, name: str, values: np.ndarray) -> None:
         """Attach a named parameter vector. The array is kept by reference:
@@ -517,16 +510,6 @@ class Tape:
             raise RecordError(f"parameter group {name!r} already registered")
         elif not _same_bits(values, self._snapshots[name]):
             self._changed.add(name)
-
-    def set_value(self, leaf: DiffScalar, value) -> None:
-        """Overwrite an input leaf before a replay. Batch length must not change."""
-        if self._ops[leaf.index] != _LEAF:
-            raise RecordError("only leaves can be overwritten")
-        arr = np.asarray(value, dtype=np.float64)
-        if arr.shape != self._vals[leaf.index].shape:
-            raise RecordError("batch shape changed on leaf overwrite")
-        self._vals[leaf.index] = arr.copy()
-        self._changed.add(leaf.index)
 
     # ------------------------------------------------------------------
     # primitive evaluation (shared by eager construction and replay)
@@ -692,9 +675,9 @@ class Tape:
 
     def replay(self) -> None:
         """Re-evaluate, in record order, every node whose value reads a
-        leaf overwritten by ``set_value`` or a parameter vector changed
-        since the last replay. Changes are detected bitwise, so 0.0 ->
-        -0.0 counts. Every other stored value is left as it is."""
+        parameter vector changed since the last replay, the one thing a
+        replay follows. Changes are detected bitwise, so 0.0 -> -0.0
+        counts. Every other stored value is left as it is."""
         changed = self._changed
         for name, values in self._groups.items():
             snapshot = self._snapshots[name]
@@ -721,16 +704,13 @@ class Tape:
         return found
 
     def _stale_nodes(self, changed: frozenset) -> list[int]:
-        """Non-leaf nodes whose value reads, through any operand, a leaf
-        index or a parameter group in `changed`, in record order."""
+        """Nodes whose value reads, through any operand, a parameter group
+        in `changed`, in record order."""
         def build():
             ops, args = self._ops, self._args
             hit = [False] * len(ops)
             order = []
             for i, op in enumerate(ops):
-                if op == _LEAF:
-                    hit[i] = i in changed
-                    continue
                 if (op == _LAYERS and args[i][1] in changed
                         or any(hit[a] for a in self._operands(i))):
                     hit[i] = True
@@ -744,7 +724,7 @@ class Tape:
     def _operands(self, i: int) -> tuple:
         """Record indices node i reads its value from (weights excluded)."""
         op = self._ops[i]
-        if op in _INPUTS:
+        if op == _CONST:
             return ()
         if op in (_SUM, _SELECT, _LAYERS):
             return self._args[i][:1]
@@ -964,7 +944,7 @@ def _point_value(part) -> float:
 
 
 def _point_jet(f: Callable, x: Sequence[float], directions, laplacian=()) -> Jet:
-    """``f(*jets)`` recorded on the jets of one-point leaves at `x`."""
+    """``f(*jets)`` recorded on the jets of one-point batches at `x`."""
     tape = Tape()
     jets = input_jets([tape.batch([v]) for v in x], directions, laplacian)
     return jets[0].lift(f(*jets))

@@ -109,6 +109,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if not np.isfinite(args.u_max):
+        raise CliError(f"--u-max {args.u_max} is not finite")
     config = _scenario_from_args(args)
     networks = _load_run_networks(args, config)
     geometry = config.vessel_geometry()

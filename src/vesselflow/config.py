@@ -133,10 +133,15 @@ class ScenarioConfig:
     training: TrainingSettings = field(default_factory=TrainingSettings)
 
     def __post_init__(self):
-        self.vessel_geometry()  # geometry constraints, plaque-in-lumen checks
         if self.weights.navier_stokes != 0.0:
             raise ConfigError("weights.navier_stokes must be 0.0: the training schedule "
                               "sets the momentum weight alpha_ns")
+        # the objects a run builds check their own constants: geometry and
+        # plaque-in-lumen, fluid, wall and plaque materials, loss weights
+        self.vessel_geometry()
+        self.fluid_properties()
+        self.wall_segments()
+        self.loss_weights()
         if self.inlet.mode not in ("pulsatile", "steady"):
             raise ConfigError(f"unknown inlet mode {self.inlet.mode!r}")
         t = self.training

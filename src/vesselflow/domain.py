@@ -180,8 +180,8 @@ def clamp_radius(r, eps_r: float):
     Equal to r when |r| >= eps_r. The sign at exactly 0 is taken as +1 so
     the clamp never returns 0. Works on numbers, arrays and recorded
     batches; for a recorded batch the sign is recorded as 1 - 2 step(-r), a
-    function of r with zero derivative, so a replay at a new r takes the new
-    sign."""
+    function of r with zero derivative, so a replay that moves r (through
+    the parameters it reads) takes the new sign."""
     if eps_r <= 0:
         raise GeometryError("eps_r must be positive")
     if isinstance(r, ad.DiffScalar):

@@ -210,7 +210,7 @@ def _closed_form(tape, field: Callable, inputs, directions, laplacian=()) -> ad.
 
 
 def _direction_node(tape, r: ad.DiffScalar):
-    return tape.batch_constant(radial_direction(r.value))
+    return tape.batch(radial_direction(r.value))
 
 
 def current_frame(tape, r, z, t, displacement):
@@ -244,7 +244,7 @@ def ns_residual_axisym(flow, displacement, point, fluid: FluidProperties,
     reference points (one point is a batch of one). Returns (res_z, res_r,
     res_div)."""
     tape = ad.Tape()
-    r, z, t = _point_leaves(tape, point)
+    r, z, t = _point_inputs(tape, point)
     return _axisym_ns(tape, r, z, t, flow, displacement, fluid, eps_r)
 
 
@@ -258,22 +258,22 @@ def harmonic_residual(displacement, point, eps_r: float):
     """Axisymmetric Laplacian of the radial displacement extension,
     evaluated in reference coordinates."""
     tape = ad.Tape()
-    r, z, t = _point_leaves(tape, point)
+    r, z, t = _point_inputs(tape, point)
     return _harmonic(tape, r, z, t, displacement, eps_r)
 
 
 def _wall_radius(tape, geometry: VesselGeometry, z):
-    """Undeformed radius of a batch of wall points at their axial leaf z,
-    and its slope along z, as batch constants: R and no slope (None) off
-    the plaque, `reference_radius` and minus `plaque_slope` on it; a batch
+    """Undeformed radius of a batch of wall points at their axial input z,
+    and its slope along z, as batches: R and no slope (None) off the
+    plaque, `reference_radius` and minus `plaque_slope` on it; a batch
     across an edge is refused."""
     on = on_plaque(geometry, z.value)
-    radius0 = tape.batch_constant(reference_radius(geometry, z.value))
+    radius0 = tape.batch(reference_radius(geometry, z.value))
     if not on.any():
         return radius0, None
     if not on.all():
         raise PhysicsError("wall batch straddles a plaque edge")
-    return radius0, tape.batch_constant(-plaque_slope(geometry.plaque, z.value))
+    return radius0, tape.batch(-plaque_slope(geometry.plaque, z.value))
 
 
 def _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
@@ -307,7 +307,7 @@ def _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
     load = (ratio * p - ratio * stretch * fluid.viscosity * shear) \
         / (wall.density * wall.thickness)
 
-    b_node = tape.batch_constant(wall.restoring_at_radius(radius0.value))
+    b_node = tape.batch(wall.restoring_at_radius(radius0.value))
     return eta.laplacian + b_node * eta.value - load
 
 
@@ -319,7 +319,7 @@ def stress_continuity_residual(flow, displacement, point, wall: WallProperties,
     raises `PhysicsError`. Fluid quantities inside the load enter as
     constants (detached), as the wall problem takes them."""
     tape = ad.Tape()
-    r, z, t = _point_leaves(tape, point)
+    r, z, t = _point_inputs(tape, point)
     direction = _direction_node(tape, r)
     return _stress_continuity(tape, z, t, direction, flow, displacement,
                               geometry, wall, fluid)
@@ -329,7 +329,7 @@ def _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor):
     r_t = current_frame(tape, r, z, t, displacement)
     u_z, u_r = (jet.value for jet in flow.velocity(tape, r_t, z, t))
     profile = 1.0 - (r_t * r_t) * (1.0 / geometry.radius**2)
-    target = tape.batch_constant(inlet_factor(t.value)) * profile
+    target = tape.batch(inlet_factor(t.value)) * profile
     return u_z - target, u_r
 
 
@@ -362,7 +362,7 @@ def fluid_bc_residual(flow, displacement, point, tag: RegionTag,
                       inlet_factor: Callable, detach_interface_target: bool = True):
     """Boundary residual components for an inlet, outlet or interface point."""
     tape = ad.Tape()
-    r, z, t = _point_leaves(tape, point)
+    r, z, t = _point_inputs(tape, point)
     if tag == RegionTag.INLET:
         return _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor)
     if tag == RegionTag.OUTLET:
@@ -381,7 +381,7 @@ def initial_residuals(flow, displacement, point, which: str = "fluid"):
     """Rest-state mismatch at t=0: velocity components for the fluid
     problem, radial displacement for the solid problem."""
     tape = ad.Tape()
-    r, z, t = _point_leaves(tape, point)
+    r, z, t = _point_inputs(tape, point)
     if which == "fluid":
         return _initial_fluid(tape, r, z, t, flow, displacement)
     if which == "solid":
@@ -389,8 +389,8 @@ def initial_residuals(flow, displacement, point, which: str = "fluid"):
     raise PhysicsError("which must be 'fluid' or 'solid'")
 
 
-def _point_leaves(tape, point):
-    """Batch leaves (r, z, t) for points given as arrays or as floats (one
+def _point_inputs(tape, point):
+    """Batches (r, z, t) for points given as arrays or as floats (one
     point, a batch of one)."""
     return tuple(tape.batch(np.atleast_1d(v)) for v in point)
 
@@ -444,7 +444,7 @@ def draw_samples(geometry: VesselGeometry, interior_count: int, wall_count: int,
     )
 
 
-def _batch_leaves(tape, sample_set: SampleSet):
+def _batch_inputs(tape, sample_set: SampleSet):
     return tape.batch(sample_set.r), tape.batch(sample_set.z), tape.batch(sample_set.t)
 
 
@@ -462,12 +462,11 @@ def _weighted_union(tape, parts: list[tuple[int, ad.DiffScalar]]) -> ad.DiffScal
 class FluidLossGraph:
     """Recorded flow-problem loss over one collocation draw.
 
-    The momentum-residual weight is a length-1 leaf, so the staged
-    schedule can raise it without rebuilding the record. The total reads
-    it through a mean, which keeps the total a scalar. The record trains
-    the flow networks u and p: each of its reads of the displacement
-    network is one layer run of the whole network, which keeps no layer
-    values."""
+    Every term weight, the momentum weight `alpha_ns` included, is a
+    constant of the record: a stage that raises the momentum weight
+    builds a new record on the same draw. The record trains the flow
+    networks u and p: each of its reads of the displacement network is
+    one layer run of the whole network, which keeps no layer values."""
 
     trained = ("u", "p")
 
@@ -477,19 +476,19 @@ class FluidLossGraph:
         tape = ad.Tape(trained=self.trained)
         self.tape = tape
 
-        r, z, t = _batch_leaves(tape, samples.interior)
+        r, z, t = _batch_inputs(tape, samples.interior)
         res = _axisym_ns(tape, r, z, t, flow, displacement, fluid, eps_r)
         self.term_ns = mean_square(tape, res)
 
-        r, z, t = _batch_leaves(tape, samples.inlet)
+        r, z, t = _batch_inputs(tape, samples.inlet)
         inlet_res = _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor)
         inlet_mean = mean_square(tape, inlet_res)
 
-        r, z, t = _batch_leaves(tape, samples.outlet)
+        r, z, t = _batch_inputs(tape, samples.outlet)
         outlet_res = _outlet(tape, r, z, t, flow, displacement, fluid)
         outlet_mean = mean_square(tape, outlet_res)
 
-        r, z, t = _batch_leaves(tape, samples.wall)
+        r, z, t = _batch_inputs(tape, samples.wall)
         wall_res = _interface(tape, r, z, t, flow, displacement, detach_target=True)
         wall_mean = mean_square(tape, wall_res)
 
@@ -499,21 +498,14 @@ class FluidLossGraph:
             (len(samples.wall), wall_mean),
         ])
 
-        r, z, t = _batch_leaves(tape, samples.interior_t0)
+        r, z, t = _batch_inputs(tape, samples.interior_t0)
         init_res = _initial_fluid(tape, r, z, t, flow, displacement)
         self.term_init = mean_square(tape, init_res)
 
-        self._alpha_ns = tape.batch([weights.ns])
-        self.total = ((tape.mean(self._alpha_ns) * self.term_ns
+        self.alpha_ns = weights.ns
+        self.total = ((tape.constant(weights.ns) * self.term_ns
                        + tape.constant(weights.fluid_bdr) * self.term_bdr)
                       + tape.constant(weights.fluid_init) * self.term_init)
-
-    @property
-    def alpha_ns(self) -> float:
-        return float(self._alpha_ns.value[0])
-
-    def set_alpha_ns(self, value: float) -> None:
-        self.tape.set_value(self._alpha_ns, [value])
 
     def replay(self) -> None:
         self.tape.replay()
@@ -549,20 +541,20 @@ class SolidLossGraph:
         for segment, idx in _split_wall(samples.wall, geometry):
             z = tape.batch(samples.wall.z[idx])
             t = tape.batch(samples.wall.t[idx])
-            direction = tape.batch_constant(radial_direction(samples.wall.r[idx]))
+            direction = tape.batch(radial_direction(samples.wall.r[idx]))
             res = _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
                                      wall_by_segment[segment], fluid)
             parts.append((len(idx), mean_square(tape, [res])))
         self.term_stress = _weighted_union(tape, parts)
 
-        r, z, t = _batch_leaves(tape, samples.interior)
+        r, z, t = _batch_inputs(tape, samples.interior)
         self.term_harmonic = mean_square(
             tape, [_harmonic(tape, r, z, t, displacement, eps_r)])
 
-        r, z, t = _batch_leaves(tape, samples.endpoints)
+        r, z, t = _batch_inputs(tape, samples.endpoints)
         self.term_bdr = mean_square(tape, [displacement.radial(tape, r, z, t).value])
 
-        r, z, t = _batch_leaves(tape, samples.wall_t0)
+        r, z, t = _batch_inputs(tape, samples.wall_t0)
         self.term_init = mean_square(tape, [displacement.radial(tape, r, z, t).value])
 
         self.total = (((tape.constant(weights.stress) * self.term_stress

@@ -10,8 +10,10 @@ re-fits velocity and pressure on the moved domain.
 
 Inside every flow block the velocity and pressure optimizers take turns
 in fixed-size runs, so exactly one parameter vector changes per epoch.
-Collocation points are drawn once per stage from stage-indexed seeds,
-and a stage's loss records are freed when the stage ends.
+Collocation points are drawn once per stage from stage-indexed seeds;
+the ladder is one stage, so all its rungs share one draw. Every block or
+phase builds its own loss records, with its weights fixed in them, and
+frees them when it ends.
 Any phase stops early once the best loss improvement over a full
 trailing window drops below the threshold.
 
@@ -279,27 +281,29 @@ class Trainer:
 
     def ladder(self) -> float:
         """The momentum-weight ladder, one sampling stage: a single
-        collocation draw whose weight climbs in place, so each raise
-        strictly lifts the recorded loss before optimization pulls it back
-        down. Returns the last weight. The stage's records end with it."""
+        collocation draw on which each rung builds its own records at its
+        own weight, so each raise strictly lifts the recorded loss before
+        optimization pulls it back down. Returns the last weight."""
         t = self.config.training
         alpha = LADDER_START
         if not t.ladder_steps:
             return alpha
-        graphs = self._fluid_graphs(self._stage_samples(), 10.0 * alpha)
+        samples = self._stage_samples()
         for rung in range(1, t.ladder_steps + 1):
             alpha = 10.0 * alpha
-            for g in graphs:
-                g.set_alpha_ns(alpha)
-            self.fluid_block(f"ladder-{rung}", alpha_ns=alpha, graphs=graphs)
+            self.fluid_block(f"ladder-{rung}", alpha_ns=alpha, samples=samples)
         return alpha
 
-    def fluid_block(self, stage: str, alpha_ns: float, graphs=None) -> bool:
-        """One capped block of alternating velocity/pressure epochs.
-        Returns True when the block stopped early on convergence."""
+    def fluid_block(self, stage: str, alpha_ns: float,
+                    samples: "CollocationSamples | None" = None) -> bool:
+        """One capped block of alternating velocity/pressure epochs on
+        records built at momentum weight `alpha_ns`, over `samples` or,
+        without them, a fresh stage draw. Returns True when the block
+        stopped early on convergence."""
         t = self.config.training
-        if graphs is None:
-            graphs = self._fluid_graphs(self._stage_samples(), alpha_ns)
+        if samples is None:
+            samples = self._stage_samples()
+        graphs = self._fluid_graphs(samples, alpha_ns)
         losses: list[float] = []
         rounds = t.fluid_epochs // (t.velocity_epochs + t.pressure_epochs)
         for _ in range(rounds):

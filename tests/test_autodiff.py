@@ -235,17 +235,6 @@ class TestReplay:
         tape.replay()
         assert (out.value.item(), gx.value.item(), lap.value.item()) == (v0, g0, l0)
 
-    def test_replay_with_new_leaf_values(self):
-        tape = ad.Tape()
-        x = tape.batch([0.7])
-        out = x * x + ad.sin(x)
-        tape.set_value(x, [1.1])
-        tape.replay()
-        fresh = ad.Tape()
-        xf = fresh.batch([1.1])
-        want = (xf * xf + ad.sin(xf)).value.item()
-        assert out.value.item() == want
-
     def test_replay_with_new_params(self):
         tape = ad.Tape()
         theta = np.array([1.0, 2.0])
@@ -329,30 +318,32 @@ class TestIncrementalReplay:
         for got, want in zip(tape._vals, fresh._vals):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-    def test_new_leaf_values_reach_relu_layer_tangents(self):
-        # the seed's first-derivative rows are unit rows whatever the
-        # leaves, so only the relu layer's step, inside its layer run,
-        # carries the leaves into the derivative rows
+    def test_parameter_change_reaches_relu_layer_tangents(self):
+        # the relu layer's first-derivative rows are its step times W G:
+        # a change of its weights that flips the step at some points must
+        # reach the derivative rows through the step, inside its layer run
         rng = np.random.default_rng(7)
         theta = rng.uniform(-1.5, 1.5, size=4 * 3 + 1 * 5)
+        pts = rng.uniform(-1.0, 1.0, size=(6, 2))
 
-        def record(tape, pts):
+        def record(tape):
             tape.register_params("w", theta)
-            leaves = [tape.batch(pts[:, k]) for k in range(2)]
-            out = tape.layers(tape.stack(leaves), "w",
-                              [(0, (4, 2), 8, "relu"), (12, (1, 4), 16, None)], (0, 1),
-                              laplacian=(0, 1))
+            row = tape.stack([tape.batch(pts[:, k]) for k in range(2)])
+            out = tape.layers(row, "w", [(0, (4, 2), 8, "relu"), (12, (1, 4), 16, None)],
+                              (0, 1), laplacian=(0, 1))
             tape.select(out, 0, 1) * tape.select(out, 0, 2)
-            return leaves
+
+        def steps():
+            return theta[:8].reshape(4, 2) @ pts.T + theta[8:12, None] > 0.0
 
         tape = ad.Tape()
-        leaves = record(tape, rng.uniform(-1.0, 1.0, size=(6, 2)))
-        pts = rng.uniform(-1.0, 1.0, size=(6, 2))
-        for k, leaf in enumerate(leaves):
-            tape.set_value(leaf, pts[:, k])
+        record(tape)
+        before = steps()
+        theta[:12] = rng.uniform(-1.5, 1.5, size=12)
+        assert np.any(steps() != before)
         tape.replay()
         fresh = ad.Tape()
-        record(fresh, pts)
+        record(fresh)
         assert len(tape) == len(fresh)
         for got, want in zip(tape._vals, fresh._vals):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

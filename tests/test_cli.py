@@ -412,6 +412,30 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("fluid", "viscosity_poise", -0.035, "fluid density and viscosity must be positive"),
+        ("wall", "poisson_ratio", 1.5, "poisson ratio magnitude must be below 1"),
+        ("weights", "fluid_boundary", -1.0, "loss weight fluid_bdr must be non-negative"),
+        ("weights", "harmonic_extension", -1.0, "loss weight harmonic must be non-negative"),
+    ], ids=["viscosity", "poisson-ratio", "fluid-boundary-weight", "harmonic-weight"])
+    def test_config_with_bad_physics(self, tmp_path, capsys, section, key, value, message):
+        # a deformable wall, whose solid phase reads the wall material and
+        # the harmonic weight: the whole scenario is checked on load
+        cfg_path, out_dir, argv = _small_training_args(tmp_path)
+        cfg = json.loads(cfg_path.read_text())
+        cfg[section][key] = value
+        cfg["training"].update(rigid_wall=False, max_alternations=1, solid_epochs=2)
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("u_max", ["nan", "inf", "-inf"])
+    def test_u_max_not_finite(self, checkpoint_args, capsys, u_max):
+        grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
+        assert main(["evaluate", *checkpoint_args, *grid, f"--u-max={u_max}"]) == 2
+        assert capsys.readouterr().err == f"error: --u-max {float(u_max)} is not finite\n"
+
     def test_config_with_non_finite_number(self, tmp_path, capsys):
         cfg = preset("poiseuille-rigid").to_dict()
         cfg["training"]["learning_rate"] = float("nan")

@@ -213,14 +213,20 @@ class TestClampRadius:
             assert clamp_radius(node, 0.0025).value.item() == clamp_radius(r, 0.0025)
 
     def test_recorded_sign_follows_replay(self):
+        # r is read through a 1x1 layer whose weight flips sign, as the
+        # current-frame radius follows the displacement parameters
         from vesselflow import autodiff as ad
 
         tape = ad.Tape()
-        r = tape.batch([0.3, -0.2, 0.001, 0.0])
+        theta = np.array([1.0])
+        tape.register_params("w", theta)
+        row = tape.stack([tape.batch([0.3, -0.2, 0.001, 0.0])])
+        r = tape.select(tape.layers(row, "w", [(0, (1, 1), None, None)]), 0, 0)
         clamped = clamp_radius(r, 0.0025)
-        moved = np.array([-0.3, 0.2, -0.001, -0.0])
-        tape.set_value(r, moved)
+        theta[0] = -1.0
         tape.replay()
+        moved = [-0.3, 0.2, -0.001, 0.0]
+        assert r.value.tolist() == moved
         assert clamped.value.tolist() == [clamp_radius(v, 0.0025) for v in moved]
 
     def test_direction_at_zero_is_positive(self):

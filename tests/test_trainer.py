@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vesselflow import trainer as trainer_mod
 from vesselflow.config import (
     ConfigError, ScenarioConfig, TrainingSettings, WeightSettings, preset,
 )
 from vesselflow.physics import (
     FluidLossGraph, LossWeights, NetworkFlow, SolidLossGraph, ZeroDisplacement,
+    draw_samples,
 )
 from vesselflow.trainer import (
     PlanError, Trainer, TrainingDiverged, TrainingHistory,
@@ -174,6 +176,39 @@ class TestScheduleStructure:
         assert all(r.phase != "d" for r in history.records)
         # the displacement network was never touched (only its output zeroed)
         assert np.array_equal(networks["d"].theta[:-7], d_before[:-7])
+
+
+class TestLadder:
+    def test_rungs_share_one_draw_each_at_its_own_weight(self, monkeypatch):
+        config = tiny_config(ladder_steps=3, max_alternations=0)
+        trainer = Trainer(config, build_networks(config, seed=17), seed=17)
+        draws, builds = [], []
+        original = Trainer._fluid_graphs
+
+        def draw(*args, **kwargs):
+            draws.append(draw_samples(*args, **kwargs))
+            return draws[-1]
+
+        def fluid_graphs(self, samples, alpha_ns):
+            graphs = original(self, samples, alpha_ns)
+            builds.append((samples, alpha_ns, graphs))
+            return graphs
+
+        monkeypatch.setattr(trainer_mod, "draw_samples", draw)
+        monkeypatch.setattr(Trainer, "_fluid_graphs", fluid_graphs)
+        assert trainer.ladder() == builds[-1][1]
+        assert len(draws) == 1
+        assert [alpha for _, alpha, _ in builds] == pytest.approx([1e-7, 1e-6, 1e-5],
+                                                                  rel=1e-12)
+        w = config.weights
+        for samples, alpha, graphs in builds:
+            assert samples is draws[0]
+            (graph,) = graphs
+            assert graph.alpha_ns == alpha
+            # the record's total weights its momentum term by the rung's weight
+            b = graph.breakdown()
+            assert b.fluid_total == ((alpha * b.ns + w.fluid_boundary * b.fluid_bdr)
+                                     + w.fluid_initial * b.fluid_init)
 
 
 class TestStageLifetimes:
