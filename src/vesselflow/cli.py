@@ -87,8 +87,7 @@ def _cmd_train(args) -> int:
     # leaves nothing behind.
     trainer = Trainer(config, networks, seed=args.seed,
                       out_dir=args.out_dir,
-                      checkpoint_interval=args.checkpoint_interval,
-                      shards=args.workers)
+                      checkpoint_interval=args.checkpoint_interval)
     config.save(os.path.join(args.out_dir, "config.json"))
     history = trainer.run()
     geometry = config.vessel_geometry()
@@ -296,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--checkpoint-interval", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="gradient-averaging shards (deterministic)")
     p.add_argument("--fluid-epochs", type=int, default=None)
     p.add_argument("--solid-epochs", type=int, default=None)
     p.add_argument("--ladder-steps", type=int, default=None)

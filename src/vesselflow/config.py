@@ -2,8 +2,10 @@
 
 Config files are JSON with one object per section (geometry, fluid,
 wall, optional plaque, inlet, weights, training). Keys carry their units
-so a file can never silently mix systems. Unknown keys, and values of the
-wrong JSON type for their key, are rejected.
+so a file can never silently mix systems. Unknown keys, values of the
+wrong JSON type for their key, and constants out of their range are
+rejected; a geometry, material, weight or inlet value is named in the
+message as `section.key`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .domain import PlaqueShape, RegionTag, VesselGeometry
+from .domain import GeometryError, PlaqueShape, RegionTag, VesselGeometry
 from .physics import FluidProperties, LossWeights, WallProperties
 
 
@@ -136,14 +138,18 @@ class ScenarioConfig:
         if self.weights.navier_stokes != 0.0:
             raise ConfigError("weights.navier_stokes must be 0.0: the training schedule "
                               "sets the momentum weight alpha_ns")
-        # the objects a run builds check their own constants: geometry and
-        # plaque-in-lumen, fluid, wall and plaque materials, loss weights
+        # the geometry checks its own constants, plaque-in-lumen included
         self.vessel_geometry()
-        self.fluid_properties()
-        self.wall_segments()
-        self.loss_weights()
+        for section, rules in _MATERIAL_RULES.items():
+            settings = getattr(self, section)
+            for key, (holds, rule) in rules.items() if settings else ():
+                if not holds(getattr(settings, key)):
+                    _reject(f"{section}.{key}", getattr(settings, key), rule)
+        for key, value in asdict(self.weights).items():
+            if value < 0:
+                _reject(f"weights.{key}", value, "must be non-negative")
         if self.inlet.mode not in ("pulsatile", "steady"):
-            raise ConfigError(f"unknown inlet mode {self.inlet.mode!r}")
+            _reject("inlet.mode", self.inlet.mode, "must be 'pulsatile' or 'steady'")
         t = self.training
         if min(t.learning_rate, *self.learning_rates().values()) <= 0:
             raise ConfigError("learning rates must be positive")
@@ -170,9 +176,12 @@ class ScenarioConfig:
             plaque = PlaqueShape(self.plaque.long_radius_cm,
                                  self.plaque.short_radius_cm,
                                  self.plaque.center_z_cm)
-        return VesselGeometry(self.geometry.radius_cm, self.geometry.length_cm,
-                              self.geometry.wall_thickness_cm,
-                              self.geometry.horizon_s, plaque)
+        try:
+            return VesselGeometry(self.geometry.radius_cm, self.geometry.length_cm,
+                                  self.geometry.wall_thickness_cm,
+                                  self.geometry.horizon_s, plaque)
+        except GeometryError as exc:
+            raise ConfigError(f"{_GEOMETRY_KEYS[exc.field]} {exc.rule}") from None
 
     def fluid_properties(self) -> FluidProperties:
         return FluidProperties(self.fluid.density_g_per_cm3, self.fluid.viscosity_poise)
@@ -251,15 +260,31 @@ class ScenarioConfig:
             for key, value in body.items():
                 _check_type(f"{section}.{key}", value, hints[key])
             kwargs[section] = section_cls(**body)
-        try:
-            return cls(**kwargs)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**kwargs)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_dict(), fh, indent=2)
             fh.write("\n")
+
+
+# the config key of each constant of a `VesselGeometry`
+_GEOMETRY_KEYS = {
+    "radius": "geometry.radius_cm", "length": "geometry.length_cm",
+    "wall_thickness": "geometry.wall_thickness_cm", "horizon": "geometry.horizon_s",
+    "plaque.long_radius": "plaque.long_radius_cm",
+    "plaque.short_radius": "plaque.short_radius_cm", "plaque.center_z": "plaque.center_z_cm",
+}
+# the rule of each material constant, by section
+_POSITIVE = (lambda value: value > 0, "must be positive")
+_WALL_RULES = {"density_g_per_cm3": _POSITIVE, "youngs_modulus_dyn_per_cm2": _POSITIVE,
+               "poisson_ratio": (lambda value: abs(value) < 1, "must lie in (-1, 1)")}
+_MATERIAL_RULES = {"fluid": {"density_g_per_cm3": _POSITIVE, "viscosity_poise": _POSITIVE},
+                   "wall": _WALL_RULES, "plaque": _WALL_RULES}
+
+
+def _reject(key: str, value, rule: str):
+    raise ConfigError(f"{key} {rule}, got {value!r}")
 
 
 # the JSON values each field type takes: a float key takes an integer too,

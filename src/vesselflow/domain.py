@@ -23,7 +23,14 @@ from . import autodiff as ad
 
 
 class GeometryError(ValueError):
-    pass
+    """A geometry or sample request that cannot be met. For a rejected
+    constant of a `VesselGeometry`, `field` names it and the message reads
+    `field` then `rule`."""
+
+    def __init__(self, rule: str, field: "str | None" = None):
+        super().__init__(rule if field is None else f"{field} {rule}")
+        self.rule = rule
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -46,16 +53,20 @@ class VesselGeometry:
     plaque: PlaqueShape | None = None
 
     def __post_init__(self):
-        if min(self.radius, self.length, self.wall_thickness, self.horizon) <= 0:
-            raise GeometryError("geometry lengths and horizon must be positive")
+        for name in ("radius", "length", "wall_thickness", "horizon"):
+            if getattr(self, name) <= 0:
+                raise GeometryError(f"must be positive, got {getattr(self, name)!r}", name)
         p = self.plaque
         if p is not None:
             if not 0 < p.short_radius < self.radius:
-                raise GeometryError("plaque short radius must lie inside the lumen")
+                raise GeometryError(f"must lie inside the lumen, got {p.short_radius!r}",
+                                    "plaque.short_radius")
             if p.long_radius <= 0:
-                raise GeometryError("plaque long radius must be positive")
+                raise GeometryError(f"must be positive, got {p.long_radius!r}",
+                                    "plaque.long_radius")
             if p.center_z - p.long_radius <= 0 or p.center_z + p.long_radius >= self.length:
-                raise GeometryError("plaque must sit strictly inside the segment")
+                raise GeometryError("must keep the plaque strictly inside the segment, "
+                                    f"got {p.center_z!r}", "plaque.center_z")
 
 
 class RegionTag(Enum):

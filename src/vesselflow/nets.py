@@ -190,7 +190,9 @@ def load_networks(path) -> tuple[dict[str, FieldNetwork], dict[str, np.ndarray]]
     the header is not an object mapping each name to a positive integer
     depth and a list of positive integer widths, or when a parameter
     vector is not 1-d float64."""
-    with np.load(path) as data:
+    # np.load leaves a file it opened itself open when the archive cannot
+    # be read, so the file is opened, and closed, here.
+    with open(path, "rb") as fh, np.load(fh) as data:
         meta = json.loads(bytes(data["header"]).decode())
         if not isinstance(meta, dict):
             raise ValueError("header is not a JSON object")

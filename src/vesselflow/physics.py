@@ -47,15 +47,14 @@ class PhysicsError(ValueError):
 
 # ----------------------------------------------------------------------
 # material properties and loss bookkeeping
+#
+# Plain values: a scenario's are checked by `ScenarioConfig`, which names a
+# bad one by the config key it was read from.
 
 @dataclass(frozen=True)
 class FluidProperties:
     density: float = 1.025   # g/cm^3
     viscosity: float = 0.035  # poise
-
-    def __post_init__(self):
-        if self.density <= 0 or self.viscosity <= 0:
-            raise PhysicsError("fluid density and viscosity must be positive")
 
 
 @dataclass(frozen=True)
@@ -64,12 +63,6 @@ class WallProperties:
     youngs_modulus: float = 0.5e6      # dyn/cm^2
     poisson_ratio: float = 0.5
     thickness: float = 0.05            # cm
-
-    def __post_init__(self):
-        if abs(self.poisson_ratio) >= 1.0:
-            raise PhysicsError("poisson ratio magnitude must be below 1")
-        if min(self.density, self.youngs_modulus, self.thickness) <= 0:
-            raise PhysicsError("wall material constants must be positive")
 
     def restoring_at_radius(self, radius) -> "float | np.ndarray":
         """Ring-model restoring coefficient E / (rho (1 - xi^2) radius^2), in
@@ -88,12 +81,6 @@ class LossWeights:
     harmonic: float = 10.0
     solid_bdr: float = 0.1
     solid_init: float = 0.01
-
-    def __post_init__(self):
-        for name in ("ns", "fluid_bdr", "fluid_init", "stress", "harmonic",
-                     "solid_bdr", "solid_init"):
-            if getattr(self, name) < 0:
-                raise PhysicsError(f"loss weight {name} must be non-negative")
 
 
 @dataclass
@@ -418,29 +405,21 @@ class CollocationSamples:
     endpoints: SampleSet
 
 
-def sample_counts(interior_count: int, wall_count: int,
-                  port_count: int) -> dict[str, int]:
-    """Point count of each collocation set that `draw_samples` draws."""
-    half_port = max(port_count // 2, 1)
-    return {"interior": interior_count, "inlet": half_port, "outlet": half_port,
-            "wall": wall_count, "interior_t0": interior_count,
-            "wall_t0": wall_count, "endpoints": max(wall_count // 4, 4)}
-
-
 def draw_samples(geometry: VesselGeometry, interior_count: int, wall_count: int,
                  port_count: int, seed: int) -> CollocationSamples:
     """One fresh draw of every collocation set from a base seed."""
-    n = sample_counts(interior_count, wall_count, port_count)
+    half_port = max(port_count // 2, 1)
     return CollocationSamples(
-        interior=sample(geometry, RegionTag.FLUID_INTERIOR, n["interior"], seed),
-        inlet=sample(geometry, RegionTag.INLET, n["inlet"], seed + 1),
-        outlet=sample(geometry, RegionTag.OUTLET, n["outlet"], seed + 2),
-        wall=sample(geometry, RegionTag.WALL, n["wall"], seed + 3),
-        interior_t0=sample(geometry, RegionTag.FLUID_INTERIOR, n["interior_t0"],
+        interior=sample(geometry, RegionTag.FLUID_INTERIOR, interior_count, seed),
+        inlet=sample(geometry, RegionTag.INLET, half_port, seed + 1),
+        outlet=sample(geometry, RegionTag.OUTLET, half_port, seed + 2),
+        wall=sample(geometry, RegionTag.WALL, wall_count, seed + 3),
+        interior_t0=sample(geometry, RegionTag.FLUID_INTERIOR, interior_count,
                            seed + 4, at_initial_time=True),
-        wall_t0=sample(geometry, RegionTag.WALL, n["wall_t0"], seed + 5,
+        wall_t0=sample(geometry, RegionTag.WALL, wall_count, seed + 5,
                        at_initial_time=True),
-        endpoints=sample(geometry, RegionTag.WALL_ENDPOINTS, n["endpoints"], seed + 6),
+        endpoints=sample(geometry, RegionTag.WALL_ENDPOINTS, max(wall_count // 4, 4),
+                         seed + 6),
     )
 
 

@@ -1,4 +1,4 @@
-"""Staged training scheduler and the data-parallel gradient contract.
+"""Staged training scheduler.
 
 The schedule has three stages. First the flow networks are fitted to
 boundary and initial data alone (momentum weight zero). Then the
@@ -20,10 +20,10 @@ trailing window drops below the threshold.
 Every count, cap and threshold of the schedule is read from the
 scenario's `training` section, which `ScenarioConfig` validates on
 construction, so a saved config reproduces the run. `Trainer` checks its
-own arguments, the shard split of every collocation set included, before
-it creates the run directory. A non-finite loss or gradient aborts with
-`TrainingDiverged`, naming the epoch, stage and network, once history.csv
-holds every epoch up to that one. Checkpoints hold the networks only.
+own arguments before it creates the run directory. A non-finite loss or
+gradient aborts with `TrainingDiverged`, naming the epoch, stage and
+network, once history.csv holds every epoch up to that one. Checkpoints
+hold the networks only.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .optim import AdamState, GradientError
 from .physics import (
     CollocationSamples, FluidLossGraph, LossBreakdown, LossWeights,
     NetworkDisplacement, NetworkFlow, SolidLossGraph, ZeroDisplacement,
-    draw_samples, sample_counts,
+    draw_samples,
 )
 
 
@@ -72,32 +72,6 @@ def converged(losses: Sequence[float], threshold: float, window: int) -> bool:
     tail = losses[-window:]
     best = min(tail)
     return tail[0] - best < threshold and tail[-1] - best < threshold
-
-
-def parallel_grad(evaluate_shard: Callable, shards: Sequence) -> np.ndarray:
-    """Average of per-shard gradients, accumulated in shard order.
-
-    With equal shard sizes (and shard losses that are means over their
-    points) this equals the gradient of the mean loss over the union.
-    Unequal shards weight every shard the same regardless of size, which
-    biases the average toward small shards; partitions should be equal."""
-    if not len(shards):
-        raise PlanError("at least one shard is required")
-    for k, shard in enumerate(shards):
-        if _shard_len(shard) == 0:
-            raise PlanError(f"shard {k} is empty")
-    total = None
-    for shard in shards:
-        g = np.asarray(evaluate_shard(shard), dtype=np.float64)
-        total = g.copy() if total is None else total + g
-    return total / len(shards)
-
-
-def _shard_len(shard):
-    try:
-        return len(shard)
-    except TypeError:
-        return 1
 
 
 # ----------------------------------------------------------------------
@@ -188,25 +162,15 @@ class Trainer:
     """Runs the staged scheme for one scenario over one network triple."""
 
     def __init__(self, config: ScenarioConfig, networks: dict, seed: int = 0,
-                 out_dir: "str | None" = None, checkpoint_interval: int = 0,
-                 shards: int = 1):
-        if shards < 1:
-            raise PlanError(f"worker count must be positive, got {shards}")
+                 out_dir: "str | None" = None, checkpoint_interval: int = 0):
         if checkpoint_interval < 0:
             raise PlanError(
                 f"checkpoint interval cannot be negative, got {checkpoint_interval}")
-        t = config.training
-        for name, count in sample_counts(t.interior_points, t.wall_points,
-                                         t.port_points).items():
-            if count % shards:
-                raise PlanError(
-                    f"{name} count {count} does not split into {shards} equal shards")
         self.config = config
         self.networks = networks
         self.seed = seed
         self.out_dir = out_dir
         self.checkpoint_interval = checkpoint_interval
-        self.shards = shards
         rates = config.learning_rates()
         self.optimizers = {
             name: AdamState(len(net.theta), learning_rate=rates[name])
@@ -263,21 +227,18 @@ class Trainer:
         self._stage_counter += 1
         return samples
 
-    def _fluid_graphs(self, samples: CollocationSamples, alpha_ns: float):
+    def _fluid_graph(self, samples: CollocationSamples,
+                     alpha_ns: float) -> FluidLossGraph:
         weights_stage = LossWeights(
             ns=alpha_ns,
             fluid_bdr=self.config.weights.fluid_boundary,
             fluid_init=self.config.weights.fluid_initial,
         )
-        parts = _partition_samples(samples, self.shards)
-        return [
-            FluidLossGraph(self.flow, self.displacement, part,
-                           self.config.vessel_geometry(),
-                           self.config.fluid_properties(),
-                           self.config.inlet_factor(), weights_stage,
-                           self.config.eps_r)
-            for part in parts
-        ]
+        return FluidLossGraph(self.flow, self.displacement, samples,
+                              self.config.vessel_geometry(),
+                              self.config.fluid_properties(),
+                              self.config.inlet_factor(), weights_stage,
+                              self.config.eps_r)
 
     def ladder(self) -> float:
         """The momentum-weight ladder, one sampling stage: a single
@@ -303,13 +264,13 @@ class Trainer:
         t = self.config.training
         if samples is None:
             samples = self._stage_samples()
-        graphs = self._fluid_graphs(samples, alpha_ns)
+        graph = self._fluid_graph(samples, alpha_ns)
         losses: list[float] = []
         rounds = t.fluid_epochs // (t.velocity_epochs + t.pressure_epochs)
         for _ in range(rounds):
             for phase, count in (("u", t.velocity_epochs), ("p", t.pressure_epochs)):
                 for _ in range(count):
-                    if self._epoch(stage, phase, graphs, losses):
+                    if self._epoch(stage, phase, graph, losses):
                         return True
         return False
 
@@ -317,35 +278,28 @@ class Trainer:
         """Displacement updates against the wall problem; flow frozen.
         Returns True when stopped early on convergence."""
         t = self.config.training
-        samples = self._stage_samples()
-        parts = _partition_samples(samples, self.shards)
-        graphs = [
-            SolidLossGraph(self.flow, self.displacement, part,
-                           self.config.vessel_geometry(),
-                           self.config.wall_segments(),
-                           self.config.fluid_properties(),
-                           self.config.loss_weights(), self.config.eps_r)
-            for part in parts
-        ]
+        graph = SolidLossGraph(self.flow, self.displacement, self._stage_samples(),
+                               self.config.vessel_geometry(),
+                               self.config.wall_segments(),
+                               self.config.fluid_properties(),
+                               self.config.loss_weights(), self.config.eps_r)
         losses: list[float] = []
         for _ in range(t.solid_epochs):
-            if self._epoch(stage, "d", graphs, losses):
+            if self._epoch(stage, "d", graph, losses):
                 return True
         return False
 
-    def _epoch(self, stage, phase, graphs, losses) -> bool:
+    def _epoch(self, stage, phase, graph, losses) -> bool:
         """One epoch of network `phase` ("u", "p" or "d") on the stage's loss
-        graphs: replay, record the shard-mean breakdown, step. Appends the
-        weighted total to `losses`; returns True once it has converged."""
+        graph: replay, record the breakdown, step. Appends the weighted total
+        to `losses`; returns True once it has converged."""
         t = self.config.training
         terms = _SOLID_TERMS if phase == "d" else _FLUID_TERMS
-        for g in graphs:
-            g.replay()
-        breakdown = _mean_breakdown(graphs, terms)
-        self._record(stage, phase, 0.0 if phase == "d" else graphs[0].alpha_ns, breakdown)
+        graph.replay()
+        breakdown = graph.breakdown()
+        self._record(stage, phase, 0.0 if phase == "d" else graph.alpha_ns, breakdown)
         self._guard_finite(stage, phase, breakdown, terms)
-        self._step(stage, phase,
-                   parallel_grad(lambda g: g.param_grads([phase])[phase], graphs))
+        self._step(stage, phase, graph.param_grads([phase])[phase])
         losses.append(getattr(breakdown, terms[-1]))
         return converged(losses, t.convergence_threshold, t.convergence_window)
 
@@ -388,34 +342,6 @@ class Trainer:
                             "final.npz" if force else f"epoch{self.epoch:07d}.npz")
         nets_mod.save_networks(path, self.networks)
         self.last_checkpoint = path
-
-
-def _mean_breakdown(graphs, terms) -> LossBreakdown:
-    """Shard mean of each loss term, summed in shard order."""
-    if len(graphs) == 1:
-        return graphs[0].breakdown()
-    parts = [g.breakdown() for g in graphs]
-    return LossBreakdown(**{name: sum(getattr(p, name) for p in parts) / len(parts)
-                            for name in terms})
-
-
-def _partition_samples(samples: CollocationSamples, shards: int):
-    """Equal contiguous split of every collocation set across shards (the
-    trainer checks on construction that every set splits evenly)."""
-    if shards <= 1:
-        return [samples]
-    sets = {name: getattr(samples, name) for name in
-            ("interior", "inlet", "outlet", "wall", "interior_t0", "wall_t0",
-             "endpoints")}
-    out = []
-    for k in range(shards):
-        pieces = {}
-        for name, s in sets.items():
-            size = len(s) // shards
-            sl = slice(k * size, (k + 1) * size)
-            pieces[name] = type(s)(s.r[sl], s.z[sl], s.t[sl], s.region)
-        out.append(CollocationSamples(**pieces))
-    return out
 
 
 def network_shapes(config: ScenarioConfig) -> dict:

@@ -4,6 +4,7 @@ Criteria 4 (the Poiseuille check), 7 (the momentum-weight ladder) and 9
 (plaque-severity ordering) are not yet tests.
 """
 
+import dataclasses
 import json
 import time
 
@@ -14,13 +15,13 @@ from vesselflow import analysis, autodiff as ad, nets, physics
 from vesselflow.config import (
     InletSettings, ScenarioConfig, TrainingSettings, WeightSettings, preset,
 )
-from vesselflow.domain import RegionTag, VesselGeometry
+from vesselflow.domain import RegionTag, SampleSet, VesselGeometry
 from vesselflow.physics import (
-    AnalyticDisplacement, AnalyticFlow, FluidProperties, NetworkFlow,
+    AnalyticDisplacement, AnalyticFlow, CollocationSamples, FluidProperties, NetworkFlow,
     SolidLossGraph, WallProperties, ZeroDisplacement, draw_samples,
     harmonic_residual, ns_residual_axisym, stress_continuity_residual,
 )
-from vesselflow.trainer import Trainer, build_networks, parallel_grad
+from vesselflow.trainer import Trainer, build_networks
 
 
 def report(criterion, detail):
@@ -239,10 +240,10 @@ def test_criterion_6_detach_invariants():
     trainer = Trainer(config, networks, seed=1)
     p_before = networks["p"].theta.copy()
     d_before = networks["d"].theta.copy()
-    graphs = trainer._fluid_graphs(trainer._stage_samples(), alpha_ns=1e-5)
+    graph = trainer._fluid_graph(trainer._stage_samples(), alpha_ns=1e-5)
     losses = []
     for _ in range(8):
-        trainer._epoch("check", "u", graphs, losses)
+        trainer._epoch("check", "u", graph, losses)
     assert np.array_equal(networks["p"].theta, p_before)
     assert np.array_equal(networks["d"].theta, d_before)
     elapsed = time.time() - t0
@@ -252,34 +253,73 @@ def test_criterion_6_detach_invariants():
 
 
 # ----------------------------------------------------------------------
-# 8. data-parallel gradient averaging
+# 8. the split property of the loss records
+
+def _split_draw(samples: CollocationSamples, parts: int) -> list[CollocationSamples]:
+    """`parts` equal contiguous pieces of every collocation set of a draw."""
+    def piece(s, k):
+        size, rest = divmod(len(s), parts)
+        assert rest == 0, f"{s.region} count {len(s)} does not split into {parts}"
+        sl = slice(k * size, (k + 1) * size)
+        return SampleSet(s.r[sl], s.z[sl], s.t[sl], s.region)
+    return [CollocationSamples(**{f.name: piece(getattr(samples, f.name), k)
+                                  for f in dataclasses.fields(samples)})
+            for k in range(parts)]
+
+
+def _worst_split_error(build, samples, name):
+    """Largest relative gap, over 2 and 4 equal parts, between the mean of
+    the parts' gradients of network `name` and the whole draw's gradient."""
+    want = build(samples).param_grads([name])[name]
+    scale = np.maximum(np.abs(want), 1e-30)
+    worst = 0.0
+    for parts in (2, 4):
+        total = None
+        for part in _split_draw(samples, parts):
+            g = build(part).param_grads([name])[name]
+            total = g if total is None else total + g
+        worst = max(worst, float(np.max(np.abs(total / parts - want) / scale)))
+    return worst
+
 
 def test_criterion_8_parallel_gradient_equivalence():
+    # Each loss term of a record is a mean over its points, so records built
+    # on equal parts of a draw average to the record of the whole draw: the
+    # gradient a data-parallel trainer would assemble from its workers.
     t0 = time.time()
-    config = ScenarioConfig(
-        name="shard-check",
-        training=TrainingSettings(
-            interior_points=32, wall_points=16, port_points=8,
-            fluid_epochs=10, velocity_epochs=8, pressure_epochs=2,
-            ladder_steps=0, max_alternations=0, convergence_threshold=0.0,
-            network_depth=4, velocity_width=8, pressure_width=4,
-            displacement_width=8,
-        ))
+    training = TrainingSettings(
+        interior_points=32, wall_points=16, port_points=8,
+        fluid_epochs=10, velocity_epochs=8, pressure_epochs=2,
+        ladder_steps=0, max_alternations=0, convergence_threshold=0.0,
+        network_depth=4, velocity_width=8, pressure_width=4,
+        displacement_width=8,
+    )
+    config = ScenarioConfig(name="split-check", training=training)
     networks = build_networks(config, seed=4)
     trainer = Trainer(config, networks, seed=4)
     samples = trainer._stage_samples()
-    serial = trainer._fluid_graphs(samples, alpha_ns=1e-4)[0]
-    want = {g: serial.param_grads([g])[g] for g in ("u", "p")}
-    for nshards in (2, 4):
-        trainer_n = Trainer(config, networks, seed=4, shards=nshards)
-        graphs = trainer_n._fluid_graphs(samples, alpha_ns=1e-4)
-        assert len(graphs) == nshards
-        for gname in ("u", "p"):
-            got = parallel_grad(lambda g: g.param_grads([gname])[gname], graphs)
-            scale = np.maximum(np.abs(want[gname]), 1e-30)
-            worst = float(np.max(np.abs(got - want[gname]) / scale))
-            assert worst < 1e-12, f"{nshards} shards, {gname}: {worst}"
+    for name in ("u", "p"):
+        worst = _worst_split_error(lambda s: trainer._fluid_graph(s, alpha_ns=1e-4),
+                                   samples, name)
+        assert worst < 1e-12, f"fluid record, {name}: {worst}"
+
+    # The wall record over a plaque: every quarter of the draw holds wall
+    # points off and on the plaque, and 64 wall points give 16 endpoints.
+    plaque = preset("plaque-moderate")
+    geometry = plaque.vessel_geometry()
+    samples = draw_samples(geometry, 32, 64, 8, seed=5)
+    for part in _split_draw(samples, 4):
+        on = physics.on_plaque(geometry, part.wall.z)
+        assert 0 < np.count_nonzero(on) < len(on)
+
+    def solid_graph(s):
+        return SolidLossGraph(trainer.flow, physics.NetworkDisplacement(networks["d"]), s,
+                              geometry, plaque.wall_segments(), plaque.fluid_properties(),
+                              plaque.loss_weights(), plaque.eps_r)
+
+    worst = _worst_split_error(solid_graph, samples, "d")
+    assert worst < 1e-12, f"solid record, d: {worst}"
     elapsed = time.time() - t0
     assert elapsed < 60
-    report(8, f"2- and 4-shard averaged gradients match serial within 1e-12 "
-              f"({elapsed:.1f}s)")
+    report(8, f"u, p (fluid) and d (solid, plaque) gradients of 2 and 4 equal parts "
+              f"average to the whole draw's within 1e-12 ({elapsed:.1f}s)")

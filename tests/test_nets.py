@@ -1,7 +1,9 @@
 """Network construction, activations, parameter accounting and checkpoints."""
 
+import gc
 import json
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -442,3 +444,18 @@ class TestCheckpoint:
         loaded, _ = nets.load_networks(path)
         assert loaded["d"].activations == net.activations
         assert np.array_equal(loaded["d"].theta, net.theta)
+
+    def test_unreadable_checkpoint_leaves_no_file_open(self, tmp_path):
+        net = nets.build(5, 6, 3, 1, seed=9, name="d")
+        path = tmp_path / "whole.npz"
+        nets.save_networks(path, {"d": net})
+        whole = path.read_bytes()
+        truncated = tmp_path / "truncated.npz"
+        truncated.write_bytes(whole[:len(whole) // 2])
+        # a leaked handle warns when the traceback holding it is freed
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(zipfile.BadZipFile):
+                nets.load_networks(truncated)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

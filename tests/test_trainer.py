@@ -1,4 +1,4 @@
-"""Schedule structure, phase isolation, convergence and gradient averaging."""
+"""Schedule structure, phase isolation, convergence and the training history."""
 
 import weakref
 from dataclasses import replace
@@ -15,8 +15,7 @@ from vesselflow.physics import (
     draw_samples,
 )
 from vesselflow.trainer import (
-    PlanError, Trainer, TrainingDiverged, TrainingHistory,
-    build_networks, converged, parallel_grad,
+    Trainer, TrainingDiverged, TrainingHistory, build_networks, converged,
 )
 
 
@@ -74,47 +73,6 @@ class TestPlan:
     def test_non_positive_epoch_count_rejected(self):
         with pytest.raises(ConfigError, match="must be positive"):
             tiny_config(solid_epochs=0)
-
-
-class TestParallelGrad:
-    def test_single_shard_is_identity(self):
-        shard = [np.arange(4.0)]
-        out = parallel_grad(lambda s: s, shard)
-        assert np.array_equal(out, np.arange(4.0))
-
-    def test_equal_shards_average_equals_full_gradient(self):
-        # loss(theta) = mean_i (theta - x_i)^2 over the union equals the
-        # average of per-shard means when shard sizes match.
-        xs = np.linspace(-1, 2, 8)
-        theta = 0.3
-
-        def shard_grad(shard):
-            return np.array([np.mean(2.0 * (theta - shard))])
-
-        full = shard_grad(xs)
-        halves = parallel_grad(shard_grad, [xs[:4], xs[4:]])
-        quarters = parallel_grad(shard_grad, [xs[:2], xs[2:4], xs[4:6], xs[6:]])
-        assert abs(halves[0] - full[0]) <= 1e-12 * max(1.0, abs(full[0]))
-        assert abs(quarters[0] - full[0]) <= 1e-12 * max(1.0, abs(full[0]))
-
-    def test_unequal_shards_bias_documented(self):
-        # 3 points split 2/1: plain average of shard means weights the
-        # lone point double, unlike the union mean.
-        xs = np.array([0.0, 1.0, 4.0])
-        theta = 0.0
-
-        def shard_grad(shard):
-            return np.array([np.mean(2.0 * (theta - shard))])
-
-        yours = parallel_grad(shard_grad, [xs[:2], xs[2:]])
-        union = shard_grad(xs)
-        by_hand = 0.5 * (np.mean(2 * (theta - xs[:2])) + 2 * (theta - xs[2]))
-        assert yours[0] == pytest.approx(by_hand, rel=1e-15)
-        assert yours[0] != pytest.approx(union[0], rel=1e-6)
-
-    def test_empty_shard_rejected(self):
-        with pytest.raises(PlanError):
-            parallel_grad(lambda s: np.zeros(1), [np.arange(2.0), np.array([])])
 
 
 class TestScheduleStructure:
@@ -183,27 +141,26 @@ class TestLadder:
         config = tiny_config(ladder_steps=3, max_alternations=0)
         trainer = Trainer(config, build_networks(config, seed=17), seed=17)
         draws, builds = [], []
-        original = Trainer._fluid_graphs
+        original = Trainer._fluid_graph
 
         def draw(*args, **kwargs):
             draws.append(draw_samples(*args, **kwargs))
             return draws[-1]
 
-        def fluid_graphs(self, samples, alpha_ns):
-            graphs = original(self, samples, alpha_ns)
-            builds.append((samples, alpha_ns, graphs))
-            return graphs
+        def fluid_graph(self, samples, alpha_ns):
+            graph = original(self, samples, alpha_ns)
+            builds.append((samples, alpha_ns, graph))
+            return graph
 
         monkeypatch.setattr(trainer_mod, "draw_samples", draw)
-        monkeypatch.setattr(Trainer, "_fluid_graphs", fluid_graphs)
+        monkeypatch.setattr(Trainer, "_fluid_graph", fluid_graph)
         assert trainer.ladder() == builds[-1][1]
         assert len(draws) == 1
         assert [alpha for _, alpha, _ in builds] == pytest.approx([1e-7, 1e-6, 1e-5],
                                                                   rel=1e-12)
         w = config.weights
-        for samples, alpha, graphs in builds:
+        for samples, alpha, graph in builds:
             assert samples is draws[0]
-            (graph,) = graphs
             assert graph.alpha_ns == alpha
             # the record's total weights its momentum term by the rung's weight
             b = graph.breakdown()
@@ -253,10 +210,10 @@ class TestPhaseIsolation:
         snapshots = {"u": [], "p": [], "d": []}
         original = trainer._epoch
 
-        def spy(stage, phase, graphs, losses):
+        def spy(stage, phase, graph, losses):
             for name in snapshots:
                 snapshots[name].append(networks[name].theta.copy())
-            return original(stage, phase, graphs, losses)
+            return original(stage, phase, graph, losses)
 
         trainer._epoch = spy
         trainer.run()
@@ -330,31 +287,6 @@ class TestHistory:
         history = Trainer(config, networks, seed=11).run()
         epochs = [r.epoch for r in history.records]
         assert epochs == sorted(set(epochs))
-
-
-class TestShardedTraining:
-    def test_two_shards_match_serial_gradients(self):
-        config = tiny_config(interior_points=24, wall_points=12, port_points=8,
-                             ladder_steps=0, max_alternations=0, fluid_epochs=10)
-        networks = build_networks(config, seed=12)
-        trainer_serial = Trainer(config, networks, seed=12, shards=1)
-        samples = trainer_serial._stage_samples()
-        graphs = trainer_serial._fluid_graphs(samples, alpha_ns=1e-4)
-        serial = graphs[0].param_grads(["u"])["u"]
-
-        trainer_sharded = Trainer(config, networks, seed=12, shards=2)
-        shard_graphs = trainer_sharded._fluid_graphs(samples, alpha_ns=1e-4)
-        assert len(shard_graphs) == 2
-        averaged = parallel_grad(lambda g: g.param_grads(["u"])["u"], shard_graphs)
-        scale = np.maximum(np.abs(serial), 1e-30)
-        assert np.max(np.abs(averaged - serial) / scale) < 1e-12
-
-    def test_indivisible_partition_rejected(self):
-        # on construction, before any stage draws its points
-        config = tiny_config(interior_points=25)
-        networks = build_networks(config, seed=13)
-        with pytest.raises(PlanError, match="interior count 25 does not split into 2"):
-            Trainer(config, networks, seed=13, shards=2)
 
 
 class TestLearningRates:
