@@ -1,7 +1,7 @@
 """Schedule structure, phase isolation, convergence and the training history."""
 
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,9 +10,10 @@ from vesselflow import trainer as trainer_mod
 from vesselflow.config import (
     ConfigError, ScenarioConfig, TrainingSettings, WeightSettings, preset,
 )
+from vesselflow.domain import SampleSet
 from vesselflow.physics import (
-    FluidLossGraph, LossWeights, NetworkFlow, SolidLossGraph, ZeroDisplacement,
-    draw_samples,
+    CollocationSamples, FluidLossGraph, LossWeights, NetworkFlow, SolidLossGraph,
+    ZeroDisplacement, draw_samples,
 )
 from vesselflow.trainer import (
     Trainer, TrainingDiverged, TrainingHistory, build_networks, converged,
@@ -29,6 +30,19 @@ def tiny_config(**training_overrides) -> ScenarioConfig:
     )
     defaults.update(training_overrides)
     return ScenarioConfig(name="tiny", training=TrainingSettings(**defaults))
+
+
+def equal_parts(samples: CollocationSamples, parts: int) -> list[CollocationSamples]:
+    """`parts` equal contiguous pieces of every collocation set of a draw:
+    the draws a data-parallel trainer would hand its workers."""
+    def piece(s, k):
+        size, rest = divmod(len(s), parts)
+        assert rest == 0, f"{s.region} count {len(s)} does not split into {parts}"
+        sl = slice(k * size, (k + 1) * size)
+        return SampleSet(s.r[sl], s.z[sl], s.t[sl], s.region)
+    return [CollocationSamples(**{f.name: piece(getattr(samples, f.name), k)
+                                  for f in fields(samples)})
+            for k in range(parts)]
 
 
 class TestConverged:
@@ -73,6 +87,28 @@ class TestPlan:
     def test_non_positive_epoch_count_rejected(self):
         with pytest.raises(ConfigError, match="must be positive"):
             tiny_config(solid_epochs=0)
+
+
+class TestParallelGrad:
+    """Every loss term is a mean over its points, so records built on equal
+    parts of one draw average to the record of the whole draw."""
+
+    def test_equal_shards_average_equals_full_gradient(self):
+        config = tiny_config(ladder_steps=0, max_alternations=0)
+        networks = build_networks(config, seed=3)
+        trainer = Trainer(config, networks, seed=3)
+        samples = trainer._stage_samples()
+        full = trainer._fluid_graph(samples, alpha_ns=1e-4)
+        want = full.param_grads(["p"])["p"]
+        scale = np.maximum(np.abs(want), 1e-30)
+        for parts in (2, 4):
+            graphs = [trainer._fluid_graph(s, alpha_ns=1e-4)
+                      for s in equal_parts(samples, parts)]
+            averaged = sum(g.param_grads(["p"])["p"] for g in graphs) / parts
+            assert np.max(np.abs(averaged - want) / scale) < 1e-12
+            for term in ("ns", "fluid_bdr", "fluid_init", "fluid_total"):
+                mean = sum(getattr(g.breakdown(), term) for g in graphs) / parts
+                assert mean == pytest.approx(getattr(full.breakdown(), term), rel=1e-12)
 
 
 class TestScheduleStructure:
@@ -287,6 +323,21 @@ class TestHistory:
         history = Trainer(config, networks, seed=11).run()
         epochs = [r.epoch for r in history.records]
         assert epochs == sorted(set(epochs))
+
+
+class TestShardedTraining:
+    def test_two_shards_match_serial_gradients(self):
+        config = tiny_config(interior_points=24, wall_points=12, port_points=8,
+                             ladder_steps=0, max_alternations=0, fluid_epochs=10)
+        networks = build_networks(config, seed=12)
+        trainer = Trainer(config, networks, seed=12)
+        samples = trainer._stage_samples()
+        serial = trainer._fluid_graph(samples, alpha_ns=1e-4).param_grads(["u"])["u"]
+        halves = [trainer._fluid_graph(s, alpha_ns=1e-4).param_grads(["u"])["u"]
+                  for s in equal_parts(samples, 2)]
+        averaged = (halves[0] + halves[1]) / 2
+        scale = np.maximum(np.abs(serial), 1e-30)
+        assert np.max(np.abs(averaged - serial) / scale) < 1e-12
 
 
 class TestLearningRates:
