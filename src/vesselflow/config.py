@@ -4,8 +4,9 @@ Config files are JSON with one object per section (geometry, fluid,
 wall, optional plaque, inlet, weights, training). Keys carry their units
 so a file can never silently mix systems. Unknown keys, values of the
 wrong JSON type for their key, and constants out of their range are
-rejected; a geometry, material, weight or inlet value is named in the
-message as `section.key`.
+rejected; a value out of range is named in the message as `section.key`,
+with the rule it breaks and the value, e.g.
+`training.interior_points must be positive, got 0`.
 """
 
 from __future__ import annotations
@@ -140,33 +141,16 @@ class ScenarioConfig:
                               "sets the momentum weight alpha_ns")
         # the geometry checks its own constants, plaque-in-lumen included
         self.vessel_geometry()
-        for section, rules in _MATERIAL_RULES.items():
+        for section, rules in _RULES.items():
             settings = getattr(self, section)
             for key, (holds, rule) in rules.items() if settings else ():
                 if not holds(getattr(settings, key)):
                     _reject(f"{section}.{key}", getattr(settings, key), rule)
-        for key, value in asdict(self.weights).items():
-            if value < 0:
-                _reject(f"weights.{key}", value, "must be non-negative")
-        if self.inlet.mode not in ("pulsatile", "steady"):
-            _reject("inlet.mode", self.inlet.mode, "must be 'pulsatile' or 'steady'")
         t = self.training
-        if min(t.learning_rate, *self.learning_rates().values()) <= 0:
-            raise ConfigError("learning rates must be positive")
-        if t.network_depth < 2:
-            raise ConfigError("network depth must be at least 2 affine layers")
-        if min(t.velocity_width, t.pressure_width, t.displacement_width,
-               t.interior_points, t.wall_points, t.port_points) < 1:
-            raise ConfigError("network widths and point counts must be positive")
-        if min(t.fluid_epochs, t.solid_epochs, t.velocity_epochs,
-               t.pressure_epochs, t.convergence_window) <= 0:
-            raise ConfigError("epoch counts and window must be positive")
-        if t.ladder_steps < 0 or t.max_alternations < 0:
-            raise ConfigError("ladder steps and alternation cap cannot be negative")
-        if t.fluid_epochs % (t.velocity_epochs + t.pressure_epochs) != 0:
-            raise ConfigError("fluid epochs must divide into whole u/p rounds")
-        if not 0 < t.axis_clamp_fraction < 1:
-            raise ConfigError("axis clamp fraction must sit in (0, 1)")
+        round_length = t.velocity_epochs + t.pressure_epochs
+        if t.fluid_epochs % round_length != 0:
+            _reject("training.fluid_epochs", t.fluid_epochs,
+                    f"must divide into whole u/p rounds of {round_length} epochs")
 
     # -- derived objects ------------------------------------------------
 
@@ -275,12 +259,32 @@ _GEOMETRY_KEYS = {
     "plaque.long_radius": "plaque.long_radius_cm",
     "plaque.short_radius": "plaque.short_radius_cm", "plaque.center_z": "plaque.center_z_cm",
 }
-# the rule of each material constant, by section
+# the rule of each checked value, by section, in the order they are checked
 _POSITIVE = (lambda value: value > 0, "must be positive")
+_NON_NEGATIVE = (lambda value: value >= 0, "must be non-negative")
+# a per-network learning rate: null falls back to the shared rate
+_POSITIVE_OR_NULL = (lambda value: value is None or value > 0, "must be positive or null")
 _WALL_RULES = {"density_g_per_cm3": _POSITIVE, "youngs_modulus_dyn_per_cm2": _POSITIVE,
                "poisson_ratio": (lambda value: abs(value) < 1, "must lie in (-1, 1)")}
-_MATERIAL_RULES = {"fluid": {"density_g_per_cm3": _POSITIVE, "viscosity_poise": _POSITIVE},
-                   "wall": _WALL_RULES, "plaque": _WALL_RULES}
+_TRAINING_RULES = {
+    "interior_points": _POSITIVE, "wall_points": _POSITIVE, "port_points": _POSITIVE,
+    "learning_rate": _POSITIVE, "velocity_learning_rate": _POSITIVE_OR_NULL,
+    "pressure_learning_rate": _POSITIVE_OR_NULL,
+    "displacement_learning_rate": _POSITIVE_OR_NULL,
+    "fluid_epochs": _POSITIVE, "solid_epochs": _POSITIVE, "velocity_epochs": _POSITIVE,
+    "pressure_epochs": _POSITIVE, "ladder_steps": _NON_NEGATIVE,
+    "max_alternations": _NON_NEGATIVE, "convergence_window": _POSITIVE,
+    "axis_clamp_fraction": (lambda value: 0 < value < 1, "must lie in (0, 1)"),
+    "network_depth": (lambda value: value >= 2, "must be at least 2 affine layers"),
+    "velocity_width": _POSITIVE, "pressure_width": _POSITIVE,
+    "displacement_width": _POSITIVE,
+}
+_RULES = {"fluid": {"density_g_per_cm3": _POSITIVE, "viscosity_poise": _POSITIVE},
+          "wall": _WALL_RULES, "plaque": _WALL_RULES,
+          "weights": dict.fromkeys(WeightSettings.__dataclass_fields__, _NON_NEGATIVE),
+          "inlet": {"mode": (lambda value: value in ("pulsatile", "steady"),
+                             "must be 'pulsatile' or 'steady'")},
+          "training": _TRAINING_RULES}
 
 
 def _reject(key: str, value, rule: str):

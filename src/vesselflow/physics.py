@@ -1,7 +1,10 @@
 """PDE residuals, boundary/initial functionals and weighted loss assembly.
 
-All residuals are written against field adapters, so the same code path
-serves trained networks and closed-form manufactured fields. Velocity
+Each residual is one public function that records its components on a
+given record from batches of input nodes; the loss records call these
+same functions and take the mean square of each. All residuals are
+written against field adapters, so the same code path serves trained
+networks and closed-form manufactured fields. Velocity
 and pressure are functions of current-frame coordinates; those
 coordinates are produced by displacing reference points radially.
 
@@ -207,9 +210,15 @@ def current_frame(tape, r, z, t, displacement):
 
 
 # ----------------------------------------------------------------------
-# residual builders (shared by per-point operations and loss graphs)
+# residuals
+#
+# Each reads batches (r, z, t) of reference points, but for the wall
+# residual, which takes z, t and the points' radial direction and reads
+# their radius from z.
 
-def _axisym_ns(tape, r, z, t, flow, displacement, fluid: FluidProperties, eps_r):
+def ns_residual_axisym(tape, r, z, t, flow, displacement, fluid: FluidProperties, eps_r):
+    """Axisymmetric momentum and mass residuals at a batch of reference
+    points. Returns (res_z, res_r, res_div)."""
     r_t = current_frame(tape, r, z, t, displacement)
     jz, jr = flow.velocity(tape, r_t, z, t, (R, Z, T), laplacian=(R, Z))
     dp_dr, dp_dz = flow.pressure(tape, r_t, z, t, (R, Z)).grads
@@ -225,28 +234,12 @@ def _axisym_ns(tape, r, z, t, flow, displacement, fluid: FluidProperties, eps_r)
     return res_z, res_r, res_div
 
 
-def ns_residual_axisym(flow, displacement, point, fluid: FluidProperties,
-                       eps_r: float):
-    """Axisymmetric momentum and mass residuals at a lockstep batch of
-    reference points (one point is a batch of one). Returns (res_z, res_r,
-    res_div)."""
-    tape = ad.Tape()
-    r, z, t = _point_inputs(tape, point)
-    return _axisym_ns(tape, r, z, t, flow, displacement, fluid, eps_r)
-
-
-def _harmonic(tape, r, z, t, displacement, eps_r):
+def harmonic_residual(tape, r, z, t, displacement, eps_r):
+    """Axisymmetric Laplacian of the radial displacement extension,
+    evaluated in reference coordinates."""
     eta = displacement.radial(tape, r, z, t, (R, Z), laplacian=(R, Z))
     r_prime = clamp_radius(r, eps_r)
     return eta.grads[0] / r_prime + eta.laplacian
-
-
-def harmonic_residual(displacement, point, eps_r: float):
-    """Axisymmetric Laplacian of the radial displacement extension,
-    evaluated in reference coordinates."""
-    tape = ad.Tape()
-    r, z, t = _point_inputs(tape, point)
-    return _harmonic(tape, r, z, t, displacement, eps_r)
 
 
 def _wall_radius(tape, geometry: VesselGeometry, z):
@@ -263,8 +256,13 @@ def _wall_radius(tape, geometry: VesselGeometry, z):
     return radius0, tape.batch(-plaque_slope(geometry.plaque, z.value))
 
 
-def _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
-                       wall: WallProperties, fluid: FluidProperties):
+def stress_continuity_residual(tape, z, t, direction, flow, displacement, geometry,
+                               wall: WallProperties, fluid: FluidProperties):
+    """Ring-model residual at wall points: radial acceleration plus the
+    elastic restoring force minus the fluid load. Points on the plaque take
+    its dented radius; a batch that is not all on or all off the plaque
+    raises `PhysicsError`. Fluid quantities inside the load enter as
+    constants (detached), as the wall problem takes them."""
     radius0, slope0 = _wall_radius(tape, geometry, z)
     r_w = direction * radius0
     # total z-derivative of radius0(z) + eta(direction radius0(z), z, t);
@@ -298,21 +296,10 @@ def _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
     return eta.laplacian + b_node * eta.value - load
 
 
-def stress_continuity_residual(flow, displacement, point, wall: WallProperties,
-                               fluid: FluidProperties, geometry: VesselGeometry):
-    """Ring-model residual at wall points: radial acceleration plus the
-    elastic restoring force minus the fluid load. Points on the plaque take
-    its dented radius; a batch that is not all on or all off the plaque
-    raises `PhysicsError`. Fluid quantities inside the load enter as
-    constants (detached), as the wall problem takes them."""
-    tape = ad.Tape()
-    r, z, t = _point_inputs(tape, point)
-    direction = _direction_node(tape, r)
-    return _stress_continuity(tape, z, t, direction, flow, displacement,
-                              geometry, wall, fluid)
-
-
-def _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor):
+def inlet_residual(tape, r, z, t, flow, displacement, geometry, inlet_factor):
+    """Inlet mismatch at a batch of inlet points: the axial velocity less
+    the parabolic profile scaled by `inlet_factor(t)`, and the radial
+    velocity."""
     r_t = current_frame(tape, r, z, t, displacement)
     u_z, u_r = (jet.value for jet in flow.velocity(tape, r_t, z, t))
     profile = 1.0 - (r_t * r_t) * (1.0 / geometry.radius**2)
@@ -320,66 +307,38 @@ def _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor):
     return u_z - target, u_r
 
 
-def _outlet(tape, r, z, t, flow, displacement, fluid):
+def outlet_residual(tape, r, z, t, flow, displacement, fluid):
+    """Traction on the outlet plane, whose outward normal is +z: its
+    radial and axial components."""
     r_t = current_frame(tape, r, z, t, displacement)
     jz, jr = flow.velocity(tape, r_t, z, t, (R, Z))
     p = flow.pressure(tape, r_t, z, t).value
     duz_dr, duz_dz = jz.grads
     dur_dz = jr.grads[1]
     mu = fluid.viscosity
-    # traction on the plane with outward normal +z
     res_r = mu * (dur_dz + duz_dr)
     res_z = 2.0 * mu * duz_dz - p
     return res_r, res_z
 
 
-def _interface(tape, r, z, t, flow, displacement, detach_target: bool):
+def interface_residual(tape, r, z, t, flow, displacement):
+    """No-slip on the moving wall: the fluid's radial velocity less the
+    wall's, and its axial velocity. The wall velocity d eta/dt is a
+    detached target, so the flow loss steers the displacement network
+    only through where the fields are read."""
     eta = displacement.radial(tape, r, z, t, (T,))
-    (deta_dt,) = eta.grads
-    if detach_target:
-        deta_dt = ad.detach(deta_dt)
+    deta_dt = ad.detach(eta.grads[0])
     direction = _direction_node(tape, r)
     r_t = r + direction * eta.value
     u_z, u_r = (jet.value for jet in flow.velocity(tape, r_t, z, t))
     return u_r - direction * deta_dt, u_z
 
 
-def fluid_bc_residual(flow, displacement, point, tag: RegionTag,
-                      geometry: VesselGeometry, fluid: FluidProperties,
-                      inlet_factor: Callable, detach_interface_target: bool = True):
-    """Boundary residual components for an inlet, outlet or interface point."""
-    tape = ad.Tape()
-    r, z, t = _point_inputs(tape, point)
-    if tag == RegionTag.INLET:
-        return _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor)
-    if tag == RegionTag.OUTLET:
-        return _outlet(tape, r, z, t, flow, displacement, fluid)
-    if tag == RegionTag.WALL:
-        return _interface(tape, r, z, t, flow, displacement, detach_interface_target)
-    raise PhysicsError(f"no boundary residual for region {tag}")
-
-
-def _initial_fluid(tape, r, z, t, flow, displacement):
+def initial_fluid_residual(tape, r, z, t, flow, displacement):
+    """Rest-state mismatch at t=0: the velocity components. The wall
+    problem's is the radial displacement itself."""
     r_t = current_frame(tape, r, z, t, displacement)
     return tuple(jet.value for jet in flow.velocity(tape, r_t, z, t))
-
-
-def initial_residuals(flow, displacement, point, which: str = "fluid"):
-    """Rest-state mismatch at t=0: velocity components for the fluid
-    problem, radial displacement for the solid problem."""
-    tape = ad.Tape()
-    r, z, t = _point_inputs(tape, point)
-    if which == "fluid":
-        return _initial_fluid(tape, r, z, t, flow, displacement)
-    if which == "solid":
-        return (displacement.radial(tape, r, z, t).value,)
-    raise PhysicsError("which must be 'fluid' or 'solid'")
-
-
-def _point_inputs(tape, point):
-    """Batches (r, z, t) for points given as arrays or as floats (one
-    point, a batch of one)."""
-    return tuple(tape.batch(np.atleast_1d(v)) for v in point)
 
 
 def mean_square(tape, components: Sequence[ad.DiffScalar]) -> ad.DiffScalar:
@@ -448,6 +407,8 @@ class FluidLossGraph:
     one layer run of the whole network, which keeps no layer values."""
 
     trained = ("u", "p")
+    # the `LossBreakdown` fields that `breakdown` fills, weighted total last
+    terms = ("ns", "fluid_bdr", "fluid_init", "fluid_total")
 
     def __init__(self, flow, displacement, samples: CollocationSamples,
                  geometry: VesselGeometry, fluid: FluidProperties,
@@ -456,19 +417,19 @@ class FluidLossGraph:
         self.tape = tape
 
         r, z, t = _batch_inputs(tape, samples.interior)
-        res = _axisym_ns(tape, r, z, t, flow, displacement, fluid, eps_r)
+        res = ns_residual_axisym(tape, r, z, t, flow, displacement, fluid, eps_r)
         self.term_ns = mean_square(tape, res)
 
         r, z, t = _batch_inputs(tape, samples.inlet)
-        inlet_res = _inlet(tape, r, z, t, flow, displacement, geometry, inlet_factor)
+        inlet_res = inlet_residual(tape, r, z, t, flow, displacement, geometry, inlet_factor)
         inlet_mean = mean_square(tape, inlet_res)
 
         r, z, t = _batch_inputs(tape, samples.outlet)
-        outlet_res = _outlet(tape, r, z, t, flow, displacement, fluid)
+        outlet_res = outlet_residual(tape, r, z, t, flow, displacement, fluid)
         outlet_mean = mean_square(tape, outlet_res)
 
         r, z, t = _batch_inputs(tape, samples.wall)
-        wall_res = _interface(tape, r, z, t, flow, displacement, detach_target=True)
+        wall_res = interface_residual(tape, r, z, t, flow, displacement)
         wall_mean = mean_square(tape, wall_res)
 
         self.term_bdr = _weighted_union(tape, [
@@ -478,7 +439,7 @@ class FluidLossGraph:
         ])
 
         r, z, t = _batch_inputs(tape, samples.interior_t0)
-        init_res = _initial_fluid(tape, r, z, t, flow, displacement)
+        init_res = initial_fluid_residual(tape, r, z, t, flow, displacement)
         self.term_init = mean_square(tape, init_res)
 
         self.alpha_ns = weights.ns
@@ -508,6 +469,7 @@ class SolidLossGraph:
     values."""
 
     trained = ("d",)
+    terms = ("stress", "harmonic", "solid_bdr", "solid_init", "solid_total")
 
     def __init__(self, flow, displacement, samples: CollocationSamples,
                  geometry: VesselGeometry,
@@ -521,14 +483,14 @@ class SolidLossGraph:
             z = tape.batch(samples.wall.z[idx])
             t = tape.batch(samples.wall.t[idx])
             direction = tape.batch(radial_direction(samples.wall.r[idx]))
-            res = _stress_continuity(tape, z, t, direction, flow, displacement, geometry,
-                                     wall_by_segment[segment], fluid)
+            res = stress_continuity_residual(tape, z, t, direction, flow, displacement,
+                                             geometry, wall_by_segment[segment], fluid)
             parts.append((len(idx), mean_square(tape, [res])))
         self.term_stress = _weighted_union(tape, parts)
 
         r, z, t = _batch_inputs(tape, samples.interior)
         self.term_harmonic = mean_square(
-            tape, [_harmonic(tape, r, z, t, displacement, eps_r)])
+            tape, [harmonic_residual(tape, r, z, t, displacement, eps_r)])
 
         r, z, t = _batch_inputs(tape, samples.endpoints)
         self.term_bdr = mean_square(tape, [displacement.radial(tape, r, z, t).value])

@@ -77,13 +77,8 @@ def converged(losses: Sequence[float], threshold: float, window: int) -> bool:
 # ----------------------------------------------------------------------
 # history
 
-# Loss terms of each problem, weighted total last.
-_FLUID_TERMS = ("ns", "fluid_bdr", "fluid_init", "fluid_total")
-_SOLID_TERMS = ("stress", "harmonic", "solid_bdr", "solid_init", "solid_total")
-
-HISTORY_COLUMNS = ["epoch", "stage", "phase", "alpha_ns", "ns", "fluid_bdr",
-                   "fluid_init", "fluid_total", "stress", "harmonic",
-                   "solid_bdr", "solid_init", "solid_total"]
+HISTORY_COLUMNS = ["epoch", "stage", "phase", "alpha_ns",
+                   *FluidLossGraph.terms, *SolidLossGraph.terms]
 
 
 @dataclass
@@ -294,13 +289,12 @@ class Trainer:
         graph: replay, record the breakdown, step. Appends the weighted total
         to `losses`; returns True once it has converged."""
         t = self.config.training
-        terms = _SOLID_TERMS if phase == "d" else _FLUID_TERMS
         graph.replay()
         breakdown = graph.breakdown()
         self._record(stage, phase, 0.0 if phase == "d" else graph.alpha_ns, breakdown)
-        self._guard_finite(stage, phase, breakdown, terms)
+        self._guard_finite(stage, phase, breakdown, graph.terms)
         self._step(stage, phase, graph.param_grads([phase])[phase])
-        losses.append(getattr(breakdown, terms[-1]))
+        losses.append(getattr(breakdown, graph.terms[-1]))
         return converged(losses, t.convergence_threshold, t.convergence_window)
 
     # -- bookkeeping ------------------------------------------------------

@@ -15,7 +15,7 @@ from vesselflow import analysis, autodiff as ad, nets, physics
 from vesselflow.config import (
     InletSettings, ScenarioConfig, TrainingSettings, WeightSettings, preset,
 )
-from vesselflow.domain import RegionTag, SampleSet, VesselGeometry
+from vesselflow.domain import RegionTag, SampleSet, VesselGeometry, radial_direction
 from vesselflow.physics import (
     AnalyticDisplacement, AnalyticFlow, CollocationSamples, FluidProperties, NetworkFlow,
     SolidLossGraph, WallProperties, ZeroDisplacement, draw_samples,
@@ -26,6 +26,13 @@ from vesselflow.trainer import Trainer, build_networks
 
 def report(criterion, detail):
     print(f"PASS criterion {criterion}: {detail}")
+
+
+def on_tape(point):
+    """A fresh record and batches (r, z, t) on it of points given as arrays
+    or as floats (one point, a batch of one)."""
+    tape = ad.Tape()
+    return (tape, *(tape.batch(np.atleast_1d(v)) for v in point))
 
 
 # ----------------------------------------------------------------------
@@ -148,7 +155,7 @@ def test_criterion_3_manufactured_solutions():
             continue
         pts.append((r, rng.uniform(0, geometry.length), rng.uniform(0, geometry.horizon)))
     arrays = tuple(np.array(c) for c in zip(*pts))
-    res = ns_residual_axisym(flow, ZeroDisplacement(), arrays, fluid, eps_r)
+    res = ns_residual_axisym(*on_tape(arrays), flow, ZeroDisplacement(), fluid, eps_r)
     worst_ns = max(float(np.max(np.abs(c.value))) for c in res)
     assert worst_ns < 1e-8
 
@@ -156,15 +163,18 @@ def test_criterion_3_manufactured_solutions():
     osc = AnalyticDisplacement(lambda r, z, t: ad.cos(np.sqrt(b) * t))
     quiet = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
     worst_sc = 0.0
-    for t in np.linspace(0, geometry.horizon, 60):
-        r = stress_continuity_residual(quiet, osc, (r0, 0.9, t), wall, fluid, geometry)
-        worst_sc = max(worst_sc, abs(r.value.item()))
+    for time_s in np.linspace(0, geometry.horizon, 60):
+        tape, r, z, t = on_tape((r0, 0.9, time_s))
+        direction = tape.batch(radial_direction(r.value))
+        res = stress_continuity_residual(tape, z, t, direction, quiet, osc, geometry, wall, fluid)
+        worst_sc = max(worst_sc, abs(res.value.item()))
     assert worst_sc < 1e-8
 
     linear = AnalyticDisplacement(lambda r, z, t: 0.3 * z + 0.05)
     worst_he = 0.0
     for point in pts[:200]:
-        worst_he = max(worst_he, abs(harmonic_residual(linear, point, eps_r).value.item()))
+        res = harmonic_residual(*on_tape(point), linear, eps_r)
+        worst_he = max(worst_he, abs(res.value.item()))
     assert worst_he < 1e-10
 
     elapsed = time.time() - t0

@@ -12,7 +12,7 @@ from vesselflow import nets
 from vesselflow.cli import main
 from vesselflow.config import (
     ConfigError, FluidSettings, GeometrySettings, PRESET_NAMES, PlaqueSettings,
-    ScenarioConfig, WallSettings, WeightSettings, load_config, preset,
+    ScenarioConfig, TrainingSettings, WallSettings, WeightSettings, load_config, preset,
 )
 from vesselflow.physics import FluidLossGraph
 from vesselflow.trainer import TrainingHistory, build_networks
@@ -112,11 +112,13 @@ class TestConfigIO:
         f"{section}.{key}" for section, cls in (
             ("geometry", GeometrySettings), ("fluid", FluidSettings),
             ("wall", WallSettings), ("plaque", PlaqueSettings),
-            ("weights", WeightSettings))
-        for key in cls.__dataclass_fields__])
+            ("weights", WeightSettings), ("training", TrainingSettings))
+        for key in cls.__dataclass_fields__
+        if key not in ("convergence_threshold", "rigid_wall")])
     def test_rejected_constant_named_by_its_key(self, key):
-        # -1 breaks the rule of every geometry, material and weight constant;
-        # a config built directly is checked as one read from a file is
+        # -1 breaks the rule of every geometry, material, weight and training
+        # constant (the convergence threshold and the rigid-wall switch have
+        # none); a config built directly is checked as one read from a file is
         cfg = preset("plaque-moderate")
         section, name = key.split(".")
         bad = replace(getattr(cfg, section), **{name: -1.0})
@@ -129,7 +131,7 @@ class TestConfigIO:
         data["training"]["fluid_epochs"] = 150  # rounds of 80 + 20 epochs
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ConfigError, match="fluid epochs must divide"):
+        with pytest.raises(ConfigError, match="training.fluid_epochs must divide"):
             load_config(path)
 
     def test_missing_file_message(self, tmp_path):
@@ -367,7 +369,8 @@ class TestBadInput:
     def test_fluid_epochs_not_whole_rounds(self, tmp_path, capsys):
         _, _, argv = _small_training_args(tmp_path)
         assert main(["train", *argv, "--fluid-epochs", "7"]) == 2
-        assert capsys.readouterr().err.startswith("error: fluid epochs must divide")
+        assert capsys.readouterr().err.startswith(
+            "error: training.fluid_epochs must divide into whole u/p rounds")
 
     def test_rejected_run_creates_no_directory(self, tmp_path, capsys):
         out_dir = tmp_path / "orphan"
@@ -403,12 +406,15 @@ class TestBadInput:
         assert not out.exists()
 
     @pytest.mark.parametrize("key,value,message", [
-        ("interior_points", 0, "network widths and point counts must be positive"),
-        ("network_depth", 1, "network depth must be at least 2"),
-        ("velocity_width", 0, "network widths and point counts must be positive"),
-        ("pressure_learning_rate", -1.0, "learning rates must be positive"),
-        ("displacement_learning_rate", 0.0, "learning rates must be positive"),
-    ], ids=["points", "depth", "width", "negative-rate", "zero-rate"])
+        ("interior_points", 0, "training.interior_points must be positive, got 0"),
+        ("network_depth", 1, "training.network_depth must be at least 2 affine layers, got 1"),
+        ("velocity_width", 0, "training.velocity_width must be positive, got 0"),
+        ("pressure_learning_rate", -1.0,
+         "training.pressure_learning_rate must be positive or null, got -1.0"),
+        ("displacement_learning_rate", 0.0,
+         "training.displacement_learning_rate must be positive or null, got 0.0"),
+        ("convergence_window", 0, "training.convergence_window must be positive, got 0"),
+    ], ids=["points", "depth", "width", "negative-rate", "zero-rate", "window"])
     def test_config_that_cannot_train(self, tmp_path, capsys, key, value, message):
         cfg = preset("poiseuille-rigid").to_dict()
         cfg["training"][key] = value

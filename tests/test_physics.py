@@ -7,14 +7,15 @@ from vesselflow import autodiff as ad
 from vesselflow import nets
 from vesselflow.config import preset
 from vesselflow.domain import (
-    PlaqueShape, RegionTag, VesselGeometry, plaque_slope, reference_radius,
+    PlaqueShape, RegionTag, VesselGeometry, plaque_slope, radial_direction, reference_radius,
 )
 from vesselflow.physics import (
-    AnalyticDisplacement, AnalyticFlow, CollocationSamples, FluidLossGraph,
+    T, AnalyticDisplacement, AnalyticFlow, CollocationSamples, FluidLossGraph,
     FluidProperties, LossWeights, NetworkDisplacement,
     NetworkFlow, PhysicsError, SolidLossGraph, WallProperties, ZeroDisplacement,
-    draw_samples, fluid_bc_residual, harmonic_residual, initial_residuals,
-    mean_square, ns_residual_axisym, stress_continuity_residual,
+    draw_samples, harmonic_residual, initial_fluid_residual, inlet_residual,
+    interface_residual, mean_square, ns_residual_axisym, outlet_residual,
+    stress_continuity_residual,
 )
 from vesselflow.trainer import build_networks
 
@@ -37,6 +38,20 @@ def poiseuille_flow(u_max=U_MAX, r0=R0, mu=FLUID.viscosity, p0=100.0):
     )
 
 
+def on_tape(point):
+    """A fresh record and batches (r, z, t) on it of points given as arrays
+    or as floats (one point, a batch of one)."""
+    tape = ad.Tape()
+    return (tape, *(tape.batch(np.atleast_1d(v)) for v in point))
+
+
+def wall_residual(flow, disp, point, wall, geometry=GEOM):
+    """Ring-model residual at wall points given as (r, z, t)."""
+    tape, r, z, t = on_tape(point)
+    direction = tape.batch(radial_direction(r.value))
+    return stress_continuity_residual(tape, z, t, direction, flow, disp, geometry, wall, FLUID)
+
+
 def interior_points(count, seed, min_abs_r=2 * EPS_R):
     rng = np.random.default_rng(seed)
     pts = []
@@ -51,14 +66,14 @@ def interior_points(count, seed, min_abs_r=2 * EPS_R):
 class TestAxisymmetricResiduals:
     def test_rest_state_vanishes(self):
         for point in interior_points(20, seed=0):
-            res = ns_residual_axisym(REST_FLOW, ZERO_DISP, point, FLUID, EPS_R)
+            res = ns_residual_axisym(*on_tape(point), REST_FLOW, ZERO_DISP, FLUID, EPS_R)
             assert all(abs(c.value) == 0.0 for c in res)
 
     def test_poiseuille_annihilates_residual(self):
         flow = poiseuille_flow()
         worst = 0.0
         for point in interior_points(200, seed=1):
-            res = ns_residual_axisym(flow, ZERO_DISP, point, FLUID, EPS_R)
+            res = ns_residual_axisym(*on_tape(point), flow, ZERO_DISP, FLUID, EPS_R)
             worst = max(worst, max(abs(c.value) for c in res))
         assert worst < 1e-8
 
@@ -66,7 +81,7 @@ class TestAxisymmetricResiduals:
         # u_z = z, u_r = 0, P = 0: divergence 1, axial residual rho*z.
         flow = AnalyticFlow(lambda r, z, t: z, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
         point = (0.1, 0.73, 0.2)
-        res_z, res_r, res_div = ns_residual_axisym(flow, ZERO_DISP, point, FLUID, EPS_R)
+        res_z, res_r, res_div = ns_residual_axisym(*on_tape(point), flow, ZERO_DISP, FLUID, EPS_R)
         assert res_div.value == pytest.approx(1.0, abs=1e-14)
         assert res_z.value == pytest.approx(FLUID.density * 0.73, rel=1e-14)
         assert res_r.value == pytest.approx(0.0, abs=1e-14)
@@ -75,25 +90,25 @@ class TestAxisymmetricResiduals:
         flow = poiseuille_flow()
         pts = interior_points(16, seed=3)
         arr = tuple(np.array(col) for col in zip(*pts))
-        batched = ns_residual_axisym(flow, ZERO_DISP, arr, FLUID, EPS_R)
+        batched = ns_residual_axisym(*on_tape(arr), flow, ZERO_DISP, FLUID, EPS_R)
         for k, point in enumerate(pts):
-            single = ns_residual_axisym(flow, ZERO_DISP, point, FLUID, EPS_R)
+            single = ns_residual_axisym(*on_tape(point), flow, ZERO_DISP, FLUID, EPS_R)
             for bc, sc in zip(batched, single):
                 assert bc.value[k] == pytest.approx(sc.value, abs=1e-12)
 
 
 class TestHarmonicResidual:
     def test_zero_displacement(self):
-        assert harmonic_residual(ZERO_DISP, (0.1, 0.5, 0.2), EPS_R).value == 0.0
+        assert harmonic_residual(*on_tape((0.1, 0.5, 0.2)), ZERO_DISP, EPS_R).value == 0.0
 
     def test_linear_field_is_harmonic(self):
         disp = AnalyticDisplacement(lambda r, z, t: z)
         for point in interior_points(50, seed=4):
-            assert abs(harmonic_residual(disp, point, EPS_R).value) < 1e-10
+            assert abs(harmonic_residual(*on_tape(point), disp, EPS_R).value) < 1e-10
 
     def test_quadratic_field_hand_value(self):
         disp = AnalyticDisplacement(lambda r, z, t: z * z)
-        res = harmonic_residual(disp, (0.12, 0.8, 0.1), EPS_R)
+        res = harmonic_residual(*on_tape((0.12, 0.8, 0.1)), disp, EPS_R)
         assert res.value == pytest.approx(2.0, abs=1e-12)
 
 
@@ -101,7 +116,7 @@ class TestStressContinuity:
     def test_all_quiet_vanishes(self):
         disp = AnalyticDisplacement(lambda r, z, t: 0.0)
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
-        res = stress_continuity_residual(flow, disp, (R0, 1.0, 0.4), WALL, FLUID, GEOM)
+        res = wall_residual(flow, disp, (R0, 1.0, 0.4), WALL)
         assert res.value == 0.0
 
     def test_free_oscillation_mode(self):
@@ -111,7 +126,7 @@ class TestStressContinuity:
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
         worst = 0.0
         for t in np.linspace(0.0, 2.0, 40):
-            res = stress_continuity_residual(flow, disp, (R0, 0.7, t), WALL, FLUID, GEOM)
+            res = wall_residual(flow, disp, (R0, 0.7, t), WALL)
             worst = max(worst, abs(res.value))
         assert worst < 1e-8
 
@@ -122,7 +137,7 @@ class TestStressContinuity:
         c = 3e-4
         disp = AnalyticDisplacement(lambda r, z, t: c)
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
-        res = stress_continuity_residual(flow, disp, (-R0, 1.3, 0.9), WALL, FLUID, GEOM)
+        res = wall_residual(flow, disp, (-R0, 1.3, 0.9), WALL)
         assert res.value == pytest.approx(b_by_hand * c, rel=1e-12)
 
     def test_pressure_load_sign_and_scale(self):
@@ -130,7 +145,7 @@ class TestStressContinuity:
         p0 = 1000.0
         disp = AnalyticDisplacement(lambda r, z, t: 0.0)
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: p0)
-        res = stress_continuity_residual(flow, disp, (R0, 1.0, 0.1), WALL, FLUID, GEOM)
+        res = wall_residual(flow, disp, (R0, 1.0, 0.1), WALL)
         want = -p0 / (WALL.density * WALL.thickness)
         assert res.value == pytest.approx(want, rel=1e-12)
 
@@ -142,7 +157,7 @@ class TestStressContinuity:
         disp = AnalyticDisplacement(lambda r, z, t: c)
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
         z = 1.0  # apex, R_p = 0.15
-        res = stress_continuity_residual(flow, disp, (0.15, z, 0.2), plaque_wall, FLUID, geom)
+        res = wall_residual(flow, disp, (0.15, z, 0.2), plaque_wall, geom)
         want = 1e6 / (1.1 * 0.75 * 0.15**2) * c
         assert res.value == pytest.approx(want, rel=1e-12)
 
@@ -157,8 +172,7 @@ class TestStressContinuity:
         radius0 = reference_radius(geom, z)
         disp = AnalyticDisplacement(lambda r, z, t: e * r)
         flow = AnalyticFlow(lambda r, z, t: k * r, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
-        res = stress_continuity_residual(flow, disp, (direction * radius0, z, np.full(5, 0.3)),
-                                         WALL, FLUID, geom)
+        res = wall_residual(flow, disp, (direction * radius0, z, np.full(5, 0.3)), WALL, geom)
         ratio = 1.0 + e * direction
         slope = -plaque_slope(geom.plaque, z) * ratio
         load = ratio * FLUID.viscosity * k * slope / (WALL.density * WALL.thickness)
@@ -172,58 +186,56 @@ class TestFluidBoundaryResiduals:
 
     def test_inlet_peak_on_centerline(self):
         flow = AnalyticFlow(lambda r, z, t: 20.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
-        res = fluid_bc_residual(flow, ZERO_DISP, (0.0, 0.0, 0.5), RegionTag.INLET,
-                                GEOM, FLUID, self.inlet_factor)
+        res = inlet_residual(*on_tape((0.0, 0.0, 0.5)), flow, ZERO_DISP, GEOM,
+                             self.inlet_factor)
         assert all(abs(c.value) < 1e-12 for c in res)
 
     def test_inlet_wall_edge_zero_velocity(self):
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
-        res = fluid_bc_residual(flow, ZERO_DISP, (R0, 0.0, 0.77), RegionTag.INLET,
-                                GEOM, FLUID, self.inlet_factor)
+        res = inlet_residual(*on_tape((R0, 0.0, 0.77)), flow, ZERO_DISP, GEOM,
+                             self.inlet_factor)
         assert all(abs(c.value) < 1e-12 for c in res)
 
     def test_outlet_traction_free_for_poiseuille_shearless_axis(self):
         # On the centerline the parabolic profile has zero shear; the normal
         # stress balance needs P = 2 mu du_z/dz = 0.
         flow = poiseuille_flow(p0=4.0 * FLUID.viscosity * U_MAX / R0**2 * GEOM.length)
-        res_r, res_z = fluid_bc_residual(flow, ZERO_DISP, (0.0, GEOM.length, 0.3),
-                                         RegionTag.OUTLET, GEOM, FLUID, self.inlet_factor)
+        res_r, res_z = outlet_residual(*on_tape((0.0, GEOM.length, 0.3)), flow, ZERO_DISP,
+                                       FLUID)
         assert abs(res_r.value) < 1e-12
         assert abs(res_z.value) < 1e-10  # P(l) = 0 by the chosen inlet pressure
 
     def test_interface_rest_wall(self):
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
         disp = AnalyticDisplacement(lambda r, z, t: 0.01)  # time-constant
-        res = fluid_bc_residual(flow, disp, (R0, 0.6, 0.2), RegionTag.WALL,
-                                GEOM, FLUID, self.inlet_factor)
+        res = interface_residual(*on_tape((R0, 0.6, 0.2)), flow, disp)
         assert all(abs(c.value) < 1e-14 for c in res)
 
     def test_interface_moving_wall_matches_velocity(self):
         speed = 0.35
         disp = AnalyticDisplacement(lambda r, z, t: speed * t)
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: speed, lambda r, z, t: 0.0)
-        res = fluid_bc_residual(flow, disp, (R0, 0.6, 0.2), RegionTag.WALL,
-                                GEOM, FLUID, self.inlet_factor)
+        res = interface_residual(*on_tape((R0, 0.6, 0.2)), flow, disp)
         assert all(abs(c.value) < 1e-14 for c in res)
         # mirrored side needs the signed radial component
         flow_neg = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: -speed, lambda r, z, t: 0.0)
-        res = fluid_bc_residual(flow_neg, disp, (-R0, 0.6, 0.2), RegionTag.WALL,
-                                GEOM, FLUID, self.inlet_factor)
+        res = interface_residual(*on_tape((-R0, 0.6, 0.2)), flow_neg, disp)
         assert all(abs(c.value) < 1e-14 for c in res)
 
 
 class TestInitialResiduals:
     def test_rest_fluid(self):
-        res = initial_residuals(REST_FLOW, ZERO_DISP, (0.1, 0.3, 0.0), "fluid")
+        res = initial_fluid_residual(*on_tape((0.1, 0.3, 0.0)), REST_FLOW, ZERO_DISP)
         assert [c.value for c in res] == [0.0, 0.0]
 
     def test_rest_solid(self):
-        res = initial_residuals(REST_FLOW, ZERO_DISP, (R0, 0.3, 0.0), "solid")
-        assert [c.value for c in res] == [0.0]
+        tape, r, z, t = on_tape((R0, 0.3, 0.0))
+        res = ZERO_DISP.radial(tape, r, z, t).value  # the wall problem's rest mismatch
+        assert res.value == 0.0
 
     def test_unit_axial_start(self):
         flow = AnalyticFlow(lambda r, z, t: 1.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
-        res = initial_residuals(flow, ZERO_DISP, (0.1, 0.3, 0.0), "fluid")
+        res = initial_fluid_residual(*on_tape((0.1, 0.3, 0.0)), flow, ZERO_DISP)
         assert np.hypot(res[0].value, res[1].value) == pytest.approx(1.0)
 
 
@@ -324,10 +336,10 @@ class TestLossAssembly:
         flow = poiseuille_flow()
         pts = interior_points(10, seed=8)
         arr = tuple(np.array(col) for col in zip(*pts))
-        res = ns_residual_axisym(flow, ZERO_DISP, arr, FLUID, EPS_R)
+        res = ns_residual_axisym(*on_tape(arr), flow, ZERO_DISP, FLUID, EPS_R)
         perm = np.random.default_rng(0).permutation(10)
         arr_p = tuple(col[perm] for col in arr)
-        res_p = ns_residual_axisym(flow, ZERO_DISP, arr_p, FLUID, EPS_R)
+        res_p = ns_residual_axisym(*on_tape(arr_p), flow, ZERO_DISP, FLUID, EPS_R)
         for a, b in zip(res, res_p):
             assert np.array_equal(np.asarray(a.value)[perm], np.asarray(b.value))
 
@@ -347,24 +359,20 @@ class TestDetachPolicy:
     def test_interface_target_detached_in_fluid_loss(self):
         # Zero the flow networks so the velocity-matching residual reduces to
         # the wall-velocity target alone. Detached, it contributes no
-        # displacement gradient; un-detached it does.
+        # displacement gradient, though the target itself has one.
         u, p, d = make_nets(seed=3)
         nets.zero_init_output(u)
         nets.zero_init_output(p)
         flow, disp = NetworkFlow(u, p), NetworkDisplacement(d)
+        point = (np.array([R0, -R0, R0]), np.array([0.2, 0.9, 1.7]), np.array([0.1, 0.4, 0.8]))
 
-        def wall_loss(detach):
-            point = (np.array([R0, -R0, R0]), np.array([0.2, 0.9, 1.7]),
-                     np.array([0.1, 0.4, 0.8]))
-            res = fluid_bc_residual(flow, disp, point, RegionTag.WALL, GEOM,
-                                    FLUID, steady_factor,
-                                    detach_interface_target=detach)
-            tape = res[0].tape
-            loss = mean_square(tape, res)
-            return loss.tape.backward_values(loss, ["d"])["d"]
+        def d_gradient(residual):
+            tape, r, z, t = on_tape(point)
+            loss = mean_square(tape, residual(tape, r, z, t))
+            return tape.backward_values(loss, ["d"])["d"]
 
-        assert np.all(wall_loss(True) == 0.0)
-        assert np.any(wall_loss(False) != 0.0)
+        assert np.all(d_gradient(lambda *rzt: interface_residual(*rzt, flow, disp)) == 0.0)
+        assert np.any(d_gradient(lambda *rzt: [disp.radial(*rzt, (T,)).grads[0]]) != 0.0)
 
     def test_coordinate_path_stays_live(self):
         # With live flow networks the displacement still steers where the
@@ -834,9 +842,8 @@ class TestPlaqueWall:
         wall = draw_samples(geometry, 4, 1000, 4, seed=1).wall
         on = dented(geometry, wall.z)
         c = 1e-3
-        res = stress_continuity_residual(QUIET_FLOW, AnalyticDisplacement(lambda r, z, t: c),
-                                         (wall.r[on], wall.z[on], wall.t[on]),
-                                         PLAQUE_WALL, FLUID, geometry)
+        res = wall_residual(QUIET_FLOW, AnalyticDisplacement(lambda r, z, t: c),
+                            (wall.r[on], wall.z[on], wall.t[on]), PLAQUE_WALL, geometry)
         want = PLAQUE_WALL.restoring_at_radius(reference_radius(geometry, wall.z[on])) * c
         assert res.value.tobytes() == want.tobytes()
 
@@ -844,8 +851,7 @@ class TestPlaqueWall:
         z = np.array([0.2, 1.0])
         point = (reference_radius(LONG_PLAQUE, z), z, np.array([0.3, 0.3]))
         with pytest.raises(PhysicsError):
-            stress_continuity_residual(QUIET_FLOW, ZERO_DISP, point, WALL, FLUID,
-                                       LONG_PLAQUE)
+            wall_residual(QUIET_FLOW, ZERO_DISP, point, WALL, LONG_PLAQUE)
 
     def test_stress_term_is_union_of_off_and_on_plaque_records(self):
         u, p, d = make_nets(seed=3)
@@ -858,8 +864,8 @@ class TestPlaqueWall:
         assert 0 < on.sum() < len(wall)
         want = 0.0
         for mask, props in ((~on, WALL), (on, PLAQUE_WALL)):
-            res = stress_continuity_residual(flow, disp, (wall.r[mask], wall.z[mask], wall.t[mask]),
-                                             props, FLUID, LONG_PLAQUE)
+            res = wall_residual(flow, disp, (wall.r[mask], wall.z[mask], wall.t[mask]),
+                                props, LONG_PLAQUE)
             want += float(mask.sum()) * float(mean_square(res.tape, [res]).value)
         assert float(graph.term_stress.value) == want * (1.0 / len(wall))
 
@@ -873,3 +879,51 @@ class TestPlaqueWall:
                                PLAQUE_MATERIALS, FLUID, LossWeights(), EPS_R)
         rng = np.random.default_rng(seed)
         assert directional_fd_error(graph, d, graph.param_grads(["d"])["d"], rng) < 1e-6
+
+
+def builder_mean(residual, sample_set, *args):
+    """Mean square of a residual on a fresh record at a collocation set: the
+    residual's components, or its one component."""
+    tape, r, z, t = on_tape((sample_set.r, sample_set.z, sample_set.t))
+    res = residual(tape, r, z, t, *args)
+    return float(mean_square(tape, res if isinstance(res, tuple) else [res]).value)
+
+
+class TestRecordTerms:
+    """Every term of a loss record is the mean square of its public
+    residual on the same points, bit for bit: the records build their terms
+    from the same functions the residual tests check."""
+
+    def test_fluid_terms(self):
+        u, p, d = make_nets(seed=8)
+        flow, disp = NetworkFlow(u, p), NetworkDisplacement(d)
+        samples = tiny_samples(seed=8)
+        graph = FluidLossGraph(flow, disp, samples, GEOM, FLUID, steady_factor,
+                               LossWeights(ns=1e-3), EPS_R)
+        assert float(graph.term_ns.value) == builder_mean(
+            ns_residual_axisym, samples.interior, flow, disp, FLUID, EPS_R)
+        parts = [(samples.inlet, inlet_residual, (flow, disp, GEOM, steady_factor)),
+                 (samples.outlet, outlet_residual, (flow, disp, FLUID)),
+                 (samples.wall, interface_residual, (flow, disp))]
+        want = 0.0
+        for sample_set, residual, args in parts:
+            want += float(len(sample_set)) * builder_mean(residual, sample_set, *args)
+        size = sum(len(sample_set) for sample_set, *_ in parts)
+        assert float(graph.term_bdr.value) == want * (1.0 / size)
+        assert float(graph.term_init.value) == builder_mean(
+            initial_fluid_residual, samples.interior_t0, flow, disp)
+
+    def test_solid_terms(self):
+        u, p, d = make_nets(seed=8)
+        flow, disp = NetworkFlow(u, p), NetworkDisplacement(d)
+        samples = tiny_samples(seed=8)
+        graph = SolidLossGraph(flow, disp, samples, GEOM, {RegionTag.WALL: WALL}, FLUID,
+                               LossWeights(), EPS_R)
+        assert float(graph.term_harmonic.value) == builder_mean(
+            harmonic_residual, samples.interior, disp, EPS_R)
+
+        def radial(tape, r, z, t):
+            return disp.radial(tape, r, z, t).value
+
+        assert float(graph.term_bdr.value) == builder_mean(radial, samples.endpoints)
+        assert float(graph.term_init.value) == builder_mean(radial, samples.wall_t0)

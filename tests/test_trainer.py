@@ -81,7 +81,7 @@ class TestPlan:
             tiny_config(fluid_epochs=150, velocity_epochs=80, pressure_epochs=20)
 
     def test_negative_ladder_rejected(self):
-        with pytest.raises(ConfigError, match="cannot be negative"):
+        with pytest.raises(ConfigError, match="training.ladder_steps must be non-negative"):
             tiny_config(ladder_steps=-1)
 
     def test_non_positive_epoch_count_rejected(self):
