@@ -4,7 +4,14 @@ Everything here treats trained networks as immutable functions accessed
 through the same field adapters the residuals use. Reads that take no
 derivative (`export_fields`, `probe`, `outlet_flux`) use the adapters'
 plain `read`, so they build no record; their values are bitwise equal
-to the recorded ones. `speed_field` still records, but trains no
+to a recorded read of the same batch. `outlet_flux` takes all its times
+at once: one read of the outlet wall point at every time, then profile
+reads over blocks of whole times of at most `_FLUX_BLOCK` points, the
+size of a snapshot slice, so that memory stays that of one slice.
+`probe` keeps one read per probe point: one read of all three default
+probes changed 5 of 150 rows of a train run's `probes.csv` in the last
+digit, since a matrix product's last bits can depend on the batch width,
+and saved about 1 ms. `speed_field` still records, but trains no
 network, so each of its network reads is one layer run of the whole
 network, which keeps only its output, not its layers.
 Reference solutions are closed-form oracles or saved field files, never
@@ -100,22 +107,37 @@ def pressure_drop_oracle(z, u_max: float, r0: float, mu: float):
 # ----------------------------------------------------------------------
 # observables
 
-def outlet_flux(flow, displacement, t: float, geometry: VesselGeometry,
-                n_quad: int = 256) -> float:
-    """Volumetric flux through the current outlet section.
+def outlet_flux(flow, displacement, times, geometry: VesselGeometry,
+                n_quad: int = 256) -> np.ndarray:
+    """Volumetric flux through the current outlet section at each of the
+    1-d array `times`, in their order.
 
     Composite trapezoid in the squared-radius variable: with s = r^2 the
     integral is pi * int u_z(sqrt(s)) ds, so parabolic profiles integrate
-    exactly and the annular area weighting is built into the substitution."""
-    # the wall point as a one-row batch, as a record of it would be
-    r_w, z_w, t_w = (np.array([v]) for v in (geometry.radius, geometry.length, float(t)))
-    radius_now = float((reference_radius(geometry, z_w) + displacement.read(r_w, z_w, t_w))[0])
-    s = np.linspace(0.0, radius_now**2, n_quad)
-    u_z, _ = flow.read(np.sqrt(s), np.full(n_quad, geometry.length),
-                       np.full(n_quad, t), pressure=False)
-    integrand = np.pi * np.broadcast_to(
-        np.asarray(u_z, dtype=np.float64), (n_quad,))
-    return float(np.trapezoid(integrand, s))
+    exactly and the annular area weighting is built into the substitution.
+    The outlet wall point is read once at every time; the profiles are read
+    over blocks of whole times of at most `_FLUX_BLOCK` points (one time when
+    `n_quad` exceeds it), each block integrated along its rows at once."""
+    if n_quad < 2:
+        raise AnalysisError(f"n_quad must be at least 2 (a trapezoid needs two nodes), "
+                            f"got {n_quad}")
+    times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1:
+        raise AnalysisError("outlet_flux takes a 1-d array of times")
+    z_w = np.full(len(times), geometry.length)
+    radius_now = reference_radius(geometry, z_w) + displacement.read(
+        np.full(len(times), geometry.radius), z_w, times)
+    per_block = max(_FLUX_BLOCK // n_quad, 1)
+    flux = np.empty(len(times))
+    for lo in range(0, len(times), per_block):
+        block = slice(lo, lo + per_block)
+        s = np.linspace(0.0, radius_now[block] ** 2, n_quad, axis=1)
+        u_z, _ = flow.read(np.sqrt(s).ravel(), np.full(s.size, geometry.length),
+                           np.repeat(times[block], n_quad), pressure=False)
+        integrand = np.pi * np.broadcast_to(
+            np.asarray(u_z, dtype=np.float64), (s.size,)).reshape(s.shape)
+        flux[block] = np.trapezoid(integrand, s, axis=1)
+    return flux
 
 
 @dataclass
@@ -184,6 +206,7 @@ def speed_field(flow, displacement) -> Callable:
 # exports
 
 _EXPORT_BLOCK = 512  # rows formatted together by export_fields
+_FLUX_BLOCK = 1024   # quadrature points read together by outlet_flux
 
 
 def export_fields(path, flow, displacement, grid: EvaluationGrid) -> None:
@@ -223,8 +246,7 @@ def write_flux_csv(path, flow, displacement, geometry: VesselGeometry,
                    times: np.ndarray, n_quad: int = 256) -> None:
     """Outlet flux over time plus its running cycle integral."""
     times = np.asarray(times, dtype=np.float64)
-    series = np.array([outlet_flux(flow, displacement, t, geometry, n_quad)
-                       for t in times])
+    series = outlet_flux(flow, displacement, times, geometry, n_quad)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_s", "flux_cm3_per_s", "integrated_flux_cm3"])

@@ -120,27 +120,46 @@ class TestRelativeError:
 
 
 class TestOutletFlux:
+    # seven times: at n_quad = 256 the profiles are read as blocks of 4 + 3 times
+    TIMES = np.linspace(0.1, 2.0, 7)
+
     def test_rest_flow(self):
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0,
                             lambda r, z, t: 0.0)
-        assert outlet_flux(flow, ZERO_DISP, 0.5, GEOM) == 0.0
+        assert np.all(outlet_flux(flow, ZERO_DISP, np.array([0.5]), GEOM) == 0.0)
 
     def test_poiseuille_flux_analytic_value(self):
         # integral of u_max (1 - r^2/r0^2) 2 pi r dr = pi u_max r0^2 / 2;
         # the squared-radius rule integrates the parabola exactly
-        got = outlet_flux(poiseuille_flow(), ZERO_DISP, 0.1, GEOM)
-        assert got == pytest.approx(0.625 * np.pi, rel=1e-12)
+        got = outlet_flux(poiseuille_flow(), ZERO_DISP, self.TIMES, GEOM)
+        assert got == pytest.approx(np.full(7, 0.625 * np.pi), rel=1e-12)
 
     def test_plug_flow(self):
         c = 7.0
         flow = AnalyticFlow(lambda r, z, t: c, lambda r, z, t: 0.0,
                             lambda r, z, t: 0.0)
-        got = outlet_flux(flow, ZERO_DISP, 0.1, GEOM)
-        assert got == pytest.approx(c * np.pi * R0**2, rel=1e-12)
+        got = outlet_flux(flow, ZERO_DISP, self.TIMES, GEOM)
+        assert got == pytest.approx(np.full(7, c * np.pi * R0**2), rel=1e-12)
+
+    def test_fluxes_follow_the_order_of_times(self):
+        # a plug whose speed grows with t, read at unsorted times over 4 + 3 blocks
+        flow = AnalyticFlow(lambda r, z, t: 3.0 * (1.0 + t) + 0.0 * r,
+                            lambda r, z, t: 0.0, lambda r, z, t: 0.0)
+        times = np.array([1.5, 0.2, 0.9, 2.0, 0.0, 1.1, 0.4])
+        got = outlet_flux(flow, ZERO_DISP, times, GEOM)
+        assert got == pytest.approx(3.0 * (1.0 + times) * np.pi * R0**2, rel=1e-12)
+
+    @pytest.mark.parametrize("n_quad", [0, 1])
+    def test_too_few_nodes_rejected(self, n_quad):
+        # a trapezoid of one node or none would give a flux of 0.0 for any flow
+        flow = AnalyticFlow(lambda r, z, t: 7.0, lambda r, z, t: 0.0,
+                            lambda r, z, t: 0.0)
+        with pytest.raises(AnalysisError, match="n_quad"):
+            outlet_flux(flow, ZERO_DISP, np.array([0.1]), GEOM, n_quad=n_quad)
 
     def test_quadrature_convergence(self):
-        a = outlet_flux(poiseuille_flow(), ZERO_DISP, 0.1, GEOM, n_quad=256)
-        b = outlet_flux(poiseuille_flow(), ZERO_DISP, 0.1, GEOM, n_quad=512)
+        a = outlet_flux(poiseuille_flow(), ZERO_DISP, np.array([0.1]), GEOM, n_quad=256)
+        b = outlet_flux(poiseuille_flow(), ZERO_DISP, np.array([0.1]), GEOM, n_quad=512)
         assert abs(b - a) / abs(b) < 1e-6
 
     def test_cycle_integral(self, tmp_path):
@@ -254,21 +273,26 @@ def same_bits(a, b):
     return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
 
 
-def recorded_flux(flow, displacement, t, geometry, n_quad=256):
-    """outlet_flux with the wall displacement read from a recorded one-point
-    batch and the profile from a recorded batch."""
+def recorded_flux(flow, displacement, times, geometry, per_block, n_quad=256):
+    """outlet_flux with the wall displacement read from one recorded batch
+    of every time, and the profiles from one recorded batch per block of
+    `per_block` times, so that the products are those of outlet_flux's
+    blocks."""
     tape = ad.Tape()
-    z_w = np.array([geometry.length])
-    eta = displacement.radial(tape, tape.batch([geometry.radius]), tape.batch(z_w),
-                              tape.batch([t])).value
-    s = np.linspace(0.0, (reference_radius(geometry, z_w) + eta.value).item() ** 2,
-                    n_quad)
-    tape = ad.Tape()
-    u_z, _ = flow.velocity(tape, tape.batch(np.sqrt(s)),
-                           tape.batch(np.full(n_quad, geometry.length)),
-                           tape.batch(np.full(n_quad, t)))
-    u_z = u_z.value
-    return float(np.trapezoid(np.pi * u_z.value, s))
+    z_w = np.full(len(times), geometry.length)
+    eta = displacement.radial(tape, tape.batch(np.full(len(times), geometry.radius)),
+                              tape.batch(z_w), tape.batch(times)).value
+    radius = reference_radius(geometry, z_w) + eta.value
+    flux = []
+    for lo in range(0, len(times), per_block):
+        s = np.stack([np.linspace(0.0, r**2, n_quad) for r in radius[lo:lo + per_block]])
+        tape = ad.Tape()
+        u_z, _ = flow.velocity(tape, tape.batch(np.sqrt(s).ravel()),
+                               tape.batch(np.full(s.size, geometry.length)),
+                               tape.batch(np.repeat(times[lo:lo + per_block], n_quad)))
+        u_z = u_z.value
+        flux.extend(np.trapezoid(np.pi * u_z.value.reshape(s.shape), s, axis=1))
+    return np.array(flux)
 
 
 @pytest.mark.parametrize("wall", ["rigid", "moving"])
@@ -309,13 +333,18 @@ class TestPlainReads:
             assert same_bits(got.velocity_magnitude, np.hypot(u_z, u_r))
             assert same_bits(got.pressure, p)
 
-    def test_outlet_flux_matches_record(self, wall):
+    def test_outlet_flux_matches_record(self, monkeypatch, wall):
         flow, disp = network_adapters(wall)
-        for t in (0.0, 0.3, 1.7):
-            if wall == "moving":
-                assert disp.read(np.array([GEOM.radius]), np.array([GEOM.length]),
-                                 np.array([t])).item() != 0.0
-            assert same_bits(outlet_flux(flow, disp, t, GEOM), recorded_flux(flow, disp, t, GEOM))
+        times = np.array([0.0, 0.3, 1.7, 0.9, 2.0, 0.55, 1.2])
+        if wall == "moving":
+            assert np.all(disp.read(np.full(7, GEOM.radius), np.full(7, GEOM.length),
+                                    times) != 0.0)
+        read, sizes = flow.read, []
+        monkeypatch.setattr(flow, "read", lambda r, z, t, pressure=True: (
+            sizes.append(len(r)) or read(r, z, t, pressure)))
+        got = outlet_flux(flow, disp, times, GEOM)
+        assert sizes == [4 * 256, 3 * 256]
+        assert same_bits(got, recorded_flux(flow, disp, times, GEOM, per_block=4))
 
     def test_recorded_speed_field_matches_plain_read(self, wall):
         flow, disp = network_adapters(wall)
