@@ -12,6 +12,15 @@ fields included, as ordinary nodes. So a derivative is itself recorded
 and differentiable. Parameter gradients come from one backward pass that
 produces plain numbers (``Tape.backward_values``).
 
+Each pointwise op (arithmetic, ``detach``, ``step`` and the elementary
+functions) is one row of a table keyed by opcode: its value of plain
+operands, which recording, replay and a plain-number call all compute,
+and for each operand its adjoint, which is all the backward pass knows of
+it; an op with no adjoint passes no derivative. The row of an elementary
+function f also holds its slope f' and curvature f'', each written once:
+a jet applies both, the backward pass multiplies the output adjoint by
+the slope, and a layer reads its activation's.
+
 Every batched input is a lockstep batch: a 1-d array holding one
 independent value per collocation point, evaluated together; a single
 point is a batch of one. Constants, means and derivatives that are equal
@@ -51,11 +60,12 @@ a = W x + b and y = act(a), with `act` a sigmoid, a relu or nothing:
     G'_j = s1 * (W G_j)
     L'   = s2 * sum over j in D of (W G_j)^2 + s1 * (W L)
 
-where s1 and s2 are the activation's first and second derivatives at a,
-read from y: s(1 - s) and s(1 - s)(1 - 2s) for sigmoid, the step of y and
-0 for relu, 1 and 0 for none, and D is the Laplacian's direction set. The
-pre-activation a is never stored: no derivative rule reads it. This
-arithmetic and its adjoint are written once, on arrays (``layer_jet``,
+where s1 and s2 are the activation's slope and curvature at a, from its
+row of the op table, read from y: s(1 - s) and s(1 - s)(1 - 2s) for
+sigmoid, the step of y and 0 for relu, 1 and 0 for none, and D is the
+Laplacian's direction set. The pre-activation a is never stored: no
+derivative rule reads it. This arithmetic and its adjoint are written
+once, on arrays (``layer_jet``,
 ``_layer_adjoint``). Every product runs along the point axis: the value
 row is W x, a product of its own over the n columns so that its bits do
 not depend on the directions; the derivative rows are one batched W G;
@@ -73,14 +83,14 @@ summed over a batch axis the node lacks, repeated over one it has. It
 drops a contribution that is a scalar exact zero, such as the adjoint of a
 term whose weight is 0: that adds ±0 to every gradient entry it reaches,
 which leaves the entry as it is, so a node that receives no other
-contribution is never visited. At an activation it multiplies the adjoint
-by the slope, computed from the stored output. At each layer of a run it
-recomputes the products W G_j and W L from the layer's input jet, so
-they are never stored, uses the third derivative s(1 - s)(1 - 6s + 6s^2)
-of a sigmoid, and adds the weight gradient of every row of the jet in one
-product. It scales the adjoint of a run in place, so a run is read only
-by a select and by the next run, which each build a fresh adjoint; the
-record refuses any other operation on one.
+contribution is never visited. At a pointwise op it computes each
+operand's adjoint from the stored operands and output. At each layer of
+a run it recomputes the products W G_j and W L from the layer's input
+jet, so they are never stored, uses the third derivative
+s(1 - s)(1 - 6s + 6s^2) of a sigmoid, and adds the weight gradient of
+every row of the jet in one product. It scales the adjoint of a run in
+place, so a run is read only by a select and by the next run, which each
+build a fresh adjoint; the record refuses any other operation on one.
 
 A record's inputs are fixed once recorded: batches, constants and
 weights of the loss alike. What a replay follows is the parameter
@@ -96,7 +106,8 @@ recomputing the whole record. A different input is a different record.
 from __future__ import annotations
 
 import functools
-from typing import Callable, Sequence
+import operator
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,12 +132,6 @@ _SIGMOID = 15
 _STACK = 16
 _SELECT = 17
 _LAYERS = 18  # a run of network layers mapping a row or a run's jet to a jet
-
-# Ops whose adjoint does not propagate to operands. The step function is
-# the recorded derivative of relu; its own derivative is zero everywhere
-# (the kink at 0 is assigned derivative 0).
-_NON_DIFFERENTIABLE = (_DETACH, _STEP)
-_ACTIVATIONS = ("sigmoid", "relu", None)
 
 
 class EvaluationError(RuntimeError):
@@ -166,8 +171,6 @@ def activate_in_place(act, z: np.ndarray) -> np.ndarray:
 def activate(act, z):
     """Activation `act` of a plain value, which is left unchanged: the
     arithmetic of ``activate_in_place`` on a float64 copy."""
-    if act is None:
-        return z
     return activate_in_place(act, np.array(z, dtype=np.float64))[()]
 
 
@@ -176,10 +179,61 @@ def _step_value(v):
     return np.greater(v, 0.0).astype(np.float64)
 
 
-def _slope_value(act, out):
-    """Derivative of activation `act` from its output `out`: s(1 - s) for
-    sigmoid, the step of the output for relu."""
-    return out * (1.0 - out) if act == "sigmoid" else _step_value(out)
+def _div_value(a, b):
+    if np.any(b == 0.0):
+        raise EvaluationError("(div): division by zero")
+    return a / b
+
+
+def _sqrt_value(v):
+    if np.any(v < 0.0):
+        raise EvaluationError("(sqrt): negative operand")
+    return np.sqrt(v)
+
+
+class _Pointwise(NamedTuple):
+    """A pointwise op: its `value` of plain operands, and for each operand
+    its adjoint from (output adjoint, operand values..., output value); an
+    op without adjoints passes no derivative. An elementary function f
+    also has its `slope` f'(x) and `curvature` f''(x) from (x, f(x)), each
+    zero when None: jets apply both (``Jet.apply``), and the backward pass
+    multiplies the output adjoint by the slope."""
+    value: Callable
+    adjoints: tuple = ()
+    slope: "Callable | None" = None
+    curvature: "Callable | None" = None
+
+
+def _function(value, slope=None, curvature=None) -> _Pointwise:
+    """The row of an elementary function: its one adjoint is the output
+    adjoint times its slope, and without a slope it has none."""
+    adjoints = () if slope is None else (lambda g, x, y: g * slope(x, y),)
+    return _Pointwise(value, adjoints, slope, curvature)
+
+
+# Every pointwise op. A slope or curvature reads the module's elementary
+# functions, so on a jet's parts it is recorded and on arrays it is plain.
+# The step function is the recorded derivative of relu; its own derivative
+# is zero everywhere (the kink at 0 is assigned derivative 0).
+_POINTWISE = {
+    _ADD: _Pointwise(operator.add, (lambda g, a, b, y: g, lambda g, a, b, y: g)),
+    _SUB: _Pointwise(operator.sub, (lambda g, a, b, y: g, lambda g, a, b, y: -g)),
+    _MUL: _Pointwise(operator.mul, (lambda g, a, b, y: g * b, lambda g, a, b, y: g * a)),
+    _DIV: _Pointwise(_div_value, (lambda g, a, b, y: g / b, lambda g, a, b, y: -g * y / b)),
+    _NEG: _Pointwise(operator.neg, (lambda g, x, y: -g,)),
+    _DETACH: _function(lambda v: v),
+    _STEP: _function(_step_value),
+    _EXP: _function(np.exp, lambda x, y: y, lambda x, y: y),
+    _SQRT: _function(_sqrt_value, lambda x, y: 0.5 / y, lambda x, y: -0.25 / (x * y)),
+    _RELU: _function(functools.partial(activate, "relu"), lambda x, y: step(y)),
+    _SIN: _function(np.sin, lambda x, y: cos(x), lambda x, y: -y),
+    _COS: _function(np.cos, lambda x, y: -sin(x), lambda x, y: -y),
+    _SIGMOID: _function(functools.partial(activate, "sigmoid"), lambda x, y: y * (1.0 - y),
+                        lambda x, y: y * (1.0 - y) * (1.0 - 2.0 * y)),
+}
+_NO_ADJOINT = frozenset(op for op, rule in _POINTWISE.items() if not rule.adjoints)
+# a layer's activation and its op, whose slope and curvature the layer reads
+_ACTIVATIONS = {"sigmoid": _SIGMOID, "relu": _RELU, None: None}
 
 
 # The layer arithmetic of the record, on arrays: a layer run evaluates
@@ -213,10 +267,11 @@ def layer_jet(jet, w, b, act, laplacian) -> np.ndarray:
     np.matmul(w, jet[1:], out=derivs)
     if act is None:
         return out
-    s1 = _slope_value(act, y)
+    rule = _POINTWISE[_ACTIVATIONS[act]]
+    s1 = rule.slope(None, y)
     curvature = None
-    if act == "sigmoid" and laplacian:  # read the products before they are scaled
-        curvature = sum(derivs[j] * derivs[j] for j in laplacian) * (s1 * (1.0 - 2.0 * y))
+    if rule.curvature is not None and laplacian:  # read the products before they are scaled
+        curvature = sum(derivs[j] * derivs[j] for j in laplacian) * rule.curvature(None, y)
     derivs *= s1
     if curvature is not None:
         derivs[-1] += curvature
@@ -229,7 +284,7 @@ def _layer_adjoint(adjoint, y, jet, w, act, laplacian) -> np.ndarray:
     `adjoint`, the adjoint of its output jet."""
     if act is None:
         return adjoint
-    s1 = _slope_value(act, y)
+    s1 = _POINTWISE[_ACTIVATIONS[act]].slope(None, y)
     # the step's own derivative is zero, and a value alone has no
     # derivative rows for the slope's derivative to reach
     if act == "relu" or len(adjoint) == 1:
@@ -546,40 +601,14 @@ class Tape:
             for layer in args[2]:  # each layer's jet is dropped for the next
                 jet = self._layer(args[1], layer, jet, args[4])
             return jet
+        rule = _POINTWISE.get(op)
+        if rule is not None:
+            try:
+                return rule.value(*[vals[a] for a in args])
+            except EvaluationError as err:
+                raise EvaluationError(f"node {i} {err}") from None
         if op == _CONST:
             return args[0]
-        if op == _ADD:
-            return vals[args[0]] + vals[args[1]]
-        if op == _SUB:
-            return vals[args[0]] - vals[args[1]]
-        if op == _MUL:
-            return vals[args[0]] * vals[args[1]]
-        if op == _DIV:
-            d = vals[args[1]]
-            if np.any(d == 0.0):
-                raise EvaluationError(f"node {i} (div): division by zero")
-            return vals[args[0]] / d
-        if op == _NEG:
-            return -vals[args[0]]
-        if op == _EXP:
-            return np.exp(vals[args[0]])
-        if op == _SQRT:
-            v = vals[args[0]]
-            if np.any(v < 0.0):
-                raise EvaluationError(f"node {i} (sqrt): negative operand")
-            return np.sqrt(v)
-        if op == _RELU:
-            return activate("relu", vals[args[0]])
-        if op == _STEP:
-            return _step_value(vals[args[0]])
-        if op == _SIN:
-            return np.sin(vals[args[0]])
-        if op == _COS:
-            return np.cos(vals[args[0]])
-        if op == _SIGMOID:
-            return activate("sigmoid", vals[args[0]])
-        if op == _DETACH:
-            return vals[args[0]]
         if op == _SUM:
             v, n = vals[args[0]], args[1]
             if not _is_batch(v):
@@ -666,10 +695,6 @@ class Tape:
         n = int(v.shape[0]) if _is_batch(v) else 1
         return self._push(_SUM, (x.index, n))
 
-    def detach(self, x: DiffScalar) -> DiffScalar:
-        """Value pass-through that blocks derivative flow."""
-        return self._unary(_DETACH, x)
-
     # ------------------------------------------------------------------
     # replay
 
@@ -742,7 +767,7 @@ class Tape:
         for r in roots:
             mask[r] = True
         for i in range(min(roots, default=0), len(ops)):
-            if not mask[i] and ops[i] not in _NON_DIFFERENTIABLE:
+            if not mask[i] and ops[i] not in _NO_ADJOINT:
                 mask[i] = any(mask[a] for a in self._operands(i))
         return mask
 
@@ -805,46 +830,11 @@ class Tape:
                 if useful[x]:
                     # a run takes the whole jet's adjoint, a row its value row's
                     accumulate(x, a_out if ops[x] == _LAYERS else a_out[0])
-            elif op == _ADD:
-                if useful[a[0]]:
-                    accumulate(a[0], a_out)
-                if useful[a[1]]:
-                    accumulate(a[1], a_out)
-            elif op == _SUB:
-                if useful[a[0]]:
-                    accumulate(a[0], a_out)
-                if useful[a[1]]:
-                    accumulate(a[1], -a_out)
-            elif op == _MUL:
-                if useful[a[0]]:
-                    accumulate(a[0], a_out * vals[a[1]])
-                if useful[a[1]]:
-                    accumulate(a[1], a_out * vals[a[0]])
-            elif op == _DIV:
-                num, den = a
-                if useful[num]:
-                    accumulate(num, a_out / vals[den])
-                if useful[den]:
-                    accumulate(den, -a_out * vals[i] / vals[den])
-            elif op == _NEG:
-                if useful[a[0]]:
-                    accumulate(a[0], -a_out)
-            elif op == _EXP:
-                if useful[a[0]]:
-                    accumulate(a[0], a_out * vals[i])
-            elif op == _SQRT:
-                if useful[a[0]]:
-                    accumulate(a[0], a_out * 0.5 / vals[i])
-            elif op in (_RELU, _SIGMOID):
-                if useful[a[0]]:
-                    act = "relu" if op == _RELU else "sigmoid"
-                    accumulate(a[0], a_out * _slope_value(act, vals[i]))
-            elif op == _SIN:
-                if useful[a[0]]:
-                    accumulate(a[0], a_out * np.cos(vals[a[0]]))
-            elif op == _COS:
-                if useful[a[0]]:
-                    accumulate(a[0], -a_out * np.sin(vals[a[0]]))
+            elif (rule := _POINTWISE.get(op)) is not None:
+                operands = [vals[k] for k in a]
+                for k, adjoint in zip(a, rule.adjoints):
+                    if useful[k]:
+                        accumulate(k, adjoint(a_out, *operands, vals[i]))
             elif op == _SUM:
                 x, n = a
                 if useful[x]:
@@ -887,52 +877,53 @@ class Tape:
 # ----------------------------------------------------------------------
 # elementary functions usable on DiffScalar, Jet or plain numbers
 
-def _elementary(x, op: int, plain: Callable, slope=None, curvature=None):
-    """Recorded `op` of a DiffScalar, `plain` of a plain number, and the
-    chain rule on a jet, with `slope` and `curvature` as ``Jet.apply`` takes."""
+def _elementary(x, op: int):
+    """Recorded `op` of a DiffScalar, its value of a plain number, and the
+    chain rule on a jet with the op's slope and curvature."""
+    rule = _POINTWISE[op]
     if isinstance(x, Jet):
-        return x.apply(_elementary(x.value, op, plain), slope, curvature)
+        return x.apply(_elementary(x.value, op), rule.slope, rule.curvature)
     if isinstance(x, DiffScalar):
         return x.tape._unary(op, x)
-    return plain(x)
+    return rule.value(x)
 
 
 def exp(x):
-    return _elementary(x, _EXP, np.exp, lambda v, y: y, lambda v, y: y)
+    return _elementary(x, _EXP)
 
 
 def sqrt(x):
-    return _elementary(x, _SQRT, np.sqrt, lambda v, y: 0.5 / y, lambda v, y: -0.25 / (v * y))
+    """Square root; a negative operand raises EvaluationError."""
+    return _elementary(x, _SQRT)
 
 
 def relu(x):
     """max(0, x); derivative at exactly 0 is defined as 0."""
-    return _elementary(x, _RELU, lambda v: activate("relu", v), lambda v, y: step(y))
+    return _elementary(x, _RELU)
 
 
 def step(x):
     """1 where x > 0, else 0; recorded with zero derivative everywhere."""
-    return _elementary(x, _STEP, lambda v: np.where(np.asarray(v) > 0.0, 1.0, 0.0))
+    return _elementary(x, _STEP)
 
 
 def sin(x):
-    return _elementary(x, _SIN, np.sin, lambda v, y: cos(v), lambda v, y: -y)
+    return _elementary(x, _SIN)
 
 
 def cos(x):
-    return _elementary(x, _COS, np.cos, lambda v, y: -sin(v), lambda v, y: -y)
+    return _elementary(x, _COS)
 
 
 def sigmoid(x):
     """1/(1+exp(-x)); recorded as one primitive with slope s(1-s)."""
-    return _elementary(x, _SIGMOID, lambda v: activate("sigmoid", v),
-                       lambda v, y: y * (1.0 - y), lambda v, y: y * (1.0 - y) * (1.0 - 2.0 * y))
+    return _elementary(x, _SIGMOID)
 
 
 def detach(x):
-    if isinstance(x, DiffScalar):
-        return x.tape.detach(x)
-    return x
+    """Value pass-through that blocks derivative flow: a constant jet of a
+    jet's value."""
+    return _elementary(x, _DETACH)
 
 
 # ----------------------------------------------------------------------

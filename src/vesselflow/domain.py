@@ -13,7 +13,6 @@ the plaque exactly where `reference_radius` is below R (`on_plaque`).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
@@ -125,14 +124,6 @@ class SampleSet:
 
     def __len__(self):
         return len(self.r)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r_cm", "z_cm", "t_s", "region"])
-            for r, z, t in zip(self.r, self.z, self.t):
-                writer.writerow([repr(float(r)), repr(float(z)), repr(float(t)),
-                                 self.region.value])
 
 
 def sample(geometry: VesselGeometry, region: RegionTag, count: int, seed: int,

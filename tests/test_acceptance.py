@@ -1,7 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a pass line.
 
-Criteria 4 (the Poiseuille check), 7 (the momentum-weight ladder) and 9
-(plaque-severity ordering) are not yet tests.
+Criterion 4 (the Poiseuille check) trains three runs, so it is `slow`; it
+is a strict expected failure until training meets it. Criteria 7 (the
+momentum-weight ladder) and 9 (plaque-severity ordering) are not yet
+tests.
 """
 
 import dataclasses
@@ -181,6 +183,51 @@ def test_criterion_3_manufactured_solutions():
     assert elapsed < 60
     report(3, f"max residuals: momentum/mass {worst_ns:.2e}, ring {worst_sc:.2e}, "
               f"harmonic {worst_he:.2e} in {elapsed:.1f}s")
+
+
+# ----------------------------------------------------------------------
+# 4. the Poiseuille check: poiseuille-rigid trained from scratch
+
+# `analysis.relative_error` is dt * sum over times of a volume-weighted
+# squared mismatch ratio, over the 2 s horizon: a zero field scores 2.0,
+# and 1e-3 is an RMS relative error of about sqrt(1e-3 / 2) = 2.2%.
+CRITERION_4_ERROR = 1e-3
+CRITERION_4_TOLERANCE = 0.02  # relative, on the outlet flux and the axis pressure drop
+
+
+@pytest.mark.slow
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP items 1, 12, 13, 2 and 9: the flow loss does not have the oracle "
+    "as its zero, and the pressure network goes dead"))
+def test_criterion_4_poiseuille():
+    config = preset("poiseuille-rigid")
+    geometry, fluid = config.vessel_geometry(), config.fluid_properties()
+    u_max, r0, length = config.inlet.steady_value_cm_per_s, geometry.radius, geometry.length
+    grid = analysis.EvaluationGrid.build(geometry, 32, 32, 8)
+    flux_oracle = np.pi * u_max * r0**2 / 2.0
+    drop_oracle = -float(analysis.pressure_drop_oracle(length, u_max, r0, fluid.viscosity))
+    failures = []
+    for seed in (0, 1, 2):  # one test: a pass at one seed is a fail
+        networks = build_networks(config, seed)
+        start = time.perf_counter()
+        history = Trainer(config, networks, seed=seed).run()
+        wall = time.perf_counter() - start
+        flow = NetworkFlow(networks["u"], networks["p"])
+        error = analysis.relative_error(
+            analysis.speed_field(flow, ZeroDisplacement()),
+            lambda r, z, t: analysis.poiseuille_oracle(r, u_max, r0), grid)
+        flux = analysis.outlet_flux(flow, ZeroDisplacement(), np.array([1.0]), geometry)[0]
+        p_in, p_out = networks["p"].evaluate(np.array([[0.0, 0.0, 1.0], [0.0, length, 1.0]]))[:, 0]
+        ratio, drop = flux / flux_oracle, p_in - p_out
+        print(f"seed {seed}: {len(history)} epochs, {wall:.1f} s, error {error:.6f}, "
+              f"flux ratio {ratio:.5f}, dP {drop:.4g} (oracle {drop_oracle:.4g})")
+        if not (error <= CRITERION_4_ERROR
+                and abs(ratio - 1.0) <= CRITERION_4_TOLERANCE
+                and abs(drop - drop_oracle) <= CRITERION_4_TOLERANCE * drop_oracle):
+            failures.append(seed)
+    assert not failures, f"seeds {failures} miss criterion 4"
+    report(4, "poiseuille-rigid meets the error, flux and pressure-drop thresholds "
+              "at seeds 0, 1 and 2")
 
 
 # ----------------------------------------------------------------------

@@ -144,15 +144,6 @@ class TestSampling:
         with pytest.raises(domain.GeometryError):
             sample(CYLINDER, RegionTag.INLET, 0, seed=0)
 
-    def test_csv_export(self, tmp_path):
-        s = sample(PLAQUED, RegionTag.WALL, 10, seed=0)
-        path = tmp_path / "pts.csv"
-        s.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "r_cm,z_cm,t_s,region"
-        assert len(lines) == 11
-        assert {line.rsplit(",", 1)[1] for line in lines[1:]} == {"wall"}
-
 
 class TestAleMap:
     """`physics.current_frame`, the map from reference to current
