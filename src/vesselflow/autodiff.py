@@ -846,9 +846,12 @@ class Tape:
             elif op == _SELECT:
                 x, k, part = a
                 if useful[x]:
-                    row = np.zeros(np.shape(vals[x]))
-                    row[part, k] = a_out
-                    accumulate(x, row)
+                    # every select of a run adds into one zero adjoint,
+                    # which only the run reads (``_not_layers``)
+                    jet = adj.get(x)
+                    if jet is None:
+                        jet = adj[x] = np.zeros(np.shape(vals[x]))
+                    jet[part, k] += a_out
         return grads
 
     def _layer_backward(self, group: str, layer: tuple, laplacian, adjoint: np.ndarray,
@@ -867,7 +870,10 @@ class Tape:
         g = grads.get(group)
         if g is not None:
             # one product per row of the jet, summed over the rows
-            weights = np.matmul(adjoint, jet.transpose(0, 2, 1)).sum(axis=0)
+            if len(jet) == 1:
+                weights = adjoint[0] @ jet[0].T
+            else:
+                weights = np.matmul(adjoint, jet.transpose(0, 2, 1)).sum(axis=0)
             g[offset:offset + w.size] += weights.ravel()
             if bias is not None:
                 g[bias:bias + shape[0]] += adjoint[0].sum(axis=1)
