@@ -31,7 +31,12 @@ layers, not neurons: a stack joins k pointwise nodes, at least one of
 them a batch, into a row of k (shape (k, n): unit-major, the point axis
 last and contiguous), a layer run maps a row or the previous run's jet
 through consecutive layers and holds its last jet alone, and a select node
-reads one entry of one row of a jet back out, a contiguous batch.
+reads one entry of one row of a jet back out, a contiguous batch. A part
+node (``Tape.part``) reads points lo:hi of a batch, a view of it; a
+scalar is its own part. So a record reads each network once per jet
+shape: the point sets that need the same derivatives of a network share
+one read over their union, which costs one layer run per layer where a
+read per set cost one per set, and each set takes its part.
 
 A network read is one call, ``Tape.layers``, on a row: it seeds the jet
 and records a chain of runs, whose length the record chooses. A record
@@ -88,9 +93,12 @@ operand's adjoint from the stored operands and output. At each layer of
 a run it recomputes the products W G_j and W L from the layer's input
 jet, so they are never stored, uses the third derivative
 s(1 - s)(1 - 6s + 6s^2) of a sigmoid, and adds the weight gradient of
-every row of the jet in one product. It scales the adjoint of a run in
-place, so a run is read only by a select and by the next run, which each
-build a fresh adjoint; the record refuses any other operation on one.
+every row of the jet in one product (one 2-D product for a jet of values
+alone). It scales the adjoint of a run in place, so a run is read only by
+a select, whose adjoints all add into one zero adjoint of the run's
+shape, and by the next run, which builds a fresh one; the record refuses
+any other operation on one. A part adds its adjoint into the points
+lo:hi of a zero batch.
 
 A record's inputs are fixed once recorded: batches, constants and
 weights of the loss alike. What a replay follows is the parameter
@@ -132,6 +140,7 @@ _SIGMOID = 15
 _STACK = 16
 _SELECT = 17
 _LAYERS = 18  # a run of network layers mapping a row or a run's jet to a jet
+_PART = 19  # points lo:hi of a batch
 
 
 class EvaluationError(RuntimeError):
@@ -620,6 +629,9 @@ class Tape:
         if op == _SELECT:
             x, k, part = args
             return vals[x][part][k]
+        if op == _PART:
+            x, lo, hi = args
+            return vals[x][lo:hi]
         raise RecordError(f"node {i}: op {op} cannot be re-evaluated")
 
     def _binary(self, op, a: DiffScalar, b: DiffScalar) -> DiffScalar:
@@ -659,6 +671,18 @@ class Tape:
         if part is None or not self._is_run(x):
             raise RecordError("select reads a row of a layer run's jet by part")
         return self._push(_SELECT, (x.index, k, part))
+
+    def part(self, x: DiffScalar, lo: int, hi: int) -> DiffScalar:
+        """Points lo:hi of a batch, a view of it; a scalar, equal at every
+        point, is its own part. A record that reads a network once over
+        the union of several point sets hands each set its part."""
+        self._not_layers(x)
+        v = x.value
+        if not _is_batch(v):
+            return x
+        if v.ndim != 1 or not 0 <= lo < hi <= len(v):
+            raise RecordError(f"no part {lo}:{hi} of a batch of shape {v.shape}")
+        return self._push(_PART, (x.index, lo, hi))
 
     def layers(self, row: DiffScalar, group: str, layers: Sequence[tuple],
                directions: Sequence[int] = (),
@@ -751,7 +775,7 @@ class Tape:
         op = self._ops[i]
         if op == _CONST:
             return ()
-        if op in (_SUM, _SELECT, _LAYERS):
+        if op in (_SUM, _SELECT, _PART, _LAYERS):
             return self._args[i][:1]
         return self._args[i]
 
@@ -852,6 +876,12 @@ class Tape:
                     if jet is None:
                         jet = adj[x] = np.zeros(np.shape(vals[x]))
                     jet[part, k] += a_out
+            elif op == _PART:
+                x, lo, hi = a
+                if useful[x]:
+                    batch = np.zeros(len(vals[x]))
+                    batch[lo:hi] = a_out
+                    accumulate(x, batch)
         return grads
 
     def _layer_backward(self, group: str, layer: tuple, laplacian, adjoint: np.ndarray,

@@ -2,7 +2,11 @@
 
 Each residual is one public function that records its components on a
 given record from batches of input nodes; the loss records call these
-same functions and take the mean square of each. All residuals are
+same functions and take the mean square of each. The residuals that read
+the velocity's value alone take it as an argument: a loss record reads
+each network once per jet shape, so one value-only read
+(``current_velocity``) serves all those point sets and each residual
+takes its part of it (``ad.Tape.part``). All residuals are
 written against field adapters, so the same code path serves trained
 networks and closed-form manufactured fields. Velocity
 and pressure are functions of current-frame coordinates; those
@@ -209,6 +213,14 @@ def current_frame(tape, r, z, t, displacement):
     return r + _direction_node(tape, r) * displacement.radial(tape, r, z, t).value
 
 
+def current_velocity(tape, r, z, t, flow, displacement):
+    """The flow's value-only read at reference points (r, z, t): their
+    current-frame radius r_t and the velocity (u_z, u_r) there."""
+    r_t = current_frame(tape, r, z, t, displacement)
+    u_z, u_r = (jet.value for jet in flow.velocity(tape, r_t, z, t))
+    return r_t, u_z, u_r
+
+
 # ----------------------------------------------------------------------
 # residuals
 #
@@ -296,12 +308,11 @@ def stress_continuity_residual(tape, z, t, direction, flow, displacement, geomet
     return eta.laplacian + b_node * eta.value - load
 
 
-def inlet_residual(tape, r, z, t, flow, displacement, geometry, inlet_factor):
-    """Inlet mismatch at a batch of inlet points: the axial velocity less
-    the parabolic profile scaled by `inlet_factor(t)`, and the radial
-    velocity."""
-    r_t = current_frame(tape, r, z, t, displacement)
-    u_z, u_r = (jet.value for jet in flow.velocity(tape, r_t, z, t))
+def inlet_residual(tape, t, r_t, u_z, u_r, geometry, inlet_factor):
+    """Inlet mismatch at a batch of inlet points at times t, given their
+    current-frame radius r_t and the velocity (u_z, u_r) there: the axial
+    velocity less the parabolic profile scaled by `inlet_factor(t)`, and
+    the radial velocity."""
     profile = 1.0 - (r_t * r_t) * (1.0 / geometry.radius**2)
     target = tape.batch(inlet_factor(t.value)) * profile
     return u_z - target, u_r
@@ -321,24 +332,20 @@ def outlet_residual(tape, r, z, t, flow, displacement, fluid):
     return res_r, res_z
 
 
-def interface_residual(tape, r, z, t, flow, displacement):
-    """No-slip on the moving wall: the fluid's radial velocity less the
-    wall's, and its axial velocity. The wall velocity d eta/dt is a
-    detached target, so the flow loss steers the displacement network
-    only through where the fields are read."""
-    eta = displacement.radial(tape, r, z, t, (T,))
-    deta_dt = ad.detach(eta.grads[0])
-    direction = _direction_node(tape, r)
-    r_t = r + direction * eta.value
-    u_z, u_r = (jet.value for jet in flow.velocity(tape, r_t, z, t))
-    return u_r - direction * deta_dt, u_z
+def interface_residual(tape, r, z, t, u_z, u_r, displacement):
+    """No-slip on the moving wall at a batch of wall points, given the
+    velocity (u_z, u_r) at their current-frame images: the fluid's radial
+    velocity less the wall's, and its axial velocity. The wall velocity
+    d eta/dt is a detached target, so the flow loss steers the
+    displacement network only through where the fields are read."""
+    deta_dt = ad.detach(displacement.radial(tape, r, z, t, (T,)).grads[0])
+    return u_r - _direction_node(tape, r) * deta_dt, u_z
 
 
-def initial_fluid_residual(tape, r, z, t, flow, displacement):
-    """Rest-state mismatch at t=0: the velocity components. The wall
-    problem's is the radial displacement itself."""
-    r_t = current_frame(tape, r, z, t, displacement)
-    return tuple(jet.value for jet in flow.velocity(tape, r_t, z, t))
+def initial_fluid_residual(u_z, u_r):
+    """Rest-state mismatch at t=0, given the velocity (u_z, u_r) there: its
+    components. The wall problem's is the radial displacement itself."""
+    return u_z, u_r
 
 
 def mean_square(tape, components: Sequence[ad.DiffScalar]) -> ad.DiffScalar:
@@ -386,6 +393,19 @@ def _batch_inputs(tape, sample_set: SampleSet):
     return tape.batch(sample_set.r), tape.batch(sample_set.z), tape.batch(sample_set.t)
 
 
+def _joined_inputs(tape, sets: Sequence[SampleSet]):
+    """Batches (r, z, t) over the union of collocation `sets`, in order,
+    and each set's points (lo, hi) in it."""
+    inputs = tuple(tape.batch(np.concatenate([getattr(s, k) for s in sets])) for k in "rzt")
+    ends = np.cumsum([len(s) for s in sets]).tolist()
+    return inputs, list(zip([0] + ends[:-1], ends))
+
+
+def _parts(tape, points: tuple, *xs) -> list:
+    """The parts at `points` (lo, hi) of batches over a union of sets."""
+    return [tape.part(x, *points) for x in xs]
+
+
 def _weighted_union(tape, parts: list[tuple[int, ad.DiffScalar]]) -> ad.DiffScalar:
     """Size-weighted combination of sub-means, equal to the mean over the
     union of the sub-batches."""
@@ -404,7 +424,11 @@ class FluidLossGraph:
     constant of the record: a stage that raises the momentum weight
     builds a new record on the same draw. The record trains the flow
     networks u and p: each of its reads of the displacement network is
-    one layer run of the whole network, which keeps no layer values."""
+    one layer run of the whole network, which keeps no layer values. It
+    reads each network once per jet shape: the inlet, wall and t = 0
+    points, which need the velocity's value alone, share one
+    `current_velocity` over their union, and each set's residual takes
+    its part."""
 
     trained = ("u", "p")
     # the `LossBreakdown` fields that `breakdown` fills, weighted total last
@@ -420,27 +444,25 @@ class FluidLossGraph:
         res = ns_residual_axisym(tape, r, z, t, flow, displacement, fluid, eps_r)
         self.term_ns = mean_square(tape, res)
 
-        r, z, t = _batch_inputs(tape, samples.inlet)
-        inlet_res = inlet_residual(tape, r, z, t, flow, displacement, geometry, inlet_factor)
-        inlet_mean = mean_square(tape, inlet_res)
+        (r, z, t), (inlet, wall, init) = _joined_inputs(
+            tape, (samples.inlet, samples.wall, samples.interior_t0))
+        r_t, u_z, u_r = current_velocity(tape, r, z, t, flow, displacement)
+        inlet_mean = mean_square(tape, inlet_residual(
+            tape, *_parts(tape, inlet, t, r_t, u_z, u_r), geometry, inlet_factor))
+        wall_mean = mean_square(tape, interface_residual(
+            tape, *_parts(tape, wall, r, z, t, u_z, u_r), displacement))
+        self.term_init = mean_square(tape, initial_fluid_residual(
+            *_parts(tape, init, u_z, u_r)))
 
         r, z, t = _batch_inputs(tape, samples.outlet)
-        outlet_res = outlet_residual(tape, r, z, t, flow, displacement, fluid)
-        outlet_mean = mean_square(tape, outlet_res)
-
-        r, z, t = _batch_inputs(tape, samples.wall)
-        wall_res = interface_residual(tape, r, z, t, flow, displacement)
-        wall_mean = mean_square(tape, wall_res)
+        outlet_mean = mean_square(tape, outlet_residual(
+            tape, r, z, t, flow, displacement, fluid))
 
         self.term_bdr = _weighted_union(tape, [
             (len(samples.inlet), inlet_mean),
             (len(samples.outlet), outlet_mean),
             (len(samples.wall), wall_mean),
         ])
-
-        r, z, t = _batch_inputs(tape, samples.interior_t0)
-        init_res = initial_fluid_residual(tape, r, z, t, flow, displacement)
-        self.term_init = mean_square(tape, init_res)
 
         self.alpha_ns = weights.ns
         self.total = ((tape.constant(weights.ns) * self.term_ns
@@ -466,7 +488,8 @@ class SolidLossGraph:
     `[WALL_PLAQUE]`. Fluid quantities inside the ring load are constants.
     The record trains the displacement network d: each of its reads of u
     and p is one layer run of the whole network, which keeps no layer
-    values."""
+    values. The endpoint and t = 0 terms share one value-only read of d
+    over their union, each taking its part."""
 
     trained = ("d",)
     terms = ("stress", "harmonic", "solid_bdr", "solid_init", "solid_total")
@@ -492,11 +515,10 @@ class SolidLossGraph:
         self.term_harmonic = mean_square(
             tape, [harmonic_residual(tape, r, z, t, displacement, eps_r)])
 
-        r, z, t = _batch_inputs(tape, samples.endpoints)
-        self.term_bdr = mean_square(tape, [displacement.radial(tape, r, z, t).value])
-
-        r, z, t = _batch_inputs(tape, samples.wall_t0)
-        self.term_init = mean_square(tape, [displacement.radial(tape, r, z, t).value])
+        (r, z, t), (ends, init) = _joined_inputs(tape, (samples.endpoints, samples.wall_t0))
+        eta = displacement.radial(tape, r, z, t).value
+        self.term_bdr = mean_square(tape, _parts(tape, ends, eta))
+        self.term_init = mean_square(tape, _parts(tape, init, eta))
 
         self.total = (((tape.constant(weights.stress) * self.term_stress
                         + tape.constant(weights.harmonic) * self.term_harmonic)

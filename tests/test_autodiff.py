@@ -723,7 +723,8 @@ class TestLayerReaders:
         lambda tape, y: tape.mean(y),
         lambda tape, y: tape.stack([y]),
         lambda tape, y: ad.detach(y),
-    ], ids=["add", "mul", "neg", "sigmoid", "mean", "stack", "detach"])
+        lambda tape, y: tape.part(y, 0, 1),
+    ], ids=["add", "mul", "neg", "sigmoid", "mean", "stack", "detach", "part"])
     def test_layer_refused_as_operand(self, use):
         tape, _, y = self.layer()
         with pytest.raises(ad.RecordError):
@@ -750,6 +751,62 @@ class TestLayerReaders:
         want = np.array([np.mean(da * slope[:, 0] * x), np.mean(db * slope[:, 1] * x),
                          np.mean(da * slope[:, 0]), np.mean(db * slope[:, 1])])
         np.testing.assert_allclose(grad, want, rtol=1e-14)
+
+
+class TestPart:
+    """`Tape.part`: points lo:hi of a batch, which a record that reads a
+    network once over several point sets hands to each set."""
+
+    def test_value_is_a_view_of_the_points(self):
+        tape = ad.Tape()
+        x = tape.batch(np.arange(6.0))
+        y = tape.part(x, 2, 5)
+        assert y.value.tolist() == [2.0, 3.0, 4.0]
+        assert np.shares_memory(y.value, x.value)
+
+    def test_mean_adjoint_is_spread_over_the_part_alone(self):
+        # point k of x is entry k of "w", so the gradient of "w" is the
+        # adjoint of x at each point
+        n, lo, hi = 6, 1, 4
+        tape = ad.Tape()
+        tape.register_params("w", np.arange(1.0, n + 1.0))
+        x = sum(weight(tape, "w", k) * tape.batch(np.eye(n)[k]) for k in range(n))
+        grad = tape.backward_values(tape.mean(tape.part(x, lo, hi)), ["w"])["w"]
+        want = np.zeros(n)
+        want[lo:hi] = 1.0 / (hi - lo)
+        assert grad.tolist() == want.tolist()
+
+    def test_replay_after_a_change_equals_a_fresh_record(self):
+        net = nets.build(4, 6, 3, 2, seed=3, name="u")
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=(10, 3))
+
+        def record():
+            tape = ad.Tape()
+            u_z, u_r = net.jet(tape, [tape.batch(pts[:, k]) for k in range(3)], (0,))
+            parts = [tape.part(u_z.value, 0, 4), tape.part(u_r.grads[0], 4, 10)]
+            return tape, parts + [tape.mean(parts[0] * parts[0]) + tape.mean(parts[1])]
+
+        tape, got = record()
+        net.theta += 0.1 * np.random.default_rng(4).standard_normal(net.theta.size)
+        tape.replay()
+        fresh, want = record()
+        for a, b in zip(got, want):
+            assert np.asarray(a.value).tobytes() == np.asarray(b.value).tobytes()
+        for a, b in zip(tape._vals, fresh._vals):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_scalar_passes_through(self):
+        tape = ad.Tape()
+        c = tape.constant(2.5)
+        assert tape.part(c, 3, 7) is c
+        m = tape.mean(tape.batch([1.0, 2.0]))
+        assert tape.part(m, 0, 1) is m
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 2), (2, 2), (3, 1), (0, 4)])
+    def test_points_outside_the_batch_refused(self, lo, hi):
+        tape = ad.Tape()
+        with pytest.raises(ad.RecordError, match="no part"):
+            tape.part(tape.batch([1.0, 2.0, 3.0]), lo, hi)
 
 
 class TestLayerRuns:

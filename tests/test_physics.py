@@ -14,7 +14,7 @@ from vesselflow.physics import (
     T, AnalyticDisplacement, AnalyticFlow, CollocationSamples, FluidLossGraph,
     FluidProperties, LossWeights, NetworkDisplacement,
     NetworkFlow, PhysicsError, SolidLossGraph, WallProperties, ZeroDisplacement,
-    draw_samples, harmonic_residual, initial_fluid_residual, inlet_residual,
+    current_velocity, draw_samples, harmonic_residual, initial_fluid_residual, inlet_residual,
     interface_residual, mean_square, ns_residual_axisym, outlet_residual,
     stress_continuity_residual,
 )
@@ -44,6 +44,28 @@ def on_tape(point):
     or as floats (one point, a batch of one)."""
     tape = ad.Tape()
     return (tape, *(tape.batch(np.atleast_1d(v)) for v in point))
+
+
+def read_on_tape(point, flow, disp):
+    """A fresh record with batches (r, z, t) of points and the flow's
+    value-only read there: (tape, r, z, t, r_t, u_z, u_r)."""
+    tape, r, z, t = on_tape(point)
+    return (tape, r, z, t, *current_velocity(tape, r, z, t, flow, disp))
+
+
+def inlet_at(point, flow, disp, inlet_factor):
+    tape, _, _, t, *read = read_on_tape(point, flow, disp)
+    return inlet_residual(tape, t, *read, GEOM, inlet_factor)
+
+
+def interface_at(point, flow, disp):
+    tape, r, z, t, _, u_z, u_r = read_on_tape(point, flow, disp)
+    return interface_residual(tape, r, z, t, u_z, u_r, disp)
+
+
+def initial_at(point, flow, disp):
+    *_, u_z, u_r = read_on_tape(point, flow, disp)
+    return initial_fluid_residual(u_z, u_r)
 
 
 def wall_residual(flow, disp, point, wall, geometry=GEOM):
@@ -187,14 +209,12 @@ class TestFluidBoundaryResiduals:
 
     def test_inlet_peak_on_centerline(self):
         flow = AnalyticFlow(lambda r, z, t: 20.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
-        res = inlet_residual(*on_tape((0.0, 0.0, 0.5)), flow, ZERO_DISP, GEOM,
-                             self.inlet_factor)
+        res = inlet_at((0.0, 0.0, 0.5), flow, ZERO_DISP, self.inlet_factor)
         assert all(abs(c.value) < 1e-12 for c in res)
 
     def test_inlet_wall_edge_zero_velocity(self):
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
-        res = inlet_residual(*on_tape((R0, 0.0, 0.77)), flow, ZERO_DISP, GEOM,
-                             self.inlet_factor)
+        res = inlet_at((R0, 0.0, 0.77), flow, ZERO_DISP, self.inlet_factor)
         assert all(abs(c.value) < 1e-12 for c in res)
 
     def test_outlet_traction_free_for_poiseuille_shearless_axis(self):
@@ -209,24 +229,24 @@ class TestFluidBoundaryResiduals:
     def test_interface_rest_wall(self):
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
         disp = AnalyticDisplacement(lambda r, z, t: 0.01)  # time-constant
-        res = interface_residual(*on_tape((R0, 0.6, 0.2)), flow, disp)
+        res = interface_at((R0, 0.6, 0.2), flow, disp)
         assert all(abs(c.value) < 1e-14 for c in res)
 
     def test_interface_moving_wall_matches_velocity(self):
         speed = 0.35
         disp = AnalyticDisplacement(lambda r, z, t: speed * t)
         flow = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: speed, lambda r, z, t: 0.0)
-        res = interface_residual(*on_tape((R0, 0.6, 0.2)), flow, disp)
+        res = interface_at((R0, 0.6, 0.2), flow, disp)
         assert all(abs(c.value) < 1e-14 for c in res)
         # mirrored side needs the signed radial component
         flow_neg = AnalyticFlow(lambda r, z, t: 0.0, lambda r, z, t: -speed, lambda r, z, t: 0.0)
-        res = interface_residual(*on_tape((-R0, 0.6, 0.2)), flow_neg, disp)
+        res = interface_at((-R0, 0.6, 0.2), flow_neg, disp)
         assert all(abs(c.value) < 1e-14 for c in res)
 
 
 class TestInitialResiduals:
     def test_rest_fluid(self):
-        res = initial_fluid_residual(*on_tape((0.1, 0.3, 0.0)), REST_FLOW, ZERO_DISP)
+        res = initial_at((0.1, 0.3, 0.0), REST_FLOW, ZERO_DISP)
         assert [c.value for c in res] == [0.0, 0.0]
 
     def test_rest_solid(self):
@@ -236,7 +256,7 @@ class TestInitialResiduals:
 
     def test_unit_axial_start(self):
         flow = AnalyticFlow(lambda r, z, t: 1.0, lambda r, z, t: 0.0, lambda r, z, t: 0.0)
-        res = initial_fluid_residual(*on_tape((0.1, 0.3, 0.0)), flow, ZERO_DISP)
+        res = initial_at((0.1, 0.3, 0.0), flow, ZERO_DISP)
         assert np.hypot(res[0].value, res[1].value) == pytest.approx(1.0)
 
 
@@ -457,7 +477,11 @@ class TestDetachPolicy:
             loss = mean_square(tape, residual(tape, r, z, t))
             return tape.backward_values(loss, ["d"])["d"]
 
-        assert np.all(d_gradient(lambda *rzt: interface_residual(*rzt, flow, disp)) == 0.0)
+        def interface(tape, r, z, t):
+            _, u_z, u_r = current_velocity(tape, r, z, t, flow, disp)
+            return interface_residual(tape, r, z, t, u_z, u_r, disp)
+
+        assert np.all(d_gradient(interface) == 0.0)
         assert np.any(d_gradient(lambda *rzt: [disp.radial(*rzt, (T,)).grads[0]]) != 0.0)
 
     def test_coordinate_path_stays_live(self):
@@ -692,15 +716,17 @@ class TestIncrementalReplay:
     # outlet and p at the interior; the solid record d at the wall and in
     # the interior
     JETS = {"fluid": {"u": 2, "p": 1}, "solid": {"d": 2}}
-    # and the chains that read values alone: the fluid record's u at the
-    # inlet, wall and initial points, p at the outlet; the solid record's
-    # d at the ports and the initial points
-    VALUES = {"fluid": {"u": 3, "p": 1}, "solid": {"d": 2}}
+    # and the chains that read values alone, one per network: the fluid
+    # record's u over the inlet, wall and initial points together, p at the
+    # outlet; the solid record's d over the endpoints and the initial
+    # points together
+    VALUES = {"fluid": {"u": 1, "p": 1}, "solid": {"d": 1}}
     # reads of the networks a record does not train, each one run of
     # every layer:
-    # the fluid record's d in every current frame and along t at the wall;
+    # the fluid record's d in the current frame of the interior, the
+    # outlet and the joined value-only points, and along t at the wall;
     # the solid record's u and p at the wall
-    FROZEN = {"fluid": {"d": 5}, "solid": {"u": 1, "p": 1}}
+    FROZEN = {"fluid": {"d": 4}, "solid": {"u": 1, "p": 1}}
 
     @pytest.mark.parametrize("record", ["fluid", "solid"])
     def test_relu_tangent_stores_no_bare_product(self, record):
@@ -975,10 +1001,21 @@ def builder_mean(residual, sample_set, *args):
     return float(mean_square(tape, res if isinstance(res, tuple) else [res]).value)
 
 
+def joined_on_tape(sets):
+    """A fresh record with batches (r, z, t) over the union of collocation
+    `sets`, in order, and the parts of a batch over it at each set."""
+    tape, r, z, t = on_tape([np.concatenate([getattr(s, k) for s in sets]) for k in "rzt"])
+    ends = np.cumsum([len(s) for s in sets]).tolist()
+    parts = [lambda *xs, lo=lo, hi=hi: [tape.part(x, lo, hi) for x in xs]
+             for lo, hi in zip([0] + ends[:-1], ends)]
+    return (tape, r, z, t), parts
+
+
 class TestRecordTerms:
     """Every term of a loss record is the mean square of its public
     residual on the same points, bit for bit: the records build their terms
-    from the same functions the residual tests check."""
+    from the same functions the residual tests check, the value-only ones
+    on one read over the union of their point sets."""
 
     def test_fluid_terms(self):
         u, p, d = make_nets(seed=8)
@@ -988,16 +1025,35 @@ class TestRecordTerms:
                                LossWeights(ns=1e-3), EPS_R)
         assert float(graph.term_ns.value) == builder_mean(
             ns_residual_axisym, samples.interior, flow, disp, FLUID, EPS_R)
-        parts = [(samples.inlet, inlet_residual, (flow, disp, GEOM, steady_factor)),
-                 (samples.outlet, outlet_residual, (flow, disp, FLUID)),
-                 (samples.wall, interface_residual, (flow, disp))]
+
+        (tape, r, z, t), (inlet, wall, init) = joined_on_tape(
+            (samples.inlet, samples.wall, samples.interior_t0))
+        r_t, u_z, u_r = current_velocity(tape, r, z, t, flow, disp)
+        means = {
+            "inlet": mean_square(tape, inlet_residual(
+                tape, *inlet(t, r_t, u_z, u_r), GEOM, steady_factor)).value,
+            "outlet": builder_mean(outlet_residual, samples.outlet, flow, disp, FLUID),
+            "wall": mean_square(tape, interface_residual(
+                tape, *wall(r, z, t, u_z, u_r), disp)).value,
+        }
         want = 0.0
-        for sample_set, residual, args in parts:
-            want += float(len(sample_set)) * builder_mean(residual, sample_set, *args)
-        size = sum(len(sample_set) for sample_set, *_ in parts)
+        for name, mean in means.items():
+            want += float(len(getattr(samples, name))) * float(mean)
+        size = sum(len(getattr(samples, name)) for name in means)
         assert float(graph.term_bdr.value) == want * (1.0 / size)
-        assert float(graph.term_init.value) == builder_mean(
-            initial_fluid_residual, samples.interior_t0, flow, disp)
+        assert float(graph.term_init.value) == float(
+            mean_square(tape, initial_fluid_residual(*init(u_z, u_r))).value)
+
+        # each part of the joined read is the read of its set alone, up to
+        # the last bits of a wider product
+        def alone(sample_set):
+            tape, r, z, t = on_tape((sample_set.r, sample_set.z, sample_set.t))
+            return current_velocity(tape, r, z, t, flow, disp)
+
+        for parts, sample_set in ((inlet, samples.inlet), (wall, samples.wall),
+                                  (init, samples.interior_t0)):
+            for got, want in zip(parts(r_t, u_z, u_r), alone(sample_set)):
+                np.testing.assert_allclose(got.value, want.value, rtol=1e-13, atol=1e-15)
 
     def test_solid_terms(self):
         u, p, d = make_nets(seed=8)
@@ -1008,8 +1064,7 @@ class TestRecordTerms:
         assert float(graph.term_harmonic.value) == builder_mean(
             harmonic_residual, samples.interior, disp, EPS_R)
 
-        def radial(tape, r, z, t):
-            return disp.radial(tape, r, z, t).value
-
-        assert float(graph.term_bdr.value) == builder_mean(radial, samples.endpoints)
-        assert float(graph.term_init.value) == builder_mean(radial, samples.wall_t0)
+        (tape, r, z, t), (ends, init) = joined_on_tape((samples.endpoints, samples.wall_t0))
+        eta = disp.radial(tape, r, z, t).value
+        assert float(graph.term_bdr.value) == float(mean_square(tape, ends(eta)).value)
+        assert float(graph.term_init.value) == float(mean_square(tape, init(eta)).value)
