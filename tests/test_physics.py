@@ -14,8 +14,8 @@ from vesselflow.physics import (
     T, AnalyticDisplacement, AnalyticFlow, CollocationSamples, FluidLossGraph,
     FluidProperties, LossWeights, NetworkDisplacement,
     NetworkFlow, PhysicsError, SolidLossGraph, WallProperties, ZeroDisplacement,
-    current_velocity, draw_samples, harmonic_residual, initial_fluid_residual, inlet_residual,
-    interface_residual, mean_square, ns_residual_axisym, outlet_residual,
+    current_velocity, draw_samples, harmonic_residual, initial_fluid_residual,
+    inlet_residual, interface_residual, mean_square, ns_residual_axisym, outlet_residual,
     stress_continuity_residual,
 )
 from vesselflow.trainer import build_networks
