@@ -35,8 +35,7 @@ reads one entry of one row of a jet back out, a contiguous batch. A part
 node (``Tape.part``) reads points lo:hi of a batch, a view of it; a
 scalar is its own part. So a record reads each network once per jet
 shape: the point sets that need the same derivatives of a network share
-one read over their union, which costs one layer run per layer where a
-read per set cost one per set, and each set takes its part.
+one read over their union, and each set takes its part.
 
 A network read is one call, ``Tape.layers``, on a row: it seeds the jet
 and records a chain of runs, whose length the record chooses. A record
