@@ -17,9 +17,10 @@ functions) is one row of a table keyed by opcode: its value of plain
 operands, which recording, replay and a plain-number call all compute,
 and for each operand its adjoint, which is all the backward pass knows of
 it; an op with no adjoint passes no derivative. The row of an elementary
-function f also holds its slope f' and curvature f'', each written once:
-a jet applies both, the backward pass multiplies the output adjoint by
-the slope, and a layer reads its activation's.
+function f also holds its slope f' and curvature f'', each written once,
+the curvature given the slope: a jet applies both, the backward pass
+multiplies the output adjoint by the slope, and a layer reads its
+activation's.
 
 Every batched input is a lockstep batch: a 1-d array holding one
 independent value per collocation point, evaluated together; a single
@@ -69,13 +70,20 @@ row of the op table, read from y: s(1 - s) and s(1 - s)(1 - 2s) for
 sigmoid, the step of y and 0 for relu, 1 and 0 for none, and D is the
 Laplacian's direction set. The pre-activation a is never stored: no
 derivative rule reads it. This arithmetic and its adjoint are written
-once, on arrays (``layer_jet``,
-``_layer_adjoint``). Every product runs along the point axis: the value
-row is W x, a product of its own over the n columns so that its bits do
-not depend on the directions; the derivative rows are one batched W G;
-the input adjoint is one batched W^T times the output adjoint; the
-weight gradient is one batched product of the adjoint with each input
-row's transpose, summed over the rows.
+once, on arrays (``layer_jet``, ``_layer_adjoint``). On a jet with
+derivative rows, a sigmoid layer, forward and adjoint, computes s1 once
+and s2 from it as s1 (1 - 2s), sums the Laplacian's squares into one
+row, and writes every further intermediate into a row it owns rather
+than a new array per operation. Each element still goes through the
+same floating-point operations in the same order as the reference
+arithmetic in ``tests/test_autodiff.py``, so no bit moves. A relu layer
+multiplies by its step as a float64 mask: numpy multiplies by a bool
+array through a slower, buffered cast. Every product runs along the
+point axis: the value row is W x, a product of its own over the n
+columns so that its bits do not depend on the directions; the
+derivative rows are one batched W G; the input adjoint is one batched
+W^T times the output adjoint; the weight gradient is one batched product
+of the adjoint with each input row's transpose, summed over the rows.
 ``nets.FieldNetwork.evaluate`` runs ``layer_jet`` itself on a jet without
 directions, so it equals a recorded forward bit for bit.
 ``activate_in_place`` is the one activation arithmetic of layer runs and
@@ -203,9 +211,10 @@ class _Pointwise(NamedTuple):
     """A pointwise op: its `value` of plain operands, and for each operand
     its adjoint from (output adjoint, operand values..., output value); an
     op without adjoints passes no derivative. An elementary function f
-    also has its `slope` f'(x) and `curvature` f''(x) from (x, f(x)), each
-    zero when None: jets apply both (``Jet.apply``), and the backward pass
-    multiplies the output adjoint by the slope."""
+    also has its `slope` f'(x) from (x, f(x)) and its `curvature` f''(x)
+    from (x, f(x), f'(x)), each zero when None: jets apply both
+    (``Jet.apply``), and the backward pass multiplies the output adjoint by
+    the slope."""
     value: Callable
     adjoints: tuple = ()
     slope: "Callable | None" = None
@@ -231,13 +240,13 @@ _POINTWISE = {
     _NEG: _Pointwise(operator.neg, (lambda g, x, y: -g,)),
     _DETACH: _function(lambda v: v),
     _STEP: _function(_step_value),
-    _EXP: _function(np.exp, lambda x, y: y, lambda x, y: y),
-    _SQRT: _function(_sqrt_value, lambda x, y: 0.5 / y, lambda x, y: -0.25 / (x * y)),
+    _EXP: _function(np.exp, lambda x, y: y, lambda x, y, s1: y),
+    _SQRT: _function(_sqrt_value, lambda x, y: 0.5 / y, lambda x, y, s1: -0.25 / (x * y)),
     _RELU: _function(functools.partial(activate, "relu"), lambda x, y: step(y)),
-    _SIN: _function(np.sin, lambda x, y: cos(x), lambda x, y: -y),
-    _COS: _function(np.cos, lambda x, y: -sin(x), lambda x, y: -y),
+    _SIN: _function(np.sin, lambda x, y: cos(x), lambda x, y, s1: -y),
+    _COS: _function(np.cos, lambda x, y: -sin(x), lambda x, y, s1: -y),
     _SIGMOID: _function(functools.partial(activate, "sigmoid"), lambda x, y: y * (1.0 - y),
-                        lambda x, y: y * (1.0 - y) * (1.0 - 2.0 * y)),
+                        lambda x, y, s1: s1 * (1.0 - 2.0 * y)),
 }
 _NO_ADJOINT = frozenset(op for op, rule in _POINTWISE.items() if not rule.adjoints)
 # a layer's activation and its op, whose slope and curvature the layer reads
@@ -277,13 +286,26 @@ def layer_jet(jet, w, b, act, laplacian) -> np.ndarray:
         return out
     rule = _POINTWISE[_ACTIVATIONS[act]]
     s1 = rule.slope(None, y)
-    curvature = None
+    squares = None
     if rule.curvature is not None and laplacian:  # read the products before they are scaled
-        curvature = sum(derivs[j] * derivs[j] for j in laplacian) * rule.curvature(None, y)
+        squares = _squares(derivs, laplacian)
+        squares *= rule.curvature(None, y, s1)
     derivs *= s1
-    if curvature is not None:
-        derivs[-1] += curvature
+    if squares is not None:
+        derivs[-1] += squares
     return out
+
+
+def _squares(derivs, laplacian) -> np.ndarray:
+    """Sum over the positions j in `laplacian` of derivs[j]^2, in order, in
+    one new row."""
+    first, *rest = laplacian
+    squares = np.multiply(derivs[first], derivs[first])
+    if rest:
+        row = np.empty_like(squares)
+        for j in rest:
+            squares += np.multiply(derivs[j], derivs[j], out=row)
+    return squares
 
 
 def _layer_adjoint(adjoint, y, jet, w, act, laplacian) -> np.ndarray:
@@ -300,21 +322,30 @@ def _layer_adjoint(adjoint, y, jet, w, act, laplacian) -> np.ndarray:
         return adjoint
     # s1 and s2 depend on the pre-activation too: ds1/da = s2 = s1 (1 - 2s)
     # and ds2/da = s1 (1 - 6 s1). `inner` is the adjoint they pass to
-    # the pre-activation, divided by s1.
+    # the pre-activation, divided by s1; `row` is scratch.
     derivs = w @ jet[1:]
-    curve = 1.0 - 2.0 * y
     inner = np.einsum("j...,j...->...", adjoint[1:], derivs)
+    curve = np.multiply(y, 2.0)
+    np.subtract(1.0, curve, out=curve)
     inner *= curve
+    row = np.empty_like(y)
     if laplacian:
-        lap_bar = adjoint[-1]
-        squares = sum(derivs[j] * derivs[j] for j in laplacian)
-        inner += (1.0 - 6.0 * s1) * (lap_bar * squares)
-        twice = 2.0 * (s1 * curve) * lap_bar
+        squares = _squares(derivs, laplacian)
+        squares *= adjoint[-1]
+        np.multiply(s1, 6.0, out=row)
+        np.subtract(1.0, row, out=row)
+        row *= squares
+        inner += row
+        twice = curve  # 2 s2 times the Laplacian row's adjoint
+        twice *= s1
+        twice *= 2.0
+        twice *= adjoint[-1]
     adjoint *= s1
     if laplacian:
         for j in laplacian:
-            adjoint[1 + j] += twice * derivs[j]
-    adjoint[0] += s1 * inner
+            adjoint[1 + j] += np.multiply(twice, derivs[j], out=row)
+    inner *= s1
+    adjoint[0] += inner
     return adjoint
 
 
@@ -470,14 +501,15 @@ class Jet:
 
     def apply(self, value, slope=None, curvature=None) -> "Jet":
         """f(x) at this jet's value x, given `value` = f(x), slope(x, value)
-        = f'(x) and curvature(x, value) = f''(x), each zero when None."""
+        = f'(x) and curvature(x, value, f'(x)) = f''(x), each zero when
+        None."""
         if slope is None or all(_zero(g) for g in (*self.grads, self.laplacian)):
             return self.lift(value)
         s1 = slope(self.value, value)
         lap = _times(s1, self.laplacian)
         squares = self._dot(self.grads, self.grads)
         if curvature is not None and not _zero(squares):
-            lap = _plus(lap, _times(curvature(self.value, value), squares))
+            lap = _plus(lap, _times(curvature(self.value, value, s1), squares))
         return Jet(value, (_times(s1, g) for g in self.grads), lap, self.sums)
 
 

@@ -189,7 +189,7 @@ def load_networks(path) -> tuple[dict[str, FieldNetwork], dict[str, np.ndarray]]
     """Networks and extras written by ``save_networks``; a ValueError when
     the header is not an object mapping each name to a positive integer
     depth and a list of positive integer widths, or when a parameter
-    vector is not 1-d float64."""
+    vector is not 1-d float64 or holds a value that is not finite."""
     # np.load leaves a file it opened itself open when the archive cannot
     # be read, so the file is opened, and closed, here.
     with open(path, "rb") as fh, np.load(fh) as data:
@@ -211,6 +211,9 @@ def load_networks(path) -> tuple[dict[str, FieldNetwork], dict[str, np.ndarray]]
             if theta.dtype != np.float64 or theta.ndim != 1:
                 raise ValueError(f"{name}: parameter vector is {theta.ndim}-d {theta.dtype}, "
                                  "not 1-d float64")
+            bad = np.flatnonzero(~np.isfinite(theta))
+            if bad.size:
+                raise ValueError(f"{name}: parameter {bad[0]} is {theta[bad[0]]}, not finite")
             nets[name] = FieldNetwork(name, info["depth"], info["widths"], theta.copy())
         for key in data.files:
             if key.startswith("extra_"):

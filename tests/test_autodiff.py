@@ -704,6 +704,114 @@ class TestFusedLayer:
             tape.layers(x, "w", [(0, (1, 1), 1, "tanh")], (0,))
 
 
+class TestLayerKernelBits:
+    """``ad.layer_jet`` and ``ad._layer_adjoint`` give, bit for bit, the
+    layer arithmetic as first written, kept here as the reference: each
+    slope, curvature, square and product a new array, and the Laplacian's
+    squares summed from 0. The inputs hold saturated pre-activations
+    (|a| >= 40), exact zeros and -0.0."""
+
+    @staticmethod
+    def reference_slope(act, y):
+        return y * (1.0 - y) if act == "sigmoid" else np.greater(y, 0.0).astype(np.float64)
+
+    def reference_layer_jet(self, jet, w, b, act, laplacian):
+        out = np.empty((len(jet), w.shape[0], jet.shape[2]))
+        y = out[0]
+        np.matmul(w, jet[0], out=y)
+        if b is not None:
+            y += b[:, None]
+        ad.activate_in_place(act, y)
+        if len(out) == 1:
+            return out
+        derivs = out[1:]
+        np.matmul(w, jet[1:], out=derivs)
+        if act is None:
+            return out
+        s1 = self.reference_slope(act, y)
+        curvature = None
+        if act == "sigmoid" and laplacian:
+            curvature = (sum(derivs[j] * derivs[j] for j in laplacian)
+                         * (y * (1.0 - y) * (1.0 - 2.0 * y)))
+        derivs *= s1
+        if curvature is not None:
+            derivs[-1] += curvature
+        return out
+
+    def reference_adjoint(self, adjoint, y, jet, w, act, laplacian):
+        if act is None:
+            return adjoint
+        s1 = self.reference_slope(act, y)
+        if act == "relu" or len(adjoint) == 1:
+            adjoint *= s1
+            return adjoint
+        derivs = w @ jet[1:]
+        curve = 1.0 - 2.0 * y
+        inner = np.einsum("j...,j...->...", adjoint[1:], derivs)
+        inner *= curve
+        if laplacian:
+            lap_bar = adjoint[-1]
+            squares = sum(derivs[j] * derivs[j] for j in laplacian)
+            inner += (1.0 - 6.0 * s1) * (lap_bar * squares)
+            twice = 2.0 * (s1 * curve) * lap_bar
+        adjoint *= s1
+        if laplacian:
+            for j in laplacian:
+                adjoint[1 + j] += twice * derivs[j]
+        adjoint[0] += s1 * inner
+        return adjoint
+
+    @staticmethod
+    def inputs(rows, seed):
+        """A jet of `rows` rows over 3 units and 16 points, a 4 x 3 layer
+        and an adjoint of its output jet."""
+        rng = np.random.default_rng(seed)
+        jet = rng.standard_normal((rows, 3, 16))
+        jet[0, :, :4] *= 80.0
+        jet[0, :, 4] = 0.0
+        jet[0, :, 5] = -0.0
+        jet[1:, :, 6] = 0.0
+        jet[1:, 0, 7] = -0.0
+        w = rng.standard_normal((4, 3))
+        b = np.array([0.0, -0.0, 0.7, -45.0])
+        adjoint = rng.standard_normal((rows, 4, 16))
+        adjoint[:, :, 8] = 0.0
+        adjoint[:, 1, 9] = -0.0
+        return jet, w, b, adjoint
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    # (rows, Laplacian positions): a value alone; first derivatives alone;
+    # d2/dt2 along one direction; the r-z Laplacian; the plaque wall's
+    # (R, Z, T) with a Laplacian along T
+    @pytest.mark.parametrize("rows,laplacian", [
+        (1, ()), (2, ()), (3, ()), (4, ()), (3, (0,)), (4, (0, 1)), (5, (2,)), (5, (0, 1)),
+    ])
+    @pytest.mark.parametrize("act", ["sigmoid", "relu", None])
+    def test_same_bits_as_the_reference(self, act, rows, laplacian):
+        for seed, bias in ((0, True), (1, False), (2, True)):
+            jet, w, b, adjoint = self.inputs(rows, seed)
+            b = b if bias else None
+            pre = w @ jet[0] + (0.0 if b is None else b[:, None])
+            assert np.any(pre >= 40.0) and np.any(pre <= -40.0)
+            before = jet.copy()
+            want = self.reference_layer_jet(jet, w, b, act, laplacian)
+            self.assert_same_bits(ad.layer_jet(jet, w, b, act, laplacian), want)
+            y = want[0].copy()
+            if act == "sigmoid":
+                assert np.any(y == 1.0) and np.any(y < 1e-17)
+            given = adjoint.copy()
+            got = ad._layer_adjoint(given, y, jet, w, act, laplacian)
+            assert got is given  # written over the output jet's adjoint
+            self.assert_same_bits(
+                got, self.reference_adjoint(adjoint.copy(), y, jet, w, act, laplacian))
+            self.assert_same_bits(jet, before)
+            self.assert_same_bits(y, want[0])  # the value row is only read
+
+
 class TestLayerReaders:
     """The backward pass scales a layer run's adjoint in place, so only a
     select and the next run, which each build a fresh adjoint, may read a

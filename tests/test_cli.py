@@ -543,6 +543,31 @@ class TestBadInput:
             assert err.endswith("not 1-d float64\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("name,index,poison", [("u", 5, "one-nan"), ("d", 0, "all-inf")])
+    def test_parameter_vector_not_finite(self, tmp_path, checkpoint_args, capsys,
+                                         name, index, poison):
+        # a non-finite parameter would otherwise print a finite error or
+        # write NaN speeds with exit code 0
+        seeded = tmp_path / "seeded.npz"
+        bad = tmp_path / f"{poison}.npz"
+        with np.load(seeded) as data:
+            arrays = {key: data[key] for key in data.files}
+        theta = arrays[f"theta_{name}"]
+        if poison == "one-nan":
+            theta[index] = np.nan
+        else:
+            theta[:] = np.inf
+        np.savez(bad, **arrays)
+        args = [*checkpoint_args[:2], "--checkpoint", str(bad)]
+        out = tmp_path / "out.csv"
+        for command in (["evaluate"], ["probe", "--out", str(out)],
+                        ["export-fields", "--out", str(out)]):
+            assert main([*command, *args]) == 2
+            assert capsys.readouterr().err == (
+                f"error: cannot load checkpoint {bad}: {name}: parameter {index} is "
+                f"{theta[index]}, not finite\n")
+        assert not out.exists()
+
     def test_config_that_is_not_text(self, checkpoint_args, capsys):
         # a checkpoint passed where the config belongs
         ckpt = checkpoint_args[3]
