@@ -228,6 +228,24 @@ def _function(value, slope=None, curvature=None) -> _Pointwise:
     return _Pointwise(value, adjoints, slope, curvature)
 
 
+def _sigmoid_slope(x, y):
+    """s(1 - s) at y = s. Its augmented assignments update the new array
+    1 - y in place, and rebind a recorded or plain value, so this one
+    formula serves records, layers and numbers alike."""
+    s1 = 1.0 - y
+    s1 *= y
+    return s1
+
+
+def _sigmoid_curvature(x, y, s1):
+    """s(1 - s)(1 - 2s) at y = s from the slope s1, as (-2s + 1) s1: the
+    bits of s1 (1 - 2s), in one new array."""
+    s2 = y * -2.0
+    s2 += 1.0
+    s2 *= s1
+    return s2
+
+
 # Every pointwise op. A slope or curvature reads the module's elementary
 # functions, so on a jet's parts it is recorded and on arrays it is plain.
 # The step function is the recorded derivative of relu; its own derivative
@@ -245,8 +263,8 @@ _POINTWISE = {
     _RELU: _function(functools.partial(activate, "relu"), lambda x, y: step(y)),
     _SIN: _function(np.sin, lambda x, y: cos(x), lambda x, y, s1: -y),
     _COS: _function(np.cos, lambda x, y: -sin(x), lambda x, y, s1: -y),
-    _SIGMOID: _function(functools.partial(activate, "sigmoid"), lambda x, y: y * (1.0 - y),
-                        lambda x, y, s1: s1 * (1.0 - 2.0 * y)),
+    _SIGMOID: _function(functools.partial(activate, "sigmoid"), _sigmoid_slope,
+                        _sigmoid_curvature),
 }
 _NO_ADJOINT = frozenset(op for op, rule in _POINTWISE.items() if not rule.adjoints)
 # a layer's activation and its op, whose slope and curvature the layer reads
