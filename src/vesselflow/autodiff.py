@@ -74,13 +74,13 @@ once, on arrays (``layer_jet``, ``_layer_adjoint``). On a jet with
 derivative rows, a sigmoid layer, forward and adjoint, computes s1 once
 and s2 from it as s1 (1 - 2s), sums the Laplacian's squares into one
 row, and writes every further intermediate into a row it owns rather
-than a new array per operation. Each element still goes through the
-same floating-point operations in the same order as the reference
-arithmetic in ``tests/test_autodiff.py``, so no bit moves. A relu layer
-multiplies by its step as a float64 mask: numpy multiplies by a bool
-array through a slower, buffered cast. Every product runs along the
-point axis: the value row is W x, a product of its own over the n
-columns so that its bits do not depend on the directions; the
+than a new array per operation. Each element goes through the same
+floating-point operations in the same order as in the reference
+arithmetic that ``tests/test_autodiff.py`` keeps, so no bit moves. A
+relu layer multiplies by its step as a float64 mask: numpy multiplies
+by a bool array through a slower, buffered cast. Every product runs
+along the point axis: the value row is W x, a product of its own over
+the n columns so that its bits do not depend on the directions; the
 derivative rows are one batched W G; the input adjoint is one batched
 W^T times the output adjoint; the weight gradient is one batched product
 of the adjoint with each input row's transpose, summed over the rows.
@@ -343,11 +343,11 @@ def _layer_adjoint(adjoint, y, jet, w, act, laplacian) -> np.ndarray:
     # the pre-activation, divided by s1; `row` is scratch.
     derivs = w @ jet[1:]
     inner = np.einsum("j...,j...->...", adjoint[1:], derivs)
-    curve = np.multiply(y, 2.0)
-    np.subtract(1.0, curve, out=curve)
+    curve = y * -2.0
+    curve += 1.0
     inner *= curve
-    row = np.empty_like(y)
     if laplacian:
+        row = np.empty_like(y)
         squares = _squares(derivs, laplacian)
         squares *= adjoint[-1]
         np.multiply(s1, 6.0, out=row)
