@@ -340,18 +340,18 @@ def _layer_adjoint(adjoint, y, jet, w, act, laplacian) -> np.ndarray:
         return adjoint
     # s1 and s2 depend on the pre-activation too: ds1/da = s2 = s1 (1 - 2s)
     # and ds2/da = s1 (1 - 6 s1). `inner` is the adjoint they pass to
-    # the pre-activation, divided by s1; `row` is scratch.
+    # the pre-activation, divided by s1. Each factor is built in place in
+    # a row of its own, in the form of the table's sigmoid curvature.
     derivs = w @ jet[1:]
     inner = np.einsum("j...,j...->...", adjoint[1:], derivs)
-    curve = y * -2.0
+    curve = y * -2.0  # 1 - 2s
     curve += 1.0
     inner *= curve
     if laplacian:
-        row = np.empty_like(y)
         squares = _squares(derivs, laplacian)
         squares *= adjoint[-1]
-        np.multiply(s1, 6.0, out=row)
-        np.subtract(1.0, row, out=row)
+        row = s1 * -6.0  # 1 - 6 s1, then scratch
+        row += 1.0
         row *= squares
         inner += row
         twice = curve  # 2 s2 times the Laplacian row's adjoint
