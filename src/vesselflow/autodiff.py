@@ -116,6 +116,11 @@ Those nodes go through the same floating-point operations in the same
 order as when they were recorded, and every other stored value is
 already what they would give, so a replay is bit-identical to
 recomputing the whole record. A different input is a different record.
+A replay writes each layer run's new jet over the array the run holds
+(the inner jets of a run of several layers stay transient), so it does
+not hold a run's old and new jet at once; recording, the backward pass
+and every evaluation outside a replay write new arrays. A select's value
+is a view of its run, so a value kept across a replay changes with it.
 """
 
 from __future__ import annotations
@@ -285,12 +290,15 @@ def _seed_jet(row, directions, laplacian: bool) -> np.ndarray:
     return jet
 
 
-def layer_jet(jet, w, b, act, laplacian) -> np.ndarray:
+def layer_jet(jet, w, b, act, laplacian, out=None) -> np.ndarray:
     """`jet` mapped through the layer act(W x + b) (no bias when b is
     None), as the module docstring writes it; `laplacian` holds the
     positions of the directions the Laplacian sums. The value row has a
-    product of its own, so its bits do not depend on the directions."""
-    out = np.empty((len(jet), w.shape[0], jet.shape[2]))
+    product of its own, so its bits do not depend on the directions.
+    Written into `out` when given, an array of the result's shape that
+    shares no memory with `jet`, else into a new array."""
+    if out is None:
+        out = np.empty((len(jet), w.shape[0], jet.shape[2]))
     y = out[0]
     np.matmul(w, jet[0], out=y)
     if b is not None:
@@ -567,6 +575,7 @@ class Tape:
         # groups changed since then.
         self._snapshots: dict[str, np.ndarray] = {}
         self._changed: set = set()
+        self._replaying = False  # layer runs write over their stored jets
         # Walk results that depend only on the record's structure, for the
         # current record length.
         self._memo_len = 0
@@ -647,18 +656,22 @@ class Tape:
         jet = self._vals[x]
         return jet if self._ops[x] == _LAYERS else _seed_jet(jet, directions, bool(laplacian))
 
-    def _layer(self, group: str, layer: tuple, jet: np.ndarray, laplacian) -> np.ndarray:
-        return layer_jet(jet, *self._weights(group, layer), layer[3], laplacian)
+    def _layer(self, group: str, layer: tuple, jet: np.ndarray, laplacian,
+               out=None) -> np.ndarray:
+        return layer_jet(jet, *self._weights(group, layer), layer[3], laplacian, out)
 
     def _eval(self, i: int):
         op = self._ops[i]
         args = self._args[i]
         vals = self._vals
         if op == _LAYERS:  # first: the most frequent node a replay evaluates
+            _, group, layers, _, laplacian = args
             jet = self._run_input(i)
-            for layer in args[2]:  # each layer's jet is dropped for the next
-                jet = self._layer(args[1], layer, jet, args[4])
-            return jet
+            for layer in layers[:-1]:  # each inner jet is dropped for the next
+                jet = self._layer(group, layer, jet, laplacian)
+            # a replay writes the last jet over the one the run holds
+            out = vals[i] if self._replaying else None
+            return self._layer(group, layers[-1], jet, laplacian, out)
         rule = _POINTWISE.get(op)
         if rule is not None:
             try:
@@ -785,8 +798,12 @@ class Tape:
         if not changed:
             return
         vals = self._vals
-        for i in self._stale_nodes(frozenset(changed)):
-            vals[i] = self._eval(i)
+        self._replaying = True
+        try:
+            for i in self._stale_nodes(frozenset(changed)):
+                vals[i] = self._eval(i)
+        finally:
+            self._replaying = False
         # cleared only once every stale node is recomputed, so a replay
         # that raised leaves the changes for the next one
         changed.clear()

@@ -155,6 +155,9 @@ def _reference_from_csv(path):
                 except (TypeError, ValueError):  # a short row reads None
                     raise CliError(f"reference file {path}, line {reader.line_num}: "
                                    "a cell is not a number")
+                if not np.all(np.isfinite((t, r, z, u_z, u_r))):
+                    raise CliError(f"reference file {path}, line {reader.line_num}: "
+                                   "a cell is not finite")
                 table[(round(t, 12), round(r, 12), round(z, 12))] = np.hypot(u_z, u_r)
     except UnicodeDecodeError:
         raise CliError(f"reference file {path} is not UTF-8 text")

@@ -355,6 +355,24 @@ class TestIncrementalReplay:
         for got, want in zip(tape._vals, fresh._vals):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
+    @pytest.mark.parametrize("trained", [None, ()], ids=["per-layer", "whole-read"])
+    def test_eval_outside_a_replay_returns_a_new_array(self, trained):
+        # only a replay writes a run over the jet it holds; a comparison of
+        # a recomputed record with the stored one must see two arrays
+        net = nets.build(4, 5, 2, 1, seed=2, name="w")
+        tape = ad.Tape(trained=trained)
+        leaves = [tape.batch([0.1, 0.4, -0.2]), tape.batch([1.0, 0.5, 0.3])]
+        net.jet(tape, leaves, (0, 1), laplacian=(0,))
+        runs = [i for i, op in enumerate(tape._ops) if op == ad._LAYERS]
+        assert len(runs) == (net.depth if trained is None else 1)
+        net.theta *= 1.5
+        tape.replay()  # a replay, then calls outside one
+        for i in runs:
+            held = tape._vals[i]
+            got = tape._eval(i)
+            assert not np.shares_memory(got, held), i
+            assert got.tobytes() == held.tobytes(), i
+
     def test_failed_replay_is_retried(self):
         tape = ad.Tape()
         theta = np.array([1.0])

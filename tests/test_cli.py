@@ -603,6 +603,23 @@ class TestBadInput:
         assert capsys.readouterr().err == (f"error: reference file {fields}, line 3: "
                                            "a cell is not a number\n")
 
+    @pytest.mark.parametrize("column, cell", [(3, "nan"), (4, "inf")],
+                             ids=["u_z-nan", "u_r-inf"])
+    def test_reference_cell_not_finite(self, tmp_path, checkpoint_args, capsys, column, cell):
+        # float() reads both, and the error would print as nan
+        fields = tmp_path / "fields.csv"
+        grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
+        assert main(["export-fields", *checkpoint_args, *grid, "--out", str(fields)]) == 0
+        capsys.readouterr()
+        lines = fields.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = cell
+        lines[2] = ",".join(cells)
+        fields.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 2
+        assert capsys.readouterr().err == (f"error: reference file {fields}, line 3: "
+                                           "a cell is not finite\n")
+
     @pytest.mark.parametrize("command", [["evaluate", "--reference"],
                                          ["export-fields", "--out"], ["probe", "--out"]],
                              ids=["evaluate", "export-fields", "probe"])

@@ -650,6 +650,24 @@ class TestIncrementalReplay:
             assert_same_values(graph.tape._vals, full_replay(graph.tape))
             assert_same_values(graph.tape._vals, self.solid_graph(u, p, d).tape._vals)
 
+    @pytest.mark.parametrize("record", ["fluid", "solid"])
+    @pytest.mark.parametrize("changed", ["u", "p", "d"])
+    def test_replay_keeps_each_layer_array(self, record, changed):
+        # a replay writes each stale run's jet over the array it holds
+        u, p, d = make_nets(seed=7)
+        build = {"fluid": lambda: self.fluid_graph(u, p, d, 1e-3),
+                 "solid": lambda: self.solid_graph(u, p, d)}[record]
+        graph = build()
+        tape = graph.tape
+        runs = {i: tape._vals[i] for i, op in enumerate(tape._ops) if op == ad._LAYERS}
+        assert runs
+        net = {"u": u, "p": p, "d": d}[changed]
+        net.theta += 1e-2 * np.random.default_rng(7).standard_normal(net.theta.size)
+        graph.replay()
+        for i, held in runs.items():
+            assert tape._vals[i] is held, i
+        assert_same_values(tape._vals, build().tape._vals)
+
     def test_activation_slopes_are_shared(self):
         # the residuals differentiate each network several times; no slope
         # is recorded: every layer run computes its activations'
