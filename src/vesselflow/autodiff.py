@@ -575,7 +575,7 @@ class Tape:
         # groups changed since then.
         self._snapshots: dict[str, np.ndarray] = {}
         self._changed: set = set()
-        self._replaying = False  # layer runs write over their stored jets
+        self._replaying = False  # inside replay: layer runs write over their jets
         # Walk results that depend only on the record's structure, for the
         # current record length.
         self._memo_len = 0
