@@ -28,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .domain import VesselGeometry, radial_direction, reference_radius
-from .physics import current_frame
+from .physics import current_velocity
 
 
 class AnalysisError(ValueError):
@@ -174,7 +174,8 @@ def probe(points: Sequence[tuple], times: np.ndarray, flow, displacement) -> lis
 def _read_current(flow, displacement, r, z, t):
     """(u_z, u_r, p, eta) at the current-frame images of reference points
     (r, z, t), with no record: the ALE shift is computed in the order
-    `physics.current_frame` records it, so the values are bitwise equal."""
+    `physics.current_velocity` records it, so the values are bitwise equal
+    to a recorded read's."""
     eta = displacement.read(r, z, t)
     return (*flow.read(r + radial_direction(r) * eta, z, t), eta)
 
@@ -191,11 +192,8 @@ def speed_field(flow, displacement) -> Callable:
     def field(r_arr, z_arr, t):
         n = len(r_arr)
         tape = ad.Tape(trained=())
-        r = tape.batch(r_arr)
-        z = tape.batch(z_arr)
-        tt = tape.batch(np.full(n, float(t)))
-        r_t = current_frame(tape, r, z, tt, displacement)
-        u_z, u_r = (u.value for u in flow.velocity(tape, r_t, z, tt))
+        _, u_z, u_r = current_velocity(tape, tape.batch(r_arr), tape.batch(z_arr),
+                                       tape.batch(np.full(n, float(t))), flow, displacement)
         return np.hypot(np.broadcast_to(np.asarray(u_z.value, dtype=np.float64), (n,)),
                         np.broadcast_to(np.asarray(u_r.value, dtype=np.float64), (n,)))
 

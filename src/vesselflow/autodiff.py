@@ -90,7 +90,14 @@ directions, so it equals a recorded forward bit for bit.
 ``sigmoid``/``relu``: a layer activates its freshly computed product in
 place, while ``activate`` works on a copy and leaves its input as it is.
 
-The backward pass gives every adjoint the shape of its node's value:
+As it records a node, the record notes the parameter groups the node's
+value reads and those its adjoint reaches: a layer run adds its own group
+to its operand's, every other node takes the union of its operands', and
+an op without an adjoint reaches none. A replay follows the first, the
+backward pass the second; neither walks the record to find them.
+
+The backward pass visits only the nodes whose adjoint reaches a group it
+differentiates, and gives every adjoint the shape of its node's value:
 summed over a batch axis the node lacks, repeated over one it has. It
 drops a contribution that is a scalar exact zero, such as the adjoint of a
 term whose weight is 0: that adds ±0 to every gradient entry it reaches,
@@ -116,11 +123,11 @@ Those nodes go through the same floating-point operations in the same
 order as when they were recorded, and every other stored value is
 already what they would give, so a replay is bit-identical to
 recomputing the whole record. A different input is a different record.
-A replay writes each layer run's new jet over the array the run holds
-(the inner jets of a run of several layers stay transient), so it does
-not hold a run's old and new jet at once; recording, the backward pass
-and every evaluation outside a replay write new arrays. A select's value
-is a view of its run, so a value kept across a replay changes with it.
+A layer run writes its last jet over the array it holds (the inner jets
+of a run of several layers stay transient), so a replay does not hold a
+run's old and new jet at once; while a run is recorded it holds none,
+and its jet is a new array. A select's value is a view of its run, so a
+value kept across a replay changes with it.
 """
 
 from __future__ import annotations
@@ -569,17 +576,15 @@ class Tape:
         self._ops: list[int] = []
         self._args: list[tuple] = []
         self._vals: list = []
+        # the parameter groups each node's value reads and its adjoint reaches
+        self._reads: list[frozenset] = []
+        self._reaches: list[frozenset] = []
         self._groups: dict[str, np.ndarray] = {}
-        self._shared: dict[tuple, int] = {}  # (op, args) -> node, see _node
+        self._shared: dict[tuple, int] = {}  # key -> node, see _node
         # Replay bookkeeping: each group's bits at the last replay, and the
         # groups changed since then.
         self._snapshots: dict[str, np.ndarray] = {}
         self._changed: set = set()
-        self._replaying = False  # inside replay: layer runs write over their jets
-        # Walk results that depend only on the record's structure, for the
-        # current record length.
-        self._memo_len = 0
-        self._memo: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -588,21 +593,33 @@ class Tape:
         return len(self._ops)
 
     def _push(self, op: int, args: tuple, value=None) -> DiffScalar:
-        """Append a node; a value of None is computed from the operands."""
+        """Append a node, noting the groups its value reads and its adjoint
+        reaches; a value of None is computed from the operands."""
         self._ops.append(op)
         self._args.append(args)
         self._vals.append(value)
         i = len(self._ops) - 1
+        operands = self._operands(i)
+        own = {args[1]} if op == _LAYERS else ()
+        self._reads.append(frozenset(own).union(*(self._reads[a] for a in operands)))
+        self._reaches.append(frozenset() if op in _NO_ADJOINT else
+                             frozenset(own).union(*(self._reaches[a] for a in operands)))
         if value is None:
             self._vals[i] = self._eval(i)
         return DiffScalar(self, i)
 
-    def _node(self, op: int, *args) -> int:
-        """Index of the node computing `op` on `args`, recorded once and shared."""
-        key = (op, args)
+    def _operands(self, i: int) -> tuple:
+        """Record indices node i reads its value from (weights excluded)."""
+        if self._ops[i] in (_SUM, _SELECT, _PART, _LAYERS):
+            return self._args[i][:1]
+        return self._args[i]
+
+    def _node(self, key: tuple, op: int, args: tuple, value=None) -> int:
+        """Index of the node `key` names, recorded once as `op` on `args`
+        and shared."""
         found = self._shared.get(key)
         if found is None:
-            found = self._shared[key] = self._push(op, args).index
+            found = self._shared[key] = self._push(op, args, value).index
         return found
 
     def batch(self, values) -> DiffScalar:
@@ -614,8 +631,10 @@ class Tape:
         return self._push(_CONST, (), arr.copy())
 
     def constant(self, value: float) -> DiffScalar:
-        """Frozen real value; one node per value, shared by every request."""
-        return DiffScalar(self, self._node(_CONST, float(value)))
+        """Frozen real value; one node per value, shared by every request.
+        Values are told apart by their bits, so 0.0 and -0.0 are two."""
+        value = float(value)
+        return DiffScalar(self, self._node((_CONST, value.hex()), _CONST, (), value))
 
     def register_params(self, name: str, values: np.ndarray) -> None:
         """Attach a named parameter vector. The array is kept by reference:
@@ -669,23 +688,17 @@ class Tape:
             jet = self._run_input(i)
             for layer in layers[:-1]:  # each inner jet is dropped for the next
                 jet = self._layer(group, layer, jet, laplacian)
-            # a replay writes the last jet over the one the run holds
-            out = vals[i] if self._replaying else None
-            return self._layer(group, layers[-1], jet, laplacian, out)
+            # written over the jet the run holds; none while it is recorded
+            return self._layer(group, layers[-1], jet, laplacian, vals[i])
         rule = _POINTWISE.get(op)
         if rule is not None:
             try:
                 return rule.value(*[vals[a] for a in args])
             except EvaluationError as err:
                 raise EvaluationError(f"node {i} {err}") from None
-        if op == _CONST:
-            return args[0]
         if op == _SUM:
             v, n = vals[args[0]], args[1]
-            if not _is_batch(v):
-                return v / n
-            s = np.sum(v, axis=0) / n
-            return float(s) if s.ndim == 0 else s
+            return float(np.sum(v, axis=0) / n) if _is_batch(v) else v / n
         if op == _STACK:
             return np.stack(np.broadcast_arrays(*[vals[a] for a in args]))
         if op == _SELECT:
@@ -725,7 +738,8 @@ class Tape:
         self._not_layers(*xs)
         if not any(_is_batch(x.value) for x in xs):
             raise RecordError("a row needs a batch among its entries")
-        return DiffScalar(self, self._node(_STACK, *(x.index for x in xs)))
+        args = tuple(x.index for x in xs)
+        return DiffScalar(self, self._node((_STACK, args), _STACK, args))
 
     def select(self, x: DiffScalar, k: int, part: "int | None" = None) -> DiffScalar:
         """Entry `k` of row `part` of a layer run's jet, the one thing
@@ -775,11 +789,13 @@ class Tape:
         return row
 
     def mean(self, x: DiffScalar) -> DiffScalar:
-        """Mean over the lockstep batch (count fixed at record time)."""
+        """Mean over the lockstep batch (count fixed at record time) of a
+        batch or a scalar; a row, several values per point, is refused."""
         self._not_layers(x)
         v = x.value
-        n = int(v.shape[0]) if _is_batch(v) else 1
-        return self._push(_SUM, (x.index, n))
+        if _is_batch(v) and v.ndim != 1:
+            raise RecordError("mean takes a batch or a scalar, not a row")
+        return self._push(_SUM, (x.index, len(v) if _is_batch(v) else 1))
 
     # ------------------------------------------------------------------
     # replay
@@ -798,68 +814,17 @@ class Tape:
         if not changed:
             return
         vals = self._vals
-        self._replaying = True
-        try:
-            for i in self._stale_nodes(frozenset(changed)):
+        for i, reads in enumerate(self._reads):
+            if not changed.isdisjoint(reads):
                 vals[i] = self._eval(i)
-        finally:
-            self._replaying = False
         # cleared only once every stale node is recomputed, so a replay
         # that raised leaves the changes for the next one
         changed.clear()
 
-    def _memoized(self, key: tuple, build: Callable):
-        """Cached ``build()`` for a walk over the record as it is now."""
-        if self._memo_len != len(self._ops):
-            self._memo = {}
-            self._memo_len = len(self._ops)
-        found = self._memo.get(key)
-        if found is None:
-            found = self._memo[key] = build()
-        return found
-
-    def _stale_nodes(self, changed: frozenset) -> list[int]:
-        """Nodes whose value reads, through any operand, a parameter group
-        in `changed`, in record order."""
-        def build():
-            ops, args = self._ops, self._args
-            hit = [False] * len(ops)
-            order = []
-            for i, op in enumerate(ops):
-                if (op == _LAYERS and args[i][1] in changed
-                        or any(hit[a] for a in self._operands(i))):
-                    hit[i] = True
-                    order.append(i)
-            return order
-        return self._memoized(("replay", changed), build)
-
     # ------------------------------------------------------------------
     # derivatives
 
-    def _operands(self, i: int) -> tuple:
-        """Record indices node i reads its value from (weights excluded)."""
-        op = self._ops[i]
-        if op == _CONST:
-            return ()
-        if op in (_SUM, _SELECT, _PART, _LAYERS):
-            return self._args[i][:1]
-        return self._args[i]
-
     # -- raw backward: plain numbers, no new nodes ---------------------
-
-    def _useful_mask(self, param_groups: Sequence[str]) -> list[bool]:
-        """Flags of the nodes that depend on a parameter of one of the
-        groups: the layer runs reading them and everything downstream."""
-        ops, args = self._ops, self._args
-        roots = [i for i in range(len(ops))
-                 if ops[i] == _LAYERS and args[i][1] in param_groups]
-        mask = [False] * len(ops)
-        for r in roots:
-            mask[r] = True
-        for i in range(min(roots, default=0), len(ops)):
-            if not mask[i] and ops[i] not in _NO_ADJOINT:
-                mask[i] = any(mask[a] for a in self._operands(i))
-        return mask
 
     def backward_values(self, output: DiffScalar,
                         param_groups: Sequence[str]) -> dict[str, np.ndarray]:
@@ -876,8 +841,8 @@ class Tape:
         """
         grads = {g: np.zeros(len(self._groups[g])) for g in param_groups}
         ops, args, vals = self._ops, self._args, self._vals
-        useful = self._memoized(("useful", tuple(param_groups)),
-                                lambda: self._useful_mask(param_groups))
+        groups = frozenset(param_groups)
+        useful = [not groups.isdisjoint(reaches) for reaches in self._reaches]
         adj: dict[int, object] = {}
 
         def accumulate(node, contribution):

@@ -355,23 +355,38 @@ class TestIncrementalReplay:
         for got, want in zip(tape._vals, fresh._vals):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
-    @pytest.mark.parametrize("trained", [None, ()], ids=["per-layer", "whole-read"])
-    def test_eval_outside_a_replay_returns_a_new_array(self, trained):
-        # only a replay writes a run over the jet it holds; a comparison of
-        # a recomputed record with the stored one must see two arrays
-        net = nets.build(4, 5, 2, 1, seed=2, name="w")
-        tape = ad.Tape(trained=trained)
-        leaves = [tape.batch([0.1, 0.4, -0.2]), tape.batch([1.0, 0.5, 0.3])]
-        net.jet(tape, leaves, (0, 1), laplacian=(0,))
-        runs = [i for i, op in enumerate(tape._ops) if op == ad._LAYERS]
-        assert len(runs) == (net.depth if trained is None else 1)
-        net.theta *= 1.5
-        tape.replay()  # a replay, then calls outside one
-        for i in runs:
-            held = tape._vals[i]
-            got = tape._eval(i)
-            assert not np.shares_memory(got, held), i
-            assert got.tobytes() == held.tobytes(), i
+    def test_extended_record_replays_and_differentiates_like_a_fresh_build(self):
+        # nodes recorded after a replay and a backward pass join the next
+        # replay and backward pass as if the record had been built whole
+        net = nets.build(4, 5, 2, 1, seed=3, name="w")
+        pts = ([0.1, 0.4, -0.2], [1.0, 0.5, 0.3])
+
+        def first(tape):
+            x = [tape.batch(p) for p in pts]
+            (out,) = net.jet(tape, x, (0,), laplacian=(0,))
+            return x, tape.mean(out.value * out.laplacian)
+
+        def second(tape, x, loss):
+            (out,) = net.jet(tape, x, (0, 1))
+            return loss + tape.mean(ad.sin(out.grads[1]) * out.value)
+
+        tape = ad.Tape()
+        x, loss = first(tape)
+        net.theta *= 1.1
+        tape.replay()
+        tape.backward_values(loss, ["w"])
+        total = second(tape, x, loss)
+        net.theta *= 0.9
+        tape.replay()
+        fresh = ad.Tape()
+        fresh_x, fresh_loss = first(fresh)
+        fresh_total = second(fresh, fresh_x, fresh_loss)
+        assert len(tape) == len(fresh)
+        for got, want in zip(tape._vals, fresh._vals):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        got = tape.backward_values(total, ["w"])["w"]
+        assert got.tobytes() == fresh.backward_values(fresh_total, ["w"])["w"].tobytes()
+        assert np.any(got != fresh.backward_values(fresh_loss, ["w"])["w"])
 
     def test_failed_replay_is_retried(self):
         tape = ad.Tape()
@@ -436,6 +451,22 @@ class TestTapeHygiene:
                     lambda: np.array([3.0, 4.0]) - x):
             with pytest.raises(TypeError):
                 use()
+
+    def test_zero_and_negative_zero_are_two_constants(self):
+        # a value must not depend on which constants were recorded before it
+        tape = ad.Tape()
+        tape.constant(0.0)
+        got = (tape.batch([3.0, -3.0]) * -0.0).value
+        fresh = (ad.Tape().batch([3.0, -3.0]) * -0.0).value
+        assert got.tobytes() == fresh.tobytes() == np.array([-0.0, 0.0]).tobytes()
+
+    def test_mean_refuses_a_row(self):
+        # a row holds one value per unit and point; its mean over the
+        # lockstep batch is not defined
+        tape = ad.Tape()
+        row = tape.stack([tape.batch([1.0, 2.0, 3.0]), tape.batch([10.0, 20.0, 30.0])])
+        with pytest.raises(ad.RecordError):
+            tape.mean(row)
 
     def test_numpy_scalar_operand_is_a_constant(self):
         x = ad.Tape().batch([1.0, 2.0])

@@ -595,9 +595,11 @@ class TestZeroWeightedTerms:
 
 def full_replay(tape):
     """The values a replay that recomputes every non-input node gives,
-    computed on a copy: the tape keeps its own."""
+    computed on a copy: the tape keeps its own. A layer run writes over the
+    jet its slot holds, so the copy's run slots start empty and each run
+    gets a new array."""
     own = tape._vals
-    tape._vals = list(own)
+    tape._vals = [None if op == ad._LAYERS else v for op, v in zip(tape._ops, own)]
     try:
         for i, op in enumerate(tape._ops):
             if op != ad._CONST:
@@ -649,6 +651,24 @@ class TestIncrementalReplay:
             graph.replay()
             assert_same_values(graph.tape._vals, full_replay(graph.tape))
             assert_same_values(graph.tape._vals, self.solid_graph(u, p, d).tape._vals)
+
+    @pytest.mark.parametrize("record", ["fluid", "solid"])
+    def test_full_replay_computes_runs_into_new_arrays(self, record):
+        # the comparisons above would pass trivially if the full replay
+        # wrote over the tape's own arrays
+        u, p, d = make_nets(seed=7)
+        graph = (self.fluid_graph(u, p, d, 1e-3) if record == "fluid"
+                 else self.solid_graph(u, p, d))
+        tape = graph.tape
+        held = list(tape._vals)
+        runs = [i for i, op in enumerate(tape._ops) if op == ad._LAYERS]
+        assert {len(tape._args[i][2]) for i in runs} == {1, d.depth}  # per-layer and whole reads
+        got = full_replay(tape)
+        assert all(tape._vals[i] is held[i] for i in range(len(held)))
+        for i in runs:
+            assert not any(np.shares_memory(got[i], v) for v in held
+                           if isinstance(v, np.ndarray)), i
+        assert_same_values(got, held)
 
     @pytest.mark.parametrize("record", ["fluid", "solid"])
     @pytest.mark.parametrize("changed", ["u", "p", "d"])
