@@ -576,9 +576,11 @@ class Tape:
         self._ops: list[int] = []
         self._args: list[tuple] = []
         self._vals: list = []
-        # the parameter groups each node's value reads and its adjoint reaches
-        self._reads: list[frozenset] = []
-        self._reaches: list[frozenset] = []
+        # Each parameter group a layer run reads has a bit; for each node,
+        # the bits of the groups its value reads and its adjoint reaches.
+        self._bits: dict[str, int] = {}
+        self._reads: list[int] = []
+        self._reaches: list[int] = []
         self._groups: dict[str, np.ndarray] = {}
         self._shared: dict[tuple, int] = {}  # key -> node, see _node
         # Replay bookkeeping: each group's bits at the last replay, and the
@@ -599,11 +601,13 @@ class Tape:
         self._args.append(args)
         self._vals.append(value)
         i = len(self._ops) - 1
-        operands = self._operands(i)
-        own = {args[1]} if op == _LAYERS else ()
-        self._reads.append(frozenset(own).union(*(self._reads[a] for a in operands)))
-        self._reaches.append(frozenset() if op in _NO_ADJOINT else
-                             frozenset(own).union(*(self._reaches[a] for a in operands)))
+        reads = reaches = (self._bits.setdefault(args[1], 1 << len(self._bits))
+                           if op == _LAYERS else 0)
+        for a in self._operands(i):
+            reads |= self._reads[a]
+            reaches |= self._reaches[a]
+        self._reads.append(reads)
+        self._reaches.append(0 if op in _NO_ADJOINT else reaches)
         if value is None:
             self._vals[i] = self._eval(i)
         return DiffScalar(self, i)
@@ -613,6 +617,11 @@ class Tape:
         if self._ops[i] in (_SUM, _SELECT, _PART, _LAYERS):
             return self._args[i][:1]
         return self._args[i]
+
+    def _mask(self, groups) -> int:
+        """The bits of parameter groups `groups`; a group no layer run
+        reads has none."""
+        return functools.reduce(operator.or_, (self._bits.get(g, 0) for g in groups), 0)
 
     def _node(self, key: tuple, op: int, args: tuple, value=None) -> int:
         """Index of the node `key` names, recorded once as `op` on `args`
@@ -813,9 +822,10 @@ class Tape:
                 np.copyto(snapshot, values)
         if not changed:
             return
+        stale = self._mask(changed)
         vals = self._vals
         for i, reads in enumerate(self._reads):
-            if not changed.isdisjoint(reads):
+            if reads & stale:
                 vals[i] = self._eval(i)
         # cleared only once every stale node is recomputed, so a replay
         # that raised leaves the changes for the next one
@@ -841,8 +851,8 @@ class Tape:
         """
         grads = {g: np.zeros(len(self._groups[g])) for g in param_groups}
         ops, args, vals = self._ops, self._args, self._vals
-        groups = frozenset(param_groups)
-        useful = [not groups.isdisjoint(reaches) for reaches in self._reaches]
+        # a node is useful when its adjoint reaches one of the groups
+        useful, reaches = self._mask(param_groups), self._reaches
         adj: dict[int, object] = {}
 
         def accumulate(node, contribution):
@@ -864,7 +874,7 @@ class Tape:
 
         for i in range(output.index, -1, -1):
             a_out = adj.pop(i, None)
-            if a_out is None or not useful[i]:
+            if a_out is None or not reaches[i] & useful:
                 continue
             op = ops[i]
             a = args[i]
@@ -880,27 +890,27 @@ class Tape:
                 for k in range(len(layers) - 1, -1, -1):
                     jet = jets.pop()
                     a_out = self._layer_backward(group, layers[k], laplacian, a_out, jet, y,
-                                                 grads, k > 0 or useful[x])
+                                                 grads, k > 0 or reaches[x] & useful)
                     y = jet[0]
-                if useful[x]:
+                if reaches[x] & useful:
                     # a run takes the whole jet's adjoint, a row its value row's
                     accumulate(x, a_out if ops[x] == _LAYERS else a_out[0])
             elif (rule := _POINTWISE.get(op)) is not None:
                 operands = [vals[k] for k in a]
                 for k, adjoint in zip(a, rule.adjoints):
-                    if useful[k]:
+                    if reaches[k] & useful:
                         accumulate(k, adjoint(a_out, *operands, vals[i]))
             elif op == _SUM:
                 x, n = a
-                if useful[x]:
+                if reaches[x] & useful:
                     accumulate(x, a_out / n)
             elif op == _STACK:
                 for k, x in enumerate(a):
-                    if useful[x]:
+                    if reaches[x] & useful:
                         accumulate(x, a_out[k])
             elif op == _SELECT:
                 x, k, part = a
-                if useful[x]:
+                if reaches[x] & useful:
                     # every select of a run adds into one zero adjoint,
                     # which only the run reads (``_not_layers``)
                     jet = adj.get(x)
@@ -909,7 +919,7 @@ class Tape:
                     jet[part, k] += a_out
             elif op == _PART:
                 x, lo, hi = a
-                if useful[x]:
+                if reaches[x] & useful:
                     batch = np.zeros(len(vals[x]))
                     batch[lo:hi] = a_out
                     accumulate(x, batch)
