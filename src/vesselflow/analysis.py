@@ -50,8 +50,8 @@ class EvaluationGrid:
     time_step: float
 
     @classmethod
-    def build(cls, geometry: VesselGeometry, n_r: int = 64, n_z: int = 64,
-              n_t: int = 50) -> "EvaluationGrid":
+    def build(cls, geometry: VesselGeometry, n_r: int, n_z: int,
+              n_t: int) -> "EvaluationGrid":
         if min(n_r, n_z, n_t) < 1:
             raise AnalysisError("grid resolutions must be positive")
         r_edges = np.linspace(0.0, geometry.radius, n_r + 1)
@@ -107,33 +107,29 @@ def pressure_drop_oracle(z, u_max: float, r0: float, mu: float):
 # ----------------------------------------------------------------------
 # observables
 
-def outlet_flux(flow, displacement, times, geometry: VesselGeometry,
-                n_quad: int = 256) -> np.ndarray:
+def outlet_flux(flow, displacement, times, geometry: VesselGeometry) -> np.ndarray:
     """Volumetric flux through the current outlet section at each of the
     1-d array `times`, in their order.
 
     Composite trapezoid in the squared-radius variable: with s = r^2 the
     integral is pi * int u_z(sqrt(s)) ds, so parabolic profiles integrate
     exactly and the annular area weighting is built into the substitution.
-    The outlet wall point is read once at every time; the profiles are read
-    over blocks of whole times of at most `_FLUX_BLOCK` points (one time when
-    `n_quad` exceeds it), each block integrated along its rows at once."""
-    if n_quad < 2:
-        raise AnalysisError(f"n_quad must be at least 2 (a trapezoid needs two nodes), "
-                            f"got {n_quad}")
+    The outlet wall point is read once at every time; the profiles, of
+    `_FLUX_NODES` nodes each, are read over blocks of whole times of at most
+    `_FLUX_BLOCK` points, each block integrated along its rows at once."""
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1:
         raise AnalysisError("outlet_flux takes a 1-d array of times")
     z_w = np.full(len(times), geometry.length)
     radius_now = reference_radius(geometry, z_w) + displacement.read(
         np.full(len(times), geometry.radius), z_w, times)
-    per_block = max(_FLUX_BLOCK // n_quad, 1)
+    per_block = _FLUX_BLOCK // _FLUX_NODES
     flux = np.empty(len(times))
     for lo in range(0, len(times), per_block):
         block = slice(lo, lo + per_block)
-        s = np.linspace(0.0, radius_now[block] ** 2, n_quad, axis=1)
+        s = np.linspace(0.0, radius_now[block] ** 2, _FLUX_NODES, axis=1)
         u_z, _ = flow.read(np.sqrt(s).ravel(), np.full(s.size, geometry.length),
-                           np.repeat(times[block], n_quad), pressure=False)
+                           np.repeat(times[block], _FLUX_NODES), pressure=False)
         integrand = np.pi * np.broadcast_to(
             np.asarray(u_z, dtype=np.float64), (s.size,)).reshape(s.shape)
         flux[block] = np.trapezoid(integrand, s, axis=1)
@@ -205,6 +201,7 @@ def speed_field(flow, displacement) -> Callable:
 
 _EXPORT_BLOCK = 512  # rows formatted together by export_fields
 _FLUX_BLOCK = 1024   # quadrature points read together by outlet_flux
+_FLUX_NODES = 256    # quadrature nodes of one outlet profile
 
 
 def export_fields(path, flow, displacement, grid: EvaluationGrid) -> None:
@@ -241,10 +238,10 @@ def write_probe_csv(path, series: Sequence[ProbeSeries]) -> None:
 
 
 def write_flux_csv(path, flow, displacement, geometry: VesselGeometry,
-                   times: np.ndarray, n_quad: int = 256) -> None:
+                   times: np.ndarray) -> None:
     """Outlet flux over time plus its running cycle integral."""
     times = np.asarray(times, dtype=np.float64)
-    series = outlet_flux(flow, displacement, times, geometry, n_quad)
+    series = outlet_flux(flow, displacement, times, geometry)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t_s", "flux_cm3_per_s", "integrated_flux_cm3"])

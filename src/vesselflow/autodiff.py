@@ -125,9 +125,10 @@ already what they would give, so a replay is bit-identical to
 recomputing the whole record. A different input is a different record.
 A layer run writes its last jet over the array it holds (the inner jets
 of a run of several layers stay transient), so a replay does not hold a
-run's old and new jet at once; while a run is recorded it holds none,
-and its jet is a new array. A select's value is a view of its run, so a
-value kept across a replay changes with it.
+run's old and new jet at once. A select's value is a view of its run, so
+a value kept across a replay changes with it. A node is appended with its
+value: an op that raises while it is recorded appends nothing, so no
+later replay evaluates it.
 """
 
 from __future__ import annotations
@@ -172,6 +173,12 @@ class RecordError(RuntimeError):
 
 def _is_batch(v):
     return isinstance(v, np.ndarray)
+
+
+def _operands(op: int, args: tuple) -> tuple:
+    """Record indices a node `op` on `args` reads its value from (weights
+    excluded)."""
+    return args[:1] if op in (_SUM, _SELECT, _PART, _LAYERS) else args
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -595,28 +602,23 @@ class Tape:
         return len(self._ops)
 
     def _push(self, op: int, args: tuple, value=None) -> DiffScalar:
-        """Append a node, noting the groups its value reads and its adjoint
-        reaches; a value of None is computed from the operands."""
+        """Append a node with its value, noting the groups the value reads
+        and the adjoint reaches; a value of None is computed from the
+        operands first, so an op that raises appends nothing."""
+        i = len(self._ops)
+        if value is None:
+            value = self._eval(i, op, args)
+        reads = reaches = (self._bits.setdefault(args[1], 1 << len(self._bits))
+                           if op == _LAYERS else 0)
+        for a in _operands(op, args):
+            reads |= self._reads[a]
+            reaches |= self._reaches[a]
         self._ops.append(op)
         self._args.append(args)
         self._vals.append(value)
-        i = len(self._ops) - 1
-        reads = reaches = (self._bits.setdefault(args[1], 1 << len(self._bits))
-                           if op == _LAYERS else 0)
-        for a in self._operands(i):
-            reads |= self._reads[a]
-            reaches |= self._reaches[a]
         self._reads.append(reads)
         self._reaches.append(0 if op in _NO_ADJOINT else reaches)
-        if value is None:
-            self._vals[i] = self._eval(i)
         return DiffScalar(self, i)
-
-    def _operands(self, i: int) -> tuple:
-        """Record indices node i reads its value from (weights excluded)."""
-        if self._ops[i] in (_SUM, _SELECT, _PART, _LAYERS):
-            return self._args[i][:1]
-        return self._args[i]
 
     def _mask(self, groups) -> int:
         """The bits of parameter groups `groups`; a group no layer run
@@ -677,10 +679,10 @@ class Tape:
         w = values[offset:offset + rows * cols].reshape(rows, cols)
         return w, None if bias is None else values[bias:bias + rows]
 
-    def _run_input(self, i: int) -> np.ndarray:
-        """The input jet (m, k, n) of layer run i: its operand run's value,
-        or its operand row seeded."""
-        x, _, _, directions, laplacian = self._args[i]
+    def _run_input(self, args: tuple) -> np.ndarray:
+        """The input jet (m, k, n) of a layer run on `args`: its operand
+        run's value, or its operand row seeded."""
+        x, _, _, directions, laplacian = args
         jet = self._vals[x]
         return jet if self._ops[x] == _LAYERS else _seed_jet(jet, directions, bool(laplacian))
 
@@ -688,17 +690,16 @@ class Tape:
                out=None) -> np.ndarray:
         return layer_jet(jet, *self._weights(group, layer), layer[3], laplacian, out)
 
-    def _eval(self, i: int):
-        op = self._ops[i]
-        args = self._args[i]
+    def _eval(self, i: int, op: int, args: tuple, out=None):
+        """The value of node i, `op` on `args`. A layer run writes its last
+        jet over `out`, the array a replay passes, or into a new array."""
         vals = self._vals
         if op == _LAYERS:  # first: the most frequent node a replay evaluates
             _, group, layers, _, laplacian = args
-            jet = self._run_input(i)
+            jet = self._run_input(args)
             for layer in layers[:-1]:  # each inner jet is dropped for the next
                 jet = self._layer(group, layer, jet, laplacian)
-            # written over the jet the run holds; none while it is recorded
-            return self._layer(group, layers[-1], jet, laplacian, vals[i])
+            return self._layer(group, layers[-1], jet, laplacian, out)
         rule = _POINTWISE.get(op)
         if rule is not None:
             try:
@@ -823,10 +824,10 @@ class Tape:
         if not changed:
             return
         stale = self._mask(changed)
-        vals = self._vals
+        ops, args, vals = self._ops, self._args, self._vals
         for i, reads in enumerate(self._reads):
             if reads & stale:
-                vals[i] = self._eval(i)
+                vals[i] = self._eval(i, ops[i], args[i], vals[i])
         # cleared only once every stale node is recomputed, so a replay
         # that raised leaves the changes for the next one
         changed.clear()
@@ -883,7 +884,7 @@ class Tape:
                 # reading a run; the seed for a run reading a row), then go
                 # back through the layers
                 x, group, layers, _, laplacian = a
-                jets = [self._run_input(i)]
+                jets = [self._run_input(a)]
                 for layer in layers[:-1]:
                     jets.append(self._layer(group, layer, jets[-1], laplacian))
                 y = vals[i][0]

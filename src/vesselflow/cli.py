@@ -14,7 +14,7 @@ import numpy as np
 from . import analysis, autodiff as ad, nets as nets_mod
 from .config import ConfigError, PRESET_NAMES, ScenarioConfig, load_config, preset
 from .domain import reference_radius
-from .physics import NetworkDisplacement, NetworkFlow, ZeroDisplacement
+from .physics import network_fields
 from .trainer import PlanError, Trainer, TrainingDiverged, build_networks, network_shapes
 
 
@@ -41,7 +41,9 @@ def _add_grid_options(parser):
     parser.add_argument("--grid-t", type=int, default=50)
 
 
-def _load_run_networks(args, config: ScenarioConfig):
+def _load_run_fields(args, config: ScenarioConfig):
+    """The flow and displacement adapters of the checkpoint `args` names,
+    checked against the networks of `config`."""
     # What np.load and the archive lookups raise on a file that is no
     # checkpoint: a missing or unreadable file, an empty one, one that is no
     # zip archive, an archive without the header or a parameter vector, or
@@ -61,14 +63,7 @@ def _load_run_networks(args, config: ScenarioConfig):
             raise CliError(
                 f"checkpoint/architecture mismatch for {name!r}: "
                 f"expected widths {widths}, found {loaded[name].widths}")
-    return loaded
-
-
-def _adapters(networks, config: ScenarioConfig):
-    flow = NetworkFlow(networks["u"], networks["p"])
-    disp = (ZeroDisplacement() if config.training.rigid_wall
-            else NetworkDisplacement(networks["d"]))
-    return flow, disp
+    return network_fields(loaded, config.training.rigid_wall)
 
 
 # ----------------------------------------------------------------------
@@ -91,7 +86,7 @@ def _cmd_train(args) -> int:
     config.save(os.path.join(args.out_dir, "config.json"))
     history = trainer.run()
     geometry = config.vessel_geometry()
-    flow, disp = _adapters(networks, config)
+    flow, disp = trainer.flow, trainer.displacement
     times = np.linspace(geometry.horizon / 50, geometry.horizon, 50)
     analysis.write_probe_csv(
         os.path.join(args.out_dir, "probes.csv"),
@@ -111,9 +106,8 @@ def _cmd_evaluate(args) -> int:
     if not np.isfinite(args.u_max):
         raise CliError(f"--u-max {args.u_max} is not finite")
     config = _scenario_from_args(args)
-    networks = _load_run_networks(args, config)
+    flow, disp = _load_run_fields(args, config)
     geometry = config.vessel_geometry()
-    flow, disp = _adapters(networks, config)
     grid = analysis.EvaluationGrid.build(geometry, args.grid_r, args.grid_z,
                                          args.grid_t)
     speed_field = analysis.speed_field(flow, disp)
@@ -176,9 +170,8 @@ def _reference_from_csv(path):
 
 def _cmd_probe(args) -> int:
     config = _scenario_from_args(args)
-    networks = _load_run_networks(args, config)
+    flow, disp = _load_run_fields(args, config)
     geometry = config.vessel_geometry()
-    flow, disp = _adapters(networks, config)
     if args.points:
         points = []
         for chunk in args.points.split(";"):
@@ -205,9 +198,8 @@ def _cmd_probe(args) -> int:
 
 def _cmd_export_fields(args) -> int:
     config = _scenario_from_args(args)
-    networks = _load_run_networks(args, config)
+    flow, disp = _load_run_fields(args, config)
     geometry = config.vessel_geometry()
-    flow, disp = _adapters(networks, config)
     grid = analysis.EvaluationGrid.build(geometry, args.grid_r, args.grid_z,
                                          args.grid_t)
     analysis.export_fields(args.out, flow, disp, grid)

@@ -149,19 +149,20 @@ def param_count(widths) -> int:
     return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(widths, widths[1:]))
 
 
-def split_param_count(depth: int, total_width: int, in_dim: int = 3) -> int:
+def split_param_count(depth: int, total_width: int) -> int:
     """Combined size of the velocity/pressure pair at a given total width.
 
     The velocity network takes two thirds of the width and two outputs,
-    the pressure network the remaining third and one output."""
+    the pressure network the remaining third and one output; both read
+    (r, z, t)."""
     wu, wp = 2 * total_width // 3, total_width // 3
-    return (param_count(layer_widths(depth, wu, in_dim, 2))
-            + param_count(layer_widths(depth, wp, in_dim, 1)))
+    return (param_count(layer_widths(depth, wu, 3, 2))
+            + param_count(layer_widths(depth, wp, 3, 1)))
 
 
-def single_param_count(depth: int, width: int, in_dim: int = 3) -> int:
-    """Size of the single-network variant emitting (u_z, u_r, P) together."""
-    return param_count(layer_widths(depth, width, in_dim, 3))
+def single_param_count(depth: int, width: int) -> int:
+    """Size of the single network emitting (u_z, u_r, P) from (r, z, t)."""
+    return param_count(layer_widths(depth, width, 3, 3))
 
 
 # ----------------------------------------------------------------------

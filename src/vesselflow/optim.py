@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
+# Adam's moment decay rates and denominator guard, the same for every network.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class GradientError(ValueError):
     """A gradient entry was not finite or the shapes disagreed."""
@@ -12,19 +17,15 @@ class GradientError(ValueError):
 class AdamState:
     """First/second moment estimates with bias correction.
 
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps), with
-    m_hat = m / (1 - beta1^t) and v_hat = v / (1 - beta2^t).
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + EPS), with
+    m_hat = m / (1 - BETA1^t) and v_hat = v / (1 - BETA2^t).
     """
 
-    def __init__(self, size: int, learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, size: int, learning_rate: float = 1e-3):
         self.step_count = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         """Update `params` in place from `grads`; returns `params`."""
@@ -38,9 +39,9 @@ class AdamState:
             raise GradientError(f"non-finite gradient at parameter index {bad[0]}")
         self.step_count += 1
         t = self.step_count
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads * grads
-        m_hat = self.m / (1.0 - self.beta1 ** t)
-        v_hat = self.v / (1.0 - self.beta2 ** t)
-        params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = BETA1 * self.m + (1.0 - BETA1) * grads
+        self.v = BETA2 * self.v + (1.0 - BETA2) * grads * grads
+        m_hat = self.m / (1.0 - BETA1 ** t)
+        v_hat = self.v / (1.0 - BETA2 ** t)
+        params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
         return params

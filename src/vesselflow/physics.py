@@ -186,6 +186,13 @@ class ZeroDisplacement(AnalyticDisplacement):
         super().__init__(lambda r, z, t: 0.0)
 
 
+def network_fields(networks: dict, rigid_wall: bool):
+    """The flow and displacement adapters of a network triple. A rigid wall
+    pins the displacement to zero, so the displacement network is never read."""
+    flow = NetworkFlow(networks["u"], networks["p"])
+    return flow, ZeroDisplacement() if rigid_wall else NetworkDisplacement(networks["d"])
+
+
 def _read_network(net, r, z, t):
     """Plain outputs of `net` at a batch (r, z, t), stacked into (n, 3)
     rows, whose (3, n) transpose `FieldNetwork.evaluate` computes on as

@@ -40,9 +40,8 @@ from . import nets as nets_mod
 from .config import ScenarioConfig
 from .optim import AdamState, GradientError
 from .physics import (
-    CollocationSamples, FluidLossGraph, LossBreakdown, LossWeights,
-    NetworkDisplacement, NetworkFlow, SolidLossGraph, ZeroDisplacement,
-    draw_samples,
+    CollocationSamples, FluidLossGraph, LossBreakdown, LossWeights, SolidLossGraph,
+    draw_samples, network_fields,
 )
 
 
@@ -171,11 +170,9 @@ class Trainer:
             name: AdamState(len(net.theta), learning_rate=rates[name])
             for name, net in networks.items()
         }
-        self.flow = NetworkFlow(networks["u"], networks["p"])
-        # A rigid wall pins the displacement to zero: the displacement
-        # network never enters any record and solid stages are skipped.
-        self.displacement = (ZeroDisplacement() if config.training.rigid_wall
-                             else NetworkDisplacement(networks["d"]))
+        # On a rigid wall the displacement network never enters any record
+        # and solid stages are skipped.
+        self.flow, self.displacement = network_fields(networks, config.training.rigid_wall)
         self.history = TrainingHistory()
         self.epoch = 0
         self.last_checkpoint: "str | None" = None

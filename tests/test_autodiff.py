@@ -273,9 +273,9 @@ class TestIncrementalReplay:
         calls = []
         original = ad.Tape._eval
 
-        def counted(self, i):
+        def counted(self, i, *rest):
             calls.append(i)
-            return original(self, i)
+            return original(self, i, *rest)
 
         monkeypatch.setattr(ad.Tape, "_eval", counted)
         tape.replay()
@@ -294,9 +294,9 @@ class TestIncrementalReplay:
         calls = []
         original = ad.Tape._eval
 
-        def counted(self, i):
+        def counted(self, i, *rest):
             calls.append(i)
-            return original(self, i)
+            return original(self, i, *rest)
 
         monkeypatch.setattr(ad.Tape, "_eval", counted)
         theta[0] = -0.0
@@ -459,6 +459,20 @@ class TestTapeHygiene:
         got = (tape.batch([3.0, -3.0]) * -0.0).value
         fresh = (ad.Tape().batch([3.0, -3.0]) * -0.0).value
         assert got.tobytes() == fresh.tobytes() == np.array([-0.0, 0.0]).tobytes()
+
+    def test_op_that_raises_appends_nothing(self):
+        # a node without a value would be evaluated again, and raise again,
+        # by every replay after a change to the group it reads
+        tape = ad.Tape()
+        theta = np.array([0.0])
+        tape.register_params("w", theta)
+        x, w = tape.batch([1.0, 2.0]), weight(tape, "w", 0)
+        size = len(tape)
+        with pytest.raises(ad.EvaluationError, match="division by zero"):
+            x / w
+        assert len(tape) == size
+        theta[0] = -0.0
+        tape.replay()
 
     def test_mean_refuses_a_row(self):
         # a row holds one value per unit and point; its mean over the

@@ -651,6 +651,43 @@ class TestBadInput:
             assert capsys.readouterr().err.startswith(f"error: cannot load checkpoint {bad}: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,message", [
+        ("[]", "config root must be an object"),
+        ('{"training": [16, 8, 8]}', "section 'training' must be an object"),
+    ], ids=["root", "section"])
+    def test_config_that_is_not_an_object(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(text)
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_checkpoint_without_a_network(self, tmp_path, checkpoint_args, capsys):
+        # the rigid-wall scenario never reads d, but its checkpoints hold it
+        cfg_path = checkpoint_args[1]
+        networks = build_networks(load_config(cfg_path), seed=0)
+        del networks["d"]
+        ckpt = tmp_path / "no-d.npz"
+        nets.save_networks(ckpt, networks)
+        out = tmp_path / "out.csv"
+        for command in (["evaluate"], ["probe", "--out", str(out)],
+                        ["export-fields", "--out", str(out)]):
+            assert main([*command, "--config", cfg_path, "--checkpoint", str(ckpt)]) == 2
+            assert capsys.readouterr().err == "error: checkpoint is missing the 'd' network\n"
+        assert not out.exists()
+
+    def test_reference_without_a_grid_node(self, tmp_path, checkpoint_args, capsys):
+        fields = tmp_path / "fields.csv"
+        grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
+        assert main(["export-fields", *checkpoint_args, *grid, "--out", str(fields)]) == 0
+        capsys.readouterr()
+        lines = fields.read_text().splitlines()
+        t, r, z = (round(float(cell), 12) for cell in lines.pop().split(",")[:3])
+        fields.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 2
+        assert capsys.readouterr().err == f"error: reference file has no node at {(t, r, z)}\n"
+
     def test_checkpoint_naming_other_activations(self, tmp_path, capsys):
         cfg_path, _, _ = _small_training_args(tmp_path)
         networks = build_networks(load_config(cfg_path), seed=0)

@@ -538,7 +538,7 @@ def ancestors(tape, node):
         i = todo.pop()
         if i not in seen:
             seen.add(i)
-            todo.extend(tape._operands(i))
+            todo.extend(ad._operands(tape._ops[i], tape._args[i]))
     return seen
 
 
@@ -595,15 +595,14 @@ class TestZeroWeightedTerms:
 
 def full_replay(tape):
     """The values a replay that recomputes every non-input node gives,
-    computed on a copy: the tape keeps its own. A layer run writes over the
-    jet its slot holds, so the copy's run slots start empty and each run
-    gets a new array."""
+    computed on a copy: the tape keeps its own, and each layer run gets a
+    new array."""
     own = tape._vals
-    tape._vals = [None if op == ad._LAYERS else v for op, v in zip(tape._ops, own)]
+    tape._vals = list(own)
     try:
-        for i, op in enumerate(tape._ops):
+        for i, (op, args) in enumerate(zip(tape._ops, tape._args)):
             if op != ad._CONST:
-                tape._vals[i] = tape._eval(i)
+                tape._vals[i] = tape._eval(i, op, args)
         return tape._vals
     finally:
         tape._vals = own
@@ -700,7 +699,7 @@ class TestIncrementalReplay:
         assert layers
         for i, op in enumerate(ops):
             if op not in (ad._LAYERS, ad._SELECT):
-                assert not layers.intersection(tape._operands(i)), i
+                assert not layers.intersection(ad._operands(op, tape._args[i])), i
 
     @staticmethod
     def fsi_tape(record):

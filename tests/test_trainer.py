@@ -12,11 +12,12 @@ from vesselflow.config import (
 )
 from vesselflow.domain import SampleSet
 from vesselflow.physics import (
-    CollocationSamples, FluidLossGraph, LossWeights, NetworkFlow, SolidLossGraph,
-    ZeroDisplacement, draw_samples,
+    CollocationSamples, FluidLossGraph, LossBreakdown, LossWeights, NetworkFlow,
+    SolidLossGraph, ZeroDisplacement, draw_samples,
 )
 from vesselflow.trainer import (
-    Trainer, TrainingDiverged, TrainingHistory, build_networks, converged,
+    EpochRecord, PlanError, Trainer, TrainingDiverged, TrainingHistory, build_networks,
+    converged,
 )
 
 
@@ -151,6 +152,18 @@ class TestScheduleStructure:
         assert 0 < len(couples) <= 4  # solid+fluid per alternation
         assert stages[0] == "fluid-init"
         assert any(s.startswith("ladder-") for s in stages)
+
+    def test_early_stop_ends_each_stage_and_the_alternations(self):
+        # a threshold no loss change reaches: every stage stops once its
+        # window is full, and the first alternation whose halves both stop
+        # early ends the schedule
+        config = tiny_config(ladder_steps=1, max_alternations=3,
+                             convergence_threshold=1e9, convergence_window=2)
+        networks = build_networks(config, seed=0)
+        history = Trainer(config, networks, seed=0).run()
+        assert history.stages() == ["fluid-init", "ladder-1", "couple-1-solid",
+                                    "couple-1-fluid"]
+        assert [r.phase for r in history.records] == ["u", "u"] * 2 + ["d", "d", "u", "u"]
 
     def test_rigid_wall_skips_solid_stages(self):
         config = preset("poiseuille-rigid")
@@ -323,6 +336,14 @@ class TestHistory:
         history = Trainer(config, networks, seed=11).run()
         epochs = [r.epoch for r in history.records]
         assert epochs == sorted(set(epochs))
+
+    def test_append_refuses_an_epoch_that_does_not_increase(self):
+        history = TrainingHistory()
+        history.append(EpochRecord(3, "fluid-init", "u", 0.0, LossBreakdown()))
+        for epoch in (3, 2):
+            with pytest.raises(PlanError, match="strictly increase"):
+                history.append(EpochRecord(epoch, "fluid-init", "u", 0.0, LossBreakdown()))
+        assert len(history) == 1
 
 
 class TestShardedTraining:
