@@ -120,7 +120,7 @@ class TestRelativeError:
 
 
 class TestOutletFlux:
-    # seven times: at 256 nodes a profile they are read as blocks of 4 + 3 times
+    # seven times: with 256 nodes a profile, they are read as blocks of 4 + 3 times
     TIMES = np.linspace(0.1, 2.0, 7)
 
     def test_rest_flow(self):
