@@ -203,6 +203,11 @@ _EXPORT_BLOCK = 512  # rows formatted together by export_fields
 _FLUX_BLOCK = 1024   # quadrature points read together by outlet_flux
 _FLUX_NODES = 256    # quadrature nodes of one outlet profile
 
+# the field snapshot CSV's columns, which `export_fields` writes and
+# `read_speed_reference` reads the first five of
+FIELD_COLUMNS = ("t_s", "r_cm", "z_cm", "u_z_cm_per_s", "u_r_cm_per_s",
+                 "p_dyn_per_cm2", "eta_cm")
+
 
 def export_fields(path, flow, displacement, grid: EvaluationGrid) -> None:
     """Field snapshot CSV: one row per (t, cell centre).
@@ -213,7 +218,7 @@ def export_fields(path, flow, displacement, grid: EvaluationGrid) -> None:
     cells = [f"{r!r},{z!r}" for r, z in zip(grid.r_centers.tolist(),
                                                grid.z_centers.tolist())]
     with open(path, "w", newline="") as fh:
-        fh.write("t_s,r_cm,z_cm,u_z_cm_per_s,u_r_cm_per_s,p_dyn_per_cm2,eta_cm\r\n")
+        fh.write(",".join(FIELD_COLUMNS) + "\r\n")
         for t in grid.times:
             values = _read_current(flow, displacement, grid.r_centers, grid.z_centers,
                                    np.full(n, t))
@@ -225,6 +230,43 @@ def export_fields(path, flow, displacement, grid: EvaluationGrid) -> None:
                 block = [col[lo:lo + _EXPORT_BLOCK].tolist() for col in cols]
                 fh.writelines(f"{t_text},{rz},{a!r},{b!r},{c!r},{d!r}\r\n"
                               for rz, a, b, c, d in zip(cells[lo:lo + _EXPORT_BLOCK], *block))
+
+
+def read_speed_reference(path) -> Callable:
+    """(r array, z array, t) -> velocity magnitude at the nodes of a field
+    snapshot CSV written by `export_fields`."""
+    columns = FIELD_COLUMNS[:5]
+    table = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise AnalysisError(f"reference file {path} is missing columns: "
+                                    f"{', '.join(missing)}")
+            for row in reader:
+                try:
+                    t, r, z, u_z, u_r = (float(row[c]) for c in columns)
+                except (TypeError, ValueError):  # a short row reads None
+                    raise AnalysisError(f"reference file {path}, line {reader.line_num}: "
+                                        "a cell is not a number")
+                if not np.all(np.isfinite((t, r, z, u_z, u_r))):
+                    raise AnalysisError(f"reference file {path}, line {reader.line_num}: "
+                                        "a cell is not finite")
+                table[(round(t, 12), round(r, 12), round(z, 12))] = np.hypot(u_z, u_r)
+    except UnicodeDecodeError:
+        raise AnalysisError(f"reference file {path} is not UTF-8 text")
+
+    def field(r, z, t):
+        out = np.empty(len(r))
+        for k, (ri, zi) in enumerate(zip(r, z)):
+            key = (round(float(t), 12), round(float(ri), 12), round(float(zi), 12))
+            if key not in table:
+                raise AnalysisError(f"reference file has no node at {key}")
+            out[k] = table[key]
+        return out
+
+    return field
 
 
 def write_probe_csv(path, series: Sequence[ProbeSeries]) -> None:

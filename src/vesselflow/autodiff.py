@@ -304,6 +304,14 @@ def _seed_jet(row, directions, laplacian: bool) -> np.ndarray:
     return jet
 
 
+def layer_params(theta: np.ndarray, layer: tuple) -> tuple:
+    """W and b (None without a bias) of a layer entry (offset, (rows, cols),
+    bias, act) of the flat parameter vector `theta`, as views."""
+    offset, (rows, cols), bias, _ = layer
+    w = theta[offset:offset + rows * cols].reshape(rows, cols)
+    return w, None if bias is None else theta[bias:bias + rows]
+
+
 def layer_jet(jet, w, b, act, laplacian, out=None) -> np.ndarray:
     """`jet` mapped through the layer act(W x + b) (no bias when b is
     None), as the module docstring writes it; `laplacian` holds the
@@ -671,14 +679,6 @@ class Tape:
         if _is_batch(va) and _is_batch(vb) and va.shape != vb.shape:
             raise RecordError("lockstep batches of different lengths combined")
 
-    def _weights(self, group: str, layer: tuple) -> tuple:
-        """W and b (None without a bias) of a layer (offset, shape, bias,
-        act) of parameter group `group`, as views."""
-        offset, (rows, cols), bias, _ = layer
-        values = self._groups[group]
-        w = values[offset:offset + rows * cols].reshape(rows, cols)
-        return w, None if bias is None else values[bias:bias + rows]
-
     def _run_input(self, args: tuple) -> np.ndarray:
         """The input jet (m, k, n) of a layer run on `args`: its operand
         run's value, or its operand row seeded."""
@@ -688,7 +688,8 @@ class Tape:
 
     def _layer(self, group: str, layer: tuple, jet: np.ndarray, laplacian,
                out=None) -> np.ndarray:
-        return layer_jet(jet, *self._weights(group, layer), layer[3], laplacian, out)
+        return layer_jet(jet, *layer_params(self._groups[group], layer), layer[3],
+                         laplacian, out)
 
     def _eval(self, i: int, op: int, args: tuple, out=None):
         """The value of node i, `op` on `args`. A layer run writes its last
@@ -937,7 +938,7 @@ class Tape:
         grads[group] when present and returns the adjoint of `jet`, or
         None without `need_input`."""
         offset, shape, bias, act = layer
-        w, _ = self._weights(group, layer)
+        w, _ = layer_params(self._groups[group], layer)
         adjoint = _layer_adjoint(adjoint, y, jet, w, act, laplacian)
         g = grads.get(group)
         if g is not None:

@@ -113,7 +113,7 @@ def _cmd_evaluate(args) -> int:
     speed_field = analysis.speed_field(flow, disp)
 
     if args.reference:
-        ref_field = _reference_from_csv(args.reference)
+        ref_field = analysis.read_speed_reference(args.reference)
         err = analysis.relative_error(speed_field, ref_field, grid)
         print(f"relative velocity-magnitude error vs {args.reference}: {err:.6e}")
     else:
@@ -128,51 +128,11 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-_REFERENCE_COLUMNS = ("t_s", "r_cm", "z_cm", "u_z_cm_per_s", "u_r_cm_per_s")
-
-
-def _reference_from_csv(path):
-    """Nodal lookup for a field snapshot written by export-fields."""
-    import csv as _csv
-
-    table = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            reader = _csv.DictReader(fh)
-            missing = [c for c in _REFERENCE_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise CliError(f"reference file {path} is missing columns: "
-                               f"{', '.join(missing)}")
-            for row in reader:
-                try:
-                    t, r, z, u_z, u_r = (float(row[c]) for c in _REFERENCE_COLUMNS)
-                except (TypeError, ValueError):  # a short row reads None
-                    raise CliError(f"reference file {path}, line {reader.line_num}: "
-                                   "a cell is not a number")
-                if not np.all(np.isfinite((t, r, z, u_z, u_r))):
-                    raise CliError(f"reference file {path}, line {reader.line_num}: "
-                                   "a cell is not finite")
-                table[(round(t, 12), round(r, 12), round(z, 12))] = np.hypot(u_z, u_r)
-    except UnicodeDecodeError:
-        raise CliError(f"reference file {path} is not UTF-8 text")
-
-    def field(r, z, t):
-        out = np.empty(len(r))
-        for k, (ri, zi) in enumerate(zip(r, z)):
-            key = (round(float(t), 12), round(float(ri), 12), round(float(zi), 12))
-            if key not in table:
-                raise CliError(f"reference file has no node at {key}")
-            out[k] = table[key]
-        return out
-
-    return field
-
-
 def _cmd_probe(args) -> int:
     config = _scenario_from_args(args)
     flow, disp = _load_run_fields(args, config)
     geometry = config.vessel_geometry()
-    if args.points:
+    if args.points is not None:
         points = []
         for chunk in args.points.split(";"):
             try:
@@ -387,7 +347,8 @@ def main(argv=None) -> int:
             raise CliError(f"seed must be non-negative, got {args.seed}")
         return args.func(args)
     except (CliError, ConfigError, PlanError, analysis.AnalysisError,
-            FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+            FileExistsError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:

@@ -120,7 +120,6 @@ class SampleSet:
     r: np.ndarray
     z: np.ndarray
     t: np.ndarray
-    region: RegionTag
 
     def __len__(self):
         return len(self.r)
@@ -167,7 +166,7 @@ def sample(geometry: VesselGeometry, region: RegionTag, count: int, seed: int,
     else:
         raise GeometryError(f"unknown sampling region {region}")
     ts = np.zeros(count) if at_initial_time else rng.uniform(0.0, geometry.horizon, size=count)
-    return SampleSet(rs, zs, ts, region)
+    return SampleSet(rs, zs, ts)
 
 
 def radial_direction(r) -> np.ndarray:

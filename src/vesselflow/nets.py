@@ -50,12 +50,10 @@ class FieldNetwork:
 
     def weight(self, layer: int) -> np.ndarray:
         """Row-major weight view of affine layer `layer` (0-based)."""
-        w_off, shape, b_off, _ = self._layers[layer]
-        return self.theta[w_off:b_off].reshape(shape)
+        return ad.layer_params(self.theta, self._layers[layer])[0]
 
     def bias(self, layer: int) -> np.ndarray:
-        _, (fan_out, _), b_off, _ = self._layers[layer]
-        return self.theta[b_off:b_off + fan_out]
+        return ad.layer_params(self.theta, self._layers[layer])[1]
 
     @property
     def in_dim(self) -> int:
@@ -95,8 +93,8 @@ class FieldNetwork:
         transposed view. So for n rows this is bitwise equal to the values
         `jet` records from n-point batches."""
         x = np.ascontiguousarray(np.asarray(points, dtype=np.float64).T)[None]
-        for layer, act in enumerate(self.activations):
-            x = ad.layer_jet(x, self.weight(layer), self.bias(layer), act, ())
+        for layer in self._layers:
+            x = ad.layer_jet(x, *ad.layer_params(self.theta, layer), layer[3], ())
         return x[0].T
 
     def relu_margin(self, point) -> float:
@@ -107,11 +105,11 @@ class FieldNetwork:
         is read."""
         x = np.asarray(point, dtype=np.float64).reshape(1, -1, 1)
         margin = np.inf
-        for layer, act in enumerate(self.activations):
-            x = ad.layer_jet(x, self.weight(layer), self.bias(layer), None, ())
-            if act == "relu":
+        for layer in self._layers:
+            x = ad.layer_jet(x, *ad.layer_params(self.theta, layer), None, ())
+            if layer[3] == "relu":
                 margin = min(margin, float(np.min(np.abs(x))))
-            ad.activate_in_place(act, x)
+            ad.activate_in_place(layer[3], x)
         return margin
 
 

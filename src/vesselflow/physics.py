@@ -396,13 +396,9 @@ def draw_samples(geometry: VesselGeometry, interior_count: int, wall_count: int,
     )
 
 
-def _batch_inputs(tape, sample_set: SampleSet):
-    return tape.batch(sample_set.r), tape.batch(sample_set.z), tape.batch(sample_set.t)
-
-
 def _joined_inputs(tape, sets: Sequence[SampleSet]):
-    """Batches (r, z, t) over the union of collocation `sets`, in order,
-    and each set's points (lo, hi) in it."""
+    """Batches (r, z, t) over the union of one or more collocation `sets`,
+    in order, and each set's points (lo, hi) in it."""
     inputs = tuple(tape.batch(np.concatenate([getattr(s, k) for s in sets])) for k in "rzt")
     ends = np.cumsum([len(s) for s in sets]).tolist()
     return inputs, list(zip([0] + ends[:-1], ends))
@@ -447,7 +443,7 @@ class FluidLossGraph:
         tape = ad.Tape(trained=self.trained)
         self.tape = tape
 
-        r, z, t = _batch_inputs(tape, samples.interior)
+        (r, z, t), _ = _joined_inputs(tape, [samples.interior])
         res = ns_residual_axisym(tape, r, z, t, flow, displacement, fluid, eps_r)
         self.term_ns = mean_square(tape, res)
 
@@ -461,7 +457,7 @@ class FluidLossGraph:
         self.term_init = mean_square(tape, initial_fluid_residual(
             *_parts(tape, init, u_z, u_r)))
 
-        r, z, t = _batch_inputs(tape, samples.outlet)
+        (r, z, t), _ = _joined_inputs(tape, [samples.outlet])
         outlet_mean = mean_square(tape, outlet_residual(
             tape, r, z, t, flow, displacement, fluid))
 
@@ -518,7 +514,7 @@ class SolidLossGraph:
             parts.append((len(idx), mean_square(tape, [res])))
         self.term_stress = _weighted_union(tape, parts)
 
-        r, z, t = _batch_inputs(tape, samples.interior)
+        (r, z, t), _ = _joined_inputs(tape, [samples.interior])
         self.term_harmonic = mean_square(
             tape, [harmonic_residual(tape, r, z, t, displacement, eps_r)])
 

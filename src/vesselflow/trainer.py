@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from . import nets as nets_mod
 from .config import ScenarioConfig
 from .optim import AdamState, GradientError
 from .physics import (
-    CollocationSamples, FluidLossGraph, LossBreakdown, LossWeights, SolidLossGraph,
+    CollocationSamples, FluidLossGraph, LossBreakdown, SolidLossGraph,
     draw_samples, network_fields,
 )
 
@@ -221,15 +221,11 @@ class Trainer:
 
     def _fluid_graph(self, samples: CollocationSamples,
                      alpha_ns: float) -> FluidLossGraph:
-        weights_stage = LossWeights(
-            ns=alpha_ns,
-            fluid_bdr=self.config.weights.fluid_boundary,
-            fluid_init=self.config.weights.fluid_initial,
-        )
         return FluidLossGraph(self.flow, self.displacement, samples,
                               self.config.vessel_geometry(),
                               self.config.fluid_properties(),
-                              self.config.inlet_factor(), weights_stage,
+                              self.config.inlet_factor(),
+                              replace(self.config.loss_weights(), ns=alpha_ns),
                               self.config.eps_r)
 
     def ladder(self) -> float:

@@ -316,9 +316,9 @@ def _split_draw(samples: CollocationSamples, parts: int) -> list[CollocationSamp
     """`parts` equal contiguous pieces of every collocation set of a draw."""
     def piece(s, k):
         size, rest = divmod(len(s), parts)
-        assert rest == 0, f"{s.region} count {len(s)} does not split into {parts}"
+        assert rest == 0, f"a count of {len(s)} does not split into {parts}"
         sl = slice(k * size, (k + 1) * size)
-        return SampleSet(s.r[sl], s.z[sl], s.t[sl], s.region)
+        return SampleSet(s.r[sl], s.z[sl], s.t[sl])
     return [CollocationSamples(**{f.name: piece(getattr(samples, f.name), k)
                                   for f in dataclasses.fields(samples)})
             for k in range(parts)]

@@ -405,6 +405,22 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith("error: cannot parse probe point '0.1'")
         assert not out.exists()
 
+    def test_empty_probe_points(self, tmp_path, checkpoint_args, capsys):
+        out = tmp_path / "probes.csv"
+        assert main(["probe", *checkpoint_args, "--points", "", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot parse probe point ''; expected r,z\n")
+        assert not out.exists()
+
+    def test_checkpoint_directory_that_is_a_file(self, tmp_path, capsys):
+        _, out_dir, argv = _small_training_args(tmp_path)
+        out_dir.mkdir()
+        (out_dir / "checkpoints").write_text("")
+        assert main(["train", *argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 17] File exists: '{out_dir / 'checkpoints'}'\n")
+        assert not (out_dir / "history.csv").exists()
+
     @pytest.mark.parametrize("key,value,message", [
         ("interior_points", 0, "training.interior_points must be positive, got 0"),
         ("network_depth", 1, "training.network_depth must be at least 2 affine layers, got 1"),

@@ -38,9 +38,9 @@ def equal_parts(samples: CollocationSamples, parts: int) -> list[CollocationSamp
     the draws a data-parallel trainer would hand its workers."""
     def piece(s, k):
         size, rest = divmod(len(s), parts)
-        assert rest == 0, f"{s.region} count {len(s)} does not split into {parts}"
+        assert rest == 0, f"a count of {len(s)} does not split into {parts}"
         sl = slice(k * size, (k + 1) * size)
-        return SampleSet(s.r[sl], s.z[sl], s.t[sl], s.region)
+        return SampleSet(s.r[sl], s.z[sl], s.t[sl])
     return [CollocationSamples(**{f.name: piece(getattr(samples, f.name), k)
                                   for f in fields(samples)})
             for k in range(parts)]
@@ -215,6 +215,33 @@ class TestLadder:
             b = graph.breakdown()
             assert b.fluid_total == ((alpha * b.ns + w.fluid_boundary * b.fluid_bdr)
                                      + w.fluid_initial * b.fluid_init)
+
+
+    def test_each_raise_lifts_the_recorded_loss_on_one_draw(self, monkeypatch):
+        # Every rung's record, replayed at the ladder's final parameters:
+        # one draw gives every rung the same residual terms, so the total
+        # differs only by the momentum weight, and it rises with it.
+        config = tiny_config(ladder_steps=3, max_alternations=0)
+        trainer = Trainer(config, build_networks(config, seed=19), seed=19)
+        graphs = []
+        original = Trainer._fluid_graph
+
+        def fluid_graph(self, samples, alpha_ns):
+            graphs.append(original(self, samples, alpha_ns))
+            return graphs[-1]
+
+        monkeypatch.setattr(Trainer, "_fluid_graph", fluid_graph)
+        trainer.ladder()
+        assert len(graphs) == 3
+        for graph in graphs:
+            graph.replay()
+        rungs = [graph.breakdown() for graph in graphs]
+        assert rungs[-1].ns > 0.0
+        for b in rungs[1:]:
+            for term in ("ns", "fluid_bdr", "fluid_init"):
+                assert getattr(b, term) == getattr(rungs[0], term), term
+        totals = [b.fluid_total for b in rungs]
+        assert all(low < high for low, high in zip(totals, totals[1:])), totals
 
 
 class TestStageLifetimes:
