@@ -216,7 +216,6 @@ class TestLadder:
             assert b.fluid_total == ((alpha * b.ns + w.fluid_boundary * b.fluid_bdr)
                                      + w.fluid_initial * b.fluid_init)
 
-
     def test_each_raise_lifts_the_recorded_loss_on_one_draw(self, monkeypatch):
         # Every rung's record, replayed at the ladder's final parameters:
         # one draw gives every rung the same residual terms, so the total
