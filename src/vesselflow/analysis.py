@@ -3,17 +3,17 @@
 Everything here treats trained networks as immutable functions accessed
 through the same field adapters the residuals use. Reads that take no
 derivative (`export_fields`, `probe`, `outlet_flux`) use the adapters'
-plain `read`, so they build no record; their values are bitwise equal
-to a recorded read of the same batch. `outlet_flux` takes all its times
-at once: one read of the outlet wall point at every time, then profile
-reads over blocks of whole times of at most `_FLUX_BLOCK` points, the
-size of a snapshot slice, so that memory stays that of one slice.
-`probe` keeps one read per probe point: one read of all three default
-probes changed 5 of 150 rows of a train run's `probes.csv` in the last
-digit, since a matrix product's last bits can depend on the batch width,
-and saved about 1 ms. `speed_field` still records, but trains no
-network, so each of its network reads is one layer run of the whole
-network, which keeps only its output, not its layers.
+plain `read`, so they build no record; `FieldNetwork.evaluate` bounds
+how many points a read takes through the layers at once, and each of
+its blocks is bitwise equal to a recorded read of that block.
+`outlet_flux` takes all its times at once: one read of the outlet wall
+point at every time, then one read of every profile. `probe` keeps one
+read per probe point: one read of all three default probes changed 5 of
+150 rows of a train run's `probes.csv` in the last digit, since a matrix
+product's last bits can depend on the batch width, and saved about 1 ms.
+`speed_field` still records, but trains no network, so each of its
+network reads is one layer run of the whole network, which keeps only
+its output, not its layers.
 Reference solutions are closed-form oracles or saved field files, never
 a live solve.
 """
@@ -21,6 +21,7 @@ a live solve.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -114,26 +115,21 @@ def outlet_flux(flow, displacement, times, geometry: VesselGeometry) -> np.ndarr
     Composite trapezoid in the squared-radius variable: with s = r^2 the
     integral is pi * int u_z(sqrt(s)) ds, so parabolic profiles integrate
     exactly and the annular area weighting is built into the substitution.
-    The outlet wall point is read once at every time; the profiles, of
-    `_FLUX_NODES` nodes each, are read over blocks of whole times of at most
-    `_FLUX_BLOCK` points, each block integrated along its rows at once."""
+    The outlet wall point is read once at every time, and the profiles, of
+    `_FLUX_NODES` nodes each, in one read of all times, integrated along
+    their rows at once."""
     times = np.asarray(times, dtype=np.float64)
     if times.ndim != 1:
         raise AnalysisError("outlet_flux takes a 1-d array of times")
     z_w = np.full(len(times), geometry.length)
     radius_now = reference_radius(geometry, z_w) + displacement.read(
         np.full(len(times), geometry.radius), z_w, times)
-    per_block = _FLUX_BLOCK // _FLUX_NODES
-    flux = np.empty(len(times))
-    for lo in range(0, len(times), per_block):
-        block = slice(lo, lo + per_block)
-        s = np.linspace(0.0, radius_now[block] ** 2, _FLUX_NODES, axis=1)
-        u_z, _ = flow.read(np.sqrt(s).ravel(), np.full(s.size, geometry.length),
-                           np.repeat(times[block], _FLUX_NODES), pressure=False)
-        integrand = np.pi * np.broadcast_to(
-            np.asarray(u_z, dtype=np.float64), (s.size,)).reshape(s.shape)
-        flux[block] = np.trapezoid(integrand, s, axis=1)
-    return flux
+    s = np.linspace(0.0, radius_now ** 2, _FLUX_NODES, axis=1)
+    u_z, _ = flow.read(np.sqrt(s).ravel(), np.full(s.size, geometry.length),
+                       np.repeat(times, _FLUX_NODES), pressure=False)
+    integrand = np.pi * np.broadcast_to(
+        np.asarray(u_z, dtype=np.float64), (s.size,)).reshape(s.shape)
+    return np.trapezoid(integrand, s, axis=1)
 
 
 @dataclass
@@ -200,7 +196,6 @@ def speed_field(flow, displacement) -> Callable:
 # exports
 
 _EXPORT_BLOCK = 512  # rows formatted together by export_fields
-_FLUX_BLOCK = 1024   # quadrature points read together by outlet_flux
 _FLUX_NODES = 256    # quadrature nodes of one outlet profile
 
 # the field snapshot CSV's columns, which `export_fields` writes and
@@ -250,7 +245,7 @@ def read_speed_reference(path) -> Callable:
                 except (TypeError, ValueError):  # a short row reads None
                     raise AnalysisError(f"reference file {path}, line {reader.line_num}: "
                                         "a cell is not a number")
-                if not np.all(np.isfinite((t, r, z, u_z, u_r))):
+                if not all(map(math.isfinite, (t, r, z, u_z, u_r))):
                     raise AnalysisError(f"reference file {path}, line {reader.line_num}: "
                                         "a cell is not finite")
                 table[(round(t, 12), round(r, 12), round(z, 12))] = np.hypot(u_z, u_r)

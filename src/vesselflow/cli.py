@@ -112,7 +112,7 @@ def _cmd_evaluate(args) -> int:
                                          args.grid_t)
     speed_field = analysis.speed_field(flow, disp)
 
-    if args.reference:
+    if args.reference is not None:
         ref_field = analysis.read_speed_reference(args.reference)
         err = analysis.relative_error(speed_field, ref_field, grid)
         print(f"relative velocity-magnitude error vs {args.reference}: {err:.6e}")
@@ -299,21 +299,23 @@ _M_MMAP_THRESHOLD = -3
 def _retain_freed_memory() -> None:
     """Keep freed heap memory for reuse instead of returning it to the OS.
 
-    Every field read allocates and frees the same arrays once per time
-    slice: a layer's (width, points) array is 640 KiB at the default
-    64 x 64 grid, above glibc's default 128 KiB mmap threshold, and the
-    `speed_field` record of `evaluate` keeps only the outputs of its
-    whole-network layer runs (0.56 MiB a slice), so nearly all of that
-    memory is transient. By default each such array is mapped fresh and
-    page-faulted in, or the trimmed heap is faulted back in for the next
-    slice. On the cylinder networks at the default grid, without this
-    setting `evaluate` takes 35,100 minor page faults instead of 6,300
-    and 20-45% more CPU time, `export-fields` 35,300 instead of 6,400 and
-    about 20% more, and an fsi-train `train` 25,000-38,000 instead of
-    11,900 and 6-10% more. Whether trimming happens depends on incidental
-    heap layout, so the cost would come and go with unrelated code
-    changes. Arrays up to 32 MB now come from the heap, and it is trimmed
-    only beyond 256 MB free. No-op without glibc."""
+    Field reads allocate and free the same arrays over and over: a layer
+    array is 320 KiB per block of a plain read at width 20 and 640 KiB per
+    slice of `evaluate`'s `speed_field` record at the default 64 x 64
+    grid, above glibc's default 128 KiB mmap threshold, and that record
+    keeps only the outputs of its whole-network layer runs (0.56 MiB a
+    slice), so nearly all of that memory is transient. By default each
+    such array is mapped fresh and page-faulted in, or the trimmed heap
+    is faulted back in for the next slice. On the cylinder networks at
+    the default grid, without this setting `evaluate` takes 35,100 minor
+    page faults instead of 6,300 and about 20% more CPU time, and an
+    fsi-train `train` 23,500 instead of 11,700 and 5-30% more;
+    `export-fields` takes about 6,200 either way, since glibc raises its
+    mmap threshold to the size of the first block array freed. Whether
+    trimming happens depends on incidental heap layout, so the cost
+    would come and go with unrelated code changes. Arrays up to 32 MB now
+    come from the heap, and it is trimmed only beyond 256 MB free. No-op
+    without glibc."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError, TypeError):

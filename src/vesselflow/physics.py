@@ -196,8 +196,9 @@ def network_fields(networks: dict, rigid_wall: bool):
 def _read_network(net, r, z, t):
     """Plain outputs of `net` at a batch (r, z, t), stacked into (n, 3)
     rows, whose (3, n) transpose `FieldNetwork.evaluate` computes on as
-    `FieldNetwork.jet` stacks its inputs, so the products are the same
-    products."""
+    `FieldNetwork.jet` stacks its inputs, a block of `nets.READ_BLOCK`
+    rows at a time; so each block equals a recorded read of that block,
+    bit for bit."""
     return tuple(net.evaluate(np.stack(np.broadcast_arrays(r, z, t), axis=-1)).T)
 
 

@@ -260,27 +260,29 @@ def same_bits(a, b):
     return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
 
 
-def recorded_flux(flow, displacement, times, geometry, per_block):
+def recorded_flux(flow, displacement, times, geometry):
     """outlet_flux, whose profiles have 256 nodes, with the wall
     displacement read from one recorded batch of every time, and the
-    profiles from one recorded batch per block of `per_block` times, so that
-    the products are those of outlet_flux's blocks."""
+    profiles of all times from one recorded batch per block of
+    `nets.READ_BLOCK` points, so that the products are those of the plain
+    read's blocks."""
     n_quad = 256
     tape = ad.Tape()
     z_w = np.full(len(times), geometry.length)
     eta = displacement.radial(tape, tape.batch(np.full(len(times), geometry.radius)),
                               tape.batch(z_w), tape.batch(times)).value
     radius = reference_radius(geometry, z_w) + eta.value
-    flux = []
-    for lo in range(0, len(times), per_block):
-        s = np.stack([np.linspace(0.0, r**2, n_quad) for r in radius[lo:lo + per_block]])
+    s = np.stack([np.linspace(0.0, r**2, n_quad) for r in radius])
+    r_all, t_all = np.sqrt(s).ravel(), np.repeat(times, n_quad)
+    u_z = []
+    for lo in range(0, s.size, nets.READ_BLOCK):
+        block = slice(lo, lo + nets.READ_BLOCK)
         tape = ad.Tape()
-        u_z, _ = flow.velocity(tape, tape.batch(np.sqrt(s).ravel()),
-                               tape.batch(np.full(s.size, geometry.length)),
-                               tape.batch(np.repeat(times[lo:lo + per_block], n_quad)))
-        u_z = u_z.value
-        flux.extend(np.trapezoid(np.pi * u_z.value.reshape(s.shape), s, axis=1))
-    return np.array(flux)
+        u, _ = flow.velocity(tape, tape.batch(r_all[block]),
+                             tape.batch(np.full(len(r_all[block]), geometry.length)),
+                             tape.batch(t_all[block]))
+        u_z.extend(u.value.value)
+    return np.trapezoid(np.pi * np.reshape(u_z, s.shape), s, axis=1)
 
 
 @pytest.mark.parametrize("wall", ["rigid", "moving"])
@@ -330,9 +332,11 @@ class TestPlainReads:
         read, sizes = flow.read, []
         monkeypatch.setattr(flow, "read", lambda r, z, t, pressure=True: (
             sizes.append(len(r)) or read(r, z, t, pressure)))
+        # blocks smaller than the seven profiles, which cut through a profile
+        monkeypatch.setattr(nets, "READ_BLOCK", 640)
         got = outlet_flux(flow, disp, times, GEOM)
-        assert sizes == [4 * 256, 3 * 256]
-        assert same_bits(got, recorded_flux(flow, disp, times, GEOM, per_block=4))
+        assert sizes == [7 * 256]
+        assert same_bits(got, recorded_flux(flow, disp, times, GEOM))
 
     def test_recorded_speed_field_matches_plain_read(self, wall):
         flow, disp = network_adapters(wall)

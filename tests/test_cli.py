@@ -412,6 +412,12 @@ class TestBadInput:
             "error: cannot parse probe point ''; expected r,z\n")
         assert not out.exists()
 
+    def test_empty_reference(self, checkpoint_args, capsys):
+        # an empty path names no file; it does not mean the parabolic oracle
+        grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
+        assert main(["evaluate", *checkpoint_args, *grid, "--reference", ""]) == 2
+        assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+
     def test_checkpoint_directory_that_is_a_file(self, tmp_path, capsys):
         _, out_dir, argv = _small_training_args(tmp_path)
         out_dir.mkdir()

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import tracemalloc
 import warnings
 import zipfile
 
@@ -10,6 +11,9 @@ import pytest
 
 from vesselflow import autodiff as ad
 from vesselflow import nets
+from vesselflow.analysis import EvaluationGrid, export_fields
+from vesselflow.domain import VesselGeometry
+from vesselflow.physics import NetworkDisplacement, NetworkFlow
 
 # Combined sizes of the split velocity/pressure pair for the two width
 # families, plus the single-network variant, keyed by (depth, total width).
@@ -127,6 +131,41 @@ class TestForward:
         before = pts.copy()
         net.evaluate(pts)
         assert pts.tobytes() == before.tobytes()
+
+    def test_evaluate_reads_in_blocks(self):
+        # each block of rows is a read of its own: bit for bit the record
+        # of that block's rows
+        net = nets.build(12, 20, 3, 2, seed=7)
+        n = 2 * nets.READ_BLOCK + 37
+        pts = np.random.default_rng(7).uniform(-1, 1, size=(n, 3))
+        got = net.evaluate(pts)
+        want = np.concatenate([
+            np.stack([o.value.value for o in jet_at(net, pts[lo:lo + nets.READ_BLOCK], ())],
+                     axis=1)
+            for lo in range(0, n, nets.READ_BLOCK)])
+        assert got.shape == (n, 2)
+        assert got.tobytes() == want.tobytes()
+
+    def test_export_memory_bounded_by_the_block(self, tmp_path):
+        # One slice of eight blocks through width-64 networks. Per cell the
+        # export holds its (r, z) text and a few float columns, under 256
+        # bytes; per block, the block's points and a layer's input and
+        # output, three width-64 arrays of READ_BLOCK rows at most. A read
+        # of the whole slice would hold two 8 MiB layer arrays at once.
+        width = 64
+        flow = NetworkFlow(nets.build(4, width, 3, 2, seed=1, name="u"),
+                           nets.build(4, width, 3, 1, seed=2, name="p"))
+        disp = NetworkDisplacement(nets.build(4, width, 3, 1, seed=3, name="d"))
+        grid = EvaluationGrid.build(VesselGeometry(), 128, 128, 1)
+        assert len(grid) == 8 * nets.READ_BLOCK
+        bound = 256 * len(grid) + 3 * 8 * width * nets.READ_BLOCK
+        tracemalloc.start()
+        try:
+            export_fields(tmp_path / "fields.csv", flow, disp, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
     @pytest.mark.parametrize("seven_points", [False, True])  # else one point
     def test_record_size_independent_of_width(self, seven_points):
