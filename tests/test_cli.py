@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -362,6 +363,20 @@ class TestProbeCommand:
         assert spaced.read_bytes() == joined.read_bytes()
 
 
+class TestEvaluateCommand:
+    def test_own_export_scores_zero_across_blocks(self, tmp_path, checkpoint_args, capsys,
+                                                  monkeypatch):
+        # 16 x 16 cells in blocks of 60: four whole blocks and a remainder
+        monkeypatch.setattr(nets, "READ_BLOCK", 60)
+        fields = tmp_path / "fields.csv"
+        grid = ["--grid-r", "16", "--grid-z", "16", "--grid-t", "3"]
+        assert main(["export-fields", *checkpoint_args, *grid, "--out", str(fields)]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 0
+        assert capsys.readouterr().out == (
+            f"relative velocity-magnitude error vs {fields}: 0.000000e+00\n")
+
+
 class TestBadInput:
     """Input a command cannot use is reported as one `error:` line with
     exit code 2, not as a traceback."""
@@ -476,6 +491,15 @@ class TestBadInput:
         grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
         assert main(["evaluate", *checkpoint_args, *grid, f"--u-max={u_max}"]) == 2
         assert capsys.readouterr().err == f"error: --u-max {float(u_max)} is not finite\n"
+
+    def test_u_max_whose_square_overflows(self, checkpoint_args, capsys):
+        grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evaluate", *checkpoint_args, *grid, "--u-max", "1e308"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the error sums are not finite on the slice t=")
 
     def test_config_with_non_finite_number(self, tmp_path, capsys):
         cfg = preset("poiseuille-rigid").to_dict()

@@ -11,7 +11,9 @@ import pytest
 
 from vesselflow import autodiff as ad
 from vesselflow import nets
-from vesselflow.analysis import EvaluationGrid, export_fields
+from vesselflow.analysis import (
+    EvaluationGrid, export_fields, poiseuille_oracle, relative_error, speed_field,
+)
 from vesselflow.domain import VesselGeometry
 from vesselflow.physics import NetworkDisplacement, NetworkFlow
 
@@ -165,6 +167,35 @@ class TestForward:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < bound
+
+    def test_speed_field_memory_bounded_by_the_block(self):
+        # The error of one slice of eight blocks through width-64 networks,
+        # as `evaluate` scores it. Per cell the error holds the speeds, the
+        # reference and a few float temporaries, under 256 bytes; per block,
+        # a record's inputs and outputs and a layer run's input and output,
+        # within three width-64 arrays of READ_BLOCK rows. A record of the
+        # whole slice would hold two 8 MiB layer arrays at once.
+        width = 64
+        flow = NetworkFlow(nets.build(4, width, 3, 2, seed=1, name="u"),
+                           nets.build(4, width, 3, 1, seed=2, name="p"))
+        disp = NetworkDisplacement(nets.build(4, width, 3, 1, seed=3, name="d"))
+        geometry = VesselGeometry()
+        grid = EvaluationGrid.build(geometry, 128, 128, 1)
+        assert len(grid) == 8 * nets.READ_BLOCK
+        bound = 256 * len(grid) + 3 * 8 * width * nets.READ_BLOCK
+        field = speed_field(flow, disp)
+
+        def oracle(r, z, t):
+            return np.abs(poiseuille_oracle(r, 20.0, geometry.radius))
+
+        tracemalloc.start()
+        try:
+            error = relative_error(field, oracle, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(error)
         assert peak < bound
 
     @pytest.mark.parametrize("seven_points", [False, True])  # else one point
