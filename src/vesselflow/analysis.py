@@ -81,9 +81,9 @@ def relative_error(field: Callable, reference: Callable, grid: EvaluationGrid) -
     scaled by the time step.
 
     `field` and `reference` map (r array, z array, t) to nodal values.
-    Identical fields give exactly zero. A slice whose sums overflow or
-    are not numbers, and a reference that vanishes on a whole slice, are
-    rejected."""
+    Identical fields give exactly zero. A slice whose sums or their ratio
+    overflow or are not numbers, and a reference that vanishes on a whole
+    slice, are rejected."""
     total = 0.0
     for t in grid.times:
         got = np.asarray(field(grid.r_centers, grid.z_centers, t), dtype=np.float64)
@@ -95,6 +95,8 @@ def relative_error(field: Callable, reference: Callable, grid: EvaluationGrid) -
             raise AnalysisError(f"the error sums are not finite on the slice t={t}")
         if den == 0.0:
             raise AnalysisError(f"reference field vanishes on the slice t={t}")
+        if not math.isfinite(num / den):
+            raise AnalysisError(f"the error ratio overflows on the slice t={t}")
         total += num / den
     return grid.time_step * total
 

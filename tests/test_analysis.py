@@ -125,6 +125,14 @@ class TestRelativeError:
                                match=re.escape(f"not finite on the slice t={grid.times[0]}")):
                 relative_error(lambda r, z, t: r, lambda r, z, t: 1e200 + 0 * r, grid)
 
+    def test_ratio_that_overflows_rejected(self):
+        # a reference so small that its squares are subnormal: finite sums
+        # whose ratio is inf
+        grid = EvaluationGrid.build(GEOM, n_r=4, n_z=4, n_t=2)
+        with pytest.raises(AnalysisError,
+                           match=re.escape(f"ratio overflows on the slice t={grid.times[0]}")):
+            relative_error(lambda r, z, t: 1.0 + 0 * r, lambda r, z, t: 1e-155 + 0 * r, grid)
+
     def test_nonnegative(self):
         grid = EvaluationGrid.build(GEOM, n_r=6, n_z=6, n_t=2)
         got = relative_error(lambda r, z, t: r + t, lambda r, z, t: 1.0 + 0 * r, grid)

@@ -492,14 +492,18 @@ class TestBadInput:
         assert main(["evaluate", *checkpoint_args, *grid, f"--u-max={u_max}"]) == 2
         assert capsys.readouterr().err == f"error: --u-max {float(u_max)} is not finite\n"
 
-    def test_u_max_whose_square_overflows(self, checkpoint_args, capsys):
+    # the oracle's squares overflow, or are so small that the ratio does:
+    # an error line, not a nan or an inf with exit 0
+    @pytest.mark.parametrize("u_max,message", [("1e308", "the error sums are not finite"),
+                                               ("1e-155", "the error ratio overflows")])
+    def test_u_max_whose_error_overflows(self, checkpoint_args, capsys, u_max, message):
         grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert main(["evaluate", *checkpoint_args, *grid, "--u-max", "1e308"]) == 2
+            assert main(["evaluate", *checkpoint_args, *grid, "--u-max", u_max]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: the error sums are not finite on the slice t=")
+        assert err.startswith(f"error: {message} on the slice t=")
 
     def test_config_with_non_finite_number(self, tmp_path, capsys):
         cfg = preset("poiseuille-rigid").to_dict()
