@@ -95,9 +95,10 @@ def relative_error(field: Callable, reference: Callable, grid: EvaluationGrid) -
             raise AnalysisError(f"the error sums are not finite on the slice t={t}")
         if den == 0.0:
             raise AnalysisError(f"reference field vanishes on the slice t={t}")
-        if not math.isfinite(num / den):
+        ratio = num / den
+        if not math.isfinite(ratio):
             raise AnalysisError(f"the error ratio overflows on the slice t={t}")
-        total += num / den
+        total += ratio
     return grid.time_step * total
 
 
