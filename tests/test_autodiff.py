@@ -874,7 +874,6 @@ class TestLayerKernelBits:
             self.assert_same_bits(jet, before)
             self.assert_same_bits(y, want[0])  # the value row is only read
 
-
     @pytest.mark.parametrize("act", ["sigmoid", "relu", None])
     def test_new_arrays_start_on_a_64_byte_line(self, act):
         # and a misaligned output array gets the same bits
