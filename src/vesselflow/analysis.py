@@ -76,23 +76,40 @@ class EvaluationGrid:
         return len(self.volumes)
 
 
+_SMALLEST_NORMAL = float(np.finfo(np.float64).tiny)
+
+
+def _error_sums(volumes, got, ref) -> tuple:
+    """The volume-weighted sums of (got - ref)^2 and ref^2, as floats;
+    inf or nan where they overflow, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (float(np.sum(volumes * (got - ref) ** 2)),
+                float(np.sum(volumes * ref**2)))
+
+
 def relative_error(field: Callable, reference: Callable, grid: EvaluationGrid) -> float:
     """Volume-weighted squared mismatch ratio, summed over time slices and
     scaled by the time step.
 
     `field` and `reference` map (r array, z array, t) to nodal values.
     Identical fields give exactly zero. A slice whose sums or their ratio
-    overflow or are not numbers, and a reference that vanishes on a whole
-    slice, are rejected."""
+    overflow or are not numbers, and a reference that is zero on a whole
+    slice, are rejected. A slice whose reference squares sum to a
+    subnormal or zero (an underflow, if the reference is not zero) is
+    summed again with both fields scaled by the power of two that brings
+    the reference's largest magnitude into [0.5, 1): exact, so the ratio
+    is the unscaled one without the underflow."""
     total = 0.0
     for t in grid.times:
         got = np.asarray(field(grid.r_centers, grid.z_centers, t), dtype=np.float64)
         ref = np.asarray(reference(grid.r_centers, grid.z_centers, t), dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            num = float(np.sum(grid.volumes * (got - ref) ** 2))
-            den = float(np.sum(grid.volumes * ref**2))
+        num, den = _error_sums(grid.volumes, got, ref)
         if not (math.isfinite(num) and math.isfinite(den)):
             raise AnalysisError(f"the error sums are not finite on the slice t={t}")
+        if den < _SMALLEST_NORMAL and np.any(ref):  # the squares underflow
+            shift = -math.frexp(float(np.max(np.abs(ref))))[1]
+            with np.errstate(over="ignore"):
+                num, den = _error_sums(grid.volumes, np.ldexp(got, shift), np.ldexp(ref, shift))
         if den == 0.0:
             raise AnalysisError(f"reference field vanishes on the slice t={t}")
         ratio = num / den
@@ -248,20 +265,26 @@ def export_fields(path, flow, displacement, grid: EvaluationGrid) -> None:
 
 def read_speed_reference(path) -> Callable:
     """(r array, z array, t) -> velocity magnitude at the nodes of a field
-    snapshot CSV written by `export_fields`."""
+    snapshot CSV written by `export_fields`. The columns are found by
+    name in the header, whose last cell of a name counts, and blank lines
+    are skipped, as ``csv.DictReader`` reads them."""
     columns = FIELD_COLUMNS[:5]
     table = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            reader = csv.reader(fh)
+            header = {name: i for i, name in enumerate(next(reader, ()))}
+            missing = [c for c in columns if c not in header]
             if missing:
                 raise AnalysisError(f"reference file {path} is missing columns: "
                                     f"{', '.join(missing)}")
+            index = [header[c] for c in columns]
             for row in reader:
+                if not row:
+                    continue
                 try:
-                    t, r, z, u_z, u_r = (float(row[c]) for c in columns)
-                except (TypeError, ValueError):  # a short row reads None
+                    t, r, z, u_z, u_r = (float(row[i]) for i in index)
+                except (IndexError, ValueError):  # a short row, or a cell that is no number
                     raise AnalysisError(f"reference file {path}, line {reader.line_num}: "
                                         "a cell is not a number")
                 if not all(map(math.isfinite, (t, r, z, u_z, u_r))):

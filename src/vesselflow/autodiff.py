@@ -91,6 +91,12 @@ runs does not follow where malloc happened to place them.
 ``activate_in_place`` is the one activation arithmetic of layer runs and
 ``sigmoid``/``relu``: a layer activates its freshly computed product in
 place, while ``activate`` works on a copy and leaves its input as it is.
+Its sigmoid is a negation, then the tail 1 / (1 + exp(.)), and a sigmoid
+layer with a bias enters the tail directly: it folds the negation into
+the bias and computes -b - W x in the pass that would add b. The bits
+are the same: negation is exact and round-to-nearest is symmetric, so
+-b - W x rounds to exactly -(W x + b), and where W x + b is an exact
+zero both forms give exp(+-0) = 1.
 
 As it records a node, the record notes the parameter groups the node's
 value reads and those its adjoint reaches: a layer run adds its own group
@@ -135,6 +141,7 @@ later replay evaluates it.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import operator
@@ -194,16 +201,21 @@ def activate_in_place(act, z: np.ndarray) -> np.ndarray:
     """Activation `act` ("sigmoid", "relu" or None for none) of a float64
     array, written over it and returned: the one arithmetic of recorded
     activations and layer runs. For sigmoid it is 1 / (1 + exp(-z)), one
-    operation at a time."""
+    operation at a time: negate, then ``_sigmoid_of_negated``."""
     if act == "sigmoid":
-        np.negative(z, out=z)
-        with np.errstate(over="ignore"):
-            np.exp(z, out=z)
-        z += 1.0
-        np.divide(1.0, z, out=z)
+        _sigmoid_of_negated(np.negative(z, out=z))
     elif act == "relu":
         np.maximum(z, 0.0, out=z)
     return z
+
+
+def _sigmoid_of_negated(z: np.ndarray) -> np.ndarray:
+    """The sigmoid's tail, 1 / (1 + exp(z)), written over z = -a: the
+    sigmoid of a once a caller has negated it."""
+    with np.errstate(over="ignore"):
+        np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def activate(act, z):
@@ -319,10 +331,13 @@ def _aligned_empty(shape) -> np.ndarray:
     """An uninitialised float64 array of `shape` whose data starts on a
     64-byte boundary. malloc aligns to 16 bytes only, and on an AVX-512
     Xeon the product and activation of a width-20 layer ran 14-16% slower
-    on arrays that started off a 64-byte line, with the same bits."""
+    on arrays that started off a 64-byte line, with the same bits. The
+    buffer's address is read through ``ctypes.addressof``: asking
+    ``ndarray.ctypes`` for it took several times as long as the
+    allocation itself."""
     size = math.prod(shape)
     buf = np.empty(size + 7)
-    start = -buf.ctypes.data % 64 // 8
+    start = -ctypes.addressof(ctypes.c_char.from_buffer(buf)) % 64 // 8
     return buf[start:start + size].reshape(shape)
 
 
@@ -330,16 +345,22 @@ def layer_jet(jet, w, b, act, laplacian, out=None) -> np.ndarray:
     """`jet` mapped through the layer act(W x + b) (no bias when b is
     None), as the module docstring writes it; `laplacian` holds the
     positions of the directions the Laplacian sums. The value row has a
-    product of its own, so its bits do not depend on the directions.
-    Written into `out` when given, an array of the result's shape that
-    shares no memory with `jet`, else into a new array."""
+    product of its own, so its bits do not depend on the directions. A
+    sigmoid layer with a bias folds the sigmoid's negation into the bias:
+    -b - W x is -(W x + b) in one pass, bit for bit, and goes on through
+    ``_sigmoid_of_negated``. Written into `out` when given, an array of
+    the result's shape that shares no memory with `jet`, else into a new
+    array."""
     if out is None:
         out = _aligned_empty((len(jet), w.shape[0], jet.shape[2]))
     y = out[0]
     np.matmul(w, jet[0], out=y)
-    if b is not None:
-        y += b[:, None]
-    activate_in_place(act, y)
+    if act == "sigmoid" and b is not None:
+        _sigmoid_of_negated(np.subtract(-b[:, None], y, out=y))
+    else:
+        if b is not None:
+            y += b[:, None]
+        activate_in_place(act, y)
     if len(out) == 1:
         return out
     derivs = out[1:]

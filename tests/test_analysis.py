@@ -115,6 +115,25 @@ class TestRelativeError:
         with pytest.raises(AnalysisError):
             relative_error(lambda r, z, t: r, lambda r, z, t: 0.0 * r, grid)
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_zero_reference_named_as_vanishing(self, zero):
+        grid = EvaluationGrid.build(GEOM, n_r=4, n_z=4, n_t=2)
+        with pytest.raises(AnalysisError,
+                           match=re.escape(f"vanishes on the slice t={grid.times[0]}")):
+            relative_error(lambda r, z, t: r, lambda r, z, t: zero * r, grid)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170, 1e-300])
+    def test_reference_whose_squares_underflow(self, scale):
+        # the squares of both fields underflow to subnormals or to 0:
+        # the ratio is the one at scale 1, not a vanishing reference
+        grid = EvaluationGrid.build(GEOM, n_r=4, n_z=4, n_t=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relative_error(lambda r, z, t: (1.1 + r) * scale,
+                                 lambda r, z, t: (1.0 + r) * scale, grid)
+        want = relative_error(lambda r, z, t: 1.1 + r, lambda r, z, t: 1.0 + r, grid)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_sums_that_overflow_rejected(self):
         # the squared reference overflows: an error naming the slice, not
         # a nan and a RuntimeWarning

@@ -1,5 +1,7 @@
 """Derivative engine checks against independent finite-difference oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from vesselflow import autodiff as ad
@@ -873,6 +875,47 @@ class TestLayerKernelBits:
                 got, self.reference_adjoint(adjoint.copy(), y, jet, w, act, laplacian))
             self.assert_same_bits(jet, before)
             self.assert_same_bits(y, want[0])  # the value row is only read
+
+    @staticmethod
+    def fold_inputs(rows):
+        """A jet of `rows` rows over 20 units and 16 points, and (W, b)
+        pairs of a 4 x 20 layer: weights and biases scaled by 1e+-150, zero
+        and -0.0 biases, W x + b = 0 exactly, and pre-activations below
+        -709.78, where exp(-a) overflows."""
+        rng = np.random.default_rng(3)
+        jet = rng.standard_normal((rows, 20, 16))
+        jet[0, :, 0] = rng.integers(-4, 5, size=20)
+        jet[0, :, 1] = 0.0
+        jet[0, :, 2] = -0.0
+        w = rng.standard_normal((4, 20))
+        b = rng.standard_normal(4)
+        cases = [(w * ws, b * bs) for ws in (1e150, 1.0, 1e-150) for bs in (1e150, 1.0, 1e-150)]
+        whole = rng.integers(-4, 5, size=(4, 20)).astype(np.float64)
+        cases += [(w, np.zeros(4)), (w, np.full(4, -0.0)),
+                  (whole, -(whole @ jet[0, :, 0])),  # exact integers: zero in column 0
+                  (w, np.array([-800.0, -1e4, 0.5, 800.0]))]
+        return jet, cases
+
+    # the value row of a sigmoid layer is computed as -b - W x, then the
+    # sigmoid's tail: the same bits as the activation of W x + b
+    @pytest.mark.parametrize("rows,laplacian", [(1, ()), (5, (0, 1))])
+    @pytest.mark.parametrize("act", ["sigmoid", "relu", None])
+    def test_value_row_is_the_activation_of_the_product(self, act, rows, laplacian):
+        jet, cases = self.fold_inputs(rows)
+        pres = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for w, b in cases:
+                for bias in (b, None):
+                    pre = w @ jet[0]
+                    if bias is not None:
+                        pre = pre + bias[:, None]
+                    pres.append(pre)
+                    got = ad.layer_jet(jet, w, bias, act, laplacian)
+                    self.assert_same_bits(got[0], ad.activate(act, pre))
+        pres = np.concatenate(pres, axis=1)
+        assert np.any(pres == 0.0) and np.any(pres < -709.78) and np.any(pres > 1e149)
+        assert np.any((pres != 0.0) & (np.abs(pres) < 1e-149))
 
     @pytest.mark.parametrize("act", ["sigmoid", "relu", None])
     def test_new_arrays_start_on_a_64_byte_line(self, act):

@@ -376,6 +376,24 @@ class TestEvaluateCommand:
         assert capsys.readouterr().out == (
             f"relative velocity-magnitude error vs {fields}: 0.000000e+00\n")
 
+    def test_reference_columns_by_name_and_blank_lines_skipped(self, tmp_path,
+                                                                checkpoint_args, capsys):
+        # columns in another order, a column of another name, and blank
+        # lines read as the export itself
+        fields = tmp_path / "fields.csv"
+        grid = ["--grid-r", "3", "--grid-z", "3", "--grid-t", "2"]
+        assert main(["export-fields", *checkpoint_args, *grid, "--out", str(fields)]) == 0
+        capsys.readouterr()
+        rows = [line.split(",") for line in fields.read_text().splitlines()]
+        order = [4, 3, 6, 0, 2, 1, 5]
+        lines = [",".join(["note", *(row[i] for i in order)]) for row in rows]
+        lines[0] = lines[0].replace("note", "remark", 1)
+        lines.insert(3, "")
+        fields.write_text("\n".join(lines) + "\n\n")
+        assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 0
+        assert capsys.readouterr().out == (
+            f"relative velocity-magnitude error vs {fields}: 0.000000e+00\n")
+
 
 class TestBadInput:
     """Input a command cannot use is reported as one `error:` line with
@@ -504,6 +522,17 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {message} on the slice t=")
+
+    def test_u_max_whose_squares_underflow(self, checkpoint_args, capsys):
+        # the oracle is 1e-170 on the axis, so its squares underflow to 0:
+        # the reference does not vanish, the ratio overflows
+        grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evaluate", *checkpoint_args, *grid, "--u-max", "1e-170"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: the error ratio overflows on the slice t=")
 
     def test_config_with_non_finite_number(self, tmp_path, capsys):
         cfg = preset("poiseuille-rigid").to_dict()
@@ -648,6 +677,18 @@ class TestBadInput:
         cells = lines[2].split(",")
         cells[3] = "fast"  # u_z_cm_per_s
         lines[2] = ",".join(cells)
+        fields.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 2
+        assert capsys.readouterr().err == (f"error: reference file {fields}, line 3: "
+                                           "a cell is not a number\n")
+
+    def test_reference_row_too_short(self, tmp_path, checkpoint_args, capsys):
+        fields = tmp_path / "fields.csv"
+        grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
+        assert main(["export-fields", *checkpoint_args, *grid, "--out", str(fields)]) == 0
+        capsys.readouterr()
+        lines = fields.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:4])  # no u_r_cm_per_s
         fields.write_text("\n".join(lines) + "\n")
         assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 2
         assert capsys.readouterr().err == (f"error: reference file {fields}, line 3: "
