@@ -378,16 +378,15 @@ class TestEvaluateCommand:
 
     def test_reference_columns_by_name_and_blank_lines_skipped(self, tmp_path,
                                                                 checkpoint_args, capsys):
-        # columns in another order, a column of another name, and blank
-        # lines read as the export itself
+        # columns in another order, one more column, and blank lines read
+        # as the export itself
         fields = tmp_path / "fields.csv"
         grid = ["--grid-r", "3", "--grid-z", "3", "--grid-t", "2"]
         assert main(["export-fields", *checkpoint_args, *grid, "--out", str(fields)]) == 0
         capsys.readouterr()
         rows = [line.split(",") for line in fields.read_text().splitlines()]
         order = [4, 3, 6, 0, 2, 1, 5]
-        lines = [",".join(["note", *(row[i] for i in order)]) for row in rows]
-        lines[0] = lines[0].replace("note", "remark", 1)
+        lines = [",".join(["0", *(row[i] for i in order)]) for row in rows]
         lines.insert(3, "")
         fields.write_text("\n".join(lines) + "\n\n")
         assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 0
