@@ -92,21 +92,23 @@ def relative_error(field: Callable, reference: Callable, grid: EvaluationGrid) -
     scaled by the time step.
 
     `field` and `reference` map (r array, z array, t) to nodal values.
-    Identical fields give exactly zero. A slice whose sums or their ratio
-    overflow or are not numbers, and a reference that is zero on a whole
-    slice, are rejected. A slice whose reference squares sum to a
-    subnormal or zero (an underflow, if the reference is not zero) is
-    summed again with both fields scaled by the power of two that brings
-    the reference's largest magnitude into [0.5, 1): exact, so the ratio
-    is the unscaled one without the underflow."""
+    Identical fields give exactly zero. A slice whose fields hold a nan or
+    an inf, whose ratio overflows, or whose reference is zero throughout
+    is rejected. A slice whose sums overflow, or whose reference squares
+    sum to a subnormal or zero (an underflow, if the reference is not
+    zero), is summed again with both fields scaled by the power of two
+    that brings the reference's largest magnitude into [0.5, 1): exact
+    short of subnormals, so the ratio is the unscaled one without the
+    overflow or underflow. Other slices are summed unscaled."""
     total = 0.0
     for t in grid.times:
         got = np.asarray(field(grid.r_centers, grid.z_centers, t), dtype=np.float64)
         ref = np.asarray(reference(grid.r_centers, grid.z_centers, t), dtype=np.float64)
         num, den = _error_sums(grid.volumes, got, ref)
-        if not (math.isfinite(num) and math.isfinite(den)):
+        overflow = not (math.isfinite(num) and math.isfinite(den))
+        if overflow and not (np.isfinite(got).all() and np.isfinite(ref).all()):
             raise AnalysisError(f"the error sums are not finite on the slice t={t}")
-        if den < _SMALLEST_NORMAL and np.any(ref):  # the squares underflow
+        if overflow or (den < _SMALLEST_NORMAL and np.any(ref)):
             shift = -math.frexp(float(np.max(np.abs(ref))))[1]
             with np.errstate(over="ignore"):
                 num, den = _error_sums(grid.volumes, np.ldexp(got, shift), np.ldexp(ref, shift))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import os
 import sys
@@ -323,6 +324,56 @@ def _retain_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+# numpy's ufunc buffer, in elements, while a command runs: a multiple of 16
+# no longer than a layer row (the points of one read or batch). Every layer
+# adds its bias as a (width, n) array and a (width, 1) column, and numpy
+# 2.4 runs that broadcast 2-2.6x slower whenever n is shorter than the
+# buffer, 8,192 elements by default. `np.add(y, b[:, None], out=y)` on a
+# (20, n) array, one BLAS thread, best of 7 x 2,000 calls:
+#
+#     n        default (8,192)   16
+#     256       3.9 us            2.2 us
+#     1,000    11.6 us            5.4 us
+#     2,048    23.4 us            9.5 us
+#     4,096    45.3 us           17.3 us
+#
+# At n = 2,048 each buffer of 2,048 or less is fast and 4,096 or more is
+# slow; at n = 2,048 the bias costs about what the layer's product does.
+# Buffering changes how an elementwise op is iterated, not what it
+# computes, so the bits are the same. A buffer of 16 makes a ufunc that
+# casts over 2x slower (int64 x float64 over 204,800 elements: 625 us,
+# against 257 / 217 / 217 / 266 us at 64 / 256 / 1,024 / 8,192).
+#
+# The size is the largest swept that keeps every row of 256 points or
+# more fast: a 256-point row (flow-train's interior batch) takes 2.2 us at
+# 16, 64 and 256, and 3.2 us at 1,024. Rows of 128 points or fewer
+# (flow-train's boundary batches, a probe's 50 times) gain nothing at any
+# size. The sweep (BENCH_36.json, batch S, seed 7: medians of
+# bench/run.py's scaled CPU times over 3 runs, 2 on fsi-train; and
+# in-process `evaluate` on the seed-1 field-eval checkpoint, least of 5
+# alternating rounds):
+#
+#     buffer   field-eval   flow-train   fsi-train   in-process
+#              command_s    command_s    command_s   evaluate
+#     8,192    0.317 s      0.182 s      0.382 s     0.233 s
+#     16       0.277 s      0.182 s      0.365 s     0.194 s
+#     64       0.277 s      0.176 s      0.366 s     0.197 s
+#     256      0.270 s      0.180 s      0.358 s     0.201 s
+#     1,024    0.274 s      0.183 s      0.361 s     0.198 s
+_UFUNC_BUFSIZE = 256
+
+
+@contextlib.contextmanager
+def _ufunc_buffer():
+    """numpy's ufunc buffer at `_UFUNC_BUFSIZE` inside, and at what it was
+    before on every exit, so callers of the library keep numpy's default."""
+    previous = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
+
+
 def _attach_points(argv: list[str]) -> list[str]:
     """`--points VALUE` rewritten as `--points=VALUE`: argparse reads a
     separate value that begins with '-', such as a negative first r, as an
@@ -346,7 +397,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise CliError(f"seed must be non-negative, got {args.seed}")
-        return args.func(args)
+        with _ufunc_buffer():
+            return args.func(args)
     except (CliError, ConfigError, PlanError, analysis.AnalysisError,
             FileExistsError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError) as exc:

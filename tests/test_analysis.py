@@ -134,15 +134,53 @@ class TestRelativeError:
         want = relative_error(lambda r, z, t: 1.1 + r, lambda r, z, t: 1.0 + r, grid)
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_sums_that_overflow_rejected(self):
-        # the squared reference overflows: an error naming the slice, not
-        # a nan and a RuntimeWarning
+    @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+    def test_reference_whose_squares_overflow(self, scale):
+        # the squares of both fields overflow: the ratio is the one at
+        # scale 1, not an error
         grid = EvaluationGrid.build(GEOM, n_r=4, n_z=4, n_t=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relative_error(lambda r, z, t: (1.1 + r) * scale,
+                                 lambda r, z, t: (1.0 + r) * scale, grid)
+        want = relative_error(lambda r, z, t: 1.1 + r, lambda r, z, t: 1.0 + r, grid)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_field_against_a_reference_whose_squares_overflow(self):
+        # r is below half an ulp of 1e200, so each slice's ratio is 1
+        grid = EvaluationGrid.build(GEOM, n_r=4, n_z=4, n_t=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relative_error(lambda r, z, t: r, lambda r, z, t: 1e200 + 0 * r, grid)
+        assert got == grid.time_step * 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_field_that_is_not_finite_rejected(self, bad, scale):
+        # a nan or an inf on one cell is not rescaled away, whether or not
+        # the reference's squares overflow
+        grid = EvaluationGrid.build(GEOM, n_r=4, n_z=4, n_t=2)
+
+        def field(r, z, t):
+            out = (1.1 + r) * scale
+            out[3] = bad
+            return out
+
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(AnalysisError,
                                match=re.escape(f"not finite on the slice t={grid.times[0]}")):
-                relative_error(lambda r, z, t: r, lambda r, z, t: 1e200 + 0 * r, grid)
+                relative_error(field, lambda r, z, t: (1.0 + r) * scale, grid)
+
+    def test_ratio_that_overflows_after_rescaling_rejected(self):
+        # the field's squares overflow, the reference's do not: rescaled to
+        # the reference, the ratio is still beyond the largest float
+        grid = EvaluationGrid.build(GEOM, n_r=4, n_z=4, n_t=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AnalysisError,
+                               match=re.escape(f"ratio overflows on the slice t={grid.times[0]}")):
+                relative_error(lambda r, z, t: 1e200 + 0 * r, lambda r, z, t: 1.0 + r, grid)
 
     def test_ratio_that_overflows_rejected(self):
         # a reference so small that its squares are subnormal: finite sums

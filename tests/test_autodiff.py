@@ -5,7 +5,10 @@ import warnings
 import numpy as np
 import pytest
 from vesselflow import autodiff as ad
-from vesselflow import nets
+from vesselflow import cli, nets
+from vesselflow.config import preset
+from vesselflow.physics import FluidLossGraph, LossWeights, draw_samples, network_fields
+from vesselflow.trainer import build_networks
 
 
 def central_first(f, x, i, h=1e-5):
@@ -928,6 +931,62 @@ class TestLayerKernelBits:
             start = (-pool.ctypes.data % 64 + 16) // 8
             off_line = pool[start:start + got.size].reshape(got.shape)
             self.assert_same_bits(ad.layer_jet(jet, w, b, act, laplacian, out=off_line), got)
+
+
+    # numpy's ufunc buffer as every command sets it, against numpy's
+    # default: buffering changes how an elementwise op is iterated, not
+    # what it computes
+    @pytest.mark.parametrize("rows,laplacian", [(1, ()), (5, (0, 1))])
+    @pytest.mark.parametrize("act", ["sigmoid", "relu", None])
+    def test_same_bits_under_the_command_buffer(self, act, rows, laplacian):
+        size = cli._UFUNC_BUFSIZE
+        assert np.getbufsize() != size
+        rng = np.random.default_rng(5)
+        w = rng.standard_normal((20, 20))
+        for n in (size - 3, size, size + 5):  # rows below, at and above the buffer
+            jet = rng.standard_normal((rows, 20, n))
+            jet[0] *= 4.0
+            adjoint = rng.standard_normal((rows, 20, n))
+            for b in (rng.standard_normal(20), None):
+                want = ad.layer_jet(jet, w, b, act, laplacian)
+                want_adjoint = ad._layer_adjoint(adjoint.copy(), want[0], jet, w, act, laplacian)
+                with cli._ufunc_buffer():
+                    assert np.getbufsize() == size
+                    got = ad.layer_jet(jet, w, b, act, laplacian)
+                    got_adjoint = ad._layer_adjoint(adjoint.copy(), got[0], jet, w, act,
+                                                    laplacian)
+                self.assert_same_bits(got, want)
+                self.assert_same_bits(got_adjoint, want_adjoint)
+
+    def test_flow_record_same_bits_under_the_command_buffer(self):
+        # the cylinder's flow record: construction, a replay at moved
+        # parameters and the backward pass, with interior rows above the
+        # command's buffer and boundary rows below it
+        size = cli._UFUNC_BUFSIZE
+        config = preset("cylinder")
+
+        def run():
+            networks = build_networks(config, 0)
+            samples = draw_samples(config.vessel_geometry(), size + 44, size // 2 + 1,
+                                   size // 2 + 1, seed=0)
+            flow, disp = network_fields(networks, config.training.rigid_wall)
+            graph = FluidLossGraph(flow, disp, samples, config.vessel_geometry(),
+                                   config.fluid_properties(), config.inlet_factor(),
+                                   LossWeights(ns=1e-3), config.eps_r)
+            built = graph.total.value
+            for name in ("u", "p"):
+                theta = networks[name].theta
+                theta += 1e-3 * np.random.default_rng(7).standard_normal(theta.shape)
+            graph.replay()
+            grads = graph.param_grads(["u", "p"])
+            return [built, graph.total.value, grads["u"], grads["p"]]
+
+        want = run()
+        with cli._ufunc_buffer():
+            got = run()
+        assert want[0] != want[1]  # the replay moved the loss
+        for g, w in zip(got, want):
+            self.assert_same_bits(np.asarray(g), np.asarray(w))
 
 
 class TestLayerReaders:

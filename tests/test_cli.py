@@ -9,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vesselflow import nets
+from vesselflow import analysis, cli, nets
 from vesselflow.cli import main
 from vesselflow.config import (
     ConfigError, FluidSettings, GeometrySettings, PRESET_NAMES, PlaqueSettings,
     ScenarioConfig, TrainingSettings, WallSettings, WeightSettings, load_config, preset,
 )
-from vesselflow.physics import FluidLossGraph
+from vesselflow.physics import FluidLossGraph, network_fields
 from vesselflow.trainer import TrainingHistory, build_networks
 
 
@@ -363,6 +363,62 @@ class TestProbeCommand:
         assert spaced.read_bytes() == joined.read_bytes()
 
 
+class TestUfuncBuffer:
+    """A command runs with numpy's ufunc buffer at the CLI's size and hands
+    back the size it found, on a return, an error line and a diverged run."""
+
+    @pytest.fixture
+    def caller_size(self):
+        # a size of the caller's own, so restoring it is not restoring the default
+        with np.errstate():
+            np.setbufsize(4096)
+            yield 4096
+
+    def test_probe_runs_with_the_command_buffer(self, tmp_path, checkpoint_args, capsys,
+                                                monkeypatch, caller_size):
+        seen = []
+
+        def spy(*args, _probe=analysis.probe):
+            seen.append(np.getbufsize())
+            return _probe(*args)
+
+        monkeypatch.setattr(analysis, "probe", spy)
+        assert main(["probe", *checkpoint_args, "--times", "2",
+                     "--out", str(tmp_path / "probes.csv")]) == 0
+        assert seen == [cli._UFUNC_BUFSIZE]
+        assert np.getbufsize() == caller_size
+
+    def test_restored_after_an_error_line(self, tmp_path, checkpoint_args, capsys, caller_size):
+        assert main(["probe", *checkpoint_args, "--points", "",
+                     "--out", str(tmp_path / "probes.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot parse probe point ''")
+        assert np.getbufsize() == caller_size
+
+    def test_restored_after_a_diverged_run(self, tmp_path, capsys, monkeypatch, caller_size):
+        def poisoned(self, _breakdown=FluidLossGraph.breakdown):
+            return replace(_breakdown(self), fluid_total=float("nan"))
+
+        monkeypatch.setattr(FluidLossGraph, "breakdown", poisoned)
+        _, _, argv = _small_training_args(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["train", *argv])
+        assert info.value.code == 2
+        assert "loss became non-finite" in capsys.readouterr().err
+        assert np.getbufsize() == caller_size
+
+    def test_export_fields_same_bytes_as_the_library(self, tmp_path, checkpoint_args, capsys):
+        # 24 x 24 cells: blocks of 576 points, above the command's buffer
+        cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "library.csv"
+        assert main(["export-fields", *checkpoint_args, "--grid-r", "24", "--grid-z", "24",
+                     "--grid-t", "2", "--out", str(cli_out)]) == 0
+        config = load_config(checkpoint_args[1])
+        networks, _ = nets.load_networks(checkpoint_args[3])
+        flow, disp = network_fields(networks, config.training.rigid_wall)
+        grid = analysis.EvaluationGrid.build(config.vessel_geometry(), 24, 24, 2)
+        analysis.export_fields(lib_out, flow, disp, grid)
+        assert cli_out.read_bytes() == lib_out.read_bytes()
+
+
 class TestEvaluateCommand:
     def test_own_export_scores_zero_across_blocks(self, tmp_path, checkpoint_args, capsys,
                                                   monkeypatch):
@@ -509,10 +565,9 @@ class TestBadInput:
         assert main(["evaluate", *checkpoint_args, *grid, f"--u-max={u_max}"]) == 2
         assert capsys.readouterr().err == f"error: --u-max {float(u_max)} is not finite\n"
 
-    # the oracle's squares overflow, or are so small that the ratio does:
-    # an error line, not a nan or an inf with exit 0
-    @pytest.mark.parametrize("u_max,message", [("1e308", "the error sums are not finite"),
-                                               ("1e-155", "the error ratio overflows")])
+    # the oracle is so small that the ratio overflows: an error line, not
+    # an inf with exit 0
+    @pytest.mark.parametrize("u_max,message", [("1e-155", "the error ratio overflows")])
     def test_u_max_whose_error_overflows(self, checkpoint_args, capsys, u_max, message):
         grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
         with warnings.catch_warnings():
@@ -521,6 +576,22 @@ class TestBadInput:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"error: {message} on the slice t=")
+
+    def test_u_max_whose_squares_overflow(self, checkpoint_args, capsys):
+        # the oracle's squares overflow, the ratio does not: the error the
+        # fields have against an oracle of 1e150, far above them, whose
+        # squares are finite
+        grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
+        printed = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u_max in ("1e308", "1e150"):
+                assert main(["evaluate", *checkpoint_args, *grid, "--u-max", u_max]) == 0
+                out, err = capsys.readouterr()
+                assert err == ""
+                printed.append(out)
+        assert printed[0] == printed[1]
+        assert printed[0].startswith("relative velocity-magnitude error vs parabolic oracle: ")
 
     def test_u_max_whose_squares_underflow(self, checkpoint_args, capsys):
         # the oracle is 1e-170 on the axis, so its squares underflow to 0:
