@@ -325,11 +325,12 @@ def _retain_freed_memory() -> None:
 
 
 # numpy's ufunc buffer, in elements, while a command runs: a multiple of 16
-# no longer than a layer row (the points of one read or batch). Every layer
-# adds its bias as a (width, n) array and a (width, 1) column, and numpy
-# 2.4 runs that broadcast 2-2.6x slower whenever n is shorter than the
-# buffer, 8,192 elements by default. `np.add(y, b[:, None], out=y)` on a
-# (20, n) array, one BLAS thread, best of 7 x 2,000 calls:
+# no longer than the layer rows it speeds up (a row holds the points of one
+# read or batch). Every layer adds its bias as a (width, n) array and a
+# (width, 1) column, and numpy 2.4 runs that broadcast 2-2.6x slower
+# whenever n is shorter than the buffer, 8,192 elements by default.
+# `np.add(y, b[:, None], out=y)` on a (20, n) array, one BLAS thread on a
+# 2-vCPU Xeon (AVX-512) guest, best of 7 x 2,000 calls:
 #
 #     n        default (8,192)   16
 #     256       3.9 us            2.2 us
