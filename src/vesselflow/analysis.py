@@ -25,7 +25,10 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -246,9 +249,12 @@ def export_fields(path, flow, displacement, grid: EvaluationGrid) -> None:
     """Field snapshot CSV: one row per (t, cell centre).
 
     Each row is written as the ``repr`` of its cells joined by commas and
-    ended with CRLF, which is what ``csv.writer`` emits for these cells."""
+    ended with CRLF, which is what ``csv.writer`` emits for these cells.
+    The rows of a block of `_EXPORT_BLOCK` cells are joined into one
+    string and written with one ``write``; the ``t,`` text of a slice and
+    the ``r,z,`` text of each cell are made once."""
     n = len(grid.r_centers)
-    cells = [f"{r!r},{z!r}" for r, z in zip(grid.r_centers.tolist(),
+    cells = [f"{r!r},{z!r}," for r, z in zip(grid.r_centers.tolist(),
                                                grid.z_centers.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(FIELD_COLUMNS) + "\r\n")
@@ -256,22 +262,50 @@ def export_fields(path, flow, displacement, grid: EvaluationGrid) -> None:
             values = _read_current(flow, displacement, grid.r_centers, grid.z_centers,
                                    np.full(n, t))
             cols = [np.broadcast_to(np.asarray(c, dtype=np.float64), (n,)) for c in values]
-            t_text = repr(float(t))
+            t_text = f"{float(t)!r},"
             # a block of rows at a time, so that the Python floats of a
             # whole slice never exist at once (1.4 MB at the default grid)
             for lo in range(0, n, _EXPORT_BLOCK):
                 block = [col[lo:lo + _EXPORT_BLOCK].tolist() for col in cols]
-                fh.writelines(f"{t_text},{rz},{a!r},{b!r},{c!r},{d!r}\r\n"
-                              for rz, a, b, c, d in zip(cells[lo:lo + _EXPORT_BLOCK], *block))
+                fh.write("".join([f"{t_text}{rz}{a!r},{b!r},{c!r},{d!r}\r\n"
+                                  for rz, a, b, c, d in zip(cells[lo:lo + _EXPORT_BLOCK],
+                                                            *block)]))
+
+
+def _rounded_keys(values: np.ndarray) -> np.ndarray:
+    """``round(v, 12)`` of each value, as Python rounds a float, computed
+    once per distinct value."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([round(v, 12) for v in distinct.tolist()],
+                    dtype=np.float64)[inverse.ravel()]
+
+
+def _line_of_row(path, k: int) -> int:
+    """The line on which the k-th row of a field snapshot CSV that is not
+    blank ends, counting from 0 after the header."""
+    with open(path, encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for _ in islice(filter(None, reader), k + 1):
+            pass
+        return reader.line_num
 
 
 def read_speed_reference(path) -> Callable:
     """(r array, z array, t) -> velocity magnitude at the nodes of a field
     snapshot CSV written by `export_fields`. The columns are found by
     name in the header, whose last cell of a name counts, and blank lines
-    are skipped, as ``csv.DictReader`` reads them."""
+    are skipped, as ``csv.DictReader`` reads them.
+
+    Each row's five numbers go to one float64 buffer. The nodes are keyed
+    by (t, r, z), each rounded to 12 decimals as ``round`` rounds it, and
+    sorted once by key with a stable sort; of rows with the same key the
+    last one counts. A slice finds its nodes with ``searchsorted`` among
+    the rows of its time and checks each for an exact match; the first
+    node of the slice that is missing is named in the error."""
     columns = FIELD_COLUMNS[:5]
-    table = {}
+    buf = array("d")
+    stop = None  # why the rows ended early, after the path in the message
     try:
         with open(path, encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -280,29 +314,56 @@ def read_speed_reference(path) -> Callable:
             if missing:
                 raise AnalysisError(f"reference file {path} is missing columns: "
                                     f"{', '.join(missing)}")
-            index = [header[c] for c in columns]
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    t, r, z, u_z, u_r = (float(row[i]) for i in index)
-                except (IndexError, ValueError):  # a short row, or a cell that is no number
-                    raise AnalysisError(f"reference file {path}, line {reader.line_num}: "
-                                        "a cell is not a number")
-                if not all(map(math.isfinite, (t, r, z, u_z, u_r))):
-                    raise AnalysisError(f"reference file {path}, line {reader.line_num}: "
-                                        "a cell is not finite")
-                table[(round(t, 12), round(r, 12), round(z, 12))] = np.hypot(u_z, u_r)
+            cells = map(itemgetter(*(header[c] for c in columns)), filter(None, reader))
+            try:
+                # one pass in C; it takes a row only when the last is
+                # stored, so the reader stands at the row that raises
+                buf.extend(map(float, chain.from_iterable(cells)))
+            except UnicodeDecodeError:
+                stop = " is not UTF-8 text"
+            except (IndexError, ValueError):  # a short row, or a cell that is no number
+                stop = f", line {reader.line_num}: a cell is not a number"
     except UnicodeDecodeError:
         raise AnalysisError(f"reference file {path} is not UTF-8 text")
+    # the whole rows read, each checked before the row that stopped them
+    rows = np.frombuffer(buf, dtype=np.float64)[:len(buf) - len(buf) % 5].reshape(-1, 5)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        line = _line_of_row(path, int(np.argmin(finite)))
+        raise AnalysisError(f"reference file {path}, line {line}: a cell is not finite")
+    if stop is not None:
+        raise AnalysisError(f"reference file {path}{stop}")
 
-    def field(r, z, t):
-        t_key = round(float(t), 12)
-        try:
-            return np.array([table[t_key, round(ri, 12), round(zi, 12)]
-                             for ri, zi in zip(r.tolist(), z.tolist())], dtype=np.float64)
-        except KeyError as exc:  # the first node missing
-            raise AnalysisError(f"reference file has no node at {exc.args[0]}") from None
+    t, r, z, u_z, u_r = rows.T
+    t, r, z = _rounded_keys(t), _rounded_keys(r), _rounded_keys(z)
+    # the distinct r and z keys, each closed by an inf that no key equals;
+    # a node's (r, z) is one integer, ordered as the pairs are
+    r_keys, z_keys = (np.append(np.unique(c), np.inf) for c in (r, z))
+    node = np.searchsorted(r_keys, r) * len(z_keys) + np.searchsorted(z_keys, z)
+    order = np.lexsort((node, t))
+    t, node = t[order], node[order]
+    last = np.ones(len(t), dtype=bool)  # the last row of each key
+    last[:-1] = (t[1:] != t[:-1]) | (node[1:] != node[:-1])
+    # closed by a -1 that no node equals, so a search past the last row
+    # can be read
+    t, node = t[last], np.append(node[last], -1)
+    speed = np.hypot(u_z, u_r)[order][last]
+
+    def field(r_arr, z_arr, t_value):
+        t_key = round(float(t_value), 12)
+        lo = int(np.searchsorted(t, t_key, side="left"))
+        hi = int(np.searchsorted(t, t_key, side="right"))
+        r_want, z_want = _rounded_keys(r_arr), _rounded_keys(z_arr)
+        r_at, z_at = np.searchsorted(r_keys, r_want), np.searchsorted(z_keys, z_want)
+        want = r_at * len(z_keys) + z_at
+        at = lo + np.searchsorted(node[lo:hi], want)
+        found = ((r_keys[r_at] == r_want) & (z_keys[z_at] == z_want)
+                 & (at < hi) & (node[at] == want))
+        if not found.all():
+            k = int(np.argmin(found))  # the first node missing
+            key = (t_key, round(float(r_arr[k]), 12), round(float(z_arr[k]), 12))
+            raise AnalysisError(f"reference file has no node at {key}")
+        return speed[at]
 
     return field
 

@@ -13,13 +13,15 @@ from vesselflow.analysis import (
     export_fields, outlet_flux, poiseuille_oracle, pressure_drop_oracle, probe,
     relative_error, speed_field, write_flux_csv, write_probe_csv,
 )
-from vesselflow.domain import VesselGeometry, reference_radius
+from vesselflow.domain import PlaqueShape, VesselGeometry, reference_radius
 from vesselflow.physics import (
     AnalyticFlow, FluidProperties, NetworkDisplacement, NetworkFlow, ZeroDisplacement,
     current_frame,
 )
 
 GEOM = VesselGeometry()
+PLAQUED = VesselGeometry(plaque=PlaqueShape(long_radius=0.15, short_radius=0.1,
+                                              center_z=1.0))
 FLUID = FluidProperties()
 U_MAX, R0 = 20.0, 0.25
 ZERO_DISP = ZeroDisplacement()
@@ -383,9 +385,13 @@ class TestPlainReads:
         write_flux_csv(tmp_path / "flux.csv", flow, disp, GEOM, np.array([0.5, 1.0]))
         assert made == []
 
-    def test_export_matches_record(self, tmp_path, wall):
+    # the plaque grid drops 62 of 36 x 36 cells, so its 1,234 cells make
+    # two whole blocks of `_EXPORT_BLOCK` rows and a short last block
+    @pytest.mark.parametrize("geometry, cells", [(GEOM, 24), (PLAQUED, 36)],
+                             ids=["cylinder", "plaque"])
+    def test_export_matches_record(self, tmp_path, wall, geometry, cells):
         flow, disp = network_adapters(wall)
-        grid = EvaluationGrid.build(GEOM, n_r=24, n_z=24, n_t=2)
+        grid = EvaluationGrid.build(geometry, n_r=cells, n_z=cells, n_t=2)
         path, reference = tmp_path / "fields.csv", tmp_path / "reference.csv"
         export_fields(path, flow, disp, grid)
         export_fields_csv_writer(reference, flow, disp, grid)

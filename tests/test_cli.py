@@ -449,6 +449,40 @@ class TestEvaluateCommand:
         assert capsys.readouterr().out == (
             f"relative velocity-magnitude error vs {fields}: 0.000000e+00\n")
 
+    def test_reference_rows_shuffled_and_quoted(self, tmp_path, checkpoint_args, capsys):
+        # the nodes are found by key, not by their place in the file
+        fields = tmp_path / "fields.csv"
+        grid = ["--grid-r", "4", "--grid-z", "5", "--grid-t", "3"]
+        assert main(["export-fields", *checkpoint_args, *grid, "--out", str(fields)]) == 0
+        capsys.readouterr()
+        header, *rows = fields.read_text().splitlines()
+        np.random.default_rng(7).shuffle(rows)
+        quoted = [",".join(f'"{cell}"' for cell in row.split(",")) for row in rows]
+        fields.write_text("\n".join([header, *quoted]) + "\n")
+        assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 0
+        assert capsys.readouterr().out == (
+            f"relative velocity-magnitude error vs {fields}: 0.000000e+00\n")
+
+    @pytest.mark.parametrize("right_row", ["later", "earlier"])
+    def test_reference_repeated_node_last_row_counts(self, tmp_path, checkpoint_args, capsys,
+                                                     right_row):
+        fields = tmp_path / "fields.csv"
+        grid = ["--grid-r", "3", "--grid-z", "3", "--grid-t", "2"]
+        assert main(["export-fields", *checkpoint_args, *grid, "--out", str(fields)]) == 0
+        capsys.readouterr()
+        lines = fields.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[3] = repr(float(cells[3]) + 1.0)  # u_z_cm_per_s
+        lines.insert(1 if right_row == "later" else len(lines), ",".join(cells))
+        fields.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 0
+        prefix, error = capsys.readouterr().out.rsplit(" ", 1)
+        assert prefix == f"relative velocity-magnitude error vs {fields}:"
+        if right_row == "later":
+            assert error == "0.000000e+00\n"
+        else:
+            assert float(error) > 0.0
+
 
 class TestBadInput:
     """Input a command cannot use is reported as one `error:` line with
@@ -843,11 +877,13 @@ class TestBadInput:
         grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
         assert main(["export-fields", *checkpoint_args, *grid, "--out", str(fields)]) == 0
         capsys.readouterr()
-        lines = fields.read_text().splitlines()
-        t, r, z = (round(float(cell), 12) for cell in lines.pop().split(",")[:3])
-        fields.write_text("\n".join(lines) + "\n")
-        assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 2
-        assert capsys.readouterr().err == f"error: reference file has no node at {(t, r, z)}\n"
+        text = fields.read_text()
+        for row in (-1, 2):  # the last node of the file, and one between others
+            lines = text.splitlines()
+            t, r, z = (round(float(cell), 12) for cell in lines.pop(row).split(",")[:3])
+            fields.write_text("\n".join(lines) + "\n")
+            assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 2
+            assert capsys.readouterr().err == f"error: reference file has no node at {(t, r, z)}\n"
 
     def test_checkpoint_naming_other_activations(self, tmp_path, capsys):
         cfg_path, _, _ = _small_training_args(tmp_path)
