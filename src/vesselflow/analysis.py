@@ -305,7 +305,7 @@ def read_speed_reference(path) -> Callable:
     node of the slice that is missing is named in the error."""
     columns = FIELD_COLUMNS[:5]
     buf = array("d")
-    stop = None  # why the rows ended early, after the path in the message
+    stop = None  # why the reading stopped early: the message after the path
     try:
         with open(path, encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -325,7 +325,8 @@ def read_speed_reference(path) -> Callable:
                 stop = f", line {reader.line_num}: a cell is not a number"
     except UnicodeDecodeError:
         raise AnalysisError(f"reference file {path} is not UTF-8 text")
-    # the whole rows read, each checked before the row that stopped them
+    # the whole rows read; a cell that is not finite lies before the row
+    # that stopped the reading, if any, so it is the error to report
     rows = np.frombuffer(buf, dtype=np.float64)[:len(buf) - len(buf) % 5].reshape(-1, 5)
     finite = np.isfinite(rows).all(axis=1)
     if not finite.all():
