@@ -297,7 +297,9 @@ def read_speed_reference(path) -> Callable:
     name in the header, whose last cell of a name counts, and blank lines
     are skipped, as ``csv.DictReader`` reads them.
 
-    Each row's five numbers go to one float64 buffer. The nodes are keyed
+    Each row's five numbers go to one float64 buffer, and each row's speed
+    is taken there; the first row with a cell that is not finite, or whose
+    speed overflows, is named by its line in the error. The nodes are keyed
     by (t, r, z), each rounded to 12 decimals as ``round`` rounds it, and
     sorted once by key with a stable sort; of rows with the same key the
     last one counts. A slice finds its nodes with ``searchsorted`` among
@@ -325,18 +327,22 @@ def read_speed_reference(path) -> Callable:
                 stop = f", line {reader.line_num}: a cell is not a number"
     except UnicodeDecodeError:
         raise AnalysisError(f"reference file {path} is not UTF-8 text")
-    # the whole rows read; a cell that is not finite lies before the row
-    # that stopped the reading, if any, so it is the error to report
+    # the whole rows read; a row with a cell that is not finite or a speed
+    # that overflows lies before the row that stopped the reading, if any,
+    # so the first such row is the error to report
     rows = np.frombuffer(buf, dtype=np.float64)[:len(buf) - len(buf) % 5].reshape(-1, 5)
+    with np.errstate(over="ignore"):
+        speed = np.hypot(rows[:, 3], rows[:, 4])
     finite = np.isfinite(rows).all(axis=1)
-    if not finite.all():
-        line = _line_of_row(path, int(np.argmin(finite)))
-        raise AnalysisError(f"reference file {path}, line {line}: a cell is not finite")
+    usable = finite & np.isfinite(speed)
+    if not usable.all():
+        k = int(np.argmin(usable))
+        why = "a cell is not finite" if not finite[k] else "the speed overflows"
+        raise AnalysisError(f"reference file {path}, line {_line_of_row(path, k)}: {why}")
     if stop is not None:
         raise AnalysisError(f"reference file {path}{stop}")
 
-    t, r, z, u_z, u_r = rows.T
-    t, r, z = _rounded_keys(t), _rounded_keys(r), _rounded_keys(z)
+    t, r, z = (_rounded_keys(c) for c in rows.T[:3])
     # the distinct r and z keys, each closed by an inf that no key equals;
     # a node's (r, z) is one integer, ordered as the pairs are
     r_keys, z_keys = (np.append(np.unique(c), np.inf) for c in (r, z))
@@ -348,7 +354,7 @@ def read_speed_reference(path) -> Callable:
     # closed by a -1 that no node equals, so a search past the last row
     # can be read
     t, node = t[last], np.append(node[last], -1)
-    speed = np.hypot(u_z, u_r)[order][last]
+    speed = speed[order][last]
 
     def field(r_arr, z_arr, t_value):
         t_key = round(float(t_value), 12)

@@ -36,10 +36,20 @@ def _add_scenario_options(parser):
     group.add_argument("--config", help="path to a scenario config JSON file")
 
 
+# The field commands' default grid (r cells, z cells, time slices), and
+# the default count of times of a probe or flux series.
+DEFAULT_GRID = (64, 64, 50)
+SERIES_TIMES = 50
+
+
 def _add_grid_options(parser):
-    parser.add_argument("--grid-r", type=int, default=64)
-    parser.add_argument("--grid-z", type=int, default=64)
-    parser.add_argument("--grid-t", type=int, default=50)
+    for axis, size in zip("rzt", DEFAULT_GRID):
+        parser.add_argument(f"--grid-{axis}", type=int, default=size)
+
+
+def _series_times(geometry, count: int = SERIES_TIMES) -> np.ndarray:
+    """`count` evenly spaced times over the horizon, ending at it."""
+    return np.linspace(geometry.horizon / count, geometry.horizon, count)
 
 
 def _load_run_fields(args, config: ScenarioConfig):
@@ -88,7 +98,7 @@ def _cmd_train(args) -> int:
     history = trainer.run()
     geometry = config.vessel_geometry()
     flow, disp = trainer.flow, trainer.displacement
-    times = np.linspace(geometry.horizon / 50, geometry.horizon, 50)
+    times = _series_times(geometry)
     analysis.write_probe_csv(
         os.path.join(args.out_dir, "probes.csv"),
         analysis.probe(analysis.default_probes(geometry), times, flow, disp))
@@ -150,7 +160,7 @@ def _cmd_probe(args) -> int:
         points = analysis.default_probes(geometry)
     if args.times < 1:
         raise CliError(f"probe times must be positive, got {args.times}")
-    times = np.linspace(geometry.horizon / args.times, geometry.horizon, args.times)
+    times = _series_times(geometry, args.times)
     series = analysis.probe(points, times, flow, disp)
     analysis.write_probe_csv(args.out, series)
     print(f"wrote {len(series)} probe series to {args.out}")
@@ -270,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_options(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--points", help="semicolon-separated r,z pairs")
-    p.add_argument("--times", type=int, default=50)
+    p.add_argument("--times", type=int, default=SERIES_TIMES)
     p.add_argument("--out", default="probes.csv")
     p.set_defaults(func=_cmd_probe)
 

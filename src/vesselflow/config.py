@@ -28,23 +28,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GeometrySettings:
-    radius_cm: float = 0.25
-    length_cm: float = 2.0
-    wall_thickness_cm: float = 0.05
-    horizon_s: float = 2.0
+    radius_cm: float = VesselGeometry.radius
+    length_cm: float = VesselGeometry.length
+    wall_thickness_cm: float = VesselGeometry.wall_thickness
+    horizon_s: float = VesselGeometry.horizon
 
 
 @dataclass(frozen=True)
 class FluidSettings:
-    density_g_per_cm3: float = 1.025
-    viscosity_poise: float = 0.035
+    density_g_per_cm3: float = FluidProperties.density
+    viscosity_poise: float = FluidProperties.viscosity
 
 
 @dataclass(frozen=True)
 class WallSettings:
-    density_g_per_cm3: float = 1.2
-    youngs_modulus_dyn_per_cm2: float = 0.5e6
-    poisson_ratio: float = 0.5
+    density_g_per_cm3: float = WallProperties.density
+    youngs_modulus_dyn_per_cm2: float = WallProperties.youngs_modulus
+    poisson_ratio: float = WallProperties.poisson_ratio
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,13 @@ class InletSettings:
 
 @dataclass(frozen=True)
 class WeightSettings:
-    navier_stokes: float = 0.0  # must be 0: the training schedule sets alpha_ns
-    fluid_boundary: float = 1.0
-    fluid_initial: float = 0.1
-    stress_continuity: float = 1.0
-    harmonic_extension: float = 10.0
-    solid_boundary: float = 0.1
-    solid_initial: float = 0.01
+    navier_stokes: float = LossWeights.ns  # must be 0: the training schedule sets alpha_ns
+    fluid_boundary: float = LossWeights.fluid_bdr
+    fluid_initial: float = LossWeights.fluid_init
+    stress_continuity: float = LossWeights.stress
+    harmonic_extension: float = LossWeights.harmonic
+    solid_boundary: float = LossWeights.solid_bdr
+    solid_initial: float = LossWeights.solid_init
 
 
 @dataclass(frozen=True)

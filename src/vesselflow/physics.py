@@ -1,16 +1,18 @@
 """PDE residuals, boundary/initial functionals and weighted loss assembly.
 
 Each residual is one public function that records its components on a
-given record from batches of input nodes; the loss records call these
-same functions and take the mean square of each. The residuals that read
-the velocity's value alone take it as an argument: a loss record reads
-each network once per jet shape, so one value-only read
-(``current_velocity``) serves all those point sets and each residual
-takes its part of it (``ad.Tape.part``). All residuals are
+given record from batches of input nodes. Each loss record calls these
+same functions and declares its terms once, by the names `LossWeights`
+and `LossBreakdown` share; `_losses` derives from that declaration each
+term's mean square, the weighted total and the record's values by name.
+The residuals that read the velocity's value alone take it as an
+argument: a loss record reads each network once per jet shape, so one
+value-only read (``current_velocity``) serves all those point sets and
+each residual takes its part of it (``ad.Tape.part``). All residuals are
 written against field adapters, so the same code path serves trained
-networks and closed-form manufactured fields. Velocity
-and pressure are functions of current-frame coordinates; those
-coordinates are produced by displacing reference points radially.
+networks and closed-form manufactured fields. Velocity and pressure are
+functions of current-frame coordinates; those coordinates are produced
+by displacing reference points radially.
 
 Every derivative a residual reads is a partial derivative of a field
 with respect to its own inputs (r, z, t): a first derivative, or the sum
@@ -33,6 +35,8 @@ points off and on the plaque apart.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -69,7 +73,7 @@ class WallProperties:
     density: float = 1.2               # g/cm^3
     youngs_modulus: float = 0.5e6      # dyn/cm^2
     poisson_ratio: float = 0.5
-    thickness: float = 0.05            # cm
+    thickness: float = VesselGeometry.wall_thickness  # cm
 
     def restoring_at_radius(self, radius) -> "float | np.ndarray":
         """Ring-model restoring coefficient E / (rho (1 - xi^2) radius^2), in
@@ -92,17 +96,18 @@ class LossWeights:
 
 @dataclass
 class LossBreakdown:
-    """Per-term residual values plus the weighted totals, each read from
-    the loss record that computed it."""
+    """Per-term residual values plus the weighted totals, each read by
+    name from the loss record that computed it, in `history.csv`'s
+    column order."""
 
     ns: float = np.nan
     fluid_bdr: float = np.nan
     fluid_init: float = np.nan
+    fluid_total: float = np.nan
     stress: float = np.nan
     harmonic: float = np.nan
     solid_bdr: float = np.nan
     solid_init: float = np.nan
-    fluid_total: float = np.nan
     solid_total: float = np.nan
 
 
@@ -350,19 +355,14 @@ def interface_residual(tape, r, z, t, u_z, u_r, displacement):
     return u_r - _direction_node(tape, r) * deta_dt, u_z
 
 
-def initial_fluid_residual(u_z, u_r):
-    """Rest-state mismatch at t=0, given the velocity (u_z, u_r) there: its
-    components. The wall problem's is the radial displacement itself."""
-    return u_z, u_r
+def _sum(xs: Sequence[ad.DiffScalar]) -> ad.DiffScalar:
+    """Recorded sum of `xs`, added left to right."""
+    return functools.reduce(operator.add, xs)
 
 
 def mean_square(tape, components: Sequence[ad.DiffScalar]) -> ad.DiffScalar:
     """Recorded mean of the squared residual magnitude over a batch."""
-    acc = None
-    for c in components:
-        sq = c * c
-        acc = sq if acc is None else acc + sq
-    return tape.mean(acc)
+    return tape.mean(_sum([c * c for c in components]))
 
 
 # ----------------------------------------------------------------------
@@ -410,15 +410,29 @@ def _parts(tape, points: tuple, *xs) -> list:
     return [tape.part(x, *points) for x in xs]
 
 
-def _weighted_union(tape, parts: list[tuple[int, ad.DiffScalar]]) -> ad.DiffScalar:
-    """Size-weighted combination of sub-means, equal to the mean over the
-    union of the sub-batches."""
-    total = sum(n for n, _ in parts)
-    acc = None
-    for n, m in parts:
-        term = tape.constant(float(n)) * m
-        acc = term if acc is None else acc + term
-    return acc * tape.constant(1.0 / total)
+def _losses(tape, terms: dict, weights: LossWeights, total: str) -> dict:
+    """A record's loss values by name, from its `terms` keyed by their
+    `LossWeights` names: each term's mean square in declaration order, then
+    under `total` their weighted sum, added in that order. A term is its
+    residual components, or a list of (point count, components) over
+    several point sets, whose size-weighted mean squares give the mean
+    over their union."""
+    losses = {}
+    for name, term in terms.items():
+        if isinstance(term[0], tuple):  # (point count, components) pairs
+            parts = [tape.constant(float(n)) * mean_square(tape, c) for n, c in term]
+            losses[name] = _sum(parts) * tape.constant(1.0 / sum(n for n, _ in term))
+        else:
+            losses[name] = mean_square(tape, term)
+    losses[total] = _sum([tape.constant(getattr(weights, name)) * loss
+                          for name, loss in losses.items()])
+    return losses
+
+
+def _breakdown(graph) -> LossBreakdown:
+    """The record's loss values, each in the `LossBreakdown` field of its
+    name; the fields of the other record stay nan."""
+    return LossBreakdown(**{name: float(loss.value) for name, loss in graph.losses.items()})
 
 
 class FluidLossGraph:
@@ -432,11 +446,10 @@ class FluidLossGraph:
     reads each network once per jet shape: the inlet, wall and t = 0
     points, which need the velocity's value alone, share one
     `current_velocity` over their union, and each set's residual takes
-    its part."""
+    its part (at t = 0, the rest-state residual is that velocity). Its
+    `losses`: ns, fluid_bdr (inlet, outlet, wall), fluid_init, fluid_total."""
 
     trained = ("u", "p")
-    # the `LossBreakdown` fields that `breakdown` fills, weighted total last
-    terms = ("ns", "fluid_bdr", "fluid_init", "fluid_total")
 
     def __init__(self, flow, displacement, samples: CollocationSamples,
                  geometry: VesselGeometry, fluid: FluidProperties,
@@ -445,41 +458,32 @@ class FluidLossGraph:
         self.tape = tape
 
         (r, z, t), _ = _joined_inputs(tape, [samples.interior])
-        res = ns_residual_axisym(tape, r, z, t, flow, displacement, fluid, eps_r)
-        self.term_ns = mean_square(tape, res)
+        ns = ns_residual_axisym(tape, r, z, t, flow, displacement, fluid, eps_r)
 
         (r, z, t), (inlet, wall, init) = _joined_inputs(
             tape, (samples.inlet, samples.wall, samples.interior_t0))
         r_t, u_z, u_r = current_velocity(tape, r, z, t, flow, displacement)
-        inlet_mean = mean_square(tape, inlet_residual(
-            tape, *_parts(tape, inlet, t, r_t, u_z, u_r), geometry, inlet_factor))
-        wall_mean = mean_square(tape, interface_residual(
-            tape, *_parts(tape, wall, r, z, t, u_z, u_r), displacement))
-        self.term_init = mean_square(tape, initial_fluid_residual(
-            *_parts(tape, init, u_z, u_r)))
+        inlet_res = inlet_residual(
+            tape, *_parts(tape, inlet, t, r_t, u_z, u_r), geometry, inlet_factor)
+        wall_res = interface_residual(tape, *_parts(tape, wall, r, z, t, u_z, u_r), displacement)
+        init_res = _parts(tape, init, u_z, u_r)
 
         (r, z, t), _ = _joined_inputs(tape, [samples.outlet])
-        outlet_mean = mean_square(tape, outlet_residual(
-            tape, r, z, t, flow, displacement, fluid))
+        outlet_res = outlet_residual(tape, r, z, t, flow, displacement, fluid)
 
-        self.term_bdr = _weighted_union(tape, [
-            (len(samples.inlet), inlet_mean),
-            (len(samples.outlet), outlet_mean),
-            (len(samples.wall), wall_mean),
-        ])
-
+        self.losses = _losses(tape, {
+            "ns": ns,
+            "fluid_bdr": [(len(samples.inlet), inlet_res), (len(samples.outlet), outlet_res),
+                          (len(samples.wall), wall_res)],
+            "fluid_init": init_res,
+        }, weights, "fluid_total")
+        self.total = self.losses["fluid_total"]
         self.alpha_ns = weights.ns
-        self.total = ((tape.constant(weights.ns) * self.term_ns
-                       + tape.constant(weights.fluid_bdr) * self.term_bdr)
-                      + tape.constant(weights.fluid_init) * self.term_init)
 
     def replay(self) -> None:
         self.tape.replay()
 
-    def breakdown(self) -> LossBreakdown:
-        return LossBreakdown(
-            ns=float(self.term_ns.value), fluid_bdr=float(self.term_bdr.value),
-            fluid_init=float(self.term_init.value), fluid_total=float(self.total.value))
+    breakdown = _breakdown
 
     def param_grads(self, groups: Sequence[str]) -> dict[str, np.ndarray]:
         return self.tape.backward_values(self.total, list(groups))
@@ -489,14 +493,15 @@ class SolidLossGraph:
     """Recorded wall-problem loss: ring model, harmonic extension,
     endpoint pinning and the rest start. The ring model is two batches, off
     and on the plaque, with materials `wall_by_segment[WALL]` and
-    `[WALL_PLAQUE]`. Fluid quantities inside the ring load are constants.
+    `[WALL_PLAQUE]`, combined by size into one term, a union even over
+    one batch. Fluid quantities inside the ring load are constants.
     The record trains the displacement network d: each of its reads of u
     and p is one layer run of the whole network, which keeps no layer
     values. The endpoint and t = 0 terms share one value-only read of d
-    over their union, each taking its part."""
+    over their union, each taking its part as its residual. Its `losses`:
+    stress, harmonic, solid_bdr, solid_init, solid_total."""
 
     trained = ("d",)
-    terms = ("stress", "harmonic", "solid_bdr", "solid_init", "solid_total")
 
     def __init__(self, flow, displacement, samples: CollocationSamples,
                  geometry: VesselGeometry,
@@ -505,38 +510,31 @@ class SolidLossGraph:
         tape = ad.Tape(trained=self.trained)
         self.tape = tape
 
-        parts = []
+        stress = []
         for segment, idx in _split_wall(samples.wall, geometry):
             z = tape.batch(samples.wall.z[idx])
             t = tape.batch(samples.wall.t[idx])
             direction = tape.batch(radial_direction(samples.wall.r[idx]))
-            res = stress_continuity_residual(tape, z, t, direction, flow, displacement,
-                                             geometry, wall_by_segment[segment], fluid)
-            parts.append((len(idx), mean_square(tape, [res])))
-        self.term_stress = _weighted_union(tape, parts)
+            stress.append((len(idx), [stress_continuity_residual(
+                tape, z, t, direction, flow, displacement, geometry,
+                wall_by_segment[segment], fluid)]))
 
         (r, z, t), _ = _joined_inputs(tape, [samples.interior])
-        self.term_harmonic = mean_square(
-            tape, [harmonic_residual(tape, r, z, t, displacement, eps_r)])
+        harmonic = [harmonic_residual(tape, r, z, t, displacement, eps_r)]
 
         (r, z, t), (ends, init) = _joined_inputs(tape, (samples.endpoints, samples.wall_t0))
         eta = displacement.radial(tape, r, z, t).value
-        self.term_bdr = mean_square(tape, _parts(tape, ends, eta))
-        self.term_init = mean_square(tape, _parts(tape, init, eta))
 
-        self.total = (((tape.constant(weights.stress) * self.term_stress
-                        + tape.constant(weights.harmonic) * self.term_harmonic)
-                       + tape.constant(weights.solid_bdr) * self.term_bdr)
-                      + tape.constant(weights.solid_init) * self.term_init)
+        self.losses = _losses(tape, {
+            "stress": stress, "harmonic": harmonic,
+            "solid_bdr": _parts(tape, ends, eta), "solid_init": _parts(tape, init, eta),
+        }, weights, "solid_total")
+        self.total = self.losses["solid_total"]
 
     def replay(self) -> None:
         self.tape.replay()
 
-    def breakdown(self) -> LossBreakdown:
-        return LossBreakdown(
-            stress=float(self.term_stress.value), harmonic=float(self.term_harmonic.value),
-            solid_bdr=float(self.term_bdr.value), solid_init=float(self.term_init.value),
-            solid_total=float(self.total.value))
+    breakdown = _breakdown
 
     def param_grads(self, groups: Sequence[str]) -> dict[str, np.ndarray]:
         return self.tape.backward_values(self.total, list(groups))

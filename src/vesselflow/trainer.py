@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -77,7 +77,7 @@ def converged(losses: Sequence[float], threshold: float, window: int) -> bool:
 # history
 
 HISTORY_COLUMNS = ["epoch", "stage", "phase", "alpha_ns",
-                   *FluidLossGraph.terms, *SolidLossGraph.terms]
+                   *(f.name for f in fields(LossBreakdown))]
 
 
 @dataclass
@@ -285,9 +285,10 @@ class Trainer:
         graph.replay()
         breakdown = graph.breakdown()
         self._record(stage, phase, 0.0 if phase == "d" else graph.alpha_ns, breakdown)
-        self._guard_finite(stage, phase, breakdown, graph.terms)
+        names = list(graph.losses)
+        self._guard_finite(stage, phase, breakdown, names)
         self._step(stage, phase, graph.param_grads([phase])[phase])
-        losses.append(getattr(breakdown, graph.terms[-1]))
+        losses.append(getattr(breakdown, names[-1]))
         return converged(losses, t.convergence_threshold, t.convergence_window)
 
     # -- bookkeeping ------------------------------------------------------
@@ -300,11 +301,11 @@ class Trainer:
             self._checkpoint()
 
     def _guard_finite(self, stage: str, phase: str, breakdown: LossBreakdown,
-                      terms: Sequence[str]) -> None:
-        """Abort when the weighted total, the last of the phase's `terms`, is
+                      names: Sequence[str]) -> None:
+        """Abort when the weighted total, the last of the record's `names`, is
         not finite, naming the stage, the network and every non-finite term."""
-        if not math.isfinite(getattr(breakdown, terms[-1])):
-            bad = [name for name in terms if not math.isfinite(getattr(breakdown, name))]
+        if not math.isfinite(getattr(breakdown, names[-1])):
+            bad = [name for name in names if not math.isfinite(getattr(breakdown, name))]
             raise TrainingDiverged(
                 f"loss became non-finite at epoch {self.epoch - 1} in stage "
                 f"{stage!r} while training network {phase!r}; non-finite "

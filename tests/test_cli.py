@@ -15,7 +15,10 @@ from vesselflow.config import (
     ConfigError, FluidSettings, GeometrySettings, PRESET_NAMES, PlaqueSettings,
     ScenarioConfig, TrainingSettings, WallSettings, WeightSettings, load_config, preset,
 )
-from vesselflow.physics import FluidLossGraph, network_fields
+from vesselflow.domain import RegionTag, VesselGeometry
+from vesselflow.physics import (
+    FluidLossGraph, FluidProperties, LossWeights, WallProperties, network_fields,
+)
 from vesselflow.trainer import TrainingHistory, build_networks
 
 
@@ -76,6 +79,14 @@ class TestPresets:
         w = cfg.loss_weights()
         assert (w.fluid_bdr, w.fluid_init) == (1.0, 0.1)
         assert (w.stress, w.harmonic, w.solid_bdr, w.solid_init) == (1.0, 10.0, 0.1, 0.01)
+
+    def test_default_config_makes_runtime_defaults(self):
+        # each section's defaults are read from the object it makes
+        cfg = ScenarioConfig()
+        assert cfg.vessel_geometry() == VesselGeometry()
+        assert cfg.fluid_properties() == FluidProperties()
+        assert cfg.wall_segments() == {RegionTag.WALL: WallProperties()}
+        assert cfg.loss_weights() == LossWeights()
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError):
@@ -814,6 +825,19 @@ class TestBadInput:
         assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 2
         assert capsys.readouterr().err == (f"error: reference file {fields}, line 3: "
                                            "a cell is not finite\n")
+
+    def test_reference_speed_overflows(self, tmp_path, checkpoint_args, capsys):
+        # each component is finite, but their magnitude is not
+        fields = tmp_path / "fields.csv"
+        grid = ["--grid-r", "2", "--grid-z", "2", "--grid-t", "1"]
+        assert main(["export-fields", *checkpoint_args, *grid, "--out", str(fields)]) == 0
+        capsys.readouterr()
+        lines = fields.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:3] + ["1.7e308", "1.7e308"])
+        fields.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", *checkpoint_args, *grid, "--reference", str(fields)]) == 2
+        assert capsys.readouterr().err == (f"error: reference file {fields}, line 3: "
+                                           "the speed overflows\n")
 
     @pytest.mark.parametrize("command", [["evaluate", "--reference"],
                                          ["export-fields", "--out"], ["probe", "--out"]],

@@ -1,5 +1,7 @@
 """Residual verification against closed-form manufactured fields."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,10 @@ from vesselflow.domain import (
 )
 from vesselflow.optim import AdamState
 from vesselflow.physics import (
-    T, AnalyticDisplacement, AnalyticFlow, CollocationSamples, FluidLossGraph,
-    FluidProperties, LossWeights, NetworkDisplacement,
-    NetworkFlow, PhysicsError, SolidLossGraph, WallProperties, ZeroDisplacement,
-    current_velocity, draw_samples, harmonic_residual, initial_fluid_residual,
-    inlet_residual, interface_residual, mean_square, ns_residual_axisym, outlet_residual,
+    T, AnalyticDisplacement, AnalyticFlow, FluidLossGraph, FluidProperties, LossWeights,
+    NetworkDisplacement, NetworkFlow, PhysicsError, SolidLossGraph, WallProperties,
+    ZeroDisplacement, current_velocity, draw_samples, harmonic_residual, inlet_residual,
+    interface_residual, mean_square, ns_residual_axisym, outlet_residual,
     stress_continuity_residual,
 )
 from vesselflow.trainer import build_networks
@@ -64,8 +65,9 @@ def interface_at(point, flow, disp):
 
 
 def initial_at(point, flow, disp):
+    """The flow record's rest-state residual: the velocity (u_z, u_r) at t = 0."""
     *_, u_z, u_r = read_on_tape(point, flow, disp)
-    return initial_fluid_residual(u_z, u_r)
+    return u_z, u_r
 
 
 def wall_residual(flow, disp, point, wall, geometry=GEOM):
@@ -353,6 +355,22 @@ class TestLossAssembly:
                                     + weights.solid_init * sgot.solid_init)
         assert sgot.solid_total == float(solid.total.value)
 
+    def test_each_record_fills_exactly_its_breakdown_fields(self):
+        u, p, d = make_nets(seed=4)
+        flow, disp = NetworkFlow(u, p), NetworkDisplacement(d)
+        samples = tiny_samples()
+        fluid = FluidLossGraph(flow, disp, samples, GEOM, FLUID, steady_factor,
+                               LossWeights(ns=1e-5), EPS_R)
+        solid = SolidLossGraph(flow, disp, samples, GEOM, {RegionTag.WALL: WALL},
+                               FLUID, LossWeights(), EPS_R)
+        for graph, names in (
+                (fluid, ["ns", "fluid_bdr", "fluid_init", "fluid_total"]),
+                (solid, ["stress", "harmonic", "solid_bdr", "solid_init", "solid_total"])):
+            assert list(graph.losses) == names
+            got = graph.breakdown()
+            filled = [f.name for f in fields(got) if not np.isnan(getattr(got, f.name))]
+            assert filled == names
+
     def test_per_point_residuals_invariant_under_permutation(self):
         flow = poiseuille_flow()
         pts = interior_points(10, seed=8)
@@ -556,8 +574,9 @@ class TestZeroWeightedTerms:
     def poison_ns(self, graph):
         """Overwrite with NaN every value that only the momentum term reads."""
         tape = graph.tape
-        others = ancestors(tape, graph.term_bdr) | ancestors(tape, graph.term_init)
-        for i in ancestors(tape, graph.term_ns) - others:
+        losses = graph.losses
+        others = ancestors(tape, losses["fluid_bdr"]) | ancestors(tape, losses["fluid_init"])
+        for i in ancestors(tape, losses["ns"]) - others:
             tape._vals[i] = np.full_like(tape._vals[i], np.nan)
 
     @pytest.mark.parametrize("group", GROUPS)
@@ -567,8 +586,8 @@ class TestZeroWeightedTerms:
         # a second record whose total has no momentum term at all
         other = self.graph(alpha_ns=0.0)
         tape, w = other.tape, LossWeights()
-        total = (tape.constant(w.fluid_bdr) * other.term_bdr
-                 + tape.constant(w.fluid_init) * other.term_init)
+        total = (tape.constant(w.fluid_bdr) * other.losses["fluid_bdr"]
+                 + tape.constant(w.fluid_init) * other.losses["fluid_init"])
         want = tape.backward_values(total, [group])[group]
         assert np.any(want != 0.0)
         assert got.tobytes() == want.tobytes()
@@ -1016,7 +1035,7 @@ class TestPlaqueWall:
             res = wall_residual(flow, disp, (wall.r[mask], wall.z[mask], wall.t[mask]),
                                 props, LONG_PLAQUE)
             want += float(mask.sum()) * float(mean_square(res.tape, [res]).value)
-        assert float(graph.term_stress.value) == want * (1.0 / len(wall))
+        assert float(graph.losses["stress"].value) == want * (1.0 / len(wall))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_plaque_solid_param_grads(self, seed):
@@ -1060,7 +1079,7 @@ class TestRecordTerms:
         samples = tiny_samples(seed=8)
         graph = FluidLossGraph(flow, disp, samples, GEOM, FLUID, steady_factor,
                                LossWeights(ns=1e-3), EPS_R)
-        assert float(graph.term_ns.value) == builder_mean(
+        assert float(graph.losses["ns"].value) == builder_mean(
             ns_residual_axisym, samples.interior, flow, disp, FLUID, EPS_R)
 
         (tape, r, z, t), (inlet, wall, init) = joined_on_tape(
@@ -1077,9 +1096,9 @@ class TestRecordTerms:
         for name, mean in means.items():
             want += float(len(getattr(samples, name))) * float(mean)
         size = sum(len(getattr(samples, name)) for name in means)
-        assert float(graph.term_bdr.value) == want * (1.0 / size)
-        assert float(graph.term_init.value) == float(
-            mean_square(tape, initial_fluid_residual(*init(u_z, u_r))).value)
+        assert float(graph.losses["fluid_bdr"].value) == want * (1.0 / size)
+        assert float(graph.losses["fluid_init"].value) == float(
+            mean_square(tape, init(u_z, u_r)).value)
 
         # each part of the joined read is the read of its set alone, up to
         # the last bits of a wider product
@@ -1098,10 +1117,10 @@ class TestRecordTerms:
         samples = tiny_samples(seed=8)
         graph = SolidLossGraph(flow, disp, samples, GEOM, {RegionTag.WALL: WALL}, FLUID,
                                LossWeights(), EPS_R)
-        assert float(graph.term_harmonic.value) == builder_mean(
+        assert float(graph.losses["harmonic"].value) == builder_mean(
             harmonic_residual, samples.interior, disp, EPS_R)
 
         (tape, r, z, t), (ends, init) = joined_on_tape((samples.endpoints, samples.wall_t0))
         eta = disp.radial(tape, r, z, t).value
-        assert float(graph.term_bdr.value) == float(mean_square(tape, ends(eta)).value)
-        assert float(graph.term_init.value) == float(mean_square(tape, init(eta)).value)
+        assert float(graph.losses["solid_bdr"].value) == float(mean_square(tape, ends(eta)).value)
+        assert float(graph.losses["solid_init"].value) == float(mean_square(tape, init(eta)).value)

@@ -12,8 +12,7 @@ from vesselflow.config import (
 )
 from vesselflow.domain import SampleSet
 from vesselflow.physics import (
-    CollocationSamples, FluidLossGraph, LossBreakdown, LossWeights, NetworkFlow,
-    SolidLossGraph, ZeroDisplacement, draw_samples,
+    CollocationSamples, FluidLossGraph, LossBreakdown, SolidLossGraph, draw_samples,
 )
 from vesselflow.trainer import (
     EpochRecord, PlanError, Trainer, TrainingDiverged, TrainingHistory, build_networks,
@@ -342,6 +341,17 @@ class TestHistory:
         got = [r.breakdown.fluid_total for r in loaded.records if r.phase == "u"]
         want = [r.breakdown.fluid_total for r in history.records if r.phase == "u"]
         assert got == want
+
+    def test_csv_header(self, tmp_path):
+        # the columns that readers of history.csv name, in order
+        history = TrainingHistory()
+        history.append(EpochRecord(0, "fluid-init", "u", 0.0, LossBreakdown()))
+        history.write_csv(tmp_path / "history.csv")
+        header = (tmp_path / "history.csv").read_text().splitlines()[0]
+        assert header.split(",") == [
+            "epoch", "stage", "phase", "alpha_ns",
+            "ns", "fluid_bdr", "fluid_init", "fluid_total",
+            "stress", "harmonic", "solid_bdr", "solid_init", "solid_total"]
 
     def test_reproducible_bitwise(self):
         def run_once():
