@@ -8,9 +8,9 @@ the sum L of its pure second derivatives along a set D of them (the r-z
 Laplacian, or d2/dt2). Layer runs carry a network's jet; jet
 arithmetic (G' = f' G, L' = f' L + f'' * sum over j in D of G_j^2, and
 their product forms) carries it through everything else, closed-form
-fields included, as ordinary nodes. So a derivative is itself recorded
-and differentiable. Parameter gradients come from one backward pass that
-produces plain numbers (``Tape.backward_values``).
+fields (``closed_form``) included, as ordinary nodes. So a derivative is
+itself recorded and differentiable. Parameter gradients come from one
+backward pass that produces plain numbers (``Tape.backward_values``).
 
 Each pointwise op (arithmetic, ``detach``, ``step`` and the elementary
 functions) is one row of a table keyed by opcode: its value of plain
@@ -70,7 +70,8 @@ row of the op table, read from y: s(1 - s) and s(1 - s)(1 - 2s) for
 sigmoid, the step of y and 0 for relu, 1 and 0 for none, and D is the
 Laplacian's direction set. The pre-activation a is never stored: no
 derivative rule reads it. This arithmetic and its adjoint are written
-once, on arrays (``layer_jet``, ``_layer_adjoint``). On a jet with
+once, on arrays (``layer_jet``, ``_layer_adjoint``), and one function
+walks a jet through consecutive layers (``run_layers``). On a jet with
 derivative rows, a sigmoid layer, forward and adjoint, computes s1 once
 and s2 from it as s1 (1 - 2s), sums the Laplacian's squares into one
 row, and writes every further intermediate into a row it owns rather
@@ -84,10 +85,10 @@ the n columns so that its bits do not depend on the directions; the
 derivative rows are one batched W G; the input adjoint is one batched
 W^T times the output adjoint; the weight gradient is one batched product
 of the adjoint with each input row's transpose, summed over the rows.
-``nets.FieldNetwork.evaluate`` runs ``layer_jet`` itself on a jet without
-directions, so it equals a recorded forward bit for bit. The arrays
-``layer_jet`` allocates start on a 64-byte boundary, so how fast a layer
-runs does not follow where malloc happened to place them.
+``nets.FieldNetwork.evaluate`` runs ``run_layers`` itself on a jet
+without directions, so it equals a recorded forward bit for bit. The
+arrays ``layer_jet`` allocates start on a 64-byte boundary, so how fast a
+layer runs does not follow where malloc happened to place them.
 ``activate_in_place`` is the one activation arithmetic of layer runs and
 ``sigmoid``/``relu``: a layer activates its freshly computed product in
 place, while ``activate`` works on a copy and leaves its input as it is.
@@ -99,28 +100,28 @@ are the same: negation is exact and round-to-nearest is symmetric, so
 zero both forms give exp(+-0) = 1.
 
 As it records a node, the record notes the parameter groups the node's
-value reads and those its adjoint reaches: a layer run adds its own group
-to its operand's, every other node takes the union of its operands', and
-an op without an adjoint reaches none. A replay follows the first, the
-backward pass the second; neither walks the record to find them.
+value reads: a layer run adds its own group to its operand's, and every
+other node takes the union of its operands'. A replay and the backward
+pass both follow this one mask; neither walks the record to find it.
 
-The backward pass visits only the nodes whose adjoint reaches a group it
-differentiates, and gives every adjoint the shape of its node's value:
-summed over a batch axis the node lacks, repeated over one it has. It
-drops a contribution that is a scalar exact zero, such as the adjoint of a
-term whose weight is 0: that adds ±0 to every gradient entry it reaches,
-which leaves the entry as it is, so a node that receives no other
-contribution is never visited. At a pointwise op it computes each
-operand's adjoint from the stored operands and output. At each layer of
-a run it recomputes the products W G_j and W L from the layer's input
-jet, so they are never stored, uses the third derivative
-s(1 - s)(1 - 6s + 6s^2) of a sigmoid, and adds the weight gradient of
-every row of the jet in one product (one 2-D product for a jet of values
-alone). It scales the adjoint of a run in place, so a run is read only by
-a select, whose adjoints all add into one zero adjoint of the run's
-shape, and by the next run, which builds a fresh one; the record refuses
-any other operation on one. A part adds its adjoint into the points
-lo:hi of a zero batch.
+The backward pass gives an adjoint only to the nodes whose value reads a
+group it differentiates. A ``detach`` or ``step`` may take one, but its
+row of the op table has no adjoint, so it passes nothing back. Every
+adjoint takes the shape of its node's value: summed over a batch axis
+the node lacks, repeated over one it has. It drops a contribution that
+is a scalar exact zero, such as the adjoint of a term whose weight is 0:
+that adds ±0 to every gradient entry it reaches, which leaves the entry
+as it is, so a node that receives no other contribution is never
+visited. At a pointwise op it computes each operand's adjoint from the
+stored operands and output. At each layer of a run it recomputes the
+products W G_j and W L from the layer's input jet, so they are never
+stored, uses the third derivative s(1 - s)(1 - 6s + 6s^2) of a sigmoid,
+and adds the weight gradient of every row of the jet in one batched
+product summed over the rows. It scales the adjoint of a run in place,
+so a run is read only by a select, whose adjoints all add into one zero
+adjoint of the run's shape, and by the next run, which builds a fresh
+one; the record refuses any other operation on one. A part adds its
+adjoint into the points lo:hi of a zero batch.
 
 A record's inputs are fixed once recorded: batches, constants and
 weights of the loss alike. What a replay follows is the parameter
@@ -300,14 +301,14 @@ _POINTWISE = {
     _SIGMOID: _function(functools.partial(activate, "sigmoid"), _sigmoid_slope,
                         _sigmoid_curvature),
 }
-_NO_ADJOINT = frozenset(op for op, rule in _POINTWISE.items() if not rule.adjoints)
 # a layer's activation and its op, whose slope and curvature the layer reads
 _ACTIVATIONS = {"sigmoid": _SIGMOID, "relu": _RELU, None: None}
 
 
 # The layer arithmetic of the record, on arrays: a layer run evaluates
-# its layers with these and goes back through them with their adjoints,
-# and nets.FieldNetwork.evaluate runs layer_jet on a jet without directions.
+# its layers with these (``run_layers``) and goes back through them with
+# their adjoints, and nets.FieldNetwork.evaluate runs run_layers on a jet
+# without directions.
 
 def _seed_jet(row, directions, laplacian: bool) -> np.ndarray:
     """A (k, n) row as a jet: unit first derivatives along the entry
@@ -377,6 +378,19 @@ def layer_jet(jet, w, b, act, laplacian, out=None) -> np.ndarray:
     if squares is not None:
         derivs[-1] += squares
     return out
+
+
+def run_layers(theta: np.ndarray, layers: Sequence[tuple], jet: np.ndarray, laplacian,
+               out=None) -> np.ndarray:
+    """`jet` mapped through consecutive `layers` of the parameter vector
+    `theta` by ``layer_jet``: the one walk of a run's value, of the input
+    jets the backward pass recomputes and of a plain network read. Each
+    inner jet is dropped for the next; the last is written into `out` when
+    given, else into a new array."""
+    for layer in layers[:-1]:
+        jet = layer_jet(jet, *layer_params(theta, layer), layer[3], laplacian)
+    last = layers[-1]
+    return layer_jet(jet, *layer_params(theta, last), last[3], laplacian, out)
 
 
 def _squares(derivs, laplacian) -> np.ndarray:
@@ -627,10 +641,9 @@ class Tape:
         self._args: list[tuple] = []
         self._vals: list = []
         # Each parameter group a layer run reads has a bit; for each node,
-        # the bits of the groups its value reads and its adjoint reaches.
+        # the bits of the groups its value reads.
         self._bits: dict[str, int] = {}
         self._reads: list[int] = []
-        self._reaches: list[int] = []
         self._groups: dict[str, np.ndarray] = {}
         self._shared: dict[tuple, int] = {}  # key -> node, see _node
         # Replay bookkeeping: each group's bits at the last replay, and the
@@ -645,22 +658,19 @@ class Tape:
         return len(self._ops)
 
     def _push(self, op: int, args: tuple, value=None) -> DiffScalar:
-        """Append a node with its value, noting the groups the value reads
-        and the adjoint reaches; a value of None is computed from the
-        operands first, so an op that raises appends nothing."""
+        """Append a node with its value, noting the groups the value reads;
+        a value of None is computed from the operands first, so an op that
+        raises appends nothing."""
         i = len(self._ops)
         if value is None:
             value = self._eval(i, op, args)
-        reads = reaches = (self._bits.setdefault(args[1], 1 << len(self._bits))
-                           if op == _LAYERS else 0)
+        reads = self._bits.setdefault(args[1], 1 << len(self._bits)) if op == _LAYERS else 0
         for a in _operands(op, args):
             reads |= self._reads[a]
-            reaches |= self._reaches[a]
         self._ops.append(op)
         self._args.append(args)
         self._vals.append(value)
         self._reads.append(reads)
-        self._reaches.append(0 if op in _NO_ADJOINT else reaches)
         return DiffScalar(self, i)
 
     def _mask(self, groups) -> int:
@@ -721,21 +731,13 @@ class Tape:
         jet = self._vals[x]
         return jet if self._ops[x] == _LAYERS else _seed_jet(jet, directions, bool(laplacian))
 
-    def _layer(self, group: str, layer: tuple, jet: np.ndarray, laplacian,
-               out=None) -> np.ndarray:
-        return layer_jet(jet, *layer_params(self._groups[group], layer), layer[3],
-                         laplacian, out)
-
     def _eval(self, i: int, op: int, args: tuple, out=None):
         """The value of node i, `op` on `args`. A layer run writes its last
         jet over `out`, the array a replay passes, or into a new array."""
         vals = self._vals
         if op == _LAYERS:  # first: the most frequent node a replay evaluates
             _, group, layers, _, laplacian = args
-            jet = self._run_input(args)
-            for layer in layers[:-1]:  # each inner jet is dropped for the next
-                jet = self._layer(group, layer, jet, laplacian)
-            return self._layer(group, layers[-1], jet, laplacian, out)
+            return run_layers(self._groups[group], layers, self._run_input(args), laplacian, out)
         rule = _POINTWISE.get(op)
         if rule is not None:
             try:
@@ -888,8 +890,8 @@ class Tape:
         """
         grads = {g: np.zeros(len(self._groups[g])) for g in param_groups}
         ops, args, vals = self._ops, self._args, self._vals
-        # a node is useful when its adjoint reaches one of the groups
-        useful, reaches = self._mask(param_groups), self._reaches
+        # a node takes an adjoint only when its value reads one of the groups
+        useful, reads = self._mask(param_groups), self._reads
         adj: dict[int, object] = {}
 
         def accumulate(node, contribution):
@@ -911,7 +913,7 @@ class Tape:
 
         for i in range(output.index, -1, -1):
             a_out = adj.pop(i, None)
-            if a_out is None or not reaches[i] & useful:
+            if a_out is None:
                 continue
             op = ops[i]
             a = args[i]
@@ -920,34 +922,35 @@ class Tape:
                 # reading a run; the seed for a run reading a row), then go
                 # back through the layers
                 x, group, layers, _, laplacian = a
+                theta = self._groups[group]
                 jets = [self._run_input(a)]
                 for layer in layers[:-1]:
-                    jets.append(self._layer(group, layer, jets[-1], laplacian))
+                    jets.append(run_layers(theta, (layer,), jets[-1], laplacian))
                 y = vals[i][0]
                 for k in range(len(layers) - 1, -1, -1):
                     jet = jets.pop()
                     a_out = self._layer_backward(group, layers[k], laplacian, a_out, jet, y,
-                                                 grads, k > 0 or reaches[x] & useful)
+                                                 grads, k > 0 or reads[x] & useful)
                     y = jet[0]
-                if reaches[x] & useful:
+                if reads[x] & useful:
                     # a run takes the whole jet's adjoint, a row its value row's
                     accumulate(x, a_out if ops[x] == _LAYERS else a_out[0])
             elif (rule := _POINTWISE.get(op)) is not None:
                 operands = [vals[k] for k in a]
                 for k, adjoint in zip(a, rule.adjoints):
-                    if reaches[k] & useful:
+                    if reads[k] & useful:
                         accumulate(k, adjoint(a_out, *operands, vals[i]))
             elif op == _SUM:
                 x, n = a
-                if reaches[x] & useful:
+                if reads[x] & useful:
                     accumulate(x, a_out / n)
             elif op == _STACK:
                 for k, x in enumerate(a):
-                    if reaches[x] & useful:
+                    if reads[x] & useful:
                         accumulate(x, a_out[k])
             elif op == _SELECT:
                 x, k, part = a
-                if reaches[x] & useful:
+                if reads[x] & useful:
                     # every select of a run adds into one zero adjoint,
                     # which only the run reads (``_not_layers``)
                     jet = adj.get(x)
@@ -956,7 +959,7 @@ class Tape:
                     jet[part, k] += a_out
             elif op == _PART:
                 x, lo, hi = a
-                if reaches[x] & useful:
+                if reads[x] & useful:
                     batch = np.zeros(len(vals[x]))
                     batch[lo:hi] = a_out
                     accumulate(x, batch)
@@ -978,10 +981,7 @@ class Tape:
         g = grads.get(group)
         if g is not None:
             # one product per row of the jet, summed over the rows
-            if len(jet) == 1:
-                weights = adjoint[0] @ jet[0].T
-            else:
-                weights = np.matmul(adjoint, jet.transpose(0, 2, 1)).sum(axis=0)
+            weights = np.matmul(adjoint, jet.transpose(0, 2, 1)).sum(axis=0)
             g[offset:offset + w.size] += weights.ravel()
             if bias is not None:
                 g[bias:bias + shape[0]] += adjoint[0].sum(axis=1)
@@ -1048,11 +1048,20 @@ def _point_value(part) -> float:
     return float(np.asarray(part.value if isinstance(part, DiffScalar) else part).item())
 
 
+def closed_form(tape: Tape, field: Callable, inputs, directions, laplacian=()) -> Jet:
+    """Jet of a closed-form field: `field` called on the jets of its
+    `inputs` (``input_jets``). A value that reads no input is recorded as a
+    constant."""
+    jets = input_jets(inputs, directions, laplacian)
+    jet = jets[0].lift(field(*jets))
+    value = jet.value if isinstance(jet.value, DiffScalar) else tape.constant(jet.value)
+    return Jet(value, jet.grads, jet.laplacian, jet.sums)
+
+
 def _point_jet(f: Callable, x: Sequence[float], directions, laplacian=()) -> Jet:
     """``f(*jets)`` recorded on the jets of one-point batches at `x`."""
     tape = Tape()
-    jets = input_jets([tape.batch([v]) for v in x], directions, laplacian)
-    return jets[0].lift(f(*jets))
+    return closed_form(tape, f, [tape.batch([v]) for v in x], directions, laplacian)
 
 
 def grad_inputs(f: Callable, x: Sequence[float]) -> list[float]:

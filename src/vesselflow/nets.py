@@ -97,18 +97,16 @@ class FieldNetwork:
 
         The rows go through all layers in blocks of at most `READ_BLOCK`,
         so the layer arrays and the width of each product do not grow with
-        n. Each layer is the record's own layer function (``ad.layer_jet``)
-        on a jet without directions, the contiguous (1, width, rows) row a
-        layer run maps; `points` is left unchanged and the result is a
-        transposed view. So each block is bitwise equal to the values `jet`
-        records from a batch of that block's rows."""
+        n. Each block is the record's own walk of its layers
+        (``ad.run_layers``) on a jet without directions, the contiguous
+        (1, width, rows) row a layer run maps; `points` is left unchanged
+        and the result is a transposed view. So each block is bitwise equal
+        to the values `jet` records from a batch of that block's rows."""
         points = np.asarray(points, dtype=np.float64)
         out = np.empty((self.out_dim, len(points)))
         for lo in range(0, len(points), READ_BLOCK):
             x = np.ascontiguousarray(points[lo:lo + READ_BLOCK].T)[None]
-            for layer in self._layers:
-                x = ad.layer_jet(x, *ad.layer_params(self.theta, layer), layer[3], ())
-            out[:, lo:lo + READ_BLOCK] = x[0]
+            out[:, lo:lo + READ_BLOCK] = ad.run_layers(self.theta, self._layers, x, ())[0]
         return out.T
 
     def relu_margin(self, point) -> float:
@@ -116,7 +114,8 @@ class FieldNetwork:
 
         Useful for keeping finite-difference probes away from kinks. Each
         layer is ``evaluate``'s at one point, activated after the margin
-        is read."""
+        is read, so it walks the layers itself: ``ad.run_layers`` keeps no
+        pre-activation."""
         x = np.asarray(point, dtype=np.float64).reshape(1, -1, 1)
         margin = np.inf
         for layer in self._layers:
@@ -135,19 +134,19 @@ def layer_widths(depth: int, hidden_width: int, in_dim: int, out_dim: int) -> li
 
 def build(depth: int, hidden_width: int, in_dim: int, out_dim: int, seed: int,
           name: str = "net") -> FieldNetwork:
-    """Scaled-uniform initialized network; biases start at zero."""
+    """Scaled-uniform initialized network; biases start at zero. Each
+    layer's weights are drawn in row-major order from one `seed` stream,
+    layer by layer."""
     if depth < 2:
         raise ValueError("depth must be at least 2 affine layers")
     widths = layer_widths(depth, hidden_width, in_dim, out_dim)
+    net = FieldNetwork(name, depth, widths, np.zeros(param_count(widths)))
     rng = np.random.default_rng(seed)
-    chunks = []
     for layer in range(depth):
-        fan_in, fan_out = widths[layer], widths[layer + 1]
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        chunks.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
-        chunks.append(np.zeros(fan_out))
-    theta = np.concatenate(chunks)
-    return FieldNetwork(name, depth, widths, theta)
+        w = net.weight(layer)
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def zero_init_output(net: FieldNetwork) -> None:

@@ -152,11 +152,11 @@ class AnalyticFlow:
         self.p = pressure
 
     def velocity(self, tape, r, z, t, directions=(), laplacian=()):
-        return tuple(_closed_form(tape, u, (r, z, t), directions, laplacian)
+        return tuple(ad.closed_form(tape, u, (r, z, t), directions, laplacian)
                      for u in (self.u_z, self.u_r))
 
     def pressure(self, tape, r, z, t, directions=()):
-        return _closed_form(tape, self.p, (r, z, t), directions)
+        return ad.closed_form(tape, self.p, (r, z, t), directions)
 
     def read(self, r, z, t, pressure: bool = True):
         u_z, u_r = self.u_z(r, z, t), self.u_r(r, z, t)
@@ -180,7 +180,7 @@ class AnalyticDisplacement:
         self.eta = eta
 
     def radial(self, tape, r, z, t, directions=(), laplacian=()):
-        return _closed_form(tape, self.eta, (r, z, t), directions, laplacian)
+        return ad.closed_form(tape, self.eta, (r, z, t), directions, laplacian)
 
     def read(self, r, z, t):
         return self.eta(r, z, t)
@@ -205,15 +205,6 @@ def _read_network(net, r, z, t):
     rows at a time; so each block equals a recorded read of that block,
     bit for bit."""
     return tuple(net.evaluate(np.stack(np.broadcast_arrays(r, z, t), axis=-1)).T)
-
-
-def _closed_form(tape, field: Callable, inputs, directions, laplacian=()) -> ad.Jet:
-    """Jet of a closed-form field: the field called on the jets of its
-    inputs (r, z, t). A value that reads no input is recorded as a constant."""
-    jets = ad.input_jets(inputs, directions, laplacian)
-    jet = jets[0].lift(field(*jets))
-    value = jet.value if isinstance(jet.value, ad.DiffScalar) else tape.constant(jet.value)
-    return ad.Jet(value, jet.grads, jet.laplacian, jet.sums)
 
 
 def _direction_node(tape, r: ad.DiffScalar):

@@ -58,7 +58,9 @@ class TrainingDiverged(RuntimeError):
         self.checkpoint = checkpoint
 
 
-# First momentum weight of the ladder; each rung multiplies it by ten.
+# The ladder's base momentum weight: each rung multiplies the weight by
+# ten, so the first rung trains at 1e-7. Only a ladder without rungs
+# (ladder_steps = 0) trains at this weight itself, in its coupled flow blocks.
 LADDER_START = 1e-8
 
 

@@ -42,6 +42,18 @@ class TestParamCount:
         want = 7 * 4 + 7 * 8 * 3 + 2 * 8
         assert nets.param_count(net.widths) == want == len(net.theta)
 
+    def test_initial_parameters_bit_for_bit(self):
+        # one seeded stream, layer by layer: the fan_out x fan_in weights in
+        # row-major order, uniform within +-sqrt(6 / (fan_in + fan_out)),
+        # then fan_out zero biases
+        rng = np.random.default_rng(5)
+        want = []
+        for fan_in, fan_out in ((3, 4), (4, 4), (4, 2)):
+            bound = np.sqrt(6.0 / (fan_in + fan_out))
+            want += [rng.uniform(-bound, bound, size=fan_out * fan_in), np.zeros(fan_out)]
+        theta = nets.build(3, 4, 3, 2, seed=5).theta
+        assert theta.tobytes() == np.concatenate(want).tobytes()
+
 
 class TestSchedule:
     def test_tags(self):

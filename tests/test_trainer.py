@@ -127,6 +127,15 @@ class TestScheduleStructure:
         assert seq[0] == 0.0
         assert seq[1:] == pytest.approx([1e-7, 1e-6, 1e-5, 1e-4, 1e-3], rel=1e-12)
 
+    def test_without_rungs_the_coupled_blocks_run_at_the_ladder_start(self):
+        # LADDER_START is a weight that trains only when the ladder has no
+        # rungs; the first rung trains at ten times it
+        config = tiny_config(ladder_steps=0, max_alternations=1)
+        networks = build_networks(config, seed=0)
+        history = Trainer(config, networks, seed=0).run()
+        assert history.stages() == ["fluid-init", "couple-1-solid", "couple-1-fluid"]
+        assert history.alpha_sequence() == [0.0, trainer_mod.LADDER_START] == [0.0, 1e-8]
+
     def test_alpha_ladder_monotone_in_history(self):
         config = tiny_config(ladder_steps=3, max_alternations=0, fluid_epochs=10)
         networks = build_networks(config, seed=2)
